@@ -48,9 +48,10 @@ print("converged:", solution.diagnostics.converged,
       "after", solution.diagnostics.iterations, "iterations")
 print("in-sample rmse:", round(rmse(dataset.y, dataset.x, solution.beta_hat), 4))
 
-# the distribution behind one coefficient: most of the mass sits on the
-# support points bracketing the estimate
-weights = solution.distributions.beta_matrix()[1]
+# the distribution behind one coefficient: row j of the (J, K) weight array
+# belongs to coefficient j, and most of its mass sits on the support points
+# bracketing the estimate
+weights = solution.distributions.beta[1]
 print("weights for the first slope:")
 for point, weight in zip(beta_row, weights):
     print(f"  z = {point:6.1f}  weight = {weight:.4f}")

@@ -28,8 +28,9 @@ BETA_ROW = (-100.0, -50.0, 0.0, 50.0, 100.0)
 
 
 def coefficients(state):
-    rows = state.supports.beta_support
-    return np.array([expectation(d, r) for d, r in zip(state.beta_prior, rows)])
+    # the carried prior is a (J, K) weight array, one row per coefficient;
+    # each estimate is its row's expectation over the matching support row
+    return expectation(state.beta_prior, state.supports.beta_support)
 
 
 dataset = generate_dataset(SimulationConfig(n=24, seed=7))

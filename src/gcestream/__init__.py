@@ -11,7 +11,6 @@ sampling protocol used in the accompanying experiments.
 
 from .core import (
     JointDistribution,
-    SimplexDistribution,
     SupportGrid,
     expectation,
     kl_divergence,
@@ -70,7 +69,6 @@ from .streaming import (
     StreamState,
     UpdateSettings,
     block_update,
-    entropy_production,
     init_stream,
     run_stream,
     update_step,
@@ -80,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JointDistribution",
-    "SimplexDistribution",
     "SupportGrid",
     "expectation",
     "kl_divergence",
@@ -97,7 +94,6 @@ __all__ = [
     "StreamState",
     "UpdateSettings",
     "block_update",
-    "entropy_production",
     "init_stream",
     "run_stream",
     "update_step",

@@ -3,30 +3,33 @@
 Everything downstream works with reparameterized regressions: each coefficient
 and each noise term is written as the expectation of a discrete distribution
 over a small, fixed support row. This module holds those building blocks:
-support grids, simplex weight vectors, their joint container, and the three
+support grids, the joint container of simplex weight rows, and the three
 functionals (expectation, Shannon entropy, KL divergence) the estimators
 optimize.
 
 Conventions shared by the whole package:
 
+* a distribution is a row of a 2-D weight array, one row per coefficient or
+  observation; the functionals take one row (1-D, giving a float) or a stack
+  of rows (2-D, giving one value per row);
 * weights are nonnegative and sum to one within ``SUM_TOLERANCE`` at
-  construction, then are renormalized so the stored sum is exact;
+  construction, then are renormalized so the stored sums are exact;
 * weights smaller than ``ZERO_CLAMP`` are treated as exact zeros inside
   logarithms, and the convention 0 * log(0) = 0 applies throughout;
-* all containers are immutable values, safe to share across threads.
+* all containers are immutable values holding read-only arrays, safe to
+  share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SUM_TOLERANCE",
     "ZERO_CLAMP",
-    "SimplexDistribution",
     "SupportGrid",
     "JointDistribution",
     "expectation",
@@ -41,51 +44,37 @@ SUM_TOLERANCE = 1e-12
 ZERO_CLAMP = 1e-300
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only float array."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np.ndarray:
+    """Validate a stack of simplex rows and return a read-only copy.
+
+    Every row must be finite and nonnegative, have at least two entries and
+    sum to one within ``SUM_TOLERANCE``; a 1-D input is one row. The copy is
+    renormalized unless ``renormalize`` is false, which keeps weights that
+    were normalized before bit for bit.
+    """
+    w = np.atleast_2d(np.array(values, dtype=float))
+    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
+        raise ValueError(f"{name} must be one or more rows of at least two entries")
+    if not np.isfinite(w).all():
+        raise ValueError(f"{name} must be finite")
+    if (w < 0.0).any():
+        raise ValueError(f"{name} must be nonnegative, got min {w.min()!r}")
+    total = w.sum(axis=1)
+    off = np.abs(total - 1.0) > SUM_TOLERANCE
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(
+            f"{name} row {row} sums to {total[row]!r}, expected 1 within {SUM_TOLERANCE}"
+        )
+    if renormalize:
+        w /= total[:, None]
+    w.setflags(write=False)
+    return w
 
 
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplexDistribution:
-    """Nonnegative weights over one support row, summing to one.
-
-    The constructor validates and then renormalizes, so ``weights.sum()`` is
-    exact up to one rounding of the division. The stored array is read-only.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("weights must be a 1-D vector with at least two entries")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError(f"weights must be nonnegative, got min {w.min()!r}")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"weights sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-        w /= total
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, size: int) -> "SimplexDistribution":
-        if size < 2:
-            raise ValueError("a support row needs at least two points")
-        return cls(np.full(size, 1.0 / size))
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
 
 
 @dataclass(frozen=True)
@@ -150,48 +139,30 @@ class SupportGrid:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """One simplex row per coefficient plus one per observation."""
+    """One simplex row per coefficient plus one per observation.
 
-    beta_rows: tuple[SimplexDistribution, ...]
-    error_rows: tuple[SimplexDistribution, ...]
+    ``beta`` has shape ``(J, K)`` and ``error`` shape ``(m, H)``. Every row of
+    both is checked (finite, nonnegative, at least two points, sum within
+    ``SUM_TOLERANCE`` of one) in one pass, renormalized and stored read-only.
+    """
+
+    beta: np.ndarray
+    error: np.ndarray
 
     def __post_init__(self) -> None:
-        beta_rows = tuple(self.beta_rows)
-        error_rows = tuple(self.error_rows)
-        if not beta_rows or not error_rows:
-            raise ValueError("need at least one coefficient row and one error row")
-        for name, rows in (("beta_rows", beta_rows), ("error_rows", error_rows)):
-            if not all(isinstance(r, SimplexDistribution) for r in rows):
-                raise ValueError(f"{name} must contain SimplexDistribution values")
-        object.__setattr__(self, "beta_rows", beta_rows)
-        object.__setattr__(self, "error_rows", error_rows)
+        object.__setattr__(self, "beta", _simplex_rows(self.beta, "beta"))
+        object.__setattr__(self, "error", _simplex_rows(self.error, "error"))
 
     @classmethod
     def uniform(cls, grid: SupportGrid) -> "JointDistribution":
-        beta = tuple(SimplexDistribution.uniform(grid.n_beta_points) for _ in range(grid.n_params))
-        err = tuple(SimplexDistribution.uniform(grid.n_error_points) for _ in range(grid.n_obs))
-        return cls(beta, err)
-
-    @classmethod
-    def from_matrices(cls, beta: np.ndarray, error: np.ndarray) -> "JointDistribution":
-        return cls(
-            tuple(SimplexDistribution(row) for row in np.atleast_2d(beta)),
-            tuple(SimplexDistribution(row) for row in np.atleast_2d(error)),
-        )
-
-    def beta_matrix(self) -> np.ndarray:
-        return np.vstack([r.weights for r in self.beta_rows])
-
-    def error_matrix(self) -> np.ndarray:
-        return np.vstack([r.weights for r in self.error_rows])
+        k, h = grid.n_beta_points, grid.n_error_points
+        return cls(np.full((grid.n_params, k), 1.0 / k), np.full((grid.n_obs, h), 1.0 / h))
 
     def matches_grid(self, grid: SupportGrid) -> bool:
-        """True when row counts and row lengths line up with ``grid``."""
+        """True when the weight arrays have the shapes of the grid's support arrays."""
         return (
-            len(self.beta_rows) == grid.n_params
-            and len(self.error_rows) == grid.n_obs
-            and all(len(r) == grid.n_beta_points for r in self.beta_rows)
-            and all(len(r) == grid.n_error_points for r in self.error_rows)
+            self.beta.shape == grid.beta_support.shape
+            and self.error.shape == grid.error_support.shape
         )
 
 
@@ -200,39 +171,46 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _clamped(weights: np.ndarray) -> np.ndarray:
-    """Zero out weights below the logarithm clamp."""
-    return np.where(weights < ZERO_CLAMP, 0.0, weights)
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * log(y) where x is at least the clamp, exact zero elsewhere."""
+    live = x >= ZERO_CLAMP
+    return np.where(live, x * np.log(np.where(live, y, 1.0)), 0.0)
 
 
-def expectation(dist: SimplexDistribution, support_row: Iterable[float]) -> float:
-    """Weighted mean of ``support_row`` under ``dist``."""
-    z = np.asarray(support_row, dtype=float)
-    if z.ndim != 1 or z.size != len(dist):
-        raise ValueError(f"support row has length {z.size}, distribution has {len(dist)}")
-    return float(dist.weights @ z)
+def _per_row(values: np.ndarray):
+    """A float for one row, the array of per-row values for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
-def shannon_entropy(dist: SimplexDistribution) -> float:
-    """Shannon entropy in nats; zero weights contribute nothing."""
-    w = _clamped(dist.weights)
-    positive = w[w > 0.0]
-    return float(-(positive * np.log(positive)).sum())
+def expectation(weights, support):
+    """Weighted mean of each support row under the matching weight row."""
+    w = np.asarray(weights, dtype=float)
+    z = np.asarray(support, dtype=float)
+    if z.shape != w.shape:
+        raise ValueError(f"support has shape {z.shape}, weights have {w.shape}")
+    return _per_row((w * z).sum(axis=-1))
 
 
-def kl_divergence(p: SimplexDistribution, q: SimplexDistribution) -> float:
-    """KL divergence of ``p`` from ``q``; requires ``q`` to dominate ``p``.
+def shannon_entropy(weights):
+    """Shannon entropy of each row in nats; zero weights contribute nothing."""
+    w = np.asarray(weights, dtype=float)
+    return _per_row(-_xlogy(w, w).sum(axis=-1))
 
-    Raises ValueError when some ``p`` weight is positive where ``q`` vanishes
-    (after clamping), since the divergence is infinite there.
+
+def kl_divergence(p, q):
+    """KL divergence of each row of ``p`` from the matching row of ``q``.
+
+    ``q`` must dominate ``p``: a ValueError is raised when some ``p`` weight
+    is positive where ``q`` vanishes (after clamping), since the divergence
+    is infinite there.
     """
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    pw = _clamped(p.weights)
-    qw = _clamped(q.weights)
-    mask = pw > 0.0
-    if np.any(qw[mask] == 0.0):
+    pw = np.asarray(p, dtype=float)
+    qw = np.asarray(q, dtype=float)
+    if pw.shape != qw.shape:
+        raise ValueError(f"shape mismatch: {pw.shape} vs {qw.shape}")
+    q_live = qw >= ZERO_CLAMP
+    if ((pw >= ZERO_CLAMP) & ~q_live).any():
         raise ValueError("reference distribution must dominate: q vanishes where p > 0")
-    value = float((pw[mask] * np.log(pw[mask] / qw[mask])).sum())
+    value = _xlogy(pw, pw / np.where(q_live, qw, 1.0)).sum(axis=-1)
     # Exact zero for identical rows; tiny negative values are pure rounding.
-    return max(value, 0.0)
+    return _per_row(np.maximum(value, 0.0))

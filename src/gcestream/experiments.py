@@ -30,6 +30,7 @@ import numpy as np
 from .metrics import (
     MethodResult,
     RunReport,
+    _write_csv,
     relative_gap,
     rmse,
     summary_rows,
@@ -517,22 +518,6 @@ def _figure_rows(reports) -> tuple[list[dict], list[dict], list[dict]]:
     return rmse_vs_n, rmse_vs_eta, gap_rows
 
 
-def _write_rows_csv(path, columns, rows) -> None:
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    lines = [",".join(columns)]
-    lines.extend(",".join(cell(row[c]) for c in columns) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def run_experiment(
     config: ExperimentConfig, out_dir=None, jobs: int | None = None
 ) -> ExperimentOutcome:
@@ -578,17 +563,17 @@ def run_experiment(
         write_summary_csv(reports, out / "summary.csv")
         write_summary_json(reports, out / "summary.json")
         rmse_vs_n, rmse_vs_eta, gap_rows = _figure_rows(reports)
-        _write_rows_csv(
+        _write_csv(
             out / "fig_rmse_vs_n.csv",
             ("method", "eta", "batch_fraction", "g", "n", "rmse_mean"),
             rmse_vs_n,
         )
-        _write_rows_csv(
+        _write_csv(
             out / "fig_rmse_vs_eta.csv",
             ("n", "method", "batch_fraction", "g", "eta", "rmse_mean"),
             rmse_vs_eta,
         )
-        _write_rows_csv(
+        _write_csv(
             out / "fig_gap_vs_batch.csv",
             ("n", "eta", "method", "g", "batch_fraction", "relative_gap_mean", "replications"),
             gap_rows,

@@ -16,7 +16,8 @@ dual in the m Lagrange multipliers: the optimal weights have Gibbs form
 and the dual objective is a sum of log partition terms. Its gradient is the
 constraint residual, so the solver is a safeguarded Newton iteration driven to
 max |residual| <= tolerance. All partition sums are evaluated in the log
-domain (per-row max subtraction), which keeps exponents of order 1e5 finite.
+domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
+the same shifted exponentials give the normalized row weights.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     ZERO_CLAMP,
@@ -156,8 +156,8 @@ class GceProblem:
     def _check_feasibility(self) -> None:
         zb = self.supports.beta_support
         ze = self.supports.error_support
-        qb = self.prior.beta_matrix()
-        qe = self.prior.error_matrix()
+        qb = self.prior.beta
+        qe = self.prior.error
         # Support points with zero prior weight are unreachable at finite KL.
         bmin = np.where(qb > 0.0, zb, np.inf).min(axis=1)
         bmax = np.where(qb > 0.0, zb, -np.inf).max(axis=1)
@@ -179,9 +179,10 @@ class GceProblem:
 class GceSolution:
     """Fitted weights plus the point estimates they imply.
 
-    ``objective_value`` is the achieved (possibly reweighted) KL divergence
-    from the prior. ``beta_hat`` and ``epsilon_hat`` are the expectations of
-    the fitted rows over their support points.
+    ``distributions`` holds the fitted weights as ``(J, K)`` and ``(m, H)``
+    arrays. ``objective_value`` is the achieved (possibly reweighted) KL
+    divergence from the prior. ``beta_hat`` and ``epsilon_hat`` are the
+    expectations of the fitted rows over their support points.
     """
 
     distributions: JointDistribution
@@ -211,6 +212,22 @@ class _DualPoint:
     curv_eps: np.ndarray  # per-observation Hessian contribution
 
 
+def _log_partition(logits: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log-sum-exp and the normalized row weights, from one exp.
+
+    Entries of -inf (support points without prior weight) get zero weight; a
+    row whose log partition sum is not finite raises ValueError.
+    """
+    top = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - top)
+    total = shifted.sum(axis=1, keepdims=True)
+    ln_z = np.log(total[:, 0]) + top[:, 0]
+    bad = ~np.isfinite(ln_z)
+    if bad.any():
+        raise ValueError(f"non-finite partition sum in {name} row {int(np.argmax(bad))}")
+    return ln_z, shifted / total
+
+
 class _DualEvaluator:
     """Precomputed log-priors and supports for repeated dual evaluations.
 
@@ -225,8 +242,8 @@ class _DualEvaluator:
         self.x = problem.x
         self.zb = problem.supports.beta_support
         self.ze = problem.supports.error_support
-        qb = problem.prior.beta_matrix()
-        qe = problem.prior.error_matrix()
+        qb = problem.prior.beta
+        qe = problem.prior.error
         self.log_qb = np.where(qb >= ZERO_CLAMP, np.log(np.maximum(qb, ZERO_CLAMP)), -np.inf)
         self.log_qe = np.where(qe >= ZERO_CLAMP, np.log(np.maximum(qe, ZERO_CLAMP)), -np.inf)
         self.wb = float(signal_weight)
@@ -236,25 +253,15 @@ class _DualEvaluator:
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
-        theta = self.x.T @ lam
-        logits_b = self.log_qb - self.zb * (theta / self.wb)[:, None]
-        ln_zb = logsumexp(logits_b, axis=1)
-        pb = np.exp(logits_b - ln_zb[:, None])
+        tilt = (self.x.T @ lam) / self.wb
+        ln_zb, pb = _log_partition(self.log_qb - self.zb * tilt[:, None], "coefficient")
         beta_hat = (pb * self.zb).sum(axis=1)
         curv_beta = (pb * (self.zb - beta_hat[:, None]) ** 2).sum(axis=1) / self.wb
 
-        logits_e = self.log_qe - self.ze * (lam / self.we)[:, None]
-        ln_ze = logsumexp(logits_e, axis=1)
-        pe = np.exp(logits_e - ln_ze[:, None])
+        ln_ze, pe = _log_partition(self.log_qe - self.ze * (lam / self.we)[:, None], "error")
         eps_hat = (pe * self.ze).sum(axis=1)
         curv_eps = (pe * (self.ze - eps_hat[:, None]) ** 2).sum(axis=1) / self.we
 
-        for name, ln_z in (("coefficient", ln_zb), ("error", ln_ze)):
-            bad = ~np.isfinite(ln_z)
-            if np.any(bad):
-                raise ValueError(
-                    f"non-finite partition sum in {name} row {int(np.flatnonzero(bad)[0])}"
-                )
         value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
         grad = self.y - self.x @ beta_hat - eps_hat
         return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)
@@ -401,7 +408,7 @@ def gibbs_weights(
     _check_weights(signal_weight, error_weight)
     lam = _as_multipliers(multipliers, problem.n_obs)
     pt = _DualEvaluator(problem, signal_weight, error_weight).evaluate(lam)
-    return JointDistribution.from_matrices(pt.pb, pt.pe)
+    return JointDistribution(pt.pb, pt.pe)
 
 
 def dual_objective(multipliers, problem: GceProblem) -> tuple[float, np.ndarray]:
@@ -445,12 +452,10 @@ def solve_gce(
     else:
         lam, pt, iterations = _solve_multi(ev, settings)
 
-    distributions = JointDistribution.from_matrices(pt.pb, pt.pe)
-    objective = signal_weight * sum(
-        kl_divergence(p, q) for p, q in zip(distributions.beta_rows, problem.prior.beta_rows)
-    ) + error_weight * sum(
-        kl_divergence(p, q) for p, q in zip(distributions.error_rows, problem.prior.error_rows)
-    )
+    distributions = JointDistribution(pt.pb, pt.pe)
+    objective = signal_weight * kl_divergence(
+        distributions.beta, problem.prior.beta
+    ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
     residual = float(np.max(np.abs(pt.grad)))
     lam = np.array(lam, dtype=float)
     lam.setflags(write=False)

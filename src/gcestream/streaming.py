@@ -16,17 +16,21 @@ gamma toward 1 makes the carried prior progressively stickier.
 States are immutable values. Each absorbed block appends one entry to the
 entropy ledger, the KL divergence of the new coefficient weights from the
 previous ones, a nonnegative account of how much information the block moved.
+Successive states share their logs, so absorbing a block costs the same
+however long the stream has run.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JointDistribution, SimplexDistribution, SupportGrid, expectation, kl_divergence
+from .core import JointDistribution, SupportGrid, _simplex_rows, expectation, kl_divergence
 from .simulation import build_error_support
 from .solver import (
     GceProblem,
@@ -44,10 +48,51 @@ __all__ = [
     "update_step",
     "block_update",
     "run_stream",
-    "entropy_production",
 ]
 
 logger = logging.getLogger(__name__)
+
+_APPEND_LOCK = threading.Lock()
+
+
+class _Log(Sequence):
+    """An immutable view of the first ``len(self)`` entries of an append-only list.
+
+    Successive stream states share one list, so ``extended`` appends in place
+    in O(1); when a later state has appended already (a branch from an older
+    state) it copies the prefix first, so no view ever sees its entries
+    change. ``low`` is the smallest entry of a numeric log, else None.
+    """
+
+    __slots__ = ("_items", "_size", "low")
+
+    def __init__(self, items: list, low: float | None) -> None:
+        self._items, self._size, self.low = items, len(items), low
+
+    def extended(self, values) -> "_Log":
+        with _APPEND_LOCK:
+            items = self._items if len(self._items) == self._size else self._items[: self._size]
+            items.extend(values)
+            return _Log(items, None if self.low is None else min([self.low, *values]))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._items[: self._size][index])
+        return self._items[range(self._size)[index]]
+
+    def __iter__(self):
+        return iter(self._items[: self._size])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -78,52 +123,55 @@ class UpdateSettings:
 class StreamState:
     """Carried coefficient prior plus the running diagnostic logs.
 
+    ``beta_prior`` is the ``(J, K)`` read-only array of carried coefficient
+    weights, checked like a ``JointDistribution``'s rows but stored as given,
+    so a state rebuilt from another state's prior carries the same bits.
     ``supports`` fixes the coefficient support rows for the whole stream; its
     error rows are whatever the last absorbed problem used (incoming blocks
-    supply their own). ``step_index`` counts absorbed observations.
+    supply their own). ``step_index`` counts absorbed observations. The logs
+    are read-only sequences that the update functions share between
+    successive states instead of copying them.
     """
 
-    beta_prior: tuple[SimplexDistribution, ...]
+    beta_prior: np.ndarray
     supports: SupportGrid
     step_index: int
-    epsilon_log: tuple[float, ...] = ()
-    entropy_ledger: tuple[float, ...] = ()
-    beta_trajectory: tuple[np.ndarray, ...] = ()
-    converged_log: tuple[bool, ...] = ()
+    epsilon_log: Sequence[float] = ()
+    entropy_ledger: Sequence[float] = ()
+    beta_trajectory: Sequence[np.ndarray] = ()
+    converged_log: Sequence[bool] = ()
 
     def __post_init__(self) -> None:
-        prior = tuple(self.beta_prior)
-        if len(prior) != self.supports.n_params or any(
-            len(row) != self.supports.n_beta_points for row in prior
-        ):
+        prior = _simplex_rows(self.beta_prior, "beta_prior", renormalize=False)
+        if prior.shape != self.supports.beta_support.shape:
             raise ValueError("beta_prior rows do not match the support grid")
         if self.step_index < 0:
             raise ValueError("step_index must be nonnegative")
-        if any(entry < -1e-12 for entry in self.entropy_ledger):
-            raise ValueError("entropy ledger entries must be nonnegative")
         object.__setattr__(self, "beta_prior", prior)
-        object.__setattr__(self, "epsilon_log", tuple(float(e) for e in self.epsilon_log))
-        object.__setattr__(self, "entropy_ledger", tuple(float(e) for e in self.entropy_ledger))
-        object.__setattr__(self, "beta_trajectory", tuple(self.beta_trajectory))
-        object.__setattr__(self, "converged_log", tuple(bool(c) for c in self.converged_log))
+        # A _Log is kept as it is, so an update costs O(1), and a numeric one
+        # carries its minimum for the ledger bound; other sequences are copied.
+        logs = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
+        for name, cast in zip(logs, (float, float, None, bool)):
+            values = getattr(self, name)
+            if not (isinstance(values, _Log) and (values.low is not None or cast is None)):
+                items = list(values if cast is None else map(cast, values))
+                values = _Log(items, None if cast is None else min(items, default=float("inf")))
+            object.__setattr__(self, name, values)
+        if self.entropy_ledger.low < -1e-12:
+            raise ValueError("entropy ledger entries must be nonnegative")
 
     @classmethod
     def uniform_start(cls, supports: SupportGrid) -> "StreamState":
         """A state with uniform coefficient weights and nothing absorbed yet."""
-        prior = tuple(
-            SimplexDistribution.uniform(supports.n_beta_points) for _ in range(supports.n_params)
-        )
-        state = cls(beta_prior=prior, supports=supports, step_index=0)
-        return replace(state, beta_trajectory=(state.beta_hat,))
+        k = supports.n_beta_points
+        prior = np.full((supports.n_params, k), 1.0 / k)
+        start = expectation(prior, supports.beta_support)
+        return cls(prior, supports, step_index=0, beta_trajectory=(start,))
 
     @property
     def beta_hat(self) -> np.ndarray:
         """Current point estimates: expectations of the carried weights."""
-        values = [
-            expectation(row, support)
-            for row, support in zip(self.beta_prior, self.supports.beta_support)
-        ]
-        out = np.array(values)
+        out = expectation(self.beta_prior, self.supports.beta_support)
         out.setflags(write=False)
         return out
 
@@ -158,20 +206,16 @@ def init_stream(
     only the coefficient rows persist.
     """
     settings = settings if settings is not None else UpdateSettings()
-    uniform = JointDistribution.uniform(batch.supports)
-    for fitted, flat in zip(batch.prior.beta_rows, uniform.beta_rows):
-        if np.max(np.abs(fitted.weights - flat.weights)) > 1e-12:
-            raise ValueError("init_stream requires a uniform batch prior")
-    for fitted, flat in zip(batch.prior.error_rows, uniform.error_rows):
-        if np.max(np.abs(fitted.weights - flat.weights)) > 1e-12:
+    for weights in (batch.prior.beta, batch.prior.error):
+        if np.max(np.abs(weights - 1.0 / weights.shape[1])) > 1e-12:
             raise ValueError("init_stream requires a uniform batch prior")
 
     solution = solve_gce(batch, settings.solver)
     state = StreamState(
-        beta_prior=solution.distributions.beta_rows,
+        beta_prior=solution.distributions.beta,
         supports=batch.supports,
         step_index=batch.n_obs,
-        epsilon_log=tuple(solution.epsilon_hat),
+        epsilon_log=solution.epsilon_hat.tolist(),
         beta_trajectory=(solution.beta_hat,),
         converged_log=(solution.diagnostics.converged,),
     )
@@ -201,10 +245,7 @@ def block_update(
         rows = np.tile(rows, (y.size, 1))
 
     grid = SupportGrid(state.supports.beta_support, rows)
-    prior = JointDistribution(
-        state.beta_prior,
-        tuple(SimplexDistribution.uniform(rows.shape[1]) for _ in range(y.size)),
-    )
+    prior = JointDistribution(state.beta_prior, np.full(rows.shape, 1.0 / rows.shape[1]))
     problem = GceProblem(y, x, grid, prior)
     solution = solve_gce(
         problem,
@@ -213,22 +254,22 @@ def block_update(
         error_weight=1.0 - settings.gamma,
     )
 
-    new_prior = solution.distributions.beta_rows
-    if any(row.weights.min() <= 0.0 for row in new_prior):
+    new_prior = solution.distributions.beta
+    if new_prior.min() <= 0.0:
         logger.warning(
             "carried prior underflowed to zero on some support points at step %d; "
             "those points are frozen out for the rest of the stream",
             state.step_index,
         )
-    moved = sum(kl_divergence(new, old) for new, old in zip(new_prior, state.beta_prior))
+    moved = float(kl_divergence(new_prior, state.beta_prior).sum())
     return StreamState(
         beta_prior=new_prior,
         supports=grid,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log + tuple(solution.epsilon_hat),
-        entropy_ledger=state.entropy_ledger + (float(moved),),
-        beta_trajectory=state.beta_trajectory + (solution.beta_hat,),
-        converged_log=state.converged_log + (solution.diagnostics.converged,),
+        epsilon_log=state.epsilon_log.extended(solution.epsilon_hat.tolist()),
+        entropy_ledger=state.entropy_ledger.extended((moved,)),
+        beta_trajectory=state.beta_trajectory.extended((solution.beta_hat,)),
+        converged_log=state.converged_log.extended((solution.diagnostics.converged,)),
     )
 
 
@@ -240,14 +281,8 @@ def update_step(
     settings: UpdateSettings | None = None,
 ) -> StreamState:
     """Absorb a single observation; identical to a block of size one."""
-    x_row = np.asarray(x_new, dtype=float).reshape(1, -1)
-    row = np.asarray(error_support_row, dtype=float).reshape(1, -1)
-    return block_update(state, np.array([float(y_new)]), x_row, row, settings)
-
-
-def entropy_production(state: StreamState) -> list[float]:
-    """Per-block KL movement of the carried weights, in absorption order."""
-    return list(state.entropy_ledger)
+    x_row = np.reshape(x_new, (1, -1))
+    return block_update(state, [y_new], x_row, np.reshape(error_support_row, (1, -1)), settings)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ def _evaluate_free(problem: GceProblem, free: np.ndarray):
     x = problem.x
     zb = problem.supports.beta_support
     ze = problem.supports.error_support
-    qb = problem.prior.beta_matrix()
-    qe = problem.prior.error_matrix()
+    qb = problem.prior.beta
+    qe = problem.prior.error
     j_count, k_count = zb.shape
     m_count, h_count = ze.shape
 
@@ -214,7 +214,7 @@ def random_small_problem(rng, structure=None, random_prior=False) -> GceProblem:
         qe = np.clip(qe, 0.05, None)
         qb /= qb.sum(axis=1, keepdims=True)
         qe /= qe.sum(axis=1, keepdims=True)
-        prior = JointDistribution.from_matrices(qb, qe)
+        prior = JointDistribution(qb, qe)
     return GceProblem(y, x, grid, prior)
 
 

@@ -112,10 +112,10 @@ def test_criterion_02_stationarity_holds_on_every_converged_solve():
         worst_weight_gap = max(
             worst_weight_gap,
             float(np.max(np.abs(
-                solution.distributions.beta_matrix() - closed_form.beta_matrix()
+                solution.distributions.beta - closed_form.beta
             ))),
             float(np.max(np.abs(
-                solution.distributions.error_matrix() - closed_form.error_matrix()
+                solution.distributions.error - closed_form.error
             ))),
         )
 
@@ -287,8 +287,7 @@ def test_criterion_08_streaming_invariants():
         worst_replay = max(
             worst_replay,
             float(np.max(np.abs(
-                np.vstack([r.weights for r in a.beta_prior])
-                - np.vstack([r.weights for r in b.beta_prior])
+                a.beta_prior - b.beta_prior
             ))),
         )
 

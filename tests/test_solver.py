@@ -8,7 +8,6 @@ from gcestream import (
     GceProblem,
     InfeasibleObservationError,
     JointDistribution,
-    SimplexDistribution,
     SolverSettings,
     SupportGrid,
     dual_objective,
@@ -47,15 +46,15 @@ def protocol_like_problem(n=40, seed=5):
 def test_zero_multipliers_uniform_prior_gives_uniform_rows():
     prob = protocol_like_problem(n=6)
     joint = gibbs_weights(np.zeros(6), prob)
-    np.testing.assert_allclose(joint.beta_matrix(), 0.2, atol=1e-15)
-    np.testing.assert_allclose(joint.error_matrix(), 1.0 / 3.0, atol=1e-15)
+    np.testing.assert_allclose(joint.beta, 0.2, atol=1e-15)
+    np.testing.assert_allclose(joint.error, 1.0 / 3.0, atol=1e-15)
 
 
 def test_zero_multipliers_return_the_prior_exactly():
     prob = oracles.random_small_problem(rng, random_prior=True)
     joint = gibbs_weights(np.zeros(prob.n_obs), prob)
-    np.testing.assert_allclose(joint.beta_matrix(), prob.prior.beta_matrix(), atol=1e-14)
-    np.testing.assert_allclose(joint.error_matrix(), prob.prior.error_matrix(), atol=1e-14)
+    np.testing.assert_allclose(joint.beta, prob.prior.beta, atol=1e-14)
+    np.testing.assert_allclose(joint.error, prob.prior.error, atol=1e-14)
 
 
 def test_two_point_gibbs_closed_form():
@@ -64,8 +63,8 @@ def test_two_point_gibbs_closed_form():
     # exp(+ln 3), exp(-ln 3) = (3, 1/3), normalizing to (9/10, 1/10).
     prob = two_point_problem()
     joint = gibbs_weights(np.array([math.log(3.0)]), prob)
-    np.testing.assert_allclose(joint.beta_matrix()[0], [0.75, 0.25], atol=1e-15)
-    np.testing.assert_allclose(joint.error_matrix()[0], [0.9, 0.1], atol=1e-15)
+    np.testing.assert_allclose(joint.beta[0], [0.75, 0.25], atol=1e-15)
+    np.testing.assert_allclose(joint.error[0], [0.9, 0.1], atol=1e-15)
 
 
 def test_gibbs_rejects_bad_multipliers():
@@ -131,18 +130,16 @@ def test_two_point_solution_matches_fine_grid_oracle():
 
 def test_prior_feasible_response_solves_at_zero():
     prob = oracles.random_small_problem(rng, random_prior=True)
-    prediction = prob.x @ np.array(
-        [expectation(r, z) for r, z in zip(prob.prior.beta_rows, prob.supports.beta_support)]
-    ) + np.array(
-        [expectation(r, z) for r, z in zip(prob.prior.error_rows, prob.supports.error_support)]
-    )
+    prediction = prob.x @ expectation(
+        prob.prior.beta, prob.supports.beta_support
+    ) + expectation(prob.prior.error, prob.supports.error_support)
     relaxed = GceProblem(prediction, prob.x, prob.supports, prob.prior)
     sol = solve_gce(relaxed)
     assert sol.diagnostics.converged
     np.testing.assert_allclose(sol.multipliers, 0.0, atol=1e-9)
     assert sol.objective_value <= 1e-12
     np.testing.assert_allclose(
-        sol.distributions.beta_matrix(), prob.prior.beta_matrix(), atol=1e-8
+        sol.distributions.beta, prob.prior.beta, atol=1e-8
     )
 
 
@@ -166,38 +163,38 @@ def test_solution_invariants_on_protocol_problems(n):
     residual = prob.y - prob.x @ sol.beta_hat - sol.epsilon_hat
     assert np.max(np.abs(residual)) <= 1e-8
     # point estimates really are the row expectations
-    for j, row in enumerate(sol.distributions.beta_rows):
+    for j, row in enumerate(sol.distributions.beta):
         assert sol.beta_hat[j] == pytest.approx(
             expectation(row, prob.supports.beta_support[j]), abs=1e-12
         )
-    for i, row in enumerate(sol.distributions.error_rows):
+    for i, row in enumerate(sol.distributions.error):
         assert sol.epsilon_hat[i] == pytest.approx(
             expectation(row, prob.supports.error_support[i]), abs=1e-12
         )
     # round-trip: the stored multipliers regenerate the stored weights
     regen = gibbs_weights(sol.multipliers, prob)
     np.testing.assert_allclose(
-        regen.beta_matrix(), sol.distributions.beta_matrix(), atol=1e-10
+        regen.beta, sol.distributions.beta, atol=1e-10
     )
     np.testing.assert_allclose(
-        regen.error_matrix(), sol.distributions.error_matrix(), atol=1e-10
+        regen.error, sol.distributions.error, atol=1e-10
     )
     # everything stays finite under the wide supports
-    assert np.all(np.isfinite(sol.distributions.beta_matrix()))
+    assert np.all(np.isfinite(sol.distributions.beta))
     assert np.all(np.isfinite(sol.multipliers))
 
 
 def test_scalar_path_matches_independent_bisection():
     local = np.random.default_rng(88)
     grid = SupportGrid(np.array([[-1.0, 0.0, 1.5]]), np.array([[-2.0, 0.0, 2.0]]))
-    prior = JointDistribution.from_matrices(
+    prior = JointDistribution(
         np.array([[0.5, 0.3, 0.2]]), np.array([[1 / 3, 1 / 3, 1 / 3]])
     )
     prob = GceProblem(np.array([0.8]), np.array([[1.3]]), grid, prior)
     sol = solve_gce(prob)
     lam_star = oracles.bisect_scalar_multiplier(
-        0.8, [1.3], grid.beta_support, prior.beta_matrix(),
-        grid.error_support[0], prior.error_matrix()[0],
+        0.8, [1.3], grid.beta_support, prior.beta,
+        grid.error_support[0], prior.error[0],
     )
     assert sol.diagnostics.converged
     assert sol.multipliers[0] == pytest.approx(lam_star, abs=1e-7)
@@ -247,13 +244,35 @@ def test_zero_prior_weight_shrinks_the_attainable_hull():
     # support point z=1 carries zero prior weight, so the hull tops out below
     # the value it would otherwise reach
     grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-0.5, 0.5]]))
-    prior = JointDistribution.from_matrices(
+    prior = JointDistribution(
         np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]])
     )
     # with full prior support the hull would reach 1.5; the dead point z=1
     # caps it at 0.5, so y=0.8 must be rejected
     with pytest.raises(InfeasibleObservationError):
         GceProblem(np.array([0.8]), np.array([[1.0]]), grid, prior)
+
+
+def test_zero_prior_support_points_keep_zero_weight():
+    # log q = -inf at a dead support point: both solver paths still converge
+    # and the dead points keep exactly zero weight
+    qb = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    x = np.array([[1.0, 0.5], [0.2, 1.0], [1.0, 1.0]])
+    y = np.array([0.3, -0.2, 0.1])
+    for m in (1, 3):
+        grid = SupportGrid.tiled([-1.0, 0.0, 1.0], 2, [-2.0, 0.0, 2.0], m)
+        prior = JointDistribution(qb, np.full((m, 3), 1 / 3))
+        sol = solve_gce(GceProblem(y[:m], x[:m], grid, prior))
+        assert sol.diagnostics.converged
+        assert sol.distributions.beta[0, 2] == 0.0 and sol.distributions.beta[1, 0] == 0.0
+        assert np.isfinite(sol.objective_value)
+
+
+def test_non_finite_partition_sum_is_rejected():
+    grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.0, 1.0]]))
+    prob = GceProblem(np.array([0.3]), np.array([[4.0]]), grid)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite partition sum"):
+        gibbs_weights(np.array([1e308]), prob)
 
 
 def test_iteration_cap_returns_unconverged_solution():
@@ -283,9 +302,7 @@ def test_problem_dimension_mismatches_are_rejected():
         GceProblem(np.array([0.1, 0.2]), np.array([[1.0]]), grid)
     with pytest.raises(ValueError):
         GceProblem(np.array([0.1]), np.array([[1.0, 2.0]]), grid)
-    bad_prior = JointDistribution(
-        (SimplexDistribution.uniform(3),), (SimplexDistribution.uniform(2),)
-    )
+    bad_prior = JointDistribution(np.full((1, 3), 1 / 3), np.full((1, 2), 0.5))
     with pytest.raises(ValueError):
         GceProblem(np.array([0.1]), np.array([[1.0]]), grid, bad_prior)
 

@@ -1,5 +1,8 @@
 import logging
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +12,10 @@ from gcestream import (
     GceProblem,
     InfeasibleObservationError,
     JointDistribution,
-    SimplexDistribution,
     StreamState,
     SupportGrid,
     UpdateSettings,
     block_update,
-    entropy_production,
     init_stream,
     kl_divergence,
     rmse,
@@ -56,8 +57,8 @@ def test_init_stream_single_observation_batch():
     state, solution = init_stream(batch)
     direct = solve_gce(batch)
     np.testing.assert_allclose(
-        np.vstack([r.weights for r in state.beta_prior]),
-        direct.distributions.beta_matrix(),
+        state.beta_prior,
+        direct.distributions.beta,
         atol=1e-12,
     )
     assert state.step_index == 1
@@ -73,7 +74,7 @@ def test_init_stream_consistent_batch_keeps_uniform_weights():
     batch = GceProblem(np.zeros(3), design, grid)
     state, solution = init_stream(batch)
     np.testing.assert_allclose(
-        np.vstack([r.weights for r in state.beta_prior]), 0.5, atol=1e-10
+        state.beta_prior, 0.5, atol=1e-10
     )
     assert solution.objective_value <= 1e-12
     assert state.entropy_ledger == ()
@@ -81,7 +82,7 @@ def test_init_stream_consistent_batch_keeps_uniform_weights():
 
 def test_init_stream_rejects_non_uniform_prior():
     grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.0, 1.0]]))
-    prior = JointDistribution.from_matrices(np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]]))
+    prior = JointDistribution(np.array([[0.7, 0.3]]), np.array([[0.5, 0.5]]))
     batch = GceProblem(np.array([0.4]), np.array([[1.0]]), grid, prior)
     with pytest.raises(ValueError, match="uniform batch prior"):
         init_stream(batch)
@@ -125,7 +126,7 @@ def test_single_update_matches_scalar_bisection_oracle():
     settings = UpdateSettings(gamma=0.5)
     updated = update_step(state, 0.7, [1.0], [-1.0, 1.0], settings)
 
-    qb = np.vstack([r.weights for r in state.beta_prior])
+    qb = state.beta_prior
     lam = oracles.bisect_scalar_multiplier(
         0.7, [1.0], grid.beta_support, qb, np.array([-1.0, 1.0]), np.full(2, 0.5),
         wb=0.5, we=0.5,
@@ -141,9 +142,7 @@ def test_gamma_half_matches_unweighted_objective():
     updated = update_step(state, y_new, x_new, error_row, UpdateSettings(gamma=0.5))
 
     grid = SupportGrid(state.supports.beta_support, error_row.reshape(1, -1))
-    prior = JointDistribution(
-        state.beta_prior, (SimplexDistribution.uniform(error_row.size),)
-    )
+    prior = JointDistribution(state.beta_prior, np.full((1, error_row.size), 1 / error_row.size))
     plain = solve_gce(GceProblem(np.array([y_new]), x_new.reshape(1, -1), grid, prior))
     np.testing.assert_allclose(updated.beta_hat, plain.beta_hat, atol=1e-8)
 
@@ -167,8 +166,8 @@ def test_block_of_one_equals_update_step():
     via_step = update_step(state, y[8], design[8], error_row)
     via_block = block_update(state, y[8:9], design[8:9], error_row.reshape(1, -1))
     np.testing.assert_allclose(
-        np.vstack([r.weights for r in via_step.beta_prior]),
-        np.vstack([r.weights for r in via_block.beta_prior]),
+        via_step.beta_prior,
+        via_block.beta_prior,
         atol=1e-12,
     )
     assert via_step.epsilon_log == via_block.epsilon_log
@@ -199,7 +198,7 @@ def test_block_infeasibility_reports_local_indices():
 
 def test_ledger_empty_without_updates():
     grid = SupportGrid.tiled(BETA_ROW, 2, [-4.0, 0.0, 4.0], 1)
-    assert entropy_production(StreamState.uniform_start(grid)) == []
+    assert StreamState.uniform_start(grid).entropy_ledger == ()
 
 
 def test_ledger_entries_recompute_from_stored_states():
@@ -208,10 +207,7 @@ def test_ledger_entries_recompute_from_stored_states():
     for i in range(6, 12):
         states.append(update_step(states[-1], y[i], design[i], error_row))
     for step, (before, after) in enumerate(zip(states, states[1:]), start=1):
-        recomputed = sum(
-            kl_divergence(new, old)
-            for new, old in zip(after.beta_prior, before.beta_prior)
-        )
+        recomputed = kl_divergence(after.beta_prior, before.beta_prior).sum()
         assert after.entropy_ledger[-1] == pytest.approx(recomputed, abs=1e-15)
         assert len(after.entropy_ledger) == step
     assert all(e >= -1e-12 for e in states[-1].entropy_ledger)
@@ -229,12 +225,96 @@ def test_ledger_rejects_negative_entries():
         )
 
 
+def test_state_rejects_bad_priors_and_indices():
+    grid = SupportGrid.tiled(BETA_ROW, 2, [-4.0, 0.0, 4.0], 1)
+    state = StreamState.uniform_start(grid)
+    with pytest.raises(ValueError, match="support grid"):
+        StreamState(beta_prior=np.full((3, 5), 0.2), supports=grid, step_index=0)
+    with pytest.raises(ValueError, match="support grid"):
+        StreamState(beta_prior=np.full((2, 4), 0.25), supports=grid, step_index=0)
+    with pytest.raises(ValueError):
+        StreamState(beta_prior=np.full((2, 5), 0.3), supports=grid, step_index=0)
+    with pytest.raises(ValueError, match="step_index"):
+        StreamState(beta_prior=state.beta_prior, supports=grid, step_index=-1)
+    with pytest.raises(ValueError):
+        state.beta_prior[0, 0] = 0.5
+
+
+def test_ledger_check_covers_logs_taken_from_other_states():
+    state, y, design, error_row = stream_after_batch(n=14, batch=8, seed=67)
+    for i in range(8, 12):
+        state = update_step(state, y[i], design[i], error_row)
+    assert min(state.epsilon_log) < -1e-12  # a residual log, not a ledger
+    with pytest.raises(ValueError, match="nonnegative"):
+        StreamState(
+            beta_prior=state.beta_prior,
+            supports=state.supports,
+            step_index=state.step_index,
+            entropy_ledger=state.epsilon_log,
+        )
+
+
+def test_branching_from_an_older_state_leaves_newer_logs_alone():
+    state, y, design, error_row = stream_after_batch(n=16, batch=8, seed=91)
+    first = update_step(state, y[8], design[8], error_row)
+    second = update_step(first, y[9], design[9], error_row)
+    snapshot = (tuple(second.epsilon_log), tuple(second.entropy_ledger),
+                tuple(second.converged_log), len(second.beta_trajectory))
+    other = update_step(first, y[10], design[10], error_row)
+    assert (tuple(second.epsilon_log), tuple(second.entropy_ledger),
+            tuple(second.converged_log), len(second.beta_trajectory)) == snapshot
+    assert len(first.entropy_ledger) == 1 and len(other.entropy_ledger) == 2
+    assert other.entropy_ledger[:1] == first.entropy_ledger[:]
+    assert other.epsilon_log[-1] != second.epsilon_log[-1]
+    # the branch keeps growing on its own
+    again = update_step(other, y[11], design[11], error_row)
+    assert len(again.entropy_ledger) == 3 and len(second.entropy_ledger) == 2
+    assert again.beta_trajectory[-2] is other.beta_trajectory[-1]
+
+
+def test_concurrent_branches_each_keep_their_own_entry():
+    # many threads extend the same log at once; a lost check-then-append
+    # race would let one branch see another branch's entry. The list yields
+    # the interpreter inside its length check to open that window wide.
+    from gcestream.streaming import _Log
+
+    class YieldingList(list):
+        def __len__(self):
+            size = super().__len__()
+            time.sleep(1e-4)
+            return size
+
+    bases = [_Log(YieldingList([0.0, 1.0]), 0.0) for _ in range(20)]
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=60)
+    results = {}
+
+    def branch(k):
+        barrier.wait()
+        results[k] = all(
+            tuple(base.extended((float(k),))) == (0.0, 1.0, float(k)) for base in bases
+        )
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=branch, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: True for k in range(workers)}
+    assert all(tuple(base) == (0.0, 1.0) for base in bases)
+
+
 def test_prior_weights_stay_positive_through_updates():
     state, y, design, error_row = stream_after_batch(n=30, batch=10, seed=71)
     for i in range(10, 30):
         state = update_step(state, y[i], design[i], error_row)
-    for row in state.beta_prior:
-        assert row.weights.min() > 0.0
+    assert state.beta_prior.min() > 0.0
 
 
 def test_error_prior_resets_each_step():
@@ -249,8 +329,8 @@ def test_error_prior_resets_each_step():
     a = update_step(state, y[13], design[13], error_row)
     b = update_step(bare, y[13], design[13], error_row)
     np.testing.assert_allclose(
-        np.vstack([r.weights for r in a.beta_prior]),
-        np.vstack([r.weights for r in b.beta_prior]),
+        a.beta_prior,
+        b.beta_prior,
         atol=1e-12,
     )
     assert a.epsilon_log[-1] == pytest.approx(b.epsilon_log[-1], abs=1e-12)
@@ -382,3 +462,34 @@ def test_gamma_schedule_entries_validated():
         UpdateSettings(gamma_schedule=(0.5, 1.0))
     with pytest.raises(ValueError):
         UpdateSettings(gamma_schedule=())
+
+
+# ---------------------------------------------------------------------------
+# duplicated regressors
+# ---------------------------------------------------------------------------
+
+
+def test_duplicate_columns_get_identical_coefficients():
+    # two identical design columns with identical supports and priors are
+    # interchangeable, so every fit must give them the same coefficient, to
+    # the last bit
+    y, base = simulated(240, seed=161)
+    design = np.column_stack([base, base[:, 1]])
+    sd = float(np.std(y[:120], ddof=1))
+    error_row = np.array([-3.0 * sd, 0.0, 3.0 * sd])
+    one_shot = solve_gce(GceProblem(
+        y, design, SupportGrid.tiled(BETA_ROW, design.shape[1], error_row, y.size)
+    ))
+    assert one_shot.diagnostics.converged
+    fits = {"one-shot": one_shot.beta_hat}
+    for g in (1, 40):
+        report = run_stream(
+            y, design, batch_size=120, block_size=g, beta_support=BETA_ROW,
+            error_support=error_row,
+        )
+        assert report.all_converged and report.skipped == ()
+        fits[f"g={g}"] = report.beta_hat
+        assert np.all(report.beta_trajectory[:, 1] == report.beta_trajectory[:, 3])
+    for name, beta in fits.items():
+        assert beta[1] == beta[3], name
+        assert beta[1] != beta[2]
