@@ -21,7 +21,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -41,8 +41,9 @@ from .metrics import (
 )
 from .simulation import (
     DEFAULT_BETA_SUPPORT,
+    ERROR_SCALES,
     SimulationConfig,
-    build_error_support,
+    _scaled_error_support,
     generate_dataset,
     load_dataset_csv,
     standardize_columns,
@@ -121,10 +122,8 @@ class ScenarioConfig:
             raise ConfigError("gamma must lie strictly in (0, 1)")
         if self.error_points < 2:
             raise ConfigError("error_points must be at least 2")
-        if self.error_scale not in ("batch", "cumulative", "full"):
-            raise ConfigError(
-                f"error_scale must be 'batch', 'cumulative', or 'full', got {self.error_scale!r}"
-            )
+        if self.error_scale not in ERROR_SCALES:
+            raise ConfigError(f"unknown error_scale {self.error_scale!r}; known: {ERROR_SCALES}")
         if self.run_std and not self.estimate_intercept:
             raise ConfigError("run_std requires estimate_intercept (it absorbs column means)")
         object.__setattr__(self, "eta_grid", etas)
@@ -162,38 +161,16 @@ class ExperimentConfig:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_SIMULATION_KEYS = {
-    "n",
-    "n_regressors",
-    "true_beta",
-    "intercept",
-    "x_low",
-    "x_high",
-    "noise_sd",
-    "collinear_columns",
-    "beta_support",
-}
-_SCENARIO_KEYS = _SIMULATION_KEYS | {
-    "name",
-    "eta_grid",
-    "batch_fractions",
-    "block_sizes",
-    "run_std",
-    "gamma",
-    "error_points",
-    "error_scale",
-    "estimate_intercept",
-}
-_TOP_KEYS = {
-    "scenarios",
-    "replications",
-    "seed_base",
-    "solver",
-    "out_dir",
-    "jobs",
-    "include_timings",
-}
-_SOLVER_KEYS = {"constraint_tolerance", "max_iterations"}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+# eta and seed come from the cell, standardize from run_std
+_SIMULATION_KEYS = _field_names(SimulationConfig) - {"eta", "standardize", "seed"}
+_FORWARDED_KEYS = _field_names(ScenarioConfig) - {"name", "simulation"}
+_SCENARIO_KEYS = _SIMULATION_KEYS | _FORWARDED_KEYS | {"name"}
+_TOP_KEYS = _field_names(ExperimentConfig)
+_SOLVER_KEYS = _field_names(SolverSettings)
 
 
 def _reject_unknown(mapping: Mapping[str, Any], known: set[str], where: str) -> None:
@@ -209,30 +186,13 @@ def _parse_scenario(raw: Mapping[str, Any], where: str) -> ScenarioConfig:
     if "name" not in raw or "n" not in raw:
         raise ConfigError(f"{where}: 'name' and 'n' are required")
     sim_kwargs = {k: raw[k] for k in _SIMULATION_KEYS if k in raw}
-    for key in ("true_beta", "beta_support", "collinear_columns"):
-        if sim_kwargs.get(key) is not None and key in sim_kwargs:
-            sim_kwargs[key] = tuple(sim_kwargs[key])
-    if "true_beta" in sim_kwargs and "n_regressors" not in sim_kwargs:
-        sim_kwargs["n_regressors"] = len(sim_kwargs["true_beta"])
     try:
-        simulation = SimulationConfig(**sim_kwargs)
+        if "true_beta" in sim_kwargs and "n_regressors" not in sim_kwargs:
+            sim_kwargs["n_regressors"] = len(sim_kwargs["true_beta"])
         return ScenarioConfig(
             name=str(raw["name"]),
-            simulation=simulation,
-            **{
-                k: (tuple(raw[k]) if isinstance(raw[k], list) else raw[k])
-                for k in (
-                    "eta_grid",
-                    "batch_fractions",
-                    "block_sizes",
-                    "run_std",
-                    "gamma",
-                    "error_points",
-                    "error_scale",
-                    "estimate_intercept",
-                )
-                if k in raw
-            },
+            simulation=SimulationConfig(**sim_kwargs),
+            **{k: raw[k] for k in _FORWARDED_KEYS if k in raw},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -339,106 +299,56 @@ def run_cell(
     design = np.column_stack([np.ones(ds.n), ds.x]) if est_int else ds.x
     support_row = np.asarray(sim.beta_support)
     update_settings = UpdateSettings(gamma=scenario.gamma, solver=solver)
-
-    def _score(x_eval, beta_hat) -> float:
-        return rmse(y_fit, x_eval, beta_hat, include_intercept=est_int)
-
     method_seconds: dict[str, float] = {}
+
+    def timed(key, method, g, x_eval, fit, *args) -> MethodResult:
+        t0 = time.perf_counter()
+        beta_hat, converged = fit(*args)
+        method_seconds[key] = dt = time.perf_counter() - t0
+        score = rmse(y_fit, x_eval, beta_hat, include_intercept=est_int)
+        return MethodResult(method, score, g, converged, dt * 1e3)
+
+    def plain(stop, error_row):
+        fit = _fit_plain(y_fit[:stop], design[:stop], support_row, error_row, solver)
+        return fit.beta_hat, fit.diagnostics.converged
+
+    def stream(x_design, m, g):
+        report = run_stream(
+            y_fit,
+            x_design,
+            batch_size=m,
+            block_size=g,
+            settings=update_settings,
+            beta_support=support_row,
+            error_points=scenario.error_points,
+            error_scale=scenario.error_scale,
+        )
+        return report.beta_hat, report.all_converged and not report.skipped
+
     t_start = time.perf_counter()
-
-    full_row = build_error_support(y_fit, scenario.error_points)
-    t0 = time.perf_counter()
-    full_fit = _fit_plain(y_fit, design, support_row, full_row, solver)
-    method_seconds["gce_dataset"] = time.perf_counter() - t0
-    full_result = MethodResult(
-        "gce_dataset",
-        _score(ds.x, full_fit.beta_hat),
-        None,
-        full_fit.diagnostics.converged,
-        method_seconds["gce_dataset"] * 1e3,
-    )
-
-    x_std = None
+    full_row = _scaled_error_support(y_fit, ds.n, "full", scenario.error_points)
+    full_result = timed("gce_dataset", "gce_dataset", None, ds.x, plain, ds.n, full_row)
+    # one stream per block size, plus the standardized design when requested:
+    # (method, g, method_seconds key suffix, design, regressors it is scored on)
+    variants = [
+        ("stre_gce" if g == 1 else "stre_gce_block", g, f"@g{g}", design, ds.x)
+        for g in sorted(set(scenario.block_sizes) | {1})
+    ]
     if scenario.run_std:
         x_std, _, _ = standardize_columns(ds.x)
+        variants.append(("stre_gce_std", 1, "", np.column_stack([np.ones(ds.n), x_std]), x_std))
 
     reports = []
     for fraction in scenario.batch_fractions:
         m = int(round(fraction * ds.n))
-        batch_row = (
-            full_row
-            if scenario.error_scale == "full"
-            else build_error_support(y_fit[:m], scenario.error_points)
-        )
-        stream_error_kwargs = (
-            {"error_scale": "cumulative", "error_points": scenario.error_points}
-            if scenario.error_scale == "cumulative"
-            else {"error_support": batch_row}
-        )
-        results = [full_result]
-
-        t0 = time.perf_counter()
-        batch_fit = _fit_plain(y_fit[:m], design[:m], support_row, batch_row, solver)
-        dt = time.perf_counter() - t0
-        method_seconds[f"gce_batch@{fraction}"] = dt
-        results.append(
-            MethodResult(
-                "gce_batch",
-                _score(ds.x, batch_fit.beta_hat),
-                None,
-                batch_fit.diagnostics.converged,
-                dt * 1e3,
-            )
-        )
-
-        for g in sorted(set(scenario.block_sizes) | {1}):
-            t0 = time.perf_counter()
-            stream = run_stream(
-                y_fit,
-                design,
-                batch_size=m,
-                block_size=g,
-                settings=update_settings,
-                beta_support=support_row,
-                **stream_error_kwargs,
-            )
-            dt = time.perf_counter() - t0
-            name = "stre_gce" if g == 1 else "stre_gce_block"
-            method_seconds[f"{name}@{fraction}@g{g}"] = dt
-            results.append(
-                MethodResult(
-                    name,
-                    _score(ds.x, stream.beta_hat),
-                    g,
-                    stream.all_converged and not stream.skipped,
-                    dt * 1e3,
-                )
-            )
-
-        if scenario.run_std:
-            design_std = np.column_stack([np.ones(ds.n), x_std])
-            t0 = time.perf_counter()
-            stream_std = run_stream(
-                y_fit,
-                design_std,
-                batch_size=m,
-                block_size=1,
-                settings=update_settings,
-                beta_support=support_row,
-                **stream_error_kwargs,
-            )
-            dt = time.perf_counter() - t0
-            method_seconds[f"stre_gce_std@{fraction}"] = dt
-            results.append(
-                MethodResult(
-                    "stre_gce_std",
-                    _score(x_std, stream_std.beta_hat),
-                    1,
-                    stream_std.all_converged and not stream_std.skipped,
-                    dt * 1e3,
-                )
-            )
-
+        batch_row = _scaled_error_support(y_fit, m, scenario.error_scale, scenario.error_points)
+        results = [
+            full_result,
+            timed(f"gce_batch@{fraction}", "gce_batch", None, ds.x, plain, m, batch_row),
+        ]
+        for name, g, suffix, x_design, x_eval in variants:
+            key = f"{name}@{fraction}{suffix}"
+            results.append(timed(key, name, g, x_eval, stream, x_design, m, g))
         reports.append(
             RunReport(
                 n=ds.n,
@@ -608,16 +518,6 @@ class SolveOutcome:
     block_size: int
 
 
-def _file_error_row(values, n_points: int) -> np.ndarray:
-    """Three-sigma support row, with a fixed-width fallback when the sample
-    cannot yield a spread (fewer than two values, or all values equal)."""
-    values = np.asarray(values, dtype=float)
-    if values.size >= 2 and np.ptp(values) > 0.0:
-        return build_error_support(values, n_points)
-    half = 3.0 * max(1.0, float(np.max(np.abs(values))))
-    return np.linspace(-half, half, n_points)
-
-
 def solve_file(
     path,
     mode: str = "gce",
@@ -637,9 +537,10 @@ def solve_file(
     (batch then one-by-one updates), or ``block`` (batch then blocks of
     ``block_size``). An intercept is always estimated as a leading constant
     column. ``standardize`` fits on standardized regressors; reported rmse
-    stays in response units either way. Files too small or too flat for the
-    three-sigma rule get a fixed-width error support instead (documented in
-    ``_file_error_row``), so one-row files remain solvable.
+    stays in response units either way. The error support follows
+    ``run_stream``'s ``error_scale`` policy; ``gce`` always scales to the
+    whole file. A file or batch of one row or with constant responses gets
+    the policy's fixed-width row, so such files remain solvable.
     """
     solver = solver if solver is not None else SolverSettings()
     y, x = load_dataset_csv(path)
@@ -649,7 +550,7 @@ def solve_file(
     support_row = np.asarray(beta_support, dtype=float)
 
     if mode == "gce":
-        error_row = _file_error_row(y, error_points)
+        error_row = _scaled_error_support(y, y.size, "full", error_points)
         fit = _fit_plain(y, design, support_row, error_row, solver)
         return SolveOutcome(
             mode=mode,
@@ -667,18 +568,8 @@ def solve_file(
 
     if not 0.0 < batch_fraction <= 1.0:
         raise ValueError(f"batch_fraction must lie in (0, 1], got {batch_fraction!r}")
-    if error_scale not in ("batch", "cumulative", "full"):
-        raise ValueError(
-            f"error_scale must be 'batch', 'cumulative', or 'full', got {error_scale!r}"
-        )
     m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
     g = 1 if mode == "stre" else int(block_size)
-
-    batch_values = y if error_scale == "full" else y[:m]
-    if error_scale == "cumulative" and m >= 2 and np.ptp(y[:m]) > 0.0:
-        error_kwargs = {"error_scale": "cumulative", "error_points": error_points}
-    else:
-        error_kwargs = {"error_support": _file_error_row(batch_values, error_points)}
     stream = run_stream(
         y,
         design,
@@ -686,7 +577,8 @@ def solve_file(
         block_size=g,
         settings=UpdateSettings(gamma=gamma, solver=solver),
         beta_support=support_row,
-        **error_kwargs,
+        error_points=error_points,
+        error_scale=error_scale,
     )
     return SolveOutcome(
         mode=mode,

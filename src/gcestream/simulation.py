@@ -169,6 +169,24 @@ def standardize_columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (mat - means) / sds, means, sds
 
 
+#: Samples an error support can be scaled to: the opening batch, every
+#: response seen so far, or the whole response vector.
+ERROR_SCALES = ("batch", "cumulative", "full")
+
+
+def _three_sigma_row(v: np.ndarray, n_points: int) -> np.ndarray | None:
+    """The row from -3*s to +3*s, or None when ``v`` is too flat to scale one."""
+    if n_points < 2:
+        raise ValueError("an error support needs at least two points")
+    s = float(v.std(ddof=1)) if v.size > 1 else 0.0
+    # constants that are not exactly representable leave a few ulps of fake
+    # spread, so judge the deviation relative to the magnitude of the values
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+    if not np.isfinite(s) or s <= floor:
+        return None
+    return np.linspace(-3.0 * s, 3.0 * s, n_points)
+
+
 def build_error_support(values, n_points: int = 3) -> np.ndarray:
     """Equally spaced error support spanning three sample deviations.
 
@@ -179,15 +197,37 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 2:
         raise ValueError("need at least two values to scale an error support")
-    if n_points < 2:
-        raise ValueError("an error support needs at least two points")
-    s = float(v.std(ddof=1))
-    # constants that are not exactly representable leave a few ulps of fake
-    # spread, so judge the deviation relative to the magnitude of the values
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-    if not np.isfinite(s) or s <= floor:
+    row = _three_sigma_row(v, n_points)
+    if row is None:
         raise ValueError("values have zero spread; cannot scale an error support")
-    return np.linspace(-3.0 * s, 3.0 * s, n_points)
+    return row
+
+
+def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -> np.ndarray:
+    """The error support row for responses ``y`` under one ``error_scale``.
+
+    ``"full"`` scales to all of ``y``, ``"batch"`` and ``"cumulative"`` to
+    ``y[:stop]`` (the caller moves ``stop`` for a cumulative stream). A
+    sample of one value, or one flatter than ``build_error_support``'s
+    relative floor, gets the fixed half-width ``3 * max(1, max|y|)`` so
+    one-row and constant inputs stay solvable; otherwise the row is
+    ``build_error_support``'s three-sigma row.
+    """
+    if scale not in ERROR_SCALES:
+        raise ValueError(
+            f"error_scale must be one of {', '.join(map(repr, ERROR_SCALES))}, got {scale!r}"
+        )
+    sample = np.asarray(y if scale == "full" else y[:stop], dtype=float).reshape(-1)
+    if sample.size == 0:
+        raise ValueError(
+            f"error_scale={scale!r} has no responses to scale an error support to; "
+            "pass error_support explicitly or use error_scale='full'"
+        )
+    row = _three_sigma_row(sample, n_points)
+    if row is None:
+        half = 3.0 * max(1.0, float(np.max(np.abs(sample))))
+        row = np.linspace(-half, half, n_points)
+    return row
 
 
 def generate_dataset(config: SimulationConfig) -> Dataset:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import JointDistribution, SupportGrid, _simplex_rows, expectation, kl_divergence
-from .simulation import build_error_support
+from .simulation import _scaled_error_support
 from .solver import (
     GceProblem,
     GceSolution,
@@ -310,9 +310,12 @@ def run_stream(
     spaced points spanning three sample standard deviations of the batch
     responses (``error_scale="batch"``, the default), of all responses
     (``"full"``), or of every response seen so far, recomputed before each
-    block (``"cumulative"``). ``batch_size`` zero skips the batch stage and
-    starts from uniform coefficient weights. The final block keeps whatever
-    remainder is left when ``block_size`` does not divide the stream.
+    block (``"cumulative"``). A sample of one value or with no spread gets a
+    fixed half-width of ``3 * max(1, max|y|)`` over that sample instead; an
+    empty one (``batch_size`` zero with ``"batch"`` or ``"cumulative"``) is an
+    error. ``batch_size`` zero skips the batch stage and starts from uniform
+    coefficient weights. The final block keeps whatever remainder is left
+    when ``block_size`` does not divide the stream.
 
     Blocks containing infeasible observations are skipped and logged; their
     global indices are reported. Timing covers the whole call.
@@ -332,24 +335,11 @@ def run_stream(
     beta = np.asarray(beta_support, dtype=float)
     if beta.ndim == 1:
         beta = np.tile(beta, (x.shape[1], 1))
-    cumulative = False
+    cumulative = error_support is None and error_scale == "cumulative"
     if error_support is not None:
         error_row = np.asarray(error_support, dtype=float).reshape(-1)
     else:
-        if error_scale in ("batch", "cumulative"):
-            if batch_size < 2:
-                raise ValueError(
-                    f"error_scale={error_scale!r} needs a batch of at least two "
-                    "observations; pass error_support explicitly or use error_scale='full'"
-                )
-            error_row = build_error_support(y[:batch_size], error_points)
-            cumulative = error_scale == "cumulative"
-        elif error_scale == "full":
-            error_row = build_error_support(y, error_points)
-        else:
-            raise ValueError(
-                f"error_scale must be 'batch', 'cumulative', or 'full', got {error_scale!r}"
-            )
+        error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
 
     if batch_size >= 1:
         grid = SupportGrid(beta, np.tile(error_row, (batch_size, 1)))
@@ -375,7 +365,7 @@ def run_stream(
                 settings, gamma=settings.gamma_schedule[ordinal], gamma_schedule=None
             )
         if cumulative:
-            error_row = build_error_support(y[:stop], error_points)
+            error_row = _scaled_error_support(y, stop, error_scale, error_points)
         try:
             state = block_update(
                 state, y[start:stop], x[start:stop], error_row, block_settings

@@ -10,8 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# multicollinearity_sweep.py (about 17 s) is left out to keep the suite quick
 @pytest.mark.parametrize(
-    "demo", ["batch_fit.py", "streaming_walkthrough.py", "experiment_harness.py"]
+    "demo",
+    [
+        "batch_fit.py",
+        "streaming_walkthrough.py",
+        "experiment_harness.py",
+        "block_interpolation.py",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from gcestream import (
     build_error_support,
     generate_dataset,
     parse_experiment_config,
+    rmse,
     run_cell,
     run_experiment,
     run_stream,
@@ -70,6 +72,60 @@ def test_true_beta_implies_the_regressor_count():
     assert sim.true_beta == (2.0, -1.0)
 
 
+def test_every_config_field_is_accepted_and_carried_through():
+    simulation = {
+        "n": 30,
+        "n_regressors": 3,
+        "true_beta": [2.0, -1.0, 0.5],
+        "intercept": -4.0,
+        "x_low": -1.0,
+        "x_high": 7.0,
+        "noise_sd": 0.25,
+        "collinear_columns": [0, 2],
+        "beta_support": [-20.0, 0.0, 20.0],
+    }
+    protocol = {
+        "name": "every",
+        "eta_grid": [0.0, 0.3],
+        "batch_fractions": [0.4],
+        "block_sizes": [2, 5],
+        "run_std": True,
+        "gamma": 0.35,
+        "error_points": 5,
+        "error_scale": "cumulative",
+        "estimate_intercept": True,
+    }
+    # a field added to either config must be added here too
+    sim_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+    assert set(simulation) == sim_fields - {"eta", "standardize", "seed"}
+    scenario_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert set(protocol) == scenario_fields - {"simulation"}
+    config = parse_experiment_config(
+        {"scenarios": [{**simulation, **protocol}], "replications": 1, "seed_base": 0}
+    )
+    (scenario,) = config.scenarios
+    for key, value in protocol.items():
+        assert getattr(scenario, key) == (tuple(value) if isinstance(value, list) else value)
+    for key, value in simulation.items():
+        parsed = getattr(scenario.simulation, key)
+        assert parsed == (tuple(value) if isinstance(value, list) else value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("true_beta", None), ("true_beta", 5), ("beta_support", 3), ("collinear_columns", 1)],
+)
+def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, value):
+    raw = tiny_config_dict()
+    raw["scenarios"][0][key] = value
+    with pytest.raises(ConfigError, match=r"scenarios\[0\]"):
+        parse_experiment_config(raw)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key_is_named():
     with pytest.raises(ConfigError, match=r"config: unknown key\(s\) 'replicas'"):
         parse_experiment_config(tiny_config_dict(replicas=3))
@@ -116,6 +172,10 @@ def test_bad_scenario_values_keep_their_position():
     raw = tiny_config_dict()
     raw["scenarios"][0]["eta_grid"] = [2.0]
     with pytest.raises(ConfigError, match=r"scenarios\[0\]"):
+        parse_experiment_config(raw)
+    raw = tiny_config_dict()
+    raw["scenarios"][0]["error_scale"] = "weekly"
+    with pytest.raises(ConfigError, match=r"scenarios\[0\].*error_scale 'weekly'"):
         parse_experiment_config(raw)
 
 
@@ -239,10 +299,26 @@ def test_known_intercept_variant_runs():
     assert all(np.isfinite(r.rmse) for r in report.results)
 
 
-@pytest.mark.parametrize("scale", ["cumulative", "full"])
+@pytest.mark.parametrize("scale", ["batch", "cumulative", "full"])
 def test_alternative_error_scales_run(scale):
-    outcome = run_cell(small_scenario(error_scale=scale), eta=0.0, seed=5)
-    assert all(r.converged for r in outcome.reports[0].results)
+    scenario = small_scenario(error_scale=scale)
+    outcome = run_cell(scenario, eta=0.0, seed=5)
+    (report,) = outcome.reports
+    assert all(r.converged for r in report.results)
+
+    ds = generate_dataset(dataclasses.replace(scenario.simulation, seed=5))
+    design = np.column_stack([np.ones(ds.n), ds.x])
+    m = int(round(0.5 * ds.n))
+    if scale == "cumulative":
+        error = {"error_scale": "cumulative"}
+    else:
+        error = {"error_support": build_error_support(ds.y if scale == "full" else ds.y[:m], 3)}
+    for method, g in (("stre_gce", 1), ("stre_gce_block", 4)):
+        stream = run_stream(
+            ds.y, design, batch_size=m, block_size=g,
+            beta_support=np.asarray(scenario.simulation.beta_support), **error,
+        )
+        assert report.rmse_of(method, g=g) == rmse(ds.y, ds.x, stream.beta_hat)
 
 
 def test_method_times_account_for_the_estimation_section():
@@ -453,6 +529,31 @@ def test_constant_response_file_still_solves(tmp_path):
     outcome = solve_file(path)
     assert outcome.converged
     assert np.isfinite(outcome.rmse)
+
+
+def test_near_flat_response_file_still_solves(tmp_path, capsys):
+    # responses one ulp apart: too flat for the three-sigma rule, not exactly constant
+    path = tmp_path / "near_flat.csv"
+    ys = [1e6, float(np.nextafter(1e6, 2e6)), 1e6, 1e6]
+    rows = "\n".join(f"{y!r},{v}" for y, v in zip(ys, range(1, 5)))
+    path.write_text("y,x1\n" + rows + "\n", encoding="utf-8")
+    outcome = solve_file(path)
+    assert np.all(np.isfinite(outcome.beta_hat))
+    assert np.isfinite(outcome.rmse)
+    assert main(["solve", str(path)]) == 0
+    assert "rmse:" in capsys.readouterr().out
+
+
+def test_cumulative_scale_widens_after_a_flat_batch(tmp_path):
+    path = tmp_path / "flat_batch.csv"
+    ys = [4.0] * 6 + [1.0, 9.0, -3.0, 12.0, 0.5, 7.0]
+    rows = "\n".join(f"{y!r},{v}" for v, y in enumerate(ys, start=1))
+    path.write_text("y,x1\n" + rows + "\n", encoding="utf-8")
+    frozen = solve_file(path, "stre", batch_fraction=0.5, error_scale="batch")
+    widening = solve_file(path, "stre", batch_fraction=0.5, error_scale="cumulative")
+    assert frozen.batch_size == widening.batch_size == 6
+    assert np.all(np.isfinite(widening.beta_hat))
+    assert np.max(np.abs(widening.beta_hat - frozen.beta_hat)) > 0.0
 
 
 def test_standardized_fit_reports_response_scale_error(tmp_path):

@@ -14,6 +14,7 @@ from gcestream import (
     save_dataset_csv,
     standardize_columns,
 )
+from gcestream.simulation import ERROR_SCALES, _scaled_error_support
 
 rng = np.random.default_rng(271828)
 
@@ -227,6 +228,56 @@ def test_error_support_rejects_short_input():
         build_error_support([1.0])
     with pytest.raises(ValueError, match="two points"):
         build_error_support([0.0, 1.0], n_points=1)
+
+
+# ---------------------------------------------------------------------------
+# error_scale policy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", ERROR_SCALES)
+def test_policy_matches_the_three_sigma_row_on_its_sample(scale):
+    y = rng.normal(3.0, 2.5, size=40)
+    sample = y if scale == "full" else y[:12]
+    row = _scaled_error_support(y, 12, scale, 5)
+    assert np.array_equal(row, build_error_support(sample, 5))
+
+
+@pytest.mark.parametrize(
+    "y, scale",
+    [(np.arange(5.0), "batch"), (np.arange(5.0), "cumulative"), (np.array([]), "full")],
+)
+def test_policy_rejects_an_empty_sample_by_naming_error_scale(y, scale):
+    with pytest.raises(ValueError, match="error_scale"):
+        _scaled_error_support(y, 0, scale, 3)
+
+
+def test_policy_gives_one_value_the_fixed_width():
+    row = _scaled_error_support(np.array([-2.5, 40.0]), 1, "batch", 3)
+    np.testing.assert_array_equal(row, [-7.5, 0.0, 7.5])
+    small = _scaled_error_support(np.array([0.25]), 1, "full", 3)
+    np.testing.assert_array_equal(small, [-3.0, 0.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.full(6, 4.2),
+        np.array([1e6, np.nextafter(1e6, 2e6), 1e6, 1e6]),
+        np.array([0.1 + 0.2, 0.3, 0.3]),
+    ],
+    ids=["flat", "one-ulp", "inexact-constant"],
+)
+def test_policy_gives_flat_and_near_flat_samples_the_fixed_width(values):
+    half = 3.0 * max(1.0, float(np.max(np.abs(values))))
+    for scale in ERROR_SCALES:
+        row = _scaled_error_support(values, values.size, scale, 3)
+        np.testing.assert_array_equal(row, [-half, 0.0, half])
+
+
+def test_policy_rejects_an_unknown_scale():
+    with pytest.raises(ValueError, match="error_scale must be one of .*'weekly'"):
+        _scaled_error_support(np.arange(5.0), 3, "weekly", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,26 @@ def test_zero_batch_needs_explicit_or_full_error_scale():
     assert report.final_state.step_index == 12
 
 
+@pytest.mark.parametrize("scale", ["batch", "cumulative"])
+def test_one_value_or_flat_batch_gets_the_fixed_width_row(scale):
+    y, design = simulated(12, seed=171)
+    y = np.concatenate([np.full(4, 2.5), y[4:]])
+    half = 3.0 * 2.5
+    for batch_size in (1, 4):
+        report = run_stream(
+            y, design, batch_size=batch_size, beta_support=BETA_ROW, error_scale=scale
+        )
+        explicit = run_stream(
+            y, design, batch_size=batch_size, beta_support=BETA_ROW,
+            error_support=[-half, 0.0, half],
+        )
+        assert report.final_state.step_index == 12
+        # the batch stage sees the same row either way; "batch" keeps it throughout
+        assert np.array_equal(report.batch_solution.beta_hat, explicit.batch_solution.beta_hat)
+        if scale == "batch":
+            assert np.array_equal(report.beta_hat, explicit.beta_hat)
+
+
 def test_cumulative_error_scale_tracks_observed_spread():
     y, design = simulated(30, seed=161)
     fixed = run_stream(y, design, batch_size=10, beta_support=BETA_ROW)
