@@ -72,6 +72,31 @@ def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np
     return w
 
 
+def _support_rows(values, name: str) -> np.ndarray:
+    """Validate a stack of support rows and return a read-only copy.
+
+    Rows must be finite and strictly increasing with at least two points; a
+    1-D input is one row.
+    """
+    rows = np.atleast_2d(np.array(values, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError(f"{name} must be 2-D with at least 2 columns")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{name} must be finite")
+    if (rows[:, 1:] <= rows[:, :-1]).any():
+        raise ValueError(f"{name} rows must be strictly increasing")
+    rows.setflags(write=False)
+    return rows
+
+
+def _error_rows(values) -> np.ndarray:
+    """``_support_rows`` for error supports, whose rows must also span zero."""
+    rows = _support_rows(values, "error_support")
+    if (rows[:, 0] >= 0.0).any() or (rows[:, -1] <= 0.0).any():
+        raise ValueError("every error_support row must span zero (min < 0 < max)")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
@@ -91,21 +116,8 @@ class SupportGrid:
     error_support: np.ndarray
 
     def __post_init__(self) -> None:
-        beta = np.atleast_2d(np.array(self.beta_support, dtype=float))
-        err = np.atleast_2d(np.array(self.error_support, dtype=float))
-        for name, rows, min_cols in (("beta_support", beta, 2), ("error_support", err, 2)):
-            if rows.ndim != 2 or rows.shape[1] < min_cols:
-                raise ValueError(f"{name} must be 2-D with at least {min_cols} columns")
-            if not np.all(np.isfinite(rows)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(np.diff(rows, axis=1) <= 0.0):
-                raise ValueError(f"{name} rows must be strictly increasing")
-        if np.any(err[:, 0] >= 0.0) or np.any(err[:, -1] <= 0.0):
-            raise ValueError("every error_support row must span zero (min < 0 < max)")
-        beta.setflags(write=False)
-        err.setflags(write=False)
-        object.__setattr__(self, "beta_support", beta)
-        object.__setattr__(self, "error_support", err)
+        object.__setattr__(self, "beta_support", _support_rows(self.beta_support, "beta_support"))
+        object.__setattr__(self, "error_support", _error_rows(self.error_support))
 
     @classmethod
     def tiled(

@@ -43,6 +43,7 @@ from .simulation import (
     DEFAULT_BETA_SUPPORT,
     ERROR_SCALES,
     SimulationConfig,
+    _check_error_scale,
     _scaled_error_support,
     generate_dataset,
     load_dataset_csv,
@@ -543,6 +544,7 @@ def solve_file(
     the policy's fixed-width row, so such files remain solvable.
     """
     solver = solver if solver is not None else SolverSettings()
+    _check_error_scale(error_scale)
     y, x = load_dataset_csv(path)
     if standardize:
         x, _, _ = standardize_columns(x)

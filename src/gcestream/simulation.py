@@ -203,6 +203,14 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     return row
 
 
+def _check_error_scale(scale: str) -> None:
+    """Reject an ``error_scale`` that is not one of ``ERROR_SCALES``."""
+    if scale not in ERROR_SCALES:
+        raise ValueError(
+            f"error_scale must be one of {', '.join(map(repr, ERROR_SCALES))}, got {scale!r}"
+        )
+
+
 def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -> np.ndarray:
     """The error support row for responses ``y`` under one ``error_scale``.
 
@@ -213,10 +221,7 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
     one-row and constant inputs stay solvable; otherwise the row is
     ``build_error_support``'s three-sigma row.
     """
-    if scale not in ERROR_SCALES:
-        raise ValueError(
-            f"error_scale must be one of {', '.join(map(repr, ERROR_SCALES))}, got {scale!r}"
-        )
+    _check_error_scale(scale)
     sample = np.asarray(y if scale == "full" else y[:stop], dtype=float).reshape(-1)
     if sample.size == 0:
         raise ValueError(

@@ -19,6 +19,13 @@ max |residual| <= tolerance. All partition sums are evaluated in the log
 domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
+The evaluator works on plain arrays (data, supports, prior weights), so the
+streaming updates solve without building a ``GceProblem``. A single
+constraint (m = 1, every streaming step of one observation) is a
+one-dimensional root-find: it runs through a lean evaluation that keeps the
+lone error row as scalars and never forms the dual value, which only the
+multi-constraint line search reads.
+
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
 streaming updates; the plain problem is the 1/1 special case.
@@ -120,21 +127,7 @@ class GceProblem:
     def __post_init__(self) -> None:
         y = np.array(self.y, dtype=float).reshape(-1)
         x = np.atleast_2d(np.array(self.x, dtype=float))
-        if y.size < 1:
-            raise ValueError("need at least one observation")
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-            raise ValueError("y and x must be finite")
-        if x.shape[0] != y.size:
-            raise ValueError(f"x has {x.shape[0]} rows, y has {y.size} entries")
-        if self.supports.n_obs != y.size:
-            raise ValueError(
-                f"support grid covers {self.supports.n_obs} observations, data has {y.size}"
-            )
-        if self.supports.n_params != x.shape[1]:
-            raise ValueError(
-                f"support grid covers {self.supports.n_params} coefficients, "
-                f"x has {x.shape[1]} columns"
-            )
+        _check_observations(y, x, self.supports.n_params, self.supports.n_obs)
         prior = self.prior if self.prior is not None else JointDistribution.uniform(self.supports)
         if not prior.matches_grid(self.supports):
             raise ValueError("prior rows do not match the support grid dimensions")
@@ -143,7 +136,8 @@ class GceProblem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "prior", prior)
-        self._check_feasibility()
+        grid = self.supports
+        _check_hull(y, x, grid.beta_support, prior.beta, grid.error_support, prior.error)
 
     @property
     def n_obs(self) -> int:
@@ -153,26 +147,54 @@ class GceProblem:
     def n_params(self) -> int:
         return int(self.x.shape[1])
 
-    def _check_feasibility(self) -> None:
-        zb = self.supports.beta_support
-        ze = self.supports.error_support
-        qb = self.prior.beta
-        qe = self.prior.error
-        # Support points with zero prior weight are unreachable at finite KL.
-        bmin = np.where(qb > 0.0, zb, np.inf).min(axis=1)
-        bmax = np.where(qb > 0.0, zb, -np.inf).max(axis=1)
-        emin = np.where(qe > 0.0, ze, np.inf).min(axis=1)
-        emax = np.where(qe > 0.0, ze, -np.inf).max(axis=1)
-        lo = np.minimum(self.x * bmin, self.x * bmax).sum(axis=1) + emin
-        hi = np.maximum(self.x * bmin, self.x * bmax).sum(axis=1) + emax
-        outside = (self.y < lo) | (self.y > hi)
-        if np.any(outside):
-            idx = np.flatnonzero(outside)
-            raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=False)
-        on_edge = (self.y == lo) | (self.y == hi)
-        if np.any(on_edge):
-            idx = np.flatnonzero(on_edge)
-            raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=True)
+
+def _check_observations(y: np.ndarray, x: np.ndarray, n_params: int, n_obs: int) -> None:
+    """Reject data that is not finite or does not fit a grid of the given shape.
+
+    ``y`` is 1-D and ``x`` at least 2-D; the grid needs one coefficient row
+    (``n_params``) per column of ``x`` and one error row (``n_obs``) per
+    observation.
+    """
+    if y.size < 1:
+        raise ValueError("need at least one observation")
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise ValueError("y and x must be finite")
+    if x.shape[0] != y.size:
+        raise ValueError(f"x has {x.shape[0]} rows, y has {y.size} entries")
+    if n_obs != y.size:
+        raise ValueError(f"support grid covers {n_obs} observations, data has {y.size}")
+    if n_params != x.shape[1]:
+        raise ValueError(f"support grid covers {n_params} coefficients, x has {x.shape[1]} columns")
+
+
+def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row smallest and largest support point that carries prior weight."""
+    if q.min() > 0.0:  # every point is live, and rows are increasing
+        return z[:, 0], z[:, -1]
+    return np.where(q > 0.0, z, np.inf).min(axis=1), np.where(q > 0.0, z, -np.inf).max(axis=1)
+
+
+def _check_hull(y, x, zb, qb, ze, qe) -> None:
+    """Raise InfeasibleObservationError unless every y_i lies strictly inside its hull.
+
+    The hull of observation i is the range of ``x_i . beta + eps_i`` as each
+    row's weights range over the support points (``zb``, ``ze``) that carry
+    prior weight (``qb``, ``qe``); points without prior weight are
+    unreachable at finite KL and do not count.
+    """
+    bmin, bmax = _live_bounds(zb, qb)
+    emin, emax = _live_bounds(ze, qe)
+    at_min, at_max = x * bmin, x * bmax
+    lo = np.minimum(at_min, at_max).sum(axis=1) + emin
+    hi = np.maximum(at_min, at_max).sum(axis=1) + emax
+    if ((lo < y) & (y < hi)).all():
+        return
+    outside = (y < lo) | (y > hi)
+    if outside.any():
+        idx = np.flatnonzero(outside)
+        raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=False)
+    idx = np.flatnonzero((y == lo) | (y == hi))
+    raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=True)
 
 
 @dataclass(frozen=True)
@@ -202,7 +224,7 @@ class GceSolution:
 class _DualPoint:
     """Everything the iteration needs at one multiplier vector."""
 
-    value: float
+    value: float  # NaN from the single-constraint path, which never reads it
     grad: np.ndarray
     pb: np.ndarray  # (J, K) coefficient row weights
     pe: np.ndarray  # (m, H) error row weights
@@ -228,8 +250,17 @@ def _log_partition(logits: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarra
     return ln_z, shifted / total
 
 
+def _log_priors(q: np.ndarray) -> np.ndarray:
+    """log q, with -inf where the prior weight is below the clamp."""
+    return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
+
+
 class _DualEvaluator:
     """Precomputed log-priors and supports for repeated dual evaluations.
+
+    Takes the data ``y`` (m,) and ``x`` (m, J), the support arrays ``zb``
+    (J, K) and ``ze`` (m, H), the prior weights ``qb`` and ``qe`` of the same
+    shapes, and the two objective weights.
 
     The reported value is measured relative to uniform rows: it carries a
     constant offset of sum(log row sizes), so at zero multipliers with a
@@ -237,15 +268,13 @@ class _DualEvaluator:
     achieved KL divergence equals that constant minus the minimal value.
     """
 
-    def __init__(self, problem: GceProblem, signal_weight: float, error_weight: float):
-        self.y = problem.y
-        self.x = problem.x
-        self.zb = problem.supports.beta_support
-        self.ze = problem.supports.error_support
-        qb = problem.prior.beta
-        qe = problem.prior.error
-        self.log_qb = np.where(qb >= ZERO_CLAMP, np.log(np.maximum(qb, ZERO_CLAMP)), -np.inf)
-        self.log_qe = np.where(qe >= ZERO_CLAMP, np.log(np.maximum(qe, ZERO_CLAMP)), -np.inf)
+    def __init__(self, y, x, zb, ze, qb, qe, signal_weight: float, error_weight: float):
+        self.y = y
+        self.x = x
+        self.zb = zb
+        self.ze = ze
+        self.log_qb = _log_priors(qb)
+        self.log_qe = _log_priors(qe)
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
@@ -265,6 +294,42 @@ class _DualEvaluator:
         value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
         grad = self.y - self.x @ beta_hat - eps_hat
         return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)
+
+    def scalar(self, lam: float):
+        """``evaluate`` for one observation at the multiplier ``lam``, without the value.
+
+        Returns ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``
+        with the lone error row's ``grad``, ``eps_hat`` and ``curv_eps`` as
+        scalars and ``pe`` as its (H,) weights. The arithmetic is
+        ``evaluate``'s, operation for operation. A log partition sum is finite
+        exactly when its row's maximum logit is (the shifted sum lies in
+        [1, H]), so the rows are checked there and ``ln Z`` is never formed.
+        """
+        # The ufunc reductions are what .sum and .max call, minus their
+        # Python wrappers. x.T @ [lam] has one product per entry: x[0] * lam.
+        add, top_of = np.add.reduce, np.maximum.reduce
+        logits = self.log_qb - self.zb * ((self.x[0] * lam) / self.wb)[:, None]
+        top = top_of(logits, axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            row = int(np.argmax(~np.isfinite(top[:, 0])))
+            raise ValueError(f"non-finite partition sum in coefficient row {row}")
+        shifted = np.exp(logits - top)
+        pb = shifted / add(shifted, axis=1, keepdims=True)
+        beta_hat = add(pb * self.zb, axis=1)
+        curv_beta = add(pb * (self.zb - beta_hat[:, None]) ** 2, axis=1) / self.wb
+
+        ze = self.ze[0]
+        logits = self.log_qe[0] - ze * (lam / self.we)
+        top = top_of(logits)
+        if not math.isfinite(top):
+            raise ValueError("non-finite partition sum in error row 0")
+        shifted = np.exp(logits - top)
+        pe = shifted / add(shifted)
+        eps_hat = add(pe * ze)
+        curv_eps = add(pe * (ze - eps_hat) ** 2) / self.we
+
+        grad = self.y[0] - (self.x @ beta_hat)[0] - eps_hat
+        return grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:
@@ -355,20 +420,22 @@ def _solve_scalar(ev: _DualEvaluator, settings: SolverSettings):
 
     The dual gradient is increasing in the lone multiplier, so once values of
     opposite sign have been seen the root is bracketed and any Newton proposal
-    escaping the bracket is replaced by its midpoint.
+    escaping the bracket is replaced by its midpoint. Iterates go through
+    ``_DualEvaluator.scalar``; the returned point's value is NaN.
     """
     tol = settings.constraint_tolerance
+    x_sq = ev.x[0] ** 2
     lam = 0.0
-    pt = ev.evaluate(np.array([lam]))
+    g, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
     lo = hi = None
     iterations = 0
-    while iterations < settings.max_iterations and abs(pt.grad[0]) > tol:
-        g = float(pt.grad[0])
+    while iterations < settings.max_iterations and abs(g) > tol:
+        g = float(g)
         if g < 0.0:
             lo = lam
         else:
             hi = lam
-        h = float((ev.x[0] ** 2) @ pt.curv_beta + pt.curv_eps[0])
+        h = float(x_sq @ curv_beta + curv_eps)
         cand = lam - g / h if h > 0.0 and math.isfinite(h) else None
         if lo is not None and hi is not None:
             if cand is None or not (lo < cand < hi) or not math.isfinite(cand):
@@ -382,9 +449,35 @@ def _solve_scalar(ev: _DualEvaluator, settings: SolverSettings):
         if cand == lam:
             break  # bracket collapsed to machine resolution
         lam = cand
-        pt = ev.evaluate(np.array([lam]))
+        g, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
         iterations += 1
+    pt = _DualPoint(
+        math.nan, np.array([g]), pb, pe[None, :], beta_hat, np.array([eps_hat]),
+        curv_beta, np.array([curv_eps]),
+    )
     return np.array([lam]), pt, iterations
+
+
+def _solve_dual(ev: _DualEvaluator, settings: SolverSettings):
+    """Run the solver path for the evaluator's size from a zero start.
+
+    Returns the multipliers, the final ``_DualPoint``, the iteration count
+    and the final max |residual|.
+    """
+    if ev.y.size == 1:
+        lam, pt, iterations = _solve_scalar(ev, settings)
+    else:
+        lam, pt, iterations = _solve_multi(ev, settings)
+    return lam, pt, iterations, float(np.max(np.abs(pt.grad)))
+
+
+def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
+    """The evaluator for a problem's data, grid and prior."""
+    grid, prior = problem.supports, problem.prior
+    zb, ze = grid.beta_support, grid.error_support
+    return _DualEvaluator(
+        problem.y, problem.x, zb, ze, prior.beta, prior.error, signal_weight, error_weight
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +500,7 @@ def gibbs_weights(
     """
     _check_weights(signal_weight, error_weight)
     lam = _as_multipliers(multipliers, problem.n_obs)
-    pt = _DualEvaluator(problem, signal_weight, error_weight).evaluate(lam)
+    pt = _evaluator(problem, signal_weight, error_weight).evaluate(lam)
     return JointDistribution(pt.pb, pt.pe)
 
 
@@ -421,7 +514,7 @@ def dual_objective(multipliers, problem: GceProblem) -> tuple[float, np.ndarray]
     J*log(K) + m*log(H).
     """
     lam = _as_multipliers(multipliers, problem.n_obs)
-    pt = _DualEvaluator(problem, 1.0, 1.0).evaluate(lam)
+    pt = _evaluator(problem, 1.0, 1.0).evaluate(lam)
     return pt.value, pt.grad
 
 
@@ -436,9 +529,10 @@ def solve_gce(
 
     Runs safeguarded Newton on the dual from a zero start: Woodbury-reduced
     Newton systems with a relative ridge retry and a gradient fallback for
-    m >= 2, bracketed Newton/bisection for the single-observation case the
-    streaming updates hit. Non-convergence within the iteration cap is
-    reported through ``diagnostics.converged`` rather than raised.
+    m >= 2, bracketed Newton/bisection for a single observation (the path the
+    streaming updates of one observation take too), evaluated without the
+    dual value. Non-convergence within the iteration cap is reported through
+    ``diagnostics.converged`` rather than raised.
 
     With ``signal_weight``/``error_weight`` the minimized objective becomes
     ``signal_weight * KL(coefficient rows) + error_weight * KL(error rows)``;
@@ -446,18 +540,14 @@ def solve_gce(
     """
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
-    ev = _DualEvaluator(problem, signal_weight, error_weight)
-    if problem.n_obs == 1:
-        lam, pt, iterations = _solve_scalar(ev, settings)
-    else:
-        lam, pt, iterations = _solve_multi(ev, settings)
+    lam, pt, iterations, residual = _solve_dual(
+        _evaluator(problem, signal_weight, error_weight), settings
+    )
 
     distributions = JointDistribution(pt.pb, pt.pe)
     objective = signal_weight * kl_divergence(
         distributions.beta, problem.prior.beta
     ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
-    residual = float(np.max(np.abs(pt.grad)))
-    lam = np.array(lam, dtype=float)
     lam.setflags(write=False)
     return GceSolution(
         distributions=distributions,

@@ -30,13 +30,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JointDistribution, SupportGrid, _simplex_rows, expectation, kl_divergence
-from .simulation import _scaled_error_support
+from .core import SupportGrid, _error_rows, _simplex_rows, expectation, kl_divergence
+from .simulation import _check_error_scale, _scaled_error_support
 from .solver import (
     GceProblem,
     GceSolution,
     InfeasibleObservationError,
     SolverSettings,
+    _check_hull,
+    _check_observations,
+    _DualEvaluator,
+    _solve_dual,
     solve_gce,
 )
 
@@ -126,9 +130,9 @@ class StreamState:
     ``beta_prior`` is the ``(J, K)`` read-only array of carried coefficient
     weights, checked like a ``JointDistribution``'s rows but stored as given,
     so a state rebuilt from another state's prior carries the same bits.
-    ``supports`` fixes the coefficient support rows for the whole stream; its
-    error rows are whatever the last absorbed problem used (incoming blocks
-    supply their own). ``step_index`` counts absorbed observations. The logs
+    ``supports`` is the grid the stream started from: its coefficient rows
+    hold for the whole stream, and its error rows are the batch's (incoming
+    blocks supply their own). ``step_index`` counts absorbed observations. The logs
     are read-only sequences that the update functions share between
     successive states instead of copying them.
     """
@@ -231,45 +235,53 @@ def block_update(
 ) -> StreamState:
     """Absorb a block of observations into the carried prior.
 
-    Builds a block-sized problem whose coefficient prior is the carried one
-    and whose error rows are uniform over the supplied support rows, then
-    solves it with the gamma-weighted objective. Infeasible blocks raise
-    InfeasibleObservationError (indices local to the block) and leave the
-    caller's state untouched, so a stream can skip and log them.
+    Solves the block's constraints with the gamma-weighted objective: the
+    coefficient prior is the carried one and the error rows are uniform over
+    the supplied support rows (one row per observation, or one row shared by
+    all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
+    would check it; the carried prior is a ``StreamState`` invariant and is not
+    checked again. The solve runs on arrays (no problem or distribution
+    objects), and only the ledger's KL divergence is computed. Infeasible
+    blocks raise InfeasibleObservationError (indices local to the block) and
+    leave the caller's state untouched, so a stream can skip and log them.
+    The new state keeps the stream's support grid.
     """
     settings = settings if settings is not None else UpdateSettings()
     y = np.asarray(y_block, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x_block, dtype=float))
-    rows = np.atleast_2d(np.asarray(error_support_rows, dtype=float))
+    rows = _error_rows(error_support_rows)
     if rows.shape[0] == 1 and y.size > 1:
         rows = np.tile(rows, (y.size, 1))
+    zb = state.supports.beta_support
+    _check_observations(y, x, zb.shape[0], rows.shape[0])
 
-    grid = SupportGrid(state.supports.beta_support, rows)
-    prior = JointDistribution(state.beta_prior, np.full(rows.shape, 1.0 / rows.shape[1]))
-    problem = GceProblem(y, x, grid, prior)
-    solution = solve_gce(
-        problem,
-        settings.solver,
-        signal_weight=settings.gamma,
-        error_weight=1.0 - settings.gamma,
-    )
+    # the same prior arrays a JointDistribution would hold: renormalized rows
+    carried = state.beta_prior
+    qb = carried / carried.sum(axis=1)[:, None]
+    qe = np.full(rows.shape, 1.0 / rows.shape[1])
+    qe /= qe.sum(axis=1)[:, None]
+    _check_hull(y, x, zb, qb, rows, qe)
+    ev = _DualEvaluator(y, x, zb, rows, qb, qe, settings.gamma, 1.0 - settings.gamma)
+    _, pt, _, residual = _solve_dual(ev, settings.solver)
 
-    new_prior = solution.distributions.beta
+    new_prior = pt.pb / pt.pb.sum(axis=1)[:, None]
     if new_prior.min() <= 0.0:
         logger.warning(
             "carried prior underflowed to zero on some support points at step %d; "
             "those points are frozen out for the rest of the stream",
             state.step_index,
         )
-    moved = float(kl_divergence(new_prior, state.beta_prior).sum())
+    moved = float(kl_divergence(new_prior, carried).sum())
     return StreamState(
         beta_prior=new_prior,
-        supports=grid,
+        supports=state.supports,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(solution.epsilon_hat.tolist()),
+        epsilon_log=state.epsilon_log.extended(pt.eps_hat.tolist()),
         entropy_ledger=state.entropy_ledger.extended((moved,)),
-        beta_trajectory=state.beta_trajectory.extended((solution.beta_hat,)),
-        converged_log=state.converged_log.extended((solution.diagnostics.converged,)),
+        beta_trajectory=state.beta_trajectory.extended((pt.beta_hat,)),
+        converged_log=state.converged_log.extended(
+            (residual <= settings.solver.constraint_tolerance,)
+        ),
     )
 
 
@@ -331,6 +343,7 @@ def run_stream(
         raise ValueError(f"batch_size must lie in [0, {n}], got {batch_size}")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
+    _check_error_scale(error_scale)
 
     beta = np.asarray(beta_support, dtype=float)
     if beta.ndim == 1:

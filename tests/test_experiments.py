@@ -570,8 +570,9 @@ def test_solve_file_validates_its_arguments(tmp_path):
         solve_file(path, "nope")
     with pytest.raises(ValueError, match="batch_fraction"):
         solve_file(path, "stre", batch_fraction=0.0)
-    with pytest.raises(ValueError, match="error_scale"):
-        solve_file(path, "stre", error_scale="weekly")
+    for mode in ("gce", "stre", "block"):
+        with pytest.raises(ValueError, match="error_scale"):
+            solve_file(path, mode, error_scale="weekly")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gcestream import solver
 from gcestream import (
     GceProblem,
     InfeasibleObservationError,
@@ -214,6 +215,57 @@ def test_weighted_solve_matches_weighted_bisection():
     # the weighted residual is still the plain constraint residual
     resid = 0.7 - 2.0 * sol.beta_hat[0] - sol.epsilon_hat[0]
     assert abs(resid) <= 1e-8
+
+
+def lean_scalar_problem():
+    """m=1 with unequal priors on both sides and an exact zero coefficient weight."""
+    grid = SupportGrid(
+        np.array([[-1.0, 0.0, 1.5], [-2.0, 0.5, 3.0]]), np.array([[-2.0, 0.0, 2.0, 3.0]])
+    )
+    prior = JointDistribution(
+        np.array([[0.5, 0.3, 0.2], [0.0, 0.6, 0.4]]), np.array([[0.1, 0.4, 0.3, 0.2]])
+    )
+    return GceProblem(np.array([0.8]), np.array([[1.3, -0.4]]), grid, prior)
+
+
+@pytest.mark.parametrize("lam", [-40.0, -3.0, -0.5, 0.0, 0.2, 1.7, 25.0])
+def test_scalar_routine_matches_the_full_evaluation(lam):
+    ev = solver._evaluator(lean_scalar_problem(), 0.3, 0.7)
+    full = ev.evaluate(np.array([lam]))
+    grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
+    exact = dict(rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(grad, full.grad[0], **exact)
+    np.testing.assert_allclose(pb, full.pb, **exact)
+    np.testing.assert_allclose(pe, full.pe[0], **exact)
+    np.testing.assert_allclose(beta_hat, full.beta_hat, **exact)
+    np.testing.assert_allclose(eps_hat, full.eps_hat[0], **exact)
+    np.testing.assert_allclose(curv_beta, full.curv_beta, **exact)
+    np.testing.assert_allclose(curv_eps, full.curv_eps[0], **exact)
+    assert pb[1, 0] == 0.0
+
+
+def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
+    problem = lean_scalar_problem()
+    sol = solve_gce(problem, signal_weight=0.3, error_weight=0.7)
+    full = solver._evaluator(problem, 0.3, 0.7).evaluate(sol.multipliers)
+    exact = dict(rtol=0.0, atol=1e-14)
+    assert sol.diagnostics.converged and sol.diagnostics.iterations >= 1
+    assert sol.diagnostics.max_residual == pytest.approx(abs(full.grad[0]), abs=1e-14)
+    np.testing.assert_allclose(sol.beta_hat, full.beta_hat, **exact)
+    np.testing.assert_allclose(sol.epsilon_hat, full.eps_hat, **exact)
+    np.testing.assert_allclose(sol.distributions.beta, full.pb, **exact)
+    np.testing.assert_allclose(sol.distributions.error, full.pe, **exact)
+
+
+@pytest.mark.parametrize("x, row", [(4.0, "coefficient row 0"), (0.0, "error row 0")])
+def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
+    grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.0, 1.0]]))
+    ev = solver._evaluator(GceProblem(np.array([0.3]), np.array([[x]]), grid), 0.5, 0.5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
+            ev.evaluate(np.array([1e308]))
+        with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
+            ev.scalar(1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,152 @@ def test_block_infeasibility_reports_local_indices():
     assert info.value.indices == (1,)
 
 
+def plain_weighted_update(state, y, x, rows, gamma):
+    """The update as problem objects and ``solve_gce``, with its ledger entry."""
+    rows = np.atleast_2d(rows)
+    if rows.shape[0] == 1 and len(y) > 1:
+        rows = np.tile(rows, (len(y), 1))
+    grid = SupportGrid(state.supports.beta_support, rows)
+    prior = JointDistribution(state.beta_prior, np.full(rows.shape, 1.0 / rows.shape[1]))
+    sol = solve_gce(
+        GceProblem(y, x, grid, prior), signal_weight=gamma, error_weight=1.0 - gamma
+    )
+    return sol, float(kl_divergence(sol.distributions.beta, state.beta_prior).sum())
+
+
+@pytest.mark.parametrize("gamma, block", [(0.3, 1), (0.5, 1), (0.8, 1), (0.5, 40)])
+def test_every_update_matches_the_plain_weighted_solve(gamma, block):
+    y, design = simulated(440, seed=7 + block)
+    problem, error_row = batch_problem(y[:40], design[:40])
+    state, _ = init_stream(problem)
+    settings = UpdateSettings(gamma=gamma)
+    steps = 0
+    for start in range(40, 40 + (210 if block == 1 else 400), block):
+        yb, xb = y[start : start + block], design[start : start + block]
+        sol, moved = plain_weighted_update(state, yb, xb, error_row, gamma)
+        if block == 1:
+            new = update_step(state, yb[0], xb[0], error_row, settings)
+        else:
+            new = block_update(state, yb, xb, error_row, settings)
+        np.testing.assert_allclose(new.beta_hat, sol.beta_hat, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            new.beta_prior, sol.distributions.beta, rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            new.epsilon_log[-block:], sol.epsilon_hat, rtol=0.0, atol=1e-12
+        )
+        assert abs(new.entropy_ledger[-1] - moved) <= 1e-12
+        assert new.converged_log[-1] == sol.diagnostics.converged
+        state = new
+        steps += 1
+    assert steps == (210 if block == 1 else 10)
+
+
+def zero_edged_state():
+    """Coefficient 0 carries no weight on its outer points, so its hull is [-5, 5]."""
+    grid = SupportGrid.tiled(BETA_ROW, 3, [-4.0, 0.0, 4.0], 1)
+    prior = np.full((3, 5), 0.2)
+    prior[0] = [0.0, 0.25, 0.5, 0.25, 0.0]
+    return StreamState(prior, grid, step_index=10)
+
+
+# x = (1, 0.5, 0.25) and error row (-4, 0, 4): live hull [-16.5, 16.5], while
+# the frozen points would widen it to [-21.5, 21.5]
+EDGE_X = np.tile([1.0, 0.5, 0.25], (3, 1))
+EDGE_ROW = [-4.0, 0.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "y, x, rows, error, message",
+    [
+        ([0.0, np.nan, 1.0], EDGE_X, EDGE_ROW, ValueError, "y and x must be finite"),
+        ([0.0, 0.5, 1.0], np.where(np.eye(3, dtype=bool), np.inf, EDGE_X), EDGE_ROW,
+         ValueError, "y and x must be finite"),
+        ([0.0, 0.5, 1.0], EDGE_X[:, :2], EDGE_ROW, ValueError,
+         "support grid covers 3 coefficients, x has 2 columns"),
+        ([0.0, 0.5, 1.0], EDGE_X[:2], EDGE_ROW, ValueError, "x has 2 rows, y has 3 entries"),
+        ([0.0, 0.5, 1.0], EDGE_X, [EDGE_ROW, EDGE_ROW], ValueError,
+         "support grid covers 2 observations, data has 3"),
+        ([0.0, 0.5, 1.0], EDGE_X, [0.5, 1.0, 2.0], ValueError, "must span zero"),
+        ([0.0, 0.5, 1.0], EDGE_X, [-1.0, 0.0, -0.5], ValueError, "strictly increasing"),
+        ([0.0, 0.5, 1.0], EDGE_X, [-1.0, 1.0, 1.0], ValueError, "strictly increasing"),
+        ([0.0, 0.5, 1.0], EDGE_X, [-1.0, np.nan, 1.0], ValueError,
+         "error_support must be finite"),
+        ([0.0, 0.5, 1.0], EDGE_X, [[-1.0]], ValueError, "at least 2 columns"),
+    ],
+)
+def test_block_input_contract_matches_the_problem_objects(y, x, rows, error, message):
+    state = zero_edged_state()
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    with pytest.raises(error, match=message) as got:
+        block_update(state, y, x, rows)
+    with pytest.raises(error) as reference:
+        plain_weighted_update(state, y, x, rows, 0.5)
+    assert str(got.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "y, indices, boundary",
+    [
+        ([0.0, 18.0, 1.0], (1,), False),  # inside the hull the frozen points would add
+        ([0.0, 0.5, 16.5], (2,), True),
+        ([-16.5, 0.5, 30.0], (2,), False),  # outside is reported before on-edge
+        ([16.5, -16.5, 1.0], (0, 1), True),
+    ],
+)
+def test_block_infeasibility_uses_the_live_hull(y, indices, boundary):
+    state = zero_edged_state()
+    with pytest.raises(InfeasibleObservationError) as got:
+        block_update(state, y, EDGE_X, EDGE_ROW)
+    assert (got.value.indices, got.value.boundary) == (indices, boundary)
+    with pytest.raises(InfeasibleObservationError) as reference:
+        plain_weighted_update(state, np.asarray(y), EDGE_X, EDGE_ROW, 0.5)
+    assert str(got.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "y_new, x_new, error, message",
+    [
+        (np.nan, [1.0, 0.5, 0.25], ValueError, "y and x must be finite"),
+        (0.0, [1.0, 0.5], ValueError, "x has 2 columns"),
+        (18.0, [1.0, 0.5, 0.25], InfeasibleObservationError, "outside"),
+        (16.5, [1.0, 0.5, 0.25], InfeasibleObservationError, "boundary"),
+        (-16.5, [1.0, 0.5, 0.25], InfeasibleObservationError, "boundary"),
+    ],
+)
+def test_single_step_input_contract(y_new, x_new, error, message):
+    state = zero_edged_state()
+    with pytest.raises(error, match=message) as got:
+        update_step(state, y_new, x_new, EDGE_ROW)
+    if error is InfeasibleObservationError:
+        assert got.value.indices == (0,)
+    # the state is untouched and still absorbs a feasible observation
+    assert update_step(state, 16.0, [1.0, 0.5, 0.25], EDGE_ROW).step_index == 11
+
+
+def test_a_single_step_validates_once_and_builds_no_problem_objects(monkeypatch):
+    import gcestream.core as core_module
+    import gcestream.streaming as streaming_module
+
+    state, y, design, error_row = stream_after_batch()
+    calls = {"rows": 0, "GceProblem": 0, "JointDistribution": 0, "SupportGrid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rows = counted("rows", core_module._simplex_rows)
+    monkeypatch.setattr(core_module, "_simplex_rows", rows)
+    monkeypatch.setattr(streaming_module, "_simplex_rows", rows)
+    for cls in (GceProblem, JointDistribution, SupportGrid):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    update_step(state, y[10], design[10], error_row)
+    assert calls == {"rows": 1, "GceProblem": 0, "JointDistribution": 0, "SupportGrid": 0}
+
+
 # ---------------------------------------------------------------------------
 # entropy ledger
 # ---------------------------------------------------------------------------
@@ -415,6 +561,15 @@ def test_zero_batch_needs_explicit_or_full_error_scale():
     report = run_stream(y, design, batch_size=0, beta_support=BETA_ROW, error_scale="full")
     assert report.batch_solution is None
     assert report.final_state.step_index == 12
+
+
+def test_unknown_error_scale_is_rejected_even_with_an_explicit_row():
+    y, design = simulated(12, seed=151)
+    with pytest.raises(ValueError, match="error_scale must be one of"):
+        run_stream(
+            y, design, batch_size=4, beta_support=BETA_ROW,
+            error_support=[-3.0, 0.0, 3.0], error_scale="weekly",
+        )
 
 
 @pytest.mark.parametrize("scale", ["batch", "cumulative"])
