@@ -44,6 +44,7 @@ from .simulation import (
     ERROR_SCALES,
     SimulationConfig,
     _check_error_scale,
+    _integer,
     _scaled_error_support,
     generate_dataset,
     load_dataset_csv,
@@ -116,11 +117,16 @@ class ScenarioConfig:
                     f"batch fraction {f} of n={self.simulation.n} gives batch size {m}; "
                     "need at least 2"
                 )
-        blocks = tuple(int(g) for g in self.block_sizes)
+        blocks = tuple(
+            _integer(g, f"block_sizes[{i}]", ConfigError) for i, g in enumerate(self.block_sizes)
+        )
         if any(g < 1 for g in blocks) or len(set(blocks)) != len(blocks):
             raise ConfigError("block_sizes must be distinct positive integers")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie strictly in (0, 1)")
+        object.__setattr__(
+            self, "error_points", _integer(self.error_points, "error_points", ConfigError)
+        )
         if self.error_points < 2:
             raise ConfigError("error_points must be at least 2")
         if self.error_scale not in ERROR_SCALES:
@@ -149,6 +155,12 @@ class ExperimentConfig:
         names = [s.name for s in scenarios]
         if len(set(names)) != len(names):
             raise ConfigError("scenario names must be unique")
+        for name in ("replications", "seed_base", "jobs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
+        if not isinstance(self.include_timings, bool):
+            raise ConfigError(
+                f"include_timings must be true or false, got {self.include_timings!r}"
+            )
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.seed_base < 0:
@@ -234,20 +246,15 @@ def parse_experiment_config(source) -> ExperimentConfig:
     scenarios = tuple(
         _parse_scenario(s, f"scenarios[{i}]") for i, s in enumerate(raw["scenarios"])
     )
-    try:
-        return ExperimentConfig(
-            scenarios=scenarios,
-            replications=int(raw["replications"]),
-            seed_base=int(raw["seed_base"]),
-            solver=solver,
-            out_dir=raw.get("out_dir"),
-            jobs=int(raw.get("jobs", 1)),
-            include_timings=bool(raw.get("include_timings", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config: {exc}") from None
+    return ExperimentConfig(
+        scenarios=scenarios,
+        replications=raw["replications"],
+        seed_base=raw["seed_base"],
+        solver=solver,
+        out_dir=raw.get("out_dir"),
+        jobs=raw.get("jobs", 1),
+        include_timings=raw.get("include_timings", False),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ counter-based Philox generator in use is recorded in the dataset metadata.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -29,6 +30,20 @@ __all__ = [
 
 #: Wide five-point support row used for every regression coefficient.
 DEFAULT_BETA_SUPPORT = (-100.0, -50.0, 0.0, 50.0, 100.0)
+
+
+def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``name`` unless it is a whole number.
+
+    Integral floats such as ``40.0`` are whole numbers; booleans, strings and
+    fractions such as ``40.5`` are not, so nothing is silently truncated.
+    """
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "n_regressors", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_regressors < 1:
             raise ValueError("n_regressors must be at least 1")
         if self.n < self.n_regressors + 1:
@@ -81,7 +98,10 @@ class SimulationConfig:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if self.collinear_columns is not None:
-            cols = tuple(int(c) for c in self.collinear_columns)
+            cols = tuple(
+                _integer(c, f"collinear_columns[{i}]")
+                for i, c in enumerate(self.collinear_columns)
+            )
             if any(not 0 <= c < self.n_regressors for c in cols) or len(set(cols)) != len(cols):
                 raise ValueError("collinear_columns must be distinct regressor indices")
             object.__setattr__(self, "collinear_columns", cols)

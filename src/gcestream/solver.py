@@ -19,12 +19,12 @@ max |residual| <= tolerance. All partition sums are evaluated in the log
 domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
-The evaluator works on plain arrays (data, supports, prior weights), so the
-streaming updates solve without building a ``GceProblem``. A single
+The evaluator works on plain arrays (data, supports, log prior weights), so
+the streaming updates solve without building a ``GceProblem``. A single
 constraint (m = 1, every streaming step of one observation) is a
-one-dimensional root-find: it runs through a lean evaluation that keeps the
-lone error row as scalars and never forms the dual value, which only the
-multi-constraint line search reads.
+one-dimensional root-find: it runs through a lean evaluation that stacks the
+coefficient rows and the lone error row into one array and never forms the
+dual value, which only the multi-constraint line search reads.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -174,6 +174,12 @@ def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(q > 0.0, z, np.inf).min(axis=1), np.where(q > 0.0, z, -np.inf).max(axis=1)
 
 
+def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``x``: the range of ``x_i . beta`` over the box [bmin, bmax]."""
+    at_min, at_max = x * bmin, x * bmax
+    return np.minimum(at_min, at_max).sum(axis=1), np.maximum(at_min, at_max).sum(axis=1)
+
+
 def _check_hull(y, x, zb, qb, ze, qe) -> None:
     """Raise InfeasibleObservationError unless every y_i lies strictly inside its hull.
 
@@ -182,11 +188,9 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
     prior weight (``qb``, ``qe``); points without prior weight are
     unreachable at finite KL and do not count.
     """
-    bmin, bmax = _live_bounds(zb, qb)
     emin, emax = _live_bounds(ze, qe)
-    at_min, at_max = x * bmin, x * bmax
-    lo = np.minimum(at_min, at_max).sum(axis=1) + emin
-    hi = np.maximum(at_min, at_max).sum(axis=1) + emax
+    lo, hi = _coefficient_hull(x, *_live_bounds(zb, qb))
+    lo, hi = lo + emin, hi + emax
     if ((lo < y) & (y < hi)).all():
         return
     outside = (y < lo) | (y > hi)
@@ -259,8 +263,9 @@ class _DualEvaluator:
     """Precomputed log-priors and supports for repeated dual evaluations.
 
     Takes the data ``y`` (m,) and ``x`` (m, J), the support arrays ``zb``
-    (J, K) and ``ze`` (m, H), the prior weights ``qb`` and ``qe`` of the same
-    shapes, and the two objective weights.
+    (J, K) and ``ze`` (m, H), the log prior weights ``log_qb`` and ``log_qe``
+    (``_log_priors`` of the weights; ``log_qe`` may be one row shared by every
+    observation) and the two objective weights.
 
     The reported value is measured relative to uniform rows: it carries a
     constant offset of sum(log row sizes), so at zero multipliers with a
@@ -268,18 +273,32 @@ class _DualEvaluator:
     achieved KL divergence equals that constant minus the minimal value.
     """
 
-    def __init__(self, y, x, zb, ze, qb, qe, signal_weight: float, error_weight: float):
+    def __init__(self, y, x, zb, ze, log_qb, log_qe, signal_weight: float, error_weight: float):
         self.y = y
         self.x = x
         self.zb = zb
         self.ze = ze
-        self.log_qb = _log_priors(qb)
-        self.log_qe = _log_priors(qe)
+        self.log_qb = log_qb
+        self.log_qe = log_qe
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
         m, h = self.ze.shape
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
+        if m == 1:
+            # ``scalar`` works on the J coefficient rows and the lone error
+            # row stacked into one (J+1, max(K, H)) array; a padding point has
+            # support 0 and log prior -inf, so it gets exactly zero weight.
+            width = max(k, h)
+            self.z_stack = np.zeros((j + 1, width))
+            self.z_stack[:j, :k] = zb
+            self.z_stack[j, :h] = ze[0]
+            self.log_q_stack = np.full((j + 1, width), -np.inf)
+            self.log_q_stack[:j, :k] = log_qb
+            self.log_q_stack[j, :h] = log_qe[0]
+            # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error row
+            self.x_stack = np.concatenate((x[0], [1.0]))
+            self.w_stack = np.array([self.wb] * j + [self.we])
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
         tilt = (self.x.T @ lam) / self.wb
@@ -300,36 +319,34 @@ class _DualEvaluator:
 
         Returns ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``
         with the lone error row's ``grad``, ``eps_hat`` and ``curv_eps`` as
-        scalars and ``pe`` as its (H,) weights. The arithmetic is
-        ``evaluate``'s, operation for operation. A log partition sum is finite
-        exactly when its row's maximum logit is (the shifted sum lies in
-        [1, H]), so the rows are checked there and ``ln Z`` is never formed.
+        scalars and ``pe`` as its (H,) weights. The J coefficient rows and the
+        error row go through every step as one stacked ``(J+1, max(K, H))``
+        array, so an iterate costs one set of numpy calls instead of two.
+        Each row sees ``evaluate``'s arithmetic, operation for operation, plus
+        exact zeros from the padding; the results are bit-identical while
+        ``max(K, H) < 8``, where numpy sums a row in sequence. A log partition
+        sum is finite exactly when its row's maximum logit is (the shifted sum
+        lies in [1, row length]), so the rows are checked there and ``ln Z``
+        is never formed.
         """
         # The ufunc reductions are what .sum and .max call, minus their
         # Python wrappers. x.T @ [lam] has one product per entry: x[0] * lam.
-        add, top_of = np.add.reduce, np.maximum.reduce
-        logits = self.log_qb - self.zb * ((self.x[0] * lam) / self.wb)[:, None]
-        top = top_of(logits, axis=1, keepdims=True)
+        add = np.add.reduce
+        z = self.z_stack
+        j, k = self.zb.shape
+        logits = self.log_q_stack - z * ((self.x_stack * lam) / self.w_stack)[:, None]
+        top = np.maximum.reduce(logits, axis=1, keepdims=True)
         if not np.isfinite(top).all():
             row = int(np.argmax(~np.isfinite(top[:, 0])))
-            raise ValueError(f"non-finite partition sum in coefficient row {row}")
+            where = f"coefficient row {row}" if row < j else "error row 0"
+            raise ValueError(f"non-finite partition sum in {where}")
         shifted = np.exp(logits - top)
-        pb = shifted / add(shifted, axis=1, keepdims=True)
-        beta_hat = add(pb * self.zb, axis=1)
-        curv_beta = add(pb * (self.zb - beta_hat[:, None]) ** 2, axis=1) / self.wb
+        p = shifted / add(shifted, axis=1, keepdims=True)
+        means = add(p * z, axis=1)
+        curv = add(p * (z - means[:, None]) ** 2, axis=1) / self.w_stack
 
-        ze = self.ze[0]
-        logits = self.log_qe[0] - ze * (lam / self.we)
-        top = top_of(logits)
-        if not math.isfinite(top):
-            raise ValueError("non-finite partition sum in error row 0")
-        shifted = np.exp(logits - top)
-        pe = shifted / add(shifted)
-        eps_hat = add(pe * ze)
-        curv_eps = add(pe * (ze - eps_hat) ** 2) / self.we
-
-        grad = self.y[0] - (self.x @ beta_hat)[0] - eps_hat
-        return grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps
+        grad = self.y[0] - (self.x @ means[:j])[0] - means[j]
+        return grad, p[:j, :k], p[j, : self.ze.shape[1]], means[:j], means[j], curv[:j], curv[j]
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:
@@ -445,7 +462,7 @@ def _solve_scalar(ev: _DualEvaluator, settings: SolverSettings):
             if cand is None or not math.isfinite(cand):
                 cand = lam + (trust if g < 0.0 else -trust)
             else:
-                cand = float(np.clip(cand, lam - trust, lam + trust))
+                cand = min(max(cand, lam - trust), lam + trust)
         if cand == lam:
             break  # bracket collapsed to machine resolution
         lam = cand
@@ -476,7 +493,8 @@ def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -
     grid, prior = problem.supports, problem.prior
     zb, ze = grid.beta_support, grid.error_support
     return _DualEvaluator(
-        problem.y, problem.x, zb, ze, prior.beta, prior.error, signal_weight, error_weight
+        problem.y, problem.x, zb, ze, _log_priors(prior.beta), _log_priors(prior.error),
+        signal_weight, error_weight,
     )
 
 

@@ -17,16 +17,18 @@ States are immutable values. Each absorbed block appends one entry to the
 entropy ledger, the KL divergence of the new coefficient weights from the
 previous ones, a nonnegative account of how much information the block moved.
 Successive states share their logs, so absorbing a block costs the same
-however long the stream has run.
+however long the stream has run. ``run_stream`` drives the same update kernel
+on plain arrays and builds one state, at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from .solver import (
     SolverSettings,
     _check_hull,
     _check_observations,
+    _coefficient_hull,
     _DualEvaluator,
+    _log_priors,
     _solve_dual,
     solve_gce,
 )
@@ -196,6 +200,53 @@ class StreamReport:
 
 
 # ---------------------------------------------------------------------------
+# The update kernel
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_error_prior(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform error row of ``h`` points and its log, shared by every block.
+
+    Both are read-only ``(1, h)`` arrays; the row is renormalized as a
+    ``JointDistribution`` would store it.
+    """
+    qe = np.full((1, h), 1.0 / h)
+    qe /= qe.sum(axis=1)[:, None]
+    log_qe = _log_priors(qe)
+    qe.setflags(write=False)
+    log_qe.setflags(write=False)
+    return qe, log_qe
+
+
+def _absorb(carried, zb, y, x, rows, log_qe, gamma, solver, step_index):
+    """Solve one checked block against the carried ``(J, K)`` prior.
+
+    ``rows`` holds one error support row per observation and ``log_qe`` the
+    log of their uniform prior. The caller has checked the block, including
+    its hull. Returns the new prior (normalized Gibbs rows, finite because
+    the partition check passed), the block's error estimates, its ledger
+    entry (the KL divergence of the new prior from ``carried``), the new
+    ``beta_hat`` and whether the solve converged. ``step_index`` only labels
+    the underflow warning.
+    """
+    # the prior a JointDistribution would hold: renormalized rows
+    qb = carried / carried.sum(axis=1)[:, None]
+    ev = _DualEvaluator(y, x, zb, rows, _log_priors(qb), log_qe, gamma, 1.0 - gamma)
+    _, pt, _, residual = _solve_dual(ev, solver)
+
+    prior = pt.pb / pt.pb.sum(axis=1)[:, None]
+    if prior.min() <= 0.0:
+        logger.warning(
+            "carried prior underflowed to zero on some support points at step %d; "
+            "those points are frozen out for the rest of the stream",
+            step_index,
+        )
+    moved = float(kl_divergence(prior, carried).sum())
+    return prior, pt.eps_hat, moved, pt.beta_hat, residual <= solver.constraint_tolerance
+
+
+# ---------------------------------------------------------------------------
 # Stream construction and updates
 # ---------------------------------------------------------------------------
 
@@ -239,12 +290,13 @@ def block_update(
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it; the carried prior is a ``StreamState`` invariant and is not
-    checked again. The solve runs on arrays (no problem or distribution
-    objects), and only the ledger's KL divergence is computed. Infeasible
-    blocks raise InfeasibleObservationError (indices local to the block) and
-    leave the caller's state untouched, so a stream can skip and log them.
-    The new state keeps the stream's support grid.
+    would check it, including the hull check; the carried prior is a
+    ``StreamState`` invariant and is not checked again. The update itself is
+    the array kernel ``run_stream`` drives (no problem or distribution
+    objects; only the ledger's KL divergence is computed). Infeasible blocks
+    raise InfeasibleObservationError (indices local to the block) and leave
+    the caller's state untouched, so a stream can skip and log them. The new
+    state keeps the stream's support grid.
     """
     settings = settings if settings is not None else UpdateSettings()
     y = np.asarray(y_block, dtype=float).reshape(-1)
@@ -254,34 +306,23 @@ def block_update(
         rows = np.tile(rows, (y.size, 1))
     zb = state.supports.beta_support
     _check_observations(y, x, zb.shape[0], rows.shape[0])
+    qe, log_qe = _uniform_error_prior(rows.shape[1])
+    # the hull asks only which prior weights are positive, and the kernel's
+    # renormalized prior is positive exactly where the carried one is
+    _check_hull(y, x, zb, state.beta_prior, rows, qe)
 
-    # the same prior arrays a JointDistribution would hold: renormalized rows
-    carried = state.beta_prior
-    qb = carried / carried.sum(axis=1)[:, None]
-    qe = np.full(rows.shape, 1.0 / rows.shape[1])
-    qe /= qe.sum(axis=1)[:, None]
-    _check_hull(y, x, zb, qb, rows, qe)
-    ev = _DualEvaluator(y, x, zb, rows, qb, qe, settings.gamma, 1.0 - settings.gamma)
-    _, pt, _, residual = _solve_dual(ev, settings.solver)
-
-    new_prior = pt.pb / pt.pb.sum(axis=1)[:, None]
-    if new_prior.min() <= 0.0:
-        logger.warning(
-            "carried prior underflowed to zero on some support points at step %d; "
-            "those points are frozen out for the rest of the stream",
-            state.step_index,
-        )
-    moved = float(kl_divergence(new_prior, carried).sum())
+    prior, eps, moved, beta_hat, converged = _absorb(
+        state.beta_prior, zb, y, x, rows, log_qe, settings.gamma, settings.solver,
+        state.step_index,
+    )
     return StreamState(
-        beta_prior=new_prior,
+        beta_prior=prior,
         supports=state.supports,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(pt.eps_hat.tolist()),
+        epsilon_log=state.epsilon_log.extended(eps.tolist()),
         entropy_ledger=state.entropy_ledger.extended((moved,)),
-        beta_trajectory=state.beta_trajectory.extended((pt.beta_hat,)),
-        converged_log=state.converged_log.extended(
-            (residual <= settings.solver.constraint_tolerance,)
-        ),
+        beta_trajectory=state.beta_trajectory.extended((beta_hat,)),
+        converged_log=state.converged_log.extended((converged,)),
     )
 
 
@@ -331,6 +372,16 @@ def run_stream(
 
     Blocks containing infeasible observations are skipped and logged; their
     global indices are reported. Timing covers the whole call.
+
+    The result is a left fold of ``block_update`` over the blocks, bit for
+    bit, with the same skips, warnings and errors, but the stream runs on
+    carried arrays through the same update kernel: the data and a constant
+    error row are checked once (a cumulative row once per block), the uniform
+    error prior is built once, each observation's hull comes from bounds
+    precomputed over the coefficient support ends (the full hull check runs
+    only for a block that fails them or once the carried prior has a zero
+    weight), and one ``StreamState`` is built at the end. A non-finite value
+    after the batch raises when the stream reaches its block.
     """
     t0 = time.perf_counter()
     settings = settings if settings is not None else UpdateSettings()
@@ -363,38 +414,85 @@ def run_stream(
         batch_solution = None
 
     starts = list(range(batch_size, n, block_size))
-    if settings.gamma_schedule is not None and len(settings.gamma_schedule) < len(starts):
+    schedule = settings.gamma_schedule
+    if schedule is not None and len(schedule) < len(starts):
         raise ValueError(
-            f"gamma_schedule has {len(settings.gamma_schedule)} entries "
+            f"gamma_schedule has {len(schedule)} entries "
             f"but the stream absorbs {len(starts)} blocks"
         )
 
+    # What block_update checks on every block, checked once for the stream:
+    # every observation before `checked` passes. A fold of block_update stops
+    # at the block holding the first one that does not, so the loop runs the
+    # block check there. The batch stage has checked the coefficient rows, a
+    # constant error row and the column count; without a batch stage the
+    # columns may disagree with the grid, and then the first block fails.
+    zb = state.supports.beta_support
+    n_params = zb.shape[0]
+    finite = np.isfinite(y[batch_size:]) & np.isfinite(x[batch_size:]).all(axis=1)
+    checked = batch_size + (finite.size if finite.all() else int(np.argmin(finite)))
+    if x.shape[1] != n_params:
+        checked = batch_size
+
+    # While the carried prior has no zero weight, every support point is live
+    # and observation batch_size + i has the hull
+    # [lo_b[i] + row[0], hi_b[i] + row[-1]]; otherwise _check_hull decides.
+    lo_b = hi_b = np.empty(0)
+    if checked > batch_size:
+        lo_b, hi_b = _coefficient_hull(x[batch_size:checked], zb[:, 0], zb[:, -1])
+
+    qe, log_qe = _uniform_error_prior(error_row.size)
+    longest = min(block_size, n - batch_size)
+    rows = np.tile(error_row, (longest, 1))
+    carried, step = state.beta_prior, state.step_index
+    epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
+    trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
     skipped: list[int] = []
     for ordinal, start in enumerate(starts):
         stop = min(start + block_size, n)
-        block_settings = settings
-        if settings.gamma_schedule is not None:
-            block_settings = replace(
-                settings, gamma=settings.gamma_schedule[ordinal], gamma_schedule=None
-            )
-        if cumulative:
-            error_row = _scaled_error_support(y, stop, error_scale, error_points)
-        try:
-            state = block_update(
-                state, y[start:stop], x[start:stop], error_row, block_settings
-            )
-        except InfeasibleObservationError as exc:
-            offenders = [start + i for i in exc.indices]
-            skipped.extend(range(start, stop))
-            logger.warning(
-                "skipping block %d (observations %d..%d): %s (offending: %s)",
-                ordinal,
-                start,
-                stop - 1,
-                exc,
-                offenders,
-            )
+        yb, xb = y[start:stop], x[start:stop]
+        i0, i1 = start - batch_size, stop - batch_size
+        if cumulative:  # a new row, checked as block_update checks it
+            error_row = _error_rows(_scaled_error_support(y, stop, error_scale, error_points))[0]
+            rows = np.tile(error_row, (longest, 1))
+        if stop > checked:
+            _check_observations(yb, xb, n_params, stop - start)
+        block_rows = rows[: stop - start]
+        inner = (lo_b[i0:i1] + error_row[0] < yb) & (yb < hi_b[i0:i1] + error_row[-1])
+        if not (carried.min() > 0.0 and inner.all()):
+            try:
+                _check_hull(yb, xb, zb, carried, block_rows, qe)
+            except InfeasibleObservationError as exc:
+                offenders = [start + i for i in exc.indices]
+                skipped.extend(range(start, stop))
+                logger.warning(
+                    "skipping block %d (observations %d..%d): %s (offending: %s)",
+                    ordinal,
+                    start,
+                    stop - 1,
+                    exc,
+                    offenders,
+                )
+                continue
+        gamma = settings.gamma if schedule is None else schedule[ordinal]
+        carried, eps, moved, beta_hat, converged = _absorb(
+            carried, zb, yb, xb, block_rows, log_qe, gamma, settings.solver, step
+        )
+        step += stop - start
+        epsilon_log.extend(eps.tolist())
+        ledger.append(moved)
+        trajectory.append(beta_hat)
+        converged_log.append(converged)
 
+    state = StreamState(
+        beta_prior=carried,
+        supports=state.supports,
+        step_index=step,
+        epsilon_log=epsilon_log,
+        entropy_ledger=ledger,
+        beta_trajectory=trajectory,
+        converged_log=converged_log,
+    )
     return StreamReport(
         beta_hat=state.beta_hat,
         epsilon_hat=np.array(state.epsilon_log),

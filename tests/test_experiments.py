@@ -126,6 +126,48 @@ def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, va
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario_key, key, value",
+    [
+        (True, "n", 40.5),
+        (True, "n", True),
+        (True, "n_regressors", 2.5),
+        (True, "collinear_columns", [0.5]),
+        (True, "block_sizes", [1.5, 10]),
+        (True, "error_points", 3.7),
+        (False, "replications", 2.7),
+        (False, "replications", True),
+        (False, "seed_base", 3.5),
+        (False, "jobs", 1.9),
+        (False, "include_timings", "false"),
+        (False, "include_timings", 1),
+    ],
+)
+def test_integer_and_flag_fields_are_not_truncated(tmp_path, capsys, scenario_key, key, value):
+    raw = tiny_config_dict()
+    (raw["scenarios"][0] if scenario_key else raw)[key] = value
+    with pytest.raises(ConfigError, match=key) as info:
+        parse_experiment_config(raw)
+    if scenario_key:
+        assert str(info.value).startswith("scenarios[0]: ")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+
+
+def test_whole_numbers_written_as_floats_are_integers():
+    raw = tiny_config_dict(replications=2.0, jobs=1.0)
+    raw["scenarios"][0].update(n=16.0, block_sizes=[1.0, 4.0], error_points=5.0)
+    config = parse_experiment_config(raw)
+    scenario = config.scenarios[0]
+    values = (config.replications, config.jobs, scenario.simulation.n, *scenario.block_sizes,
+              scenario.error_points)
+    assert values == (2, 1, 16, 1, 4, 5)
+    assert all(type(v) is int for v in values)
+
+
 def test_unknown_top_level_key_is_named():
     with pytest.raises(ConfigError, match=r"config: unknown key\(s\) 'replicas'"):
         parse_experiment_config(tiny_config_dict(replicas=3))

@@ -244,6 +244,32 @@ def test_scalar_routine_matches_the_full_evaluation(lam):
     assert pb[1, 0] == 0.0
 
 
+@pytest.mark.parametrize("k, h", [(9, 3), (5, 11), (12, 8)])
+def test_scalar_routine_on_wide_grids_matches_the_full_evaluation(k, h):
+    # rows of 8 or more points are summed pairwise, so padding one row to the
+    # other's length may move the last ulps; nothing more
+    local = np.random.default_rng(k * h)
+    grid = SupportGrid(
+        np.tile(np.linspace(-5.0, 5.0, k), (3, 1)), np.linspace(-4.0, 4.0, h)[None, :]
+    )
+    prior = JointDistribution(
+        local.dirichlet(np.ones(k), size=3), local.dirichlet(np.ones(h))[None, :]
+    )
+    problem = GceProblem(np.array([1.1]), np.array([[1.0, 0.7, -0.3]]), grid, prior)
+    ev = solver._evaluator(problem, 0.4, 0.6)
+    for lam in (-2.0, 0.0, 0.3, 5.0):
+        full = ev.evaluate(np.array([lam]))
+        grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
+        close = dict(rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(grad, full.grad[0], **close)
+        np.testing.assert_allclose(pb, full.pb, **close)
+        np.testing.assert_allclose(pe, full.pe[0], **close)
+        np.testing.assert_allclose(beta_hat, full.beta_hat, **close)
+        np.testing.assert_allclose(eps_hat, full.eps_hat[0], **close)
+        np.testing.assert_allclose(curv_beta, full.curv_beta, **close)
+        np.testing.assert_allclose(curv_eps, full.curv_eps[0], **close)
+
+
 def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
     problem = lean_scalar_problem()
     sol = solve_gce(problem, signal_weight=0.3, error_weight=0.7)

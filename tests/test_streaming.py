@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
+from gcestream import solver
+from gcestream.simulation import _scaled_error_support
 from gcestream import (
     GceProblem,
     InfeasibleObservationError,
@@ -619,6 +621,233 @@ def test_streaming_underperforms_batch_when_badly_initialized():
     gce_rmse = rmse(y, x, direct.beta_hat)
     stre_rmse = rmse(y, x, stream.beta_hat)
     assert stre_rmse > gce_rmse
+
+
+# ---------------------------------------------------------------------------
+# run_stream against a fold of block_update
+# ---------------------------------------------------------------------------
+
+
+def fold_of_block_updates(
+    y, x, batch_size, block_size=1, settings=None, *, beta_support, error_support=None,
+    error_points=3, error_scale="batch",
+):
+    """``run_stream`` as a left fold of ``block_update``: its reference.
+
+    Returns the last state and the skipped indices; skipped blocks are logged
+    on the package's logger with ``run_stream``'s message.
+    """
+    settings = settings if settings is not None else UpdateSettings()
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    beta = np.asarray(beta_support, dtype=float)
+    if beta.ndim == 1:
+        beta = np.tile(beta, (x.shape[1], 1))
+    if error_support is not None:
+        row = np.asarray(error_support, dtype=float).reshape(-1)
+    else:
+        row = _scaled_error_support(y, batch_size, error_scale, error_points)
+    if batch_size:
+        grid = SupportGrid(beta, np.tile(row, (batch_size, 1)))
+        state, _ = init_stream(GceProblem(y[:batch_size], x[:batch_size], grid), settings)
+    else:
+        state = StreamState.uniform_start(SupportGrid(beta, row.reshape(1, -1)))
+    skipped = []
+    for ordinal, start in enumerate(range(batch_size, y.size, block_size)):
+        stop = min(start + block_size, y.size)
+        step = settings
+        if settings.gamma_schedule is not None:
+            step = UpdateSettings(gamma=settings.gamma_schedule[ordinal], solver=settings.solver)
+        if error_support is None and error_scale == "cumulative":
+            row = _scaled_error_support(y, stop, error_scale, error_points)
+        try:
+            state = block_update(state, y[start:stop], x[start:stop], row, step)
+        except InfeasibleObservationError as exc:
+            skipped.extend(range(start, stop))
+            logging.getLogger("gcestream.streaming").warning(
+                "skipping block %d (observations %d..%d): %s (offending: %s)",
+                ordinal, start, stop - 1, exc, [start + i for i in exc.indices],
+            )
+    return state, tuple(skipped)
+
+
+def assert_stream_is_the_fold(report, state, skipped):
+    assert np.array_equal(report.beta_trajectory, np.vstack(state.beta_trajectory))
+    assert np.array_equal(report.entropy_ledger, np.array(state.entropy_ledger))
+    assert np.array_equal(report.epsilon_hat, np.array(state.epsilon_log))
+    assert np.array_equal(report.final_state.beta_prior, state.beta_prior)
+    assert np.array_equal(report.beta_hat, state.beta_hat)
+    assert report.all_converged == all(state.converged_log)
+    assert report.skipped == skipped
+    assert report.final_state.step_index == state.step_index
+
+
+def stream_and_fold(caplog, *args, **kwargs):
+    """Both runs with their warnings; the fold's must equal the stream's."""
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        report = run_stream(*args, **kwargs)
+        logged = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        state, skipped = fold_of_block_updates(*args, **kwargs)
+        assert [r.getMessage() for r in caplog.records] == logged
+    assert_stream_is_the_fold(report, state, skipped)
+    return report
+
+
+STREAM_CASES = {
+    "g1": dict(block_size=1),
+    "g7": dict(block_size=7),
+    "g40": dict(block_size=40),
+    "schedule-g1": dict(settings=UpdateSettings(gamma_schedule=tuple(np.linspace(0.2, 0.9, 140)))),
+    "schedule-g7": dict(
+        block_size=7, settings=UpdateSettings(gamma_schedule=tuple(np.linspace(0.9, 0.1, 20)))
+    ),
+    "gamma-0.3-g7": dict(block_size=7, settings=UpdateSettings(gamma=0.3)),
+    "cumulative-g1": dict(error_scale="cumulative"),
+    "cumulative-g7": dict(block_size=7, error_scale="cumulative"),
+    "no-batch-g1": dict(batch_size=0, error_scale="full"),
+    "no-batch-g7": dict(batch_size=0, block_size=7, error_scale="full"),
+    "one-block": dict(block_size=1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_run_stream_is_a_fold_of_block_updates(caplog, case):
+    y, design = simulated(200, seed=181)
+    kwargs = {"batch_size": 60, "beta_support": BETA_ROW, **STREAM_CASES[case]}
+    report = stream_and_fold(caplog, y, design, **kwargs)
+    assert report.skipped == ()
+    assert report.entropy_ledger.size >= (1 if case == "one-block" else 4)
+
+
+@pytest.mark.parametrize("block_size", [1, 7])
+def test_infeasible_observations_are_skipped_as_in_a_fold(caplog, block_size):
+    y, design = simulated(80, seed=191)
+    row = np.array([-4.0, 0.0, 4.0])
+    zb = np.tile(BETA_ROW, (design.shape[1], 1))
+    _, hi = solver._coefficient_hull(design, zb[:, 0], zb[:, -1])
+    y = y.copy()
+    y[37] = 1e7  # outside the hull
+    y[52] = hi[52] + row[-1]  # exactly on its upper edge
+    report = stream_and_fold(
+        caplog, y, design, 30, block_size, beta_support=BETA_ROW, error_support=row
+    )
+    blocks = {1: [(37, 38), (52, 53)], 7: [(37, 44), (51, 58)]}[block_size]
+    assert report.skipped == tuple(i for lo, hi in blocks for i in range(lo, hi))
+    assert any("outside" in m for m in caplog.messages)
+    assert any("boundary" in m for m in caplog.messages)
+
+
+def test_an_underflowed_prior_takes_the_masked_hull_check(caplog):
+    # an observation just under the top of the hull drives both coefficients
+    # onto their largest support point; the other points underflow to zero,
+    # so later observations inside the full hull fall outside the live one
+    local = np.random.default_rng(3)
+    design = np.column_stack([np.ones(40), local.uniform(0.0, 1.0, 40)])
+    y = local.uniform(-0.5, 0.5, 40)
+    design[25:30, 1] = 1.0
+    y[25], y[26:30] = 2.0008, 2.0
+    y[31] = 1.0 + design[31, 1] + 2e-4  # inside the live hull: still absorbed
+    report = stream_and_fold(
+        caplog, y, design, 20, beta_support=[-1.0, 0.0, 1.0], error_support=[-1e-3, 0.0, 1e-3]
+    )
+    assert np.array_equal(report.final_state.beta_prior, [[0.0, 0.0, 1.0]] * 2)
+    assert any("underflowed" in m for m in caplog.messages)
+    assert 30 in report.skipped and 31 not in report.skipped
+
+
+# ---------------------------------------------------------------------------
+# run_stream's up-front checks
+# ---------------------------------------------------------------------------
+
+
+def assert_same_failure(run, fold):
+    with pytest.raises(ValueError) as got:
+        run()
+    with pytest.raises(ValueError) as want:
+        fold()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("scale", ["batch", "cumulative"])
+@pytest.mark.parametrize("block_size", [1, 4])
+@pytest.mark.parametrize(
+    "where, value", [("y", np.nan), ("y", np.inf), ("x", np.nan), ("x", -np.inf)]
+)
+def test_non_finite_data_after_the_batch_fails_as_in_a_fold(
+    caplog, scale, block_size, where, value
+):
+    y, design = simulated(40, seed=201)
+    y[25] = 1e7  # a skipped block before the failure is still logged
+    if where == "y":
+        y[30] = value
+    else:
+        design[30, 2] = value
+    args = (y, design, 20, block_size)
+    kwargs = dict(beta_support=BETA_ROW, error_scale=scale)
+    # (the three-sigma rule warns on an infinite response, in both runs)
+    quiet = np.errstate(invalid="ignore")
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"), quiet:
+        message = assert_same_failure(
+            lambda: run_stream(*args, **kwargs), lambda: fold_of_block_updates(*args, **kwargs)
+        )
+    # a cumulative row scaled to an infinite response is itself not finite
+    if scale == "cumulative" and where == "y" and value == np.inf:
+        assert message == "error_support must be finite"
+    else:
+        assert message == "y and x must be finite"
+    assert sum("skipping block" in m for m in caplog.messages) == 2
+
+
+@pytest.mark.parametrize("bad_first_block", [False, True])
+def test_column_mismatch_without_a_batch_fails_as_in_a_fold(bad_first_block):
+    y, design = simulated(12, seed=211)
+    if bad_first_block:
+        design[0, 1] = np.nan
+    kwargs = dict(beta_support=np.tile(BETA_ROW, (2, 1)), error_support=[-30.0, 0.0, 30.0])
+    message = assert_same_failure(
+        lambda: run_stream(y, design, 0, 3, **kwargs),
+        lambda: fold_of_block_updates(y, design, 0, 3, **kwargs),
+    )
+    expected = "y and x must be finite" if bad_first_block else "covers 2 coefficients"
+    assert expected in message
+
+
+@pytest.mark.parametrize("batch_size", [0, 10])
+@pytest.mark.parametrize(
+    "row, fragment",
+    [
+        ([0.5, 1.0, 2.0], "span zero"),
+        ([-1.0, np.nan, 1.0], "finite"),
+        ([-1.0, 1.0, 1.0], "strictly increasing"),
+        ([1.0], "at least 2 columns"),
+    ],
+)
+def test_malformed_error_support_fails_as_in_a_fold(batch_size, row, fragment):
+    y, design = simulated(20, seed=221)
+    kwargs = dict(beta_support=BETA_ROW, error_support=row)
+    message = assert_same_failure(
+        lambda: run_stream(y, design, batch_size, **kwargs),
+        lambda: fold_of_block_updates(y, design, batch_size, **kwargs),
+    )
+    assert fragment in message
+
+
+def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
+    built = []
+    post_init = StreamState.__post_init__
+
+    def counted(self):
+        built.append(self.step_index)
+        post_init(self)
+
+    monkeypatch.setattr(StreamState, "__post_init__", counted)
+    y, design = simulated(60, seed=231)
+    report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
+    assert report.entropy_ledger.size == 40
+    assert built == [20, 60]  # init_stream's, then the final one
 
 
 # ---------------------------------------------------------------------------
