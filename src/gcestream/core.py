@@ -22,6 +22,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,6 +96,20 @@ def _error_rows(values) -> np.ndarray:
     if (rows[:, 0] >= 0.0).any() or (rows[:, -1] <= 0.0).any():
         raise ValueError("every error_support row must span zero (min < 0 < max)")
     return rows
+
+
+def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``name`` unless it is a whole number.
+
+    Integral floats such as ``40.0`` are whole numbers; booleans, strings and
+    fractions such as ``40.5`` are not, so nothing is silently truncated.
+    """
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .simulation import (
     ERROR_SCALES,
     SimulationConfig,
     _check_error_scale,
-    _integer,
     _scaled_error_support,
     generate_dataset,
     load_dataset_csv,
@@ -52,7 +51,7 @@ from .simulation import (
 )
 from .solver import GceProblem, GceSolution, SolverSettings, solve_gce
 from .streaming import UpdateSettings, run_stream
-from .core import SupportGrid
+from .core import SupportGrid, _integer
 
 __all__ = [
     "ConfigError",
@@ -552,6 +551,8 @@ def solve_file(
     """
     solver = solver if solver is not None else SolverSettings()
     _check_error_scale(error_scale)
+    block_size = _integer(block_size, "block_size")
+    error_points = _integer(error_points, "error_points")
     y, x = load_dataset_csv(path)
     if standardize:
         x, _, _ = standardize_columns(x)
@@ -578,7 +579,7 @@ def solve_file(
     if not 0.0 < batch_fraction <= 1.0:
         raise ValueError(f"batch_fraction must lie in (0, 1], got {batch_fraction!r}")
     m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
-    g = 1 if mode == "stre" else int(block_size)
+    g = 1 if mode == "stre" else block_size
     stream = run_stream(
         y,
         design,

@@ -10,11 +10,12 @@ counter-based Philox generator in use is recorded in the dataset metadata.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
+
+from .core import _integer
 
 __all__ = [
     "DEFAULT_BETA_SUPPORT",
@@ -30,20 +31,6 @@ __all__ = [
 
 #: Wide five-point support row used for every regression coefficient.
 DEFAULT_BETA_SUPPORT = (-100.0, -50.0, 0.0, 50.0, 100.0)
-
-
-def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int; ``error`` naming ``name`` unless it is a whole number.
-
-    Integral floats such as ``40.0`` are whole numbers; booleans, strings and
-    fractions such as ``40.5`` are not, so nothing is silently truncated.
-    """
-    if not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, numbers.Real) and float(value).is_integer())
-    ):
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ streaming updates; the plain problem is the 1/1 special case.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .core import (
     ZERO_CLAMP,
     JointDistribution,
     SupportGrid,
+    _integer,
     kl_divergence,
 )
 
@@ -95,8 +97,12 @@ class SolverSettings:
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        if not (self.constraint_tolerance > 0.0 and math.isfinite(self.constraint_tolerance)):
-            raise ValueError("constraint_tolerance must be a positive finite number")
+        tol = self.constraint_tolerance
+        if isinstance(tol, bool) or not (
+            isinstance(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)
+        ):
+            raise ValueError(f"constraint_tolerance must be a positive finite number, got {tol!r}")
+        object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

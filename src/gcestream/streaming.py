@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SupportGrid, _error_rows, _simplex_rows, expectation, kl_divergence
+from .core import (
+    SupportGrid,
+    _error_rows,
+    _integer,
+    _simplex_rows,
+    _support_rows,
+    expectation,
+    kl_divergence,
+)
 from .simulation import _check_error_scale, _scaled_error_support
 from .solver import (
     GceProblem,
@@ -127,6 +135,11 @@ class UpdateSettings:
             object.__setattr__(self, "gamma_schedule", schedule)
 
 
+# settings are immutable, so an update without any shares one default
+# instead of building and validating it on every step
+_DEFAULT_SETTINGS = UpdateSettings()
+
+
 @dataclass(frozen=True)
 class StreamState:
     """Carried coefficient prior plus the running diagnostic logs.
@@ -219,6 +232,23 @@ def _uniform_error_prior(h: int) -> tuple[np.ndarray, np.ndarray]:
     return qe, log_qe
 
 
+def _check_block(y, x, zb, error_rows):
+    """Check observations and their error rows against the coefficient grid ``zb``.
+
+    Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
+    support rows, one per observation (a single row is shared by all), each
+    checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
+    is left to ``_check_hull``.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows = _error_rows(error_rows)
+    if rows.shape[0] == 1 and y.size > 1:
+        rows = np.tile(rows, (y.size, 1))
+    _check_observations(y, x, zb.shape[0], rows.shape[0])
+    return y, x, rows
+
+
 def _absorb(carried, zb, y, x, rows, log_qe, gamma, solver, step_index):
     """Solve one checked block against the carried ``(J, K)`` prior.
 
@@ -260,7 +290,7 @@ def init_stream(
     account starts from zero. The batch's error weights are not carried;
     only the coefficient rows persist.
     """
-    settings = settings if settings is not None else UpdateSettings()
+    settings = settings if settings is not None else _DEFAULT_SETTINGS
     for weights in (batch.prior.beta, batch.prior.error):
         if np.max(np.abs(weights - 1.0 / weights.shape[1])) > 1e-12:
             raise ValueError("init_stream requires a uniform batch prior")
@@ -290,22 +320,18 @@ def block_update(
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it, including the hull check; the carried prior is a
-    ``StreamState`` invariant and is not checked again. The update itself is
+    would check it, by the same check ``run_stream`` makes of a whole stream,
+    and then against its hull; the carried prior is a ``StreamState``
+    invariant and is not checked again. The update itself is
     the array kernel ``run_stream`` drives (no problem or distribution
     objects; only the ledger's KL divergence is computed). Infeasible blocks
     raise InfeasibleObservationError (indices local to the block) and leave
     the caller's state untouched, so a stream can skip and log them. The new
     state keeps the stream's support grid.
     """
-    settings = settings if settings is not None else UpdateSettings()
-    y = np.asarray(y_block, dtype=float).reshape(-1)
-    x = np.atleast_2d(np.asarray(x_block, dtype=float))
-    rows = _error_rows(error_support_rows)
-    if rows.shape[0] == 1 and y.size > 1:
-        rows = np.tile(rows, (y.size, 1))
+    settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
-    _check_observations(y, x, zb.shape[0], rows.shape[0])
+    y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
     qe, log_qe = _uniform_error_prior(rows.shape[1])
     # the hull asks only which prior weights are positive, and the kernel's
     # renormalized prior is positive exactly where the carried one is
@@ -373,23 +399,25 @@ def run_stream(
     Blocks containing infeasible observations are skipped and logged; their
     global indices are reported. Timing covers the whole call.
 
-    The result is a left fold of ``block_update`` over the blocks, bit for
-    bit, with the same skips, warnings and errors, but the stream runs on
-    carried arrays through the same update kernel: the data and a constant
-    error row are checked once (a cumulative row once per block), the uniform
+    The whole stream is checked before the batch solve, as ``block_update``
+    checks a block, so bad data raises ``block_update``'s error before any
+    work is done. On valid data the result is a left fold of
+    ``block_update`` over the blocks, bit for bit, with the same skips and
+    warnings, but the stream runs on carried arrays through the same update
+    kernel: a cumulative error row is checked once per block, the uniform
     error prior is built once, each observation's hull comes from bounds
     precomputed over the coefficient support ends (the full hull check runs
     only for a block that fails them or once the carried prior has a zero
-    weight), and one ``StreamState`` is built at the end. A non-finite value
-    after the batch raises when the stream reaches its block.
+    weight), and one ``StreamState`` is built at the end.
     """
     t0 = time.perf_counter()
-    settings = settings if settings is not None else UpdateSettings()
+    settings = settings if settings is not None else _DEFAULT_SETTINGS
+    batch_size = _integer(batch_size, "batch_size")
+    block_size = _integer(block_size, "block_size")
+    error_points = _integer(error_points, "error_points")
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = y.size
-    if x.shape[0] != n:
-        raise ValueError(f"x has {x.shape[0]} rows, y has {n} entries")
     if not 0 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [0, {n}], got {batch_size}")
     if block_size < 1:
@@ -404,13 +432,15 @@ def run_stream(
         error_row = np.asarray(error_support, dtype=float).reshape(-1)
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
+    zb = _support_rows(beta, "beta_support")
+    y, x, rows = _check_block(y, x, zb, error_row)
 
     if batch_size >= 1:
-        grid = SupportGrid(beta, np.tile(error_row, (batch_size, 1)))
+        grid = SupportGrid(zb, rows[:batch_size])
         batch_problem = GceProblem(y[:batch_size], x[:batch_size], grid)
         state, batch_solution = init_stream(batch_problem, settings)
     else:
-        state = StreamState.uniform_start(SupportGrid(beta, error_row.reshape(1, -1)))
+        state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
         batch_solution = None
 
     starts = list(range(batch_size, n, block_size))
@@ -421,44 +451,22 @@ def run_stream(
             f"but the stream absorbs {len(starts)} blocks"
         )
 
-    # What block_update checks on every block, checked once for the stream:
-    # every observation before `checked` passes. A fold of block_update stops
-    # at the block holding the first one that does not, so the loop runs the
-    # block check there. The batch stage has checked the coefficient rows, a
-    # constant error row and the column count; without a batch stage the
-    # columns may disagree with the grid, and then the first block fails.
-    zb = state.supports.beta_support
-    n_params = zb.shape[0]
-    finite = np.isfinite(y[batch_size:]) & np.isfinite(x[batch_size:]).all(axis=1)
-    checked = batch_size + (finite.size if finite.all() else int(np.argmin(finite)))
-    if x.shape[1] != n_params:
-        checked = batch_size
-
     # While the carried prior has no zero weight, every support point is live
-    # and observation batch_size + i has the hull
-    # [lo_b[i] + row[0], hi_b[i] + row[-1]]; otherwise _check_hull decides.
-    lo_b = hi_b = np.empty(0)
-    if checked > batch_size:
-        lo_b, hi_b = _coefficient_hull(x[batch_size:checked], zb[:, 0], zb[:, -1])
-
+    # and observation i has the hull [lo_b[i] + row[0], hi_b[i] + row[-1]];
+    # otherwise _check_hull decides.
+    lo_b, hi_b = _coefficient_hull(x, zb[:, 0], zb[:, -1])
     qe, log_qe = _uniform_error_prior(error_row.size)
-    longest = min(block_size, n - batch_size)
-    rows = np.tile(error_row, (longest, 1))
     carried, step = state.beta_prior, state.step_index
     epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
     trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
     skipped: list[int] = []
     for ordinal, start in enumerate(starts):
         stop = min(start + block_size, n)
-        yb, xb = y[start:stop], x[start:stop]
-        i0, i1 = start - batch_size, stop - batch_size
+        yb, xb, block_rows = y[start:stop], x[start:stop], rows[start:stop]
         if cumulative:  # a new row, checked as block_update checks it
             error_row = _error_rows(_scaled_error_support(y, stop, error_scale, error_points))[0]
-            rows = np.tile(error_row, (longest, 1))
-        if stop > checked:
-            _check_observations(yb, xb, n_params, stop - start)
-        block_rows = rows[: stop - start]
-        inner = (lo_b[i0:i1] + error_row[0] < yb) & (yb < hi_b[i0:i1] + error_row[-1])
+            block_rows = np.tile(error_row, (stop - start, 1))
+        inner = (lo_b[start:stop] + error_row[0] < yb) & (yb < hi_b[start:stop] + error_row[-1])
         if not (carried.min() > 0.0 and inner.all()):
             try:
                 _check_hull(yb, xb, zb, carried, block_rows, qe)

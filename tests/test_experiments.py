@@ -606,6 +606,32 @@ def test_standardized_fit_reports_response_scale_error(tmp_path):
     assert abs(std.rmse - plain.rmse) < 2.0
 
 
+@pytest.mark.parametrize(
+    "call, name, whole",
+    [
+        ("run_stream", "batch_size", 10),
+        ("run_stream", "block_size", 2),
+        ("run_stream", "error_points", 3),
+        ("solve_file", "block_size", 2),
+        ("solve_file", "error_points", 3),
+    ],
+)
+def test_sizes_are_whole_numbers_and_never_truncated(tmp_path, call, name, whole):
+    path, data = write_dataset(tmp_path)
+    design = np.column_stack([np.ones(data.n), data.x])
+    sizes = {"block_size": 2, "error_points": 3}
+
+    def fit(**given):
+        if call == "run_stream":
+            kwargs = {"batch_size": 10, **sizes, **given}
+            return run_stream(data.y, design, beta_support=[-100.0, 0.0, 100.0], **kwargs)
+        return solve_file(path, "block", **{**sizes, **given})
+
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {whole + 0.5}$"):
+        fit(**{name: whole + 0.5})
+    assert np.array_equal(fit(**{name: float(whole)}).beta_hat, fit(**{name: whole}).beta_hat)
+
+
 def test_solve_file_validates_its_arguments(tmp_path):
     path, _ = write_dataset(tmp_path)
     with pytest.raises(ValueError, match="mode"):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from gcestream import solver
 from gcestream import (
+    ConfigError,
     GceProblem,
     InfeasibleObservationError,
     JointDistribution,
@@ -14,6 +15,7 @@ from gcestream import (
     dual_objective,
     expectation,
     gibbs_weights,
+    parse_experiment_config,
     solve_gce,
 )
 
@@ -367,11 +369,17 @@ def test_iteration_cap_returns_unconverged_solution():
         {"constraint_tolerance": 0.0},
         {"constraint_tolerance": -1e-8},
         {"max_iterations": 0},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"constraint_tolerance": True},
     ],
 )
 def test_solver_settings_validation(kwargs):
     with pytest.raises(ValueError):
         SolverSettings(**kwargs)
+    config = {"scenarios": [{"name": "a", "n": 16}], "replications": 1, "seed_base": 0}
+    with pytest.raises(ConfigError, match=r"^config\.solver: "):
+        parse_experiment_config({**config, "solver": kwargs})
 
 
 def test_problem_dimension_mismatches_are_rejected():

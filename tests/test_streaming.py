@@ -563,6 +563,11 @@ def test_zero_batch_needs_explicit_or_full_error_scale():
     report = run_stream(y, design, batch_size=0, beta_support=BETA_ROW, error_scale="full")
     assert report.batch_solution is None
     assert report.final_state.step_index == 12
+    # an empty stream has no observation to check, as an empty block has none
+    with pytest.raises(ValueError, match="need at least one observation"):
+        run_stream(
+            np.empty(0), np.empty((0, 2)), 0, beta_support=[-1, 0, 1], error_support=[-1, 0, 1]
+        )
 
 
 def test_unknown_error_scale_is_rejected_even_with_an_explicit_row():
@@ -776,29 +781,32 @@ def assert_same_failure(run, fold):
 @pytest.mark.parametrize(
     "where, value", [("y", np.nan), ("y", np.inf), ("x", np.nan), ("x", -np.inf)]
 )
-def test_non_finite_data_after_the_batch_fails_as_in_a_fold(
-    caplog, scale, block_size, where, value
+def test_non_finite_data_after_the_batch_fails_before_any_solve(
+    caplog, monkeypatch, scale, block_size, where, value
 ):
+    import gcestream.streaming as streaming_module
+
     y, design = simulated(40, seed=201)
-    y[25] = 1e7  # a skipped block before the failure is still logged
+    y[25] = 1e7  # an infeasible block before the bad value: never reached
     if where == "y":
         y[30] = value
     else:
         design[30, 2] = value
-    args = (y, design, 20, block_size)
-    kwargs = dict(beta_support=BETA_ROW, error_scale=scale)
-    # (the three-sigma rule warns on an infinite response, in both runs)
-    quiet = np.errstate(invalid="ignore")
-    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"), quiet:
-        message = assert_same_failure(
-            lambda: run_stream(*args, **kwargs), lambda: fold_of_block_updates(*args, **kwargs)
-        )
-    # a cumulative row scaled to an infinite response is itself not finite
-    if scale == "cumulative" and where == "y" and value == np.inf:
-        assert message == "error_support must be finite"
-    else:
-        assert message == "y and x must be finite"
-    assert sum("skipping block" in m for m in caplog.messages) == 2
+    solves = []
+    solve_dual = solver._solve_dual
+
+    def counted(*args):
+        solves.append(args)
+        return solve_dual(*args)
+
+    monkeypatch.setattr(solver, "_solve_dual", counted)
+    monkeypatch.setattr(streaming_module, "_solve_dual", counted)
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        with pytest.raises(ValueError) as got:
+            run_stream(y, design, 20, block_size, beta_support=BETA_ROW, error_scale=scale)
+    assert str(got.value) == "y and x must be finite"
+    assert not any("skipping block" in m for m in caplog.messages)
+    assert solves == []
 
 
 @pytest.mark.parametrize("bad_first_block", [False, True])
