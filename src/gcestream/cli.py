@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,10 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     try:
         config = parse_experiment_config(args.config)
+        if args.jobs is not None:
+            config = replace(config, jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    outcome = run_experiment(config, out_dir=args.out, jobs=args.jobs)
+    outcome = run_experiment(config, out_dir=args.out)
     for path in outcome.written:
         print(f"wrote {path}")
     cells = len({(r.n, r.eta, r.seed) for r in outcome.reports})

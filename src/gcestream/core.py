@@ -104,6 +104,8 @@ def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
     Integral floats such as ``40.0`` are whole numbers; booleans, strings and
     fractions such as ``40.5`` are not, so nothing is silently truncated.
     """
+    if type(value) is int:  # the common case, without the abstract-base checks
+        return value
     if not isinstance(value, bool) and (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())

@@ -386,11 +386,6 @@ class ExperimentOutcome:
     exit_code: int
 
 
-def _cell_task(args):
-    scenario, eta, seed, solver = args
-    return run_cell(scenario, eta, seed, solver)
-
-
 def _figure_rows(reports) -> tuple[list[dict], list[dict], list[dict]]:
     summaries = summary_rows(reports)
     rmse_vs_n = sorted(
@@ -440,12 +435,15 @@ def run_experiment(
 ) -> ExperimentOutcome:
     """Execute all cells, write the report and figure files, and summarize.
 
-    Failed cells are recorded and skipped rather than aborting the rest; any
-    failure yields exit code 2 with whatever partial results completed.
+    ``out_dir`` and ``jobs`` override the config's values and are checked as
+    the config checks them. Failed cells are recorded and skipped rather than
+    aborting the rest; any failure yields exit code 2 with whatever partial
+    results completed.
     """
-    out = Path(out_dir if out_dir is not None else (config.out_dir or "out"))
+    overrides = {"out_dir": out_dir, "jobs": jobs}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    out = Path(config.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
-    workers = jobs if jobs is not None else config.jobs
 
     tasks = []
     for scenario in config.scenarios:
@@ -457,9 +455,9 @@ def run_experiment(
 
     outcomes: list[CellOutcome] = []
     failures: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(label, pool.submit(_cell_task, args)) for label, args in tasks]
+    if config.jobs > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            futures = [(label, pool.submit(run_cell, *args)) for label, args in tasks]
             for label, future in futures:
                 try:
                     outcomes.append(future.result())
@@ -468,7 +466,7 @@ def run_experiment(
     else:
         for label, args in tasks:
             try:
-                outcomes.append(_cell_task(args))
+                outcomes.append(run_cell(*args))
             except Exception as exc:
                 failures.append(f"{label}: {exc}")
 

@@ -10,6 +10,7 @@ counter-based Philox generator in use is recorded in the dataset metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -40,10 +41,10 @@ class SimulationConfig:
     ``eta`` mixes the shared factor into ``collinear_columns`` (all columns
     when None). ``standardize`` stores the regressors standardized column by
     column, with the generating coefficients transformed to match, so the
-    stored components always reproduce ``y`` exactly. ``noise_sd`` zero is
-    accepted for noiseless fixtures. ``true_beta`` None derives the
-    sign-alternating default (1, -2, 3, -4, ...) for the configured number
-    of regressors.
+    stored components always reproduce ``y`` exactly. Every value must be
+    finite, and ``noise_sd`` zero is accepted for noiseless fixtures.
+    ``true_beta`` None derives the sign-alternating default (1, -2, 3, -4,
+    ...) for the configured number of regressors.
     """
 
     n: int
@@ -78,6 +79,11 @@ class SimulationConfig:
             raise ValueError(
                 f"true_beta has {len(beta)} entries for {self.n_regressors} regressors"
             )
+        for name in ("intercept", "x_low", "x_high", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, beta)):
+            raise ValueError(f"true_beta must be finite, got {beta!r}")
         if not self.x_low < self.x_high:
             raise ValueError("x_low must be smaller than x_high")
         if self.noise_sd < 0.0:
@@ -93,6 +99,8 @@ class SimulationConfig:
                 raise ValueError("collinear_columns must be distinct regressor indices")
             object.__setattr__(self, "collinear_columns", cols)
         support = tuple(float(z) for z in self.beta_support)
+        if not all(map(math.isfinite, support)):
+            raise ValueError(f"beta_support must be finite, got {support!r}")
         if len(support) < 2 or any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("beta_support must be strictly increasing with at least two points")
         if self.seed < 0:
@@ -128,7 +136,7 @@ class Dataset:
             raise ValueError("y, x, true_beta, residuals have inconsistent shapes")
         reconstruction = self.intercept + x @ beta + resid
         gap = float(np.max(np.abs(reconstruction - y))) if y.size else 0.0
-        if gap > 1e-12:
+        if not gap <= 1e-12:  # a NaN gap fails too
             raise ValueError(f"stored components miss y by {gap!r} (tolerance 1e-12)")
         for arr in (y, x, beta, resid):
             arr.setflags(write=False)

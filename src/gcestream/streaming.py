@@ -10,14 +10,14 @@ support row scaled to the incoming data. The update minimizes
     + (1 - gamma) * KL(error rows | uniform)
 
 subject to the block's consistency constraints. At gamma = 0.5 both terms
-carry equal weight, which reproduces the plain joint objective; scheduling
-gamma toward 1 makes the carried prior progressively stickier.
+carry equal weight, which reproduces the plain joint objective.
 
 States are immutable values. Each absorbed block appends one entry to the
 entropy ledger, the KL divergence of the new coefficient weights from the
 previous ones, a nonnegative account of how much information the block moved.
 Successive states share their logs, so absorbing a block costs the same
-however long the stream has run. ``run_stream`` drives the same update kernel
+however long the stream has run. One block step, ``_absorb``, absorbs every
+block: ``block_update`` calls it once, and ``run_stream`` calls it per block
 on plain arrays and builds one state, at the end.
 """
 
@@ -116,23 +116,16 @@ class UpdateSettings:
     """Streaming knobs: prior stickiness and the inner solver settings.
 
     ``gamma`` must lie strictly inside (0, 1); the endpoints would freeze the
-    coefficient weights entirely or ignore the carried prior. A
-    ``gamma_schedule`` supplies one gamma per absorbed block and overrides the
-    scalar during ``run_stream``.
+    coefficient weights entirely or ignore the carried prior. Every block of
+    a stream is absorbed at the same ``gamma``.
     """
 
     gamma: float = 0.5
-    gamma_schedule: tuple[float, ...] | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma!r}")
-        if self.gamma_schedule is not None:
-            schedule = tuple(float(g) for g in self.gamma_schedule)
-            if not schedule or any(not (0.0 < g < 1.0) for g in schedule):
-                raise ValueError("gamma_schedule entries must lie strictly in (0, 1)")
-            object.__setattr__(self, "gamma_schedule", schedule)
 
 
 # settings are immutable, so an update without any shares one default
@@ -149,9 +142,9 @@ class StreamState:
     so a state rebuilt from another state's prior carries the same bits.
     ``supports`` is the grid the stream started from: its coefficient rows
     hold for the whole stream, and its error rows are the batch's (incoming
-    blocks supply their own). ``step_index`` counts absorbed observations. The logs
-    are read-only sequences that the update functions share between
-    successive states instead of copying them.
+    blocks supply their own). ``step_index``, a whole number, counts absorbed
+    observations. The logs are read-only sequences that the update functions
+    share between successive states instead of copying them.
     """
 
     beta_prior: np.ndarray
@@ -166,9 +159,11 @@ class StreamState:
         prior = _simplex_rows(self.beta_prior, "beta_prior", renormalize=False)
         if prior.shape != self.supports.beta_support.shape:
             raise ValueError("beta_prior rows do not match the support grid")
-        if self.step_index < 0:
+        step_index = _integer(self.step_index, "step_index")
+        if step_index < 0:
             raise ValueError("step_index must be nonnegative")
         object.__setattr__(self, "beta_prior", prior)
+        object.__setattr__(self, "step_index", step_index)
         # A _Log is kept as it is, so an update costs O(1), and a numeric one
         # carries its minimum for the ledger bound; other sequences are copied.
         logs = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
@@ -238,7 +233,7 @@ def _check_block(y, x, zb, error_rows):
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
     checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to ``_check_hull``.
+    is left to ``_absorb``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -249,21 +244,35 @@ def _check_block(y, x, zb, error_rows):
     return y, x, rows
 
 
-def _absorb(carried, zb, y, x, rows, log_qe, gamma, solver, step_index):
-    """Solve one checked block against the carried ``(J, K)`` prior.
+def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None):
+    """The one block step: absorb a checked block into the carried ``(J, K)`` prior.
 
-    ``rows`` holds one error support row per observation and ``log_qe`` the
-    log of their uniform prior. The caller has checked the block, including
-    its hull. Returns the new prior (normalized Gibbs rows, finite because
-    the partition check passed), the block's error estimates, its ledger
-    entry (the KL divergence of the new prior from ``carried``), the new
-    ``beta_hat`` and whether the solve converged. ``step_index`` only labels
-    the underflow warning.
+    ``rows`` holds one error support row per observation, each with a uniform
+    prior. The hull is checked before any solve and an infeasible block
+    raises InfeasibleObservationError (indices local to the block). ``hull``,
+    when given, is the block's precomputed ``_coefficient_hull`` over the
+    full coefficient support; it decides while every carried weight is
+    positive and every ``y`` lies strictly inside it, else ``_check_hull``
+    does. Returns the new prior (normalized Gibbs rows), the block's error
+    estimates, its ledger entry (the KL divergence of the new prior from
+    ``carried``), the new ``beta_hat`` and whether the solve converged.
+    ``step_index`` only labels the underflow warning.
     """
+    qe, log_qe = _uniform_error_prior(rows.shape[1])
+    if not (
+        hull is not None
+        and carried.min() > 0.0
+        and ((hull[0] + rows[:, 0] < y) & (y < hull[1] + rows[:, -1])).all()
+    ):
+        # the hull asks only which prior weights are positive, and the
+        # renormalized prior below is positive exactly where the carried one is
+        _check_hull(y, x, zb, carried, rows, qe)
+
     # the prior a JointDistribution would hold: renormalized rows
     qb = carried / carried.sum(axis=1)[:, None]
+    gamma = settings.gamma
     ev = _DualEvaluator(y, x, zb, rows, _log_priors(qb), log_qe, gamma, 1.0 - gamma)
-    _, pt, _, residual = _solve_dual(ev, solver)
+    _, pt, _, residual = _solve_dual(ev, settings.solver)
 
     prior = pt.pb / pt.pb.sum(axis=1)[:, None]
     if prior.min() <= 0.0:
@@ -273,7 +282,7 @@ def _absorb(carried, zb, y, x, rows, log_qe, gamma, solver, step_index):
             step_index,
         )
     moved = float(kl_divergence(prior, carried).sum())
-    return prior, pt.eps_hat, moved, pt.beta_hat, residual <= solver.constraint_tolerance
+    return prior, pt.eps_hat, moved, pt.beta_hat, residual <= settings.solver.constraint_tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +329,20 @@ def block_update(
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it, by the same check ``run_stream`` makes of a whole stream,
-    and then against its hull; the carried prior is a ``StreamState``
-    invariant and is not checked again. The update itself is
-    the array kernel ``run_stream`` drives (no problem or distribution
-    objects; only the ledger's KL divergence is computed). Infeasible blocks
-    raise InfeasibleObservationError (indices local to the block) and leave
-    the caller's state untouched, so a stream can skip and log them. The new
+    would check it, by the same check ``run_stream`` makes of a whole stream;
+    the carried prior is a ``StreamState`` invariant and is not checked
+    again. The block step ``run_stream`` drives then checks the hull and
+    solves on plain arrays (no problem or distribution objects; only the
+    ledger's KL divergence is computed). Infeasible blocks raise
+    InfeasibleObservationError (indices local to the block) and leave the
+    caller's state untouched, so a stream can skip and log them. The new
     state keeps the stream's support grid.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
     y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
-    qe, log_qe = _uniform_error_prior(rows.shape[1])
-    # the hull asks only which prior weights are positive, and the kernel's
-    # renormalized prior is positive exactly where the carried one is
-    _check_hull(y, x, zb, state.beta_prior, rows, qe)
-
     prior, eps, moved, beta_hat, converged = _absorb(
-        state.beta_prior, zb, y, x, rows, log_qe, settings.gamma, settings.solver,
-        state.step_index,
+        state.beta_prior, zb, y, x, rows, settings, state.step_index
     )
     return StreamState(
         beta_prior=prior,
@@ -403,12 +406,9 @@ def run_stream(
     checks a block, so bad data raises ``block_update``'s error before any
     work is done. On valid data the result is a left fold of
     ``block_update`` over the blocks, bit for bit, with the same skips and
-    warnings, but the stream runs on carried arrays through the same update
-    kernel: a cumulative error row is checked once per block, the uniform
-    error prior is built once, each observation's hull comes from bounds
-    precomputed over the coefficient support ends (the full hull check runs
-    only for a block that fails them or once the carried prior has a zero
-    weight), and one ``StreamState`` is built at the end.
+    warnings, for every ``UpdateSettings``: each block goes through the same
+    block step on carried arrays, with its coefficient hull precomputed, and
+    one ``StreamState`` is built at the end.
     """
     t0 = time.perf_counter()
     settings = settings if settings is not None else _DEFAULT_SETTINGS
@@ -443,49 +443,29 @@ def run_stream(
         state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
         batch_solution = None
 
-    starts = list(range(batch_size, n, block_size))
-    schedule = settings.gamma_schedule
-    if schedule is not None and len(schedule) < len(starts):
-        raise ValueError(
-            f"gamma_schedule has {len(schedule)} entries "
-            f"but the stream absorbs {len(starts)} blocks"
-        )
-
-    # While the carried prior has no zero weight, every support point is live
-    # and observation i has the hull [lo_b[i] + row[0], hi_b[i] + row[-1]];
-    # otherwise _check_hull decides.
     lo_b, hi_b = _coefficient_hull(x, zb[:, 0], zb[:, -1])
-    qe, log_qe = _uniform_error_prior(error_row.size)
     carried, step = state.beta_prior, state.step_index
     epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
     trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
     skipped: list[int] = []
-    for ordinal, start in enumerate(starts):
+    for ordinal, start in enumerate(range(batch_size, n, block_size)):
         stop = min(start + block_size, n)
-        yb, xb, block_rows = y[start:stop], x[start:stop], rows[start:stop]
+        block_rows = rows[start:stop]
         if cumulative:  # a new row, checked as block_update checks it
             error_row = _error_rows(_scaled_error_support(y, stop, error_scale, error_points))[0]
             block_rows = np.tile(error_row, (stop - start, 1))
-        inner = (lo_b[start:stop] + error_row[0] < yb) & (yb < hi_b[start:stop] + error_row[-1])
-        if not (carried.min() > 0.0 and inner.all()):
-            try:
-                _check_hull(yb, xb, zb, carried, block_rows, qe)
-            except InfeasibleObservationError as exc:
-                offenders = [start + i for i in exc.indices]
-                skipped.extend(range(start, stop))
-                logger.warning(
-                    "skipping block %d (observations %d..%d): %s (offending: %s)",
-                    ordinal,
-                    start,
-                    stop - 1,
-                    exc,
-                    offenders,
-                )
-                continue
-        gamma = settings.gamma if schedule is None else schedule[ordinal]
-        carried, eps, moved, beta_hat, converged = _absorb(
-            carried, zb, yb, xb, block_rows, log_qe, gamma, settings.solver, step
-        )
+        try:
+            carried, eps, moved, beta_hat, converged = _absorb(
+                carried, zb, y[start:stop], x[start:stop], block_rows, settings, step,
+                hull=(lo_b[start:stop], hi_b[start:stop]),
+            )
+        except InfeasibleObservationError as exc:
+            skipped.extend(range(start, stop))
+            logger.warning(
+                "skipping block %d (observations %d..%d): %s (offending: %s)",
+                ordinal, start, stop - 1, exc, [start + i for i in exc.indices],
+            )
+            continue
         step += stop - start
         epsilon_log.extend(eps.tolist())
         ledger.append(moved)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gcestream import (
     save_dataset_csv,
     solve_file,
 )
+from gcestream import experiments
 from gcestream.cli import main
 
 rng = np.random.default_rng(577215)
@@ -113,7 +115,19 @@ def test_every_config_field_is_accepted_and_carried_through():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("true_beta", None), ("true_beta", 5), ("beta_support", 3), ("collinear_columns", 1)],
+    [
+        ("true_beta", None),
+        ("true_beta", 5),
+        ("beta_support", 3),
+        ("collinear_columns", 1),
+        # JSON files may carry NaN and Infinity
+        ("noise_sd", math.nan),
+        ("noise_sd", math.inf),
+        ("intercept", math.nan),
+        ("true_beta", [1.0, math.nan, 3.0]),
+        ("x_high", math.inf),
+        ("beta_support", [-math.inf, 0.0, math.inf]),
+    ],
 )
 def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, value):
     raw = tiny_config_dict()
@@ -407,6 +421,31 @@ def test_worker_count_never_changes_the_output(tmp_path):
             (tmp_path / "serial" / name).read_bytes()
             == (tmp_path / "pool" / name).read_bytes()
         )
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was created")
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 2.5, True])
+def test_a_bad_jobs_override_is_a_config_error(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    config = parse_experiment_config(tiny_config_dict())
+    with pytest.raises(ConfigError, match="jobs"):
+        run_experiment(config, out_dir=tmp_path / "out", jobs=jobs)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_a_bad_jobs_override(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(tiny_config_dict()), encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", jobs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "jobs" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_removing_a_scenario_leaves_the_other_untouched(tmp_path):

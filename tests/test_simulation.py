@@ -82,9 +82,13 @@ def test_stored_components_always_rebuild_y():
 
 def test_dataset_rejects_components_that_miss_y():
     data = generate_dataset(SimulationConfig(n=12, seed=6))
-    with pytest.raises(ValueError, match="miss y"):
-        Dataset(data.y + 1.0, data.x, data.true_beta, data.intercept,
-                data.residuals, data.metadata)
+    parts = dict(y=data.y, x=data.x, true_beta=data.true_beta, intercept=data.intercept,
+                 residuals=data.residuals, metadata=data.metadata)
+    # a non-finite component leaves a NaN gap, which must fail as a large one does
+    for name, shift in [("y", 1.0), ("y", math.nan), ("intercept", math.nan),
+                        ("true_beta", math.inf), ("residuals", -math.inf)]:
+        with pytest.raises(ValueError, match="miss y"):
+            Dataset(**{**parts, name: parts[name] + shift})
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,15 @@ def test_config_requires_one_more_row_than_regressor():
         ({"beta_support": (1.0, 1.0)}, "beta_support"),
         ({"seed": -1}, "seed"),
         ({"n_regressors": 0}, "n_regressors"),
+        ({"noise_sd": math.nan}, "noise_sd"),
+        ({"noise_sd": math.inf}, "noise_sd"),
+        ({"intercept": math.nan}, "intercept"),
+        ({"intercept": -math.inf}, "intercept"),
+        ({"true_beta": (1.0, math.nan, 3.0)}, "true_beta"),
+        ({"true_beta": (math.inf, -2.0, 3.0)}, "true_beta"),
+        ({"x_low": -math.inf}, "x_low"),
+        ({"x_high": math.inf}, "x_high"),
+        ({"beta_support": (-math.inf, 0.0, math.inf)}, "beta_support"),
     ],
 )
 def test_config_rejects_bad_fields(kwargs, fragment):

@@ -382,8 +382,9 @@ def test_state_rejects_bad_priors_and_indices():
         StreamState(beta_prior=np.full((2, 4), 0.25), supports=grid, step_index=0)
     with pytest.raises(ValueError):
         StreamState(beta_prior=np.full((2, 5), 0.3), supports=grid, step_index=0)
-    with pytest.raises(ValueError, match="step_index"):
-        StreamState(beta_prior=state.beta_prior, supports=grid, step_index=-1)
+    for index in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="step_index"):
+            StreamState(beta_prior=state.beta_prior, supports=grid, step_index=index)
     with pytest.raises(ValueError):
         state.beta_prior[0, 0] = 0.5
 
@@ -530,32 +531,6 @@ def test_skipped_blocks_report_global_indices(caplog):
     assert np.all(np.isfinite(report.beta_hat))
 
 
-def test_gamma_schedule_is_consumed_per_block():
-    y, design = simulated(16, seed=131)
-    sticky = run_stream(
-        y, design, batch_size=8,
-        settings=UpdateSettings(gamma=0.5, gamma_schedule=(0.9,) * 8),
-        beta_support=BETA_ROW,
-    )
-    loose = run_stream(
-        y, design, batch_size=8,
-        settings=UpdateSettings(gamma=0.5, gamma_schedule=(0.1,) * 8),
-        beta_support=BETA_ROW,
-    )
-    # a near-one gamma makes the carried weights expensive to move
-    assert sticky.entropy_ledger.sum() < loose.entropy_ledger.sum()
-
-
-def test_gamma_schedule_too_short_is_rejected():
-    y, design = simulated(16, seed=141)
-    with pytest.raises(ValueError, match="gamma_schedule"):
-        run_stream(
-            y, design, batch_size=8,
-            settings=UpdateSettings(gamma_schedule=(0.5, 0.5)),
-            beta_support=BETA_ROW,
-        )
-
-
 def test_zero_batch_needs_explicit_or_full_error_scale():
     y, design = simulated(12, seed=151)
     with pytest.raises(ValueError, match="error_scale"):
@@ -660,13 +635,10 @@ def fold_of_block_updates(
     skipped = []
     for ordinal, start in enumerate(range(batch_size, y.size, block_size)):
         stop = min(start + block_size, y.size)
-        step = settings
-        if settings.gamma_schedule is not None:
-            step = UpdateSettings(gamma=settings.gamma_schedule[ordinal], solver=settings.solver)
         if error_support is None and error_scale == "cumulative":
             row = _scaled_error_support(y, stop, error_scale, error_points)
         try:
-            state = block_update(state, y[start:stop], x[start:stop], row, step)
+            state = block_update(state, y[start:stop], x[start:stop], row, settings)
         except InfeasibleObservationError as exc:
             skipped.extend(range(start, stop))
             logging.getLogger("gcestream.streaming").warning(
@@ -703,10 +675,6 @@ STREAM_CASES = {
     "g1": dict(block_size=1),
     "g7": dict(block_size=7),
     "g40": dict(block_size=40),
-    "schedule-g1": dict(settings=UpdateSettings(gamma_schedule=tuple(np.linspace(0.2, 0.9, 140)))),
-    "schedule-g7": dict(
-        block_size=7, settings=UpdateSettings(gamma_schedule=tuple(np.linspace(0.9, 0.1, 20)))
-    ),
     "gamma-0.3-g7": dict(block_size=7, settings=UpdateSettings(gamma=0.3)),
     "cumulative-g1": dict(error_scale="cumulative"),
     "cumulative-g7": dict(block_size=7, error_scale="cumulative"),
@@ -858,6 +826,27 @@ def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
     assert built == [20, 60]  # init_stream's, then the final one
 
 
+def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
+    # the batch problem checks its hull through solver, which stays unpatched
+    import gcestream.streaming as streaming_module
+
+    calls = []
+    check_hull = streaming_module._check_hull
+
+    def counted(y, *args):
+        calls.append(y.size)
+        check_hull(y, *args)
+
+    monkeypatch.setattr(streaming_module, "_check_hull", counted)
+    y, design = simulated(60, seed=231)
+    report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
+    assert report.skipped == () and report.final_state.beta_prior.min() > 0.0
+    assert calls == []
+    state, _ = fold_of_block_updates(y, design, 20, beta_support=BETA_ROW)
+    assert_stream_is_the_fold(report, state, ())
+    assert calls == [1] * 40  # one full check per block_update
+
+
 # ---------------------------------------------------------------------------
 # settings validation
 # ---------------------------------------------------------------------------
@@ -867,13 +856,6 @@ def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
 def test_gamma_must_be_strictly_interior(gamma):
     with pytest.raises(ValueError):
         UpdateSettings(gamma=gamma)
-
-
-def test_gamma_schedule_entries_validated():
-    with pytest.raises(ValueError):
-        UpdateSettings(gamma_schedule=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        UpdateSettings(gamma_schedule=())
 
 
 # ---------------------------------------------------------------------------
