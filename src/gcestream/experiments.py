@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -143,7 +145,7 @@ class ExperimentConfig:
     replications: int
     seed_base: int
     solver: SolverSettings = field(default_factory=SolverSettings)
-    out_dir: str | None = None
+    out_dir: str | os.PathLike | None = None
     jobs: int = 1
     include_timings: bool = False
 
@@ -166,6 +168,8 @@ class ExperimentConfig:
             raise ConfigError("seed_base must be nonnegative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         object.__setattr__(self, "scenarios", scenarios)
 
 
@@ -574,8 +578,10 @@ def solve_file(
     if mode not in ("stre", "block"):
         raise ValueError(f"mode must be one of 'gce', 'stre', 'block', got {mode!r}")
 
-    if not 0.0 < batch_fraction <= 1.0:
-        raise ValueError(f"batch_fraction must lie in (0, 1], got {batch_fraction!r}")
+    if isinstance(batch_fraction, bool) or not (
+        isinstance(batch_fraction, numbers.Real) and 0.0 < batch_fraction <= 1.0
+    ):
+        raise ValueError(f"batch_fraction must be a number in (0, 1], got {batch_fraction!r}")
     m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
     g = 1 if mode == "stre" else block_size
     stream = run_stream(

@@ -19,12 +19,15 @@ max |residual| <= tolerance. All partition sums are evaluated in the log
 domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
-The evaluator works on plain arrays (data, supports, log prior weights), so
-the streaming updates solve without building a ``GceProblem``. A single
-constraint (m = 1, every streaming step of one observation) is a
-one-dimensional root-find: it runs through a lean evaluation that stacks the
-coefficient rows and the lone error row into one array and never forms the
-dual value, which only the multi-constraint line search reads.
+The solver works on plain arrays (data, supports, prior weights), so the
+streaming updates solve without building a ``GceProblem``. A single
+constraint (m = 1: a one-observation fit or streaming step) has one path, a
+kernel that stacks the coefficient rows and the lone error row into one array
+and never forms the dual value, which only the multi-constraint line search
+reads. A stream builds it once, for all its steps. Its Newton iteration
+starts at lam = 0 from the prior weights' own moments (the Gibbs weights
+there are the prior), with no exponential, and a reused kernel gives the
+same bits as a new one, so a stream equals the fold of its steps bit for bit.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -291,20 +294,6 @@ class _DualEvaluator:
         j, k = self.zb.shape
         m, h = self.ze.shape
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
-        if m == 1:
-            # ``scalar`` works on the J coefficient rows and the lone error
-            # row stacked into one (J+1, max(K, H)) array; a padding point has
-            # support 0 and log prior -inf, so it gets exactly zero weight.
-            width = max(k, h)
-            self.z_stack = np.zeros((j + 1, width))
-            self.z_stack[:j, :k] = zb
-            self.z_stack[j, :h] = ze[0]
-            self.log_q_stack = np.full((j + 1, width), -np.inf)
-            self.log_q_stack[:j, :k] = log_qb
-            self.log_q_stack[j, :h] = log_qe[0]
-            # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error row
-            self.x_stack = np.concatenate((x[0], [1.0]))
-            self.w_stack = np.array([self.wb] * j + [self.we])
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
         tilt = (self.x.T @ lam) / self.wb
@@ -319,40 +308,6 @@ class _DualEvaluator:
         value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
         grad = self.y - self.x @ beta_hat - eps_hat
         return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)
-
-    def scalar(self, lam: float):
-        """``evaluate`` for one observation at the multiplier ``lam``, without the value.
-
-        Returns ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``
-        with the lone error row's ``grad``, ``eps_hat`` and ``curv_eps`` as
-        scalars and ``pe`` as its (H,) weights. The J coefficient rows and the
-        error row go through every step as one stacked ``(J+1, max(K, H))``
-        array, so an iterate costs one set of numpy calls instead of two.
-        Each row sees ``evaluate``'s arithmetic, operation for operation, plus
-        exact zeros from the padding; the results are bit-identical while
-        ``max(K, H) < 8``, where numpy sums a row in sequence. A log partition
-        sum is finite exactly when its row's maximum logit is (the shifted sum
-        lies in [1, row length]), so the rows are checked there and ``ln Z``
-        is never formed.
-        """
-        # The ufunc reductions are what .sum and .max call, minus their
-        # Python wrappers. x.T @ [lam] has one product per entry: x[0] * lam.
-        add = np.add.reduce
-        z = self.z_stack
-        j, k = self.zb.shape
-        logits = self.log_q_stack - z * ((self.x_stack * lam) / self.w_stack)[:, None]
-        top = np.maximum.reduce(logits, axis=1, keepdims=True)
-        if not np.isfinite(top).all():
-            row = int(np.argmax(~np.isfinite(top[:, 0])))
-            where = f"coefficient row {row}" if row < j else "error row 0"
-            raise ValueError(f"non-finite partition sum in {where}")
-        shifted = np.exp(logits - top)
-        p = shifted / add(shifted, axis=1, keepdims=True)
-        means = add(p * z, axis=1)
-        curv = add(p * (z - means[:, None]) ** 2, axis=1) / self.w_stack
-
-        grad = self.y[0] - (self.x @ means[:j])[0] - means[j]
-        return grad, p[:j, :k], p[j, : self.ze.shape[1]], means[:j], means[j], curv[:j], curv[j]
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:
@@ -438,59 +393,155 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     return lam, pt, iterations
 
 
-def _solve_scalar(ev: _DualEvaluator, settings: SolverSettings):
-    """Single-constraint case: Newton steps safeguarded by a sign bracket.
+class _ScalarKernel:
+    """Single-constraint solves on one stacked support, built once and reused.
 
-    The dual gradient is increasing in the lone multiplier, so once values of
-    opposite sign have been seen the root is bracketed and any Newton proposal
-    escaping the bracket is replaced by its midpoint. Iterates go through
-    ``_DualEvaluator.scalar``; the returned point's value is NaN.
+    Built from the coefficient supports ``zb`` (J, K), one error support row
+    ``ze_row`` (H,), its log prior weights ``log_qe_row`` and the two
+    objective weights. The J coefficient rows and the error row live in one
+    ``(J+1, max(K, H))`` stack, so an iterate costs one set of numpy calls
+    instead of two; a padding point has support 0 and prior weight 0, so it
+    gets exactly zero weight. ``error_row`` is a view of the stack's error
+    supports that a caller may rewrite between solves.
+
+    Points are ``(grad, p, means, curv)``, stacked. ``start``'s point at
+    lam = 0 is the prior weights' own moments, equal to
+    ``_DualEvaluator.evaluate``'s to rounding. ``at`` does ``evaluate``'s
+    arithmetic, operation for operation, plus exact zeros from the padding,
+    so its points are bit-identical while ``max(K, H) < 8``, where numpy sums
+    a row in sequence. A log partition sum is finite exactly when its row's
+    maximum logit is, and a non-finite one makes the gradient NaN, so the
+    rows are checked only then and ``ln Z`` is never formed.
     """
-    tol = settings.constraint_tolerance
-    x_sq = ev.x[0] ** 2
-    lam = 0.0
-    g, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
-    lo = hi = None
-    iterations = 0
-    while iterations < settings.max_iterations and abs(g) > tol:
-        g = float(g)
-        if g < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        h = float(x_sq @ curv_beta + curv_eps)
-        cand = lam - g / h if h > 0.0 and math.isfinite(h) else None
-        if lo is not None and hi is not None:
-            if cand is None or not (lo < cand < hi) or not math.isfinite(cand):
-                cand = 0.5 * (lo + hi)
-        else:
-            trust = 8.0 * (1.0 + abs(lam))
-            if cand is None or not math.isfinite(cand):
-                cand = lam + (trust if g < 0.0 else -trust)
+
+    def __init__(self, zb, ze_row, log_qe_row, signal_weight: float, error_weight: float):
+        j, k = zb.shape
+        h = ze_row.shape[0]
+        width = max(k, h)
+        self.shape = (j, k, h)
+        self.z = np.zeros((j + 1, width))
+        self.z[:j, :k] = zb
+        self.z[j, :h] = ze_row
+        self.error_row = self.z[j, :h]
+        # numpy's Python-level constructors (full, ones) cost more than the
+        # fills below, and a one-observation block builds a kernel per call
+        self.log_q = np.empty((j + 1, width))
+        self.log_q.fill(-np.inf)
+        self.log_q[j, :h] = log_qe_row
+        # the prior weights, with the error row's as the Gibbs form normalizes them
+        self.q = np.zeros((j + 1, width))
+        shifted = np.exp(log_qe_row - np.maximum.reduce(log_qe_row))
+        self.q[j, :h] = shifted / np.add.reduce(shifted)
+        # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error row
+        self.x_stack = np.zeros(j + 1)
+        self.x_stack[j] = 1.0
+        self.x = self.x_stack[None, :j]
+        self.w = np.empty(j + 1)
+        self.w[:j], self.w[j] = signal_weight, error_weight
+        self.y0 = 0.0
+
+    def _moments(self, p):
+        # The ufunc reductions are what .sum calls, minus its Python wrapper.
+        # x @ means stays the (1, J) product that ``evaluate`` forms.
+        add = np.add.reduce
+        z = self.z
+        means = add(p * z, axis=1)
+        curv = add(p * (z - means[:, None]) ** 2, axis=1) / self.w
+        j = self.shape[0]
+        return self.y0 - (self.x @ means[:j])[0] - means[j], p, means, curv
+
+    def start(self, qb, log_qb, y0, x_row):
+        """Load observation ``(y0, x_row)`` and the (J, K) prior ``qb``; the point at zero.
+
+        ``log_qb`` is ``_log_priors(qb)``: weights below ZERO_CLAMP, where it
+        is -inf, count as zero, as the Gibbs form counts them.
+        """
+        j, k, _ = self.shape
+        self.log_q[:j, :k] = log_qb
+        self.x_stack[:j] = x_row
+        self.y0 = y0
+        p = self.q.copy()
+        np.multiply(qb, log_qb > -np.inf, out=p[:j, :k])
+        return self._moments(p)
+
+    def at(self, lam: float):
+        """The point at the multiplier ``lam`` for the loaded observation."""
+        add = np.add.reduce
+        logits = self.log_q - self.z * ((self.x_stack * lam) / self.w)[:, None]
+        top = np.maximum.reduce(logits, axis=1, keepdims=True)
+        shifted = np.exp(logits - top)
+        point = self._moments(shifted / add(shifted, axis=1, keepdims=True))
+        if not math.isfinite(point[0]):
+            bad = ~np.isfinite(top[:, 0])
+            if bad.any():
+                row = int(np.argmax(bad))
+                where = f"coefficient row {row}" if row < self.shape[0] else "error row 0"
+                raise ValueError(f"non-finite partition sum in {where}")
+        return point
+
+    def solve(self, qb, log_qb, y0, x_row, settings: SolverSettings):
+        """Bracketed Newton for one observation from lam = 0; ``_solve_dual``'s result.
+
+        The dual gradient is increasing in the lone multiplier, so once values
+        of opposite sign have been seen the root is bracketed and any Newton
+        proposal escaping the bracket is replaced by its midpoint. The
+        returned point's value is NaN.
+        """
+        tol = settings.constraint_tolerance
+        j, k, h = self.shape
+        x_sq = x_row**2
+        lam = 0.0
+        g, p, means, curv = self.start(qb, log_qb, y0, x_row)
+        lo = hi = None
+        iterations = 0
+        while iterations < settings.max_iterations and abs(g) > tol:
+            g = float(g)
+            if g < 0.0:
+                lo = lam
             else:
-                cand = min(max(cand, lam - trust), lam + trust)
-        if cand == lam:
-            break  # bracket collapsed to machine resolution
-        lam = cand
-        g, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
-        iterations += 1
-    pt = _DualPoint(
-        math.nan, np.array([g]), pb, pe[None, :], beta_hat, np.array([eps_hat]),
-        curv_beta, np.array([curv_eps]),
-    )
-    return np.array([lam]), pt, iterations
+                hi = lam
+            hess = float(x_sq @ curv[:j] + curv[j])
+            cand = lam - g / hess if hess > 0.0 and math.isfinite(hess) else None
+            if lo is not None and hi is not None:
+                if cand is None or not (lo < cand < hi) or not math.isfinite(cand):
+                    cand = 0.5 * (lo + hi)
+            else:
+                trust = 8.0 * (1.0 + abs(lam))
+                if cand is None or not math.isfinite(cand):
+                    cand = lam + (trust if g < 0.0 else -trust)
+                else:
+                    cand = min(max(cand, lam - trust), lam + trust)
+            if cand == lam:
+                break  # bracket collapsed to machine resolution
+            lam = cand
+            g, p, means, curv = self.at(lam)
+            iterations += 1
+        pt = _DualPoint(
+            math.nan, np.array([g]), p[:j, :k], p[j:, :h], means[:j], means[j:],
+            curv[:j], curv[j:],
+        )
+        return np.array([lam]), pt, iterations, abs(float(g))
 
 
-def _solve_dual(ev: _DualEvaluator, settings: SolverSettings):
-    """Run the solver path for the evaluator's size from a zero start.
+def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings, kernel=None):
+    """Solve the weighted dual of one problem from a zero start.
 
-    Returns the multipliers, the final ``_DualPoint``, the iteration count
-    and the final max |residual|.
+    Takes the data ``y`` (m,) and ``x`` (m, J), the supports ``zb`` (J, K)
+    and ``ze`` (m, H), the coefficient prior weights ``qb``, the error rows'
+    log prior weights ``log_qe`` (one row may be shared by every
+    observation) and the two objective weights. One observation goes through
+    a ``_ScalarKernel``: ``kernel`` when given, which must have been built
+    for ``ze``'s row and these weights, else a new one; more go through
+    ``_solve_multi``. Returns the multipliers, the final ``_DualPoint``, the
+    iteration count and the final max |residual|.
     """
-    if ev.y.size == 1:
-        lam, pt, iterations = _solve_scalar(ev, settings)
-    else:
-        lam, pt, iterations = _solve_multi(ev, settings)
+    log_qb = _log_priors(qb)
+    if y.size == 1:
+        if kernel is None:
+            kernel = _ScalarKernel(zb, ze[0], log_qe[0], signal_weight, error_weight)
+        return kernel.solve(qb, log_qb, y[0], x[0], settings)
+    ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
+    lam, pt, iterations = _solve_multi(ev, settings)
     return lam, pt, iterations, float(np.max(np.abs(pt.grad)))
 
 
@@ -553,8 +604,8 @@ def solve_gce(
 
     Runs safeguarded Newton on the dual from a zero start: Woodbury-reduced
     Newton systems with a relative ridge retry and a gradient fallback for
-    m >= 2, bracketed Newton/bisection for a single observation (the path the
-    streaming updates of one observation take too), evaluated without the
+    m >= 2, bracketed Newton/bisection for a single observation (the kernel
+    the streaming updates of one observation use too), evaluated without the
     dual value. Non-convergence within the iteration cap is reported through
     ``diagnostics.converged`` rather than raised.
 
@@ -564,8 +615,10 @@ def solve_gce(
     """
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
+    grid, prior = problem.supports, problem.prior
     lam, pt, iterations, residual = _solve_dual(
-        _evaluator(problem, signal_weight, error_weight), settings
+        problem.y, problem.x, grid.beta_support, grid.error_support, prior.beta,
+        _log_priors(prior.error), signal_weight, error_weight, settings,
     )
 
     distributions = JointDistribution(pt.pb, pt.pe)

@@ -18,13 +18,16 @@ previous ones, a nonnegative account of how much information the block moved.
 Successive states share their logs, so absorbing a block costs the same
 however long the stream has run. One block step, ``_absorb``, absorbs every
 block: ``block_update`` calls it once, and ``run_stream`` calls it per block
-on plain arrays and builds one state, at the end.
+on plain arrays and builds one state, at the end. A one-observation block is
+solved by the solver's single-constraint kernel, which ``run_stream`` builds
+once per stream of such blocks and ``block_update`` once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 import threading
 import time
 from collections.abc import Sequence
@@ -50,8 +53,8 @@ from .solver import (
     _check_hull,
     _check_observations,
     _coefficient_hull,
-    _DualEvaluator,
     _log_priors,
+    _ScalarKernel,
     _solve_dual,
     solve_gce,
 )
@@ -71,13 +74,22 @@ logger = logging.getLogger(__name__)
 _APPEND_LOCK = threading.Lock()
 
 
+def _low(values: Sequence[float], low: float = math.inf) -> float:
+    """The smallest of ``low`` and ``values``, or NaN if a value is not finite.
+
+    ``min`` alone keeps a leading NaN but drops a later one.
+    """
+    return min([low, *values]) if all(map(math.isfinite, values)) else math.nan
+
+
 class _Log(Sequence):
     """An immutable view of the first ``len(self)`` entries of an append-only list.
 
     Successive stream states share one list, so ``extended`` appends in place
     in O(1); when a later state has appended already (a branch from an older
     state) it copies the prefix first, so no view ever sees its entries
-    change. ``low`` is the smallest entry of a numeric log, else None.
+    change. ``low`` is the smallest entry of a numeric log (NaN if an entry is
+    not finite, infinity while it is empty), else None.
     """
 
     __slots__ = ("_items", "_size", "low")
@@ -89,7 +101,7 @@ class _Log(Sequence):
         with _APPEND_LOCK:
             items = self._items if len(self._items) == self._size else self._items[: self._size]
             items.extend(values)
-            return _Log(items, None if self.low is None else min([self.low, *values]))
+            return _Log(items, None if self.low is None else _low(values, self.low))
 
     def __len__(self) -> int:
         return self._size
@@ -144,7 +156,8 @@ class StreamState:
     hold for the whole stream, and its error rows are the batch's (incoming
     blocks supply their own). ``step_index``, a whole number, counts absorbed
     observations. The logs are read-only sequences that the update functions
-    share between successive states instead of copying them.
+    share between successive states instead of copying them. Every ledger
+    entry must be a finite number no less than -1e-12.
     """
 
     beta_prior: np.ndarray
@@ -171,10 +184,10 @@ class StreamState:
             values = getattr(self, name)
             if not (isinstance(values, _Log) and (values.low is not None or cast is None)):
                 items = list(values if cast is None else map(cast, values))
-                values = _Log(items, None if cast is None else min(items, default=float("inf")))
+                values = _Log(items, None if cast is None else _low(items))
             object.__setattr__(self, name, values)
-        if self.entropy_ledger.low < -1e-12:
-            raise ValueError("entropy ledger entries must be nonnegative")
+        if not self.entropy_ledger.low >= -1e-12:
+            raise ValueError("entropy ledger entries must be finite and nonnegative")
 
     @classmethod
     def uniform_start(cls, supports: SupportGrid) -> "StreamState":
@@ -244,7 +257,7 @@ def _check_block(y, x, zb, error_rows):
     return y, x, rows
 
 
-def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None):
+def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None, kernel=None):
     """The one block step: absorb a checked block into the carried ``(J, K)`` prior.
 
     ``rows`` holds one error support row per observation, each with a uniform
@@ -256,7 +269,11 @@ def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None):
     does. Returns the new prior (normalized Gibbs rows), the block's error
     estimates, its ledger entry (the KL divergence of the new prior from
     ``carried``), the new ``beta_hat`` and whether the solve converged.
-    ``step_index`` only labels the underflow warning.
+    ``step_index`` only labels the underflow warning. ``kernel`` is the
+    caller's single-constraint kernel for one-observation blocks, built once
+    per stream on their error row and gamma; without one the solve builds its
+    own. Either way Newton starts at the carried prior's moments, and a
+    reused kernel gives the same bits as a new one.
     """
     qe, log_qe = _uniform_error_prior(rows.shape[1])
     if not (
@@ -271,8 +288,9 @@ def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None):
     # the prior a JointDistribution would hold: renormalized rows
     qb = carried / carried.sum(axis=1)[:, None]
     gamma = settings.gamma
-    ev = _DualEvaluator(y, x, zb, rows, _log_priors(qb), log_qe, gamma, 1.0 - gamma)
-    _, pt, _, residual = _solve_dual(ev, settings.solver)
+    _, pt, _, residual = _solve_dual(
+        y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
+    )
 
     prior = pt.pb / pt.pb.sum(axis=1)[:, None]
     if prior.min() <= 0.0:
@@ -333,7 +351,9 @@ def block_update(
     the carried prior is a ``StreamState`` invariant and is not checked
     again. The block step ``run_stream`` drives then checks the hull and
     solves on plain arrays (no problem or distribution objects; only the
-    ledger's KL divergence is computed). Infeasible blocks raise
+    ledger's KL divergence is computed); a block of one observation builds
+    one single-constraint kernel for this call, whose Newton iteration starts
+    at the carried prior's moments. Infeasible blocks raise
     InfeasibleObservationError (indices local to the block) and leave the
     caller's state untouched, so a stream can skip and log them. The new
     state keeps the stream's support grid.
@@ -408,7 +428,11 @@ def run_stream(
     ``block_update`` over the blocks, bit for bit, with the same skips and
     warnings, for every ``UpdateSettings``: each block goes through the same
     block step on carried arrays, with its coefficient hull precomputed, and
-    one ``StreamState`` is built at the end.
+    one ``StreamState`` is built at the end. With ``block_size`` 1 the
+    stream builds one single-constraint kernel, once, and every step reuses
+    it (``"cumulative"`` rewrites its error row before each block), with
+    Newton starting at the carried prior's moments; each solve rewrites all
+    the per-step state it reads, so the fold identity holds bit for bit.
     """
     t0 = time.perf_counter()
     settings = settings if settings is not None else _DEFAULT_SETTINGS
@@ -444,6 +468,10 @@ def run_stream(
         batch_solution = None
 
     lo_b, hi_b = _coefficient_hull(x, zb[:, 0], zb[:, -1])
+    kernel = None
+    if block_size == 1:
+        log_qe = _uniform_error_prior(rows.shape[1])[1]
+        kernel = _ScalarKernel(zb, rows[0], log_qe[0], settings.gamma, 1.0 - settings.gamma)
     carried, step = state.beta_prior, state.step_index
     epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
     trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
@@ -454,10 +482,12 @@ def run_stream(
         if cumulative:  # a new row, checked as block_update checks it
             error_row = _error_rows(_scaled_error_support(y, stop, error_scale, error_points))[0]
             block_rows = np.tile(error_row, (stop - start, 1))
+            if kernel is not None:
+                kernel.error_row[:] = error_row
         try:
             carried, eps, moved, beta_hat, converged = _absorb(
                 carried, zb, y[start:stop], x[start:stop], block_rows, settings, step,
-                hull=(lo_b[start:stop], hi_b[start:stop]),
+                hull=(lo_b[start:stop], hi_b[start:stop]), kernel=kernel,
             )
         except InfeasibleObservationError as exc:
             skipped.extend(range(start, stop))

@@ -516,6 +516,22 @@ def test_config_out_dir_is_the_default_target(tmp_path):
     assert (tmp_path / "from_config" / "report.csv").is_file()
 
 
+@pytest.mark.parametrize("out_dir", [5, ["x"], True, False])
+def test_a_malformed_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)  # where a fallback to "out" would write
+    raw = tiny_config_dict(out_dir=out_dir)
+    with pytest.raises(ConfigError, match="out_dir"):
+        parse_experiment_config(raw)
+    with pytest.raises(ConfigError, match="out_dir"):
+        run_experiment(parse_experiment_config(tiny_config_dict()), out_dir=out_dir)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "out_dir" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_timings_only_appear_on_request(tmp_path):
     quiet = parse_experiment_config(tiny_config_dict(replications=1))
     timed = parse_experiment_config(tiny_config_dict(replications=1, include_timings=True))
@@ -675,8 +691,9 @@ def test_solve_file_validates_its_arguments(tmp_path):
     path, _ = write_dataset(tmp_path)
     with pytest.raises(ValueError, match="mode"):
         solve_file(path, "nope")
-    with pytest.raises(ValueError, match="batch_fraction"):
-        solve_file(path, "stre", batch_fraction=0.0)
+    for fraction in (0.0, True, "0.5", math.nan, 1.5):
+        with pytest.raises(ValueError, match="batch_fraction"):
+            solve_file(path, "stre", batch_fraction=fraction)
     for mode in ("gce", "stre", "block"):
         with pytest.raises(ValueError, match="error_scale"):
             solve_file(path, mode, error_scale="weekly")

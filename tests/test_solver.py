@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gcestream import solver
@@ -204,6 +205,35 @@ def test_scalar_path_matches_independent_bisection():
     del local
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 7),
+    h=st.integers(2, 7),
+    j=st.integers(1, 3),
+    gamma=st.floats(0.1, 0.9),  # the oracle's plain exponentials overflow nearer 0 or 1
+    where=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_observation_solves_match_bisection_on_random_priors(k, h, j, gamma, where, seed):
+    local = np.random.default_rng(seed)
+    zb = np.sort(local.uniform(-5.0, 5.0, (j, k)), axis=1)
+    zb[:, 0], zb[:, -1] = -5.0, 5.0
+    ze = np.linspace(-2.0, 2.0, h)
+    prior = JointDistribution(
+        local.dirichlet(np.ones(k), size=j), local.dirichlet(np.ones(h))[None, :]
+    )
+    x = local.uniform(-2.0, 2.0, (1, j))
+    lo, hi = solver._coefficient_hull(x, zb[:, 0], zb[:, -1])
+    y = lo + ze[0] + where * (hi - lo + ze[-1] - ze[0])
+    problem = GceProblem(y, x, SupportGrid(zb, ze[None, :]), prior)
+    sol = solve_gce(problem, signal_weight=gamma, error_weight=1.0 - gamma)
+    lam_star = oracles.bisect_scalar_multiplier(
+        y[0], x[0], zb, prior.beta, ze, prior.error[0], wb=gamma, we=1.0 - gamma,
+    )
+    assert sol.diagnostics.converged
+    assert sol.multipliers[0] == pytest.approx(lam_star, abs=1e-7)
+
+
 def test_weighted_solve_matches_weighted_bisection():
     grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.5, 1.5]]))
     prob = GceProblem(np.array([0.7]), np.array([[2.0]]), grid)
@@ -230,20 +260,45 @@ def lean_scalar_problem():
     return GceProblem(np.array([0.8]), np.array([[1.3, -0.4]]), grid, prior)
 
 
+def loaded_kernel(problem, signal_weight, error_weight):
+    """The one-observation kernel for ``problem``, loaded, and its point at zero."""
+    grid, prior = problem.supports, problem.prior
+    kernel = solver._ScalarKernel(
+        grid.beta_support, grid.error_support[0], solver._log_priors(prior.error)[0],
+        signal_weight, error_weight,
+    )
+    start = kernel.start(
+        prior.beta, solver._log_priors(prior.beta), problem.y[0], problem.x[0]
+    )
+    return kernel, start
+
+
+def unstacked(kernel, point):
+    """A kernel point as ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``."""
+    j, k, h = kernel.shape
+    grad, p, means, curv = point
+    return grad, p[:j, :k], p[j, :h], means[:j], means[j], curv[:j], curv[j]
+
+
+def assert_point_matches(kernel, point, full, **close):
+    grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = unstacked(kernel, point)
+    np.testing.assert_allclose(grad, full.grad[0], **close)
+    np.testing.assert_allclose(pb, full.pb, **close)
+    np.testing.assert_allclose(pe, full.pe[0], **close)
+    np.testing.assert_allclose(beta_hat, full.beta_hat, **close)
+    np.testing.assert_allclose(eps_hat, full.eps_hat[0], **close)
+    np.testing.assert_allclose(curv_beta, full.curv_beta, **close)
+    np.testing.assert_allclose(curv_eps, full.curv_eps[0], **close)
+
+
 @pytest.mark.parametrize("lam", [-40.0, -3.0, -0.5, 0.0, 0.2, 1.7, 25.0])
 def test_scalar_routine_matches_the_full_evaluation(lam):
-    ev = solver._evaluator(lean_scalar_problem(), 0.3, 0.7)
-    full = ev.evaluate(np.array([lam]))
-    grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
-    exact = dict(rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(grad, full.grad[0], **exact)
-    np.testing.assert_allclose(pb, full.pb, **exact)
-    np.testing.assert_allclose(pe, full.pe[0], **exact)
-    np.testing.assert_allclose(beta_hat, full.beta_hat, **exact)
-    np.testing.assert_allclose(eps_hat, full.eps_hat[0], **exact)
-    np.testing.assert_allclose(curv_beta, full.curv_beta, **exact)
-    np.testing.assert_allclose(curv_eps, full.curv_eps[0], **exact)
-    assert pb[1, 0] == 0.0
+    problem = lean_scalar_problem()
+    kernel, _ = loaded_kernel(problem, 0.3, 0.7)
+    full = solver._evaluator(problem, 0.3, 0.7).evaluate(np.array([lam]))
+    point = kernel.at(lam)
+    assert_point_matches(kernel, point, full, rtol=0.0, atol=1e-14)
+    assert unstacked(kernel, point)[1][1, 0] == 0.0
 
 
 @pytest.mark.parametrize("k, h", [(9, 3), (5, 11), (12, 8)])
@@ -258,18 +313,32 @@ def test_scalar_routine_on_wide_grids_matches_the_full_evaluation(k, h):
         local.dirichlet(np.ones(k), size=3), local.dirichlet(np.ones(h))[None, :]
     )
     problem = GceProblem(np.array([1.1]), np.array([[1.0, 0.7, -0.3]]), grid, prior)
+    kernel, _ = loaded_kernel(problem, 0.4, 0.6)
     ev = solver._evaluator(problem, 0.4, 0.6)
     for lam in (-2.0, 0.0, 0.3, 5.0):
         full = ev.evaluate(np.array([lam]))
-        grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = ev.scalar(lam)
-        close = dict(rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(grad, full.grad[0], **close)
-        np.testing.assert_allclose(pb, full.pb, **close)
-        np.testing.assert_allclose(pe, full.pe[0], **close)
-        np.testing.assert_allclose(beta_hat, full.beta_hat, **close)
-        np.testing.assert_allclose(eps_hat, full.eps_hat[0], **close)
-        np.testing.assert_allclose(curv_beta, full.curv_beta, **close)
-        np.testing.assert_allclose(curv_eps, full.curv_eps[0], **close)
+        assert_point_matches(kernel, kernel.at(lam), full, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("k, h", [(3, 4), (9, 3), (5, 11)])
+def test_scalar_kernel_starts_at_the_prior_moments(k, h):
+    # the point at zero comes from the prior weights without an exponential;
+    # it is evaluate(0) up to rounding, and sub-clamp weights count as zero
+    local = np.random.default_rng(k + 10 * h)
+    qb = local.dirichlet(np.ones(k), size=3)
+    qb[1, 0] = 0.0
+    qb[2, -1] = 1e-320  # below ZERO_CLAMP
+    qb /= qb.sum(axis=1)[:, None]
+    grid = SupportGrid(
+        np.tile(np.linspace(-5.0, 5.0, k), (3, 1)), np.linspace(-4.0, 4.0, h)[None, :]
+    )
+    prior = JointDistribution(qb, local.dirichlet(np.ones(h))[None, :])
+    problem = GceProblem(np.array([0.4]), np.array([[1.0, -0.7, 2.3]]), grid, prior)
+    kernel, start = loaded_kernel(problem, 0.35, 0.65)
+    full = solver._evaluator(problem, 0.35, 0.65).evaluate(np.zeros(1))
+    assert_point_matches(kernel, start, full, rtol=1e-15, atol=1e-15)
+    pb = unstacked(kernel, start)[1]
+    assert pb[1, 0] == 0.0 and pb[2, -1] == 0.0
 
 
 def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
@@ -288,12 +357,14 @@ def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
 @pytest.mark.parametrize("x, row", [(4.0, "coefficient row 0"), (0.0, "error row 0")])
 def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
     grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.0, 1.0]]))
-    ev = solver._evaluator(GceProblem(np.array([0.3]), np.array([[x]]), grid), 0.5, 0.5)
+    problem = GceProblem(np.array([0.3]), np.array([[x]]), grid)
+    ev = solver._evaluator(problem, 0.5, 0.5)
+    kernel, _ = loaded_kernel(problem, 0.5, 0.5)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
             ev.evaluate(np.array([1e308]))
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
-            ev.scalar(1e308)
+            kernel.at(1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,14 @@ def test_state_rejects_bad_priors_and_indices():
     for index in (-1, 2.5, True, "3"):
         with pytest.raises(ValueError, match="step_index"):
             StreamState(beta_prior=state.beta_prior, supports=grid, step_index=index)
+    ledger = state.entropy_ledger.extended((0.1,))
+    for bad in ([math.nan], [math.nan, -5.0], [-5.0, math.nan], [0.2, math.inf]):
+        for entries in (bad, ledger.extended(bad)):  # the copy path and the shared one
+            with pytest.raises(ValueError, match="ledger entries must be finite"):
+                StreamState(
+                    beta_prior=state.beta_prior, supports=grid, step_index=0,
+                    entropy_ledger=entries,
+                )
     with pytest.raises(ValueError):
         state.beta_prior[0, 0] = 0.5
 
@@ -845,6 +853,37 @@ def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
     state, _ = fold_of_block_updates(y, design, 20, beta_support=BETA_ROW)
     assert_stream_is_the_fold(report, state, ())
     assert calls == [1] * 40  # one full check per block_update
+
+
+def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(monkeypatch):
+    # the point at lam = 0 comes from the carried prior's moments, so each
+    # kernel evaluation is one Newton iteration, and one kernel serves the stream
+    kernel = solver._ScalarKernel
+    built, evaluations, iterations = [], [], []
+    init, at, solve = kernel.__init__, kernel.at, kernel.solve
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_at(self, lam):
+        evaluations.append(lam)
+        return at(self, lam)
+
+    def counted_solve(self, *args):
+        result = solve(self, *args)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(kernel, "__init__", counted_init)
+    monkeypatch.setattr(kernel, "at", counted_at)
+    monkeypatch.setattr(kernel, "solve", counted_solve)
+    y, design = simulated(60, seed=231)
+    report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
+    assert report.skipped == () and report.all_converged
+    assert len(built) == 1
+    assert len(iterations) == 40 and sum(iterations) > 40
+    assert len(evaluations) == sum(iterations)
 
 
 # ---------------------------------------------------------------------------
