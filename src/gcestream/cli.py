@@ -79,7 +79,11 @@ def _cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    outcome = run_experiment(config, out_dir=args.out)
+    try:
+        outcome = run_experiment(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for path in outcome.written:
         print(f"wrote {path}")
     cells = len({(r.n, r.eta, r.seed) for r in outcome.reports})

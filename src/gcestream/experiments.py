@@ -32,8 +32,10 @@ import numpy as np
 from .metrics import (
     MethodResult,
     RunReport,
+    _ordered,
     _write_csv,
     relative_gap,
+    report_rows,
     rmse,
     summary_rows,
     write_report_csv,
@@ -69,15 +71,22 @@ __all__ = [
     "REPORT_FILES",
 ]
 
+#: Figure tables as (file name, key columns, value columns). The key columns
+#: lead each table and are also its row order. The rmse figures project the
+#: summary rows; the gap figure is aggregated by ``_gap_rows``.
+_FIGURES = (
+    ("fig_rmse_vs_n.csv", ("method", "eta", "batch_fraction", "g", "n"), ("rmse_mean",)),
+    ("fig_rmse_vs_eta.csv", ("n", "method", "batch_fraction", "g", "eta"), ("rmse_mean",)),
+    (
+        "fig_gap_vs_batch.csv",
+        ("n", "eta", "method", "g", "batch_fraction"),
+        ("relative_gap_mean", "replications"),
+    ),
+)
+
 #: Files run_experiment writes into the output directory.
-REPORT_FILES = (
-    "report.csv",
-    "report.json",
-    "summary.csv",
-    "summary.json",
-    "fig_rmse_vs_n.csv",
-    "fig_rmse_vs_eta.csv",
-    "fig_gap_vs_batch.csv",
+REPORT_FILES = ("report.csv", "report.json", "summary.csv", "summary.json") + tuple(
+    name for name, _, _ in _FIGURES
 )
 
 _STREAMING_METHODS = ("stre_gce", "stre_gce_block", "stre_gce_std")
@@ -390,48 +399,32 @@ class ExperimentOutcome:
     exit_code: int
 
 
-def _figure_rows(reports) -> tuple[list[dict], list[dict], list[dict]]:
-    summaries = summary_rows(reports)
-    rmse_vs_n = sorted(
-        (
-            {k: row[k] for k in ("method", "eta", "batch_fraction", "g", "n", "rmse_mean")}
-            for row in summaries
-        ),
-        key=lambda r: (r["method"], r["eta"], r["batch_fraction"], r["g"] or -1, r["n"]),
-    )
-    rmse_vs_eta = sorted(
-        (
-            {k: row[k] for k in ("n", "method", "batch_fraction", "g", "eta", "rmse_mean")}
-            for row in summaries
-        ),
-        key=lambda r: (r["n"], r["method"], r["batch_fraction"], r["g"] or -1, r["eta"]),
-    )
+def _gap_rows(reports, keys) -> list[dict]:
+    """Mean relative rmse gap of each stream over the one-shot fit, per ``keys`` cell.
 
+    A report without a ``gce_dataset`` fit, or whose fit is exact (rmse 0),
+    has no gap to give and is skipped.
+    """
     gaps: dict[tuple, list[float]] = {}
     for report in reports:
         try:
             reference = report.rmse_of("gce_dataset")
         except KeyError:
             continue
-        for result in report.results:
-            if result.method in _STREAMING_METHODS:
-                key = (report.n, report.eta, result.method, result.g, report.batch_fraction)
-                gaps.setdefault(key, []).append(relative_gap(result.rmse, reference))
-    gap_rows = [
+        if not reference > 0.0:
+            continue
+        for row in report_rows([report]):
+            if row["method"] in _STREAMING_METHODS:
+                cell = tuple(row[k] for k in keys)
+                gaps.setdefault(cell, []).append(relative_gap(row["rmse"], reference))
+    return [
         {
-            "n": n,
-            "eta": eta,
-            "method": method,
-            "g": g,
-            "batch_fraction": fraction,
+            **dict(zip(keys, cell)),
             "relative_gap_mean": sum(values) / len(values),
             "replications": len(values),
         }
-        for (n, eta, method, g, fraction), values in sorted(
-            gaps.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][3] or -1, kv[0][4])
-        )
+        for cell, values in gaps.items()
     ]
-    return rmse_vs_n, rmse_vs_eta, gap_rows
 
 
 def run_experiment(
@@ -481,22 +474,10 @@ def run_experiment(
         write_report_json(reports, out / "report.json", config.include_timings)
         write_summary_csv(reports, out / "summary.csv")
         write_summary_json(reports, out / "summary.json")
-        rmse_vs_n, rmse_vs_eta, gap_rows = _figure_rows(reports)
-        _write_csv(
-            out / "fig_rmse_vs_n.csv",
-            ("method", "eta", "batch_fraction", "g", "n", "rmse_mean"),
-            rmse_vs_n,
-        )
-        _write_csv(
-            out / "fig_rmse_vs_eta.csv",
-            ("n", "method", "batch_fraction", "g", "eta", "rmse_mean"),
-            rmse_vs_eta,
-        )
-        _write_csv(
-            out / "fig_gap_vs_batch.csv",
-            ("n", "eta", "method", "g", "batch_fraction", "relative_gap_mean", "replications"),
-            gap_rows,
-        )
+        summaries = summary_rows(reports)
+        for name, keys, values in _FIGURES:
+            rows = _gap_rows(reports, keys) if "relative_gap_mean" in values else summaries
+            _write_csv(out / name, keys + values, _ordered(rows, keys))
         written = [str(out / name) for name in REPORT_FILES]
 
     return ExperimentOutcome(

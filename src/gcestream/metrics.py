@@ -140,16 +140,17 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(row: dict):
-    g = row["g"]
-    return (
-        row["n"],
-        row["eta"],
-        row["batch_fraction"],
-        row["method"],
-        -1 if g is None else g,
-        row.get("seed", 0),
-    )
+#: Row order of the report and summary tables (summary rows carry no seed).
+_ROW_ORDER = ("n", "eta", "batch_fraction", "method", "g", "seed")
+
+
+def _ordered(rows, columns) -> list[dict]:
+    """``rows`` sorted on ``columns`` in turn; a missing value sorts first."""
+
+    def key(row):
+        return tuple((row.get(c) is not None, row.get(c)) for c in columns)
+
+    return sorted(rows, key=key)
 
 
 def report_rows(reports, include_timings: bool = False) -> list[dict]:
@@ -170,8 +171,7 @@ def report_rows(reports, include_timings: bool = False) -> list[dict]:
                     "converged": result.converged,
                 }
             )
-    rows.sort(key=_sort_key)
-    return rows
+    return _ordered(rows, _ROW_ORDER)
 
 
 def summary_rows(reports) -> list[dict]:
@@ -199,8 +199,7 @@ def summary_rows(reports) -> list[dict]:
                 "converged_all": all(r.converged for r in results),
             }
         )
-    rows.sort(key=_sort_key)
-    return rows
+    return _ordered(rows, _ROW_ORDER)
 
 
 def _format_cell(value) -> str:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -559,6 +560,123 @@ def test_gap_figure_compares_streams_to_the_dataset_fit(tmp_path):
     methods = {line.split(",")[2] for line in lines[1:]}
     assert methods == {"stre_gce"}
     assert all(int(line.split(",")[-1]) == 2 for line in lines[1:])
+
+
+def read_table(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return tuple(rows[0]), [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def row_order(columns):
+    parse = {"n": int, "g": int, "seed": int, "eta": float, "batch_fraction": float}
+
+    def key(row):
+        # an empty cell (g of a method without blocks) sorts before every value
+        return tuple((row[c] != "", parse.get(c, str)(row[c]) if row[c] else "") for c in columns)
+
+    return key
+
+
+#: Each figure table's (key columns, value columns); the keys are its row order.
+FIGURE_TABLES = {
+    "fig_rmse_vs_n.csv": (("method", "eta", "batch_fraction", "g", "n"), ("rmse_mean",)),
+    "fig_rmse_vs_eta.csv": (("n", "method", "batch_fraction", "g", "eta"), ("rmse_mean",)),
+    "fig_gap_vs_batch.csv": (
+        ("n", "eta", "method", "g", "batch_fraction"),
+        ("relative_gap_mean", "replications"),
+    ),
+}
+
+
+def test_figure_tables_hold_the_summary_and_the_recomputed_gaps(tmp_path):
+    raw = tiny_config_dict(replications=2)
+    raw["scenarios"][0].update(block_sizes=[1, 4], eta_grid=[0.0, 0.5])
+    run_experiment(parse_experiment_config(raw), out_dir=tmp_path)
+    _, report = read_table(tmp_path / "report.csv")
+    _, summary = read_table(tmp_path / "summary.csv")
+    table_order = ("n", "eta", "batch_fraction", "method", "g")
+    assert report == sorted(report, key=row_order(table_order + ("seed",)))
+    assert summary == sorted(summary, key=row_order(table_order))
+
+    tables = {}
+    for name, (keys, values) in FIGURE_TABLES.items():
+        header, rows = read_table(tmp_path / name)
+        assert header == keys + values
+        assert rows == sorted(rows, key=row_order(keys))
+        assert any(r["g"] == "" for r in rows) == (name != "fig_gap_vs_batch.csv")
+        tables[name] = rows
+
+    for name in ("fig_rmse_vs_n.csv", "fig_rmse_vs_eta.csv"):
+        header = sum(FIGURE_TABLES[name], ())
+        projected = sorted(tuple(r[c] for c in header) for r in summary)
+        assert sorted(tuple(r[c] for c in header) for r in tables[name]) == projected
+
+    reference = {
+        (r["n"], r["eta"], r["batch_fraction"], r["seed"]): float(r["rmse"])
+        for r in report
+        if r["method"] == "gce_dataset"
+    }
+    gaps = {}
+    for r in report:
+        if r["method"].startswith("stre_gce"):
+            ref = reference[(r["n"], r["eta"], r["batch_fraction"], r["seed"])]
+            cell = (r["n"], r["eta"], r["method"], r["g"], r["batch_fraction"])
+            gaps.setdefault(cell, []).append((float(r["rmse"]) - ref) / ref)
+    rows = tables["fig_gap_vs_batch.csv"]
+    assert {(r["n"], r["eta"], r["method"], r["g"], r["batch_fraction"]) for r in rows} == set(gaps)
+    assert {r["method"] for r in rows} == {"stre_gce", "stre_gce_block"}
+    for r in rows:
+        terms = gaps[(r["n"], r["eta"], r["method"], r["g"], r["batch_fraction"])]
+        assert int(r["replications"]) == len(terms) == 2
+        assert math.isclose(
+            float(r["relative_gap_mean"]), sum(terms) / len(terms), rel_tol=1e-12, abs_tol=0.0
+        )
+
+
+def test_an_exact_fit_writes_every_report_file_and_an_empty_gap_table(tmp_path, capsys):
+    raw = {
+        "scenarios": [
+            {
+                "name": "flat",
+                "n": 40,
+                "true_beta": [0, 0, 0],
+                "intercept": 0,
+                "noise_sd": 0,
+                "batch_fractions": [0.5],
+            }
+        ],
+        "replications": 1,
+        "seed_base": 1,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "out" / name).is_file()
+    _, report = read_table(tmp_path / "out" / "report.csv")
+    assert [float(r["rmse"]) for r in report if r["method"] == "gce_dataset"] == [0.0]
+    header, rows = read_table(tmp_path / "out" / "fig_gap_vs_batch.csv")
+    assert header == sum(FIGURE_TABLES["fig_gap_vs_batch.csv"], ())
+    assert rows == []
+
+
+def test_simulate_into_an_existing_file_is_an_error_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "run_cell", no_cell)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(tiny_config_dict()), encoding="utf-8")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "taken" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 # ---------------------------------------------------------------------------
