@@ -112,6 +112,16 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """How a dual solve ended: the one convergence verdict the package gives.
+
+    ``iterations`` counts accepted Newton steps. ``max_residual`` is the
+    largest absolute constraint residual ``|y_i - x_i . beta_hat -
+    eps_hat_i|`` at the returned weights, the dual gradient's largest entry.
+    ``converged`` is true exactly when ``max_residual`` is at most the
+    settings' ``constraint_tolerance``; a solve that stops at the iteration
+    cap or when no further decrease is representable reports false.
+    """
+
     iterations: int
     max_residual: float
     converged: bool
@@ -354,7 +364,10 @@ def _normal_solve(x: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarra
 
 
 def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
-    """Damped Newton with a ridge retry and a gradient fallback."""
+    """Damped Newton with a ridge retry and a gradient fallback.
+
+    Returns the multipliers, the final ``_DualPoint`` and the iteration count.
+    """
     lam = np.zeros(ev.y.size)
     pt = ev.evaluate(lam)
     tol = settings.constraint_tolerance
@@ -480,12 +493,13 @@ class _ScalarKernel:
         return point
 
     def solve(self, qb, log_qb, y0, x_row, settings: SolverSettings):
-        """Bracketed Newton for one observation from lam = 0; ``_solve_dual``'s result.
+        """Bracketed Newton for one observation from lam = 0.
 
         The dual gradient is increasing in the lone multiplier, so once values
         of opposite sign have been seen the root is bracketed and any Newton
-        proposal escaping the bracket is replaced by its midpoint. The
-        returned point's value is NaN.
+        proposal escaping the bracket is replaced by its midpoint. Returns
+        what ``_solve_multi`` returns, the multipliers, the final point and
+        the iteration count; the point's value is NaN.
         """
         tol = settings.constraint_tolerance
         j, k, h = self.shape
@@ -520,7 +534,7 @@ class _ScalarKernel:
             math.nan, np.array([g]), p[:j, :k], p[j:, :h], means[:j], means[j:],
             curv[:j], curv[j:],
         )
-        return np.array([lam]), pt, iterations, abs(float(g))
+        return np.array([lam]), pt, iterations
 
 
 def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings, kernel=None):
@@ -532,17 +546,21 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
     observation) and the two objective weights. One observation goes through
     a ``_ScalarKernel``: ``kernel`` when given, which must have been built
     for ``ze``'s row and these weights, else a new one; more go through
-    ``_solve_multi``. Returns the multipliers, the final ``_DualPoint``, the
-    iteration count and the final max |residual|.
+    ``_solve_multi``. Returns the multipliers, the final ``_DualPoint`` and
+    the ``SolverDiagnostics``, whose verdict is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.size == 1:
         if kernel is None:
             kernel = _ScalarKernel(zb, ze[0], log_qe[0], signal_weight, error_weight)
-        return kernel.solve(qb, log_qb, y[0], x[0], settings)
-    ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
-    lam, pt, iterations = _solve_multi(ev, settings)
-    return lam, pt, iterations, float(np.max(np.abs(pt.grad)))
+        lam, pt, iterations = kernel.solve(qb, log_qb, y[0], x[0], settings)
+    else:
+        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
+        lam, pt, iterations = _solve_multi(ev, settings)
+    residual = float(np.abs(pt.grad).max())
+    return lam, pt, SolverDiagnostics(
+        iterations, residual, residual <= settings.constraint_tolerance
+    )
 
 
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
@@ -616,7 +634,7 @@ def solve_gce(
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
     grid, prior = problem.supports, problem.prior
-    lam, pt, iterations, residual = _solve_dual(
+    lam, pt, diagnostics = _solve_dual(
         problem.y, problem.x, grid.beta_support, grid.error_support, prior.beta,
         _log_priors(prior.error), signal_weight, error_weight, settings,
     )
@@ -632,9 +650,5 @@ def solve_gce(
         beta_hat=pt.beta_hat.copy(),
         epsilon_hat=pt.eps_hat.copy(),
         objective_value=float(objective),
-        diagnostics=SolverDiagnostics(
-            iterations=iterations,
-            max_residual=residual,
-            converged=residual <= settings.constraint_tolerance,
-        ),
+        diagnostics=diagnostics,
     )

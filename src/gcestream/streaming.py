@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import threading
 import time
 from collections.abc import Sequence
@@ -127,17 +128,21 @@ class _Log(Sequence):
 class UpdateSettings:
     """Streaming knobs: prior stickiness and the inner solver settings.
 
-    ``gamma`` must lie strictly inside (0, 1); the endpoints would freeze the
-    coefficient weights entirely or ignore the carried prior. Every block of
-    a stream is absorbed at the same ``gamma``.
+    ``gamma`` must be a real number strictly inside (0, 1); the endpoints
+    would freeze the coefficient weights entirely or ignore the carried prior.
+    Every block of a stream is absorbed at the same ``gamma``. ``solver``
+    must be a ``SolverSettings``.
     """
 
     gamma: float = 0.5
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma!r}")
+        gamma = self.gamma
+        if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):
+            raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
+        if not isinstance(self.solver, SolverSettings):
+            raise ValueError(f"solver must be a SolverSettings, got {self.solver!r}")
 
 
 # settings are immutable, so an update without any shares one default
@@ -288,7 +293,7 @@ def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None, kernel=Non
     # the prior a JointDistribution would hold: renormalized rows
     qb = carried / carried.sum(axis=1)[:, None]
     gamma = settings.gamma
-    _, pt, _, residual = _solve_dual(
+    _, pt, diagnostics = _solve_dual(
         y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
     )
 
@@ -300,7 +305,7 @@ def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None, kernel=Non
             step_index,
         )
     moved = float(kl_divergence(prior, carried).sum())
-    return prior, pt.eps_hat, moved, pt.beta_hat, residual <= settings.solver.constraint_tolerance
+    return prior, pt.eps_hat, moved, pt.beta_hat, diagnostics.converged
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +413,13 @@ def run_stream(
 
     ``beta_support`` is either one support row shared by every coefficient or
     a full (J, K) matrix. The error support row is taken from
-    ``error_support`` when given, otherwise built as ``error_points`` equally
-    spaced points spanning three sample standard deviations of the batch
-    responses (``error_scale="batch"``, the default), of all responses
-    (``"full"``), or of every response seen so far, recomputed before each
-    block (``"cumulative"``). A sample of one value or with no spread gets a
+    ``error_support`` when given, which must be one row, 1-D or of shape
+    ``(1, H)`` (it is ``block_update`` that takes a row per observation),
+    otherwise built as ``error_points`` equally spaced points spanning three
+    sample standard deviations of the batch responses
+    (``error_scale="batch"``, the default), of all responses (``"full"``), or
+    of every response seen so far, recomputed before each block
+    (``"cumulative"``). A sample of one value or with no spread gets a
     fixed half-width of ``3 * max(1, max|y|)`` over that sample instead; an
     empty one (``batch_size`` zero with ``"batch"`` or ``"cumulative"``) is an
     error. ``batch_size`` zero skips the batch stage and starts from uniform
@@ -451,12 +458,14 @@ def run_stream(
     beta = np.asarray(beta_support, dtype=float)
     if beta.ndim == 1:
         beta = np.tile(beta, (x.shape[1], 1))
+    zb = _support_rows(beta, "beta_support")
     cumulative = error_support is None and error_scale == "cumulative"
     if error_support is not None:
-        error_row = np.asarray(error_support, dtype=float).reshape(-1)
+        error_row = _error_rows(error_support)
+        if error_row.shape[0] != 1:
+            raise ValueError(f"error_support must be one row, got {error_row.shape[0]} rows")
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
-    zb = _support_rows(beta, "beta_support")
     y, x, rows = _check_block(y, x, zb, error_row)
 
     if batch_size >= 1:

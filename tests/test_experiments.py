@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,14 +227,23 @@ def test_duplicate_scenario_names_rejected():
 
 
 def test_bad_scenario_values_keep_their_position():
-    raw = tiny_config_dict()
-    raw["scenarios"][0]["eta_grid"] = [2.0]
-    with pytest.raises(ConfigError, match=r"scenarios\[0\]"):
-        parse_experiment_config(raw)
-    raw = tiny_config_dict()
-    raw["scenarios"][0]["error_scale"] = "weekly"
-    with pytest.raises(ConfigError, match=r"scenarios\[0\].*error_scale 'weekly'"):
-        parse_experiment_config(raw)
+    cases = [
+        ("eta_grid", [2.0], "eta_grid"),
+        ("error_scale", "weekly", "error_scale 'weekly'"),
+        ("name", "", "scenario name must be nonempty"),
+        ("batch_fractions", [0.0], "batch_fractions must lie in (0, 1]"),
+        ("batch_fractions", [1.5], "batch_fractions must lie in (0, 1]"),
+        ("block_sizes", [2, 2], "block_sizes must be distinct positive integers"),
+        ("block_sizes", [0], "block_sizes must be distinct positive integers"),
+        ("gamma", 0.0, "gamma must lie strictly in (0, 1)"),
+        ("gamma", 1.0, "gamma must lie strictly in (0, 1)"),
+        ("error_points", 1, "error_points must be at least 2"),
+    ]
+    for key, value, fragment in cases:
+        raw = tiny_config_dict()
+        raw["scenarios"][0][key] = value
+        with pytest.raises(ConfigError, match=rf"^scenarios\[0\]: .*{re.escape(fragment)}"):
+            parse_experiment_config(raw)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -262,6 +272,7 @@ def test_missing_file_is_a_config_error(tmp_path):
         ({"replications": 0}, "replications"),
         ({"seed_base": -1}, "seed_base"),
         ({"jobs": 0}, "jobs"),
+        ({"scenarios": [5]}, r"^scenarios\[0\]: expected an object, got int$"),
     ],
 )
 def test_top_level_values_are_validated(overrides, fragment):
@@ -802,6 +813,10 @@ def test_sizes_are_whole_numbers_and_never_truncated(tmp_path, call, name, whole
 
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {whole + 0.5}$"):
         fit(**{name: whole + 0.5})
+    outside = {"batch_size": (-1, data.n + 1), "block_size": (0,)}
+    for value in outside.get(name, ()):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            fit(**{name: value})
     assert np.array_equal(fit(**{name: float(whole)}).beta_hat, fit(**{name: whole}).beta_hat)
 
 

@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gcestream import solver
 from gcestream import (
+    DEFAULT_BETA_SUPPORT,
     ConfigError,
     GceProblem,
     InfeasibleObservationError,
     JointDistribution,
+    SimulationConfig,
     SolverSettings,
     SupportGrid,
+    build_error_support,
     dual_objective,
     expectation,
+    generate_dataset,
     gibbs_weights,
     parse_experiment_config,
     solve_gce,
@@ -247,6 +251,10 @@ def test_weighted_solve_matches_weighted_bisection():
     # the weighted residual is still the plain constraint residual
     resid = 0.7 - 2.0 * sol.beta_hat[0] - sol.epsilon_hat[0]
     assert abs(resid) <= 1e-8
+    for name in ("signal_weight", "error_weight"):
+        for weight in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be a positive finite number$"):
+                solve_gce(prob, **{name: weight})
 
 
 def lean_scalar_problem():
@@ -479,3 +487,19 @@ def test_perfectly_collinear_design_still_converges():
     sol = solve_gce(GceProblem(y, x, grid))
     assert sol.diagnostics.converged
     assert np.max(np.abs(y - x @ sol.beta_hat - sol.epsilon_hat)) <= 1e-8
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 4: the Armijo search stalls at residual 3.5e-7 on this fit, "
+    "every step backtracking while the dual value stays flat",
+)
+def test_the_collinear_study_fit_converges():
+    # eta = 1, rep 7 of demos/multicollinearity_sweep.py: at the 500-step cap
+    # the fit spins for about 2.4 s; 20 steps show the same stall
+    ds = generate_dataset(SimulationConfig(n=240, eta=1.0, seed=1007))
+    design = np.column_stack([np.ones(ds.n), ds.x])
+    grid = SupportGrid.tiled(
+        DEFAULT_BETA_SUPPORT, design.shape[1], build_error_support(ds.y), ds.n
+    )
+    sol = solve_gce(GceProblem(ds.y, design, grid), SolverSettings(max_iterations=20))
+    assert sol.diagnostics.converged

@@ -752,22 +752,10 @@ def assert_same_failure(run, fold):
     return str(got.value)
 
 
-@pytest.mark.parametrize("scale", ["batch", "cumulative"])
-@pytest.mark.parametrize("block_size", [1, 4])
-@pytest.mark.parametrize(
-    "where, value", [("y", np.nan), ("y", np.inf), ("x", np.nan), ("x", -np.inf)]
-)
-def test_non_finite_data_after_the_batch_fails_before_any_solve(
-    caplog, monkeypatch, scale, block_size, where, value
-):
+def recorded_solves(monkeypatch):
+    """A list that records every dual solve, in the solver and in the stream."""
     import gcestream.streaming as streaming_module
 
-    y, design = simulated(40, seed=201)
-    y[25] = 1e7  # an infeasible block before the bad value: never reached
-    if where == "y":
-        y[30] = value
-    else:
-        design[30, 2] = value
     solves = []
     solve_dual = solver._solve_dual
 
@@ -777,6 +765,24 @@ def test_non_finite_data_after_the_batch_fails_before_any_solve(
 
     monkeypatch.setattr(solver, "_solve_dual", counted)
     monkeypatch.setattr(streaming_module, "_solve_dual", counted)
+    return solves
+
+
+@pytest.mark.parametrize("scale", ["batch", "cumulative"])
+@pytest.mark.parametrize("block_size", [1, 4])
+@pytest.mark.parametrize(
+    "where, value", [("y", np.nan), ("y", np.inf), ("x", np.nan), ("x", -np.inf)]
+)
+def test_non_finite_data_after_the_batch_fails_before_any_solve(
+    caplog, monkeypatch, scale, block_size, where, value
+):
+    y, design = simulated(40, seed=201)
+    y[25] = 1e7  # an infeasible block before the bad value: never reached
+    if where == "y":
+        y[30] = value
+    else:
+        design[30, 2] = value
+    solves = recorded_solves(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
         with pytest.raises(ValueError) as got:
             run_stream(y, design, 20, block_size, beta_support=BETA_ROW, error_scale=scale)
@@ -817,6 +823,35 @@ def test_malformed_error_support_fails_as_in_a_fold(batch_size, row, fragment):
         lambda: fold_of_block_updates(y, design, batch_size, **kwargs),
     )
     assert fragment in message
+
+
+@pytest.mark.parametrize("block_size", [1, 7])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[-30.0, 0.0, 30.0], [40.0, 50.0, 60.0]], "every error_support row must span zero"),
+        ([[-30.0, 0.0, 30.0], [-40.0, 0.0, 40.0]], "error_support must be one row, got 2 rows"),
+    ],
+)
+def test_run_stream_takes_one_error_support_row(monkeypatch, block_size, rows, message):
+    y, design = simulated(60, seed=3)
+    solves = recorded_solves(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_stream(y, design, 20, block_size, beta_support=BETA_ROW, error_support=rows)
+    assert solves == []
+    flat, shaped = (
+        run_stream(y, design, 20, block_size, beta_support=BETA_ROW, error_support=row)
+        for row in (rows[0], rows[:1])
+    )
+    assert flat.skipped == shaped.skipped == ()
+    assert np.array_equal(flat.beta_trajectory, shaped.beta_trajectory)
+    assert np.array_equal(flat.entropy_ledger, shaped.entropy_ledger)
+    assert np.array_equal(flat.epsilon_hat, shaped.epsilon_hat)
+    assert np.array_equal(flat.final_state.beta_prior, shaped.final_state.beta_prior)
+    assert np.array_equal(
+        flat.final_state.supports.error_support, shaped.final_state.supports.error_support
+    )
+    assert flat.final_state.supports.error_support.shape == (20, 3)
 
 
 def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
@@ -891,10 +926,16 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5, math.nan])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5, math.nan, "0.5", None, True])
 def test_gamma_must_be_strictly_interior(gamma):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must lie strictly in \(0, 1\), got "):
         UpdateSettings(gamma=gamma)
+
+
+@pytest.mark.parametrize("solver_settings", [None, {"max_iterations": 5}, 1e-8])
+def test_update_solver_must_be_solver_settings(solver_settings):
+    with pytest.raises(ValueError, match="^solver must be a SolverSettings, got "):
+        UpdateSettings(solver=solver_settings)
 
 
 # ---------------------------------------------------------------------------
