@@ -237,6 +237,8 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
     ``build_error_support``'s three-sigma row.
     """
     _check_error_scale(scale)
+    if n_points < 2:
+        raise ValueError(f"error_points must be at least 2, got {n_points}")
     sample = np.asarray(y if scale == "full" else y[:stop], dtype=float).reshape(-1)
     if sample.size == 0:
         raise ValueError(

@@ -24,10 +24,10 @@ streaming updates solve without building a ``GceProblem``. A single
 constraint (m = 1: a one-observation fit or streaming step) has one path, a
 kernel that stacks the coefficient rows and the lone error row into one array
 and never forms the dual value, which only the multi-constraint line search
-reads. A stream builds it once, for all its steps. Its Newton iteration
-starts at lam = 0 from the prior weights' own moments (the Gibbs weights
-there are the prior), with no exponential, and a reused kernel gives the
-same bits as a new one, so a stream equals the fold of its steps bit for bit.
+reads. It holds nothing of one observation between solves, so a stream
+builds it once for all its steps and gets the bits a new kernel would give.
+Its Newton iteration starts at lam = 0 from the prior weights' own moments
+(the Gibbs weights there are the prior), with no exponential.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -409,13 +409,13 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
 class _ScalarKernel:
     """Single-constraint solves on one stacked support, built once and reused.
 
-    Built from the coefficient supports ``zb`` (J, K), one error support row
-    ``ze_row`` (H,), its log prior weights ``log_qe_row`` and the two
-    objective weights. The J coefficient rows and the error row live in one
+    Built from the coefficient supports ``zb`` (J, K), the error row's log
+    prior weights ``log_qe_row`` (H,) and the two objective weights; each
+    solve brings its own observation, coefficient prior and error support
+    row. The J coefficient rows and the error row live in one
     ``(J+1, max(K, H))`` stack, so an iterate costs one set of numpy calls
     instead of two; a padding point has support 0 and prior weight 0, so it
-    gets exactly zero weight. ``error_row`` is a view of the stack's error
-    supports that a caller may rewrite between solves.
+    gets exactly zero weight.
 
     Points are ``(grad, p, means, curv)``, stacked. ``start``'s point at
     lam = 0 is the prior weights' own moments, equal to
@@ -427,15 +427,13 @@ class _ScalarKernel:
     rows are checked only then and ``ln Z`` is never formed.
     """
 
-    def __init__(self, zb, ze_row, log_qe_row, signal_weight: float, error_weight: float):
+    def __init__(self, zb, log_qe_row, signal_weight: float, error_weight: float):
         j, k = zb.shape
-        h = ze_row.shape[0]
+        h = log_qe_row.shape[0]
         width = max(k, h)
         self.shape = (j, k, h)
         self.z = np.zeros((j + 1, width))
         self.z[:j, :k] = zb
-        self.z[j, :h] = ze_row
-        self.error_row = self.z[j, :h]
         # numpy's Python-level constructors (full, ones) cost more than the
         # fills below, and a one-observation block builds a kernel per call
         self.log_q = np.empty((j + 1, width))
@@ -463,14 +461,15 @@ class _ScalarKernel:
         j = self.shape[0]
         return self.y0 - (self.x @ means[:j])[0] - means[j], p, means, curv
 
-    def start(self, qb, log_qb, y0, x_row):
-        """Load observation ``(y0, x_row)`` and the (J, K) prior ``qb``; the point at zero.
+    def start(self, qb, log_qb, y0, x_row, ze_row):
+        """Load ``(y0, x_row)``, its error row ``ze_row`` and the prior ``qb``; the point at zero.
 
         ``log_qb`` is ``_log_priors(qb)``: weights below ZERO_CLAMP, where it
         is -inf, count as zero, as the Gibbs form counts them.
         """
-        j, k, _ = self.shape
+        j, k, h = self.shape
         self.log_q[:j, :k] = log_qb
+        self.z[j, :h] = ze_row
         self.x_stack[:j] = x_row
         self.y0 = y0
         p = self.q.copy()
@@ -492,8 +491,8 @@ class _ScalarKernel:
                 raise ValueError(f"non-finite partition sum in {where}")
         return point
 
-    def solve(self, qb, log_qb, y0, x_row, settings: SolverSettings):
-        """Bracketed Newton for one observation from lam = 0.
+    def solve(self, qb, log_qb, y0, x_row, ze_row, settings: SolverSettings):
+        """Bracketed Newton for one observation, loaded by ``start``, from lam = 0.
 
         The dual gradient is increasing in the lone multiplier, so once values
         of opposite sign have been seen the root is bracketed and any Newton
@@ -505,7 +504,7 @@ class _ScalarKernel:
         j, k, h = self.shape
         x_sq = x_row**2
         lam = 0.0
-        g, p, means, curv = self.start(qb, log_qb, y0, x_row)
+        g, p, means, curv = self.start(qb, log_qb, y0, x_row, ze_row)
         lo = hi = None
         iterations = 0
         while iterations < settings.max_iterations and abs(g) > tol:
@@ -544,16 +543,16 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
     and ``ze`` (m, H), the coefficient prior weights ``qb``, the error rows'
     log prior weights ``log_qe`` (one row may be shared by every
     observation) and the two objective weights. One observation goes through
-    a ``_ScalarKernel``: ``kernel`` when given, which must have been built
-    for ``ze``'s row and these weights, else a new one; more go through
-    ``_solve_multi``. Returns the multipliers, the final ``_DualPoint`` and
-    the ``SolverDiagnostics``, whose verdict is decided here and nowhere else.
+    a ``_ScalarKernel``: ``kernel`` when given, built on ``zb``, ``log_qe``
+    and these weights, else a new one; more go through ``_solve_multi``.
+    Returns the multipliers, the final ``_DualPoint`` and the
+    ``SolverDiagnostics``, whose verdict is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.size == 1:
         if kernel is None:
-            kernel = _ScalarKernel(zb, ze[0], log_qe[0], signal_weight, error_weight)
-        lam, pt, iterations = kernel.solve(qb, log_qb, y[0], x[0], settings)
+            kernel = _ScalarKernel(zb, log_qe[0], signal_weight, error_weight)
+        lam, pt, iterations = kernel.solve(qb, log_qb, y[0], x[0], ze[0], settings)
     else:
         ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)

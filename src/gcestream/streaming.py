@@ -18,9 +18,10 @@ previous ones, a nonnegative account of how much information the block moved.
 Successive states share their logs, so absorbing a block costs the same
 however long the stream has run. One block step, ``_absorb``, absorbs every
 block: ``block_update`` calls it once, and ``run_stream`` calls it per block
-on plain arrays and builds one state, at the end. A one-observation block is
+on plain arrays, each block's error rows and hull bounds resolved before the
+first solve, and builds one state, at the end. A one-observation block is
 solved by the solver's single-constraint kernel, which ``run_stream`` builds
-once per stream of such blocks and ``block_update`` once per call.
+once per stream and ``block_update`` once per call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import logging
 import math
 import numbers
 import threading
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -222,7 +222,6 @@ class StreamReport:
     batch_solution: GceSolution | None
     skipped: tuple[int, ...]
     all_converged: bool
-    wallclock_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ def _check_block(y, x, zb, error_rows):
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
     checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to ``_absorb``.
+    is left to ``_absorb``, with bounds from ``_hull``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -262,32 +261,31 @@ def _check_block(y, x, zb, error_rows):
     return y, x, rows
 
 
-def _absorb(carried, zb, y, x, rows, settings, step_index, hull=None, kernel=None):
+def _hull(x, zb, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per observation, the range of ``x_i . beta + eps_i`` over the full supports."""
+    lo, hi = _coefficient_hull(x, zb[:, 0], zb[:, -1])
+    return lo + rows[:, 0], hi + rows[:, -1]
+
+
+def _absorb(carried, zb, y, x, rows, hull, settings, step_index, kernel=None):
     """The one block step: absorb a checked block into the carried ``(J, K)`` prior.
 
     ``rows`` holds one error support row per observation, each with a uniform
-    prior. The hull is checked before any solve and an infeasible block
-    raises InfeasibleObservationError (indices local to the block). ``hull``,
-    when given, is the block's precomputed ``_coefficient_hull`` over the
-    full coefficient support; it decides while every carried weight is
-    positive and every ``y`` lies strictly inside it, else ``_check_hull``
-    does. Returns the new prior (normalized Gibbs rows), the block's error
-    estimates, its ledger entry (the KL divergence of the new prior from
-    ``carried``), the new ``beta_hat`` and whether the solve converged.
-    ``step_index`` only labels the underflow warning. ``kernel`` is the
-    caller's single-constraint kernel for one-observation blocks, built once
-    per stream on their error row and gamma; without one the solve builds its
-    own. Either way Newton starts at the carried prior's moments, and a
-    reused kernel gives the same bits as a new one.
+    prior, and ``hull`` is the block's ``_hull``. The hull is checked before
+    any solve and an infeasible block raises InfeasibleObservationError
+    (indices local to the block). Returns the new prior (normalized Gibbs
+    rows), the block's error estimates, its ledger entry (the KL divergence
+    of the new prior from ``carried``), the new ``beta_hat`` and whether the
+    solve converged. ``step_index`` only labels the underflow warning.
+    ``kernel`` is a single-constraint kernel for one-observation blocks,
+    built on ``zb``, the uniform error prior and gamma; without one the
+    solve builds its own, with the same bits. Newton starts at the carried
+    prior's moments.
     """
     qe, log_qe = _uniform_error_prior(rows.shape[1])
-    if not (
-        hull is not None
-        and carried.min() > 0.0
-        and ((hull[0] + rows[:, 0] < y) & (y < hull[1] + rows[:, -1])).all()
-    ):
-        # the hull asks only which prior weights are positive, and the
-        # renormalized prior below is positive exactly where the carried one is
+    if not (carried.min() > 0.0 and ((hull[0] < y) & (y < hull[1])).all()):
+        # only live points count; the renormalized prior below is positive
+        # exactly where the carried one is
         _check_hull(y, x, zb, carried, rows, qe)
 
     # the prior a JointDistribution would hold: renormalized rows
@@ -356,9 +354,10 @@ def block_update(
     the carried prior is a ``StreamState`` invariant and is not checked
     again. The block step ``run_stream`` drives then checks the hull and
     solves on plain arrays (no problem or distribution objects; only the
-    ledger's KL divergence is computed); a block of one observation builds
-    one single-constraint kernel for this call, whose Newton iteration starts
-    at the carried prior's moments. Infeasible blocks raise
+    ledger's KL divergence is computed), trusting the block's full-support
+    hull while every carried weight is positive; a block of one observation
+    builds one single-constraint kernel for this call, whose Newton
+    iteration starts at the carried prior's moments. Infeasible blocks raise
     InfeasibleObservationError (indices local to the block) and leave the
     caller's state untouched, so a stream can skip and log them. The new
     state keeps the stream's support grid.
@@ -367,7 +366,7 @@ def block_update(
     zb = state.supports.beta_support
     y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
     prior, eps, moved, beta_hat, converged = _absorb(
-        state.beta_prior, zb, y, x, rows, settings, state.step_index
+        state.beta_prior, zb, y, x, rows, _hull(x, zb, rows), settings, state.step_index
     )
     return StreamState(
         beta_prior=prior,
@@ -427,21 +426,20 @@ def run_stream(
     when ``block_size`` does not divide the stream.
 
     Blocks containing infeasible observations are skipped and logged; their
-    global indices are reported. Timing covers the whole call.
+    global indices are reported.
 
     The whole stream is checked before the batch solve, as ``block_update``
     checks a block, so bad data raises ``block_update``'s error before any
-    work is done. On valid data the result is a left fold of
-    ``block_update`` over the blocks, bit for bit, with the same skips and
-    warnings, for every ``UpdateSettings``: each block goes through the same
-    block step on carried arrays, with its coefficient hull precomputed, and
-    one ``StreamState`` is built at the end. With ``block_size`` 1 the
-    stream builds one single-constraint kernel, once, and every step reuses
-    it (``"cumulative"`` rewrites its error row before each block), with
-    Newton starting at the carried prior's moments; each solve rewrites all
-    the per-step state it reads, so the fold identity holds bit for bit.
+    work is done; every observation's error row, a cumulative stream's
+    included, is built and checked then. On valid data the result is a left
+    fold of ``block_update`` over the blocks, bit for bit, with the same
+    skips and warnings, for every ``UpdateSettings``: each block goes
+    through the same block step on carried arrays, with its hull bounds
+    computed once for the stream, and one ``StreamState`` is built at the
+    end. The stream builds one single-constraint kernel for its
+    one-observation blocks, with Newton starting at the carried prior's
+    moments.
     """
-    t0 = time.perf_counter()
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     batch_size = _integer(batch_size, "batch_size")
     block_size = _integer(block_size, "block_size")
@@ -459,7 +457,6 @@ def run_stream(
     if beta.ndim == 1:
         beta = np.tile(beta, (x.shape[1], 1))
     zb = _support_rows(beta, "beta_support")
-    cumulative = error_support is None and error_scale == "cumulative"
     if error_support is not None:
         error_row = _error_rows(error_support)
         if error_row.shape[0] != 1:
@@ -467,6 +464,12 @@ def run_stream(
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
     y, x, rows = _check_block(y, x, zb, error_row)
+    if error_support is None and error_scale == "cumulative":
+        rows = rows.copy()  # each block scaled to the responses seen by its end
+        for start in range(batch_size, n, block_size):
+            stop = min(start + block_size, n)
+            rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
+        rows = _error_rows(rows)
 
     if batch_size >= 1:
         grid = SupportGrid(zb, rows[:batch_size])
@@ -476,27 +479,20 @@ def run_stream(
         state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
         batch_solution = None
 
-    lo_b, hi_b = _coefficient_hull(x, zb[:, 0], zb[:, -1])
-    kernel = None
-    if block_size == 1:
-        log_qe = _uniform_error_prior(rows.shape[1])[1]
-        kernel = _ScalarKernel(zb, rows[0], log_qe[0], settings.gamma, 1.0 - settings.gamma)
+    lo, hi = _hull(x, zb, rows)
+    log_qe = _uniform_error_prior(rows.shape[1])[1]
+    kernel = _ScalarKernel(zb, log_qe[0], settings.gamma, 1.0 - settings.gamma)
     carried, step = state.beta_prior, state.step_index
     epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
     trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
     skipped: list[int] = []
     for ordinal, start in enumerate(range(batch_size, n, block_size)):
         stop = min(start + block_size, n)
-        block_rows = rows[start:stop]
-        if cumulative:  # a new row, checked as block_update checks it
-            error_row = _error_rows(_scaled_error_support(y, stop, error_scale, error_points))[0]
-            block_rows = np.tile(error_row, (stop - start, 1))
-            if kernel is not None:
-                kernel.error_row[:] = error_row
+        block = slice(start, stop)
         try:
             carried, eps, moved, beta_hat, converged = _absorb(
-                carried, zb, y[start:stop], x[start:stop], block_rows, settings, step,
-                hull=(lo_b[start:stop], hi_b[start:stop]), kernel=kernel,
+                carried, zb, y[block], x[block], rows[block], (lo[block], hi[block]),
+                settings, step, kernel,
             )
         except InfeasibleObservationError as exc:
             skipped.extend(range(start, stop))
@@ -529,5 +525,4 @@ def run_stream(
         batch_solution=batch_solution,
         skipped=tuple(skipped),
         all_converged=all(state.converged_log),
-        wallclock_s=time.perf_counter() - t0,
     )

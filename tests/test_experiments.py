@@ -813,7 +813,7 @@ def test_sizes_are_whole_numbers_and_never_truncated(tmp_path, call, name, whole
 
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {whole + 0.5}$"):
         fit(**{name: whole + 0.5})
-    outside = {"batch_size": (-1, data.n + 1), "block_size": (0,)}
+    outside = {"batch_size": (-1, data.n + 1), "block_size": (0,), "error_points": (1,)}
     for value in outside.get(name, ()):
         with pytest.raises(ValueError, match=rf"^{name} must "):
             fit(**{name: value})

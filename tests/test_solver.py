@@ -272,11 +272,11 @@ def loaded_kernel(problem, signal_weight, error_weight):
     """The one-observation kernel for ``problem``, loaded, and its point at zero."""
     grid, prior = problem.supports, problem.prior
     kernel = solver._ScalarKernel(
-        grid.beta_support, grid.error_support[0], solver._log_priors(prior.error)[0],
-        signal_weight, error_weight,
+        grid.beta_support, solver._log_priors(prior.error)[0], signal_weight, error_weight
     )
     start = kernel.start(
-        prior.beta, solver._log_priors(prior.beta), problem.y[0], problem.x[0]
+        prior.beta, solver._log_priors(prior.beta), problem.y[0], problem.x[0],
+        grid.error_support[0],
     )
     return kernel, start
 
