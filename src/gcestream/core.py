@@ -45,22 +45,36 @@ SUM_TOLERANCE = 1e-12
 ZERO_CLAMP = 1e-300
 
 
+def _row_sums(a: np.ndarray):
+    """``a.sum(axis=-1)`` for a 1-D or 2-D array, reduced along the long axis.
+
+    A 2-D stack is summed as its contiguous transpose along axis 0, a few
+    vector passes instead of one short reduction per row; for an F-ordered
+    stack the transpose is a free view. numpy adds rows of fewer than 8
+    points in sequence either way, so the sums are bit-identical to
+    ``a.sum(axis=-1)`` there; wider rows agree to the last few ulps.
+    """
+    if a.ndim == 1:
+        return a.sum()
+    return np.add.reduce(np.ascontiguousarray(a.T), axis=0)
+
+
 def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np.ndarray:
-    """Validate a stack of simplex rows and return a read-only copy.
+    """Validate a stack of simplex rows and return a read-only, C-ordered copy.
 
     Every row must be finite and nonnegative, have at least two entries and
     sum to one within ``SUM_TOLERANCE``; a 1-D input is one row. The copy is
     renormalized unless ``renormalize`` is false, which keeps weights that
     were normalized before bit for bit.
     """
-    w = np.atleast_2d(np.array(values, dtype=float))
+    w = np.atleast_2d(np.array(values, dtype=float, order="C"))
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
         raise ValueError(f"{name} must be one or more rows of at least two entries")
     if not np.isfinite(w).all():
         raise ValueError(f"{name} must be finite")
     if (w < 0.0).any():
         raise ValueError(f"{name} must be nonnegative, got min {w.min()!r}")
-    total = w.sum(axis=1)
+    total = _row_sums(w)
     off = np.abs(total - 1.0) > SUM_TOLERANCE
     if off.any():
         row = int(np.argmax(off))
@@ -240,6 +254,6 @@ def kl_divergence(p, q):
     q_live = qw >= ZERO_CLAMP
     if ((pw >= ZERO_CLAMP) & ~q_live).any():
         raise ValueError("reference distribution must dominate: q vanishes where p > 0")
-    value = _xlogy(pw, pw / np.where(q_live, qw, 1.0)).sum(axis=-1)
+    value = _row_sums(_xlogy(pw, pw / np.where(q_live, qw, 1.0)))
     # Exact zero for identical rows; tiny negative values are pure rounding.
     return _per_row(np.maximum(value, 0.0))

@@ -189,17 +189,15 @@ def standardize_columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 ERROR_SCALES = ("batch", "cumulative", "full")
 
 
-def _three_sigma_row(v: np.ndarray, n_points: int) -> np.ndarray | None:
-    """The row from -3*s to +3*s, or None when ``v`` is too flat to scale one."""
-    if n_points < 2:
-        raise ValueError("an error support needs at least two points")
+def _sample_spread(v: np.ndarray) -> float | None:
+    """The sample deviation of ``v``, or None when it is too flat to scale a row to."""
     s = float(v.std(ddof=1)) if v.size > 1 else 0.0
     # constants that are not exactly representable leave a few ulps of fake
     # spread, so judge the deviation relative to the magnitude of the values
     floor = 1e-12 * max(1.0, float(np.max(np.abs(v))))
     if not np.isfinite(s) or s <= floor:
         return None
-    return np.linspace(-3.0 * s, 3.0 * s, n_points)
+    return s
 
 
 def build_error_support(values, n_points: int = 3) -> np.ndarray:
@@ -212,10 +210,12 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 2:
         raise ValueError("need at least two values to scale an error support")
-    row = _three_sigma_row(v, n_points)
-    if row is None:
+    if n_points < 2:
+        raise ValueError("an error support needs at least two points")
+    s = _sample_spread(v)
+    if s is None:
         raise ValueError("values have zero spread; cannot scale an error support")
-    return row
+    return np.linspace(-3.0 * s, 3.0 * s, n_points)
 
 
 def _check_error_scale(scale: str) -> None:
@@ -234,7 +234,9 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
     sample of one value, or one flatter than ``build_error_support``'s
     relative floor, gets the fixed half-width ``3 * max(1, max|y|)`` so
     one-row and constant inputs stay solvable; otherwise the row is
-    ``build_error_support``'s three-sigma row.
+    ``build_error_support``'s three-sigma row. Responses so large that the
+    half-width overflows raise ValueError naming the largest of them, before
+    any row is built.
     """
     _check_error_scale(scale)
     if n_points < 2:
@@ -245,11 +247,15 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
             f"error_scale={scale!r} has no responses to scale an error support to; "
             "pass error_support explicitly or use error_scale='full'"
         )
-    row = _three_sigma_row(sample, n_points)
-    if row is None:
-        half = 3.0 * max(1.0, float(np.max(np.abs(sample))))
-        row = np.linspace(-half, half, n_points)
-    return row
+    s = _sample_spread(sample)
+    half = 3.0 * (s if s is not None else max(1.0, float(np.max(np.abs(sample)))))
+    if not math.isfinite(half):
+        i = int(np.argmax(np.abs(sample)))
+        raise ValueError(
+            f"response y[{i}] = {float(sample[i])!r} is too large to scale an "
+            f"error_scale={scale!r} error support to; rescale y or pass error_support explicitly"
+        )
+    return np.linspace(-half, half, n_points)
 
 
 def generate_dataset(config: SimulationConfig) -> Dataset:

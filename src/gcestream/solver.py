@@ -194,9 +194,15 @@ def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``x``: the range of ``x_i . beta`` over the box [bmin, bmax]."""
-    at_min, at_max = x * bmin, x * bmax
-    return np.minimum(at_min, at_max).sum(axis=1), np.maximum(at_min, at_max).sum(axis=1)
+    """Per row of ``x``: the range of ``x_i . beta`` over the box [bmin, bmax].
+
+    The J columns are summed along the observation axis, in sequence, so the
+    bounds are the row sums' bits while J < 8.
+    """
+    xt = np.ascontiguousarray(x.T)
+    at_min, at_max = xt * bmin[:, None], xt * bmax[:, None]
+    add = np.add.reduce
+    return add(np.minimum(at_min, at_max), axis=0), add(np.maximum(at_min, at_max), axis=0)
 
 
 def _check_hull(y, x, zb, qb, ze, qe) -> None:
@@ -257,16 +263,24 @@ class _DualPoint:
     curv_eps: np.ndarray  # per-observation Hessian contribution
 
 
-def _log_partition(logits: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-sum-exp and the normalized row weights, from one exp.
+
+    The support points of a row lie along ``axis``: 1 for ``(rows, points)``
+    logits, 0 for ``(points, rows)``. Reducing a tall stack along its long
+    axis (axis 0 of a ``(points, rows)`` array) costs a few vector passes
+    instead of one short reduction per row. Either way numpy adds a row's
+    points in sequence while there are fewer than 8, so both layouts give
+    the same bits; from 8 points on, a row sum is pairwise and the two agree
+    to the last few ulps. The weights come back in the layout of ``logits``.
 
     Entries of -inf (support points without prior weight) get zero weight; a
     row whose log partition sum is not finite raises ValueError.
     """
-    top = logits.max(axis=1, keepdims=True)
+    top = logits.max(axis=axis, keepdims=True)
     shifted = np.exp(logits - top)
-    total = shifted.sum(axis=1, keepdims=True)
-    ln_z = np.log(total[:, 0]) + top[:, 0]
+    total = np.add.reduce(shifted, axis=axis, keepdims=True)
+    ln_z = (np.log(total) + top).reshape(-1)
     bad = ~np.isfinite(ln_z)
     if bad.any():
         raise ValueError(f"non-finite partition sum in {name} row {int(np.argmax(bad))}")
@@ -286,6 +300,14 @@ class _DualEvaluator:
     (``_log_priors`` of the weights; ``log_qe`` may be one row shared by every
     observation) and the two objective weights.
 
+    The error side is stored once per solve as contiguous ``(H, m)`` arrays
+    (a shared ``(1, H)`` log prior as ``(H, 1)``), so each of its per-row
+    reductions runs along the long observation axis; ``evaluate`` hands back
+    the error weights as the ``(m, H)`` view of that array. Rows of fewer
+    than 8 points are summed in sequence in either layout, so every output
+    is bit-identical to a row-major evaluation while K, H and J are below 8;
+    wider rows agree to the last few ulps.
+
     The reported value is measured relative to uniform rows: it carries a
     constant offset of sum(log row sizes), so at zero multipliers with a
     uniform prior the value is J*log(K) + m*log(H), and at the optimum the
@@ -296,28 +318,30 @@ class _DualEvaluator:
         self.y = y
         self.x = x
         self.zb = zb
-        self.ze = ze
+        self.ze_t = np.ascontiguousarray(ze.T)
         self.log_qb = log_qb
-        self.log_qe = log_qe
+        self.log_qe_t = np.ascontiguousarray(log_qe.T)
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
-        m, h = self.ze.shape
+        m, h = ze.shape
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
+        add = np.add.reduce
         tilt = (self.x.T @ lam) / self.wb
-        ln_zb, pb = _log_partition(self.log_qb - self.zb * tilt[:, None], "coefficient")
-        beta_hat = (pb * self.zb).sum(axis=1)
-        curv_beta = (pb * (self.zb - beta_hat[:, None]) ** 2).sum(axis=1) / self.wb
+        ln_zb, pb = _log_partition(self.log_qb - self.zb * tilt[:, None], "coefficient", 1)
+        beta_hat = add(pb * self.zb, axis=1)
+        curv_beta = add(pb * (self.zb - beta_hat[:, None]) ** 2, axis=1) / self.wb
 
-        ln_ze, pe = _log_partition(self.log_qe - self.ze * (lam / self.we)[:, None], "error")
-        eps_hat = (pe * self.ze).sum(axis=1)
-        curv_eps = (pe * (self.ze - eps_hat[:, None]) ** 2).sum(axis=1) / self.we
+        ze = self.ze_t
+        ln_ze, pe = _log_partition(self.log_qe_t - ze * (lam / self.we), "error", 0)
+        eps_hat = add(pe * ze, axis=0)
+        curv_eps = add(pe * (ze - eps_hat) ** 2, axis=0) / self.we
 
         value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
         grad = self.y - self.x @ beta_hat - eps_hat
-        return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)
+        return _DualPoint(value, grad, pb, pe.T, beta_hat, eps_hat, curv_beta, curv_eps)
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:

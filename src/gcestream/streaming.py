@@ -452,6 +452,8 @@ def run_stream(
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     _check_error_scale(error_scale)
+    if error_points < 2:
+        raise ValueError(f"error_points must be at least 2, got {error_points}")
 
     beta = np.asarray(beta_support, dtype=float)
     if beta.ndim == 1:

@@ -5,11 +5,14 @@ primal problem directly by eliminating one weight per row through the simplex
 normalization and the per-observation means through the data constraints,
 then brute-forcing the remaining free coordinates. The scalar bisection
 oracle re-derives the one-constraint stationarity condition from scratch with
-plain numpy exponentials (fine at test scale where nothing overflows).
+plain numpy exponentials (fine at test scale where nothing overflows). The
+row-major dual oracle evaluates the weighted dual with every row reduced
+along its own last axis, the plain ``(rows, points)`` arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +275,59 @@ def bisect_scalar_multiplier(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Row-major dual evaluation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualPoint:
+    value: float
+    grad: np.ndarray
+    pb: np.ndarray
+    pe: np.ndarray
+    beta_hat: np.ndarray
+    eps_hat: np.ndarray
+    curv_beta: np.ndarray
+    curv_eps: np.ndarray
+
+
+def _row_major_log_partition(logits: np.ndarray, name: str):
+    top = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - top)
+    total = shifted.sum(axis=1, keepdims=True)
+    ln_z = np.log(total[:, 0]) + top[:, 0]
+    bad = ~np.isfinite(ln_z)
+    if bad.any():
+        raise ValueError(f"non-finite partition sum in {name} row {int(np.argmax(bad))}")
+    return ln_z, shifted / total
+
+
+def row_major_dual_point(lam, y, x, zb, ze, log_qb, log_qe, wb=1.0, we=1.0) -> DualPoint:
+    """The weighted dual at ``lam``, every row reduced along its last axis.
+
+    ``zb`` is (J, K), ``ze`` (m, H), ``log_qb`` and ``log_qe`` the log prior
+    weights (``log_qe`` may be one row shared by every observation, -inf
+    where a point has no prior weight). The value carries the offset
+    sum(log row sizes), so a uniform prior at zero scores J*log(K) +
+    m*log(H). A row whose log partition sum is not finite raises ValueError
+    naming the side and the first such row.
+    """
+    j, k = zb.shape
+    m, h = ze.shape
+    tilt = (x.T @ lam) / wb
+    ln_zb, pb = _row_major_log_partition(log_qb - zb * tilt[:, None], "coefficient")
+    beta_hat = (pb * zb).sum(axis=1)
+    curv_beta = (pb * (zb - beta_hat[:, None]) ** 2).sum(axis=1) / wb
+    ln_ze, pe = _row_major_log_partition(log_qe - ze * (lam / we)[:, None], "error")
+    eps_hat = (pe * ze).sum(axis=1)
+    curv_eps = (pe * (ze - eps_hat[:, None]) ** 2).sum(axis=1) / we
+    offset = wb * j * math.log(k) + we * m * math.log(h)
+    value = float(lam @ y + wb * ln_zb.sum() + we * ln_ze.sum() + offset)
+    grad = y - x @ beta_hat - eps_hat
+    return DualPoint(value, grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)
 
 
 def finite_difference_gradient(fun, point: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from gcestream import (
     kl_divergence,
     shannon_entropy,
 )
-from gcestream.core import SUM_TOLERANCE, ZERO_CLAMP
+from gcestream.core import SUM_TOLERANCE, ZERO_CLAMP, _row_sums
 
 rng = np.random.default_rng(314159)
 
@@ -65,6 +66,23 @@ def test_row_sum_tolerance_is_per_row():
     JointDistribution([[0.5, 0.5], barely], [[0.5, 0.5]])
     with pytest.raises(ValueError, match="row 1"):
         JointDistribution([[0.5, 0.5], too_far], [[0.5, 0.5]])
+    # a tall stack, as the solver's error weights arrive (an F-ordered view)
+    tall = np.full((500, 3), 1.0 / 3.0)
+    tall[[137, 400], 1] += 2.0 * SUM_TOLERANCE
+    message = re.escape(f"error row 137 sums to {tall[137].sum()!r}, expected")
+    for stack in (tall, np.asfortranarray(tall)):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            JointDistribution([[0.5, 0.5]], stack)
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_row_sums_are_the_last_axis_sums_bit_for_bit(size):
+    # values spread over many magnitudes, so any change of summation order shows
+    tall = rng.normal(size=(300, size)) * np.exp(rng.uniform(-20.0, 20.0, size=(300, size)))
+    for a in (tall[7], tall[:1], tall, np.asfortranarray(tall), np.asfortranarray(tall[:1])):
+        got, want = np.asarray(_row_sums(a)), np.asarray(a.sum(axis=-1))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_weight_arrays_need_at_least_one_row():

@@ -796,6 +796,7 @@ def test_standardized_fit_reports_response_scale_error(tmp_path):
         ("run_stream", "batch_size", 10),
         ("run_stream", "block_size", 2),
         ("run_stream", "error_points", 3),
+        ("run_stream_error_support", "error_points", 3),
         ("solve_file", "block_size", 2),
         ("solve_file", "error_points", 3),
     ],
@@ -806,14 +807,16 @@ def test_sizes_are_whole_numbers_and_never_truncated(tmp_path, call, name, whole
     sizes = {"block_size": 2, "error_points": 3}
 
     def fit(**given):
-        if call == "run_stream":
+        if call.startswith("run_stream"):
             kwargs = {"batch_size": 10, **sizes, **given}
+            if call == "run_stream_error_support":  # error_points is checked all the same
+                kwargs["error_support"] = [-30.0, 0.0, 30.0]
             return run_stream(data.y, design, beta_support=[-100.0, 0.0, 100.0], **kwargs)
         return solve_file(path, "block", **{**sizes, **given})
 
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {whole + 0.5}$"):
         fit(**{name: whole + 0.5})
-    outside = {"batch_size": (-1, data.n + 1), "block_size": (0,), "error_points": (1,)}
+    outside = {"batch_size": (-1, data.n + 1), "block_size": (0,), "error_points": (1, -5)}
     for value in outside.get(name, ()):
         with pytest.raises(ValueError, match=rf"^{name} must "):
             fit(**{name: value})

@@ -376,6 +376,76 @@ def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
 
 
 # ---------------------------------------------------------------------------
+# the multi-constraint evaluator against the row-major oracle
+# ---------------------------------------------------------------------------
+
+POINT_FIELDS = ("grad", "pb", "pe", "beta_hat", "eps_hat", "curv_beta", "curv_eps")
+
+
+def evaluator_inputs(h, shared, seed, m=40):
+    """Random evaluator inputs with H = ``h``, one error point without prior weight.
+
+    ``shared`` gives one ``(1, H)`` error prior for every observation,
+    otherwise each row has its own.
+    """
+    local = np.random.default_rng(seed)
+    j, k = 3, 5
+    x = local.uniform(-2.0, 2.0, size=(m, j))
+    zb = np.sort(local.uniform(-5.0, 5.0, size=(j, k)), axis=1)
+    ze = np.sort(local.normal(scale=3.0, size=(m, h)), axis=1)
+    qb = local.dirichlet(np.ones(k), size=j)
+    qe = local.dirichlet(np.ones(h), size=1 if shared else m)
+    qe[0, 1] = 0.0  # its log prior is -inf
+    qe /= qe.sum(axis=1, keepdims=True)
+    y = local.normal(size=m)
+    return y, x, zb, ze, solver._log_priors(qb), solver._log_priors(qe)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["row-priors", "shared-prior"])
+@pytest.mark.parametrize("h", [2, 3, 5, 7, 8, 9, 11])
+def test_evaluator_matches_the_row_major_oracle(h, shared):
+    # rows of fewer than 8 points are summed in sequence along either axis,
+    # so the long-axis reductions give the row-major bits; wider rows are
+    # summed pairwise and may move the last ulps
+    inputs = evaluator_inputs(h, shared, seed=10 * h + shared)
+    m = inputs[0].size
+    lams = (np.zeros(m), np.random.default_rng(h).normal(scale=2.0, size=m))
+    for wb, we in ((1.0, 1.0), (0.3, 0.7)):
+        ev = solver._DualEvaluator(*inputs, wb, we)
+        for lam in lams:
+            got = ev.evaluate(lam)
+            want = oracles.row_major_dual_point(lam, *inputs, wb, we)
+            assert got.pe.shape == (m, h)
+            assert got.pe[0, 1] == want.pe[0, 1] == 0.0
+            if h < 8:
+                assert got.value == want.value
+                for name in POINT_FIELDS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            else:
+                assert got.value == pytest.approx(want.value, rel=1e-14)
+                for name in POINT_FIELDS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    scale = max(1.0, float(np.abs(b).max()))
+                    assert np.abs(a - b).max() <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["row-priors", "shared-prior"])
+def test_evaluator_names_the_first_non_finite_error_row(shared):
+    y, x, zb, ze, log_qb, log_qe = evaluator_inputs(3, shared, seed=5)
+    ze[[6, 21]] = [-1e308, 0.0, 1e308]
+    lam = np.zeros(y.size)
+    lam[[6, 21]] = 10.0  # the tilt of the lowest point overflows to +inf
+    ev = solver._DualEvaluator(y, x, zb, ze, log_qb, log_qe, 1.0, 1.0)
+    with np.errstate(all="ignore"):
+        for evaluate in (
+            ev.evaluate,
+            lambda lam: oracles.row_major_dual_point(lam, y, x, zb, ze, log_qb, log_qe),
+        ):
+            with pytest.raises(ValueError, match="^non-finite partition sum in error row 6$"):
+                evaluate(lam)
+
+
+# ---------------------------------------------------------------------------
 # errors and edge handling
 # ---------------------------------------------------------------------------
 

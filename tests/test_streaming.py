@@ -769,14 +769,19 @@ def recorded_solves(monkeypatch):
 
 
 # (scale, where, value, message): a non-finite value fails the data check at
-# either scale; a finite 1e308 overflows only a later cumulative error row
+# either scale; a finite 1e308 overflows only a later cumulative error row,
+# which names the response
 BAD_AFTER_THE_BATCH = [
     *(
         (scale, where, value, "y and x must be finite")
         for scale in ("batch", "cumulative")
         for where, value in (("y", np.nan), ("y", np.inf), ("x", np.nan), ("x", -np.inf))
     ),
-    ("cumulative", "y", 1e308, "error_support must be finite"),
+    (
+        "cumulative", "y", 1e308,
+        "response y[30] = 1e+308 is too large to scale an error_scale='cumulative' error "
+        "support to; rescale y or pass error_support explicitly",
+    ),
 ]
 
 
