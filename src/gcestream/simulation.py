@@ -190,12 +190,17 @@ ERROR_SCALES = ("batch", "cumulative", "full")
 
 
 def _sample_spread(v: np.ndarray) -> float | None:
-    """The sample deviation of ``v``, or None when it is too flat to scale a row to."""
-    s = float(v.std(ddof=1)) if v.size > 1 else 0.0
+    """The sample deviation of ``v``, or None when it is too flat to scale a row to.
+
+    Values so large that their squared deviations overflow give an infinite
+    deviation, without numpy's overflow warning; the callers name them.
+    """
+    with np.errstate(over="ignore"):
+        s = float(v.std(ddof=1)) if v.size > 1 else 0.0
     # constants that are not exactly representable leave a few ulps of fake
     # spread, so judge the deviation relative to the magnitude of the values
     floor = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-    if not np.isfinite(s) or s <= floor:
+    if not s > floor:  # NaN included
         return None
     return s
 
@@ -205,7 +210,8 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
 
     The row runs from -3*s to +3*s where s is the sample standard deviation
     (n-1 denominator) of ``values``; with the default three points that is
-    exactly {-3s, 0, 3s}.
+    exactly {-3s, 0, 3s}. Values too flat to scale to, or so large that 3s
+    overflows, raise ValueError; the latter names the largest value.
     """
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 2:
@@ -215,6 +221,12 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     s = _sample_spread(v)
     if s is None:
         raise ValueError("values have zero spread; cannot scale an error support")
+    if not math.isfinite(3.0 * s):
+        i = int(np.argmax(np.abs(v)))
+        raise ValueError(
+            f"values[{i}] = {float(v[i])!r} is too large to scale an error support to; "
+            "rescale the values"
+        )
     return np.linspace(-3.0 * s, 3.0 * s, n_points)
 
 

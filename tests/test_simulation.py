@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,15 @@ def test_error_support_is_symmetric_and_spans_zero(points):
 def test_error_support_rejects_constant_values():
     with pytest.raises(ValueError, match="zero spread"):
         build_error_support(np.full(10, 4.2))
+    # a deviation that overflows is a size problem, not a missing spread, and
+    # numpy's overflow warning stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            build_error_support([0.0, 1.0, 1e308])
+    assert str(info.value) == (
+        "values[2] = 1e+308 is too large to scale an error support to; rescale the values"
+    )
 
 
 def test_error_support_rejects_short_input():

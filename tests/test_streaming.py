@@ -95,6 +95,27 @@ def test_init_stream_rejects_non_uniform_prior():
 # ---------------------------------------------------------------------------
 
 
+UNDERFLOW_BETA_ROW = [-1.0, 0.0, 1.0]
+UNDERFLOW_ERROR_ROW = [-1e-3, 0.0, 1e-3]
+
+
+def underflowing_stream():
+    """40 observations for a batch of 20 on ``UNDERFLOW_BETA_ROW`` and ``UNDERFLOW_ERROR_ROW``.
+
+    Observation 25, just under the top of the hull, drives both coefficients
+    onto their largest support point; the other points underflow to zero, so
+    observation 30, inside the full hull, falls outside the live one, while
+    observation 31 stays inside it and is absorbed.
+    """
+    local = np.random.default_rng(3)
+    design = np.column_stack([np.ones(40), local.uniform(0.0, 1.0, 40)])
+    y = local.uniform(-0.5, 0.5, 40)
+    design[25:30, 1] = 1.0
+    y[25], y[26:30] = 2.0008, 2.0
+    y[31] = 1.0 + design[31, 1] + 2e-4
+    return y, design
+
+
 def stream_after_batch(n=20, batch=8, seed=11):
     y, design = simulated(n, seed)
     problem, error_row = batch_problem(y[:batch], design[:batch])
@@ -359,6 +380,33 @@ def test_ledger_entries_recompute_from_stored_states():
         assert after.entropy_ledger[-1] == pytest.approx(recomputed, abs=1e-15)
         assert len(after.entropy_ledger) == step
     assert all(e >= -1e-12 for e in states[-1].entropy_ledger)
+
+    # blocks of four (the multi-constraint solve) and a stream whose carried
+    # prior underflows to zero on some points, where the Gibbs form and the
+    # weights' KL pass round apart by up to 2e-14 on an entry of 1.6
+    state, y, design, error_row = stream_after_batch(n=30, batch=6, seed=61)
+    blocks = [state]
+    for start in range(6, 30, 4):
+        rows = slice(start, start + 4)
+        blocks.append(block_update(blocks[-1], y[rows], design[rows], error_row))
+    y, design = underflowing_stream()
+    grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
+    underflowed = [init_stream(GceProblem(y[:20], design[:20], grid))[0]]
+    for i in range(20, 40):
+        try:
+            underflowed.append(
+                update_step(underflowed[-1], y[i], design[i], UNDERFLOW_ERROR_ROW)
+            )
+        except InfeasibleObservationError:
+            pass
+    assert underflowed[-1].beta_prior.min() == 0.0
+    for states in (blocks, underflowed):
+        for before, after in zip(states, states[1:]):
+            entry = after.entropy_ledger[-1]
+            recomputed = kl_divergence(after.beta_prior, before.beta_prior).sum()
+            assert abs(entry - recomputed) <= 1e-13 * max(1.0, entry)
+            assert entry >= 0.0
+    assert max(underflowed[-1].entropy_ledger) > 1.0
 
 
 def test_ledger_rejects_negative_entries():
@@ -720,17 +768,10 @@ def test_infeasible_observations_are_skipped_as_in_a_fold(caplog, block_size):
 
 
 def test_an_underflowed_prior_takes_the_masked_hull_check(caplog):
-    # an observation just under the top of the hull drives both coefficients
-    # onto their largest support point; the other points underflow to zero,
-    # so later observations inside the full hull fall outside the live one
-    local = np.random.default_rng(3)
-    design = np.column_stack([np.ones(40), local.uniform(0.0, 1.0, 40)])
-    y = local.uniform(-0.5, 0.5, 40)
-    design[25:30, 1] = 1.0
-    y[25], y[26:30] = 2.0008, 2.0
-    y[31] = 1.0 + design[31, 1] + 2e-4  # inside the live hull: still absorbed
+    y, design = underflowing_stream()
     report = stream_and_fold(
-        caplog, y, design, 20, beta_support=[-1.0, 0.0, 1.0], error_support=[-1e-3, 0.0, 1e-3]
+        caplog, y, design, 20,
+        beta_support=UNDERFLOW_BETA_ROW, error_support=UNDERFLOW_ERROR_ROW,
     )
     assert np.array_equal(report.final_state.beta_prior, [[0.0, 0.0, 1.0]] * 2)
     assert any("underflowed" in m for m in caplog.messages)
