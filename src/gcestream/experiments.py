@@ -54,7 +54,7 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import GceProblem, GceSolution, SolverSettings, solve_gce
-from .streaming import UpdateSettings, run_stream
+from .streaming import _MIN_GAMMA, UpdateSettings, run_stream
 from .core import SupportGrid, _integer
 
 __all__ = [
@@ -134,6 +134,8 @@ class ScenarioConfig:
             raise ConfigError("block_sizes must be distinct positive integers")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie strictly in (0, 1)")
+        if self.gamma < _MIN_GAMMA:
+            raise ConfigError("gamma must be at least 2**-53 (about 1.1e-16)")
         object.__setattr__(
             self, "error_points", _integer(self.error_points, "error_points", ConfigError)
         )

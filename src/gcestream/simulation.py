@@ -192,15 +192,21 @@ ERROR_SCALES = ("batch", "cumulative", "full")
 def _sample_spread(v: np.ndarray) -> float | None:
     """The sample deviation of ``v``, or None when it is too flat to scale a row to.
 
-    Values so large that their squared deviations overflow give an infinite
-    deviation, without numpy's overflow warning; the callers name them.
+    Squared deviations overflow from about 1.3e154 on, so for a sample whose
+    largest magnitude passes 2**480 the deviation is taken again on the
+    sample scaled by 2**-544 and scaled back: powers of two move no bits,
+    ordinary data goes through one unscaled ``std``, before any other
+    temporary is allocated, and the deviation is infinite only where it is
+    not representable, which the callers name.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         s = float(v.std(ddof=1)) if v.size > 1 else 0.0
+    big = float(np.max(np.abs(v)))
+    if big > 2.0**480 and v.size > 1:
+        s = float((v * 2.0**-544).std(ddof=1)) * 2.0**544
     # constants that are not exactly representable leave a few ulps of fake
     # spread, so judge the deviation relative to the magnitude of the values
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-    if not s > floor:  # NaN included
+    if not s > 1e-12 * max(1.0, big):  # NaN included
         return None
     return s
 
@@ -210,8 +216,9 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
 
     The row runs from -3*s to +3*s where s is the sample standard deviation
     (n-1 denominator) of ``values``; with the default three points that is
-    exactly {-3s, 0, 3s}. Values too flat to scale to, or so large that 3s
-    overflows, raise ValueError; the latter names the largest value.
+    exactly {-3s, 0, 3s}. Values too flat to scale to, or so large that the
+    row's span 6s overflows, raise ValueError; the latter names the largest
+    value.
     """
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 2:
@@ -221,7 +228,7 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     s = _sample_spread(v)
     if s is None:
         raise ValueError("values have zero spread; cannot scale an error support")
-    if not math.isfinite(3.0 * s):
+    if not math.isfinite(6.0 * s):
         i = int(np.argmax(np.abs(v)))
         raise ValueError(
             f"values[{i}] = {float(v[i])!r} is too large to scale an error support to; "
@@ -247,8 +254,9 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
     relative floor, gets the fixed half-width ``3 * max(1, max|y|)`` so
     one-row and constant inputs stay solvable; otherwise the row is
     ``build_error_support``'s three-sigma row. Responses so large that the
-    half-width overflows raise ValueError naming the largest of them, before
-    any row is built.
+    square of the row's span, twice the half-width, overflows raise
+    ValueError naming the largest of them, before any row is built: the
+    solver squares deviations across a row, which such a row would overflow.
     """
     _check_error_scale(scale)
     if n_points < 2:
@@ -261,7 +269,8 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
         )
     s = _sample_spread(sample)
     half = 3.0 * (s if s is not None else max(1.0, float(np.max(np.abs(sample)))))
-    if not math.isfinite(half):
+    span = half + half
+    if not math.isfinite(span * span):
         i = int(np.argmax(np.abs(sample)))
         raise ValueError(
             f"response y[{i}] = {float(sample[i])!r} is too large to scale an "

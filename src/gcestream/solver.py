@@ -27,7 +27,8 @@ and never forms the dual value, which only the multi-constraint line search
 reads. It holds nothing of one observation between solves, so a stream
 builds it once for all its steps and gets the bits a new kernel would give.
 Its Newton iteration starts at lam = 0 from the prior weights' own moments
-(the Gibbs weights there are the prior), with no exponential.
+(the Gibbs weights there are the prior), with no exponential. Its iterates
+are formed in place and its curvature only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -259,14 +260,15 @@ class _DualPoint:
     pe: np.ndarray  # (m, H) error row weights
     beta_hat: np.ndarray
     eps_hat: np.ndarray
-    curv_beta: np.ndarray  # per-coefficient Hessian contribution
-    curv_eps: np.ndarray  # per-observation Hessian contribution
     # The coefficient rows' Gibbs terms, p_jk = q_jk * exp(-z_jk * t_j) / Z_j,
     # so KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j; a stream step reads its
     # ledger entry off them, clamped at zero per row as kl_divergence is,
     # instead of a second KL pass (within 1.5e-15 of that pass at n = 3840).
     tilt: np.ndarray  # (J,) t = x^T lam / signal_weight
     ln_zb: np.ndarray  # (J,) ln Z_j, the coefficient rows' log partitions
+    # Hessian contributions, formed and read by the multi-constraint path only
+    curv_beta: np.ndarray | None = None  # per coefficient
+    curv_eps: np.ndarray | None = None  # per observation
 
 
 def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,6 +297,8 @@ def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray
 
 def _log_priors(q: np.ndarray) -> np.ndarray:
     """log q, with -inf where the prior weight is below the clamp."""
+    if np.minimum.reduce(q, axis=None) >= ZERO_CLAMP:  # every weight is live: one log
+        return np.log(q)
     return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
 
 
@@ -348,7 +352,7 @@ class _DualEvaluator:
         value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
         grad = self.y - self.x @ beta_hat - eps_hat
         return _DualPoint(
-            value, grad, pb, pe.T, beta_hat, eps_hat, curv_beta, curv_eps, tilt, ln_zb
+            value, grad, pb, pe.T, beta_hat, eps_hat, tilt, ln_zb, curv_beta, curv_eps
         )
 
 
@@ -449,16 +453,19 @@ class _ScalarKernel:
     instead of two; a padding point has support 0 and prior weight 0, so it
     gets exactly zero weight.
 
-    Points are ``(grad, p, means, curv)``, stacked. ``start``'s point at
-    lam = 0 is the prior weights' own moments, equal to
-    ``_DualEvaluator.evaluate``'s to rounding. ``at`` does ``evaluate``'s
-    arithmetic, operation for operation, plus exact zeros from the padding,
-    so its points are bit-identical while ``max(K, H) < 8``, where numpy sums
-    a row in sequence. A log partition sum is finite exactly when its row's
-    maximum logit is, and a non-finite one makes the gradient NaN, so the
-    rows are checked only then. ``at`` keeps its tilt, row maxima and row
-    sums as ``last``, and ``solve`` forms ``ln Z`` from them once, for the
-    coefficient rows of its final point (J logs).
+    Points are ``(grad, p, means)``, stacked. ``start``'s point at lam = 0 is
+    the prior weights' own moments, equal to ``_DualEvaluator.evaluate``'s to
+    rounding. ``at`` does ``evaluate``'s arithmetic, operation for
+    operation, plus exact zeros from the padding, so its points are
+    bit-identical while ``max(K, H) < 8``, where numpy sums a row in
+    sequence; it runs them in place in one fresh logits buffer, on
+    ``(J+1, 1)`` columns of the observation and weights. A log partition sum
+    is finite exactly when its row's maximum logit is, and a non-finite one
+    makes the gradient NaN, so the rows are checked only then. ``curvature``
+    is formed only where a Newton step reads it, never at the final point.
+    ``at`` keeps its tilt, row maxima and row sums as ``last``, and
+    ``solve`` forms ``ln Z`` from them once, for the coefficient rows of its
+    final point (J logs).
     """
 
     def __init__(self, zb, log_qe_row, signal_weight: float, error_weight: float):
@@ -477,24 +484,29 @@ class _ScalarKernel:
         self.q = np.zeros((j + 1, width))
         shifted = np.exp(log_qe_row - np.maximum.reduce(log_qe_row))
         self.q[j, :h] = shifted / np.add.reduce(shifted)
-        # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error row
-        self.x_stack = np.zeros(j + 1)
-        self.x_stack[j] = 1.0
-        self.x = self.x_stack[None, :j]
-        self.w = np.empty(j + 1)
-        self.w[:j], self.w[j] = signal_weight, error_weight
+        # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error
+        # row; x @ means stays the (1, J) product that ``evaluate`` forms
+        self.x_col = np.zeros((j + 1, 1))
+        self.x_col[j] = 1.0
+        self.x = self.x_col[:j].T
+        self.w_col = np.empty((j + 1, 1))
+        self.w_col[:j], self.w_col[j] = signal_weight, error_weight
+        self.w = self.w_col[:, 0]
         self.y0 = 0.0
         self.last = None  # the last ``at``'s tilt, row maxima and row sums
 
     def _moments(self, p):
         # The ufunc reductions are what .sum calls, minus its Python wrapper.
-        # x @ means stays the (1, J) product that ``evaluate`` forms.
-        add = np.add.reduce
-        z = self.z
-        means = add(p * z, axis=1)
-        curv = add(p * (z - means[:, None]) ** 2, axis=1) / self.w
+        means = np.add.reduce(p * self.z, axis=1)
         j = self.shape[0]
-        return self.y0 - (self.x @ means[:j])[0] - means[j], p, means, curv
+        return self.y0 - (self.x @ means[:j])[0] - means[j], p, means
+
+    def curvature(self, p, means):
+        """Per stacked row, the Hessian contribution ``var_r / weight_r`` at ``(p, means)``."""
+        dev = self.z - means[:, None]
+        dev **= 2
+        dev *= p
+        return np.add.reduce(dev, axis=1) / self.w
 
     def start(self, qb, log_qb, y0, x_row, ze_row):
         """Load ``(y0, x_row)``, its error row ``ze_row`` and the prior ``qb``; the point at zero.
@@ -505,7 +517,7 @@ class _ScalarKernel:
         j, k, h = self.shape
         self.log_q[:j, :k] = log_qb
         self.z[j, :h] = ze_row
-        self.x_stack[:j] = x_row
+        self.x_col[:j, 0] = x_row
         self.y0 = y0
         p = self.q.copy()
         np.multiply(qb, log_qb > -np.inf, out=p[:j, :k])
@@ -513,13 +525,17 @@ class _ScalarKernel:
 
     def at(self, lam: float):
         """The point at the multiplier ``lam`` for the loaded observation."""
-        tilt = (self.x_stack * lam) / self.w
-        logits = self.log_q - self.z * tilt[:, None]
+        tilt = self.x_col * lam
+        tilt /= self.w_col
+        logits = self.z * tilt
+        np.subtract(self.log_q, logits, out=logits)
         top = np.maximum.reduce(logits, axis=1, keepdims=True)
-        shifted = np.exp(logits - top)
-        total = np.add.reduce(shifted, axis=1, keepdims=True)
+        logits -= top
+        np.exp(logits, out=logits)
+        total = np.add.reduce(logits, axis=1, keepdims=True)
+        logits /= total
         self.last = tilt, top, total
-        point = self._moments(shifted / total)
+        point = self._moments(logits)
         if not math.isfinite(point[0]):
             bad = ~np.isfinite(top[:, 0])
             if bad.any():
@@ -535,14 +551,15 @@ class _ScalarKernel:
         of opposite sign have been seen the root is bracketed and any Newton
         proposal escaping the bracket is replaced by its midpoint. Returns
         what ``_solve_multi`` returns, the multipliers, the final point and
-        the iteration count; the point's value is NaN. Without a step the
+        the iteration count; the point's value is NaN, its curvature None,
+        and its arrays are views of the last iterate. Without a step the
         point is the prior's own, whose tilt and log partitions are zero.
         """
         tol = settings.constraint_tolerance
         j, k, h = self.shape
         x_sq = x_row**2
         lam = 0.0
-        g, p, means, curv = self.start(qb, log_qb, y0, x_row, ze_row)
+        g, p, means = self.start(qb, log_qb, y0, x_row, ze_row)
         lo = hi = None
         iterations = 0
         while iterations < settings.max_iterations and abs(g) > tol:
@@ -551,6 +568,7 @@ class _ScalarKernel:
                 lo = lam
             else:
                 hi = lam
+            curv = self.curvature(p, means)
             hess = float(x_sq @ curv[:j] + curv[j])
             cand = lam - g / hess if hess > 0.0 and math.isfinite(hess) else None
             if lo is not None and hi is not None:
@@ -565,16 +583,15 @@ class _ScalarKernel:
             if cand == lam:
                 break  # bracket collapsed to machine resolution
             lam = cand
-            g, p, means, curv = self.at(lam)
+            g, p, means = self.at(lam)
             iterations += 1
         if iterations:
             tilt, top, total = self.last
-            tilt, ln_zb = tilt[:j], np.log(total[:j, 0]) + top[:j, 0]
+            tilt, ln_zb = tilt[:j, 0], np.log(total[:j, 0]) + top[:j, 0]
         else:
             tilt = ln_zb = np.zeros(j)
         pt = _DualPoint(
-            math.nan, np.array([g]), p[:j, :k], p[j:, :h], means[:j], means[j:],
-            curv[:j], curv[j:], tilt, ln_zb,
+            math.nan, np.array([g]), p[:j, :k], p[j:, :h], means[:j], means[j:], tilt, ln_zb
         )
         return np.array([lam]), pt, iterations
 
@@ -596,10 +613,11 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
         if kernel is None:
             kernel = _ScalarKernel(zb, log_qe[0], signal_weight, error_weight)
         lam, pt, iterations = kernel.solve(qb, log_qb, y[0], x[0], ze[0], settings)
+        residual = abs(float(pt.grad[0]))
     else:
         ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
-    residual = float(np.abs(pt.grad).max())
+        residual = float(np.abs(pt.grad).max())
     return lam, pt, SolverDiagnostics(
         iterations, residual, residual <= settings.constraint_tolerance
     )

@@ -24,10 +24,11 @@ carried prior has underflowed.
 Successive states share their logs, so absorbing a block costs the same
 however long the stream has run. One block step, ``_absorb``, absorbs every
 block: ``block_update`` calls it once, and ``run_stream`` calls it per block
-on plain arrays, each block's error rows and hull bounds resolved before the
-first solve, and builds one state, at the end. A one-observation block is
-solved by the solver's single-constraint kernel, which ``run_stream`` builds
-once per stream and ``block_update`` once per call.
+on plain arrays, each block's error rows and full-support hull test
+resolved before the first solve, carrying from step to step whether the
+prior is positive, and builds one state, at the end. A one-observation block
+is solved by the solver's single-constraint kernel, which ``run_stream``
+builds once per stream and ``block_update`` once per call.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _APPEND_LOCK = threading.Lock()
+
+_MIN_GAMMA = 2.0**-53  # the least gamma, as the least 1 - gamma can be
 
 
 def _low(values: Sequence[float], low: float = math.inf) -> float:
@@ -135,6 +138,8 @@ class UpdateSettings:
 
     ``gamma`` must be a real number strictly inside (0, 1); the endpoints
     would freeze the coefficient weights entirely or ignore the carried prior.
+    It must also be at least ``2**-53``, as ``1 - gamma`` is: a solve divides
+    by both, and near the smallest floats its first Newton step overflows.
     Every block of a stream is absorbed at the same ``gamma``. ``solver``
     must be a ``SolverSettings``.
     """
@@ -146,6 +151,8 @@ class UpdateSettings:
         gamma = self.gamma
         if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):
             raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
+        if gamma < _MIN_GAMMA:
+            raise ValueError(f"gamma must be at least 2**-53 (about 1.1e-16), got {gamma!r}")
         if not isinstance(self.solver, SolverSettings):
             raise ValueError(f"solver must be a SolverSettings, got {self.solver!r}")
 
@@ -255,7 +262,7 @@ def _check_block(y, x, zb, error_rows):
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
     checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to ``_absorb``, with bounds from ``_hull``.
+    is left to ``_absorb``, trusted where ``_inside`` says so.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -266,22 +273,23 @@ def _check_block(y, x, zb, error_rows):
     return y, x, rows
 
 
-def _hull(x, zb, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Per observation, the range of ``x_i . beta + eps_i`` over the full supports."""
+def _inside(y, x, zb, rows) -> np.ndarray:
+    """Whether each ``y_i`` lies strictly inside its ``x_i . beta + eps_i`` full-support hull."""
     lo, hi = _coefficient_hull(x, zb[:, 0], zb[:, -1])
-    return lo + rows[:, 0], hi + rows[:, -1]
+    return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
 
 
-def _absorb(carried, zb, y, x, rows, hull, settings, step_index, kernel=None):
+def _absorb(carried, zb, y, x, rows, trusted, settings, step_index, kernel=None):
     """The one block step: absorb a checked block into the carried ``(J, K)`` prior.
 
     ``rows`` holds one error support row per observation, each with a uniform
-    prior, and ``hull`` is the block's ``_hull``. The hull is checked before
-    any solve and an infeasible block raises InfeasibleObservationError
-    (indices local to the block). Returns the new prior (normalized Gibbs
-    rows), the block's error estimates, its ledger entry, the new
-    ``beta_hat`` and whether the solve converged. ``step_index`` only labels
-    the underflow warning.
+    prior. Unless ``trusted`` (every carried weight positive and the block
+    ``_inside``), the live hull is checked before any solve and an infeasible
+    block raises InfeasibleObservationError (indices local to the block).
+    Returns the new prior (normalized Gibbs rows), the block's error
+    estimates, its ledger entry, the new ``beta_hat``, whether the solve
+    converged and whether the new prior is positive. ``step_index`` only
+    labels the underflow warning.
 
     The ledger entry is the KL divergence of the new prior from ``carried``,
     formed from the final point's tilt t and log partitions ln Z as
@@ -296,27 +304,29 @@ def _absorb(carried, zb, y, x, rows, hull, settings, step_index, kernel=None):
     prior's moments.
     """
     qe, log_qe = _uniform_error_prior(rows.shape[1])
-    if not (carried.min() > 0.0 and ((hull[0] < y) & (y < hull[1])).all()):
+    if not trusted:
         # only live points count; the renormalized prior below is positive
         # exactly where the carried one is
         _check_hull(y, x, zb, carried, rows, qe)
 
     # the prior a JointDistribution would hold: renormalized rows
-    qb = carried / carried.sum(axis=1)[:, None]
+    add = np.add.reduce
+    qb = carried / add(carried, axis=1, keepdims=True)
     gamma = settings.gamma
     _, pt, diagnostics = _solve_dual(
         y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
     )
 
-    prior = pt.pb / pt.pb.sum(axis=1)[:, None]
-    if prior.min() <= 0.0:
+    prior = pt.pb / add(pt.pb, axis=1, keepdims=True)
+    lowest = prior.min()
+    if lowest <= 0.0:
         logger.warning(
             "carried prior underflowed to zero on some support points at step %d; "
             "those points are frozen out for the rest of the stream",
             step_index,
         )
-    moved = float(np.add.reduce(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0)))
-    return prior, pt.eps_hat, moved, pt.beta_hat, diagnostics.converged
+    moved = float(add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0)))
+    return prior, pt.eps_hat, moved, pt.beta_hat, diagnostics.converged, lowest > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +388,10 @@ def block_update(
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
     y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
-    prior, eps, moved, beta_hat, converged = _absorb(
-        state.beta_prior, zb, y, x, rows, _hull(x, zb, rows), settings, state.step_index
+    carried = state.beta_prior
+    trusted = carried.min() > 0.0 and _inside(y, x, zb, rows).all()
+    prior, eps, moved, beta_hat, converged, _ = _absorb(
+        carried, zb, y, x, rows, trusted, settings, state.step_index
     )
     return StreamState(
         beta_prior=prior,
@@ -447,11 +459,11 @@ def run_stream(
     included, is built and checked then. On valid data the result is a left
     fold of ``block_update`` over the blocks, bit for bit, with the same
     skips and warnings, for every ``UpdateSettings``: each block goes
-    through the same block step on carried arrays, with its hull bounds
-    computed once for the stream, and one ``StreamState`` is built at the
-    end. The stream builds one single-constraint kernel for its
-    one-observation blocks, with Newton starting at the carried prior's
-    moments.
+    through the same block step on carried arrays, with the full-support
+    hull tested once for the stream and the prior's positivity carried from
+    the step before, and one ``StreamState`` is built at the end. The stream
+    builds one single-constraint kernel for its one-observation blocks, with
+    Newton starting at the carried prior's moments.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     batch_size = _integer(batch_size, "batch_size")
@@ -494,20 +506,21 @@ def run_stream(
         state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
         batch_solution = None
 
-    lo, hi = _hull(x, zb, rows)
+    inside = _inside(y, x, zb, rows).tolist()
     log_qe = _uniform_error_prior(rows.shape[1])[1]
     kernel = _ScalarKernel(zb, log_qe[0], settings.gamma, 1.0 - settings.gamma)
     carried, step = state.beta_prior, state.step_index
+    positive = carried.min() > 0.0
     epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
     trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
     skipped: list[int] = []
     for ordinal, start in enumerate(range(batch_size, n, block_size)):
         stop = min(start + block_size, n)
         block = slice(start, stop)
+        trusted = positive and all(inside[block])
         try:
-            carried, eps, moved, beta_hat, converged = _absorb(
-                carried, zb, y[block], x[block], rows[block], (lo[block], hi[block]),
-                settings, step, kernel,
+            carried, eps, moved, beta_hat, converged, positive = _absorb(
+                carried, zb, y[block], x[block], rows[block], trusted, settings, step, kernel
             )
         except InfeasibleObservationError as exc:
             skipped.extend(range(start, stop))

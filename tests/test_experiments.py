@@ -237,6 +237,7 @@ def test_bad_scenario_values_keep_their_position():
         ("block_sizes", [0], "block_sizes must be distinct positive integers"),
         ("gamma", 0.0, "gamma must lie strictly in (0, 1)"),
         ("gamma", 1.0, "gamma must lie strictly in (0, 1)"),
+        ("gamma", 1e-308, "gamma must be at least 2**-53"),
         ("error_points", 1, "error_points must be at least 2"),
     ]
     for key, value, fragment in cases:

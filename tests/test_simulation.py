@@ -15,7 +15,7 @@ from gcestream import (
     save_dataset_csv,
     standardize_columns,
 )
-from gcestream.simulation import ERROR_SCALES, _scaled_error_support
+from gcestream.simulation import ERROR_SCALES, _sample_spread, _scaled_error_support
 
 rng = np.random.default_rng(271828)
 
@@ -235,6 +235,21 @@ def test_error_support_rejects_constant_values():
     assert str(info.value) == (
         "values[2] = 1e+308 is too large to scale an error support to; rescale the values"
     )
+
+
+def test_error_support_scales_to_a_spread_whose_squares_overflow():
+    # a sample this large is scaled by a power of two for std, so a deviation
+    # of 1e200 is found although its square is not representable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = build_error_support([0.0, 1e200, -1e200])
+        # the unscaled attempt's mean overflows to inf - inf here, silently
+        spread = _sample_spread(np.array([1e308, -1e308] * 9))
+    np.testing.assert_allclose(row, np.linspace(-3e200, 3e200, 3), rtol=1e-15, atol=0.0)
+    assert spread == pytest.approx(1e308 * math.sqrt(18 / 17), rel=1e-15)
+    # the stream's policy refuses the row: the solver would square its span
+    with pytest.raises(ValueError, match=r"^response y\[1\] = 1e\+200 is too large"):
+        _scaled_error_support(np.array([0.0, 1e200, -1e200]), 3, "batch", 3)
 
 
 def test_error_support_rejects_short_input():

@@ -282,9 +282,13 @@ def loaded_kernel(problem, signal_weight, error_weight):
 
 
 def unstacked(kernel, point):
-    """A kernel point as ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``."""
+    """A kernel point and ``curvature``'s rows for it, unstacked.
+
+    Returns ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``.
+    """
     j, k, h = kernel.shape
-    grad, p, means, curv = point
+    grad, p, means = point
+    curv = kernel.curvature(p, means)
     return grad, p[:j, :k], p[j, :h], means[:j], means[j], curv[:j], curv[j]
 
 
@@ -360,6 +364,32 @@ def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
     np.testing.assert_allclose(sol.epsilon_hat, full.eps_hat, **exact)
     np.testing.assert_allclose(sol.distributions.beta, full.pb, **exact)
     np.testing.assert_allclose(sol.distributions.error, full.pe, **exact)
+
+
+def test_one_observation_verdict_reads_the_lone_residual():
+    # the m = 1 residual is |grad[0]|, and the verdict compares it with the
+    # tolerance as the multi-constraint path does, boundary included
+    problem = lean_scalar_problem()
+    grid, prior = problem.supports, problem.prior
+    args = (
+        problem.y, problem.x, grid.beta_support, grid.error_support, prior.beta,
+        solver._log_priors(prior.error), 0.3, 0.7,
+    )
+    verdicts = []
+    for settings in (SolverSettings(), SolverSettings(max_iterations=1)):
+        _, pt, diagnostics = solver._solve_dual(*args, settings)
+        assert pt.grad.shape == (1,)
+        assert diagnostics.max_residual == abs(pt.grad[0])
+        assert diagnostics.converged == (
+            diagnostics.max_residual <= settings.constraint_tolerance
+        )
+        verdicts.append((diagnostics.iterations, diagnostics.converged))
+    assert verdicts[0][0] > 1 and verdicts[0][1]
+    assert verdicts[1] == (1, False)
+    # a tolerance exactly at the capped solve's residual accepts it
+    residual = solver._solve_dual(*args, SolverSettings(max_iterations=1))[2].max_residual
+    tight = SolverSettings(constraint_tolerance=residual, max_iterations=1)
+    assert solver._solve_dual(*args, tight)[2] == solver.SolverDiagnostics(1, residual, True)
 
 
 @pytest.mark.parametrize("x, row", [(4.0, "coefficient row 0"), (0.0, "error row 0")])

@@ -915,6 +915,40 @@ def test_run_stream_takes_one_error_support_row(monkeypatch, block_size, rows, m
     assert flat.final_state.supports.error_support.shape == (20, 3)
 
 
+def test_an_underflowed_prior_checks_the_hull_of_every_later_step(monkeypatch):
+    # positivity is carried from each step's underflow check: once a carried
+    # weight is zero, every later step checks its live hull
+    import gcestream.streaming as streaming_module
+
+    y, design = underflowing_stream()
+    grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
+    states = [init_stream(GceProblem(y[:20], design[:20], grid))[0]]
+    skipped, first_zero = [], None
+    for i in range(20, 40):
+        try:
+            states.append(update_step(states[-1], y[i], design[i], UNDERFLOW_ERROR_ROW))
+        except InfeasibleObservationError:
+            skipped.append(i)
+            continue
+        if first_zero is None and states[-1].beta_prior.min() == 0.0:
+            first_zero = i
+    assert first_zero is not None and first_zero < 39
+
+    checked = []
+    check_hull = streaming_module._check_hull
+
+    def counted(y_block, *args):
+        checked.append(float(y_block[0]))
+        check_hull(y_block, *args)
+
+    monkeypatch.setattr(streaming_module, "_check_hull", counted)
+    report = run_stream(
+        y, design, 20, beta_support=UNDERFLOW_BETA_ROW, error_support=UNDERFLOW_ERROR_ROW
+    )
+    assert checked == y[first_zero + 1 :].tolist()
+    assert_stream_is_the_fold(report, states[-1], tuple(skipped))
+
+
 def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
     built = []
     post_init = StreamState.__post_init__
@@ -954,8 +988,8 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
     # the point at lam = 0 comes from the carried prior's moments, so each
     # kernel evaluation is one Newton iteration, and one kernel serves the stream
     kernel = solver._ScalarKernel
-    built, evaluations, iterations = [], [], []
-    init, at, solve = kernel.__init__, kernel.at, kernel.solve
+    built, evaluations, iterations, curvatures = [], [], [], []
+    init, at, solve, curvature = kernel.__init__, kernel.at, kernel.solve, kernel.curvature
 
     def counted_init(self, *args):
         built.append(args)
@@ -970,15 +1004,24 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
         iterations.append(result[2])
         return result
 
+    def counted_curvature(self, p, means):
+        curvatures.append(self)
+        return curvature(self, p, means)
+
     monkeypatch.setattr(kernel, "__init__", counted_init)
     monkeypatch.setattr(kernel, "at", counted_at)
     monkeypatch.setattr(kernel, "solve", counted_solve)
+    monkeypatch.setattr(kernel, "curvature", counted_curvature)
     y, design = simulated(60, seed=231)
     report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
     assert report.skipped == () and report.all_converged
     assert len(built) == 1
     assert len(iterations) == 40 and sum(iterations) > 40
     assert len(evaluations) == sum(iterations)
+    # curvature is formed once per Newton step, never at a solve's final
+    # point: one fewer than the points each solve evaluates (start's and at's)
+    assert len(curvatures) == sum(iterations)
+    assert len(curvatures) == len(evaluations) + len(iterations) - 40
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1033,21 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
 def test_gamma_must_be_strictly_interior(gamma):
     with pytest.raises(ValueError, match=r"^gamma must lie strictly in \(0, 1\), got "):
         UpdateSettings(gamma=gamma)
+
+
+def test_gamma_below_the_least_error_weight_is_refused():
+    # 1 - gamma is never below 2**-53, and gamma may not be either: the solve
+    # divides by both, and near the smallest floats the first Newton step's
+    # tilt and curvature overflowed
+    refused = r"^gamma must be at least 2\*\*-53 \(about 1\.1e-16\), got "
+    for gamma in (1e-308, 5e-324, 2.0**-54):
+        with pytest.raises(ValueError, match=refused):
+            UpdateSettings(gamma=gamma)
+    # the least gamma accepted solves every one-observation step
+    y, design = simulated(60, seed=231)
+    settings = UpdateSettings(gamma=2.0**-53)
+    report = run_stream(y, design, 20, settings=settings, beta_support=BETA_ROW)
+    assert report.skipped == () and report.all_converged
 
 
 @pytest.mark.parametrize("solver_settings", [None, {"max_iterations": 5}, 1e-8])
