@@ -67,17 +67,18 @@ def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np
     renormalized unless ``renormalize`` is false, which keeps weights that
     were normalized before bit for bit.
     """
-    w = np.atleast_2d(np.array(values, dtype=float, order="C"))
+    w = np.array(values, dtype=float, order="C", ndmin=2)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
         raise ValueError(f"{name} must be one or more rows of at least two entries")
-    if not np.isfinite(w).all():
-        raise ValueError(f"{name} must be finite")
-    if (w < 0.0).any():
+    # every weight finite and nonnegative, from the two extremes (NaN fails both)
+    if not (np.minimum.reduce(w, axis=None) >= 0.0 and np.maximum.reduce(w, axis=None) < np.inf):
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} must be finite")
         raise ValueError(f"{name} must be nonnegative, got min {w.min()!r}")
     total = _row_sums(w)
-    off = np.abs(total - 1.0) > SUM_TOLERANCE
-    if off.any():
-        row = int(np.argmax(off))
+    off = np.abs(total - 1.0)
+    if np.maximum.reduce(off) > SUM_TOLERANCE:
+        row = int(np.argmax(off > SUM_TOLERANCE))
         raise ValueError(
             f"{name} row {row} sums to {total[row]!r}, expected 1 within {SUM_TOLERANCE}"
         )
@@ -87,17 +88,35 @@ def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np
     return w
 
 
+#: Support points no larger than this in magnitude span at most 2**511, whose
+#: square is finite; only a wider row needs its span squared.
+_SAFE_SUPPORT = 2.0**510
+
+
 def _support_rows(values, name: str) -> np.ndarray:
     """Validate a stack of support rows and return a read-only copy.
 
     Rows must be finite and strictly increasing with at least two points; a
-    1-D input is one row.
+    1-D input is one row. The square of a row's span must be finite too:
+    the solver squares deviations across a row, which a wider row would
+    overflow. One test of the largest magnitude clears every row of
+    ordinary size.
     """
-    rows = np.atleast_2d(np.array(values, dtype=float))
+    rows = np.array(values, dtype=float, ndmin=2)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise ValueError(f"{name} must be 2-D with at least 2 columns")
-    if not np.isfinite(rows).all():
-        raise ValueError(f"{name} must be finite")
+    if not np.abs(rows).max() <= _SAFE_SUPPORT:  # NaN included
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name} must be finite")
+        with np.errstate(over="ignore"):
+            squared = (rows[:, -1] - rows[:, 0]) ** 2
+        if not np.isfinite(squared).all():
+            row = int(np.argmin(np.isfinite(squared)))
+            lo, hi = float(rows[row, 0]), float(rows[row, -1])
+            raise ValueError(
+                f"{name} row {row} spans [{lo!r}, {hi!r}], too wide: "
+                "the square of its span overflows; rescale the data and the supports"
+            )
     if (rows[:, 1:] <= rows[:, :-1]).any():
         raise ValueError(f"{name} rows must be strictly increasing")
     rows.setflags(write=False)
@@ -107,7 +126,9 @@ def _support_rows(values, name: str) -> np.ndarray:
 def _error_rows(values) -> np.ndarray:
     """``_support_rows`` for error supports, whose rows must also span zero."""
     rows = _support_rows(values, "error_support")
-    if (rows[:, 0] >= 0.0).any() or (rows[:, -1] <= 0.0).any():
+    # the rows are finite and increasing: every first point below zero and
+    # every last one above it
+    if not rows[:, 0].max() < 0.0 < rows[:, -1].min():
         raise ValueError("every error_support row must span zero (min < 0 < max)")
     return rows
 

@@ -8,11 +8,22 @@ reports plus plot-ready figure data. Every method's rmse is computed over all
 n observations with that method's final coefficients, so columns are directly
 comparable.
 
+Cells run in three steps. Each cell is planned first: its dataset, its
+one-shot fits, and its streams prepared, each fraction's batch fit solved
+once and shared by the streams on the raw design. Then the streams of every
+planned cell are folded together (``streaming._fold``), so one stacked
+kernel call advances the one-observation steps of all of them. Then each
+cell is scored. A cell fails alone when its planning or one of its streams
+raises.
+
 Replication seeds are derived from (seed_base, scenario name, eta index,
 replication index) through a seed sequence, so runs are reproducible cell by
-cell and independent across cells. Cells can execute in a process pool; the
-emitted files are byte-identical regardless of worker count because rows are
-sorted and timing values are withheld unless explicitly requested.
+cell and independent across cells. With ``jobs`` workers the cells are split
+into ``jobs`` groups, each planned, folded and scored in one worker process
+by the same function a single process uses; the emitted files are
+byte-identical regardless of worker count because a stream's results do not
+depend on what it is folded with, rows are sorted, and timing values are
+withheld unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import GceProblem, GceSolution, SolverSettings, solve_gce
-from .streaming import _MIN_GAMMA, UpdateSettings, run_stream
+from .streaming import _MIN_GAMMA, UpdateSettings, _fold, _prepare_stream, run_stream
 from .core import SupportGrid, _integer
 
 __all__ = [
@@ -282,7 +293,13 @@ class CellOutcome:
 
     ``method_seconds`` holds one entry per distinct estimation run (methods
     shared across batch fractions appear once); their sum accounts for
-    ``estimation_seconds``, the wall time of the whole estimation section.
+    ``estimation_seconds``, the time of the whole estimation section. A
+    fraction's batch fit is charged to ``gce_batch``, which the streams on
+    the raw design start from without solving it again. A stream is charged
+    its preparation and its share of the fold: its wider blocks' solves, and
+    an equal share of each round it took part in. The estimation section is
+    the cell's planning and scoring plus its streams' shares, its wall time
+    when the cell is folded alone, as ``run_cell`` folds it.
     """
 
     reports: tuple[RunReport, ...]
@@ -304,14 +321,76 @@ def _fit_plain(y, design, support_row, error_row, solver: SolverSettings) -> Gce
     return solve_gce(GceProblem(y, design, grid), solver)
 
 
-def run_cell(
-    scenario: ScenarioConfig, eta: float, seed: int, solver: SolverSettings | None = None
-) -> CellOutcome:
-    """Run every configured method on one generated dataset.
+@dataclass
+class _CellPlan:
+    """A cell after planning: its one-shot results and its streams, ready to fold.
 
-    Produces one RunReport per batch fraction. The dataset-level fit does not
-    depend on the fraction and is computed once, then reported in every
-    fraction's table row for side-by-side reading.
+    ``fractions`` holds per batch fraction its one-shot results and its
+    streams, each as its ``method_seconds`` key, method, g, the regressors
+    it is scored on and the prepared stream, in report order.
+    ``method_seconds`` holds the wall time charged so far per method, and
+    ``planning_seconds`` that of the whole planning.
+    """
+
+    scenario: ScenarioConfig
+    eta: float
+    seed: int
+    n: int
+    y_fit: np.ndarray
+    fractions: list
+    method_seconds: dict
+    planning_seconds: float
+
+    @property
+    def streams(self) -> list:
+        """Every prepared stream of the cell, in report order."""
+        return [entry[-1] for _, _, entries in self.fractions for entry in entries]
+
+    def finish(self, folded) -> CellOutcome:
+        """Score the cell on its folded streams, given as (report, seconds charged) in order.
+
+        Raises the first exception a stream of the cell raised.
+        """
+        t0 = time.perf_counter()
+        est_int = self.scenario.estimate_intercept
+        method_seconds = dict(self.method_seconds)
+        charged = 0.0
+        folded = iter(folded)
+        reports = []
+        for fraction, one_shot, entries in self.fractions:
+            results = list(one_shot)
+            for key, method, g, x_eval, _ in entries:
+                report, dt = next(folded)
+                if isinstance(report, Exception):
+                    raise report
+                method_seconds[key] += dt
+                charged += dt
+                converged = report.all_converged and not report.skipped
+                score = rmse(self.y_fit, x_eval, report.beta_hat, include_intercept=est_int)
+                wallclock_ms = method_seconds[key] * 1e3
+                results.append(MethodResult(method, score, g, converged, wallclock_ms))
+            reports.append(
+                RunReport(
+                    n=self.n,
+                    batch_fraction=float(fraction),
+                    eta=float(self.eta),
+                    seed=self.seed,
+                    results=tuple(results),
+                )
+            )
+        return CellOutcome(
+            reports=tuple(reports),
+            method_seconds=method_seconds,
+            estimation_seconds=self.planning_seconds + charged + time.perf_counter() - t0,
+        )
+
+
+def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
+    """Generate one cell's dataset, run its one-shot fits and prepare its streams.
+
+    Each batch fraction's one-shot batch fit is solved once: the streams on
+    the raw design at that fraction solve the same problem for their batch,
+    so they start from it.
     """
     solver = solver if solver is not None else SolverSettings()
     sim = replace(scenario.simulation, eta=float(eta), seed=seed, standardize=False)
@@ -321,35 +400,19 @@ def run_cell(
     design = np.column_stack([np.ones(ds.n), ds.x]) if est_int else ds.x
     support_row = np.asarray(sim.beta_support)
     update_settings = UpdateSettings(gamma=scenario.gamma, solver=solver)
+    clock = time.perf_counter
     method_seconds: dict[str, float] = {}
 
-    def timed(key, method, g, x_eval, fit, *args) -> MethodResult:
-        t0 = time.perf_counter()
-        beta_hat, converged = fit(*args)
-        method_seconds[key] = dt = time.perf_counter() - t0
-        score = rmse(y_fit, x_eval, beta_hat, include_intercept=est_int)
-        return MethodResult(method, score, g, converged, dt * 1e3)
-
-    def plain(stop, error_row):
+    def plain(key, method, stop, error_row):
+        t0 = clock()
         fit = _fit_plain(y_fit[:stop], design[:stop], support_row, error_row, solver)
-        return fit.beta_hat, fit.diagnostics.converged
+        method_seconds[key] = dt = clock() - t0
+        score = rmse(y_fit, ds.x, fit.beta_hat, include_intercept=est_int)
+        return fit, MethodResult(method, score, None, fit.diagnostics.converged, dt * 1e3)
 
-    def stream(x_design, m, g):
-        report = run_stream(
-            y_fit,
-            x_design,
-            batch_size=m,
-            block_size=g,
-            settings=update_settings,
-            beta_support=support_row,
-            error_points=scenario.error_points,
-            error_scale=scenario.error_scale,
-        )
-        return report.beta_hat, report.all_converged and not report.skipped
-
-    t_start = time.perf_counter()
+    t_start = clock()
     full_row = _scaled_error_support(y_fit, ds.n, "full", scenario.error_points)
-    full_result = timed("gce_dataset", "gce_dataset", None, ds.x, plain, ds.n, full_row)
+    _, full_result = plain("gce_dataset", "gce_dataset", ds.n, full_row)
     # one stream per block size, plus the standardized design when requested:
     # (method, g, method_seconds key suffix, design, regressors it is scored on)
     variants = [
@@ -360,32 +423,72 @@ def run_cell(
         x_std, _, _ = standardize_columns(ds.x)
         variants.append(("stre_gce_std", 1, "", np.column_stack([np.ones(ds.n), x_std]), x_std))
 
-    reports = []
+    fractions = []
     for fraction in scenario.batch_fractions:
         m = int(round(fraction * ds.n))
         batch_row = _scaled_error_support(y_fit, m, scenario.error_scale, scenario.error_points)
-        results = [
-            full_result,
-            timed(f"gce_batch@{fraction}", "gce_batch", None, ds.x, plain, m, batch_row),
-        ]
+        batch_fit, batch_result = plain(f"gce_batch@{fraction}", "gce_batch", m, batch_row)
+        streams = []
+        fractions.append((fraction, (full_result, batch_result), streams))
         for name, g, suffix, x_design, x_eval in variants:
             key = f"{name}@{fraction}{suffix}"
-            results.append(timed(key, name, g, x_eval, stream, x_design, m, g))
-        reports.append(
-            RunReport(
-                n=ds.n,
-                batch_fraction=float(fraction),
-                eta=float(eta),
-                seed=seed,
-                results=tuple(results),
+            t0 = clock()
+            stream = _prepare_stream(
+                y_fit, x_design, m, g, update_settings, beta_support=support_row,
+                error_support=None, error_points=scenario.error_points,
+                error_scale=scenario.error_scale,
+                batch_fit=batch_fit if x_design is design else None,
             )
-        )
+            method_seconds[key] = clock() - t0
+            streams.append((key, name, g, x_eval, stream))
+    planning = clock() - t_start
+    return _CellPlan(scenario, eta, seed, ds.n, y_fit, fractions, method_seconds, planning)
 
-    return CellOutcome(
-        reports=tuple(reports),
-        method_seconds=method_seconds,
-        estimation_seconds=time.perf_counter() - t_start,
-    )
+
+def _run_cells(tasks) -> list:
+    """Plan every cell, fold all of their streams together, then score each cell.
+
+    ``tasks`` holds ``run_cell``'s arguments per cell. Returns per cell its
+    ``CellOutcome``, or the exception that failed it: a cell fails when its
+    planning raises or one of its streams does, and no other cell fails
+    with it.
+    """
+    plans = []
+    for args in tasks:
+        try:
+            plans.append(_plan_cell(*args))
+        except Exception as exc:
+            plans.append(exc)
+    live = [plan for plan in plans if isinstance(plan, _CellPlan)]
+    reports, charged = _fold([stream for plan in live for stream in plan.streams])
+    folded = iter(zip(reports, charged))
+    outcomes = []
+    for plan in plans:
+        if isinstance(plan, Exception):
+            outcomes.append(plan)
+            continue
+        mine = [next(folded) for _ in plan.streams]
+        try:
+            outcomes.append(plan.finish(mine))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def run_cell(
+    scenario: ScenarioConfig, eta: float, seed: int, solver: SolverSettings | None = None
+) -> CellOutcome:
+    """Run every configured method on one generated dataset.
+
+    Produces one RunReport per batch fraction. The dataset-level fit does not
+    depend on the fraction and is computed once, then reported in every
+    fraction's table row for side-by-side reading. The cell's streams are
+    folded together, as ``run_experiment`` folds the streams of many cells.
+    """
+    (outcome,) = _run_cells([(scenario, eta, seed, solver)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +555,31 @@ def run_experiment(
                 label = f"{scenario.name}[eta={eta}, rep={rep}, seed={seed}]"
                 tasks.append((label, (scenario, eta, seed, config.solver)))
 
+    # each worker folds the streams of every jobs-th cell
+    groups = [range(w, len(tasks), config.jobs) for w in range(min(config.jobs, len(tasks)))]
+    results: list = [None] * len(tasks)
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            futures = [
+                (group, pool.submit(_run_cells, [tasks[i][1] for i in group])) for group in groups
+            ]
+            for group, future in futures:
+                try:
+                    done = future.result()
+                except Exception as exc:
+                    done = [exc] * len(group)
+                for i, outcome in zip(group, done):
+                    results[i] = outcome
+    else:
+        results = _run_cells([args for _, args in tasks])
+
     outcomes: list[CellOutcome] = []
     failures: list[str] = []
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [(label, pool.submit(run_cell, *args)) for label, args in tasks]
-            for label, future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    failures.append(f"{label}: {exc}")
-    else:
-        for label, args in tasks:
-            try:
-                outcomes.append(run_cell(*args))
-            except Exception as exc:
-                failures.append(f"{label}: {exc}")
+    for (label, _), outcome in zip(tasks, results):
+        if isinstance(outcome, Exception):
+            failures.append(f"{label}: {outcome}")
+        else:
+            outcomes.append(outcome)
 
     reports = tuple(r for outcome in outcomes for r in outcome.reports)
     written = []

@@ -20,15 +20,19 @@ domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
 The solver works on plain arrays (data, supports, prior weights), so the
-streaming updates solve without building a ``GceProblem``. A single
-constraint (m = 1: a one-observation fit or streaming step) has one path, a
-kernel that stacks the coefficient rows and the lone error row into one array
-and never forms the dual value, which only the multi-constraint line search
-reads. It holds nothing of one observation between solves, so a stream
-builds it once for all its steps and gets the bits a new kernel would give.
-Its Newton iteration starts at lam = 0 from the prior weights' own moments
-(the Gibbs weights there are the prior), with no exponential. Its iterates
-are formed in place and its curvature only where a Newton step reads it.
+streaming updates solve without building a ``GceProblem``. Solves of a single
+constraint (m = 1: a one-observation fit or streaming step) have one path, a
+kernel over a stack of S such problems that share their coefficient supports,
+error prior and weights: every problem's coefficient rows and lone error row
+are rows of one array, so one set of numpy calls advances every problem of
+the stack, and a stack of one serves a single solve. Each problem keeps its
+own Newton control and gets the bits it would get alone. The kernel never
+forms the dual value, which only the multi-constraint line search reads, and
+holds nothing of a problem between solves, so a stream, or a fold of many
+streams, builds it once for all its steps. Its Newton iteration starts at
+lam = 0 from the prior weights' own moments (the Gibbs weights there are the
+prior), with no exponential. Its iterates are formed in place and its
+curvature only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -81,6 +85,7 @@ class InfeasibleObservationError(ValueError):
 
     def __init__(self, indices, lo, hi, boundary: bool = False):
         self.indices = tuple(int(i) for i in indices)
+        self.lo, self.hi = lo, hi
         self.boundary = bool(boundary)
         where = ", ".join(str(i) for i in self.indices)
         if boundary:
@@ -91,6 +96,11 @@ class InfeasibleObservationError(ValueError):
         else:
             msg = f"observation(s) {where} fall outside the attainable hull [{lo!r}, {hi!r}]"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so a worker process can
+        # send one back to the parent
+        return type(self), (self.indices, self.lo, self.hi, self.boundary)
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,11 @@ class GceSolution:
 
 @dataclass(frozen=True)
 class _DualPoint:
-    """Everything the iteration needs at one multiplier vector."""
+    """Everything the iteration needs at one multiplier vector.
+
+    The shapes below are one problem's; ``_solve_dual`` returns a stack of
+    problems with a leading axis on every array.
+    """
 
     value: float  # NaN from the single-constraint path, which never reads it
     grad: np.ndarray
@@ -442,91 +456,126 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     return lam, pt, iterations
 
 
-class _ScalarKernel:
-    """Single-constraint solves on one stacked support, built once and reused.
+class _StackKernel:
+    """One-observation solves for a stack of S problems, built once and reused.
 
     Built from the coefficient supports ``zb`` (J, K), the error row's log
-    prior weights ``log_qe_row`` (H,) and the two objective weights; each
-    solve brings its own observation, coefficient prior and error support
-    row. The J coefficient rows and the error row live in one
-    ``(J+1, max(K, H))`` stack, so an iterate costs one set of numpy calls
-    instead of two; a padding point has support 0 and prior weight 0, so it
-    gets exactly zero weight.
+    prior weights ``log_qe_row`` (H,) and the two objective weights, which
+    every problem of a stack shares; each solve brings, per problem, its
+    observation, coefficient prior and error support row. A problem's J
+    coefficient rows and its error row are J+1 consecutive rows of one
+    ``(S * (J+1), max(K, H))`` stack, so an iterate of the whole stack costs
+    one set of numpy calls on 2-D arrays; a padding point has support 0 and
+    prior weight 0, so it gets exactly zero weight. The buffers grow to the
+    largest stack solved and are sliced to each solve's S.
 
-    Points are ``(grad, p, means)``, stacked. ``start``'s point at lam = 0 is
-    the prior weights' own moments, equal to ``_DualEvaluator.evaluate``'s to
-    rounding. ``at`` does ``evaluate``'s arithmetic, operation for
-    operation, plus exact zeros from the padding, so its points are
-    bit-identical while ``max(K, H) < 8``, where numpy sums a row in
-    sequence; it runs them in place in one fresh logits buffer, on
-    ``(J+1, 1)`` columns of the observation and weights. A log partition sum
-    is finite exactly when its row's maximum logit is, and a non-finite one
-    makes the gradient NaN, so the rows are checked only then. ``curvature``
-    is formed only where a Newton step reads it, never at the final point.
-    ``at`` keeps its tilt, row maxima and row sums as ``last``, and
-    ``solve`` forms ``ln Z`` from them once, for the coefficient rows of its
-    final point (J logs).
+    Points are ``(grad, p, means)``: the gradient as a list of S floats,
+    the stacked row weights and the ``(S * (J+1), 1)`` row means.
+    ``start``'s point at lam = 0 is the prior weights' own moments, equal to
+    ``_DualEvaluator.evaluate``'s to rounding. ``at`` does ``evaluate``'s
+    arithmetic, operation for operation, plus exact zeros from the padding,
+    in place in one fresh logits buffer; every row is reduced along its last
+    axis, and a problem's row means are dotted with its observation by
+    ``matmul`` of ``(S, 1, J) @ (S, J, 1)``, the dot product ``evaluate``
+    forms, with the scalar steps around it in Python floats, numpy's
+    float64 operations. So a problem's points are bit-identical to
+    ``evaluate``'s while ``max(K, H) < 8``, where numpy sums a row in
+    sequence, and they do not depend on the other problems of the stack. A
+    log partition sum is finite exactly when its row's maximum logit is,
+    and a non-finite one makes the gradient NaN, so the rows are checked
+    only then. ``curvature`` is formed only where a Newton step reads it,
+    never at the final point. ``at`` keeps its tilt, row maxima and row sums
+    as ``last``, and ``solve`` forms ``ln Z`` from them once, for the
+    coefficient rows of its final point.
     """
 
     def __init__(self, zb, log_qe_row, signal_weight: float, error_weight: float):
         j, k = zb.shape
         h = log_qe_row.shape[0]
-        width = max(k, h)
         self.shape = (j, k, h)
-        self.z = np.zeros((j + 1, width))
-        self.z[:j, :k] = zb
-        # numpy's Python-level constructors (full, ones) cost more than the
-        # fills below, and a one-observation block builds a kernel per call
-        self.log_q = np.empty((j + 1, width))
-        self.log_q.fill(-np.inf)
-        self.log_q[j, :h] = log_qe_row
-        # the prior weights, with the error row's as the Gibbs form normalizes them
-        self.q = np.zeros((j + 1, width))
+        # one problem's slab of J+1 rows of max(K, H) points: the supports
+        # (the error row's left zero, for each solve to fill), the log prior
+        # weights (the coefficient rows' left -inf, likewise), the start
+        # weights (the error row's prior as the Gibbs form normalizes it), and
+        # as one-point rows the regressor (1 for the error row) and the
+        # objective weight, for the tilt (x_r * lam) / weight_r
+        width = max(k, h)
+        z = np.zeros((j + 1, width))
+        z[:j, :k] = zb
+        log_q = np.full((j + 1, width), -np.inf)
+        log_q[j, :h] = log_qe_row
+        q = np.zeros((j + 1, width))
         shifted = np.exp(log_qe_row - np.maximum.reduce(log_qe_row))
-        self.q[j, :h] = shifted / np.add.reduce(shifted)
-        # the tilt of row r is (x_r * lam) / weight_r, with x = 1 for the error
-        # row; x @ means stays the (1, J) product that ``evaluate`` forms
-        self.x_col = np.zeros((j + 1, 1))
-        self.x_col[j] = 1.0
-        self.x = self.x_col[:j].T
-        self.w_col = np.empty((j + 1, 1))
-        self.w_col[:j], self.w_col[j] = signal_weight, error_weight
-        self.w = self.w_col[:, 0]
-        self.y0 = 0.0
+        q[j, :h] = shifted / np.add.reduce(shifted)
+        x_col = np.zeros((j + 1, 1))
+        x_col[j] = 1.0
+        w = np.empty((j + 1, 1))
+        w[:j], w[j] = signal_weight, error_weight
+        self.slabs = (z, log_q, q, x_col, w)
+        self.size = 0
         self.last = None  # the last ``at``'s tilt, row maxima and row sums
+
+    def _grow(self, size: int) -> None:
+        """Allocate the buffers for ``size`` problems, one copy of the slab each."""
+        self.buffers = [np.concatenate([slab] * size) for slab in self.slabs]
+        self.size = size
+        self.full = self._views(size)
+
+    def _views(self, s: int):
+        """The buffers' first ``s`` problems: 2-D row stacks, and (S, J+1, -1) views to load."""
+        j = self.shape[0]
+        if s == self.size:
+            z, log_q, q, x_col, w = self.buffers
+        else:
+            rows = s * (j + 1)
+            z, log_q, q, x_col, w = [buffer[:rows] for buffer in self.buffers]
+        z3, log_q3 = z.reshape(s, j + 1, -1), log_q.reshape(s, j + 1, -1)
+        x_col3 = x_col.reshape(s, j + 1, 1)
+        # the regressors as (S, 1, J) rows, so x @ means is evaluate's dot product
+        return z, log_q, q, x_col, w, z3, log_q3, x_col3, x_col3[:, :j].transpose(0, 2, 1)
+
+    def start(self, qb, log_qb, y0, x, ze):
+        """Load the stack and return its point at zero.
+
+        Takes, per problem, the coefficient prior ``qb`` (S, J, K) and its
+        ``_log_priors`` ``log_qb`` (weights below ZERO_CLAMP count as zero,
+        as the Gibbs form counts them), the observation ``y0`` (S,) with its
+        regressors ``x`` (S, J), and its error support row ``ze`` (S, H).
+        """
+        j, k, h = self.shape
+        s = y0.shape[0]
+        if s > self.size:
+            self._grow(s)
+        views = self.full if s == self.size else self._views(s)
+        self.z, self.log_q, q, self.x_col, self.w, z3, log_q3, x_col3, self.x = views
+        log_q3[:, :j, :k] = log_qb
+        z3[:, j, :h] = ze
+        x_col3[:, :j, 0] = x
+        self.y0 = y0.tolist()
+        p = q.copy()
+        np.multiply(qb, log_qb > -np.inf, out=p.reshape(s, j + 1, -1)[:, :j, :k])
+        return self._moments(p)
 
     def _moments(self, p):
         # The ufunc reductions are what .sum calls, minus its Python wrapper.
-        means = np.add.reduce(p * self.z, axis=1)
+        means = np.add.reduce(p * self.z, axis=1, keepdims=True)
         j = self.shape[0]
-        return self.y0 - (self.x @ means[:j])[0] - means[j], p, means
+        slabs = means.reshape(-1, j + 1)
+        dots = np.matmul(self.x, slabs[:, :j, None]).tolist()
+        errors = slabs[:, j].tolist()
+        return [y - d - e for y, ((d,),), e in zip(self.y0, dots, errors)], p, means
 
     def curvature(self, p, means):
         """Per stacked row, the Hessian contribution ``var_r / weight_r`` at ``(p, means)``."""
-        dev = self.z - means[:, None]
+        dev = self.z - means
         dev **= 2
         dev *= p
-        return np.add.reduce(dev, axis=1) / self.w
+        return np.add.reduce(dev, axis=1, keepdims=True) / self.w
 
-    def start(self, qb, log_qb, y0, x_row, ze_row):
-        """Load ``(y0, x_row)``, its error row ``ze_row`` and the prior ``qb``; the point at zero.
-
-        ``log_qb`` is ``_log_priors(qb)``: weights below ZERO_CLAMP, where it
-        is -inf, count as zero, as the Gibbs form counts them.
-        """
-        j, k, h = self.shape
-        self.log_q[:j, :k] = log_qb
-        self.z[j, :h] = ze_row
-        self.x_col[:j, 0] = x_row
-        self.y0 = y0
-        p = self.q.copy()
-        np.multiply(qb, log_qb > -np.inf, out=p[:j, :k])
-        return self._moments(p)
-
-    def at(self, lam: float):
-        """The point at the multiplier ``lam`` for the loaded observation."""
+    def at(self, lam: np.ndarray):
+        """The point at the multipliers ``lam``, one per stacked row, for the loaded stack."""
         tilt = self.x_col * lam
-        tilt /= self.w_col
+        tilt /= self.w
         logits = self.z * tilt
         np.subtract(self.log_q, logits, out=logits)
         top = np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -536,91 +585,125 @@ class _ScalarKernel:
         logits /= total
         self.last = tilt, top, total
         point = self._moments(logits)
-        if not math.isfinite(point[0]):
+        if not all(map(math.isfinite, point[0])):
             bad = ~np.isfinite(top[:, 0])
             if bad.any():
-                row = int(np.argmax(bad))
+                row = int(np.argmax(bad)) % (self.shape[0] + 1)
                 where = f"coefficient row {row}" if row < self.shape[0] else "error row 0"
                 raise ValueError(f"non-finite partition sum in {where}")
         return point
 
-    def solve(self, qb, log_qb, y0, x_row, ze_row, settings: SolverSettings):
-        """Bracketed Newton for one observation, loaded by ``start``, from lam = 0.
+    def solve(self, qb, log_qb, y0, x, ze, settings: SolverSettings):
+        """Bracketed Newton for every problem of the stack, from lam = 0.
 
-        The dual gradient is increasing in the lone multiplier, so once values
-        of opposite sign have been seen the root is bracketed and any Newton
-        proposal escaping the bracket is replaced by its midpoint. Returns
-        what ``_solve_multi`` returns, the multipliers, the final point and
-        the iteration count; the point's value is NaN, its curvature None,
-        and its arrays are views of the last iterate. Without a step the
-        point is the prior's own, whose tilt and log partitions are zero.
+        Loads the stack as ``start`` does. The dual gradient is increasing in
+        a problem's lone multiplier, so once values of opposite sign have
+        been seen the root is bracketed and any Newton proposal escaping the
+        bracket is replaced by its midpoint. Each problem keeps its own
+        bracket, trust step, iteration count and stop; a problem that has
+        stopped is evaluated again at its multiplier, which gives the same
+        bits, until the last one stops. Returns the multipliers (S, 1), the
+        final stacked point and the iteration counts (a list); the point's
+        value is NaN, its curvature None, and its arrays are views of the
+        last iterate. A problem that took no step keeps the prior's own
+        point, whose tilt and log partitions are zero.
         """
-        tol = settings.constraint_tolerance
+        tol, cap = settings.constraint_tolerance, settings.max_iterations
         j, k, h = self.shape
-        x_sq = x_row**2
-        lam = 0.0
-        g, p, means = self.start(qb, log_qb, y0, x_row, ze_row)
-        lo = hi = None
-        iterations = 0
-        while iterations < settings.max_iterations and abs(g) > tol:
-            g = float(g)
-            if g < 0.0:
-                lo = lam
-            else:
-                hi = lam
-            curv = self.curvature(p, means)
-            hess = float(x_sq @ curv[:j] + curv[j])
-            cand = lam - g / hess if hess > 0.0 and math.isfinite(hess) else None
-            if lo is not None and hi is not None:
-                if cand is None or not (lo < cand < hi) or not math.isfinite(cand):
-                    cand = 0.5 * (lo + hi)
-            else:
-                trust = 8.0 * (1.0 + abs(lam))
-                if cand is None or not math.isfinite(cand):
-                    cand = lam + (trust if g < 0.0 else -trust)
+        g0, p0, means0 = g, p, means = self.start(qb, log_qb, y0, x, ze)
+        s = len(g)
+        x_sq = self.x**2
+        # the multipliers as Python floats for the control, written through
+        # to each problem's rows of the column ``at`` reads
+        lam, lam_rows = [0.0] * s, np.zeros((s, j + 1, 1))
+        lam_col = lam_rows.reshape(-1, 1)
+        lo, hi, iterations = [None] * s, [None] * s, [0] * s
+        running = [i for i, gi in enumerate(g) if abs(gi) > tol]
+        while running:
+            curv = self.curvature(p, means).reshape(s, j + 1)
+            hess = np.matmul(x_sq, curv[:, :j, None]).tolist()
+            curv_e = curv[:, j].tolist()
+            stepped = []
+            for i in running:
+                gi, li = g[i], lam[i]
+                hs = hess[i][0][0] + curv_e[i]
+                if gi < 0.0:
+                    lo[i] = li
                 else:
-                    cand = min(max(cand, lam - trust), lam + trust)
-            if cand == lam:
-                break  # bracket collapsed to machine resolution
-            lam = cand
-            g, p, means = self.at(lam)
-            iterations += 1
-        if iterations:
+                    hi[i] = li
+                cand = li - gi / hs if hs > 0.0 and math.isfinite(hs) else None
+                low, high = lo[i], hi[i]
+                if low is not None and high is not None:
+                    if cand is None or not (low < cand < high) or not math.isfinite(cand):
+                        cand = 0.5 * (low + high)
+                else:
+                    trust = 8.0 * (1.0 + abs(li))
+                    if cand is None or not math.isfinite(cand):
+                        cand = li + (trust if gi < 0.0 else -trust)
+                    else:
+                        cand = min(max(cand, li - trust), li + trust)
+                if cand == li:
+                    continue  # bracket collapsed to machine resolution
+                lam[i] = lam_rows[i] = cand
+                iterations[i] += 1
+                stepped.append(i)
+            if not stepped:
+                break
+            g, p, means = self.at(lam_col)
+            running = [i for i in stepped if iterations[i] < cap and abs(g[i]) > tol]
+        stepped_any = p is not p0
+        p, means = p.reshape(s, j + 1, -1), means.reshape(s, j + 1)
+        if stepped_any:
             tilt, top, total = self.last
-            tilt, ln_zb = tilt[:j, 0], np.log(total[:j, 0]) + top[:j, 0]
+            tilt = tilt.reshape(s, j + 1)[:, :j]
+            ln_zb = np.log(total.reshape(s, j + 1)[:, :j]) + top.reshape(s, j + 1)[:, :j]
+            if 0 in iterations:
+                idle = [i for i in range(s) if not iterations[i]]
+                p0, means0 = p0.reshape(s, j + 1, -1), means0.reshape(s, j + 1)
+                p[idle], means[idle], tilt[idle], ln_zb[idle] = p0[idle], means0[idle], 0.0, 0.0
+                for i in idle:
+                    g[i] = g0[i]
         else:
-            tilt = ln_zb = np.zeros(j)
+            tilt = ln_zb = np.zeros((s, j))
         pt = _DualPoint(
-            math.nan, np.array([g]), p[:j, :k], p[j:, :h], means[:j], means[j:], tilt, ln_zb
+            math.nan, np.array(g)[:, None], p[:, :j, :k], p[:, j:, :h], means[:, :j],
+            means[:, j:], tilt, ln_zb,
         )
-        return np.array([lam]), pt, iterations
+        return lam_rows[:, 0], pt, iterations
 
 
 def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings, kernel=None):
-    """Solve the weighted dual of one problem from a zero start.
+    """Solve the weighted duals of a stack of S problems from a zero start.
 
-    Takes the data ``y`` (m,) and ``x`` (m, J), the supports ``zb`` (J, K)
-    and ``ze`` (m, H), the coefficient prior weights ``qb``, the error rows'
-    log prior weights ``log_qe`` (one row may be shared by every
-    observation) and the two objective weights. One observation goes through
-    a ``_ScalarKernel``: ``kernel`` when given, built on ``zb``, ``log_qe``
-    and these weights, else a new one; more go through ``_solve_multi``.
-    Returns the multipliers, the final ``_DualPoint`` and the
-    ``SolverDiagnostics``, whose verdict is decided here and nowhere else.
+    Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
+    supports ``ze`` (S, m, H) and the coefficient prior weights ``qb``
+    (S, J, K); the coefficient supports ``zb`` (J, K), the error rows' log
+    prior weights ``log_qe`` (one row may be shared by every observation)
+    and the two objective weights are the stack's. Problems of one
+    observation (m = 1) are solved together by a ``_StackKernel``:
+    ``kernel`` when given, built on ``zb``, ``log_qe`` and these weights,
+    else a new one. A problem of more observations goes through
+    ``_solve_multi`` and comes alone (S = 1). Returns the multipliers
+    (S, m), the final stacked ``_DualPoint`` and one ``SolverDiagnostics``
+    per problem, whose verdict is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
-    if y.size == 1:
+    if y.shape[1] == 1:
         if kernel is None:
-            kernel = _ScalarKernel(zb, log_qe[0], signal_weight, error_weight)
-        lam, pt, iterations = kernel.solve(qb, log_qb, y[0], x[0], ze[0], settings)
-        residual = abs(float(pt.grad[0]))
+            kernel = _StackKernel(zb, log_qe[0], signal_weight, error_weight)
+        lam, pt, iterations = kernel.solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
+        residuals = [abs(g) for g in pt.grad.ravel().tolist()]
     else:
-        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
+        ev = _DualEvaluator(y[0], x[0], zb, ze[0], log_qb[0], log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
-        residual = float(np.abs(pt.grad).max())
-    return lam, pt, SolverDiagnostics(
-        iterations, residual, residual <= settings.constraint_tolerance
-    )
+        lam, iterations, residuals = lam[None], [iterations], [float(np.abs(pt.grad).max())]
+        pt = _DualPoint(
+            pt.value, pt.grad[None], pt.pb[None], pt.pe[None], pt.beta_hat[None],
+            pt.eps_hat[None], pt.tilt[None], pt.ln_zb[None],
+        )
+    tol = settings.constraint_tolerance
+    verdicts = [r <= tol for r in residuals]
+    return lam, pt, tuple(map(SolverDiagnostics, iterations, residuals, verdicts))
 
 
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
@@ -694,21 +777,22 @@ def solve_gce(
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
     grid, prior = problem.supports, problem.prior
-    lam, pt, diagnostics = _solve_dual(
-        problem.y, problem.x, grid.beta_support, grid.error_support, prior.beta,
-        _log_priors(prior.error), signal_weight, error_weight, settings,
+    lam, pt, (diagnostics,) = _solve_dual(
+        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
+        prior.beta[None], _log_priors(prior.error), signal_weight, error_weight, settings,
     )
 
-    distributions = JointDistribution(pt.pb, pt.pe)
+    distributions = JointDistribution(pt.pb[0], pt.pe[0])
     objective = signal_weight * kl_divergence(
         distributions.beta, problem.prior.beta
     ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
+    lam = lam[0]
     lam.setflags(write=False)
     return GceSolution(
         distributions=distributions,
         multipliers=lam,
-        beta_hat=pt.beta_hat.copy(),
-        epsilon_hat=pt.eps_hat.copy(),
+        beta_hat=pt.beta_hat[0].copy(),
+        epsilon_hat=pt.eps_hat[0].copy(),
         objective_value=float(objective),
         diagnostics=diagnostics,
     )

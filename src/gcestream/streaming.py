@@ -23,12 +23,17 @@ states to 1.5e-15 on streams at n = 3840, and to 1.2e-14 relative where the
 carried prior has underflowed.
 Successive states share their logs, so absorbing a block costs the same
 however long the stream has run. One block step, ``_absorb``, absorbs every
-block: ``block_update`` calls it once, and ``run_stream`` calls it per block
-on plain arrays, each block's error rows and full-support hull test
-resolved before the first solve, carrying from step to step whether the
-prior is positive, and builds one state, at the end. A one-observation block
-is solved by the solver's single-constraint kernel, which ``run_stream``
-builds once per stream and ``block_update`` once per call.
+block, and it runs over a stack: one block for each of S streams, solved
+together by the solver's stacked kernel when every block is one observation,
+or a single wider block. ``block_update`` calls it with a stack of one.
+Whole streams are prepared one at a time (``_prepare_stream``: every check,
+every observation's error row and full-support hull test, and the batch fit)
+and then folded together (``_fold``): streams on the same supports and
+settings advance in rounds, their one-observation blocks stacked into one
+``_absorb`` call per round, each stream carrying whether its prior is
+positive and building one state, at the end. A stream's results are its
+results alone, bit for bit. ``run_stream`` prepares one stream and folds a
+stack of one; ``experiments.run_experiment`` folds the streams of many cells.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import logging
 import math
 import numbers
 import threading
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -61,8 +67,8 @@ from .solver import (
     _check_observations,
     _coefficient_hull,
     _log_priors,
-    _ScalarKernel,
     _solve_dual,
+    _StackKernel,
     solve_gce,
 )
 
@@ -79,6 +85,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _APPEND_LOCK = threading.Lock()
+
+# The stacked kernel of the last block_update of each thread: a kernel keeps
+# buffers but nothing of a problem between solves, so reusing it gives the
+# bits a new one would, without building one for every update.
+_BLOCK_KERNELS = threading.local()
 
 _MIN_GAMMA = 2.0**-53  # the least gamma, as the least 1 - gamma can be
 
@@ -279,59 +290,71 @@ def _inside(y, x, zb, rows) -> np.ndarray:
     return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
 
 
-def _absorb(carried, zb, y, x, rows, trusted, settings, step_index, kernel=None):
-    """The one block step: absorb a checked block into the carried ``(J, K)`` prior.
+def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
+    """The one block step: absorb one checked block into each carried prior of a stack.
 
-    ``rows`` holds one error support row per observation, each with a uniform
-    prior. Unless ``trusted`` (every carried weight positive and the block
-    ``_inside``), the live hull is checked before any solve and an infeasible
-    block raises InfeasibleObservationError (indices local to the block).
-    Returns the new prior (normalized Gibbs rows), the block's error
-    estimates, its ledger entry, the new ``beta_hat``, whether the solve
-    converged and whether the new prior is positive. ``step_index`` only
-    labels the underflow warning.
+    ``carried`` holds S ``(J, K)`` priors, and ``y`` (S, m), ``x`` (S, m, J)
+    and ``rows`` (S, m, H) one block per prior, with one error support row
+    per observation, each with a uniform prior. Blocks of one observation
+    are solved together, by the solver's stacked kernel; a block of more
+    comes alone (S = 1). The caller has checked each block's live hull, or
+    trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
+    the blocks' error estimates (S, m), and per block its ledger entry, its
+    ``beta_hat`` (rows of an (S, J) array), whether its solve converged and
+    whether its new prior is positive. ``steps`` only label the underflow
+    warnings, one per prior.
 
-    The ledger entry is the KL divergence of the new prior from ``carried``,
-    formed from the final point's tilt t and log partitions ln Z as
+    The ledger entry is the KL divergence of the new prior from the carried
+    one, formed from the final point's tilt t and log partitions ln Z as
     ``sum_j max(-t_j * beta_hat_j - ln Z_j, 0)``, the same for both solve
     paths: the per-row clamp is ``kl_divergence``'s, and a one-observation
     solve that takes no Newton step has t = ln Z = 0, so its entry is 0. The
     entries stay within 1.5e-15 of ``kl_divergence(prior, carried)`` on
     streams at n = 3840 and within 1.2e-14 relative on an underflowed prior.
-    ``kernel`` is a single-constraint kernel for one-observation blocks,
-    built on ``zb``, the uniform error prior and gamma; without one the
-    solve builds its own, with the same bits. Newton starts at the carried
-    prior's moments.
+    ``kernel`` is a stacked kernel for one-observation blocks, built on
+    ``zb``, the uniform error prior and gamma; without one the solve builds
+    its own, with the same bits. Every row is reduced along its last axis,
+    so a block's results do not depend on the rest of the stack. Newton
+    starts at each carried prior's moments.
     """
-    qe, log_qe = _uniform_error_prior(rows.shape[1])
-    if not trusted:
-        # only live points count; the renormalized prior below is positive
-        # exactly where the carried one is
-        _check_hull(y, x, zb, carried, rows, qe)
-
-    # the prior a JointDistribution would hold: renormalized rows
+    log_qe = _uniform_error_prior(rows.shape[2])[1]
+    # the priors a JointDistribution would hold: renormalized rows
     add = np.add.reduce
-    qb = carried / add(carried, axis=1, keepdims=True)
+    qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
     _, pt, diagnostics = _solve_dual(
         y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
     )
 
-    prior = pt.pb / add(pt.pb, axis=1, keepdims=True)
-    lowest = prior.min()
-    if lowest <= 0.0:
-        logger.warning(
-            "carried prior underflowed to zero on some support points at step %d; "
-            "those points are frozen out for the rest of the stream",
-            step_index,
-        )
-    moved = float(add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0)))
-    return prior, pt.eps_hat, moved, pt.beta_hat, diagnostics.converged, lowest > 0.0
+    prior = pt.pb / add(pt.pb, axis=2, keepdims=True)
+    lowest = np.minimum.reduce(prior, axis=(1, 2)).tolist()
+    for low, step in zip(lowest, steps):
+        if low <= 0.0:
+            logger.warning(
+                "carried prior underflowed to zero on some support points at step %d; "
+                "those points are frozen out for the rest of the stream",
+                step,
+            )
+    moved = add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0), axis=1).tolist()
+    converged = [d.converged for d in diagnostics]
+    return prior, pt.eps_hat, moved, pt.beta_hat, converged, [low > 0.0 for low in lowest]
 
 
 # ---------------------------------------------------------------------------
 # Stream construction and updates
 # ---------------------------------------------------------------------------
+
+
+def _batch_state(supports: SupportGrid, solution: GceSolution) -> StreamState:
+    """The state after a batch fit: its coefficient weights, error estimates and verdict."""
+    return StreamState(
+        beta_prior=solution.distributions.beta,
+        supports=supports,
+        step_index=solution.epsilon_hat.size,
+        epsilon_log=solution.epsilon_hat.tolist(),
+        beta_trajectory=(solution.beta_hat,),
+        converged_log=(solution.diagnostics.converged,),
+    )
 
 
 def init_stream(
@@ -349,15 +372,7 @@ def init_stream(
             raise ValueError("init_stream requires a uniform batch prior")
 
     solution = solve_gce(batch, settings.solver)
-    state = StreamState(
-        beta_prior=solution.distributions.beta,
-        supports=batch.supports,
-        step_index=batch.n_obs,
-        epsilon_log=solution.epsilon_hat.tolist(),
-        beta_trajectory=(solution.beta_hat,),
-        converged_log=(solution.diagnostics.converged,),
-    )
-    return state, solution
+    return _batch_state(batch.supports, solution), solution
 
 
 def block_update(
@@ -375,32 +390,42 @@ def block_update(
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
     would check it, by the same check ``run_stream`` makes of a whole stream;
     the carried prior is a ``StreamState`` invariant and is not checked
-    again. The block step ``run_stream`` drives then checks the hull and
-    solves on plain arrays (no problem or distribution objects, and the
-    ledger entry comes from the solve's log partitions), trusting the
-    block's full-support hull while every carried weight is positive; a
-    block of one observation builds one single-constraint kernel for this
-    call, whose Newton iteration starts at the carried prior's moments.
-    Infeasible blocks raise InfeasibleObservationError (indices local to
-    the block) and leave the caller's state untouched, so a stream can skip
-    and log them. The new state keeps the stream's support grid.
+    again. The block's full-support hull is trusted while every carried
+    weight is positive, else its live hull is checked; then the block step
+    ``run_stream`` folds solves it, as a stack of one, on plain arrays (no
+    problem or distribution objects, and the ledger entry comes from the
+    solve's log partitions); a block of one observation is solved by the
+    stacked kernel of the thread's last update when it has the same supports,
+    error row width and gamma, else by a new one, whose Newton iteration
+    starts at the carried prior's moments. Infeasible blocks raise InfeasibleObservationError
+    (indices local to the block) and leave the caller's state untouched, so
+    a stream can skip and log them. The new state keeps the stream's support
+    grid.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
     y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
     carried = state.beta_prior
-    trusted = carried.min() > 0.0 and _inside(y, x, zb, rows).all()
+    if not (carried.min() > 0.0 and _inside(y, x, zb, rows).all()):
+        # only live points count; the renormalized prior is positive exactly
+        # where the carried one is
+        _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1])[0])
+    h, gamma = rows.shape[1], settings.gamma
+    last = getattr(_BLOCK_KERNELS, "last", None)
+    if last is None or last[0] is not zb or last[1:3] != (h, gamma):
+        kernel = _StackKernel(zb, _uniform_error_prior(h)[1][0], gamma, 1.0 - gamma)
+        _BLOCK_KERNELS.last = last = (zb, h, gamma, kernel)
     prior, eps, moved, beta_hat, converged, _ = _absorb(
-        carried, zb, y, x, rows, trusted, settings, state.step_index
+        carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,), last[3]
     )
     return StreamState(
-        beta_prior=prior,
+        beta_prior=prior[0],
         supports=state.supports,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(eps.tolist()),
-        entropy_ledger=state.entropy_ledger.extended((moved,)),
-        beta_trajectory=state.beta_trajectory.extended((beta_hat,)),
-        converged_log=state.converged_log.extended((converged,)),
+        epsilon_log=state.epsilon_log.extended(eps[0].tolist()),
+        entropy_ledger=state.entropy_ledger.extended(moved),
+        beta_trajectory=state.beta_trajectory.extended((beta_hat[0],)),
+        converged_log=state.converged_log.extended(converged),
     )
 
 
@@ -417,8 +442,266 @@ def update_step(
 
 
 # ---------------------------------------------------------------------------
-# Whole-stream driver
+# Whole streams: prepared one at a time, folded together
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """A stream ready to fold: checked data, its blocks and the state after its batch.
+
+    ``rows`` holds every observation's error support row and ``inside``
+    whether it lies strictly inside its full-support hull, both resolved
+    before the first solve.
+    """
+
+    y: np.ndarray  # (n,)
+    x: np.ndarray  # (n, J)
+    rows: np.ndarray  # (n, H)
+    inside: list
+    zb: np.ndarray  # (J, K)
+    settings: UpdateSettings
+    blocks: tuple  # (start, stop) of each block, in order
+    state: StreamState
+    batch_solution: GceSolution | None
+
+
+def _prepare_stream(
+    y,
+    x,
+    batch_size,
+    block_size,
+    settings,
+    *,
+    beta_support,
+    error_support,
+    error_points,
+    error_scale,
+    batch_fit: GceSolution | None = None,
+) -> _Stream:
+    """Check a stream, resolve its error rows and hull tests, and fit its batch.
+
+    Takes ``run_stream``'s arguments and makes all of its checks. With
+    ``batch_fit``, the solution of this stream's own batch problem solved
+    elsewhere (``solve_gce`` on ``y[:batch_size]``, ``x[:batch_size]`` and
+    the stream's grid), the stream starts from it instead of solving the
+    batch again.
+    """
+    settings = settings if settings is not None else _DEFAULT_SETTINGS
+    batch_size = _integer(batch_size, "batch_size")
+    block_size = _integer(block_size, "block_size")
+    error_points = _integer(error_points, "error_points")
+    y = np.asarray(y, dtype=float).reshape(-1)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = y.size
+    if not 0 <= batch_size <= n:
+        raise ValueError(f"batch_size must lie in [0, {n}], got {batch_size}")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    _check_error_scale(error_scale)
+    if error_points < 2:
+        raise ValueError(f"error_points must be at least 2, got {error_points}")
+
+    beta = np.asarray(beta_support, dtype=float)
+    if beta.ndim == 1:
+        beta = np.tile(beta, (x.shape[1], 1))
+    zb = _support_rows(beta, "beta_support")
+    if error_support is not None:
+        error_row = _error_rows(error_support)
+        if error_row.shape[0] != 1:
+            raise ValueError(f"error_support must be one row, got {error_row.shape[0]} rows")
+    else:
+        error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
+    y, x, rows = _check_block(y, x, zb, error_row)
+    blocks = tuple(
+        (start, min(start + block_size, n)) for start in range(batch_size, n, block_size)
+    )
+    if error_support is None and error_scale == "cumulative":
+        rows = rows.copy()  # each block scaled to the responses seen by its end
+        for start, stop in blocks:
+            rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
+        rows = _error_rows(rows)
+
+    if batch_size >= 1:
+        grid = SupportGrid(zb, rows[:batch_size])
+        if batch_fit is None:
+            batch = GceProblem(y[:batch_size], x[:batch_size], grid)
+            state, batch_fit = init_stream(batch, settings)
+        else:
+            state = _batch_state(grid, batch_fit)
+    else:
+        state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
+    inside = _inside(y, x, zb, rows).tolist()
+    return _Stream(y, x, rows, inside, zb, settings, blocks, state, batch_fit)
+
+
+def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
+    """Absorb every block of every stream, the one-observation blocks of a group stacked.
+
+    Streams that share the coefficient supports, the error row width and
+    the settings form a group with one stacked kernel. A group advances in
+    rounds; in round r every stream of it that has an r-th block absorbs it,
+    as ``block_update`` would: its full-support hull is trusted while its
+    carried prior is positive, else its live hull is checked, and an
+    infeasible block is skipped and logged. The one-observation blocks of
+    the round are absorbed by one ``_absorb`` call over their stack, a wider
+    block by its own call. A stream's results do not depend on the other
+    streams, so each is bit for bit its fold alone. A stream that raises
+    stops, and only it: a stacked call that raises is made again one stream
+    at a time.
+
+    Returns, per stream, its ``StreamReport`` or the exception that stopped
+    it, and the seconds charged to it. A wider block's solve is charged to
+    its stream; the rest of a round, the stacked solve included, is shared
+    equally by the streams that took part, as are the group's set-up and
+    its streams' reports. The charges sum to the fold's wall time.
+    """
+    outcomes: list = [None] * len(streams)
+    seconds = [0.0] * len(streams)
+    groups: dict = {}
+    for i, stream in enumerate(streams):
+        key = (stream.zb.shape, stream.zb.tobytes(), stream.rows.shape[1], stream.settings)
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        reports, charged = _fold_group([streams[i] for i in members])
+        for i, report, dt in zip(members, reports, charged):
+            outcomes[i], seconds[i] = report, dt
+    return outcomes, seconds
+
+
+def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
+    """``_fold`` for streams that share one stacked kernel."""
+    clock = time.perf_counter
+    t0 = clock()
+    first = streams[0]
+    zb, settings = first.zb, first.settings
+    qe, log_qe = _uniform_error_prior(first.rows.shape[1])
+    kernel = _StackKernel(zb, log_qe[0], settings.gamma, 1.0 - settings.gamma)
+    carried = np.stack([stream.state.beta_prior for stream in streams])
+    # every stream's observations, end to end, to gather a round's stack from
+    offsets = np.cumsum([0] + [stream.y.size for stream in streams]).tolist()
+    all_y = np.concatenate([stream.y for stream in streams])
+    all_x = np.concatenate([stream.x for stream in streams])
+    all_rows = np.concatenate([stream.rows for stream in streams])
+
+    count = len(streams)
+    outcomes: list = [None] * count
+    seconds = [(clock() - t0) / count] * count
+    positive = [bool(c.min() > 0.0) for c in carried]
+    steps = [stream.state.step_index for stream in streams]
+    eps_logs = [list(stream.state.epsilon_log) for stream in streams]
+    ledgers = [list(stream.state.entropy_ledger) for stream in streams]
+    trajectories = [list(stream.state.beta_trajectory) for stream in streams]
+    converged_logs = [list(stream.state.converged_log) for stream in streams]
+    skipped: list[list[int]] = [[] for _ in streams]
+
+    def absorb(members, y, x, rows):
+        """Absorb one block per member into ``carried``.
+
+        A stack that raises is absorbed again one member at a time, and a
+        member that raises alone stops.
+        """
+        pending = [(members, y, x, rows)]
+        while pending:
+            members, y, x, rows = pending.pop(0)
+            try:
+                prior, eps, moved, beta_hat, converged, pos = _absorb(
+                    carried[members], zb, y, x, rows, settings, [steps[i] for i in members], kernel
+                )
+            except Exception as exc:
+                if len(members) == 1:
+                    outcomes[members[0]] = exc
+                else:
+                    pending += [
+                        ([i], y[n : n + 1], x[n : n + 1], rows[n : n + 1])
+                        for n, i in enumerate(members)
+                    ]
+                continue
+            carried[members] = prior
+            for n, (i, block_eps) in enumerate(zip(members, eps.tolist())):
+                steps[i] += len(block_eps)
+                eps_logs[i].extend(block_eps)
+                ledgers[i].append(moved[n])
+                trajectories[i].append(beta_hat[n])
+                converged_logs[i].append(converged[n])
+                positive[i] = pos[n]
+
+    for ordinal in range(max(len(stream.blocks) for stream in streams)):
+        t_round = clock()
+        wide = 0.0
+        present, stacked = [], []
+        for i, stream in enumerate(streams):
+            if outcomes[i] is not None or ordinal >= len(stream.blocks):
+                continue
+            present.append(i)
+            start, stop = stream.blocks[ordinal]
+            if not (positive[i] and all(stream.inside[start:stop])):
+                try:
+                    _check_hull(
+                        stream.y[start:stop], stream.x[start:stop], zb, carried[i],
+                        stream.rows[start:stop], qe,
+                    )
+                except InfeasibleObservationError as exc:
+                    skipped[i].extend(range(start, stop))
+                    logger.warning(
+                        "skipping block %d (observations %d..%d): %s (offending: %s)",
+                        ordinal, start, stop - 1, exc, [start + k for k in exc.indices],
+                    )
+                    continue
+            if stop - start == 1:
+                stacked.append(i)
+                continue
+            t_wide = clock()
+            absorb(
+                [i], stream.y[None, start:stop], stream.x[None, start:stop],
+                stream.rows[None, start:stop],
+            )
+            dt = clock() - t_wide
+            seconds[i] += dt
+            wide += dt
+        if stacked:
+            at = [offsets[i] + streams[i].blocks[ordinal][0] for i in stacked]
+            absorb(stacked, all_y[at][:, None], all_x[at][:, None], all_rows[at][:, None])
+        if present:
+            share = (clock() - t_round - wide) / len(present)
+            for i in present:
+                seconds[i] += share
+
+    for i, stream in enumerate(streams):
+        t_report = clock()
+        if outcomes[i] is None:
+            try:
+                outcomes[i] = _report(
+                    stream, carried[i], steps[i], eps_logs[i], ledgers[i], trajectories[i],
+                    converged_logs[i], skipped[i],
+                )
+            except Exception as exc:
+                outcomes[i] = exc
+        seconds[i] += clock() - t_report
+    return outcomes, seconds
+
+
+def _report(stream, carried, step, epsilon_log, ledger, trajectory, converged_log, skipped):
+    """The ``StreamReport`` of a folded stream, with its one ``StreamState``."""
+    state = StreamState(
+        beta_prior=carried,
+        supports=stream.state.supports,
+        step_index=step,
+        epsilon_log=epsilon_log,
+        entropy_ledger=ledger,
+        beta_trajectory=trajectory,
+        converged_log=converged_log,
+    )
+    return StreamReport(
+        beta_hat=state.beta_hat,
+        epsilon_hat=np.array(state.epsilon_log),
+        entropy_ledger=np.array(state.entropy_ledger),
+        beta_trajectory=np.vstack(state.beta_trajectory),
+        final_state=state,
+        batch_solution=stream.batch_solution,
+        skipped=tuple(skipped),
+        all_converged=all(state.converged_log),
+    )
 
 
 def run_stream(
@@ -456,101 +739,20 @@ def run_stream(
     The whole stream is checked before the batch solve, as ``block_update``
     checks a block, so bad data raises ``block_update``'s error before any
     work is done; every observation's error row, a cumulative stream's
-    included, is built and checked then. On valid data the result is a left
-    fold of ``block_update`` over the blocks, bit for bit, with the same
-    skips and warnings, for every ``UpdateSettings``: each block goes
-    through the same block step on carried arrays, with the full-support
-    hull tested once for the stream and the prior's positivity carried from
-    the step before, and one ``StreamState`` is built at the end. The stream
-    builds one single-constraint kernel for its one-observation blocks, with
-    Newton starting at the carried prior's moments.
+    included, is built and checked then, and so is every observation's
+    full-support hull test. The stream is then folded as a stack of one, the
+    same fold that advances many streams together: on valid data the result
+    is a left fold of ``block_update`` over the blocks, bit for bit, with the
+    same skips and warnings, for every ``UpdateSettings``, with the
+    full-support hull tested once for the stream, the prior's positivity
+    carried from the step before, one stacked kernel for the stream's
+    one-observation blocks and one ``StreamState`` built at the end.
     """
-    settings = settings if settings is not None else _DEFAULT_SETTINGS
-    batch_size = _integer(batch_size, "batch_size")
-    block_size = _integer(block_size, "block_size")
-    error_points = _integer(error_points, "error_points")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = y.size
-    if not 0 <= batch_size <= n:
-        raise ValueError(f"batch_size must lie in [0, {n}], got {batch_size}")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    _check_error_scale(error_scale)
-    if error_points < 2:
-        raise ValueError(f"error_points must be at least 2, got {error_points}")
-
-    beta = np.asarray(beta_support, dtype=float)
-    if beta.ndim == 1:
-        beta = np.tile(beta, (x.shape[1], 1))
-    zb = _support_rows(beta, "beta_support")
-    if error_support is not None:
-        error_row = _error_rows(error_support)
-        if error_row.shape[0] != 1:
-            raise ValueError(f"error_support must be one row, got {error_row.shape[0]} rows")
-    else:
-        error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
-    y, x, rows = _check_block(y, x, zb, error_row)
-    if error_support is None and error_scale == "cumulative":
-        rows = rows.copy()  # each block scaled to the responses seen by its end
-        for start in range(batch_size, n, block_size):
-            stop = min(start + block_size, n)
-            rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
-        rows = _error_rows(rows)
-
-    if batch_size >= 1:
-        grid = SupportGrid(zb, rows[:batch_size])
-        batch_problem = GceProblem(y[:batch_size], x[:batch_size], grid)
-        state, batch_solution = init_stream(batch_problem, settings)
-    else:
-        state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
-        batch_solution = None
-
-    inside = _inside(y, x, zb, rows).tolist()
-    log_qe = _uniform_error_prior(rows.shape[1])[1]
-    kernel = _ScalarKernel(zb, log_qe[0], settings.gamma, 1.0 - settings.gamma)
-    carried, step = state.beta_prior, state.step_index
-    positive = carried.min() > 0.0
-    epsilon_log, ledger = list(state.epsilon_log), list(state.entropy_ledger)
-    trajectory, converged_log = list(state.beta_trajectory), list(state.converged_log)
-    skipped: list[int] = []
-    for ordinal, start in enumerate(range(batch_size, n, block_size)):
-        stop = min(start + block_size, n)
-        block = slice(start, stop)
-        trusted = positive and all(inside[block])
-        try:
-            carried, eps, moved, beta_hat, converged, positive = _absorb(
-                carried, zb, y[block], x[block], rows[block], trusted, settings, step, kernel
-            )
-        except InfeasibleObservationError as exc:
-            skipped.extend(range(start, stop))
-            logger.warning(
-                "skipping block %d (observations %d..%d): %s (offending: %s)",
-                ordinal, start, stop - 1, exc, [start + i for i in exc.indices],
-            )
-            continue
-        step += stop - start
-        epsilon_log.extend(eps.tolist())
-        ledger.append(moved)
-        trajectory.append(beta_hat)
-        converged_log.append(converged)
-
-    state = StreamState(
-        beta_prior=carried,
-        supports=state.supports,
-        step_index=step,
-        epsilon_log=epsilon_log,
-        entropy_ledger=ledger,
-        beta_trajectory=trajectory,
-        converged_log=converged_log,
+    stream = _prepare_stream(
+        y, x, batch_size, block_size, settings, beta_support=beta_support,
+        error_support=error_support, error_points=error_points, error_scale=error_scale,
     )
-    return StreamReport(
-        beta_hat=state.beta_hat,
-        epsilon_hat=np.array(state.epsilon_log),
-        entropy_ledger=np.array(state.entropy_ledger),
-        beta_trajectory=np.vstack(state.beta_trajectory),
-        final_state=state,
-        batch_solution=batch_solution,
-        skipped=tuple(skipped),
-        all_converged=all(state.converged_log),
-    )
+    (report,), _ = _fold([stream])
+    if isinstance(report, Exception):
+        raise report
+    return report

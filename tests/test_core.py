@@ -131,6 +131,32 @@ def test_error_rows_must_span_zero():
         SupportGrid(np.array([[0.0, 1.0]]), np.array([[-2.0, -1.0]]))
 
 
+WIDE_ERROR_ROW = [-3e200, 0.0, 3e200]  # build_error_support([0, 1e200, -1e200])
+
+
+@pytest.mark.parametrize(
+    "beta_row, error_row, field",
+    [
+        ([-10.0, 0.0, 10.0], WIDE_ERROR_ROW, "error_support"),
+        ([-1e200, 0.0, 1e200], [-3.0, 0.0, 3.0], "beta_support"),
+        ([1e200, 1.0000001e200], [-3.0, 0.0, 3.0], "beta_support"),
+    ],
+)
+def test_a_row_whose_squared_span_overflows_is_refused(beta_row, error_row, field):
+    # the solver squares deviations across a row; such a row overflowed them
+    # with numpy's "overflow encountered" warning inside the first solve
+    refused = f"^{field} row 0 spans .* too wide: the square of its span overflows"
+    with pytest.raises(ValueError, match=refused):
+        SupportGrid.tiled(beta_row, 2, error_row, 3)
+
+
+def test_rows_of_large_points_with_a_narrow_span_stay_accepted():
+    # only the span is squared: points far from zero close together are fine
+    grid = SupportGrid.tiled([1e160, 1e160 + 1e150], 1, [-1e153, 0.0, 1e153], 2)
+    assert grid.beta_support.tolist() == [[1e160, 1e160 + 1e150]]
+    assert grid.error_support.tolist() == [[-1e153, 0.0, 1e153]] * 2
+
+
 def test_joint_distribution_matches_grid():
     g = SupportGrid.tiled(WIDE_SUPPORT, 2, [-3.0, 0.0, 3.0], 4)
     joint = JointDistribution.uniform(g)

@@ -21,8 +21,12 @@ from gcestream import (
     run_stream,
     save_dataset_csv,
     solve_file,
+    write_report_csv,
+    write_report_json,
+    write_summary_csv,
+    write_summary_json,
 )
-from gcestream import experiments
+from gcestream import experiments, streaming
 from gcestream.cli import main
 
 rng = np.random.default_rng(577215)
@@ -518,6 +522,101 @@ def test_partial_failures_keep_the_healthy_results(tmp_path):
     assert len(outcome.failures) == 1
     assert len(outcome.reports) == 1
     assert (tmp_path / "out" / "report.csv").is_file()
+
+
+def fold_config():
+    """Several scenarios and replications whose streams fold together."""
+    return parse_experiment_config(
+        {
+            "scenarios": [
+                {"name": "clean", "n": 40, "batch_fractions": [0.25, 0.5], "block_sizes": [1, 7]},
+                {
+                    "name": "collinear",
+                    "n": 36,
+                    "eta_grid": [0.0, 1.0],
+                    "batch_fractions": [0.5],
+                    "run_std": True,
+                },
+                {"name": "cumulative", "n": 30, "error_scale": "cumulative",
+                 "batch_fractions": [0.5]},
+            ],
+            "replications": 2,
+            "seed_base": 7,
+        }
+    )
+
+
+def cell_seeds(config):
+    """(scenario, eta, seed) of every cell, in the order run_experiment runs them."""
+    return [
+        (scenario, eta, experiments._derive_seed(config.seed_base, scenario.name, ei, rep))
+        for scenario in config.scenarios
+        for ei, eta in enumerate(scenario.eta_grid)
+        for rep in range(config.replications)
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_folded_cells_write_what_each_cell_alone_gives(tmp_path, jobs):
+    config = fold_config()
+    outcome = run_experiment(config, out_dir=tmp_path / "folded", jobs=jobs)
+    assert outcome.exit_code == 0
+    reports = [
+        report
+        for scenario, eta, seed in cell_seeds(config)
+        for report in run_cell(scenario, eta, seed, config.solver).reports
+    ]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    write_report_csv(reports, alone / "report.csv")
+    write_report_json(reports, alone / "report.json")
+    write_summary_csv(reports, alone / "summary.csv")
+    write_summary_json(reports, alone / "summary.json")
+    for name in ("report.csv", "report.json", "summary.csv", "summary.json"):
+        assert (tmp_path / "folded" / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_stream_that_raises_mid_fold_fails_its_cell_only(tmp_path, monkeypatch):
+    config = fold_config()
+    run_experiment(config, out_dir=tmp_path / "healthy")
+    scenario, eta, seed = cell_seeds(config)[4]  # collinear, eta 1, replication 0
+    data = generate_dataset(dataclasses.replace(scenario.simulation, eta=eta, seed=seed))
+    marker = data.y[25]  # a one-observation step of both its streams, after the batch
+    absorb = streaming._absorb
+
+    def failing(carried, zb, y, *args):
+        if (y == marker).any():
+            raise RuntimeError("injected failure")
+        return absorb(carried, zb, y, *args)
+
+    monkeypatch.setattr(streaming, "_absorb", failing)
+    outcome = run_experiment(config, out_dir=tmp_path / "failing")
+    assert outcome.exit_code == 2
+    assert outcome.failures == (f"collinear[eta={eta}, rep=0, seed={seed}]: injected failure",)
+    header, healthy = read_table(tmp_path / "healthy" / "report.csv")
+    _, failing_rows = read_table(tmp_path / "failing" / "report.csv")
+    assert failing_rows == [row for row in healthy if row["seed"] != str(seed)]
+    assert len(failing_rows) < len(healthy)
+
+
+def test_a_failed_cell_in_a_worker_keeps_its_reason(tmp_path):
+    # the infeasibility error crosses back from the worker process intact
+    raw = {
+        "scenarios": [
+            {"name": "fine", "n": 16, "batch_fractions": [0.5], "block_sizes": [1]},
+            infeasible_scenario_dict(),
+        ],
+        "replications": 1,
+        "seed_base": 1,
+    }
+    config = parse_experiment_config(raw)
+    serial = run_experiment(config, out_dir=tmp_path / "serial", jobs=1)
+    pooled = run_experiment(config, out_dir=tmp_path / "pooled", jobs=2)
+    assert pooled.failures == serial.failures
+    assert "outside the attainable hull" in pooled.failures[0]
+    for name in REPORT_FILES:
+        pooled_bytes = (tmp_path / "pooled" / name).read_bytes()
+        assert pooled_bytes == (tmp_path / "serial" / name).read_bytes(), name
 
 
 def test_config_out_dir_is_the_default_target(tmp_path):

@@ -238,6 +238,96 @@ def test_one_observation_solves_match_bisection_on_random_priors(k, h, j, gamma,
     assert sol.multipliers[0] == pytest.approx(lam_star, abs=1e-7)
 
 
+def stacked_problems(local, s, j, k, h, where, zb=None):
+    """``s`` one-observation problems on shared supports, with random priors and data.
+
+    Returns the ``_solve_dual`` stack arguments ``(y, x, zb, ze, qb)``. Every
+    ``y`` lies at the fraction ``where`` of its hull; coefficient priors are
+    random and some weights are exactly zero. ``zb`` defaults to random rows.
+    """
+    if zb is None:
+        zb = np.sort(local.uniform(-5.0, 5.0, (j, k)), axis=1)
+        zb[:, 0], zb[:, -1] = -5.0, 5.0
+    ze = np.tile(np.linspace(-2.0, 2.0, h), (s, 1, 1)) * local.uniform(0.5, 2.0, (s, 1, 1))
+    qb = local.dirichlet(np.full(k, 0.5), size=(s, j))
+    qb[local.uniform(size=(s, j, k)) < 0.1] = 0.0
+    qb[qb.sum(axis=2) == 0.0] = 1.0
+    qb /= qb.sum(axis=2, keepdims=True)
+    x = local.uniform(-2.0, 2.0, (s, 1, j))
+    y = np.empty((s, 1))
+    for i in range(s):
+        live = np.where(qb[i] > 0.0, zb, np.nan)
+        lo, hi = solver._coefficient_hull(x[i], np.nanmin(live, axis=1), np.nanmax(live, axis=1))
+        y[i] = lo + ze[i, 0, 0] + where[i] * (hi - lo + ze[i, 0, -1] - ze[i, 0, 0])
+    return y, x, zb, ze, qb
+
+
+def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, wb, we):
+    """Solve the stack at once and problem by problem; every output must be the same bits."""
+    settings = SolverSettings()
+    lam, pt, diagnostics = solver._solve_dual(y, x, zb, ze, qb, log_qe, wb, we, settings)
+    for i in range(y.shape[0]):
+        one = slice(i, i + 1)
+        lam1, pt1, (diag1,) = solver._solve_dual(
+            y[one], x[one], zb, ze[one], qb[one], log_qe, wb, we, settings
+        )
+        assert diagnostics[i] == diag1
+        assert lam[i].tobytes() == lam1[0].tobytes()
+        for name in ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb"):
+            got, want = getattr(pt, name)[i], getattr(pt1, name)[0]
+            assert got.tobytes() == want.tobytes(), (i, name)
+    return diagnostics
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    s=st.integers(1, 12),
+    j=st.integers(1, 4),
+    k=st.integers(2, 7),
+    h=st.integers(2, 7),
+    gamma=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stack_of_one_observation_solves_is_its_stacks_of_one(s, j, k, h, gamma, seed):
+    local = np.random.default_rng(seed)
+    where = local.uniform(0.02, 0.98, s)
+    y, x, zb, ze, qb = stacked_problems(local, s, j, k, h, where)
+    # the last problem's observation is its prior's own prediction: no Newton step
+    kernel = solver._StackKernel(zb, np.log(np.full(h, 1.0 / h)), gamma, 1.0 - gamma)
+    (g,), _, _ = kernel.start(qb[-1:], solver._log_priors(qb[-1:]), y[-1], x[-1], ze[-1, 0][None])
+    y[-1] -= g
+    log_qe = solver._log_priors(np.full((1, h), 1.0 / h))
+    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, gamma, 1.0 - gamma)
+    assert diagnostics[-1].iterations == 0
+    assert all(d.converged for d in diagnostics)
+
+
+def test_a_stack_with_a_bisecting_and_an_idle_problem_is_its_stacks_of_one(monkeypatch):
+    # near the top of its hull with the prior at the bottom, the first
+    # trust step overshoots and the next proposal leaves the bracket, so
+    # the problem bisects; another one starts at its root
+    local = np.random.default_rng(5)
+    zb = np.array([[-1.0, 0.0, 1.0]])
+    y, x, zb, ze, qb = stacked_problems(local, 6, 1, 3, 3, local.uniform(0.1, 0.9, 6), zb)
+    y[0], x[0], ze[0], qb[0] = 0.9995, 1.0, [-1e-3, 0.0, 1e-3], [0.98, 0.01, 0.01]
+    y[1], x[1], qb[1] = 0.0, 1.0, [0.25, 0.5, 0.25]  # symmetric: the prior predicts 0
+    ze[1] = [-1.0, 0.0, 1.0]
+    multipliers = []
+    at = solver._StackKernel.at
+
+    def recorded(self, lam):
+        multipliers.append(lam[:: zb.shape[0] + 1, 0].tolist())
+        return at(self, lam)
+
+    monkeypatch.setattr(solver._StackKernel, "at", recorded)
+    log_qe = solver._log_priors(np.full((1, 3), 1.0 / 3.0))
+    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, 0.5, 0.5)
+    # the stack's first two steps for problem 0: a trust step, then the midpoint
+    assert [step[0] for step in multipliers[:2]] == [-8.0, -4.0]
+    assert diagnostics[1].iterations == 0 and diagnostics[0].iterations > 2
+    assert all(d.converged for d in diagnostics)
+
+
 def test_weighted_solve_matches_weighted_bisection():
     grid = SupportGrid(np.array([[0.0, 1.0]]), np.array([[-1.5, 1.5]]))
     prob = GceProblem(np.array([0.7]), np.array([[2.0]]), grid)
@@ -271,25 +361,25 @@ def lean_scalar_problem():
 def loaded_kernel(problem, signal_weight, error_weight):
     """The one-observation kernel for ``problem``, loaded, and its point at zero."""
     grid, prior = problem.supports, problem.prior
-    kernel = solver._ScalarKernel(
+    kernel = solver._StackKernel(
         grid.beta_support, solver._log_priors(prior.error)[0], signal_weight, error_weight
     )
     start = kernel.start(
-        prior.beta, solver._log_priors(prior.beta), problem.y[0], problem.x[0],
-        grid.error_support[0],
+        prior.beta[None], solver._log_priors(prior.beta)[None], problem.y, problem.x,
+        grid.error_support,
     )
     return kernel, start
 
 
 def unstacked(kernel, point):
-    """A kernel point and ``curvature``'s rows for it, unstacked.
+    """A stack-of-one kernel point and ``curvature``'s rows for it, unstacked.
 
     Returns ``(grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps)``.
     """
     j, k, h = kernel.shape
-    grad, p, means = point
+    (grad,), p, means = point
     curv = kernel.curvature(p, means)
-    return grad, p[:j, :k], p[j, :h], means[:j], means[j], curv[:j], curv[j]
+    return grad, p[:j, :k], p[j, :h], means[:j, 0], means[j, 0], curv[:j, 0], curv[j, 0]
 
 
 def assert_point_matches(kernel, point, full, **close):
@@ -308,7 +398,7 @@ def test_scalar_routine_matches_the_full_evaluation(lam):
     problem = lean_scalar_problem()
     kernel, _ = loaded_kernel(problem, 0.3, 0.7)
     full = solver._evaluator(problem, 0.3, 0.7).evaluate(np.array([lam]))
-    point = kernel.at(lam)
+    point = kernel.at(np.array([lam]))
     assert_point_matches(kernel, point, full, rtol=0.0, atol=1e-14)
     assert unstacked(kernel, point)[1][1, 0] == 0.0
 
@@ -329,7 +419,7 @@ def test_scalar_routine_on_wide_grids_matches_the_full_evaluation(k, h):
     ev = solver._evaluator(problem, 0.4, 0.6)
     for lam in (-2.0, 0.0, 0.3, 5.0):
         full = ev.evaluate(np.array([lam]))
-        assert_point_matches(kernel, kernel.at(lam), full, rtol=1e-12, atol=1e-14)
+        assert_point_matches(kernel, kernel.at(np.array([lam])), full, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("k, h", [(3, 4), (9, 3), (5, 11)])
@@ -372,14 +462,14 @@ def test_one_observation_verdict_reads_the_lone_residual():
     problem = lean_scalar_problem()
     grid, prior = problem.supports, problem.prior
     args = (
-        problem.y, problem.x, grid.beta_support, grid.error_support, prior.beta,
-        solver._log_priors(prior.error), 0.3, 0.7,
+        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
+        prior.beta[None], solver._log_priors(prior.error), 0.3, 0.7,
     )
     verdicts = []
     for settings in (SolverSettings(), SolverSettings(max_iterations=1)):
-        _, pt, diagnostics = solver._solve_dual(*args, settings)
-        assert pt.grad.shape == (1,)
-        assert diagnostics.max_residual == abs(pt.grad[0])
+        _, pt, (diagnostics,) = solver._solve_dual(*args, settings)
+        assert pt.grad.shape == (1, 1)
+        assert diagnostics.max_residual == abs(pt.grad[0, 0])
         assert diagnostics.converged == (
             diagnostics.max_residual <= settings.constraint_tolerance
         )
@@ -387,9 +477,9 @@ def test_one_observation_verdict_reads_the_lone_residual():
     assert verdicts[0][0] > 1 and verdicts[0][1]
     assert verdicts[1] == (1, False)
     # a tolerance exactly at the capped solve's residual accepts it
-    residual = solver._solve_dual(*args, SolverSettings(max_iterations=1))[2].max_residual
+    residual = solver._solve_dual(*args, SolverSettings(max_iterations=1))[2][0].max_residual
     tight = SolverSettings(constraint_tolerance=residual, max_iterations=1)
-    assert solver._solve_dual(*args, tight)[2] == solver.SolverDiagnostics(1, residual, True)
+    assert solver._solve_dual(*args, tight)[2] == (solver.SolverDiagnostics(1, residual, True),)
 
 
 @pytest.mark.parametrize("x, row", [(4.0, "coefficient row 0"), (0.0, "error row 0")])
@@ -402,7 +492,7 @@ def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
             ev.evaluate(np.array([1e308]))
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
-            kernel.at(1e308)
+            kernel.at(np.array([1e308]))
 
 
 # ---------------------------------------------------------------------------

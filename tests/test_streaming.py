@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from gcestream import solver
+from gcestream import streaming as streaming_module
 from gcestream.simulation import _scaled_error_support
 from gcestream import (
     GceProblem,
@@ -778,6 +779,64 @@ def test_an_underflowed_prior_takes_the_masked_hull_check(caplog):
     assert 30 in report.skipped and 31 not in report.skipped
 
 
+def assert_same_report(got, want):
+    """Two stream reports with the same bits in every output."""
+    for name in ("beta_hat", "epsilon_hat", "entropy_ledger", "beta_trajectory"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.final_state.beta_prior.tobytes() == want.final_state.beta_prior.tobytes()
+    assert tuple(got.final_state.converged_log) == tuple(want.final_state.converged_log)
+    assert got.final_state.step_index == want.final_state.step_index
+    assert got.skipped == want.skipped and got.all_converged == want.all_converged
+
+
+def test_streams_folded_together_are_each_their_stream_alone(caplog):
+    # one stream skips two infeasible blocks, one underflows its prior and
+    # then skips, the others are healthy; g = 1 streams of one support are
+    # stacked, g = 7 blocks are absorbed alone between them
+    row = np.array([-4.0, 0.0, 4.0])
+    y_skip, design = simulated(80, seed=191)
+    zb = np.tile(BETA_ROW, (design.shape[1], 1))
+    _, hi = solver._coefficient_hull(design, zb[:, 0], zb[:, -1])
+    y_skip[37], y_skip[52] = 1e7, hi[52] + row[-1]
+    y_under, x_under = underflowing_stream()
+    local = np.random.default_rng(4)
+    healthy_under = [
+        (local.uniform(-0.5, 0.5, 40), np.column_stack([np.ones(40), local.uniform(0, 1, 40)]))
+        for _ in range(2)
+    ]
+    under = dict(beta_support=UNDERFLOW_BETA_ROW, error_support=UNDERFLOW_ERROR_ROW)
+    streams = [
+        ((y_skip, design, 30, 1), dict(beta_support=BETA_ROW, error_support=row)),
+        ((y_under, x_under, 20, 1), under),
+        *(((*simulated(80, seed=s), 30, g), dict(beta_support=BETA_ROW, error_support=row))
+          for s, g in ((3, 1), (4, 7), (5, 1))),
+        ((y_skip, design, 30, 7), dict(beta_support=BETA_ROW, error_support=row)),
+        *(((y, x, 20, 1), {**under, "error_support": [-1.0, 0.0, 1.0]}) for y, x in healthy_under),
+        ((*simulated(80, seed=6), 30, 1), dict(beta_support=BETA_ROW, error_scale="cumulative")),
+    ]
+    alone, logged = [], []
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        for args, kwargs in streams:
+            alone.append(run_stream(*args, **kwargs))
+        logged = sorted(caplog.messages)
+        caplog.clear()
+        prepared = [
+            streaming_module._prepare_stream(
+                *args, None, error_support=kwargs.get("error_support"),
+                beta_support=kwargs["beta_support"], error_points=3,
+                error_scale=kwargs.get("error_scale", "batch"),
+            )
+            for args, kwargs in streams
+        ]
+        folded, seconds = streaming_module._fold(prepared)
+        assert sorted(caplog.messages) == logged
+    assert alone[0].skipped == (37, 52) and 30 in alone[1].skipped
+    assert any("underflowed" in m for m in logged)
+    for got, want in zip(folded, alone):
+        assert_same_report(got, want)
+    assert len(seconds) == len(streams) and all(dt > 0.0 for dt in seconds)
+
+
 # ---------------------------------------------------------------------------
 # run_stream's up-front checks
 # ---------------------------------------------------------------------------
@@ -849,6 +908,30 @@ def test_non_finite_data_after_the_batch_fails_before_any_solve(
             run_stream(y, design, 20, block_size, beta_support=BETA_ROW, error_scale=scale)
     assert str(got.value) == message
     assert not any("skipping block" in m for m in caplog.messages)
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "field, beta_row, error_row",
+    [
+        ("error_support", BETA_ROW, [-3e200, 0.0, 3e200]),
+        ("beta_support", [-1e200, 0.0, 1e200], [-30.0, 0.0, 30.0]),
+    ],
+)
+def test_a_row_whose_squared_span_overflows_fails_before_any_solve(
+    monkeypatch, field, beta_row, error_row
+):
+    y, design = simulated(40, seed=201)
+    state, _, _, _ = stream_after_batch()
+    solves = recorded_solves(monkeypatch)
+    refused = f"^{field} row 0 spans .* too wide"
+    with pytest.raises(ValueError, match=refused):
+        run_stream(y, design, 20, beta_support=beta_row, error_support=error_row)
+    if field == "error_support":
+        with pytest.raises(ValueError, match=refused):
+            update_step(state, y[30], design[30], error_row)
+        with pytest.raises(ValueError, match=refused):
+            block_update(state, y[30:33], design[30:33], error_row)
     assert solves == []
 
 
@@ -987,7 +1070,7 @@ def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
 def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(monkeypatch):
     # the point at lam = 0 comes from the carried prior's moments, so each
     # kernel evaluation is one Newton iteration, and one kernel serves the stream
-    kernel = solver._ScalarKernel
+    kernel = solver._StackKernel
     built, evaluations, iterations, curvatures = [], [], [], []
     init, at, solve, curvature = kernel.__init__, kernel.at, kernel.solve, kernel.curvature
 
@@ -1001,7 +1084,7 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
 
     def counted_solve(self, *args):
         result = solve(self, *args)
-        iterations.append(result[2])
+        iterations.extend(result[2])
         return result
 
     def counted_curvature(self, p, means):
@@ -1022,6 +1105,30 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
     # point: one fewer than the points each solve evaluates (start's and at's)
     assert len(curvatures) == sum(iterations)
     assert len(curvatures) == len(evaluations) + len(iterations) - 40
+
+
+def test_updates_on_one_thread_share_one_kernel(monkeypatch):
+    # the kernel keeps nothing of a problem between solves, so one per thread
+    # serves every one-observation update with the same supports and gamma
+    built = []
+    init = solver._StackKernel.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    state, y, design, error_row = stream_after_batch(n=30)
+    monkeypatch.setattr(solver._StackKernel, "__init__", counted_init)
+    monkeypatch.setattr(streaming_module, "_BLOCK_KERNELS", threading.local())
+    states = [state]
+    for i in range(8, 20):
+        states.append(update_step(states[-1], y[i], design[i], error_row))
+    assert len(built) == 1
+    other = update_step(state, y[8], design[8], error_row, UpdateSettings(gamma=0.3))
+    assert len(built) == 2 and other.beta_hat.tolist() != states[1].beta_hat.tolist()
+    again = update_step(state, y[8], design[8], error_row)
+    assert len(built) == 3
+    assert again.beta_prior.tobytes() == states[1].beta_prior.tobytes()
 
 
 # ---------------------------------------------------------------------------
