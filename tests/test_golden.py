@@ -1,0 +1,39 @@
+"""The package's outputs on fixed inputs, bit for bit, against ``golden.json``.
+
+``make_golden.py`` writes the file; see its docstring for what it pins.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+
+import make_golden
+from gcestream import solver
+
+GOLDEN = json.loads(make_golden.GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_outputs_match_the_golden_file():
+    moved = make_golden.mismatches(make_golden.outputs(), GOLDEN["fields"])
+    made = ", ".join(f"{k} {v}" for k, v in GOLDEN["made_with"].items())
+    assert not moved, f"outputs moved from golden.json (made with {made}):\n" + "\n".join(moved)
+
+
+def test_a_one_ulp_move_fails_the_golden_check(monkeypatch):
+    solve = solver._solve_dual
+
+    def nudged(*args, **kwargs):
+        lam, pt, diagnostics = solve(*args, **kwargs)
+        beta_hat = pt.beta_hat.copy()
+        beta_hat[0, 0] = np.nextafter(beta_hat[0, 0], np.inf)
+        return lam, dataclasses.replace(pt, beta_hat=beta_hat), diagnostics
+
+    monkeypatch.setattr(solver, "_solve_dual", nudged)
+    want = {name: GOLDEN["fields"][name] for name in make_golden.solve_outputs()}
+    moved = make_golden.mismatches(make_golden.solve_outputs(), want)
+    assert moved == [
+        "solve/beta_hat: 1 of 4 values moved, largest by "
+        f"{abs(np.spacing(float.fromhex(want['solve/beta_hat']['hex'][0]))):.3e} "
+        "absolute and 1 ulp"
+    ]
