@@ -8,22 +8,24 @@ reports plus plot-ready figure data. Every method's rmse is computed over all
 n observations with that method's final coefficients, so columns are directly
 comparable.
 
-Cells run in three steps. Each cell is planned first: its dataset, its
-one-shot fits, and its streams prepared, each fraction's batch fit solved
-once and shared by the streams on the raw design. Then the streams of every
-planned cell are folded together (``streaming._fold``), so one stacked
-kernel call advances the one-observation steps of all of them. Then each
-cell is scored. A cell fails alone when its planning or one of its streams
-raises.
+Cells run in four steps. Each cell is planned first: its dataset and its
+one-shot problems, each fraction's batch problem built once and shared by
+the streams on the raw design. Then the one-shot problems of every planned
+cell are solved in stacks, one solve for all the problems of one size, and
+each cell's streams are prepared from their batch fits. Then the streams of
+every cell are folded together (``streaming._fold``), so one stacked solve
+advances the same-size blocks of all of them. Then each cell is scored. A
+cell fails alone when its planning, one of its one-shot solves or one of
+its streams raises.
 
 Replication seeds are derived from (seed_base, scenario name, eta index,
 replication index) through a seed sequence, so runs are reproducible cell by
 cell and independent across cells. With ``jobs`` workers the cells are split
-into ``jobs`` groups, each planned, folded and scored in one worker process
-by the same function a single process uses; the emitted files are
-byte-identical regardless of worker count because a stream's results do not
-depend on what it is folded with, rows are sorted, and timing values are
-withheld unless explicitly requested.
+into ``jobs`` groups, each run in one worker process by the same function a
+single process uses; the emitted files are byte-identical regardless of
+worker count because a fit's or a stream's results do not depend on what it
+is stacked with, rows are sorted, and timing values are withheld unless
+explicitly requested.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .simulation import (
     load_dataset_csv,
     standardize_columns,
 )
-from .solver import GceProblem, GceSolution, SolverSettings, solve_gce
+from .solver import GceProblem, SolverSettings, _solve_problems, solve_gce
 from .streaming import _MIN_GAMMA, UpdateSettings, _fold, _prepare_stream, run_stream
 from .core import SupportGrid, _integer
 
@@ -294,12 +296,15 @@ class CellOutcome:
     ``method_seconds`` holds one entry per distinct estimation run (methods
     shared across batch fractions appear once); their sum accounts for
     ``estimation_seconds``, the time of the whole estimation section. A
-    fraction's batch fit is charged to ``gce_batch``, which the streams on
-    the raw design start from without solving it again. A stream is charged
-    its preparation and its share of the fold: its wider blocks' solves, and
-    an equal share of each round it took part in. The estimation section is
-    the cell's planning and scoring plus its streams' shares, its wall time
-    when the cell is folded alone, as ``run_cell`` folds it.
+    one-shot fit is charged the building of its problem and an equal share
+    of the stacked solve it was part of. A fraction's batch fit is charged
+    to ``gce_batch``, which the streams on the raw design start from without
+    solving it again; the stream on the standardized design is charged its
+    own batch fit. A stream is charged its preparation and its share of the
+    fold: an equal share of each stacked block solve it was part of, and of
+    the rest of each round it took part in. The estimation section is the
+    cell's planning and scoring plus its shares, its wall time when the cell
+    is run alone, as ``run_cell`` runs it.
     """
 
     reports: tuple[RunReport, ...]
@@ -316,35 +321,88 @@ def _derive_seed(seed_base: int, scenario_name: str, eta_index: int, replication
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _fit_plain(y, design, support_row, error_row, solver: SolverSettings) -> GceSolution:
-    grid = SupportGrid.tiled(support_row, design.shape[1], error_row, len(y))
-    return solve_gce(GceProblem(y, design, grid), solver)
+def _plain_problem(y, design, support_row, error_row) -> GceProblem:
+    """The one-shot problem on uniform priors over tiled support rows."""
+    return GceProblem(y, design, SupportGrid.tiled(support_row, design.shape[1], error_row, len(y)))
 
 
 @dataclass
 class _CellPlan:
-    """A cell after planning: its one-shot results and its streams, ready to fold.
+    """A cell after planning: its one-shot problems, then its fits, then its streams.
 
-    ``fractions`` holds per batch fraction its one-shot results and its
-    streams, each as its ``method_seconds`` key, method, g, the regressors
-    it is scored on and the prepared stream, in report order.
+    ``problems`` holds the cell's one-shot problems by their
+    ``method_seconds`` key, in the order they are reported: ``gce_dataset``,
+    then per batch fraction ``gce_batch`` and, with ``run_std``, the batch
+    fit of the stream on the standardized design. ``fits`` holds each
+    problem's solution, or the exception its solve raised. ``fractions``,
+    filled by ``prepare``, holds per batch fraction its one-shot results and
+    its streams, each as its ``method_seconds`` key, method, g, the
+    regressors it is scored on and the prepared stream, in report order.
     ``method_seconds`` holds the wall time charged so far per method, and
-    ``planning_seconds`` that of the whole planning.
+    ``planning_seconds`` that of the planning, the cell's share of the
+    one-shot solves and the preparation.
     """
 
     scenario: ScenarioConfig
     eta: float
     seed: int
-    n: int
+    solver: SolverSettings
+    x: np.ndarray  # the dataset's regressors, without an intercept column
     y_fit: np.ndarray
-    fractions: list
+    design: np.ndarray
+    variants: list
+    problems: dict
     method_seconds: dict
     planning_seconds: float
+    fits: dict = field(default_factory=dict)
+    fractions: list = field(default_factory=list)
 
     @property
     def streams(self) -> list:
         """Every prepared stream of the cell, in report order."""
         return [entry[-1] for _, _, entries in self.fractions for entry in entries]
+
+    def prepare(self) -> None:
+        """Score the one-shot fits and prepare the streams, each from its batch fit.
+
+        Raises the first exception a one-shot solve of the cell raised. The
+        streams on the raw design start from their fraction's ``gce_batch``
+        fit, the stream on the standardized design from its own batch fit.
+        """
+        for fit in self.fits.values():
+            if isinstance(fit, Exception):
+                raise fit
+        clock = time.perf_counter
+        t_start = clock()
+        scenario, y_fit, n = self.scenario, self.y_fit, self.y_fit.size
+        est_int = scenario.estimate_intercept
+        support_row = np.asarray(scenario.simulation.beta_support)
+        update_settings = UpdateSettings(gamma=scenario.gamma, solver=self.solver)
+
+        def result(key, method):
+            fit = self.fits[key]
+            score = rmse(y_fit, self.x, fit.beta_hat, include_intercept=est_int)
+            wallclock_ms = self.method_seconds[key] * 1e3
+            return MethodResult(method, score, None, fit.diagnostics.converged, wallclock_ms)
+
+        full_result = result("gce_dataset", "gce_dataset")
+        for fraction in scenario.batch_fractions:
+            m = int(round(fraction * n))
+            one_shot = (full_result, result(f"gce_batch@{fraction}", "gce_batch"))
+            streams = []
+            self.fractions.append((fraction, one_shot, streams))
+            for name, g, suffix, x_design, x_eval in self.variants:
+                key = f"{name}@{fraction}{suffix}"
+                batch_key = f"gce_batch@{fraction}" if x_design is self.design else key
+                t0 = clock()
+                stream = _prepare_stream(
+                    y_fit, x_design, m, g, update_settings, beta_support=support_row,
+                    error_support=None, error_points=scenario.error_points,
+                    error_scale=scenario.error_scale, batch_fit=self.fits[batch_key],
+                )
+                self.method_seconds[key] = self.method_seconds.get(key, 0.0) + clock() - t0
+                streams.append((key, name, g, x_eval, stream))
+        self.planning_seconds += clock() - t_start
 
     def finish(self, folded) -> CellOutcome:
         """Score the cell on its folded streams, given as (report, seconds charged) in order.
@@ -371,7 +429,7 @@ class _CellPlan:
                 results.append(MethodResult(method, score, g, converged, wallclock_ms))
             reports.append(
                 RunReport(
-                    n=self.n,
+                    n=self.y_fit.size,
                     batch_fraction=float(fraction),
                     eta=float(self.eta),
                     seed=self.seed,
@@ -386,33 +444,22 @@ class _CellPlan:
 
 
 def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
-    """Generate one cell's dataset, run its one-shot fits and prepare its streams.
+    """Generate one cell's dataset and build its one-shot problems.
 
-    Each batch fraction's one-shot batch fit is solved once: the streams on
-    the raw design at that fraction solve the same problem for their batch,
-    so they start from it.
+    Each batch fraction's one-shot batch problem is built once: the streams
+    on the raw design at that fraction solve the same problem for their
+    batch, so they start from its fit. The stream on the standardized
+    design gets its own batch problem here, so that every one-shot problem
+    of the cell is known before any is solved.
     """
     solver = solver if solver is not None else SolverSettings()
+    clock = time.perf_counter
+    t_start = clock()
     sim = replace(scenario.simulation, eta=float(eta), seed=seed, standardize=False)
     ds = generate_dataset(sim)
-    est_int = scenario.estimate_intercept
-    y_fit = ds.y if est_int else ds.y - ds.intercept
-    design = np.column_stack([np.ones(ds.n), ds.x]) if est_int else ds.x
+    y_fit = ds.y if scenario.estimate_intercept else ds.y - ds.intercept
+    design = np.column_stack([np.ones(ds.n), ds.x]) if scenario.estimate_intercept else ds.x
     support_row = np.asarray(sim.beta_support)
-    update_settings = UpdateSettings(gamma=scenario.gamma, solver=solver)
-    clock = time.perf_counter
-    method_seconds: dict[str, float] = {}
-
-    def plain(key, method, stop, error_row):
-        t0 = clock()
-        fit = _fit_plain(y_fit[:stop], design[:stop], support_row, error_row, solver)
-        method_seconds[key] = dt = clock() - t0
-        score = rmse(y_fit, ds.x, fit.beta_hat, include_intercept=est_int)
-        return fit, MethodResult(method, score, None, fit.diagnostics.converged, dt * 1e3)
-
-    t_start = clock()
-    full_row = _scaled_error_support(y_fit, ds.n, "full", scenario.error_points)
-    _, full_result = plain("gce_dataset", "gce_dataset", ds.n, full_row)
     # one stream per block size, plus the standardized design when requested:
     # (method, g, method_seconds key suffix, design, regressors it is scored on)
     variants = [
@@ -423,35 +470,73 @@ def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
         x_std, _, _ = standardize_columns(ds.x)
         variants.append(("stre_gce_std", 1, "", np.column_stack([np.ones(ds.n), x_std]), x_std))
 
-    fractions = []
+    problems: dict[str, GceProblem] = {}
+    method_seconds: dict[str, float] = {}
+
+    def build(key, x_design, stop, error_row):
+        t0 = clock()
+        problems[key] = _plain_problem(y_fit[:stop], x_design[:stop], support_row, error_row)
+        method_seconds[key] = clock() - t0
+
+    full_row = _scaled_error_support(y_fit, ds.n, "full", scenario.error_points)
+    build("gce_dataset", design, ds.n, full_row)
     for fraction in scenario.batch_fractions:
         m = int(round(fraction * ds.n))
         batch_row = _scaled_error_support(y_fit, m, scenario.error_scale, scenario.error_points)
-        batch_fit, batch_result = plain(f"gce_batch@{fraction}", "gce_batch", m, batch_row)
-        streams = []
-        fractions.append((fraction, (full_result, batch_result), streams))
-        for name, g, suffix, x_design, x_eval in variants:
-            key = f"{name}@{fraction}{suffix}"
-            t0 = clock()
-            stream = _prepare_stream(
-                y_fit, x_design, m, g, update_settings, beta_support=support_row,
-                error_support=None, error_points=scenario.error_points,
-                error_scale=scenario.error_scale,
-                batch_fit=batch_fit if x_design is design else None,
-            )
-            method_seconds[key] = clock() - t0
-            streams.append((key, name, g, x_eval, stream))
-    planning = clock() - t_start
-    return _CellPlan(scenario, eta, seed, ds.n, y_fit, fractions, method_seconds, planning)
+        build(f"gce_batch@{fraction}", design, m, batch_row)
+        for name, _, suffix, x_design, _ in variants:
+            if x_design is not design:
+                build(f"{name}@{fraction}{suffix}", x_design, m, batch_row)
+    return _CellPlan(
+        scenario, eta, seed, solver, ds.x, y_fit, design, variants, problems, method_seconds,
+        clock() - t_start,
+    )
+
+
+def _solve_one_shots(plans) -> None:
+    """Solve the one-shot problems of every plan, in stacks, into each plan's ``fits``.
+
+    Problems that share the number of observations, the coefficient
+    supports, the error row width and the solver settings form a stack,
+    solved by one call; each gets its fit alone, bit for bit. A stack that
+    raises is solved again one problem at a time, and a problem that raises
+    alone keeps its exception as its fit. A stack's solve is shared equally
+    by its members.
+    """
+    stacks: dict = {}
+    for plan in plans:
+        for key, problem in plan.problems.items():
+            zb = problem.supports.beta_support
+            shape = (problem.n_obs, zb.shape, zb.tobytes(), problem.supports.n_error_points)
+            stacks.setdefault((*shape, plan.solver), []).append((plan, key, problem))
+    for members in stacks.values():
+        t0 = time.perf_counter()
+        problems = [problem for _, _, problem in members]
+        solver = members[0][0].solver
+        try:
+            fits = _solve_problems(problems, solver)
+        except Exception:
+            fits = []
+            for problem in problems:
+                try:
+                    fits.extend(_solve_problems([problem], solver))
+                except Exception as exc:
+                    fits.append(exc)
+        share = (time.perf_counter() - t0) / len(members)
+        for (plan, key, _), fit in zip(members, fits):
+            plan.fits[key] = fit
+            plan.method_seconds[key] += share
+            plan.planning_seconds += share
 
 
 def _run_cells(tasks) -> list:
-    """Plan every cell, fold all of their streams together, then score each cell.
+    """Plan every cell, solve their one-shot problems in stacks, fold all of their
+    streams together, then score each cell.
 
     ``tasks`` holds ``run_cell``'s arguments per cell. Returns per cell its
     ``CellOutcome``, or the exception that failed it: a cell fails when its
-    planning raises or one of its streams does, and no other cell fails
-    with it.
+    planning, one of its one-shot solves, the preparation of one of its
+    streams or one of its streams raises, and no other cell fails with it.
     """
     plans = []
     for args in tasks:
@@ -459,6 +544,13 @@ def _run_cells(tasks) -> list:
             plans.append(_plan_cell(*args))
         except Exception as exc:
             plans.append(exc)
+    _solve_one_shots([plan for plan in plans if isinstance(plan, _CellPlan)])
+    for i, plan in enumerate(plans):
+        if isinstance(plan, _CellPlan):
+            try:
+                plan.prepare()
+            except Exception as exc:
+                plans[i] = exc
     live = [plan for plan in plans if isinstance(plan, _CellPlan)]
     reports, charged = _fold([stream for plan in live for stream in plan.streams])
     folded = iter(zip(reports, charged))
@@ -658,7 +750,7 @@ def solve_file(
 
     if mode == "gce":
         error_row = _scaled_error_support(y, y.size, "full", error_points)
-        fit = _fit_plain(y, design, support_row, error_row, solver)
+        fit = solve_gce(_plain_problem(y, design, support_row, error_row), solver)
         return SolveOutcome(
             mode=mode,
             beta_hat=fit.beta_hat,

@@ -41,6 +41,7 @@ streaming updates; the plain problem is the 1/1 special case.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -262,14 +263,14 @@ class GceSolution:
 
 @dataclass(frozen=True)
 class _DualPoint:
-    """Everything the iteration needs at one multiplier vector.
+    """Everything the iteration needs at one multiplier vector, for a stack of problems.
 
-    The shapes below are one problem's; ``_solve_dual`` returns a stack of
-    problems with a leading axis on every array.
+    Every array has a leading axis of S problems; the shapes below are one
+    problem's.
     """
 
-    value: float  # NaN from the single-constraint path, which never reads it
-    grad: np.ndarray
+    value: np.ndarray  # (S,); NaN from the one-observation kernel, which never forms it
+    grad: np.ndarray  # (m,)
     pb: np.ndarray  # (J, K) coefficient row weights
     pe: np.ndarray  # (m, H) error row weights
     beta_hat: np.ndarray
@@ -284,28 +285,53 @@ class _DualPoint:
     curv_beta: np.ndarray | None = None  # per coefficient
     curv_eps: np.ndarray | None = None  # per observation
 
+    def take(self, rows) -> "_DualPoint":
+        """The point of the problems ``rows``; an index gives one problem's arrays.
+
+        The error weights stay views of ``(H, m)`` rows, as ``evaluate`` lays
+        them out.
+        """
+
+        def pick(a):
+            return None if a is None else a[rows]
+
+        pe = np.swapaxes(np.swapaxes(self.pe, -1, -2)[rows], -1, -2)
+        return _DualPoint(
+            pick(self.value), pick(self.grad), pick(self.pb), pe, pick(self.beta_hat),
+            pick(self.eps_hat), pick(self.tilt), pick(self.ln_zb), pick(self.curv_beta),
+            pick(self.curv_eps),
+        )
+
+    def put(self, rows, other: "_DualPoint", chosen) -> None:
+        """Overwrite the problems ``rows`` with ``other``'s problems ``chosen``, curvature aside."""
+        for name in ("value", "grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb"):
+            getattr(self, name)[rows] = getattr(other, name)[chosen]
+
 
 def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log-sum-exp and the normalized row weights, from one exp.
+    """Per-row log-sum-exp and the normalized row weights, from one exp, for a stack.
 
-    The support points of a row lie along ``axis``: 1 for ``(rows, points)``
-    logits, 0 for ``(points, rows)``. Reducing a tall stack along its long
-    axis (axis 0 of a ``(points, rows)`` array) costs a few vector passes
-    instead of one short reduction per row. Either way numpy adds a row's
-    points in sequence while there are fewer than 8, so both layouts give
-    the same bits; from 8 points on, a row sum is pairwise and the two agree
-    to the last few ulps. The weights come back in the layout of ``logits``.
+    ``logits`` has a leading axis of S problems; the support points of a row
+    lie along ``axis``: 2 for ``(S, rows, points)`` logits, 1 for ``(S,
+    points, rows)``. Reducing along the long row axis (axis 1 of an ``(S,
+    points, rows)`` array) costs a few vector passes instead of one short
+    reduction per row. Either way numpy adds a row's points in sequence
+    while there are fewer than 8, so both layouts give the same bits; from 8
+    points on, a row sum is pairwise and the two agree to the last few ulps.
+    Returns the ``(S, rows)`` log partition sums and the weights in the
+    layout of ``logits``.
 
     Entries of -inf (support points without prior weight) get zero weight; a
-    row whose log partition sum is not finite raises ValueError.
+    row whose log partition sum is not finite raises ValueError, naming the
+    row within the first problem that has one.
     """
     top = logits.max(axis=axis, keepdims=True)
     shifted = np.exp(logits - top)
     total = np.add.reduce(shifted, axis=axis, keepdims=True)
-    ln_z = (np.log(total) + top).reshape(-1)
+    ln_z = (np.log(total) + top).reshape(logits.shape[0], -1)
     bad = ~np.isfinite(ln_z)
     if bad.any():
-        raise ValueError(f"non-finite partition sum in {name} row {int(np.argmax(bad))}")
+        raise ValueError(f"non-finite partition sum in {name} row {int(np.argwhere(bad)[0, 1])}")
     return ln_z, shifted / total
 
 
@@ -316,58 +342,101 @@ def _log_priors(q: np.ndarray) -> np.ndarray:
     return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per problem, the dot product of its rows of ``a`` and ``b`` (S, m): ``a[i] @ b[i]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 class _DualEvaluator:
-    """Precomputed log-priors and supports for repeated dual evaluations.
+    """Precomputed log-priors and supports for repeated dual evaluations of a stack.
 
-    Takes the data ``y`` (m,) and ``x`` (m, J), the support arrays ``zb``
-    (J, K) and ``ze`` (m, H), the log prior weights ``log_qb`` and ``log_qe``
-    (``_log_priors`` of the weights; ``log_qe`` may be one row shared by every
-    observation) and the two objective weights.
+    Takes, per problem of a stack of S, the data ``y`` (S, m) and ``x`` (S,
+    m, J), the error supports ``ze`` (S, m, H) and the log coefficient prior
+    weights ``log_qb`` (S, J, K); the coefficient supports ``zb`` (J, K), the
+    log error prior weights ``log_qe`` (``_log_priors`` of the weights; one
+    row may be shared by every observation) and the two objective weights
+    are the stack's.
 
-    The error side is stored once per solve as contiguous ``(H, m)`` arrays
-    (a shared ``(1, H)`` log prior as ``(H, 1)``), so each of its per-row
-    reductions runs along the long observation axis; ``evaluate`` hands back
-    the error weights as the ``(m, H)`` view of that array. Rows of fewer
-    than 8 points are summed in sequence in either layout, so every output
-    is bit-identical to a row-major evaluation while K, H and J are below 8;
-    wider rows agree to the last few ulps.
+    Every problem's arithmetic is the one-problem arithmetic, operation for
+    operation: dot products are batched ``matmul`` calls on each problem's
+    own (transposed) view, the calls numpy makes for one problem's 2-D
+    arrays, and every row is reduced along its own axis. So a problem gets
+    the same bits in any stack, and ``take`` can drop problems from one.
 
-    The reported value is measured relative to uniform rows: it carries a
+    The error side is stored once per solve as contiguous ``(S, H, m)``
+    arrays (a shared ``(1, H)`` log prior as ``(H, 1)``), so each of its
+    per-row reductions runs along the long observation axis; ``evaluate``
+    hands back the error weights as the ``(S, m, H)`` view of that array.
+    Rows of fewer than 8 points are summed in sequence in either layout, so
+    every output is bit-identical to a row-major evaluation while K, H and J
+    are below 8; wider rows agree to the last few ulps.
+
+    The reported values are measured relative to uniform rows: they carry a
     constant offset of sum(log row sizes), so at zero multipliers with a
-    uniform prior the value is J*log(K) + m*log(H), and at the optimum the
+    uniform prior a value is J*log(K) + m*log(H), and at the optimum the
     achieved KL divergence equals that constant minus the minimal value.
     """
 
     def __init__(self, y, x, zb, ze, log_qb, log_qe, signal_weight: float, error_weight: float):
-        self.y = y
-        self.x = x
+        self.y = np.ascontiguousarray(y)
+        self.x = np.ascontiguousarray(x)
+        # each problem's regressors transposed, (S, J, m): x^T as a row-major
+        # array, so that its transpose lays out columns as a boolean column
+        # selection of x does
+        self.xt = np.ascontiguousarray(self.x.transpose(0, 2, 1))
         self.zb = zb
-        self.ze_t = np.ascontiguousarray(ze.T)
+        self.ze_t = np.ascontiguousarray(ze.transpose(0, 2, 1))
         self.log_qb = log_qb
         self.log_qe_t = np.ascontiguousarray(log_qe.T)
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
-        m, h = ze.shape
+        m, h = ze.shape[1:]
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
 
-    def evaluate(self, lam: np.ndarray) -> _DualPoint:
+    def take(self, rows) -> "_DualEvaluator":
+        """The evaluator of the problems ``rows`` of the stack."""
+        ev = copy.copy(self)
+        ev.y, ev.x, ev.xt, ev.ze_t, ev.log_qb = (
+            self.y[rows], self.x[rows], self.xt[rows], self.ze_t[rows], self.log_qb[rows]
+        )
+        return ev
+
+    def evaluate(self, lam: np.ndarray, curvature: bool = True) -> _DualPoint:
+        """The point at the multipliers ``lam`` (S, m), with its curvature unless told not to."""
         add = np.add.reduce
-        tilt = (self.x.T @ lam) / self.wb
-        ln_zb, pb = _log_partition(self.log_qb - self.zb * tilt[:, None], "coefficient", 1)
-        beta_hat = add(pb * self.zb, axis=1)
-        curv_beta = add(pb * (self.zb - beta_hat[:, None]) ** 2, axis=1) / self.wb
+        x = self.x
+        tilt = np.matmul(x.transpose(0, 2, 1), lam[:, :, None])[:, :, 0] / self.wb
+        zb = self.zb
+        ln_zb, pb = _log_partition(self.log_qb - zb * tilt[:, :, None], "coefficient", 2)
+        beta_hat = add(pb * zb, axis=2)
 
         ze = self.ze_t
-        ln_ze, pe = _log_partition(self.log_qe_t - ze * (lam / self.we), "error", 0)
-        eps_hat = add(pe * ze, axis=0)
-        curv_eps = add(pe * (ze - eps_hat) ** 2, axis=0) / self.we
+        ln_ze, pe = _log_partition(self.log_qe_t - ze * (lam / self.we)[:, None, :], "error", 1)
+        eps_hat = add(pe * ze, axis=1)
 
-        value = float(lam @ self.y + self.wb * ln_zb.sum() + self.we * ln_ze.sum() + self.offset)
-        grad = self.y - self.x @ beta_hat - eps_hat
-        return _DualPoint(
-            value, grad, pb, pe.T, beta_hat, eps_hat, tilt, ln_zb, curv_beta, curv_eps
+        value = (
+            _row_dots(lam, self.y) + self.wb * add(ln_zb, axis=1) + self.we * add(ln_ze, axis=1)
+            + self.offset
         )
+        grad = self.y - np.matmul(x, beta_hat[:, :, None])[:, :, 0] - eps_hat
+        pe = pe.transpose(0, 2, 1)
+        if not curvature:
+            return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, tilt, ln_zb)
+        curv = self.curvature(pb, beta_hat, pe, eps_hat)
+        return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, tilt, ln_zb, *curv)
+
+    def curvature(self, pb, beta_hat, pe, eps_hat) -> tuple[np.ndarray, np.ndarray]:
+        """The Hessian contributions per coefficient and per observation at a point's weights.
+
+        ``pe`` is a point's ``(S, m, H)`` error weights, the view ``evaluate``
+        hands back.
+        """
+        add = np.add.reduce
+        pe = pe.transpose(0, 2, 1)
+        curv_beta = add(pb * (self.zb - beta_hat[:, :, None]) ** 2, axis=2) / self.wb
+        curv_eps = add(pe * (self.ze_t - eps_hat[:, None, :]) ** 2, axis=1) / self.we
+        return curv_beta, curv_eps
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:
@@ -390,69 +459,157 @@ def _check_weights(signal_weight: float, error_weight: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _normal_solve(x: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarray):
-    """Solve (x diag(vb) x^T + diag(ve)) d = grad through the J-by-J system.
+def _woodbury(xt, vb, ve, u):
+    """``_normal_solve`` for a stack whose coefficient curvatures ``vb`` are all positive.
+
+    ``xt`` is the transposed regressors, (S, J, m), row-major. Returns the
+    solutions (S, m) and which problems' small systems were usable.
+    """
+    xf = xt.transpose(0, 2, 1)
+    s, j = vb.shape
+    diag = np.zeros((s, j, j))
+    diag.reshape(s, -1)[:, :: j + 1] = 1.0 / vb
+    cmat = diag + np.matmul(xt, xf / ve[:, :, None])
+    rhs = np.matmul(xt, u[:, :, None])
+    usable = np.isfinite(cmat).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    if usable.all():
+        try:
+            return u - np.matmul(xf, np.linalg.solve(cmat, rhs))[:, :, 0] / ve, usable
+        except np.linalg.LinAlgError:
+            pass
+    # some system is not finite or is singular: solve the others one at a time
+    w = np.zeros_like(rhs)
+    for i in np.flatnonzero(usable):
+        try:
+            w[i] = np.linalg.solve(cmat[i : i + 1], rhs[i : i + 1])[0]
+        except np.linalg.LinAlgError:
+            usable[i] = False
+    return u - np.matmul(xf, w)[:, :, 0] / ve, usable
+
+
+def _normal_solve(xt: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarray):
+    """Solve (x diag(vb) x^T + diag(ve)) d = grad through J-by-J systems, per problem.
 
     The Hessian is a rank-J update of a diagonal, so the Woodbury identity
-    reduces the solve to the coefficient dimension regardless of m. Returns
-    None when the small system is numerically unusable.
+    reduces the solve to the coefficient dimension regardless of m. Takes a
+    stack: the transposed regressors ``xt`` (S, J, m), row-major, and the
+    rest (S, ·). Columns without curvature (``vb == 0``) drop out of their
+    problem's system, so a problem that has one is solved alone, on its live
+    columns. Returns the solutions (S, m) and which problems' small systems
+    were numerically usable.
     """
     u = grad / ve
-    active = vb > 0.0
-    if not np.any(active):
-        return u
-    xa = x[:, active]
-    cmat = np.diag(1.0 / vb[active]) + xa.T @ (xa / ve[:, None])
-    rhs = xa.T @ u
-    if not (np.all(np.isfinite(cmat)) and np.all(np.isfinite(rhs))):
-        return None
-    try:
-        w = np.linalg.solve(cmat, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return u - (xa @ w) / ve
+    live = vb > 0.0
+    if live.all():
+        return _woodbury(xt, vb, ve, u)
+    full = live.all(axis=1)
+    d, usable = u.copy(), np.ones(len(u), dtype=bool)
+    if full.any():
+        d[full], usable[full] = _woodbury(xt[full], vb[full], ve[full], u[full])
+    for i in np.flatnonzero(~full):  # a problem without live columns keeps d = u
+        active = live[i]
+        if active.any():
+            one = slice(i, i + 1)
+            di, ok = _woodbury(xt[i][active][None], vb[one][:, active], ve[one], u[one])
+            d[i], usable[i] = di[0], ok[0]
+    return d, usable
+
+
+def _newton_direction(ev: _DualEvaluator, grad, vb, ve) -> np.ndarray:
+    """Per problem, the descent direction: Newton, its ridge retry, or the negative gradient.
+
+    A problem takes the plain Newton step when its error curvature is
+    positive and the step solves to a finite ascent direction of the
+    gradient, else the step with a relative ridge on the error curvature,
+    else the negative gradient. Takes the gradient and the coefficient and
+    error curvatures ``vb`` and ``ve`` of ``ev``'s problems.
+    """
+    direction = -grad
+    need = np.ones(len(grad), dtype=bool)
+    for rows in ((ve > 0.0).all(axis=1), need):
+        every = rows.all()
+        if not (every or rows.any()):
+            continue
+        if every:
+            x, xt, vbr, ver, gr = ev.x, ev.xt, vb, ve, grad
+        else:
+            x, xt, vbr, ver, gr = ev.x[rows], ev.xt[rows], vb[rows], ve[rows], grad[rows]
+        if rows is need:  # the ridge retry
+            diag = np.matmul(x * x, vbr[:, :, None])[:, :, 0] + ver
+            top = diag.max(axis=1)
+            ver = ver + (_RIDGE_SCALE * np.where(top > 0.0, top, 1.0))[:, None]
+        d, usable = _normal_solve(xt, vbr, ver, gr)
+        found = usable & np.isfinite(d).all(axis=1) & (_row_dots(gr, d) > 0.0)
+        if every and found.all():
+            return -d
+        at = np.flatnonzero(rows)[found]
+        direction[at] = -d[found]
+        need[at] = False
+    return direction
 
 
 def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
-    """Damped Newton with a ridge retry and a gradient fallback.
+    """Damped Newton with a ridge retry and a gradient fallback, for every problem of a stack.
 
-    Returns the multipliers, the final ``_DualPoint`` and the iteration count.
+    Each problem keeps its own direction kind, step, backtracks, iteration
+    count and stop, and gets the bits it would get alone. A step is accepted
+    on the Armijo condition, halving it up to ``_MAX_BACKTRACKS`` times, and
+    a problem that finds no acceptable step stops. The problems still
+    looking for a step share it (every one of them has been halved as often),
+    and the stack evaluates only those, so a problem that spins costs its
+    neighbours nothing once they have stopped. Curvature is formed only where
+    a Newton direction reads it. Returns the multipliers (S, m), the final
+    stacked ``_DualPoint`` (without curvature) and the iteration counts (a
+    list).
     """
-    lam = np.zeros(ev.y.size)
-    pt = ev.evaluate(lam)
-    tol = settings.constraint_tolerance
-    iterations = 0
-    while iterations < settings.max_iterations and np.max(np.abs(pt.grad)) > tol:
-        candidates = []
-        if np.all(pt.curv_eps > 0.0):
-            candidates.append(pt.curv_eps)
-        diag = (ev.x * ev.x) @ pt.curv_beta + pt.curv_eps
-        scale = float(diag.max()) if diag.size and diag.max() > 0.0 else 1.0
-        candidates.append(pt.curv_eps + _RIDGE_SCALE * scale)
-
-        direction = None
-        for ve in candidates:
-            d = _normal_solve(ev.x, pt.curv_beta, ve, pt.grad)
-            if d is not None and np.all(np.isfinite(d)) and float(pt.grad @ d) > 0.0:
-                direction = -d
-                break
-        if direction is None:
-            direction = -pt.grad
-
-        slope = float(pt.grad @ direction)
+    s = ev.y.shape[0]
+    tol, cap = settings.constraint_tolerance, settings.max_iterations
+    lam = np.zeros(ev.y.shape)
+    pt = ev.evaluate(lam, curvature=False)
+    iterations = [0] * s
+    residuals = np.abs(pt.grad).max(axis=1).tolist()
+    run = [i for i in range(s) if residuals[i] > tol]
+    while run:
+        # the problems still looking for a step: their stack rows, evaluator,
+        # multipliers, directions, values and slopes
+        if len(run) == s:
+            rows, ev_t, lam_t, cur = run, ev, lam, pt
+        else:
+            rows, ev_t, lam_t, cur = run, ev.take(run), lam[run], pt.take(run)
+        curv = ev_t.curvature(cur.pb, cur.beta_hat, cur.pe, cur.eps_hat)
+        direction = _newton_direction(ev_t, cur.grad, *curv)
+        base, slope = cur.value, _row_dots(cur.grad, direction)
         step = 1.0
-        accepted = None
         for _ in range(_MAX_BACKTRACKS):
-            trial = lam + step * direction
-            cand = ev.evaluate(trial)
-            if cand.value <= pt.value + _ARMIJO_SLOPE * step * slope:
-                accepted = (trial, cand)
+            trial = lam_t + step * direction
+            cand = ev_t.evaluate(trial, curvature=False)
+            ok = cand.value <= base + _ARMIJO_SLOPE * step * slope
+            if ok.all():
+                if len(rows) == s:
+                    lam, pt = trial, cand
+                else:
+                    lam[rows] = trial
+                    pt.put(rows, cand, slice(None))
+                rows = []
                 break
+            if ok.any():
+                accepted = [r for r, a in zip(rows, ok.tolist()) if a]
+                lam[accepted] = trial[ok]
+                pt.put(accepted, cand, ok)
+                keep = ~ok
+                rows = [r for r, a in zip(rows, ok.tolist()) if not a]
+                ev_t, lam_t = ev_t.take(keep), lam_t[keep]
+                direction, base, slope = direction[keep], base[keep], slope[keep]
             step *= _BACKTRACK
-        if accepted is None:
-            break  # no further decrease representable
-        lam, pt = accepted
-        iterations += 1
+        moved = [i for i in run if i not in rows]  # the rest found no decrease
+        if not moved:
+            break
+        residuals = np.abs(pt.grad if len(moved) == s else pt.grad[moved]).max(axis=1).tolist()
+        run = []
+        for i, residual in zip(moved, residuals):
+            iterations[i] += 1
+            if iterations[i] < cap and residual > tol:
+                run.append(i)
     return lam, pt, iterations
 
 
@@ -682,10 +839,12 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
     and the two objective weights are the stack's. Problems of one
     observation (m = 1) are solved together by a ``_StackKernel``:
     ``kernel`` when given, built on ``zb``, ``log_qe`` and these weights,
-    else a new one. A problem of more observations goes through
-    ``_solve_multi`` and comes alone (S = 1). Returns the multipliers
-    (S, m), the final stacked ``_DualPoint`` and one ``SolverDiagnostics``
-    per problem, whose verdict is decided here and nowhere else.
+    else a new one. Problems of more observations are solved together by
+    ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way a
+    problem gets the bits it would get alone, in a stack of one. Returns
+    the multipliers (S, m), the final stacked ``_DualPoint`` and one
+    ``SolverDiagnostics`` per problem, whose verdict is decided here and
+    nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.shape[1] == 1:
@@ -694,26 +853,73 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
         lam, pt, iterations = kernel.solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
         residuals = [abs(g) for g in pt.grad.ravel().tolist()]
     else:
-        ev = _DualEvaluator(y[0], x[0], zb, ze[0], log_qb[0], log_qe, signal_weight, error_weight)
+        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
-        lam, iterations, residuals = lam[None], [iterations], [float(np.abs(pt.grad).max())]
-        pt = _DualPoint(
-            pt.value, pt.grad[None], pt.pb[None], pt.pe[None], pt.beta_hat[None],
-            pt.eps_hat[None], pt.tilt[None], pt.ln_zb[None],
-        )
+        residuals = np.abs(pt.grad).max(axis=1).tolist()
     tol = settings.constraint_tolerance
     verdicts = [r <= tol for r in residuals]
     return lam, pt, tuple(map(SolverDiagnostics, iterations, residuals, verdicts))
 
 
+def _stacked(arrays) -> np.ndarray:
+    """The arrays stacked along a new leading axis; a lone array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
-    """The evaluator for a problem's data, grid and prior."""
+    """The evaluator of a stack of one: a problem's data, grid and prior."""
     grid, prior = problem.supports, problem.prior
-    zb, ze = grid.beta_support, grid.error_support
     return _DualEvaluator(
-        problem.y, problem.x, zb, ze, _log_priors(prior.beta), _log_priors(prior.error),
-        signal_weight, error_weight,
+        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
+        _log_priors(prior.beta)[None], _log_priors(prior.error), signal_weight, error_weight,
     )
+
+
+def _solve_problems(
+    problems, settings: SolverSettings, signal_weight: float = 1.0, error_weight: float = 1.0
+) -> list[GceSolution]:
+    """``solve_gce`` for a stack of problems solved as one, each bit for bit its fit alone.
+
+    The problems must share the number of observations, the coefficient
+    supports and the error prior weights; a stack that does not raises
+    ValueError.
+    """
+    first = problems[0]
+    zb, qe = first.supports.beta_support, first.prior.error
+    for problem in problems[1:]:
+        grid = problem.supports
+        if not (
+            problem.y.shape == first.y.shape
+            and np.array_equal(grid.beta_support, zb)
+            and np.array_equal(problem.prior.error, qe)
+        ):
+            raise ValueError(
+                "a stack of problems must share m, the coefficient supports and the error prior"
+            )
+    lam, pt, diagnostics = _solve_dual(
+        _stacked([p.y for p in problems]), _stacked([p.x for p in problems]), zb,
+        _stacked([p.supports.error_support for p in problems]),
+        _stacked([p.prior.beta for p in problems]), _log_priors(qe), signal_weight,
+        error_weight, settings,
+    )
+    lam.setflags(write=False)
+    solutions = []
+    for i, problem in enumerate(problems):
+        distributions = JointDistribution(pt.pb[i], pt.pe[i])
+        objective = signal_weight * kl_divergence(
+            distributions.beta, problem.prior.beta
+        ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
+        solutions.append(
+            GceSolution(
+                distributions=distributions,
+                multipliers=lam[i],
+                beta_hat=pt.beta_hat[i].copy(),
+                epsilon_hat=pt.eps_hat[i].copy(),
+                objective_value=float(objective),
+                diagnostics=diagnostics[i],
+            )
+        )
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +942,8 @@ def gibbs_weights(
     """
     _check_weights(signal_weight, error_weight)
     lam = _as_multipliers(multipliers, problem.n_obs)
-    pt = _evaluator(problem, signal_weight, error_weight).evaluate(lam)
-    return JointDistribution(pt.pb, pt.pe)
+    pt = _evaluator(problem, signal_weight, error_weight).evaluate(lam[None])
+    return JointDistribution(pt.pb[0], pt.pe[0])
 
 
 def dual_objective(multipliers, problem: GceProblem) -> tuple[float, np.ndarray]:
@@ -750,8 +956,8 @@ def dual_objective(multipliers, problem: GceProblem) -> tuple[float, np.ndarray]
     J*log(K) + m*log(H).
     """
     lam = _as_multipliers(multipliers, problem.n_obs)
-    pt = _evaluator(problem, 1.0, 1.0).evaluate(lam)
-    return pt.value, pt.grad
+    pt = _evaluator(problem, 1.0, 1.0).evaluate(lam[None])
+    return float(pt.value[0]), pt.grad[0]
 
 
 def solve_gce(
@@ -776,23 +982,5 @@ def solve_gce(
     """
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
-    grid, prior = problem.supports, problem.prior
-    lam, pt, (diagnostics,) = _solve_dual(
-        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
-        prior.beta[None], _log_priors(prior.error), signal_weight, error_weight, settings,
-    )
-
-    distributions = JointDistribution(pt.pb[0], pt.pe[0])
-    objective = signal_weight * kl_divergence(
-        distributions.beta, problem.prior.beta
-    ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
-    lam = lam[0]
-    lam.setflags(write=False)
-    return GceSolution(
-        distributions=distributions,
-        multipliers=lam,
-        beta_hat=pt.beta_hat[0].copy(),
-        epsilon_hat=pt.eps_hat[0].copy(),
-        objective_value=float(objective),
-        diagnostics=diagnostics,
-    )
+    (solution,) = _solve_problems([problem], settings, signal_weight, error_weight)
+    return solution

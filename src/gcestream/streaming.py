@@ -23,15 +23,15 @@ states to 1.5e-15 on streams at n = 3840, and to 1.2e-14 relative where the
 carried prior has underflowed.
 Successive states share their logs, so absorbing a block costs the same
 however long the stream has run. One block step, ``_absorb``, absorbs every
-block, and it runs over a stack: one block for each of S streams, solved
-together by the solver's stacked kernel when every block is one observation,
-or a single wider block. ``block_update`` calls it with a stack of one.
-Whole streams are prepared one at a time (``_prepare_stream``: every check,
-every observation's error row and full-support hull test, and the batch fit)
-and then folded together (``_fold``): streams on the same supports and
-settings advance in rounds, their one-observation blocks stacked into one
-``_absorb`` call per round, each stream carrying whether its prior is
-positive and building one state, at the end. A stream's results are its
+block, and it runs over a stack: one block of m observations for each of S
+streams, solved together by the solver's stacked kernel when m = 1 and by
+its stacked Newton iteration otherwise. ``block_update`` calls it with a
+stack of one. Whole streams are prepared one at a time (``_prepare_stream``:
+every check, every observation's error row and full-support hull test, and
+the batch fit) and then folded together (``_fold``): streams on the same
+supports and settings advance in rounds, their blocks stacked by size into
+one ``_absorb`` call per size and round, each stream carrying whether its
+prior is positive and building one state, at the end. A stream's results are its
 results alone, bit for bit. ``run_stream`` prepares one stream and folds a
 stack of one; ``experiments.run_experiment`` folds the streams of many cells.
 """
@@ -295,10 +295,10 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
 
     ``carried`` holds S ``(J, K)`` priors, and ``y`` (S, m), ``x`` (S, m, J)
     and ``rows`` (S, m, H) one block per prior, with one error support row
-    per observation, each with a uniform prior. Blocks of one observation
-    are solved together, by the solver's stacked kernel; a block of more
-    comes alone (S = 1). The caller has checked each block's live hull, or
-    trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
+    per observation, each with a uniform prior. The blocks are solved
+    together: blocks of one observation by the solver's stacked kernel,
+    wider ones by its stacked Newton iteration. The caller has checked each
+    block's live hull, or trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
     the blocks' error estimates (S, m), and per block its ledger entry, its
     ``beta_hat`` (rows of an (S, J) array), whether its solve converged and
     whether its new prior is positive. ``steps`` only label the underflow
@@ -536,25 +536,25 @@ def _prepare_stream(
 
 
 def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
-    """Absorb every block of every stream, the one-observation blocks of a group stacked.
+    """Absorb every block of every stream, the blocks of a group's round stacked by size.
 
     Streams that share the coefficient supports, the error row width and
     the settings form a group with one stacked kernel. A group advances in
     rounds; in round r every stream of it that has an r-th block absorbs it,
     as ``block_update`` would: its full-support hull is trusted while its
     carried prior is positive, else its live hull is checked, and an
-    infeasible block is skipped and logged. The one-observation blocks of
-    the round are absorbed by one ``_absorb`` call over their stack, a wider
-    block by its own call. A stream's results do not depend on the other
-    streams, so each is bit for bit its fold alone. A stream that raises
-    stops, and only it: a stacked call that raises is made again one stream
-    at a time.
+    infeasible block is skipped and logged. The blocks of the round are
+    stacked by their number of observations, remainders included, and each
+    stack is absorbed by one ``_absorb`` call. A stream's results do not
+    depend on the other streams, so each is bit for bit its fold alone. A
+    stream that raises stops, and only it: a stacked call that raises is
+    made again one stream at a time.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
-    it, and the seconds charged to it. A wider block's solve is charged to
-    its stream; the rest of a round, the stacked solve included, is shared
-    equally by the streams that took part, as are the group's set-up and
-    its streams' reports. The charges sum to the fold's wall time.
+    it, and the seconds charged to it. A stack's solve is shared equally by
+    its members; the rest of a round is shared equally by the streams that
+    took part, as are the group's set-up and its streams' reports. The
+    charges sum to the fold's wall time.
     """
     outcomes: list = [None] * len(streams)
     seconds = [0.0] * len(streams)
@@ -626,10 +626,20 @@ def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
                 converged_logs[i].append(converged[n])
                 positive[i] = pos[n]
 
+    def absorb_stack(members, m, ordinal):
+        """Absorb the ``ordinal``-th blocks, all of ``m`` observations, of ``members``.
+
+        Returns the seconds it took.
+        """
+        t0 = clock()
+        at = np.add.outer([offsets[i] + streams[i].blocks[ordinal][0] for i in members], range(m))
+        absorb(members, all_y[at], all_x[at], all_rows[at])
+        return clock() - t0
+
     for ordinal in range(max(len(stream.blocks) for stream in streams)):
         t_round = clock()
-        wide = 0.0
-        present, stacked = [], []
+        present: list[int] = []
+        stacks: dict[int, list[int]] = {}  # the members of each block size's stack
         for i, stream in enumerate(streams):
             if outcomes[i] is not None or ordinal >= len(stream.blocks):
                 continue
@@ -648,22 +658,15 @@ def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
                         ordinal, start, stop - 1, exc, [start + k for k in exc.indices],
                     )
                     continue
-            if stop - start == 1:
-                stacked.append(i)
-                continue
-            t_wide = clock()
-            absorb(
-                [i], stream.y[None, start:stop], stream.x[None, start:stop],
-                stream.rows[None, start:stop],
-            )
-            dt = clock() - t_wide
-            seconds[i] += dt
-            wide += dt
-        if stacked:
-            at = [offsets[i] + streams[i].blocks[ordinal][0] for i in stacked]
-            absorb(stacked, all_y[at][:, None], all_x[at][:, None], all_rows[at][:, None])
+            stacks.setdefault(stop - start, []).append(i)
+        solved = 0.0
+        for m, members in stacks.items():
+            dt = absorb_stack(members, m, ordinal)
+            solved += dt
+            for i in members:
+                seconds[i] += dt / len(members)
         if present:
-            share = (clock() - t_round - wide) / len(present)
+            share = (clock() - t_round - solved) / len(present)
             for i in present:
                 seconds[i] += share
 

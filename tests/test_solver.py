@@ -397,7 +397,7 @@ def assert_point_matches(kernel, point, full, **close):
 def test_scalar_routine_matches_the_full_evaluation(lam):
     problem = lean_scalar_problem()
     kernel, _ = loaded_kernel(problem, 0.3, 0.7)
-    full = solver._evaluator(problem, 0.3, 0.7).evaluate(np.array([lam]))
+    full = solver._evaluator(problem, 0.3, 0.7).evaluate(np.array([[lam]])).take(0)
     point = kernel.at(np.array([lam]))
     assert_point_matches(kernel, point, full, rtol=0.0, atol=1e-14)
     assert unstacked(kernel, point)[1][1, 0] == 0.0
@@ -418,7 +418,7 @@ def test_scalar_routine_on_wide_grids_matches_the_full_evaluation(k, h):
     kernel, _ = loaded_kernel(problem, 0.4, 0.6)
     ev = solver._evaluator(problem, 0.4, 0.6)
     for lam in (-2.0, 0.0, 0.3, 5.0):
-        full = ev.evaluate(np.array([lam]))
+        full = ev.evaluate(np.array([[lam]])).take(0)
         assert_point_matches(kernel, kernel.at(np.array([lam])), full, rtol=1e-12, atol=1e-14)
 
 
@@ -437,7 +437,7 @@ def test_scalar_kernel_starts_at_the_prior_moments(k, h):
     prior = JointDistribution(qb, local.dirichlet(np.ones(h))[None, :])
     problem = GceProblem(np.array([0.4]), np.array([[1.0, -0.7, 2.3]]), grid, prior)
     kernel, start = loaded_kernel(problem, 0.35, 0.65)
-    full = solver._evaluator(problem, 0.35, 0.65).evaluate(np.zeros(1))
+    full = solver._evaluator(problem, 0.35, 0.65).evaluate(np.zeros((1, 1))).take(0)
     assert_point_matches(kernel, start, full, rtol=1e-15, atol=1e-15)
     pb = unstacked(kernel, start)[1]
     assert pb[1, 0] == 0.0 and pb[2, -1] == 0.0
@@ -446,7 +446,7 @@ def test_scalar_kernel_starts_at_the_prior_moments(k, h):
 def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
     problem = lean_scalar_problem()
     sol = solve_gce(problem, signal_weight=0.3, error_weight=0.7)
-    full = solver._evaluator(problem, 0.3, 0.7).evaluate(sol.multipliers)
+    full = solver._evaluator(problem, 0.3, 0.7).evaluate(sol.multipliers[None]).take(0)
     exact = dict(rtol=0.0, atol=1e-14)
     assert sol.diagnostics.converged and sol.diagnostics.iterations >= 1
     assert sol.diagnostics.max_residual == pytest.approx(abs(full.grad[0]), abs=1e-14)
@@ -490,7 +490,7 @@ def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
     kernel, _ = loaded_kernel(problem, 0.5, 0.5)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
-            ev.evaluate(np.array([1e308]))
+            ev.evaluate(np.array([[1e308]]))
         with pytest.raises(ValueError, match=f"non-finite partition sum in {row}"):
             kernel.at(np.array([1e308]))
 
@@ -500,6 +500,11 @@ def test_scalar_routine_rejects_what_the_full_evaluation_rejects(x, row):
 # ---------------------------------------------------------------------------
 
 POINT_FIELDS = ("grad", "pb", "pe", "beta_hat", "eps_hat", "curv_beta", "curv_eps")
+
+
+def one_problem_evaluator(y, x, zb, ze, log_qb, log_qe, wb, we):
+    """The evaluator of a stack of one problem, from that problem's arrays."""
+    return solver._DualEvaluator(y[None], x[None], zb, ze[None], log_qb[None], log_qe, wb, we)
 
 
 def evaluator_inputs(h, shared, seed, m=40):
@@ -531,9 +536,9 @@ def test_evaluator_matches_the_row_major_oracle(h, shared):
     m = inputs[0].size
     lams = (np.zeros(m), np.random.default_rng(h).normal(scale=2.0, size=m))
     for wb, we in ((1.0, 1.0), (0.3, 0.7)):
-        ev = solver._DualEvaluator(*inputs, wb, we)
+        ev = one_problem_evaluator(*inputs, wb, we)
         for lam in lams:
-            got = ev.evaluate(lam)
+            got = ev.evaluate(lam[None]).take(0)
             want = oracles.row_major_dual_point(lam, *inputs, wb, we)
             assert got.pe.shape == (m, h)
             assert got.pe[0, 1] == want.pe[0, 1] == 0.0
@@ -555,10 +560,10 @@ def test_evaluator_names_the_first_non_finite_error_row(shared):
     ze[[6, 21]] = [-1e308, 0.0, 1e308]
     lam = np.zeros(y.size)
     lam[[6, 21]] = 10.0  # the tilt of the lowest point overflows to +inf
-    ev = solver._DualEvaluator(y, x, zb, ze, log_qb, log_qe, 1.0, 1.0)
+    ev = one_problem_evaluator(y, x, zb, ze, log_qb, log_qe, 1.0, 1.0)
     with np.errstate(all="ignore"):
         for evaluate in (
-            ev.evaluate,
+            lambda lam: ev.evaluate(lam[None]),
             lambda lam: oracles.row_major_dual_point(lam, y, x, zb, ze, log_qb, log_qe),
         ):
             with pytest.raises(ValueError, match="^non-finite partition sum in error row 6$"):
