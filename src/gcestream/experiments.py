@@ -104,6 +104,11 @@ REPORT_FILES = ("report.csv", "report.json", "summary.csv", "summary.json") + tu
 
 _STREAMING_METHODS = ("stre_gce", "stre_gce_block", "stre_gce_std")
 
+#: The most one-shot problems solved by one stacked call. It bounds the memory
+#: that a stack's problems and its evaluations hold at once; a stack of this
+#: size already spreads the per-call cost of the solve thinly.
+_MAX_ONE_SHOT_STACK = 32
+
 
 class ConfigError(ValueError):
     """Configuration content is malformed; the message names the field."""
@@ -330,11 +335,13 @@ def _plain_problem(y, design, support_row, error_row) -> GceProblem:
 class _CellPlan:
     """A cell after planning: its one-shot problems, then its fits, then its streams.
 
-    ``problems`` holds the cell's one-shot problems by their
+    ``one_shots`` holds the data of the cell's one-shot problems, as ``(y,
+    x, error row)`` on the support row ``support_row``, by their
     ``method_seconds`` key, in the order they are reported: ``gce_dataset``,
     then per batch fraction ``gce_batch`` and, with ``run_std``, the batch
     fit of the stream on the standardized design. ``fits`` holds each
-    problem's solution, or the exception its solve raised. ``fractions``,
+    problem's solution, or the exception that building or solving it
+    raised. ``fractions``,
     filled by ``prepare``, holds per batch fraction its one-shot results and
     its streams, each as its ``method_seconds`` key, method, g, the
     regressors it is scored on and the prepared stream, in report order.
@@ -351,7 +358,8 @@ class _CellPlan:
     y_fit: np.ndarray
     design: np.ndarray
     variants: list
-    problems: dict
+    support_row: np.ndarray
+    one_shots: dict
     method_seconds: dict
     planning_seconds: float
     fits: dict = field(default_factory=dict)
@@ -369,14 +377,13 @@ class _CellPlan:
         streams on the raw design start from their fraction's ``gce_batch``
         fit, the stream on the standardized design from its own batch fit.
         """
-        for fit in self.fits.values():
-            if isinstance(fit, Exception):
-                raise fit
+        for key in self.one_shots:
+            if isinstance(self.fits[key], Exception):
+                raise self.fits[key]
         clock = time.perf_counter
         t_start = clock()
         scenario, y_fit, n = self.scenario, self.y_fit, self.y_fit.size
         est_int = scenario.estimate_intercept
-        support_row = np.asarray(scenario.simulation.beta_support)
         update_settings = UpdateSettings(gamma=scenario.gamma, solver=self.solver)
 
         def result(key, method):
@@ -396,12 +403,14 @@ class _CellPlan:
                 batch_key = f"gce_batch@{fraction}" if x_design is self.design else key
                 t0 = clock()
                 stream = _prepare_stream(
-                    y_fit, x_design, m, g, update_settings, beta_support=support_row,
+                    y_fit, x_design, m, g, update_settings, beta_support=self.support_row,
                     error_support=None, error_points=scenario.error_points,
                     error_scale=scenario.error_scale, batch_fit=self.fits[batch_key],
                 )
                 self.method_seconds[key] = self.method_seconds.get(key, 0.0) + clock() - t0
                 streams.append((key, name, g, x_eval, stream))
+        # the streams hold the batch fits they start from; nothing else is read again
+        self.one_shots, self.fits = {}, {}
         self.planning_seconds += clock() - t_start
 
     def finish(self, folded) -> CellOutcome:
@@ -444,11 +453,11 @@ class _CellPlan:
 
 
 def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
-    """Generate one cell's dataset and build its one-shot problems.
+    """Generate one cell's dataset and lay out its one-shot problems.
 
-    Each batch fraction's one-shot batch problem is built once: the streams
-    on the raw design at that fraction solve the same problem for their
-    batch, so they start from its fit. The stream on the standardized
+    Each batch fraction's one-shot batch problem is laid out once: the
+    streams on the raw design at that fraction solve the same problem for
+    their batch, so they start from its fit. The stream on the standardized
     design gets its own batch problem here, so that every one-shot problem
     of the cell is known before any is solved.
     """
@@ -470,49 +479,60 @@ def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
         x_std, _, _ = standardize_columns(ds.x)
         variants.append(("stre_gce_std", 1, "", np.column_stack([np.ones(ds.n), x_std]), x_std))
 
-    problems: dict[str, GceProblem] = {}
-    method_seconds: dict[str, float] = {}
-
-    def build(key, x_design, stop, error_row):
-        t0 = clock()
-        problems[key] = _plain_problem(y_fit[:stop], x_design[:stop], support_row, error_row)
-        method_seconds[key] = clock() - t0
-
     full_row = _scaled_error_support(y_fit, ds.n, "full", scenario.error_points)
-    build("gce_dataset", design, ds.n, full_row)
+    one_shots = {"gce_dataset": (y_fit, design, full_row)}
     for fraction in scenario.batch_fractions:
         m = int(round(fraction * ds.n))
         batch_row = _scaled_error_support(y_fit, m, scenario.error_scale, scenario.error_points)
-        build(f"gce_batch@{fraction}", design, m, batch_row)
+        one_shots[f"gce_batch@{fraction}"] = (y_fit[:m], design[:m], batch_row)
         for name, _, suffix, x_design, _ in variants:
             if x_design is not design:
-                build(f"{name}@{fraction}{suffix}", x_design, m, batch_row)
+                one_shots[f"{name}@{fraction}{suffix}"] = (y_fit[:m], x_design[:m], batch_row)
     return _CellPlan(
-        scenario, eta, seed, solver, ds.x, y_fit, design, variants, problems, method_seconds,
-        clock() - t_start,
+        scenario, eta, seed, solver, ds.x, y_fit, design, variants, support_row, one_shots,
+        dict.fromkeys(one_shots, 0.0), clock() - t_start,
     )
 
 
 def _solve_one_shots(plans) -> None:
-    """Solve the one-shot problems of every plan, in stacks, into each plan's ``fits``.
+    """Build and solve the one-shot problems of every plan, in stacks, into each plan's ``fits``.
 
-    Problems that share the number of observations, the coefficient
-    supports, the error row width and the solver settings form a stack,
-    solved by one call; each gets its fit alone, bit for bit. A stack that
-    raises is solved again one problem at a time, and a problem that raises
-    alone keeps its exception as its fit. A stack's solve is shared equally
-    by its members.
+    Problems that share the number of observations, the support row, the
+    number of regressors, the error row width and the solver settings form
+    a stack, solved by one call; each gets its fit alone, bit for bit. A
+    problem that cannot be built keeps the exception as its fit. A stack
+    that raises is solved again one problem at a time, and a problem that
+    raises alone keeps its exception. A problem is charged its building and
+    an equal share of its stack's solve. A stack holds at most
+    ``_MAX_ONE_SHOT_STACK`` problems, built just before it is solved and
+    dropped after, so only one stack's are alive at a time.
     """
+    clock = time.perf_counter
     stacks: dict = {}
     for plan in plans:
-        for key, problem in plan.problems.items():
-            zb = problem.supports.beta_support
-            shape = (problem.n_obs, zb.shape, zb.tobytes(), problem.supports.n_error_points)
-            stacks.setdefault((*shape, plan.solver), []).append((plan, key, problem))
-    for members in stacks.values():
-        t0 = time.perf_counter()
-        problems = [problem for _, _, problem in members]
-        solver = members[0][0].solver
+        row = np.asarray(plan.support_row, dtype=float).tobytes()
+        for key, (y, x, error_row) in plan.one_shots.items():
+            shape = (y.size, row, x.shape[1], error_row.size, plan.solver)
+            stacks.setdefault(shape, []).append((plan, key))
+    size = _MAX_ONE_SHOT_STACK
+    chunks = [group[i : i + size] for group in stacks.values() for i in range(0, len(group), size)]
+    for members in chunks:
+        built = []
+        for plan, key in members:
+            t0 = clock()
+            y, x, error_row = plan.one_shots[key]
+            try:
+                built.append((plan, key, _plain_problem(y, x, plan.support_row, error_row)))
+            except Exception as exc:
+                plan.fits[key] = exc
+            dt = clock() - t0
+            plan.method_seconds[key] += dt
+            plan.planning_seconds += dt
+        if not built:
+            continue
+        t0 = clock()
+        problems = [problem for _, _, problem in built]
+        solver = built[0][0].solver
         try:
             fits = _solve_problems(problems, solver)
         except Exception:
@@ -522,8 +542,8 @@ def _solve_one_shots(plans) -> None:
                     fits.extend(_solve_problems([problem], solver))
                 except Exception as exc:
                     fits.append(exc)
-        share = (time.perf_counter() - t0) / len(members)
-        for (plan, key, _), fit in zip(members, fits):
+        share = (clock() - t0) / len(built)
+        for (plan, key, _), fit in zip(built, fits):
             plan.fits[key] = fit
             plan.method_seconds[key] += share
             plan.planning_seconds += share

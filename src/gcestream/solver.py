@@ -20,19 +20,26 @@ domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
 The solver works on plain arrays (data, supports, prior weights), so the
-streaming updates solve without building a ``GceProblem``. Solves of a single
-constraint (m = 1: a one-observation fit or streaming step) have one path, a
-kernel over a stack of S such problems that share their coefficient supports,
-error prior and weights: every problem's coefficient rows and lone error row
-are rows of one array, so one set of numpy calls advances every problem of
-the stack, and a stack of one serves a single solve. Each problem keeps its
-own Newton control and gets the bits it would get alone. The kernel never
-forms the dual value, which only the multi-constraint line search reads, and
-holds nothing of a problem between solves, so a stream, or a fold of many
-streams, builds it once for all its steps. Its Newton iteration starts at
-lam = 0 from the prior weights' own moments (the Gibbs weights there are the
-prior), with no exponential. Its iterates are formed in place and its
-curvature only where a Newton step reads it.
+streaming updates solve without building a ``GceProblem``. Every solve runs
+over a stack of S problems that share m, their coefficient supports, error
+prior and weights, so one set of numpy calls advances every problem of the
+stack, and a stack of one serves a single solve. Each problem keeps its own
+Newton control and gets the bits it would get alone. There are two paths,
+by m:
+
+* Single constraints (m = 1: a one-observation fit or streaming step) go
+  through a kernel whose rows are every problem's coefficient rows and lone
+  error row. It never forms the dual value, which only the multi-constraint
+  line search reads, and holds nothing of a problem between solves, so a
+  stream, or a fold of many streams, builds it once for all its steps. Its
+  Newton iteration starts at lam = 0 from the prior weights' own moments
+  (the Gibbs weights there are the prior), with no exponential. Its
+  iterates are formed in place and its curvature only where a Newton step
+  reads it.
+* More constraints (a one-shot fit, a wider stream block) go through a
+  damped Newton iteration with an Armijo line search over ``(S, m, ...)``
+  arrays, whose dot products are each problem's own BLAS calls, batched.
+  The problems still running are evaluated, and the others dropped.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -515,6 +522,20 @@ def _normal_solve(xt: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarr
     return d, usable
 
 
+def _error_diagonal(ridge: bool, x, vb, ve) -> np.ndarray:
+    """The error curvature a Newton attempt solves with, per problem of a stack.
+
+    The plain attempt takes the curvature ``ve`` itself; the ridge retry
+    adds ``_RIDGE_SCALE`` times the largest diagonal entry of the Hessian
+    (1 where that is not positive) to every entry.
+    """
+    if not ridge:
+        return ve
+    diag = np.matmul(x * x, vb[:, :, None])[:, :, 0] + ve
+    top = diag.max(axis=1)
+    return ve + (_RIDGE_SCALE * np.where(top > 0.0, top, 1.0))[:, None]
+
+
 def _newton_direction(ev: _DualEvaluator, grad, vb, ve) -> np.ndarray:
     """Per problem, the descent direction: Newton, its ridge retry, or the negative gradient.
 
@@ -534,11 +555,7 @@ def _newton_direction(ev: _DualEvaluator, grad, vb, ve) -> np.ndarray:
             x, xt, vbr, ver, gr = ev.x, ev.xt, vb, ve, grad
         else:
             x, xt, vbr, ver, gr = ev.x[rows], ev.xt[rows], vb[rows], ve[rows], grad[rows]
-        if rows is need:  # the ridge retry
-            diag = np.matmul(x * x, vbr[:, :, None])[:, :, 0] + ver
-            top = diag.max(axis=1)
-            ver = ver + (_RIDGE_SCALE * np.where(top > 0.0, top, 1.0))[:, None]
-        d, usable = _normal_solve(xt, vbr, ver, gr)
+        d, usable = _normal_solve(xt, vbr, _error_diagonal(rows is need, x, vbr, ver), gr)
         found = usable & np.isfinite(d).all(axis=1) & (_row_dots(gr, d) > 0.0)
         if every and found.all():
             return -d

@@ -599,6 +599,33 @@ def test_a_stream_that_raises_mid_fold_fails_its_cell_only(tmp_path, monkeypatch
     assert len(failing_rows) < len(healthy)
 
 
+def test_a_one_shot_fit_that_raises_in_its_stack_fails_its_cell_only(tmp_path, monkeypatch):
+    config = fold_config()
+    run_experiment(config, out_dir=tmp_path / "healthy")
+    scenario, eta, seed = cell_seeds(config)[4]  # collinear, eta 1, replication 0
+    data = generate_dataset(dataclasses.replace(scenario.simulation, eta=eta, seed=seed))
+    marker = data.y[3]  # in every one-shot problem of the cell
+    solve = experiments._solve_problems
+    stacks = []
+
+    def failing(problems, *args):
+        if any((problem.y == marker).any() for problem in problems):
+            stacks.append(len(problems))
+            raise RuntimeError("injected failure")
+        return solve(problems, *args)
+
+    monkeypatch.setattr(experiments, "_solve_problems", failing)
+    outcome = run_experiment(config, out_dir=tmp_path / "failing")
+    assert outcome.exit_code == 2
+    assert outcome.failures == (f"collinear[eta={eta}, rep=0, seed={seed}]: injected failure",)
+    # its problems raised in stacks shared with other cells, then alone
+    assert max(stacks) > 1 and stacks.count(1) == 3
+    header, healthy = read_table(tmp_path / "healthy" / "report.csv")
+    _, failing_rows = read_table(tmp_path / "failing" / "report.csv")
+    assert failing_rows == [row for row in healthy if row["seed"] != str(seed)]
+    assert len(failing_rows) < len(healthy)
+
+
 def test_a_failed_cell_in_a_worker_keeps_its_reason(tmp_path):
     # the infeasibility error crosses back from the worker process intact
     raw = {

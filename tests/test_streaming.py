@@ -837,6 +837,38 @@ def test_streams_folded_together_are_each_their_stream_alone(caplog):
     assert len(seconds) == len(streams) and all(dt > 0.0 for dt in seconds)
 
 
+def test_a_wide_block_that_raises_in_its_stack_fails_its_stream_only(monkeypatch):
+    # three g = 7 streams stack their blocks in every round; one block of
+    # the middle stream raises, in its stack and then alone
+    row = np.array([-4.0, 0.0, 4.0])
+    data = [simulated(80, seed=s) for s in (11, 12, 13)]
+    alone = [run_stream(y, d, 30, 7, beta_support=BETA_ROW, error_support=row) for y, d in data]
+    marker = data[1][0][46]  # in the middle stream's third block, 44..50
+    absorb = streaming_module._absorb
+    stacks = []
+
+    def failing(carried, zb, y, *args):
+        if (y == marker).any():
+            stacks.append(y.shape)
+            raise RuntimeError("injected failure")
+        return absorb(carried, zb, y, *args)
+
+    monkeypatch.setattr(streaming_module, "_absorb", failing)
+    prepared = [
+        streaming_module._prepare_stream(
+            y, d, 30, 7, None, beta_support=BETA_ROW, error_support=row, error_points=3,
+            error_scale="batch",
+        )
+        for y, d in data
+    ]
+    folded, seconds = streaming_module._fold(prepared)
+    assert stacks == [(3, 7), (1, 7)]
+    assert isinstance(folded[1], RuntimeError) and str(folded[1]) == "injected failure"
+    for i in (0, 2):
+        assert_same_report(folded[i], alone[i])
+    assert all(dt > 0.0 for dt in seconds)
+
+
 # ---------------------------------------------------------------------------
 # run_stream's up-front checks
 # ---------------------------------------------------------------------------
