@@ -341,10 +341,10 @@ class _CellPlan:
     then per batch fraction ``gce_batch`` and, with ``run_std``, the batch
     fit of the stream on the standardized design. ``fits`` holds each
     problem's solution, or the exception that building or solving it
-    raised. ``fractions``,
-    filled by ``prepare``, holds per batch fraction its one-shot results and
-    its streams, each as its ``method_seconds`` key, method, g, the
-    regressors it is scored on and the prepared stream, in report order.
+    raised. ``fractions``, filled by ``prepare``, holds per batch fraction
+    its one-shot results and its streams, each as its ``method_seconds``
+    key, method, g, the regressors it is scored on and the prepared stream,
+    in report order.
     ``method_seconds`` holds the wall time charged so far per method, and
     ``planning_seconds`` that of the planning, the cell's share of the
     one-shot solves and the preparation.

@@ -24,22 +24,15 @@ streaming updates solve without building a ``GceProblem``. Every solve runs
 over a stack of S problems that share m, their coefficient supports, error
 prior and weights, so one set of numpy calls advances every problem of the
 stack, and a stack of one serves a single solve. Each problem keeps its own
-Newton control and gets the bits it would get alone. There are two paths,
-by m:
-
-* Single constraints (m = 1: a one-observation fit or streaming step) go
-  through a kernel whose rows are every problem's coefficient rows and lone
-  error row. It never forms the dual value, which only the multi-constraint
-  line search reads, and holds nothing of a problem between solves, so a
-  stream, or a fold of many streams, builds it once for all its steps. Its
-  Newton iteration starts at lam = 0 from the prior weights' own moments
-  (the Gibbs weights there are the prior), with no exponential. Its
-  iterates are formed in place and its curvature only where a Newton step
-  reads it.
-* More constraints (a one-shot fit, a wider stream block) go through a
-  damped Newton iteration with an Armijo line search over ``(S, m, ...)``
-  arrays, whose dot products are each problem's own BLAS calls, batched.
-  The problems still running are evaluated, and the others dropped.
+Newton control and gets the bits it would get alone. Solves of a single
+constraint (m = 1: a one-observation fit or streaming step) go through a
+kernel whose rows are every problem's coefficient rows and lone error row.
+It never forms the dual value, which only the multi-constraint line search
+reads, and holds nothing of a problem between solves, so a stream, or a fold
+of many streams, builds it once for all its steps. Its Newton iteration
+starts at lam = 0 from the prior weights' own moments (the Gibbs weights
+there are the prior), with no exponential, and forms its iterates in place
+and its curvature only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -288,9 +281,6 @@ class _DualPoint:
     # instead of a second KL pass (within 1.5e-15 of that pass at n = 3840).
     tilt: np.ndarray  # (J,) t = x^T lam / signal_weight
     ln_zb: np.ndarray  # (J,) ln Z_j, the coefficient rows' log partitions
-    # Hessian contributions, formed and read by the multi-constraint path only
-    curv_beta: np.ndarray | None = None  # per coefficient
-    curv_eps: np.ndarray | None = None  # per observation
 
     def take(self, rows) -> "_DualPoint":
         """The point of the problems ``rows``; an index gives one problem's arrays.
@@ -298,19 +288,14 @@ class _DualPoint:
         The error weights stay views of ``(H, m)`` rows, as ``evaluate`` lays
         them out.
         """
-
-        def pick(a):
-            return None if a is None else a[rows]
-
         pe = np.swapaxes(np.swapaxes(self.pe, -1, -2)[rows], -1, -2)
         return _DualPoint(
-            pick(self.value), pick(self.grad), pick(self.pb), pe, pick(self.beta_hat),
-            pick(self.eps_hat), pick(self.tilt), pick(self.ln_zb), pick(self.curv_beta),
-            pick(self.curv_eps),
+            self.value[rows], self.grad[rows], self.pb[rows], pe, self.beta_hat[rows],
+            self.eps_hat[rows], self.tilt[rows], self.ln_zb[rows],
         )
 
     def put(self, rows, other: "_DualPoint", chosen) -> None:
-        """Overwrite the problems ``rows`` with ``other``'s problems ``chosen``, curvature aside."""
+        """Overwrite the problems ``rows`` with ``other``'s problems ``chosen``."""
         for name in ("value", "grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb"):
             getattr(self, name)[rows] = getattr(other, name)[chosen]
 
@@ -318,15 +303,14 @@ class _DualPoint:
 def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-sum-exp and the normalized row weights, from one exp, for a stack.
 
-    ``logits`` has a leading axis of S problems; the support points of a row
-    lie along ``axis``: 2 for ``(S, rows, points)`` logits, 1 for ``(S,
-    points, rows)``. Reducing along the long row axis (axis 1 of an ``(S,
-    points, rows)`` array) costs a few vector passes instead of one short
-    reduction per row. Either way numpy adds a row's points in sequence
-    while there are fewer than 8, so both layouts give the same bits; from 8
-    points on, a row sum is pairwise and the two agree to the last few ulps.
-    Returns the ``(S, rows)`` log partition sums and the weights in the
-    layout of ``logits``.
+    The support points of a row lie along ``axis``: 2 for ``(S, rows,
+    points)`` logits, 1 for ``(S, points, rows)``. Reducing a tall stack
+    along its long axis (axis 1 of an ``(S, points, rows)`` array) costs a
+    few vector passes instead of one short reduction per row. Either way
+    numpy adds a row's points in sequence while there are fewer than 8, so
+    both layouts give the same bits; from 8 points on, a row sum is pairwise
+    and the two agree to the last few ulps. Returns the ``(S, rows)`` log
+    partition sums and the weights in the layout of ``logits``.
 
     Entries of -inf (support points without prior weight) get zero weight; a
     row whose log partition sum is not finite raises ValueError, naming the
@@ -391,6 +375,7 @@ class _DualEvaluator:
         # array, so that its transpose lays out columns as a boolean column
         # selection of x does
         self.xt = np.ascontiguousarray(self.x.transpose(0, 2, 1))
+        self._views()
         self.zb = zb
         self.ze_t = np.ascontiguousarray(ze.transpose(0, 2, 1))
         self.log_qb = log_qb
@@ -401,19 +386,23 @@ class _DualEvaluator:
         m, h = ze.shape[1:]
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
 
+    def _views(self) -> None:
+        # x^T as a view of x, as ``x.T @ lam`` reads it, and y as columns
+        self.x_t, self.y_col = self.x.transpose(0, 2, 1), self.y[:, :, None]
+
     def take(self, rows) -> "_DualEvaluator":
         """The evaluator of the problems ``rows`` of the stack."""
         ev = copy.copy(self)
         ev.y, ev.x, ev.xt, ev.ze_t, ev.log_qb = (
             self.y[rows], self.x[rows], self.xt[rows], self.ze_t[rows], self.log_qb[rows]
         )
+        ev._views()
         return ev
 
-    def evaluate(self, lam: np.ndarray, curvature: bool = True) -> _DualPoint:
-        """The point at the multipliers ``lam`` (S, m), with its curvature unless told not to."""
+    def evaluate(self, lam: np.ndarray) -> _DualPoint:
+        """The point at the multipliers ``lam`` (S, m)."""
         add = np.add.reduce
-        x = self.x
-        tilt = np.matmul(x.transpose(0, 2, 1), lam[:, :, None])[:, :, 0] / self.wb
+        tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
         zb = self.zb
         ln_zb, pb = _log_partition(self.log_qb - zb * tilt[:, :, None], "coefficient", 2)
         beta_hat = add(pb * zb, axis=2)
@@ -423,26 +412,22 @@ class _DualEvaluator:
         eps_hat = add(pe * ze, axis=1)
 
         value = (
-            _row_dots(lam, self.y) + self.wb * add(ln_zb, axis=1) + self.we * add(ln_ze, axis=1)
-            + self.offset
+            np.matmul(lam[:, None, :], self.y_col)[:, 0, 0] + self.wb * add(ln_zb, axis=1)
+            + self.we * add(ln_ze, axis=1) + self.offset
         )
-        grad = self.y - np.matmul(x, beta_hat[:, :, None])[:, :, 0] - eps_hat
-        pe = pe.transpose(0, 2, 1)
-        if not curvature:
-            return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, tilt, ln_zb)
-        curv = self.curvature(pb, beta_hat, pe, eps_hat)
-        return _DualPoint(value, grad, pb, pe, beta_hat, eps_hat, tilt, ln_zb, *curv)
+        grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
+        return _DualPoint(value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb)
 
-    def curvature(self, pb, beta_hat, pe, eps_hat) -> tuple[np.ndarray, np.ndarray]:
-        """The Hessian contributions per coefficient and per observation at a point's weights.
+    def curvature(self, pt: _DualPoint) -> tuple[np.ndarray, np.ndarray]:
+        """The Hessian contributions at a point of this evaluator's problems.
 
-        ``pe`` is a point's ``(S, m, H)`` error weights, the view ``evaluate``
-        hands back.
+        Returns them per coefficient (S, J) and per observation (S, m). Only
+        a Newton direction reads them, so ``evaluate`` leaves them out.
         """
         add = np.add.reduce
-        pe = pe.transpose(0, 2, 1)
-        curv_beta = add(pb * (self.zb - beta_hat[:, :, None]) ** 2, axis=2) / self.wb
-        curv_eps = add(pe * (self.ze_t - eps_hat[:, None, :]) ** 2, axis=1) / self.we
+        pe = pt.pe.transpose(0, 2, 1)
+        curv_beta = add(pt.pb * (self.zb - pt.beta_hat[:, :, None]) ** 2, axis=2) / self.wb
+        curv_eps = add(pe * (self.ze_t - pt.eps_hat[:, None, :]) ** 2, axis=1) / self.we
         return curv_beta, curv_eps
 
 
@@ -501,24 +486,20 @@ def _normal_solve(xt: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarr
     reduces the solve to the coefficient dimension regardless of m. Takes a
     stack: the transposed regressors ``xt`` (S, J, m), row-major, and the
     rest (S, ·). Columns without curvature (``vb == 0``) drop out of their
-    problem's system, so a problem that has one is solved alone, on its live
-    columns. Returns the solutions (S, m) and which problems' small systems
-    were numerically usable.
+    problem's system; a stack with such a column solves each problem alone,
+    on its live columns. Returns the solutions (S, m) and which problems'
+    small systems were numerically usable.
     """
     u = grad / ve
     live = vb > 0.0
     if live.all():
         return _woodbury(xt, vb, ve, u)
-    full = live.all(axis=1)
     d, usable = u.copy(), np.ones(len(u), dtype=bool)
-    if full.any():
-        d[full], usable[full] = _woodbury(xt[full], vb[full], ve[full], u[full])
-    for i in np.flatnonzero(~full):  # a problem without live columns keeps d = u
-        active = live[i]
+    for i, active in enumerate(live):  # a problem without live columns keeps d = u
         if active.any():
             one = slice(i, i + 1)
-            di, ok = _woodbury(xt[i][active][None], vb[one][:, active], ve[one], u[one])
-            d[i], usable[i] = di[0], ok[0]
+            xa = xt[i][active][None]
+            d[one], usable[one] = _woodbury(xa, vb[one][:, active], ve[one], u[one])
     return d, usable
 
 
@@ -546,23 +527,25 @@ def _newton_direction(ev: _DualEvaluator, grad, vb, ve) -> np.ndarray:
     error curvatures ``vb`` and ``ve`` of ``ev``'s problems.
     """
     direction = -grad
-    need = np.ones(len(grad), dtype=bool)
-    for rows in ((ve > 0.0).all(axis=1), need):
+    rows = (ve > 0.0).all(axis=1)  # the problems of the plain attempt
+    for ridge in (False, True):
+        at = []
         every = rows.all()
-        if not (every or rows.any()):
-            continue
-        if every:
-            x, xt, vbr, ver, gr = ev.x, ev.xt, vb, ve, grad
-        else:
-            x, xt, vbr, ver, gr = ev.x[rows], ev.xt[rows], vb[rows], ve[rows], grad[rows]
-        d, usable = _normal_solve(xt, vbr, _error_diagonal(rows is need, x, vbr, ver), gr)
-        found = usable & np.isfinite(d).all(axis=1) & (_row_dots(gr, d) > 0.0)
-        if every and found.all():
-            return -d
-        at = np.flatnonzero(rows)[found]
-        direction[at] = -d[found]
-        need[at] = False
-    return direction
+        if every or rows.any():
+            if every:
+                x, xt, vbr, ver, gr = ev.x, ev.xt, vb, ve, grad
+            else:
+                x, xt, vbr, ver, gr = ev.x[rows], ev.xt[rows], vb[rows], ve[rows], grad[rows]
+            d, usable = _normal_solve(xt, vbr, _error_diagonal(ridge, x, vbr, ver), gr)
+            found = usable & np.isfinite(d).all(axis=1) & (_row_dots(gr, d) > 0.0)
+            if every and found.all():
+                return -d
+            at = np.flatnonzero(rows)[found]
+            direction[at] = -d[found]
+        if ridge:
+            return direction
+        rows = np.ones(len(grad), dtype=bool)  # the ridge retry's: every problem left
+        rows[at] = False
 
 
 def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
@@ -576,13 +559,12 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     and the stack evaluates only those, so a problem that spins costs its
     neighbours nothing once they have stopped. Curvature is formed only where
     a Newton direction reads it. Returns the multipliers (S, m), the final
-    stacked ``_DualPoint`` (without curvature) and the iteration counts (a
-    list).
+    stacked ``_DualPoint`` and the iteration counts (a list).
     """
     s = ev.y.shape[0]
     tol, cap = settings.constraint_tolerance, settings.max_iterations
     lam = np.zeros(ev.y.shape)
-    pt = ev.evaluate(lam, curvature=False)
+    pt = ev.evaluate(lam)
     iterations = [0] * s
     residuals = np.abs(pt.grad).max(axis=1).tolist()
     run = [i for i in range(s) if residuals[i] > tol]
@@ -593,15 +575,16 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
             rows, ev_t, lam_t, cur = run, ev, lam, pt
         else:
             rows, ev_t, lam_t, cur = run, ev.take(run), lam[run], pt.take(run)
-        curv = ev_t.curvature(cur.pb, cur.beta_hat, cur.pe, cur.eps_hat)
-        direction = _newton_direction(ev_t, cur.grad, *curv)
-        base, slope = cur.value, _row_dots(cur.grad, direction)
+        direction = _newton_direction(ev_t, cur.grad, *ev_t.curvature(cur))
+        base, slope = cur.value.tolist(), _row_dots(cur.grad, direction).tolist()
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = lam_t + step * direction
-            cand = ev_t.evaluate(trial, curvature=False)
-            ok = cand.value <= base + _ARMIJO_SLOPE * step * slope
-            if ok.all():
+            cand = ev_t.evaluate(trial)
+            # the Armijo test in Python floats, numpy's float64 operations
+            values = cand.value.tolist()
+            ok = [v <= b + _ARMIJO_SLOPE * step * sl for v, b, sl in zip(values, base, slope)]
+            if all(ok):
                 if len(rows) == s:
                     lam, pt = trial, cand
                 else:
@@ -609,14 +592,15 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
                     pt.put(rows, cand, slice(None))
                 rows = []
                 break
-            if ok.any():
-                accepted = [r for r, a in zip(rows, ok.tolist()) if a]
+            if any(ok):
+                accepted = [r for r, a in zip(rows, ok) if a]
                 lam[accepted] = trial[ok]
                 pt.put(accepted, cand, ok)
-                keep = ~ok
-                rows = [r for r, a in zip(rows, ok.tolist()) if not a]
-                ev_t, lam_t = ev_t.take(keep), lam_t[keep]
-                direction, base, slope = direction[keep], base[keep], slope[keep]
+                keep = [not a for a in ok]
+                rows = [r for r, k in zip(rows, keep) if k]
+                ev_t, lam_t, direction = ev_t.take(keep), lam_t[keep], direction[keep]
+                base = [b for b, k in zip(base, keep) if k]
+                slope = [sl for sl, k in zip(slope, keep) if k]
             step *= _BACKTRACK
         moved = [i for i in run if i not in rows]  # the rest found no decrease
         if not moved:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -510,6 +511,16 @@ def unstacked(kernel, point):
     return grad, p[:j, :k], p[j, :h], means[:j, 0], means[j, 0], curv[:j, 0], curv[j, 0]
 
 
+def full_point(ev, lam):
+    """A stack-of-one evaluator's point at the multipliers ``lam`` (m,), unstacked.
+
+    It carries the evaluator's curvature there as ``curv_beta`` and ``curv_eps``.
+    """
+    pt = ev.evaluate(np.asarray(lam, dtype=float)[None])
+    curv_beta, curv_eps = ev.curvature(pt)
+    return SimpleNamespace(**vars(pt.take(0)), curv_beta=curv_beta[0], curv_eps=curv_eps[0])
+
+
 def assert_point_matches(kernel, point, full, **close):
     grad, pb, pe, beta_hat, eps_hat, curv_beta, curv_eps = unstacked(kernel, point)
     np.testing.assert_allclose(grad, full.grad[0], **close)
@@ -525,7 +536,7 @@ def assert_point_matches(kernel, point, full, **close):
 def test_scalar_routine_matches_the_full_evaluation(lam):
     problem = lean_scalar_problem()
     kernel, _ = loaded_kernel(problem, 0.3, 0.7)
-    full = solver._evaluator(problem, 0.3, 0.7).evaluate(np.array([[lam]])).take(0)
+    full = full_point(solver._evaluator(problem, 0.3, 0.7), [lam])
     point = kernel.at(np.array([lam]))
     assert_point_matches(kernel, point, full, rtol=0.0, atol=1e-14)
     assert unstacked(kernel, point)[1][1, 0] == 0.0
@@ -546,7 +557,7 @@ def test_scalar_routine_on_wide_grids_matches_the_full_evaluation(k, h):
     kernel, _ = loaded_kernel(problem, 0.4, 0.6)
     ev = solver._evaluator(problem, 0.4, 0.6)
     for lam in (-2.0, 0.0, 0.3, 5.0):
-        full = ev.evaluate(np.array([[lam]])).take(0)
+        full = full_point(ev, [lam])
         assert_point_matches(kernel, kernel.at(np.array([lam])), full, rtol=1e-12, atol=1e-14)
 
 
@@ -565,7 +576,7 @@ def test_scalar_kernel_starts_at_the_prior_moments(k, h):
     prior = JointDistribution(qb, local.dirichlet(np.ones(h))[None, :])
     problem = GceProblem(np.array([0.4]), np.array([[1.0, -0.7, 2.3]]), grid, prior)
     kernel, start = loaded_kernel(problem, 0.35, 0.65)
-    full = solver._evaluator(problem, 0.35, 0.65).evaluate(np.zeros((1, 1))).take(0)
+    full = full_point(solver._evaluator(problem, 0.35, 0.65), [0.0])
     assert_point_matches(kernel, start, full, rtol=1e-15, atol=1e-15)
     pb = unstacked(kernel, start)[1]
     assert pb[1, 0] == 0.0 and pb[2, -1] == 0.0
@@ -574,7 +585,7 @@ def test_scalar_kernel_starts_at_the_prior_moments(k, h):
 def test_one_observation_fit_is_the_full_evaluation_at_its_multiplier():
     problem = lean_scalar_problem()
     sol = solve_gce(problem, signal_weight=0.3, error_weight=0.7)
-    full = solver._evaluator(problem, 0.3, 0.7).evaluate(sol.multipliers[None]).take(0)
+    full = full_point(solver._evaluator(problem, 0.3, 0.7), sol.multipliers)
     exact = dict(rtol=0.0, atol=1e-14)
     assert sol.diagnostics.converged and sol.diagnostics.iterations >= 1
     assert sol.diagnostics.max_residual == pytest.approx(abs(full.grad[0]), abs=1e-14)
@@ -666,7 +677,7 @@ def test_evaluator_matches_the_row_major_oracle(h, shared):
     for wb, we in ((1.0, 1.0), (0.3, 0.7)):
         ev = one_problem_evaluator(*inputs, wb, we)
         for lam in lams:
-            got = ev.evaluate(lam[None]).take(0)
+            got = full_point(ev, lam)
             want = oracles.row_major_dual_point(lam, *inputs, wb, we)
             assert got.pe.shape == (m, h)
             assert got.pe[0, 1] == want.pe[0, 1] == 0.0
