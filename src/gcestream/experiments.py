@@ -344,10 +344,9 @@ class _CellPlan:
     raised. ``fractions``, filled by ``prepare``, holds per batch fraction
     its one-shot results and its streams, each as its ``method_seconds``
     key, method, g, the regressors it is scored on and the prepared stream,
-    in report order.
-    ``method_seconds`` holds the wall time charged so far per method, and
-    ``planning_seconds`` that of the planning, the cell's share of the
-    one-shot solves and the preparation.
+    in report order. ``method_seconds`` holds the wall time charged so far
+    per method, and ``planning_seconds`` that of the planning, the cell's
+    share of the one-shot solves and the preparation.
     """
 
     scenario: ScenarioConfig
