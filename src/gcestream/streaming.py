@@ -626,16 +626,6 @@ def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
                 converged_logs[i].append(converged[n])
                 positive[i] = pos[n]
 
-    def absorb_stack(members, m, ordinal):
-        """Absorb the ``ordinal``-th blocks, all of ``m`` observations, of ``members``.
-
-        Returns the seconds it took.
-        """
-        t0 = clock()
-        at = np.add.outer([offsets[i] + streams[i].blocks[ordinal][0] for i in members], range(m))
-        absorb(members, all_y[at], all_x[at], all_rows[at])
-        return clock() - t0
-
     for ordinal in range(max(len(stream.blocks) for stream in streams)):
         t_round = clock()
         present: list[int] = []
@@ -661,7 +651,11 @@ def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
             stacks.setdefault(stop - start, []).append(i)
         solved = 0.0
         for m, members in stacks.items():
-            dt = absorb_stack(members, m, ordinal)
+            t_stack = clock()
+            starts = [offsets[i] + streams[i].blocks[ordinal][0] for i in members]
+            at = np.add.outer(starts, range(m))  # the members' blocks as rows of all_y
+            absorb(members, all_y[at], all_x[at], all_rows[at])
+            dt = clock() - t_stack
             solved += dt
             for i in members:
                 seconds[i] += dt / len(members)
