@@ -9,6 +9,7 @@ dataset CSV. Exit codes: 0 on success, 1 for configuration or usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -24,7 +25,9 @@ from .simulation import SimulationConfig, generate_dataset, save_dataset_csv
 from .solver import InfeasibleObservationError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gcestream",
         description="Entropy-based regression over support grids, batch and streaming.",

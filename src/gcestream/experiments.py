@@ -306,10 +306,10 @@ class CellOutcome:
     to ``gce_batch``, which the streams on the raw design start from without
     solving it again; the stream on the standardized design is charged its
     own batch fit. A stream is charged its preparation and its share of the
-    fold: an equal share of each stacked block solve it was part of, and of
-    the rest of each round it took part in. The estimation section is the
-    cell's planning and scoring plus its shares, its wall time when the cell
-    is run alone, as ``run_cell`` runs it.
+    fold: an equal share of its set-up and of each stack of blocks it took
+    part in (trust tests, hull checks and solve), and its report. The
+    estimation section is the cell's planning and scoring plus its shares,
+    its wall time when the cell is run alone, as ``run_cell`` runs it.
     """
 
     reports: tuple[RunReport, ...]

@@ -771,8 +771,8 @@ class _StackKernel:
         g0, p0, means0 = g, p, means = self.start(qb, log_qb, y0, x, ze)
         s = len(g)
         x_sq = self.x**2
-        # the multipliers as Python floats for the control, written through
-        # to each problem's rows of the column ``at`` reads
+        # the multipliers as Python floats for the control, written to every
+        # problem's rows of the column ``at`` reads once per iteration
         lam, lam_rows = [0.0] * s, np.zeros((s, j + 1, 1))
         lam_col = lam_rows.reshape(-1, 1)
         lo, hi, iterations = [None] * s, [None] * s, [0] * s
@@ -802,11 +802,12 @@ class _StackKernel:
                         cand = min(max(cand, li - trust), li + trust)
                 if cand == li:
                     continue  # bracket collapsed to machine resolution
-                lam[i] = lam_rows[i] = cand
+                lam[i] = cand
                 iterations[i] += 1
                 stepped.append(i)
             if not stepped:
                 break
+            lam_rows[...] = np.array(lam)[:, None, None]
             g, p, means = self.at(lam_col)
             running = [i for i in stepped if iterations[i] < cap and abs(g[i]) > tol]
         stepped_any = p is not p0
@@ -843,23 +844,20 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
     else a new one. Problems of more observations are solved together by
     ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way a
     problem gets the bits it would get alone, in a stack of one. Returns
-    the multipliers (S, m), the final stacked ``_DualPoint`` and one
-    ``SolverDiagnostics`` per problem, whose verdict is decided here and
-    nowhere else.
+    the multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
+    arrays, each problem's iterations, largest absolute residual and
+    verdict, which is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.shape[1] == 1:
         if kernel is None:
             kernel = _StackKernel(zb, log_qe[0], signal_weight, error_weight)
         lam, pt, iterations = kernel.solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
-        residuals = [abs(g) for g in pt.grad.ravel().tolist()]
     else:
         ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
-        residuals = np.abs(pt.grad).max(axis=1).tolist()
-    tol = settings.constraint_tolerance
-    verdicts = [r <= tol for r in residuals]
-    return lam, pt, tuple(map(SolverDiagnostics, iterations, residuals, verdicts))
+    residuals = np.abs(pt.grad).max(axis=1)
+    return lam, pt, (np.array(iterations), residuals, residuals <= settings.constraint_tolerance)
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -897,12 +895,13 @@ def _solve_problems(
             raise ValueError(
                 "a stack of problems must share m, the coefficient supports and the error prior"
             )
-    lam, pt, diagnostics = _solve_dual(
+    lam, pt, verdicts = _solve_dual(
         _stacked([p.y for p in problems]), _stacked([p.x for p in problems]), zb,
         _stacked([p.supports.error_support for p in problems]),
         _stacked([p.prior.beta for p in problems]), _log_priors(qe), signal_weight,
         error_weight, settings,
     )
+    diagnostics = [SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
     lam.setflags(write=False)
     solutions = []
     for i, problem in enumerate(problems):

@@ -29,11 +29,14 @@ its stacked Newton iteration otherwise. ``block_update`` calls it with a
 stack of one. Whole streams are prepared one at a time (``_prepare_stream``:
 every check, every observation's error row and full-support hull test, and
 the batch fit) and then folded together (``_fold``): streams on the same
-supports and settings advance in rounds, their blocks stacked by size into
-one ``_absorb`` call per size and round, each stream carrying whether its
-prior is positive and building one state, at the end. A stream's results are its
-results alone, bit for bit. ``run_stream`` prepares one stream and folds a
-stack of one; ``experiments.run_experiment`` folds the streams of many cells.
+supports, settings and block size advance in rounds, laid out round-major
+so that each round reads its stacks, priors and trust tests as slices, with
+one ``_absorb`` call per block size and round. A stream's results are its
+results alone, bit for bit, and its logs are stored once: written by slice
+into preallocated arrays, which its ``StreamReport`` holds read-only and
+its final ``StreamState`` shares as its logs. ``run_stream`` prepares one
+stream and folds a stack of one; ``experiments.run_experiment`` folds the
+streams of many cells.
 """
 
 from __future__ import annotations
@@ -102,24 +105,48 @@ def _low(values: Sequence[float], low: float = math.inf) -> float:
     return min([low, *values]) if all(map(math.isfinite, values)) else math.nan
 
 
+def _entries(items) -> list:
+    """A log's entries as a list: a numeric array's as Python scalars, a trajectory's as rows."""
+    if isinstance(items, np.ndarray):
+        return items.tolist() if items.ndim == 1 else list(items)
+    return items
+
+
 class _Log(Sequence):
     """An immutable view of the first ``len(self)`` entries of an append-only list.
 
     Successive stream states share one list, so ``extended`` appends in place
     in O(1); when a later state has appended already (a branch from an older
     state) it copies the prefix first, so no view ever sees its entries
-    change. ``low`` is the smallest entry of a numeric log (NaN if an entry is
-    not finite, infinity while it is empty), else None.
+    change. A log may also wrap a read-only array (``frozen``), as a folded
+    stream's report and final state share their logs: it reads as the array
+    does, numeric entries as Python scalars and a trajectory's as its rows,
+    and its first ``extended`` copies it to a list. ``low`` is the smallest
+    entry of a numeric log (NaN if an entry is not finite, infinity while it
+    is empty), else None.
     """
 
     __slots__ = ("_items", "_size", "low")
 
-    def __init__(self, items: list, low: float | None) -> None:
+    def __init__(self, items, low: float | None) -> None:
         self._items, self._size, self.low = items, len(items), low
+
+    @classmethod
+    def frozen(cls, values: np.ndarray) -> "_Log":
+        """The log of a read-only array: numeric if 1-D, a trajectory of rows if 2-D."""
+        if values.ndim > 1:
+            return cls(values, None)
+        if not np.isfinite(values).all():
+            return cls(values, math.nan)
+        return cls(values, float(values.min()) if values.size else math.inf)
 
     def extended(self, values) -> "_Log":
         with _APPEND_LOCK:
-            items = self._items if len(self._items) == self._size else self._items[: self._size]
+            items = self._items
+            if isinstance(items, np.ndarray):
+                items = _entries(items)
+            elif len(items) != self._size:
+                items = items[: self._size]
             items.extend(values)
             return _Log(items, None if self.low is None else _low(values, self.low))
 
@@ -128,16 +155,21 @@ class _Log(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self._items[: self._size][index])
-        return self._items[range(self._size)[index]]
+            return tuple(_entries(self._items[: self._size][index]))
+        entry = self._items[range(self._size)[index]]
+        return entry.item() if isinstance(entry, np.generic) else entry
 
     def __iter__(self):
-        return iter(self._items[: self._size])
+        return iter(_entries(self._items[: self._size]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
-        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+        # trajectory rows compare as arrays, other entries as values
+        return len(self) == len(other) and all(
+            a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+            for a, b in zip(self, other)
+        )
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -184,8 +216,10 @@ class StreamState:
     hold for the whole stream, and its error rows are the batch's (incoming
     blocks supply their own). ``step_index``, a whole number, counts absorbed
     observations. The logs are read-only sequences that the update functions
-    share between successive states instead of copying them. Every ledger
-    entry must be a finite number no less than -1e-12.
+    share between successive states instead of copying them; a folded
+    stream's final state holds them as the read-only arrays its
+    ``StreamReport`` holds, and its first update copies them once. Every
+    ledger entry must be a finite number no less than -1e-12.
     """
 
     beta_prior: np.ndarray
@@ -235,7 +269,12 @@ class StreamState:
 
 @dataclass(frozen=True)
 class StreamReport:
-    """Everything a finished stream produced, in arrival order."""
+    """Everything a finished stream produced, in arrival order.
+
+    ``epsilon_hat``, ``entropy_ledger`` and ``beta_trajectory`` are
+    read-only arrays, stored once: they are ``final_state``'s logs, shared,
+    not copied, and an update of ``final_state`` leaves them unchanged.
+    """
 
     beta_hat: np.ndarray
     epsilon_hat: np.ndarray
@@ -279,7 +318,7 @@ def _check_block(y, x, zb, error_rows):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rows = _error_rows(error_rows)
     if rows.shape[0] == 1 and y.size > 1:
-        rows = np.tile(rows, (y.size, 1))
+        rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
     _check_observations(y, x, zb.shape[0], rows.shape[0])
     return y, x, rows
 
@@ -299,10 +338,10 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
     together: blocks of one observation by the solver's stacked kernel,
     wider ones by its stacked Newton iteration. The caller has checked each
     block's live hull, or trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
-    the blocks' error estimates (S, m), and per block its ledger entry, its
-    ``beta_hat`` (rows of an (S, J) array), whether its solve converged and
+    the blocks' error estimates (S, m), their ``beta_hat`` (S, J), and as
+    (S,) arrays each block's ledger entry, whether its solve converged and
     whether its new prior is positive. ``steps`` only label the underflow
-    warnings, one per prior.
+    warnings, one per underflowed prior.
 
     The ledger entry is the KL divergence of the new prior from the carried
     one, formed from the final point's tilt t and log partitions ln Z as
@@ -322,22 +361,21 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
     add = np.add.reduce
     qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
-    _, pt, diagnostics = _solve_dual(
+    _, pt, (_, _, converged) = _solve_dual(
         y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
     )
 
     prior = pt.pb / add(pt.pb, axis=2, keepdims=True)
-    lowest = np.minimum.reduce(prior, axis=(1, 2)).tolist()
-    for low, step in zip(lowest, steps):
-        if low <= 0.0:
+    positive = np.minimum.reduce(prior, axis=(1, 2)) > 0.0
+    if not positive.all():
+        for step in np.asarray(steps)[~positive].tolist():
             logger.warning(
                 "carried prior underflowed to zero on some support points at step %d; "
                 "those points are frozen out for the rest of the stream",
                 step,
             )
-    moved = add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0), axis=1).tolist()
-    converged = [d.converged for d in diagnostics]
-    return prior, pt.eps_hat, moved, pt.beta_hat, converged, [low > 0.0 for low in lowest]
+    moved = add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0), axis=1)
+    return prior, pt.eps_hat, moved, pt.beta_hat, converged, positive
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +385,13 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
 
 def _batch_state(supports: SupportGrid, solution: GceSolution) -> StreamState:
     """The state after a batch fit: its coefficient weights, error estimates and verdict."""
+    epsilon_hat = solution.epsilon_hat.copy()
+    epsilon_hat.setflags(write=False)
     return StreamState(
         beta_prior=solution.distributions.beta,
         supports=supports,
         step_index=solution.epsilon_hat.size,
-        epsilon_log=solution.epsilon_hat.tolist(),
+        epsilon_log=_Log.frozen(epsilon_hat),
         beta_trajectory=(solution.beta_hat,),
         converged_log=(solution.diagnostics.converged,),
     )
@@ -423,9 +463,9 @@ def block_update(
         supports=state.supports,
         step_index=state.step_index + y.size,
         epsilon_log=state.epsilon_log.extended(eps[0].tolist()),
-        entropy_ledger=state.entropy_ledger.extended(moved),
+        entropy_ledger=state.entropy_ledger.extended(moved.tolist()),
         beta_trajectory=state.beta_trajectory.extended((beta_hat[0],)),
-        converged_log=state.converged_log.extended(converged),
+        converged_log=state.converged_log.extended(converged.tolist()),
     )
 
 
@@ -450,18 +490,20 @@ def update_step(
 class _Stream:
     """A stream ready to fold: checked data, its blocks and the state after its batch.
 
-    ``rows`` holds every observation's error support row and ``inside``
-    whether it lies strictly inside its full-support hull, both resolved
-    before the first solve.
+    Its blocks are ``block`` observations each from observation ``batch``
+    on, the last keeping the remainder. ``rows`` holds every observation's
+    error support row and ``inside`` whether it lies strictly inside its
+    full-support hull, both resolved before the first solve.
     """
 
     y: np.ndarray  # (n,)
     x: np.ndarray  # (n, J)
     rows: np.ndarray  # (n, H)
-    inside: list
+    inside: np.ndarray  # (n,) bool
     zb: np.ndarray  # (J, K)
     settings: UpdateSettings
-    blocks: tuple  # (start, stop) of each block, in order
+    batch: int
+    block: int
     state: StreamState
     batch_solution: GceSolution | None
 
@@ -513,12 +555,10 @@ def _prepare_stream(
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
     y, x, rows = _check_block(y, x, zb, error_row)
-    blocks = tuple(
-        (start, min(start + block_size, n)) for start in range(batch_size, n, block_size)
-    )
     if error_support is None and error_scale == "cumulative":
         rows = rows.copy()  # each block scaled to the responses seen by its end
-        for start, stop in blocks:
+        for start in range(batch_size, n, block_size):
+            stop = min(start + block_size, n)
             rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
         rows = _error_rows(rows)
 
@@ -531,174 +571,219 @@ def _prepare_stream(
             state = _batch_state(grid, batch_fit)
     else:
         state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
-    inside = _inside(y, x, zb, rows).tolist()
-    return _Stream(y, x, rows, inside, zb, settings, blocks, state, batch_fit)
+    inside = _inside(y, x, zb, rows)
+    return _Stream(y, x, rows, inside, zb, settings, batch_size, block_size, state, batch_fit)
 
 
 def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
-    """Absorb every block of every stream, the blocks of a group's round stacked by size.
+    """Absorb every block of every stream, the blocks of a round stacked by size.
 
-    Streams that share the coefficient supports, the error row width and
-    the settings form a group with one stacked kernel. A group advances in
-    rounds; in round r every stream of it that has an r-th block absorbs it,
-    as ``block_update`` would: its full-support hull is trusted while its
-    carried prior is positive, else its live hull is checked, and an
-    infeasible block is skipped and logged. The blocks of the round are
-    stacked by their number of observations, remainders included, and each
-    stack is absorbed by one ``_absorb`` call. A stream's results do not
-    depend on the other streams, so each is bit for bit its fold alone. A
-    stream that raises stops, and only it: a stacked call that raises is
-    made again one stream at a time.
+    Streams that share the coefficient supports, the error row width, the
+    settings and the block size form a ``_Lane``. Lanes advance in rounds:
+    in round t every stream with a t-th block absorbs it as ``block_update``
+    would (its full-support hull trusted while its carried prior is
+    positive, else its live hull checked, and an infeasible block skipped
+    and logged), one ``_absorb`` call per lane and block size. A stream's
+    results do not depend on the others, so each is bit for bit its fold
+    alone. A stream that raises stops, and only it.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
-    it, and the seconds charged to it. A stack's solve is shared equally by
-    its members; the rest of a round is shared equally by the streams that
-    took part, as are the group's set-up and its streams' reports. The
-    charges sum to the fold's wall time.
+    it, and the seconds charged to it: an equal share of the set-up and of
+    each stack it took part in (trust tests, hull checks and solve), and
+    its report. The charges sum to the fold's wall time.
     """
-    outcomes: list = [None] * len(streams)
-    seconds = [0.0] * len(streams)
-    groups: dict = {}
-    for i, stream in enumerate(streams):
-        key = (stream.zb.shape, stream.zb.tobytes(), stream.rows.shape[1], stream.settings)
-        groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        reports, charged = _fold_group([streams[i] for i in members])
-        for i, report, dt in zip(members, reports, charged):
-            outcomes[i], seconds[i] = report, dt
-    return outcomes, seconds
-
-
-def _fold_group(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
-    """``_fold`` for streams that share one stacked kernel."""
     clock = time.perf_counter
-    t0 = clock()
-    first = streams[0]
-    zb, settings = first.zb, first.settings
-    qe, log_qe = _uniform_error_prior(first.rows.shape[1])
-    kernel = _StackKernel(zb, log_qe[0], settings.gamma, 1.0 - settings.gamma)
-    carried = np.stack([stream.state.beta_prior for stream in streams])
-    # every stream's observations, end to end, to gather a round's stack from
-    offsets = np.cumsum([0] + [stream.y.size for stream in streams]).tolist()
-    all_y = np.concatenate([stream.y for stream in streams])
-    all_x = np.concatenate([stream.x for stream in streams])
-    all_rows = np.concatenate([stream.rows for stream in streams])
-
-    count = len(streams)
-    outcomes: list = [None] * count
-    seconds = [(clock() - t0) / count] * count
-    positive = [bool(c.min() > 0.0) for c in carried]
-    steps = [stream.state.step_index for stream in streams]
-    eps_logs = [list(stream.state.epsilon_log) for stream in streams]
-    ledgers = [list(stream.state.entropy_ledger) for stream in streams]
-    trajectories = [list(stream.state.beta_trajectory) for stream in streams]
-    converged_logs = [list(stream.state.converged_log) for stream in streams]
-    skipped: list[list[int]] = [[] for _ in streams]
-
-    def absorb(members, y, x, rows):
-        """Absorb one block per member into ``carried``.
-
-        A stack that raises is absorbed again one member at a time, and a
-        member that raises alone stops.
-        """
-        pending = [(members, y, x, rows)]
-        while pending:
-            members, y, x, rows = pending.pop(0)
-            try:
-                prior, eps, moved, beta_hat, converged, pos = _absorb(
-                    carried[members], zb, y, x, rows, settings, [steps[i] for i in members], kernel
-                )
-            except Exception as exc:
-                if len(members) == 1:
-                    outcomes[members[0]] = exc
-                else:
-                    pending += [
-                        ([i], y[n : n + 1], x[n : n + 1], rows[n : n + 1])
-                        for n, i in enumerate(members)
-                    ]
-                continue
-            carried[members] = prior
-            for n, (i, block_eps) in enumerate(zip(members, eps.tolist())):
-                steps[i] += len(block_eps)
-                eps_logs[i].extend(block_eps)
-                ledgers[i].append(moved[n])
-                trajectories[i].append(beta_hat[n])
-                converged_logs[i].append(converged[n])
-                positive[i] = pos[n]
-
-    for ordinal in range(max(len(stream.blocks) for stream in streams)):
-        t_round = clock()
-        present: list[int] = []
-        stacks: dict[int, list[int]] = {}  # the members of each block size's stack
-        for i, stream in enumerate(streams):
-            if outcomes[i] is not None or ordinal >= len(stream.blocks):
-                continue
-            present.append(i)
-            start, stop = stream.blocks[ordinal]
-            if not (positive[i] and all(stream.inside[start:stop])):
-                try:
-                    _check_hull(
-                        stream.y[start:stop], stream.x[start:stop], zb, carried[i],
-                        stream.rows[start:stop], qe,
-                    )
-                except InfeasibleObservationError as exc:
-                    skipped[i].extend(range(start, stop))
-                    logger.warning(
-                        "skipping block %d (observations %d..%d): %s (offending: %s)",
-                        ordinal, start, stop - 1, exc, [start + k for k in exc.indices],
-                    )
-                    continue
-            stacks.setdefault(stop - start, []).append(i)
-        solved = 0.0
-        for m, members in stacks.items():
-            t_stack = clock()
-            starts = [offsets[i] + streams[i].blocks[ordinal][0] for i in members]
-            at = np.add.outer(starts, range(m))  # the members' blocks as rows of all_y
-            absorb(members, all_y[at], all_x[at], all_rows[at])
-            dt = clock() - t_stack
-            solved += dt
-            for i in members:
-                seconds[i] += dt / len(members)
-        if present:
-            share = (clock() - t_round - solved) / len(present)
-            for i in present:
-                seconds[i] += share
-
+    start = clock()
+    outcomes: list = [None] * len(streams)
+    orders: dict = {}
     for i, stream in enumerate(streams):
-        t_report = clock()
-        if outcomes[i] is None:
-            try:
-                outcomes[i] = _report(
-                    stream, carried[i], steps[i], eps_logs[i], ledgers[i], trajectories[i],
-                    converged_logs[i], skipped[i],
-                )
-            except Exception as exc:
-                outcomes[i] = exc
-        seconds[i] += clock() - t_report
+        key = (stream.zb.tobytes(), stream.zb.shape, stream.rows.shape[1], stream.settings)
+        orders.setdefault((key, stream.block), []).append(i)
+    lanes = [_Lane(streams, order, outcomes) for order in orders.values()]
+    mark = clock()
+    for lane in lanes:
+        lane.seconds += (mark - start) / len(streams)
+    for t in range(max((len(lane.stacks) for lane in lanes), default=0)):
+        for lane in lanes:
+            for stack in lane.stacks[t] if t < len(lane.stacks) else ():
+                live, at, blocks = lane.members(t, *stack)
+                if len(blocks[0]):
+                    lane.absorb(t, at, *blocks)
+                taking = lane.seconds[live].size
+                if taking:
+                    end = clock()
+                    lane.seconds[live] += (end - mark) / taking
+                    mark = end
+
+    seconds = [0.0] * len(streams)
+    for lane in lanes:
+        for log in (lane.eps, lane.ledger, lane.trajectory, lane.converged):
+            log.setflags(write=False)
+        for p, i in enumerate(lane.order):
+            if outcomes[i] is None:
+                try:
+                    outcomes[i] = lane.report(p, streams[i])
+                except Exception as exc:
+                    outcomes[i] = exc
+            end = clock()
+            seconds[i] = float(lane.seconds[p]) + end - mark
+            mark = end
     return outcomes, seconds
 
 
-def _report(stream, carried, step, epsilon_log, ledger, trajectory, converged_log, skipped):
-    """The ``StreamReport`` of a folded stream, with its one ``StreamState``."""
-    state = StreamState(
-        beta_prior=carried,
-        supports=stream.state.supports,
-        step_index=step,
-        epsilon_log=epsilon_log,
-        entropy_ledger=ledger,
-        beta_trajectory=trajectory,
-        converged_log=converged_log,
-    )
-    return StreamReport(
-        beta_hat=state.beta_hat,
-        epsilon_hat=np.array(state.epsilon_log),
-        entropy_ledger=np.array(state.entropy_ledger),
-        beta_trajectory=np.vstack(state.beta_trajectory),
-        final_state=state,
-        batch_solution=stream.batch_solution,
-        skipped=tuple(skipped),
-        all_converged=all(state.converged_log),
-    )
+class _Lane:
+    """Streams of one kernel and block size ``g``, laid out round-major for ``_fold``.
+
+    Streams are sorted by block count, then by the size of their last
+    block, both descending: the streams with a block in round t are a
+    prefix, those whose last block is shorter at its end, in runs of one
+    size. Every block is gathered once, with whether it lies inside its
+    full-support hulls: the whole blocks into one ``(·, g, ·)`` array per
+    input, round after round, and each run of shorter ones apart. So a
+    round reads each stack, its priors, trust tests and logs as slices; a
+    stack with a stopped stream or an untrusted block uses index arrays.
+    The logs are arrays written by slice, a row per stream: observation k's
+    error estimate at column ``base - batch + k``, block t's ledger entry
+    at t, its trajectory row and verdict at t + 1 (row 0 is the start's, as
+    is verdict 0 after a batch).
+    """
+
+    def __init__(self, streams, order, outcomes):
+        g = streams[order[0]].block
+        # by -ceil(post / g), which is floor(-post / g), then by -post
+        key = [(d // g, d) for d in (streams[i].batch - streams[i].y.size for i in order)]
+        self.order = order = [i for _, i in sorted(zip(key, order))]
+        members = [streams[i] for i in order]
+        first = members[0]
+        self.zb, self.settings, self.g, self.outcomes = first.zb, first.settings, g, outcomes
+        self.qe, log_qe = _uniform_error_prior(first.rows.shape[1])
+        gamma = self.settings.gamma
+        self.kernel = _StackKernel(self.zb, log_qe[0], gamma, 1.0 - gamma)
+        self.batch = batch = np.array([stream.batch for stream in members])
+        post = np.array([stream.y.size for stream in members]) - batch
+        self.count = count = -(-post // g)
+        s, rounds = len(order), int(count.max())
+
+        # the observations after each batch, end to end, to gather from
+        data = [
+            np.concatenate([getattr(stream, name)[stream.batch :] for stream in members])
+            for name in ("y", "x", "rows", "inside")
+        ]
+        first_rows = post.cumsum() - post
+        t = np.arange(rounds)[:, None]
+        whole = t < post // g
+        at = (first_rows + g * t)[whole][:, None] + np.arange(min(g, int(post.max())))
+        y, x, rows, inside = (d[at] for d in data)
+        inside = inside.all(axis=1)
+        ends = whole.sum(axis=1).cumsum().tolist()
+        self.stacks = [
+            [(0, hi - lo, y[lo:hi], x[lo:hi], rows[lo:hi], inside[lo:hi])] if hi > lo else []
+            for lo, hi in zip([0, *ends], ends)
+        ]
+        runs: dict = {}  # (round, size) -> positions
+        for p in np.flatnonzero(post % g).tolist():
+            runs.setdefault((int(count[p]) - 1, int(post[p] % g)), []).append(p)
+        for (t, m), positions in runs.items():
+            a, b = positions[0], positions[-1] + 1
+            at = (first_rows[a:b] + t * g)[:, None] + np.arange(m)
+            y, x, rows, inside = (d[at] for d in data)
+            self.stacks[t].append((a, b, y, x, rows, inside.all(axis=1)))
+
+        self.carried = np.stack([stream.state.beta_prior for stream in members])
+        self.positive = np.minimum.reduce(self.carried, axis=(1, 2)) > 0.0
+        self.alive, self.steps, self.seconds = np.ones(s, dtype=bool), batch.copy(), np.zeros(s)
+        self.base = base = int(batch.max())
+        self.eps = np.zeros((s, base + int(post.max())))
+        self.ledger = np.zeros((s, rounds))
+        self.trajectory = np.zeros((s, rounds + 1, self.zb.shape[0]))
+        self.converged = np.ones((s, rounds + 1), dtype=bool)
+        for p, stream in enumerate(members):
+            self.trajectory[p, 0] = stream.state.beta_trajectory[0]
+            if stream.batch_solution is not None:
+                self.eps[p, base - stream.batch : base] = stream.batch_solution.epsilon_hat
+                self.converged[p, 0] = stream.batch_solution.diagnostics.converged
+        self.skipped: dict = {}  # position -> skipped rounds
+
+    def members(self, t, a, b, y, x, rows, inside):
+        """The live streams of positions [a, b), those that absorb their block, and the blocks.
+
+        Positions are a slice while every stream is live and its block
+        trusted, else index arrays; an untrusted block has its live hull
+        checked, and an infeasible one is skipped and logged.
+        """
+        live = self.alive[a:b]
+        trusted = live & self.positive[a:b] & inside
+        if trusted.all():
+            return slice(a, b), slice(a, b), (y, x, rows)
+        keep = []
+        for k in np.flatnonzero(live).tolist():
+            try:
+                if not trusted[k]:
+                    _check_hull(y[k], x[k], self.zb, self.carried[a + k], rows[k], self.qe)
+                keep.append(k)
+            except InfeasibleObservationError as exc:
+                self.skipped.setdefault(a + k, []).append(t)
+                start = int(self.batch[a + k]) + t * self.g
+                logger.warning(
+                    "skipping block %d (observations %d..%d): %s (offending: %s)",
+                    t, start, start + y.shape[1] - 1, exc, [start + i for i in exc.indices],
+                )
+        blocks = y[keep], x[keep], rows[keep]
+        return a + np.flatnonzero(live), a + np.array(keep, dtype=int), blocks
+
+    def absorb(self, t, at, y, x, rows) -> None:
+        """Absorb and log the round-t blocks of the positions ``at``.
+
+        A stack that raises is absorbed again one stream at a time, and a
+        stream that raises alone stops.
+        """
+        try:
+            prior, eps, moved, beta_hat, converged, positive = _absorb(
+                self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at], self.kernel
+            )
+        except Exception as exc:
+            at = np.arange(self.alive.size)[at]
+            if at.size == 1:
+                self.alive[at], self.outcomes[self.order[at[0]]] = False, exc
+                return
+            for k in range(at.size):
+                self.absorb(t, at[k : k + 1], y[k : k + 1], x[k : k + 1], rows[k : k + 1])
+            return
+        column, m = self.base + t * self.g, y.shape[1]
+        self.carried[at], self.positive[at] = prior, positive
+        self.steps[at] += m
+        self.eps[at, column : column + m] = eps
+        self.ledger[at, t], self.converged[at, t + 1] = moved, converged
+        self.trajectory[at, t + 1] = beta_hat
+
+    def report(self, p, stream) -> StreamReport:
+        """The ``StreamReport`` of the stream at position ``p``, with its one ``StreamState``.
+
+        Both hold the same read-only arrays: views of the lane's logs, or
+        copies without the stream's skipped blocks.
+        """
+        count, batch, n, g = int(self.count[p]), stream.batch, stream.y.size, self.g
+        logs = [
+            self.eps[p, self.base - batch :][:n], self.ledger[p, :count],
+            self.trajectory[p, : count + 1], self.converged[p, int(batch == 0) : count + 1],
+        ]
+        skipped = self.skipped.get(p, [])
+        observations = [k for t in skipped for k in range(batch + t * g, min(batch + t * g + g, n))]
+        if skipped:
+            rows = np.add(skipped, 1)
+            logs = [
+                np.delete(logs[0], observations), np.delete(logs[1], skipped),
+                np.delete(logs[2], rows, axis=0), np.delete(logs[3], rows - (batch == 0)),
+            ]
+            for log in logs:
+                log.setflags(write=False)
+        state = StreamState(
+            self.carried[p], stream.state.supports, int(self.steps[p]), *map(_Log.frozen, logs)
+        )
+        return StreamReport(
+            state.beta_hat, *logs[:3], state, stream.batch_solution, tuple(observations),
+            bool(logs[3].all()),
+        )
 
 
 def run_stream(
@@ -737,13 +822,10 @@ def run_stream(
     checks a block, so bad data raises ``block_update``'s error before any
     work is done; every observation's error row, a cumulative stream's
     included, is built and checked then, and so is every observation's
-    full-support hull test. The stream is then folded as a stack of one, the
-    same fold that advances many streams together: on valid data the result
-    is a left fold of ``block_update`` over the blocks, bit for bit, with the
-    same skips and warnings, for every ``UpdateSettings``, with the
-    full-support hull tested once for the stream, the prior's positivity
-    carried from the step before, one stacked kernel for the stream's
-    one-observation blocks and one ``StreamState`` built at the end.
+    full-support hull test. The stream is then folded as a stack of one
+    (``_fold``): on valid data the result is a left fold of ``block_update``
+    over the blocks, bit for bit, with the same skips and warnings, for
+    every ``UpdateSettings``, and one ``StreamState`` built at the end.
     """
     stream = _prepare_stream(
         y, x, batch_size, block_size, settings, beta_support=beta_support,

@@ -1000,6 +1000,21 @@ def test_cli_solve_block_mode_prints_the_ledger(tmp_path, capsys):
     assert "entropy ledger" in out
 
 
+def test_cli_parser_is_built_once_and_each_call_parses_its_own_argv(tmp_path, monkeypatch):
+    from gcestream import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args: seen.append(vars(args)) or 0)
+    path = str(tmp_path / "data.csv")
+    assert main(["solve", path, "--mode", "block", "--std", "--gamma", "0.3"]) == 0
+    assert main(["solve", path]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    flags = ("mode", "std", "gamma", "block_size")
+    assert [tuple(args[k] for k in flags) for args in seen] == [
+        ("block", True, 0.3, 2), ("gce", False, 0.5, 2)
+    ]
+
+
 def test_cli_solve_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.csv")]) == 1
     assert "error:" in capsys.readouterr().err

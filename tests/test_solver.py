@@ -263,20 +263,26 @@ def stacked_problems(local, s, j, k, h, where, zb=None):
     return y, x, zb, ze, qb
 
 
+def diagnosed(verdicts):
+    """``_solve_dual``'s per-problem arrays as one ``SolverDiagnostics`` per problem."""
+    return [solver.SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
+
+
 def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, wb, we, settings=SolverSettings()):
     """Solve the stack at once and problem by problem; every output must be the same bits.
 
     Multi-observation points carry one dual value per problem, which must
     match too.
     """
-    lam, pt, diagnostics = solver._solve_dual(y, x, zb, ze, qb, log_qe, wb, we, settings)
+    lam, pt, verdicts = solver._solve_dual(y, x, zb, ze, qb, log_qe, wb, we, settings)
+    diagnostics = diagnosed(verdicts)
     names = ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb")
     for i in range(y.shape[0]):
         one = slice(i, i + 1)
-        lam1, pt1, (diag1,) = solver._solve_dual(
+        lam1, pt1, verdicts1 = solver._solve_dual(
             y[one], x[one], zb, ze[one], qb[one], log_qe, wb, we, settings
         )
-        assert diagnostics[i] == diag1
+        assert diagnostics[i] == diagnosed(verdicts1)[0]
         assert lam[i].tobytes() == lam1[0].tobytes()
         for name in names + (("value",) if y.shape[1] > 1 else ()):
             got, want = getattr(pt, name)[i], getattr(pt1, name)[0]
@@ -606,7 +612,8 @@ def test_one_observation_verdict_reads_the_lone_residual():
     )
     verdicts = []
     for settings in (SolverSettings(), SolverSettings(max_iterations=1)):
-        _, pt, (diagnostics,) = solver._solve_dual(*args, settings)
+        _, pt, solved = solver._solve_dual(*args, settings)
+        (diagnostics,) = diagnosed(solved)
         assert pt.grad.shape == (1, 1)
         assert diagnostics.max_residual == abs(pt.grad[0, 0])
         assert diagnostics.converged == (
@@ -616,9 +623,12 @@ def test_one_observation_verdict_reads_the_lone_residual():
     assert verdicts[0][0] > 1 and verdicts[0][1]
     assert verdicts[1] == (1, False)
     # a tolerance exactly at the capped solve's residual accepts it
-    residual = solver._solve_dual(*args, SolverSettings(max_iterations=1))[2][0].max_residual
+    residual = diagnosed(solver._solve_dual(*args, SolverSettings(max_iterations=1))[2])[0]
+    residual = residual.max_residual
     tight = SolverSettings(constraint_tolerance=residual, max_iterations=1)
-    assert solver._solve_dual(*args, tight)[2] == (solver.SolverDiagnostics(1, residual, True),)
+    assert diagnosed(solver._solve_dual(*args, tight)[2]) == [
+        solver.SolverDiagnostics(1, residual, True)
+    ]
 
 
 @pytest.mark.parametrize("x, row", [(4.0, "coefficient row 0"), (0.0, "error row 0")])

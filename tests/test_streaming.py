@@ -714,6 +714,8 @@ def assert_stream_is_the_fold(report, state, skipped):
     assert report.all_converged == all(state.converged_log)
     assert report.skipped == skipped
     assert report.final_state.step_index == state.step_index
+    for log in ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log"):
+        assert getattr(report.final_state, log) == getattr(state, log), log
 
 
 def stream_and_fold(caplog, *args, **kwargs):
@@ -867,6 +869,130 @@ def test_a_wide_block_that_raises_in_its_stack_fails_its_stream_only(monkeypatch
     for i in (0, 2):
         assert_same_report(folded[i], alone[i])
     assert all(dt > 0.0 for dt in seconds)
+
+
+def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch):
+    # one group (one support, error row width and settings): streams of
+    # different lengths, g = 1 and g = 7 with remainders of 6 and 2 in one
+    # round, batch-less streams, skips in the middle of a g = 1 and a g = 7
+    # stack, an underflowed prior that takes the live-hull path, and a g = 1
+    # and a g = 7 stream that raise mid-fold, in their stacks and alone
+    local = np.random.default_rng(8)
+
+    def healthy(n):
+        return local.uniform(-0.5, 0.5, n), np.column_stack([np.ones(n), local.uniform(0, 1, n)])
+
+    row = [-1.0, 0.0, 1.0]
+    (y_skip1, x_skip1), (y_skip7, x_skip7) = healthy(40), healthy(47)
+    y_skip1[27] = y_skip7[29] = 5.0  # outside every hull
+    raising = [healthy(40), healthy(40)]
+    streams = [
+        ((*underflowing_stream(), 20, 1), UNDERFLOW_ERROR_ROW),
+        ((*healthy(40), 20, 1), row),
+        ((*healthy(47), 20, 7), row),
+        ((*healthy(33), 10, 7), row),
+        ((*healthy(25), 0, 1), row),
+        ((*healthy(30), 0, 7), row),
+        ((y_skip1, x_skip1, 20, 1), row),
+        ((y_skip7, x_skip7, 20, 7), row),
+        ((*raising[0], 20, 1), row),
+        ((*raising[1], 19, 7), row),
+    ]
+    markers = (raising[0][0][30], raising[1][0][28])
+    absorb = streaming_module._absorb
+
+    def failing(carried, zb, y, *args):
+        if np.isin(y, markers).any():
+            raise RuntimeError("injected failure")
+        return absorb(carried, zb, y, *args)
+
+    monkeypatch.setattr(streaming_module, "_absorb", failing)
+    alone = []
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        for args, error_row in streams:
+            try:
+                alone.append(run_stream(
+                    *args, beta_support=UNDERFLOW_BETA_ROW, error_support=error_row
+                ))
+            except RuntimeError as exc:
+                alone.append(exc)
+        logged = sorted(caplog.messages)
+        caplog.clear()
+        prepared = [
+            streaming_module._prepare_stream(
+                *args, None, beta_support=UNDERFLOW_BETA_ROW, error_support=error_row,
+                error_points=3, error_scale="batch",
+            )
+            for args, error_row in streams
+        ]
+        wall = time.perf_counter()
+        folded, seconds = streaming_module._fold(prepared)
+        wall = time.perf_counter() - wall
+        assert sorted(caplog.messages) == logged
+    assert any("underflowed" in m for m in logged)
+    assert 30 in alone[0].skipped and 31 not in alone[0].skipped
+    assert alone[6].skipped == (27,)
+    assert alone[7].skipped == tuple(range(27, 34))
+    for got, want in zip(folded, alone):
+        if isinstance(want, Exception):
+            assert isinstance(got, RuntimeError) and str(got) == str(want)
+        else:
+            assert_same_report(got, want)
+    assert [isinstance(got, Exception) for got in folded] == [False] * 8 + [True] * 2
+    assert all(dt > 0.0 for dt in seconds)
+    assert -1e-9 <= wall - sum(seconds) <= 1e-3
+
+
+def test_logs_of_equal_but_distinct_arrays_compare_equal():
+    from gcestream.streaming import _Log
+
+    assert _Log([np.array([1.0, 2.0])], None) == _Log([np.array([1.0, 2.0])], None)
+    assert _Log([np.array([1.0, 2.0])], None) != _Log([np.array([1.0, 3.0])], None)
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    rows.setflags(write=False)
+    assert _Log.frozen(rows) == [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    assert _Log.frozen(rows) != [np.array([1.0, 2.0])]
+
+
+@pytest.mark.parametrize("y_bad", [None, 1e7])
+def test_a_folded_stream_stores_its_logs_once(y_bad):
+    # the report's arrays are the final state's logs, read-only; updating
+    # the state copies them once and leaves the report alone, and continues
+    # as a state with list logs does
+    y, design = simulated(80, seed=3)
+    if y_bad is not None:
+        y[50] = y_bad  # a skipped block: its logs are copies without it
+    row = np.array([-4.0, 0.0, 4.0])
+    report = run_stream(y, design, 30, 1, beta_support=BETA_ROW, error_support=row)
+    assert report.skipped == (() if y_bad is None else (50,))
+    state = report.final_state
+    names = ("epsilon_hat", "entropy_ledger", "beta_trajectory")
+    logs = ("epsilon_log", "entropy_ledger", "beta_trajectory")
+    for name, log in zip(names, logs):
+        array = getattr(report, name)
+        assert not array.flags.writeable
+        assert getattr(state, log)._items is array
+    assert np.shares_memory(report.beta_trajectory, state.beta_trajectory[-1])
+    before = [getattr(report, name).copy() for name in names]
+
+    listed = StreamState(
+        state.beta_prior, state.supports, state.step_index,
+        *(list(getattr(state, log)) for log in (*logs, "converged_log")),
+    )
+    y_new, x_new = simulated(6, seed=4)
+    for start in listed, state:
+        after = block_update(start, y_new[:3], x_new[:3], row)
+        after = update_step(after, y_new[3], x_new[3], row)
+        after = block_update(after, y_new[4:], x_new[4:], row)
+        if start is listed:
+            want = after
+    for log in (*logs, "converged_log"):
+        assert getattr(after, log) == getattr(want, log)
+        assert type(getattr(after, log)._items) is list
+    assert after.beta_prior.tobytes() == want.beta_prior.tobytes()
+    for name, array in zip(names, before):
+        assert getattr(report, name).tobytes() == array.tobytes()
+    assert len(state.epsilon_log) == 80 - len(report.skipped)
 
 
 # ---------------------------------------------------------------------------
