@@ -149,6 +149,25 @@ def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str, error=ValueError, within=None, must="be a real number") -> float:
+    """``value`` as a float; ``error`` saying ``name`` must ``must`` unless it is a real number.
+
+    Booleans and strings such as ``"0.5"`` are not real numbers. With
+    ``within``, a predicate, the number must also satisfy it.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if within is None or within(value):
+            return float(value)
+    raise error(f"{name} must {must}, got {value!r}")
+
+
+def _flag(value, name: str, error: type[ValueError] = ValueError) -> bool:
+    """``value`` if it is a bool; else ``error`` naming ``name``, so ``1`` and ``"no"`` are refused."""
+    if isinstance(value, bool):
+        return value
+    raise error(f"{name} must be true or false, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------

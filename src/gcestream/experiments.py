@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,8 +66,8 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import GceProblem, SolverSettings, _solve_problems, solve_gce
-from .streaming import _MIN_GAMMA, UpdateSettings, _fold, _prepare_stream, run_stream
-from .core import SupportGrid, _integer
+from .streaming import UpdateSettings, _fold, _prepare_stream, run_stream
+from .core import SupportGrid, _flag, _integer, _real
 
 __all__ = [
     "ConfigError",
@@ -130,12 +129,16 @@ class ScenarioConfig:
     estimate_intercept: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"scenario name must be a string, got {self.name!r}")
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
-        etas = tuple(float(e) for e in self.eta_grid)
+        etas = tuple(_real(e, f"eta_grid[{i}]", ConfigError) for i, e in enumerate(self.eta_grid))
         if not etas or any(not 0.0 <= e <= 1.0 for e in etas):
             raise ConfigError("eta_grid entries must lie in [0, 1]")
-        fractions = tuple(float(f) for f in self.batch_fractions)
+        fractions = tuple(
+            _real(f, f"batch_fractions[{i}]", ConfigError) for i, f in enumerate(self.batch_fractions)
+        )
         if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
             raise ConfigError("batch_fractions must lie in (0, 1]")
         for f in fractions:
@@ -150,10 +153,10 @@ class ScenarioConfig:
         )
         if any(g < 1 for g in blocks) or len(set(blocks)) != len(blocks):
             raise ConfigError("block_sizes must be distinct positive integers")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("gamma must lie strictly in (0, 1)")
-        if self.gamma < _MIN_GAMMA:
-            raise ConfigError("gamma must be at least 2**-53 (about 1.1e-16)")
+        try:  # the streams' own rule for gamma
+            object.__setattr__(self, "gamma", UpdateSettings(gamma=self.gamma).gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(
             self, "error_points", _integer(self.error_points, "error_points", ConfigError)
         )
@@ -161,6 +164,8 @@ class ScenarioConfig:
             raise ConfigError("error_points must be at least 2")
         if self.error_scale not in ERROR_SCALES:
             raise ConfigError(f"unknown error_scale {self.error_scale!r}; known: {ERROR_SCALES}")
+        for name in ("run_std", "estimate_intercept"):
+            object.__setattr__(self, name, _flag(getattr(self, name), name, ConfigError))
         if self.run_std and not self.estimate_intercept:
             raise ConfigError("run_std requires estimate_intercept (it absorbs column means)")
         object.__setattr__(self, "eta_grid", etas)
@@ -187,10 +192,7 @@ class ExperimentConfig:
             raise ConfigError("scenario names must be unique")
         for name in ("replications", "seed_base", "jobs"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
-        if not isinstance(self.include_timings, bool):
-            raise ConfigError(
-                f"include_timings must be true or false, got {self.include_timings!r}"
-            )
+        _flag(self.include_timings, "include_timings", ConfigError)
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.seed_base < 0:
@@ -235,7 +237,7 @@ def _parse_scenario(raw: Mapping[str, Any], where: str) -> ScenarioConfig:
         if "true_beta" in sim_kwargs and "n_regressors" not in sim_kwargs:
             sim_kwargs["n_regressors"] = len(sim_kwargs["true_beta"])
         return ScenarioConfig(
-            name=str(raw["name"]),
+            name=raw["name"],
             simulation=SimulationConfig(**sim_kwargs),
             **{k: raw[k] for k in _FORWARDED_KEYS if k in raw},
         )
@@ -326,6 +328,14 @@ def _derive_seed(seed_base: int, scenario_name: str, eta_index: int, replication
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _outcome(step, *args):
+    """``step(*args)``, or the exception it raised: a step that raises fails its cell alone."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
+
+
 def _plain_problem(y, design, support_row, error_row) -> GceProblem:
     """The one-shot problem on uniform priors over tiled support rows."""
     return GceProblem(y, design, SupportGrid.tiled(support_row, design.shape[1], error_row, len(y)))
@@ -369,12 +379,13 @@ class _CellPlan:
         """Every prepared stream of the cell, in report order."""
         return [entry[-1] for _, _, entries in self.fractions for entry in entries]
 
-    def prepare(self) -> None:
+    def prepare(self) -> "_CellPlan":
         """Score the one-shot fits and prepare the streams, each from its batch fit.
 
-        Raises the first exception a one-shot solve of the cell raised. The
-        streams on the raw design start from their fraction's ``gce_batch``
-        fit, the stream on the standardized design from its own batch fit.
+        Returns the plan, or raises the first exception a one-shot solve of
+        the cell raised. The streams on the raw design start from their
+        fraction's ``gce_batch`` fit, the stream on the standardized design
+        from its own batch fit.
         """
         for key in self.one_shots:
             if isinstance(self.fits[key], Exception):
@@ -411,6 +422,7 @@ class _CellPlan:
         # the streams hold the batch fits they start from; nothing else is read again
         self.one_shots, self.fits = {}, {}
         self.planning_seconds += clock() - t_start
+        return self
 
     def finish(self, folded) -> CellOutcome:
         """Score the cell on its folded streams, given as (report, seconds charged) in order.
@@ -520,10 +532,11 @@ def _solve_one_shots(plans) -> None:
         for plan, key in members:
             t0 = clock()
             y, x, error_row = plan.one_shots[key]
-            try:
-                built.append((plan, key, _plain_problem(y, x, plan.support_row, error_row)))
-            except Exception as exc:
-                plan.fits[key] = exc
+            problem = _outcome(_plain_problem, y, x, plan.support_row, error_row)
+            if isinstance(problem, Exception):
+                plan.fits[key] = problem
+            else:
+                built.append((plan, key, problem))
             dt = clock() - t0
             plan.method_seconds[key] += dt
             plan.planning_seconds += dt
@@ -532,15 +545,9 @@ def _solve_one_shots(plans) -> None:
         t0 = clock()
         problems = [problem for _, _, problem in built]
         solver = built[0][0].solver
-        try:
-            fits = _solve_problems(problems, solver)
-        except Exception:
-            fits = []
-            for problem in problems:
-                try:
-                    fits.extend(_solve_problems([problem], solver))
-                except Exception as exc:
-                    fits.append(exc)
+        fits = _outcome(_solve_problems, problems, solver)
+        if isinstance(fits, Exception):  # again, one problem at a time
+            fits = [_outcome(lambda p: _solve_problems([p], solver)[0], p) for p in problems]
         share = (clock() - t0) / len(built)
         for (plan, key, _), fit in zip(built, fits):
             plan.fits[key] = fit
@@ -557,33 +564,17 @@ def _run_cells(tasks) -> list:
     planning, one of its one-shot solves, the preparation of one of its
     streams or one of its streams raises, and no other cell fails with it.
     """
-    plans = []
-    for args in tasks:
-        try:
-            plans.append(_plan_cell(*args))
-        except Exception as exc:
-            plans.append(exc)
+    plans = [_outcome(_plan_cell, *args) for args in tasks]
     _solve_one_shots([plan for plan in plans if isinstance(plan, _CellPlan)])
-    for i, plan in enumerate(plans):
-        if isinstance(plan, _CellPlan):
-            try:
-                plan.prepare()
-            except Exception as exc:
-                plans[i] = exc
+    plans = [plan if isinstance(plan, Exception) else _outcome(plan.prepare) for plan in plans]
     live = [plan for plan in plans if isinstance(plan, _CellPlan)]
     reports, charged = _fold([stream for plan in live for stream in plan.streams])
     folded = iter(zip(reports, charged))
-    outcomes = []
-    for plan in plans:
-        if isinstance(plan, Exception):
-            outcomes.append(plan)
-            continue
-        mine = [next(folded) for _ in plan.streams]
-        try:
-            outcomes.append(plan.finish(mine))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+    return [
+        plan if isinstance(plan, Exception)
+        else _outcome(plan.finish, [next(folded) for _ in plan.streams])
+        for plan in plans
+    ]
 
 
 def run_cell(
@@ -675,10 +666,8 @@ def run_experiment(
                 (group, pool.submit(_run_cells, [tasks[i][1] for i in group])) for group in groups
             ]
             for group, future in futures:
-                try:
-                    done = future.result()
-                except Exception as exc:
-                    done = [exc] * len(group)
+                done = _outcome(future.result)
+                done = [done] * len(group) if isinstance(done, Exception) else done
                 for i, outcome in zip(group, done):
                     results[i] = outcome
     else:
@@ -784,10 +773,8 @@ def solve_file(
     if mode not in ("stre", "block"):
         raise ValueError(f"mode must be one of 'gce', 'stre', 'block', got {mode!r}")
 
-    if isinstance(batch_fraction, bool) or not (
-        isinstance(batch_fraction, numbers.Real) and 0.0 < batch_fraction <= 1.0
-    ):
-        raise ValueError(f"batch_fraction must be a number in (0, 1], got {batch_fraction!r}")
+    batch_fraction = _real(batch_fraction, "batch_fraction", within=lambda f: 0.0 < f <= 1.0,
+                           must="be a number in (0, 1]")
     m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
     g = 1 if mode == "stre" else block_size
     stream = run_stream(

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import _integer
+from .core import _integer, _real
 
 __all__ = [
     "DEFAULT_BETA_SUPPORT",
@@ -74,12 +74,13 @@ class SimulationConfig:
                 float((j + 1) * (1 if j % 2 == 0 else -1)) for j in range(self.n_regressors)
             )
         else:
-            beta = tuple(float(b) for b in self.true_beta)
+            beta = tuple(_real(b, f"true_beta[{i}]") for i, b in enumerate(self.true_beta))
         if len(beta) != self.n_regressors:
             raise ValueError(
                 f"true_beta has {len(beta)} entries for {self.n_regressors} regressors"
             )
         for name in ("intercept", "x_low", "x_high", "noise_sd"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not all(map(math.isfinite, beta)):
@@ -98,7 +99,7 @@ class SimulationConfig:
             if any(not 0 <= c < self.n_regressors for c in cols) or len(set(cols)) != len(cols):
                 raise ValueError("collinear_columns must be distinct regressor indices")
             object.__setattr__(self, "collinear_columns", cols)
-        support = tuple(float(z) for z in self.beta_support)
+        support = tuple(_real(z, f"beta_support[{i}]") for i, z in enumerate(self.beta_support))
         if not all(map(math.isfinite, support)):
             raise ValueError(f"beta_support must be finite, got {support!r}")
         if len(support) < 2 or any(b <= a for a, b in zip(support, support[1:])):

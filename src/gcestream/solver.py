@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +52,7 @@ from .core import (
     JointDistribution,
     SupportGrid,
     _integer,
+    _real,
     kl_divergence,
 )
 
@@ -112,11 +112,9 @@ class SolverSettings:
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        tol = self.constraint_tolerance
-        if isinstance(tol, bool) or not (
-            isinstance(tol, numbers.Real) and tol > 0.0 and math.isfinite(tol)
-        ):
-            raise ValueError(f"constraint_tolerance must be a positive finite number, got {tol!r}")
+        tol = _real(self.constraint_tolerance, "constraint_tolerance",
+                    within=lambda t: 0.0 < t < math.inf, must="be a positive finite number")
+        object.__setattr__(self, "constraint_tolerance", tol)
         object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")

@@ -21,22 +21,23 @@ KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j, clamped at zero per row as
 ``kl_divergence`` clamps it. It agrees with ``kl_divergence`` of the stored
 states to 1.5e-15 on streams at n = 3840, and to 1.2e-14 relative where the
 carried prior has underflowed.
-Successive states share their logs, so absorbing a block costs the same
-however long the stream has run. One block step, ``_absorb``, absorbs every
-block, and it runs over a stack: one block of m observations for each of S
-streams, solved together by the solver's stacked kernel when m = 1 and by
-its stacked Newton iteration otherwise. ``block_update`` calls it with a
-stack of one. Whole streams are prepared one at a time (``_prepare_stream``:
-every check, every observation's error row and full-support hull test, and
-the batch fit) and then folded together (``_fold``): streams on the same
-supports, settings and block size advance in rounds, laid out round-major
-so that each round reads its stacks, priors and trust tests as slices, with
-one ``_absorb`` call per block size and round. A stream's results are its
-results alone, bit for bit, and its logs are stored once: written by slice
-into preallocated arrays, which its ``StreamReport`` holds read-only and
-its final ``StreamState`` shares as its logs. ``run_stream`` prepares one
-stream and folds a stack of one; ``experiments.run_experiment`` folds the
-streams of many cells.
+Each log of a state is a view of an append-only array that successive states
+share, so absorbing a block costs the same however long the stream has run.
+One block step, ``_absorb``, absorbs every block, and it runs over a stack:
+one block of m observations for each of S streams, solved together by the
+solver's stacked kernel when m = 1 and by its stacked Newton iteration
+otherwise. ``block_update`` calls it with a stack of one. Whole streams are
+prepared one at a time (``_prepare_stream``: every check, every
+observation's error row and full-support hull test, and the batch fit) and
+then folded together (``_fold``): streams on the same supports, settings and
+block size advance in rounds, laid out round-major so that each round reads
+its stacks, priors and trust tests as slices, with one ``_absorb`` call per
+block size and round. A stream's results are its results alone, bit for
+bit, and its logs are stored once: written by slice into preallocated
+arrays, which its final ``StreamState`` holds as its logs and its
+``StreamReport`` as read-only views. ``run_stream`` prepares one stream and
+folds a stack of one; ``experiments.run_experiment`` folds the streams of
+many cells.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 import threading
 import time
 from collections.abc import Sequence
@@ -56,6 +56,7 @@ from .core import (
     SupportGrid,
     _error_rows,
     _integer,
+    _real,
     _simplex_rows,
     _support_rows,
     expectation,
@@ -97,79 +98,73 @@ _BLOCK_KERNELS = threading.local()
 _MIN_GAMMA = 2.0**-53  # the least gamma, as the least 1 - gamma can be
 
 
-def _low(values: Sequence[float], low: float = math.inf) -> float:
+def _low(values: np.ndarray, low: float = math.inf) -> float:
     """The smallest of ``low`` and ``values``, or NaN if a value is not finite.
 
     ``min`` alone keeps a leading NaN but drops a later one.
     """
-    return min([low, *values]) if all(map(math.isfinite, values)) else math.nan
-
-
-def _entries(items) -> list:
-    """A log's entries as a list: a numeric array's as Python scalars, a trajectory's as rows."""
-    if isinstance(items, np.ndarray):
-        return items.tolist() if items.ndim == 1 else list(items)
-    return items
+    items = values.tolist()
+    return min([low, *items]) if all(map(math.isfinite, items)) else math.nan
 
 
 class _Log(Sequence):
-    """An immutable view of the first ``len(self)`` entries of an append-only list.
+    """A read-only view of the first ``size`` entries of an append-only array.
 
-    Successive stream states share one list, so ``extended`` appends in place
-    in O(1); when a later state has appended already (a branch from an older
-    state) it copies the prefix first, so no view ever sees its entries
-    change. A log may also wrap a read-only array (``frozen``), as a folded
-    stream's report and final state share their logs: it reads as the array
-    does, numeric entries as Python scalars and a trajectory's as its rows,
-    and its first ``extended`` copies it to a list. ``low`` is the smallest
-    entry of a numeric log (NaN if an entry is not finite, infinity while it
-    is empty), else None.
+    Successive stream states share the array (1-D, or ``(n, J)`` for a
+    trajectory) and ``filled``, a one-item list counting the entries written
+    to it. ``extended`` writes into spare room, doubling the array when it is
+    full, so an append costs O(1) amortized; it copies first when a later
+    state has appended already (a branch from an older state) or there is no
+    room (a folded stream's logs, its report's arrays), so no view ever sees
+    its entries change. A read builds a read-only view (``np.asarray``):
+    numeric entries read as Python scalars, a trajectory's as rows. ``low``
+    is the smallest entry (NaN if one is not finite, infinity while there is
+    none) once a state has checked the log as its ledger, and ``extended``
+    carries it on; else None.
     """
 
-    __slots__ = ("_items", "_size", "low")
+    __slots__ = ("_array", "_filled", "_size", "low")
 
-    def __init__(self, items, low: float | None) -> None:
-        self._items, self._size, self.low = items, len(items), low
-
-    @classmethod
-    def frozen(cls, values: np.ndarray) -> "_Log":
-        """The log of a read-only array: numeric if 1-D, a trajectory of rows if 2-D."""
-        if values.ndim > 1:
-            return cls(values, None)
-        if not np.isfinite(values).all():
-            return cls(values, math.nan)
-        return cls(values, float(values.min()) if values.size else math.inf)
+    def __init__(self, array: np.ndarray, size=None, low=None, filled=None) -> None:
+        self._array, self._size = array, len(array) if size is None else size
+        self._filled, self.low = [self._size] if filled is None else filled, low
 
     def extended(self, values) -> "_Log":
+        values = np.asarray(values)
+        n, size = self._size, self._size + len(values)
         with _APPEND_LOCK:
-            items = self._items
-            if isinstance(items, np.ndarray):
-                items = _entries(items)
-            elif len(items) != self._size:
-                items = items[: self._size]
-            items.extend(values)
-            return _Log(items, None if self.low is None else _low(values, self.low))
+            array, filled = self._array, self._filled
+            if filled[0] != n or len(array) < size:
+                grown = np.empty((2 * size, *array.shape[1:]), dtype=array.dtype)
+                grown[:n] = array[:n]
+                array, filled = grown, [n]
+            array[n:size] = values
+            filled[0] = size
+        return _Log(array, size, None if self.low is None else _low(values, self.low), filled)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        view = self._array[: self._size]
+        view.setflags(write=False)
+        return np.asarray(view, dtype=dtype, copy=copy)
 
     def __len__(self) -> int:
         return self._size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(_entries(self._items[: self._size][index]))
-        entry = self._items[range(self._size)[index]]
-        return entry.item() if isinstance(entry, np.generic) else entry
+            entries = self.__array__()[index]
+            return tuple(entries.tolist() if entries.ndim == 1 else entries)
+        if self._array.ndim == 1:
+            return self._array.item(range(self._size)[index])
+        return self.__array__()[index]
 
     def __iter__(self):
-        return iter(_entries(self._items[: self._size]))
+        return iter(self[:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
-        # trajectory rows compare as arrays, other entries as values
-        return len(self) == len(other) and all(
-            a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
-            for a, b in zip(self, other)
-        )
+        return len(self) == len(other) and all(map(np.array_equal, self, other))
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -191,9 +186,9 @@ class UpdateSettings:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self) -> None:
-        gamma = self.gamma
-        if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):
-            raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
+        gamma = _real(self.gamma, "gamma", within=lambda g: 0.0 < g < 1.0,
+                      must="lie strictly in (0, 1)")
+        object.__setattr__(self, "gamma", gamma)
         if gamma < _MIN_GAMMA:
             raise ValueError(f"gamma must be at least 2**-53 (about 1.1e-16), got {gamma!r}")
         if not isinstance(self.solver, SolverSettings):
@@ -215,11 +210,13 @@ class StreamState:
     ``supports`` is the grid the stream started from: its coefficient rows
     hold for the whole stream, and its error rows are the batch's (incoming
     blocks supply their own). ``step_index``, a whole number, counts absorbed
-    observations. The logs are read-only sequences that the update functions
-    share between successive states instead of copying them; a folded
-    stream's final state holds them as the read-only arrays its
-    ``StreamReport`` holds, and its first update copies them once. Every
-    ledger entry must be a finite number no less than -1e-12.
+    observations. Each log is a read-only sequence over an array that
+    successive states share instead of copying (``_Log``): 1-D, or a row of
+    J coefficients per entry for ``beta_trajectory``. Any other sequence is
+    copied into one array, so trajectory rows must be J long. A folded
+    stream's final state holds its ``StreamReport``'s arrays, and its first
+    update copies them once. Every ledger entry must be a finite number no
+    less than -1e-12.
     """
 
     beta_prior: np.ndarray
@@ -239,16 +236,21 @@ class StreamState:
             raise ValueError("step_index must be nonnegative")
         object.__setattr__(self, "beta_prior", prior)
         object.__setattr__(self, "step_index", step_index)
-        # A _Log is kept as it is, so an update costs O(1), and a numeric one
-        # carries its minimum for the ledger bound; other sequences are copied.
+        # a _Log of the right kind is kept as it is, so an update costs O(1)
+        kinds = (float, ()), (float, ()), (float, prior.shape[:1]), (bool, ())
         logs = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
-        for name, cast in zip(logs, (float, float, None, bool)):
+        for name, (dtype, row) in zip(logs, kinds):
             values = getattr(self, name)
-            if not (isinstance(values, _Log) and (values.low is not None or cast is None)):
-                items = list(values if cast is None else map(cast, values))
-                values = _Log(items, None if cast is None else _low(items))
+            if not (isinstance(values, _Log) and values._array.dtype == dtype):
+                array = np.array(values, dtype=dtype)
+                values = _Log(array.reshape(0, *row) if array.size == 0 else array)
+            if values._array.shape[1:] != row:
+                raise ValueError(f"each {name} entry must have shape {row}")
             object.__setattr__(self, name, values)
-        if not self.entropy_ledger.low >= -1e-12:
+        ledger = self.entropy_ledger
+        if ledger.low is None:  # checked once, then carried by each extended
+            ledger.low = _low(np.asarray(ledger))
+        if not ledger.low >= -1e-12:
             raise ValueError("entropy ledger entries must be finite and nonnegative")
 
     @classmethod
@@ -272,8 +274,8 @@ class StreamReport:
     """Everything a finished stream produced, in arrival order.
 
     ``epsilon_hat``, ``entropy_ledger`` and ``beta_trajectory`` are
-    read-only arrays, stored once: they are ``final_state``'s logs, shared,
-    not copied, and an update of ``final_state`` leaves them unchanged.
+    read-only views of ``final_state``'s log arrays, so the logs are stored
+    once, and an update of ``final_state`` leaves them unchanged.
     """
 
     beta_hat: np.ndarray
@@ -385,13 +387,11 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
 
 def _batch_state(supports: SupportGrid, solution: GceSolution) -> StreamState:
     """The state after a batch fit: its coefficient weights, error estimates and verdict."""
-    epsilon_hat = solution.epsilon_hat.copy()
-    epsilon_hat.setflags(write=False)
     return StreamState(
         beta_prior=solution.distributions.beta,
         supports=supports,
         step_index=solution.epsilon_hat.size,
-        epsilon_log=_Log.frozen(epsilon_hat),
+        epsilon_log=solution.epsilon_hat,
         beta_trajectory=(solution.beta_hat,),
         converged_log=(solution.diagnostics.converged,),
     )
@@ -462,10 +462,10 @@ def block_update(
         beta_prior=prior[0],
         supports=state.supports,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(eps[0].tolist()),
-        entropy_ledger=state.entropy_ledger.extended(moved.tolist()),
-        beta_trajectory=state.beta_trajectory.extended((beta_hat[0],)),
-        converged_log=state.converged_log.extended(converged.tolist()),
+        epsilon_log=state.epsilon_log.extended(eps[0]),
+        entropy_ledger=state.entropy_ledger.extended(moved),
+        beta_trajectory=state.beta_trajectory.extended(beta_hat),
+        converged_log=state.converged_log.extended(converged),
     )
 
 
@@ -617,8 +617,6 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
 
     seconds = [0.0] * len(streams)
     for lane in lanes:
-        for log in (lane.eps, lane.ledger, lane.trajectory, lane.converged):
-            log.setflags(write=False)
         for p, i in enumerate(lane.order):
             if outcomes[i] is None:
                 try:
@@ -759,8 +757,8 @@ class _Lane:
     def report(self, p, stream) -> StreamReport:
         """The ``StreamReport`` of the stream at position ``p``, with its one ``StreamState``.
 
-        Both hold the same read-only arrays: views of the lane's logs, or
-        copies without the stream's skipped blocks.
+        The report's arrays are read-only views of the state's logs: views
+        of the lane's arrays, or copies without the stream's skipped blocks.
         """
         count, batch, n, g = int(self.count[p]), stream.batch, stream.y.size, self.g
         logs = [
@@ -775,15 +773,11 @@ class _Lane:
                 np.delete(logs[0], observations), np.delete(logs[1], skipped),
                 np.delete(logs[2], rows, axis=0), np.delete(logs[3], rows - (batch == 0)),
             ]
-            for log in logs:
-                log.setflags(write=False)
-        state = StreamState(
-            self.carried[p], stream.state.supports, int(self.steps[p]), *map(_Log.frozen, logs)
-        )
-        return StreamReport(
-            state.beta_hat, *logs[:3], state, stream.batch_solution, tuple(observations),
-            bool(logs[3].all()),
-        )
+        logs = [_Log(log) for log in logs]
+        state = StreamState(self.carried[p], stream.state.supports, int(self.steps[p]), *logs)
+        eps, ledger, trajectory, converged = map(np.asarray, logs)
+        return StreamReport(state.beta_hat, eps, ledger, trajectory, state,
+                            stream.batch_solution, tuple(observations), bool(converged.all()))
 
 
 def run_stream(

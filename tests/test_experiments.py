@@ -12,6 +12,7 @@ from gcestream import (
     ConfigError,
     ScenarioConfig,
     SimulationConfig,
+    SolverSettings,
     build_error_support,
     generate_dataset,
     parse_experiment_config,
@@ -133,6 +134,15 @@ def test_every_config_field_is_accepted_and_carried_through():
         ("true_beta", [1.0, math.nan, 3.0]),
         ("x_high", math.inf),
         ("beta_support", [-math.inf, 0.0, math.inf]),
+        # values of the wrong type, which float() would have taken
+        ("intercept", "1"),
+        ("intercept", True),
+        ("x_low", True),
+        ("x_high", True),
+        ("noise_sd", True),
+        ("true_beta", [True, 2.0, 3.0]),
+        ("true_beta", ["0.5", 2.0, 3.0]),
+        ("beta_support", [-1.0, "0", 1.0]),
     ],
 )
 def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, value):
@@ -161,6 +171,18 @@ def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, va
         (False, "jobs", 1.9),
         (False, "include_timings", "false"),
         (False, "include_timings", 1),
+        (True, "run_std", 1),
+        (True, "estimate_intercept", "no"),
+        (True, "eta_grid", ["0.5"]),
+        (True, "eta_grid", [True]),
+        (True, "batch_fractions", ["0.5"]),
+        (True, "batch_fractions", [True]),
+        (True, "true_beta", [True, 2.0, 3.0]),
+        (True, "intercept", "1"),
+        (True, "intercept", True),
+        (True, "noise_sd", True),
+        (True, "gamma", "0.5"),
+        (True, "name", 5),
     ],
 )
 def test_integer_and_flag_fields_are_not_truncated(tmp_path, capsys, scenario_key, key, value):
@@ -175,6 +197,22 @@ def test_integer_and_flag_fields_are_not_truncated(tmp_path, capsys, scenario_ke
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+
+
+def test_wrong_types_are_value_errors_outside_the_parser():
+    cases = [
+        (lambda: SimulationConfig(n=16, intercept=True), "^intercept must be a real number"),
+        (lambda: SimulationConfig(n=16, true_beta=(1.0, "2", 3.0)), r"^true_beta\[1\] must"),
+        (lambda: ScenarioConfig(name=5, simulation=SimulationConfig(n=16)), "^scenario name"),
+        (lambda: ScenarioConfig(name="a", simulation=SimulationConfig(n=16), run_std=1),
+         "^run_std must be true or false"),
+        (lambda: SolverSettings(constraint_tolerance="1e-8"), "^constraint_tolerance must"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert SimulationConfig(n=16, intercept=2).intercept == 2.0
+    assert type(SolverSettings(constraint_tolerance=np.float64(1e-9)).constraint_tolerance) is float
 
 
 def test_whole_numbers_written_as_floats_are_integers():
@@ -621,6 +659,43 @@ def test_a_one_shot_fit_that_raises_in_its_stack_fails_its_cell_only(tmp_path, m
     # its problems raised in stacks shared with other cells, then alone
     assert max(stacks) > 1 and stacks.count(1) == 3
     header, healthy = read_table(tmp_path / "healthy" / "report.csv")
+    _, failing_rows = read_table(tmp_path / "failing" / "report.csv")
+    assert failing_rows == [row for row in healthy if row["seed"] != str(seed)]
+    assert len(failing_rows) < len(healthy)
+
+
+@pytest.mark.parametrize("site", ["planning", "preparation", "scoring"])
+def test_a_cell_step_that_raises_fails_its_cell_only(tmp_path, monkeypatch, site):
+    config = fold_config()
+    run_experiment(config, out_dir=tmp_path / "healthy")
+    scenario, eta, seed = cell_seeds(config)[4]  # collinear, eta 1, replication 0
+    data = generate_dataset(dataclasses.replace(scenario.simulation, eta=eta, seed=seed))
+    marker = data.y[3]  # in every response vector of the cell, and of no other cell
+    folded = []
+
+    def raising(name, hit):
+        step = getattr(experiments, name)
+
+        def failing(*args, **kwargs):
+            if hit(*args):
+                raise RuntimeError("injected failure")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, failing)
+
+    if site == "planning":
+        raising("generate_dataset", lambda sim: sim.seed == seed)
+    elif site == "preparation":
+        raising("_prepare_stream", lambda y, *args: bool((y == marker).any()))
+    else:  # scoring: the streams' rmse, after the fold (one-shot fits are scored before it)
+        fold = experiments._fold
+        monkeypatch.setattr(experiments, "_fold", lambda streams: folded.append(1) or fold(streams))
+        raising("rmse", lambda y, *args: bool(folded) and bool((y == marker).any()))
+    outcome = run_experiment(config, out_dir=tmp_path / "failing")
+    assert outcome.exit_code == 2
+    assert outcome.failures == (f"collinear[eta={eta}, rep=0, seed={seed}]: injected failure",)
+    assert len(folded) == (site == "scoring")
+    _, healthy = read_table(tmp_path / "healthy" / "report.csv")
     _, failing_rows = read_table(tmp_path / "failing" / "report.csv")
     assert failing_rows == [row for row in healthy if row["seed"] != str(seed)]
     assert len(failing_rows) < len(healthy)

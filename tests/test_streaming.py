@@ -475,22 +475,23 @@ def test_branching_from_an_older_state_leaves_newer_logs_alone():
     # the branch keeps growing on its own
     again = update_step(other, y[11], design[11], error_row)
     assert len(again.entropy_ledger) == 3 and len(second.entropy_ledger) == 2
-    assert again.beta_trajectory[-2] is other.beta_trajectory[-1]
+    assert np.shares_memory(again.beta_trajectory[-2], other.beta_trajectory[-1])
 
 
 def test_concurrent_branches_each_keep_their_own_entry():
     # many threads extend the same log at once; a lost check-then-append
-    # race would let one branch see another branch's entry. The list yields
-    # the interpreter inside its length check to open that window wide.
+    # race would let one branch see another branch's entry. The buffer, with
+    # room for two more entries, yields the interpreter inside its length
+    # check to open that window wide.
     from gcestream.streaming import _Log
 
-    class YieldingList(list):
+    class YieldingBuffer(np.ndarray):
         def __len__(self):
             size = super().__len__()
             time.sleep(1e-4)
             return size
 
-    bases = [_Log(YieldingList([0.0, 1.0]), 0.0) for _ in range(20)]
+    bases = [_Log(np.array([0.0, 1.0, 0.0, 0.0]).view(YieldingBuffer), 2) for _ in range(20)]
     workers = 8
     barrier = threading.Barrier(workers, timeout=60)
     results = {}
@@ -946,12 +947,12 @@ def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch
 def test_logs_of_equal_but_distinct_arrays_compare_equal():
     from gcestream.streaming import _Log
 
-    assert _Log([np.array([1.0, 2.0])], None) == _Log([np.array([1.0, 2.0])], None)
-    assert _Log([np.array([1.0, 2.0])], None) != _Log([np.array([1.0, 3.0])], None)
+    assert _Log(np.array([[1.0, 2.0]])) == _Log(np.array([[1.0, 2.0]]))
+    assert _Log(np.array([[1.0, 2.0]])) != _Log(np.array([[1.0, 3.0]]))
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
     rows.setflags(write=False)
-    assert _Log.frozen(rows) == [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    assert _Log.frozen(rows) != [np.array([1.0, 2.0])]
+    assert _Log(rows) == [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    assert _Log(rows) != [np.array([1.0, 2.0])]
 
 
 @pytest.mark.parametrize("y_bad", [None, 1e7])
@@ -971,7 +972,7 @@ def test_a_folded_stream_stores_its_logs_once(y_bad):
     for name, log in zip(names, logs):
         array = getattr(report, name)
         assert not array.flags.writeable
-        assert getattr(state, log)._items is array
+        assert np.shares_memory(np.asarray(getattr(state, log)), array)
     assert np.shares_memory(report.beta_trajectory, state.beta_trajectory[-1])
     before = [getattr(report, name).copy() for name in names]
 
@@ -988,11 +989,127 @@ def test_a_folded_stream_stores_its_logs_once(y_bad):
             want = after
     for log in (*logs, "converged_log"):
         assert getattr(after, log) == getattr(want, log)
-        assert type(getattr(after, log)._items) is list
     assert after.beta_prior.tobytes() == want.beta_prior.tobytes()
     for name, array in zip(names, before):
         assert getattr(report, name).tobytes() == array.tobytes()
     assert len(state.epsilon_log) == 80 - len(report.skipped)
+
+
+LOGS = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
+
+
+def test_a_branch_from_before_a_growth_sees_only_its_own_entries():
+    from gcestream.streaming import _Log
+
+    # a numeric log and a trajectory of two-coefficient rows
+    for start, entries in ((np.array([0.0]), lambda v: [v]), (np.zeros((1, 2)), lambda v: [[v, v]])):
+        before = _Log(start).extended(entries(1.0))  # two entries, room for four
+        full = before.extended(entries(2.0) * 2)
+        grown = full.extended(entries(4.0))  # outgrows the array: a new one, twice the size
+        assert np.shares_memory(np.asarray(before), np.asarray(full))
+        assert not np.shares_memory(np.asarray(full), np.asarray(grown))
+        branch = before.extended(entries(7.0))
+        twig = full.extended(entries(5.0))
+        grown = grown.extended(entries(3.0))
+        values = [np.asarray(log).reshape(len(log), -1)[:, 0].tolist()
+                  for log in (before, full, grown, branch, twig)]
+        assert values == [
+            [0.0, 1.0], [0.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 2.0, 4.0, 3.0],
+            [0.0, 1.0, 7.0], [0.0, 1.0, 2.0, 2.0, 5.0],
+        ]
+
+    # the same through update_step: a stream whose logs outgrow their arrays
+    # several times, branched from each of its states, before and after each
+    # growth, continues as the same state built from lists does
+    state, y, design, error_row = stream_after_batch(n=24, batch=8, seed=97)
+    chain = [state]
+    for i in range(8, 20):
+        chain.append(update_step(chain[-1], y[i], design[i], error_row))
+    def snapshot():
+        return [[np.asarray(getattr(s, log)).tobytes() for log in LOGS] for s in chain]
+
+    taken = snapshot()
+    for k in range(len(chain)):
+        branch = update_step(chain[k], y[21], design[21], error_row)
+        listed = StreamState(chain[k].beta_prior, chain[k].supports, chain[k].step_index,
+                             *(list(getattr(chain[k], log)) for log in LOGS))
+        want = update_step(listed, y[21], design[21], error_row)
+        for log in LOGS:
+            assert getattr(branch, log) == getattr(want, log)
+        assert snapshot() == taken
+    onward = update_step(chain[-1], y[20], design[20], error_row)
+    assert snapshot() == taken
+    assert len(onward.entropy_ledger) == 13 and onward.epsilon_log[:-1] == chain[-1].epsilon_log[:]
+
+
+@pytest.mark.parametrize("g", [1, 7])
+def test_a_folded_state_continues_as_a_state_of_plain_lists(g):
+    # continued by update_step and by a 40-observation block_update, a
+    # folded final state gives bit for bit what the same state built from
+    # lists gives, and its report's arrays stay as they were
+    y, design = simulated(140, seed=5)
+    row = np.array([-4.0, 0.0, 4.0])
+    report = run_stream(y[:90], design[:90], 30, g, beta_support=BETA_ROW, error_support=row)
+    names = ("epsilon_hat", "entropy_ledger", "beta_trajectory")
+    before = [getattr(report, name).copy() for name in names]
+    state = report.final_state
+    listed = StreamState(state.beta_prior, state.supports, state.step_index,
+                         *(list(getattr(state, log)) for log in LOGS))
+    ends = []
+    for start in (state, listed):
+        after = update_step(start, y[90], design[90], row)
+        ends.append(block_update(after, y[91:131], design[91:131], row))
+    got, want = ends
+    assert got.beta_prior.tobytes() == want.beta_prior.tobytes()
+    assert got.step_index == want.step_index == 131
+    for log in LOGS:
+        got_log, want_log = np.asarray(getattr(got, log)), np.asarray(getattr(want, log))
+        assert got_log.shape == want_log.shape and got_log.tobytes() == want_log.tobytes()
+    assert len(got.entropy_ledger) == len(report.entropy_ledger) + 2
+    for name, array in zip(names, before):
+        assert getattr(report, name).shape == array.shape
+        assert getattr(report, name).tobytes() == array.tobytes()
+
+
+def test_log_entries_and_trajectory_rows_read_back_read_only():
+    state, y, design, error_row = stream_after_batch(n=14, batch=8, seed=99)
+    for i in range(8, 12):
+        state = update_step(state, y[i], design[i], error_row)
+    folded = run_stream(y, design, 8, 1, beta_support=BETA_ROW, error_support=error_row)
+    for s in (state, folded.final_state):
+        for log in LOGS:
+            view = np.asarray(getattr(s, log))
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[-1]
+        rows = [s.beta_trajectory[-1], *s.beta_trajectory, *s.beta_trajectory[1:]]
+        for r in rows:
+            assert not r.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                r[0] = 0.0
+        assert type(s.entropy_ledger[-1]) is float and type(s.epsilon_log[0]) is float
+        assert type(s.converged_log[-1]) is bool
+        assert all(type(v) is float for v in s.epsilon_log[-3:])
+    # reading a log leaves its later appends in place
+    again = update_step(state, y[12], design[12], error_row)
+    assert np.shares_memory(np.asarray(again.epsilon_log), np.asarray(state.epsilon_log))
+    assert again.epsilon_log[:-1] == state.epsilon_log[:]
+
+
+def test_state_refuses_trajectory_rows_that_are_not_j_long():
+    grid = SupportGrid.tiled(BETA_ROW, 2, [-4.0, 0.0, 4.0], 1)
+    prior = StreamState.uniform_start(grid).beta_prior
+    wider = StreamState.uniform_start(SupportGrid.tiled(BETA_ROW, 3, [-4.0, 0.0, 4.0], 1))
+    rows = ([[1.0, 2.0, 3.0]], [np.zeros(1)], [1.0, 2.0], np.zeros((2, 2, 1)),
+            wider.beta_trajectory)
+    for trajectory in rows:
+        with pytest.raises(ValueError, match="beta_trajectory"):
+            StreamState(prior, grid, 0, beta_trajectory=trajectory)
+    with pytest.raises(ValueError):  # ragged rows
+        StreamState(prior, grid, 0, beta_trajectory=[[1.0, 2.0], [1.0, 2.0, 3.0]])
+    state = StreamState(prior, grid, 0, beta_trajectory=[[1.0, 2.0], (3.0, 4.0)])
+    assert state.beta_trajectory == [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    assert StreamState(prior, grid, 0).beta_trajectory == ()
 
 
 # ---------------------------------------------------------------------------
