@@ -168,6 +168,17 @@ def _flag(value, name: str, error: type[ValueError] = ValueError) -> bool:
     raise error(f"{name} must be true or false, got {value!r}")
 
 
+def _entries(values, name: str, entry, error: type[ValueError] = ValueError) -> tuple:
+    """``entry(value, "name[i]", error)`` of each entry of ``values``, a list, tuple or array.
+
+    Anything else raises ``error`` naming ``name``: a number, or a string,
+    which is not read one character at a time.
+    """
+    if isinstance(values, (list, tuple)) or (isinstance(values, np.ndarray) and values.ndim):
+        return tuple(entry(v, f"{name}[{i}]", error) for i, v in enumerate(values))
+    raise error(f"{name} must be a list, got {values!r}")
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------

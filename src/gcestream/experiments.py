@@ -14,7 +14,7 @@ the streams on the raw design. Then the one-shot problems of every planned
 cell are solved in stacks, one solve for all the problems of one size, and
 each cell's streams are prepared from their batch fits. Then the streams of
 every cell are folded together (``streaming._fold``), so one stacked solve
-advances the same-size blocks of all of them. Then each cell is scored. A
+advances the same-size blocks of a lane of them. Then each cell is scored. A
 cell fails alone when its planning, one of its one-shot solves or one of
 its streams raises.
 
@@ -67,7 +67,7 @@ from .simulation import (
 )
 from .solver import GceProblem, SolverSettings, _solve_problems, solve_gce
 from .streaming import UpdateSettings, _fold, _prepare_stream, run_stream
-from .core import SupportGrid, _flag, _integer, _real
+from .core import SupportGrid, _entries, _flag, _integer, _real
 
 __all__ = [
     "ConfigError",
@@ -133,12 +133,10 @@ class ScenarioConfig:
             raise ConfigError(f"scenario name must be a string, got {self.name!r}")
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
-        etas = tuple(_real(e, f"eta_grid[{i}]", ConfigError) for i, e in enumerate(self.eta_grid))
+        etas = _entries(self.eta_grid, "eta_grid", _real, ConfigError)
         if not etas or any(not 0.0 <= e <= 1.0 for e in etas):
             raise ConfigError("eta_grid entries must lie in [0, 1]")
-        fractions = tuple(
-            _real(f, f"batch_fractions[{i}]", ConfigError) for i, f in enumerate(self.batch_fractions)
-        )
+        fractions = _entries(self.batch_fractions, "batch_fractions", _real, ConfigError)
         if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
             raise ConfigError("batch_fractions must lie in (0, 1]")
         for f in fractions:
@@ -148,9 +146,7 @@ class ScenarioConfig:
                     f"batch fraction {f} of n={self.simulation.n} gives batch size {m}; "
                     "need at least 2"
                 )
-        blocks = tuple(
-            _integer(g, f"block_sizes[{i}]", ConfigError) for i, g in enumerate(self.block_sizes)
-        )
+        blocks = _entries(self.block_sizes, "block_sizes", _integer, ConfigError)
         if any(g < 1 for g in blocks) or len(set(blocks)) != len(blocks):
             raise ConfigError("block_sizes must be distinct positive integers")
         try:  # the streams' own rule for gamma
@@ -235,7 +231,7 @@ def _parse_scenario(raw: Mapping[str, Any], where: str) -> ScenarioConfig:
     sim_kwargs = {k: raw[k] for k in _SIMULATION_KEYS if k in raw}
     try:
         if "true_beta" in sim_kwargs and "n_regressors" not in sim_kwargs:
-            sim_kwargs["n_regressors"] = len(sim_kwargs["true_beta"])
+            sim_kwargs["n_regressors"] = len(_entries(sim_kwargs["true_beta"], "true_beta", _real))
         return ScenarioConfig(
             name=raw["name"],
             simulation=SimulationConfig(**sim_kwargs),
@@ -308,8 +304,8 @@ class CellOutcome:
     to ``gce_batch``, which the streams on the raw design start from without
     solving it again; the stream on the standardized design is charged its
     own batch fit. A stream is charged its preparation and its share of the
-    fold: an equal share of its set-up and of each stack of blocks it took
-    part in (trust tests, hull checks and solve), and its report. The
+    fold: an equal share of its lane's set-up and of each stack of blocks it
+    took part in (trust tests, hull checks and solve), and its report. The
     estimation section is the cell's planning and scoring plus its shares,
     its wall time when the cell is run alone, as ``run_cell`` runs it.
     """

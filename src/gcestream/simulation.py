@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import _integer, _real
+from .core import _entries, _integer, _real
 
 __all__ = [
     "DEFAULT_BETA_SUPPORT",
@@ -74,7 +74,7 @@ class SimulationConfig:
                 float((j + 1) * (1 if j % 2 == 0 else -1)) for j in range(self.n_regressors)
             )
         else:
-            beta = tuple(_real(b, f"true_beta[{i}]") for i, b in enumerate(self.true_beta))
+            beta = _entries(self.true_beta, "true_beta", _real)
         if len(beta) != self.n_regressors:
             raise ValueError(
                 f"true_beta has {len(beta)} entries for {self.n_regressors} regressors"
@@ -92,14 +92,11 @@ class SimulationConfig:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if self.collinear_columns is not None:
-            cols = tuple(
-                _integer(c, f"collinear_columns[{i}]")
-                for i, c in enumerate(self.collinear_columns)
-            )
+            cols = _entries(self.collinear_columns, "collinear_columns", _integer)
             if any(not 0 <= c < self.n_regressors for c in cols) or len(set(cols)) != len(cols):
                 raise ValueError("collinear_columns must be distinct regressor indices")
             object.__setattr__(self, "collinear_columns", cols)
-        support = tuple(_real(z, f"beta_support[{i}]") for i, z in enumerate(self.beta_support))
+        support = _entries(self.beta_support, "beta_support", _real)
         if not all(map(math.isfinite, support)):
             raise ValueError(f"beta_support must be finite, got {support!r}")
         if len(support) < 2 or any(b <= a for a, b in zip(support, support[1:])):

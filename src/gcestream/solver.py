@@ -28,11 +28,11 @@ Newton control and gets the bits it would get alone. Solves of a single
 constraint (m = 1: a one-observation fit or streaming step) go through a
 kernel whose rows are every problem's coefficient rows and lone error row.
 It never forms the dual value, which only the multi-constraint line search
-reads, and holds nothing of a problem between solves, so a stream, or a fold
-of many streams, builds it once for all its steps. Its Newton iteration
-starts at lam = 0 from the prior weights' own moments (the Gibbs weights
-there are the prior), with no exponential, and forms its iterates in place
-and its curvature only where a Newton step reads it.
+reads, and holds nothing of a problem between solves, so a thread reuses its
+last one: a stream, or a fold, builds one for all its steps. Its Newton
+iteration starts at lam = 0 from the prior weights' own moments (the Gibbs
+weights there are the prior), with no exponential, and forms its iterates in
+place and its curvature only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ _MAX_BACKTRACKS = 60
 
 # Relative ridge added to the Hessian diagonal when the plain system fails.
 _RIDGE_SCALE = 1e-10
+
+# Each thread's last _StackKernel and its key (see _solve_dual).
+_KERNELS = threading.local()
 
 
 class InfeasibleObservationError(ValueError):
@@ -829,7 +833,7 @@ class _StackKernel:
         return lam_rows[:, 0], pt, iterations
 
 
-def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings, kernel=None):
+def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings):
     """Solve the weighted duals of a stack of S problems from a zero start.
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
@@ -837,20 +841,23 @@ def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings,
     (S, J, K); the coefficient supports ``zb`` (J, K), the error rows' log
     prior weights ``log_qe`` (one row may be shared by every observation)
     and the two objective weights are the stack's. Problems of one
-    observation (m = 1) are solved together by a ``_StackKernel``:
-    ``kernel`` when given, built on ``zb``, ``log_qe`` and these weights,
-    else a new one. Problems of more observations are solved together by
-    ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way a
-    problem gets the bits it would get alone, in a stack of one. Returns
-    the multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
+    observation (m = 1) are solved together by a ``_StackKernel``, problems
+    of more observations by ``_solve_multi`` on one ``_DualEvaluator`` over
+    the stack. Either way a problem gets the bits it would get alone, in a
+    stack of one. Each thread keeps the kernel of its last call and reuses
+    it while ``zb`` and ``log_qe`` are the same (read-only) arrays and the
+    weights are equal, with the bits a new one would give. Returns the
+    multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
     arrays, each problem's iterations, largest absolute residual and
     verdict, which is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.shape[1] == 1:
-        if kernel is None:
-            kernel = _StackKernel(zb, log_qe[0], signal_weight, error_weight)
-        lam, pt, iterations = kernel.solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
+        weights = signal_weight, error_weight
+        last = getattr(_KERNELS, "last", None)
+        if last is None or last[0] is not zb or last[1] is not log_qe or last[2] != weights:
+            _KERNELS.last = last = (zb, log_qe, weights, _StackKernel(zb, log_qe[0], *weights))
+        lam, pt, iterations = last[3].solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
     else:
         ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)

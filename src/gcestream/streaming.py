@@ -24,20 +24,19 @@ carried prior has underflowed.
 Each log of a state is a view of an append-only array that successive states
 share, so absorbing a block costs the same however long the stream has run.
 One block step, ``_absorb``, absorbs every block, and it runs over a stack:
-one block of m observations for each of S streams, solved together by the
-solver's stacked kernel when m = 1 and by its stacked Newton iteration
-otherwise. ``block_update`` calls it with a stack of one. Whole streams are
-prepared one at a time (``_prepare_stream``: every check, every
+one block of m observations for each of S streams, solved together by one
+stacked solve. ``block_update`` calls it with a stack of one. Whole streams
+are prepared one at a time (``_prepare_stream``: every check, every
 observation's error row and full-support hull test, and the batch fit) and
-then folded together (``_fold``): streams on the same supports, settings and
-block size advance in rounds, laid out round-major so that each round reads
-its stacks, priors and trust tests as slices, with one ``_absorb`` call per
-block size and round. A stream's results are its results alone, bit for
-bit, and its logs are stored once: written by slice into preallocated
-arrays, which its final ``StreamState`` holds as its logs and its
-``StreamReport`` as read-only views. ``run_stream`` prepares one stream and
-folds a stack of one; ``experiments.run_experiment`` folds the streams of
-many cells.
+then folded (``_fold``) one lane at a time: a lane is the streams on the
+same supports, settings and block size, which advance in rounds, laid out
+round-major so that each round reads its stacks, priors and trust tests as
+slices, with one ``_absorb`` call per block size and round. A stream's
+results are its results alone, bit for bit, and its logs are stored once:
+written by slice into preallocated arrays, which its final ``StreamState``
+holds as its logs and its ``StreamReport`` as read-only views.
+``run_stream`` prepares one stream and folds a stack of one;
+``experiments.run_experiment`` folds the streams of many cells.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .solver import (
     _coefficient_hull,
     _log_priors,
     _solve_dual,
-    _StackKernel,
     solve_gce,
 )
 
@@ -89,11 +87,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _APPEND_LOCK = threading.Lock()
-
-# The stacked kernel of the last block_update of each thread: a kernel keeps
-# buffers but nothing of a problem between solves, so reusing it gives the
-# bits a new one would, without building one for every update.
-_BLOCK_KERNELS = threading.local()
 
 _MIN_GAMMA = 2.0**-53  # the least gamma, as the least 1 - gamma can be
 
@@ -289,7 +282,7 @@ class StreamReport:
 
 
 # ---------------------------------------------------------------------------
-# The update kernel
+# The block step
 # ---------------------------------------------------------------------------
 
 
@@ -314,7 +307,7 @@ def _check_block(y, x, zb, error_rows):
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
     checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to ``_absorb``, trusted where ``_inside`` says so.
+    is left to the caller.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -331,15 +324,14 @@ def _inside(y, x, zb, rows) -> np.ndarray:
     return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
 
 
-def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
+def _absorb(carried, zb, y, x, rows, settings, steps):
     """The one block step: absorb one checked block into each carried prior of a stack.
 
     ``carried`` holds S ``(J, K)`` priors, and ``y`` (S, m), ``x`` (S, m, J)
     and ``rows`` (S, m, H) one block per prior, with one error support row
     per observation, each with a uniform prior. The blocks are solved
-    together: blocks of one observation by the solver's stacked kernel,
-    wider ones by its stacked Newton iteration. The caller has checked each
-    block's live hull, or trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
+    together by one ``_solve_dual``. The caller has checked each block's
+    live hull, or trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
     the blocks' error estimates (S, m), their ``beta_hat`` (S, J), and as
     (S,) arrays each block's ledger entry, whether its solve converged and
     whether its new prior is positive. ``steps`` only label the underflow
@@ -352,11 +344,9 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
     solve that takes no Newton step has t = ln Z = 0, so its entry is 0. The
     entries stay within 1.5e-15 of ``kl_divergence(prior, carried)`` on
     streams at n = 3840 and within 1.2e-14 relative on an underflowed prior.
-    ``kernel`` is a stacked kernel for one-observation blocks, built on
-    ``zb``, the uniform error prior and gamma; without one the solve builds
-    its own, with the same bits. Every row is reduced along its last axis,
-    so a block's results do not depend on the rest of the stack. Newton
-    starts at each carried prior's moments.
+    Every row is reduced along its last axis, so a block's results do not
+    depend on the rest of the stack. Newton starts at each carried prior's
+    moments.
     """
     log_qe = _uniform_error_prior(rows.shape[2])[1]
     # the priors a JointDistribution would hold: renormalized rows
@@ -364,7 +354,7 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
     qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
     _, pt, (_, _, converged) = _solve_dual(
-        y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver, kernel
+        y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver
     )
 
     prior = pt.pb / add(pt.pb, axis=2, keepdims=True)
@@ -385,18 +375,6 @@ def _absorb(carried, zb, y, x, rows, settings, steps, kernel=None):
 # ---------------------------------------------------------------------------
 
 
-def _batch_state(supports: SupportGrid, solution: GceSolution) -> StreamState:
-    """The state after a batch fit: its coefficient weights, error estimates and verdict."""
-    return StreamState(
-        beta_prior=solution.distributions.beta,
-        supports=supports,
-        step_index=solution.epsilon_hat.size,
-        epsilon_log=solution.epsilon_hat,
-        beta_trajectory=(solution.beta_hat,),
-        converged_log=(solution.diagnostics.converged,),
-    )
-
-
 def init_stream(
     batch: GceProblem, settings: UpdateSettings | None = None
 ) -> tuple[StreamState, GceSolution]:
@@ -412,7 +390,15 @@ def init_stream(
             raise ValueError("init_stream requires a uniform batch prior")
 
     solution = solve_gce(batch, settings.solver)
-    return _batch_state(batch.supports, solution), solution
+    state = StreamState(
+        beta_prior=solution.distributions.beta,
+        supports=batch.supports,
+        step_index=solution.epsilon_hat.size,
+        epsilon_log=solution.epsilon_hat,
+        beta_trajectory=(solution.beta_hat,),
+        converged_log=(solution.diagnostics.converged,),
+    )
+    return state, solution
 
 
 def block_update(
@@ -430,33 +416,24 @@ def block_update(
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
     would check it, by the same check ``run_stream`` makes of a whole stream;
     the carried prior is a ``StreamState`` invariant and is not checked
-    again. The block's full-support hull is trusted while every carried
-    weight is positive, else its live hull is checked; then the block step
-    ``run_stream`` folds solves it, as a stack of one, on plain arrays (no
-    problem or distribution objects, and the ledger entry comes from the
-    solve's log partitions); a block of one observation is solved by the
-    stacked kernel of the thread's last update when it has the same supports,
-    error row width and gamma, else by a new one, whose Newton iteration
-    starts at the carried prior's moments. Infeasible blocks raise InfeasibleObservationError
-    (indices local to the block) and leave the caller's state untouched, so
-    a stream can skip and log them. The new state keeps the stream's support
-    grid.
+    again. The block's hull is checked over the carried prior's live
+    support points; then the block step ``run_stream`` folds solves it, as
+    a stack of one, on plain arrays (no problem or distribution objects, and
+    the ledger entry comes from the solve's log partitions), its Newton
+    iteration starting at the carried prior's moments. Infeasible blocks
+    raise InfeasibleObservationError (indices local to the block) and leave
+    the caller's state untouched, so a stream can skip and log them. The new
+    state keeps the stream's support grid.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
     y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
     carried = state.beta_prior
-    if not (carried.min() > 0.0 and _inside(y, x, zb, rows).all()):
-        # only live points count; the renormalized prior is positive exactly
-        # where the carried one is
-        _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1])[0])
-    h, gamma = rows.shape[1], settings.gamma
-    last = getattr(_BLOCK_KERNELS, "last", None)
-    if last is None or last[0] is not zb or last[1:3] != (h, gamma):
-        kernel = _StackKernel(zb, _uniform_error_prior(h)[1][0], gamma, 1.0 - gamma)
-        _BLOCK_KERNELS.last = last = (zb, h, gamma, kernel)
+    # only live points count; the renormalized prior is positive exactly
+    # where the carried one is
+    _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1])[0])
     prior, eps, moved, beta_hat, converged, _ = _absorb(
-        carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,), last[3]
+        carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
     return StreamState(
         beta_prior=prior[0],
@@ -482,13 +459,13 @@ def update_step(
 
 
 # ---------------------------------------------------------------------------
-# Whole streams: prepared one at a time, folded together
+# Whole streams: prepared one at a time, folded lane by lane
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Stream:
-    """A stream ready to fold: checked data, its blocks and the state after its batch.
+    """A stream ready to fold: checked data, its blocks and where its batch left it.
 
     Its blocks are ``block`` observations each from observation ``batch``
     on, the last keeping the remainder. ``rows`` holds every observation's
@@ -500,11 +477,12 @@ class _Stream:
     x: np.ndarray  # (n, J)
     rows: np.ndarray  # (n, H)
     inside: np.ndarray  # (n,) bool
-    zb: np.ndarray  # (J, K)
     settings: UpdateSettings
     batch: int
     block: int
-    state: StreamState
+    prior: np.ndarray  # (J, K) weights after the batch, or uniform
+    start: np.ndarray  # (J,) their beta_hat
+    grid: SupportGrid  # its final StreamState's
     batch_solution: GceSolution | None
 
 
@@ -562,75 +540,54 @@ def _prepare_stream(
             rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
         rows = _error_rows(rows)
 
+    grid = SupportGrid(zb, rows[: max(batch_size, 1)])
     if batch_size >= 1:
-        grid = SupportGrid(zb, rows[:batch_size])
         if batch_fit is None:
-            batch = GceProblem(y[:batch_size], x[:batch_size], grid)
-            state, batch_fit = init_stream(batch, settings)
-        else:
-            state = _batch_state(grid, batch_fit)
+            batch_fit = init_stream(GceProblem(y[:batch_size], x[:batch_size], grid), settings)[1]
+        prior, start = batch_fit.distributions.beta, batch_fit.beta_hat
     else:
-        state = StreamState.uniform_start(SupportGrid(zb, rows[:1]))
-    inside = _inside(y, x, zb, rows)
-    return _Stream(y, x, rows, inside, zb, settings, batch_size, block_size, state, batch_fit)
+        state = StreamState.uniform_start(grid)
+        prior, start = state.beta_prior, state.beta_hat
+    return _Stream(
+        y, x, rows, _inside(y, x, zb, rows), settings, batch_size, block_size, prior, start,
+        grid, batch_fit,
+    )
 
 
 def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
-    """Absorb every block of every stream, the blocks of a round stacked by size.
+    """Absorb every block of every stream, lane by lane, a round's blocks stacked by size.
 
     Streams that share the coefficient supports, the error row width, the
-    settings and the block size form a ``_Lane``. Lanes advance in rounds:
-    in round t every stream with a t-th block absorbs it as ``block_update``
-    would (its full-support hull trusted while its carried prior is
-    positive, else its live hull checked, and an infeasible block skipped
-    and logged), one ``_absorb`` call per lane and block size. A stream's
-    results do not depend on the others, so each is bit for bit its fold
-    alone. A stream that raises stops, and only it.
+    settings and the block size form a ``_Lane``, which is built, run and
+    reported before the next is built. A lane advances in rounds: in round t
+    every stream with a t-th block absorbs it as ``block_update`` would (its
+    full-support hull trusted while its carried prior is positive, else its
+    live hull checked, and an infeasible block skipped and logged), one
+    ``_absorb`` call per block size. A stream's results do not depend on the
+    others, so each is bit for bit its fold alone. A stream that raises
+    stops, and only it.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
-    it, and the seconds charged to it: an equal share of the set-up and of
-    each stack it took part in (trust tests, hull checks and solve), and
-    its report. The charges sum to the fold's wall time.
+    it, and the seconds charged to it: an equal share of its lane's set-up
+    (the first lane's includes grouping the streams) and of each stack it
+    took part in (trust tests, hull checks and solve), and its report. The
+    charges sum to the fold's wall time.
     """
-    clock = time.perf_counter
-    start = clock()
+    mark = time.perf_counter()
     outcomes: list = [None] * len(streams)
+    seconds = [0.0] * len(streams)
     orders: dict = {}
     for i, stream in enumerate(streams):
-        key = (stream.zb.tobytes(), stream.zb.shape, stream.rows.shape[1], stream.settings)
-        orders.setdefault((key, stream.block), []).append(i)
-    lanes = [_Lane(streams, order, outcomes) for order in orders.values()]
-    mark = clock()
-    for lane in lanes:
-        lane.seconds += (mark - start) / len(streams)
-    for t in range(max((len(lane.stacks) for lane in lanes), default=0)):
-        for lane in lanes:
-            for stack in lane.stacks[t] if t < len(lane.stacks) else ():
-                live, at, blocks = lane.members(t, *stack)
-                if len(blocks[0]):
-                    lane.absorb(t, at, *blocks)
-                taking = lane.seconds[live].size
-                if taking:
-                    end = clock()
-                    lane.seconds[live] += (end - mark) / taking
-                    mark = end
-
-    seconds = [0.0] * len(streams)
-    for lane in lanes:
-        for p, i in enumerate(lane.order):
-            if outcomes[i] is None:
-                try:
-                    outcomes[i] = lane.report(p, streams[i])
-                except Exception as exc:
-                    outcomes[i] = exc
-            end = clock()
-            seconds[i] = float(lane.seconds[p]) + end - mark
-            mark = end
+        zb = stream.grid.beta_support
+        key = (zb.tobytes(), zb.shape, stream.rows.shape[1], stream.settings, stream.block)
+        orders.setdefault(key, []).append(i)
+    for order in orders.values():
+        mark = _Lane(streams, order, outcomes).run(mark, seconds)
     return outcomes, seconds
 
 
 class _Lane:
-    """Streams of one kernel and block size ``g``, laid out round-major for ``_fold``.
+    """Streams of one grouping key and block size ``g``, laid out round-major for ``_fold``.
 
     Streams are sorted by block count, then by the size of their last
     block, both descending: the streams with a block in round t are a
@@ -651,12 +608,11 @@ class _Lane:
         # by -ceil(post / g), which is floor(-post / g), then by -post
         key = [(d // g, d) for d in (streams[i].batch - streams[i].y.size for i in order)]
         self.order = order = [i for _, i in sorted(zip(key, order))]
-        members = [streams[i] for i in order]
+        self.streams = members = [streams[i] for i in order]
         first = members[0]
-        self.zb, self.settings, self.g, self.outcomes = first.zb, first.settings, g, outcomes
-        self.qe, log_qe = _uniform_error_prior(first.rows.shape[1])
-        gamma = self.settings.gamma
-        self.kernel = _StackKernel(self.zb, log_qe[0], gamma, 1.0 - gamma)
+        self.zb, self.settings = first.grid.beta_support, first.settings
+        self.g, self.outcomes = g, outcomes
+        self.qe = _uniform_error_prior(first.rows.shape[1])[0]
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)
@@ -687,7 +643,7 @@ class _Lane:
             y, x, rows, inside = (d[at] for d in data)
             self.stacks[t].append((a, b, y, x, rows, inside.all(axis=1)))
 
-        self.carried = np.stack([stream.state.beta_prior for stream in members])
+        self.carried = np.stack([stream.prior for stream in members])
         self.positive = np.minimum.reduce(self.carried, axis=(1, 2)) > 0.0
         self.alive, self.steps, self.seconds = np.ones(s, dtype=bool), batch.copy(), np.zeros(s)
         self.base = base = int(batch.max())
@@ -696,11 +652,41 @@ class _Lane:
         self.trajectory = np.zeros((s, rounds + 1, self.zb.shape[0]))
         self.converged = np.ones((s, rounds + 1), dtype=bool)
         for p, stream in enumerate(members):
-            self.trajectory[p, 0] = stream.state.beta_trajectory[0]
+            self.trajectory[p, 0] = stream.start
             if stream.batch_solution is not None:
                 self.eps[p, base - stream.batch : base] = stream.batch_solution.epsilon_hat
                 self.converged[p, 0] = stream.batch_solution.diagnostics.converged
         self.skipped: dict = {}  # position -> skipped rounds
+
+    def run(self, mark: float, seconds: list) -> float:
+        """Absorb every round and report every stream, charging ``seconds`` as ``_fold`` says.
+
+        ``mark`` is the clock when the lane's set-up began; returns the clock at the end.
+        """
+        clock = time.perf_counter
+        end = clock()
+        self.seconds += (end - mark) / len(self.order)
+        mark = end
+        for t, stacks in enumerate(self.stacks):
+            for stack in stacks:
+                live, at, blocks = self.members(t, *stack)
+                if len(blocks[0]):
+                    self.absorb(t, at, *blocks)
+                taking = self.seconds[live].size
+                if taking:
+                    end = clock()
+                    self.seconds[live] += (end - mark) / taking
+                    mark = end
+        for p, i in enumerate(self.order):
+            if self.outcomes[i] is None:
+                try:
+                    self.outcomes[i] = self.report(p)
+                except Exception as exc:
+                    self.outcomes[i] = exc
+            end = clock()
+            seconds[i] = float(self.seconds[p]) + end - mark
+            mark = end
+        return mark
 
     def members(self, t, a, b, y, x, rows, inside):
         """The live streams of positions [a, b), those that absorb their block, and the blocks.
@@ -737,7 +723,7 @@ class _Lane:
         """
         try:
             prior, eps, moved, beta_hat, converged, positive = _absorb(
-                self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at], self.kernel
+                self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at]
             )
         except Exception as exc:
             at = np.arange(self.alive.size)[at]
@@ -754,12 +740,13 @@ class _Lane:
         self.ledger[at, t], self.converged[at, t + 1] = moved, converged
         self.trajectory[at, t + 1] = beta_hat
 
-    def report(self, p, stream) -> StreamReport:
+    def report(self, p) -> StreamReport:
         """The ``StreamReport`` of the stream at position ``p``, with its one ``StreamState``.
 
         The report's arrays are read-only views of the state's logs: views
         of the lane's arrays, or copies without the stream's skipped blocks.
         """
+        stream = self.streams[p]
         count, batch, n, g = int(self.count[p]), stream.batch, stream.y.size, self.g
         logs = [
             self.eps[p, self.base - batch :][:n], self.ledger[p, :count],
@@ -774,7 +761,7 @@ class _Lane:
                 np.delete(logs[2], rows, axis=0), np.delete(logs[3], rows - (batch == 0)),
             ]
         logs = [_Log(log) for log in logs]
-        state = StreamState(self.carried[p], stream.state.supports, int(self.steps[p]), *logs)
+        state = StreamState(self.carried[p], stream.grid, int(self.steps[p]), *logs)
         eps, ledger, trajectory, converged = map(np.asarray, logs)
         return StreamReport(state.beta_hat, eps, ledger, trajectory, state,
                             stream.batch_solution, tuple(observations), bool(converged.all()))

@@ -143,12 +143,22 @@ def test_every_config_field_is_accepted_and_carried_through():
         ("true_beta", [True, 2.0, 3.0]),
         ("true_beta", ["0.5", 2.0, 3.0]),
         ("beta_support", [-1.0, "0", 1.0]),
+        # a number or a string where a list belongs
+        ("block_sizes", 4),
+        ("eta_grid", 0.5),
+        ("batch_fractions", 0.5),
+        ("eta_grid", "0.5"),
+        ("true_beta", "123"),
+        ("beta_support", {"low": -1.0}),
     ],
 )
 def test_malformed_simulation_values_are_config_errors(tmp_path, capsys, key, value):
     raw = tiny_config_dict()
     raw["scenarios"][0][key] = value
-    with pytest.raises(ConfigError, match=r"scenarios\[0\]"):
+    listed = {"true_beta", "beta_support", "collinear_columns", "eta_grid", "batch_fractions",
+              "block_sizes"}
+    named = f"{key} must be a list, got " if key in listed and not isinstance(value, list) else key
+    with pytest.raises(ConfigError, match=rf"^scenarios\[0\]: {re.escape(named)}"):
         parse_experiment_config(raw)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw), encoding="utf-8")
@@ -207,11 +217,19 @@ def test_wrong_types_are_value_errors_outside_the_parser():
         (lambda: ScenarioConfig(name="a", simulation=SimulationConfig(n=16), run_std=1),
          "^run_std must be true or false"),
         (lambda: SolverSettings(constraint_tolerance="1e-8"), "^constraint_tolerance must"),
+        (lambda: SimulationConfig(n=16, true_beta=5), "^true_beta must be a list, got 5$"),
+        (lambda: SimulationConfig(n=16, beta_support="-1 1"), "^beta_support must be a list"),
+        (lambda: ScenarioConfig(name="a", simulation=SimulationConfig(n=16), eta_grid=0.5),
+         "^eta_grid must be a list, got 0.5$"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=message):
             build()
     assert SimulationConfig(n=16, intercept=2).intercept == 2.0
+    assert SimulationConfig(n=16, true_beta=np.array([1, 2, 3])).true_beta == (1.0, 2.0, 3.0)
+    assert ScenarioConfig(
+        name="a", simulation=SimulationConfig(n=16), block_sizes=np.array([1, 4])
+    ).block_sizes == (1, 4)
     assert type(SolverSettings(constraint_tolerance=np.float64(1e-9)).constraint_tolerance) is float
 
 

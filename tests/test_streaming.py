@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -944,6 +945,76 @@ def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch
     assert -1e-9 <= wall - sum(seconds) <= 1e-3
 
 
+def prepare(args, gamma, **kwargs):
+    """``_prepare_stream`` of ``run_stream``'s positional ``args`` at ``gamma``."""
+    return streaming_module._prepare_stream(
+        *args, UpdateSettings(gamma=gamma), error_points=3, error_scale="batch", **kwargs
+    )
+
+
+def test_lanes_that_differ_in_gamma_each_build_one_kernel(caplog, monkeypatch):
+    # two g = 1 lanes on one support, at gamma 0.5 and 0.3, with update_step
+    # calls before and after the fold that take the thread's kernel over:
+    # each lane runs to its end before the next is built, so the solver's
+    # one kernel per thread is built once per lane, not once per round
+    row = np.array([-4.0, 0.0, 4.0])
+    y_skip, design = simulated(60, seed=191)
+    y_skip[41] = 1e7
+    cases = [((y_skip, design), 0.5), (simulated(60, seed=3), 0.3),
+             (simulated(60, seed=4), 0.5), (simulated(60, seed=5), 0.3)]
+    kwargs = dict(beta_support=BETA_ROW, error_support=row)
+    built = []
+    init = solver._StackKernel.__init__
+
+    def counted_init(self, *args):
+        built.append(tuple(args[2:]))
+        init(self, *args)
+
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        alone = [
+            run_stream(*data, 20, settings=UpdateSettings(gamma=gamma), **kwargs)
+            for data, gamma in cases
+        ]
+        logged = sorted(caplog.messages)
+        caplog.clear()
+        prepared = [prepare((*data, 20, 1), gamma, **kwargs) for data, gamma in cases]
+        state, y, x, error_row = stream_after_batch(n=30)
+        settings = UpdateSettings(gamma=0.3)
+        monkeypatch.setattr(solver._StackKernel, "__init__", counted_init)
+        monkeypatch.setattr(solver, "_KERNELS", threading.local())
+        state = update_step(state, y[8], x[8], error_row, settings)
+        folded, _ = streaming_module._fold(prepared)
+        update_step(state, y[9], x[9], error_row, settings)
+        assert sorted(caplog.messages) == logged
+    assert any("skipping block" in m for m in logged)
+    low, high = (0.3, 1.0 - 0.3), (0.5, 0.5)
+    assert built == [low, high, low, low]  # update, the 0.5 lane, the 0.3 lane, update
+    for got, want in zip(folded, alone):
+        assert_same_report(got, want)
+
+
+def test_the_fold_holds_one_lane_at_a_time(monkeypatch):
+    # a lane's gathered blocks are freed with it before the next lane is built
+    alive, seen = weakref.WeakSet(), []
+
+    class Counted(streaming_module._Lane):
+        def __init__(self, *args):
+            seen.append(len(alive))
+            alive.add(self)
+            super().__init__(*args)
+
+    kwargs = dict(beta_support=BETA_ROW, error_support=[-4.0, 0.0, 4.0])
+    cases = [((*simulated(50, seed=s), 20, g), gamma)
+             for s, g, gamma in ((21, 1, 0.5), (22, 7, 0.5), (23, 1, 0.3), (24, 1, 0.5))]
+    alone = [run_stream(*args, settings=UpdateSettings(gamma=gamma), **kwargs)
+             for args, gamma in cases]
+    monkeypatch.setattr(streaming_module, "_Lane", Counted)
+    folded, _ = streaming_module._fold([prepare(args, gamma, **kwargs) for args, gamma in cases])
+    assert seen == [0, 0, 0] and len(alive) == 0
+    for got, want in zip(folded, alone):
+        assert_same_report(got, want)
+
+
 def test_logs_of_equal_but_distinct_arrays_compare_equal():
     from gcestream.streaming import _Log
 
@@ -1337,9 +1408,9 @@ def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
     y, design = simulated(60, seed=231)
     report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
     assert report.skipped == () and report.final_state.beta_prior.min() > 0.0
+    assert calls == []  # block_update, the reference below, checks every block's hull
     state, _ = fold_of_block_updates(y, design, 20, beta_support=BETA_ROW)
     assert_stream_is_the_fold(report, state, ())
-    assert calls == []
 
 
 def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(monkeypatch):
@@ -1383,8 +1454,9 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
 
 
 def test_updates_on_one_thread_share_one_kernel(monkeypatch):
-    # the kernel keeps nothing of a problem between solves, so one per thread
-    # serves every one-observation update with the same supports and gamma
+    # the kernel keeps nothing of a problem between solves, so the solver's
+    # one per thread serves every one-observation update with the same
+    # supports and gamma
     built = []
     init = solver._StackKernel.__init__
 
@@ -1394,7 +1466,7 @@ def test_updates_on_one_thread_share_one_kernel(monkeypatch):
 
     state, y, design, error_row = stream_after_batch(n=30)
     monkeypatch.setattr(solver._StackKernel, "__init__", counted_init)
-    monkeypatch.setattr(streaming_module, "_BLOCK_KERNELS", threading.local())
+    monkeypatch.setattr(solver, "_KERNELS", threading.local())
     states = [state]
     for i in range(8, 20):
         states.append(update_step(states[-1], y[i], design[i], error_row))
@@ -1404,6 +1476,41 @@ def test_updates_on_one_thread_share_one_kernel(monkeypatch):
     again = update_step(state, y[8], design[8], error_row)
     assert len(built) == 3
     assert again.beta_prior.tobytes() == states[1].beta_prior.tobytes()
+
+
+def test_threads_updating_at_once_each_use_their_own_kernel():
+    # every thread updates from one state, so all ask for the same kernel; a
+    # kernel shared between threads would have its buffers reloaded by one
+    # thread in the middle of another's solve
+    state, y, design, error_row = stream_after_batch(n=40)
+
+    def chain():
+        current = state
+        for i in range(8, 40):
+            current = update_step(current, y[i], design[i], error_row)
+        return current.beta_prior.tobytes()
+
+    want = chain()
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=60)
+    results = {}
+
+    def run(k):
+        barrier.wait()
+        results[k] = chain()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: want for k in range(workers)}
 
 
 # ---------------------------------------------------------------------------
