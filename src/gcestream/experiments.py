@@ -66,7 +66,7 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import GceProblem, SolverSettings, _solve_problems, solve_gce
-from .streaming import UpdateSettings, _fold, _prepare_stream, run_stream
+from .streaming import UpdateSettings, _failure, _fold, _prepare_stream, run_stream
 from .core import SupportGrid, _entries, _flag, _integer, _real
 
 __all__ = [
@@ -329,7 +329,7 @@ def _outcome(step, *args):
     try:
         return step(*args)
     except Exception as exc:
-        return exc
+        return _failure(exc)
 
 
 def _plain_problem(y, design, support_row, error_row) -> GceProblem:
@@ -755,41 +755,36 @@ def solve_file(
     if mode == "gce":
         error_row = _scaled_error_support(y, y.size, "full", error_points)
         fit = solve_gce(_plain_problem(y, design, support_row, error_row), solver)
-        return SolveOutcome(
-            mode=mode,
-            beta_hat=fit.beta_hat,
-            rmse=rmse(y, x, fit.beta_hat, include_intercept=True),
-            entropy_ledger=np.array([]),
-            converged=fit.diagnostics.converged,
-            skipped=(),
-            n=int(y.size),
-            batch_size=int(y.size),
-            block_size=int(y.size),
+        beta_hat, ledger, converged, skipped, m, g = (
+            fit.beta_hat, np.array([]), fit.diagnostics.converged, (), int(y.size), int(y.size)
         )
-    if mode not in ("stre", "block"):
+    elif mode in ("stre", "block"):
+        batch_fraction = _real(batch_fraction, "batch_fraction", within=lambda f: 0.0 < f <= 1.0,
+                               must="be a number in (0, 1]")
+        m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
+        g = 1 if mode == "stre" else block_size
+        stream = run_stream(
+            y,
+            design,
+            batch_size=m,
+            block_size=g,
+            settings=UpdateSettings(gamma=gamma, solver=solver),
+            beta_support=support_row,
+            error_points=error_points,
+            error_scale=error_scale,
+        )
+        beta_hat, ledger, converged, skipped = (
+            stream.beta_hat, stream.entropy_ledger, stream.all_converged, stream.skipped
+        )
+    else:
         raise ValueError(f"mode must be one of 'gce', 'stre', 'block', got {mode!r}")
-
-    batch_fraction = _real(batch_fraction, "batch_fraction", within=lambda f: 0.0 < f <= 1.0,
-                           must="be a number in (0, 1]")
-    m = min(int(y.size), max(1, int(round(batch_fraction * y.size))))
-    g = 1 if mode == "stre" else block_size
-    stream = run_stream(
-        y,
-        design,
-        batch_size=m,
-        block_size=g,
-        settings=UpdateSettings(gamma=gamma, solver=solver),
-        beta_support=support_row,
-        error_points=error_points,
-        error_scale=error_scale,
-    )
     return SolveOutcome(
         mode=mode,
-        beta_hat=stream.beta_hat,
-        rmse=rmse(y, x, stream.beta_hat, include_intercept=True),
-        entropy_ledger=stream.entropy_ledger,
-        converged=stream.all_converged,
-        skipped=stream.skipped,
+        beta_hat=beta_hat,
+        rmse=rmse(y, x, beta_hat, include_intercept=True),
+        entropy_ledger=ledger,
+        converged=converged,
+        skipped=skipped,
         n=int(y.size),
         batch_size=m,
         block_size=g,

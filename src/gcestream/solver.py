@@ -29,10 +29,11 @@ constraint (m = 1: a one-observation fit or streaming step) go through a
 kernel whose rows are every problem's coefficient rows and lone error row.
 It never forms the dual value, which only the multi-constraint line search
 reads, and holds nothing of a problem between solves, so a thread reuses its
-last one: a stream, or a fold, builds one for all its steps. Its Newton
-iteration starts at lam = 0 from the prior weights' own moments (the Gibbs
-weights there are the prior), with no exponential, and forms its iterates in
-place and its curvature only where a Newton step reads it.
+last one while the supports and error prior are equal: streams, gammas and
+one-observation fits share one. Its Newton iteration starts at lam = 0 from
+the prior weights' own moments (the Gibbs weights there are the prior), with
+no exponential, and forms its iterates in place and its curvature only where
+a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -240,6 +241,12 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
     raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=True)
 
 
+def _inside(y, x, zb, rows) -> np.ndarray:
+    """Whether each ``y_i`` lies strictly inside its ``x_i . beta + eps_i`` full-support hull."""
+    lo, hi = _coefficient_hull(x, zb[:, 0], zb[:, -1])
+    return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
+
+
 @dataclass(frozen=True)
 class GceSolution:
     """Fitted weights plus the point estimates they imply.
@@ -278,8 +285,7 @@ class _DualPoint:
     beta_hat: np.ndarray
     eps_hat: np.ndarray
     # The coefficient rows' Gibbs terms, p_jk = q_jk * exp(-z_jk * t_j) / Z_j,
-    # so KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j; a stream step reads its
-    # ledger entry off them, clamped at zero per row as kl_divergence is,
+    # so KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j; ``kl`` reads it off them
     # instead of a second KL pass (within 1.5e-15 of that pass at n = 3840).
     tilt: np.ndarray  # (J,) t = x^T lam / signal_weight
     ln_zb: np.ndarray  # (J,) ln Z_j, the coefficient rows' log partitions
@@ -300,6 +306,10 @@ class _DualPoint:
         """Overwrite the problems ``rows`` with ``other``'s problems ``chosen``."""
         for name in ("value", "grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb"):
             getattr(self, name)[rows] = getattr(other, name)[chosen]
+
+    def kl(self) -> np.ndarray:
+        """Per problem, KL(pb | prior) from the Gibbs terms, clamped at zero per row."""
+        return np.add.reduce(np.maximum(-self.tilt * self.beta_hat - self.ln_zb, 0.0), axis=1)
 
 
 def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -619,15 +629,16 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
 class _StackKernel:
     """One-observation solves for a stack of S problems, built once and reused.
 
-    Built from the coefficient supports ``zb`` (J, K), the error row's log
-    prior weights ``log_qe_row`` (H,) and the two objective weights, which
-    every problem of a stack shares; each solve brings, per problem, its
-    observation, coefficient prior and error support row. A problem's J
+    Built from the coefficient supports ``zb`` (J, K) and the error row's log
+    prior weights ``log_qe_row`` (H,), which every problem of a stack
+    shares; each solve brings the two objective weights and, per problem,
+    its observation, coefficient prior and error support row. A problem's J
     coefficient rows and its error row are J+1 consecutive rows of one
     ``(S * (J+1), max(K, H))`` stack, so an iterate of the whole stack costs
     one set of numpy calls on 2-D arrays; a padding point has support 0 and
-    prior weight 0, so it gets exactly zero weight. The buffers grow to the
-    largest stack solved and are sliced to each solve's S.
+    prior weight 0, so it gets exactly zero weight. The buffers hold exactly
+    the stack being solved, and are sized again when S changes; the weight
+    rows are written again when the weights change.
 
     Points are ``(grad, p, means)``: the gradient as a list of S floats,
     the stacked row weights and the ``(S * (J+1), 1)`` row means.
@@ -649,7 +660,7 @@ class _StackKernel:
     coefficient rows of its final point.
     """
 
-    def __init__(self, zb, log_qe_row, signal_weight: float, error_weight: float):
+    def __init__(self, zb, log_qe_row):
         j, k = zb.shape
         h = log_qe_row.shape[0]
         self.shape = (j, k, h)
@@ -658,7 +669,7 @@ class _StackKernel:
         # weights (the coefficient rows' left -inf, likewise), the start
         # weights (the error row's prior as the Gibbs form normalizes it), and
         # as one-point rows the regressor (1 for the error row) and the
-        # objective weight, for the tilt (x_r * lam) / weight_r
+        # objective weight (each solve's), for the tilt (x_r * lam) / weight_r
         width = max(k, h)
         z = np.zeros((j + 1, width))
         z[:j, :k] = zb
@@ -669,50 +680,43 @@ class _StackKernel:
         q[j, :h] = shifted / np.add.reduce(shifted)
         x_col = np.zeros((j + 1, 1))
         x_col[j] = 1.0
-        w = np.empty((j + 1, 1))
-        w[:j], w[j] = signal_weight, error_weight
-        self.slabs = (z, log_q, q, x_col, w)
+        self.slabs = (z, log_q, q, x_col, np.empty((j + 1, 1)))
         self.size = 0
         self.last = None  # the last ``at``'s tilt, row maxima and row sums
 
-    def _grow(self, size: int) -> None:
-        """Allocate the buffers for ``size`` problems, one copy of the slab each."""
-        self.buffers = [np.concatenate([slab] * size) for slab in self.slabs]
-        self.size = size
-        self.full = self._views(size)
-
-    def _views(self, s: int):
-        """The buffers' first ``s`` problems: 2-D row stacks, and (S, J+1, -1) views to load."""
+    def _resize(self, s: int) -> None:
+        """Allocate the buffers for a stack of ``s`` problems, one copy of the slab each."""
         j = self.shape[0]
-        if s == self.size:
-            z, log_q, q, x_col, w = self.buffers
-        else:
-            rows = s * (j + 1)
-            z, log_q, q, x_col, w = [buffer[:rows] for buffer in self.buffers]
-        z3, log_q3 = z.reshape(s, j + 1, -1), log_q.reshape(s, j + 1, -1)
-        x_col3 = x_col.reshape(s, j + 1, 1)
-        # the regressors as (S, 1, J) rows, so x @ means is evaluate's dot product
-        return z, log_q, q, x_col, w, z3, log_q3, x_col3, x_col3[:, :j].transpose(0, 2, 1)
+        buffers = [np.concatenate([slab] * s) for slab in self.slabs]
+        self.z, self.log_q, self.q, self.x_col, self.w = buffers
+        # (S, J+1, ·) views to load, and the regressors as (S, 1, J) rows, so
+        # that x @ means is evaluate's dot product
+        self.loads = [buffer.reshape(s, j + 1, -1) for buffer in buffers]
+        self.x = self.loads[3][:, :j].transpose(0, 2, 1)
+        self.size, self.weights = s, None  # the weights the weight rows hold
 
-    def start(self, qb, log_qb, y0, x, ze):
+    def start(self, qb, log_qb, y0, x, ze, signal_weight: float, error_weight: float):
         """Load the stack and return its point at zero.
 
         Takes, per problem, the coefficient prior ``qb`` (S, J, K) and its
         ``_log_priors`` ``log_qb`` (weights below ZERO_CLAMP count as zero,
         as the Gibbs form counts them), the observation ``y0`` (S,) with its
-        regressors ``x`` (S, J), and its error support row ``ze`` (S, H).
+        regressors ``x`` (S, J), and its error support row ``ze`` (S, H); and
+        the stack's two objective weights.
         """
         j, k, h = self.shape
         s = y0.shape[0]
-        if s > self.size:
-            self._grow(s)
-        views = self.full if s == self.size else self._views(s)
-        self.z, self.log_q, q, self.x_col, self.w, z3, log_q3, x_col3, self.x = views
+        if s != self.size:
+            self._resize(s)
+        z3, log_q3, _, x_col3, w3 = self.loads
+        weights = signal_weight, error_weight
+        if weights != self.weights:
+            w3[:, :j], w3[:, j] = self.weights = weights
         log_q3[:, :j, :k] = log_qb
         z3[:, j, :h] = ze
         x_col3[:, :j, 0] = x
         self.y0 = y0.tolist()
-        p = q.copy()
+        p = self.q.copy()
         np.multiply(qb, log_qb > -np.inf, out=p.reshape(s, j + 1, -1)[:, :j, :k])
         return self._moments(p)
 
@@ -753,24 +757,26 @@ class _StackKernel:
                 raise ValueError(f"non-finite partition sum in {where}")
         return point
 
-    def solve(self, qb, log_qb, y0, x, ze, settings: SolverSettings):
+    def solve(self, qb, log_qb, y0, x, ze, signal_weight, error_weight, settings: SolverSettings):
         """Bracketed Newton for every problem of the stack, from lam = 0.
 
-        Loads the stack as ``start`` does. The dual gradient is increasing in
-        a problem's lone multiplier, so once values of opposite sign have
-        been seen the root is bracketed and any Newton proposal escaping the
-        bracket is replaced by its midpoint. Each problem keeps its own
-        bracket, trust step, iteration count and stop; a problem that has
-        stopped is evaluated again at its multiplier, which gives the same
-        bits, until the last one stops. Returns the multipliers (S, 1), the
-        final stacked point and the iteration counts (a list); the point's
-        value is NaN, its curvature None, and its arrays are views of the
-        last iterate. A problem that took no step keeps the prior's own
-        point, whose tilt and log partitions are zero.
+        Loads the stack and its weights as ``start`` does. The dual gradient
+        is increasing in a problem's lone multiplier, so once values of
+        opposite sign have been seen the root is bracketed and any Newton
+        proposal escaping the bracket is replaced by its midpoint. Each
+        problem keeps its own bracket, trust step, iteration count and stop;
+        a problem that has stopped is evaluated again at its multiplier,
+        which gives the same bits, until the last one stops. Returns the
+        multipliers (S, 1), the final stacked point and the iteration counts
+        (a list); the point's value is NaN, its curvature None, and its
+        arrays are views of the last iterate. A problem that took no step
+        keeps the prior's own point, whose tilt and log partitions are zero.
         """
         tol, cap = settings.constraint_tolerance, settings.max_iterations
         j, k, h = self.shape
-        g0, p0, means0 = g, p, means = self.start(qb, log_qb, y0, x, ze)
+        g0, p0, means0 = g, p, means = self.start(
+            qb, log_qb, y0, x, ze, signal_weight, error_weight
+        )
         s = len(g)
         x_sq = self.x**2
         # the multipliers as Python floats for the control, written to every
@@ -833,33 +839,34 @@ class _StackKernel:
         return lam_rows[:, 0], pt, iterations
 
 
-def _solve_dual(y, x, zb, ze, qb, log_qe, signal_weight, error_weight, settings):
+def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     """Solve the weighted duals of a stack of S problems from a zero start.
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
     supports ``ze`` (S, m, H) and the coefficient prior weights ``qb``
-    (S, J, K); the coefficient supports ``zb`` (J, K), the error rows' log
-    prior weights ``log_qe`` (one row may be shared by every observation)
-    and the two objective weights are the stack's. Problems of one
-    observation (m = 1) are solved together by a ``_StackKernel``, problems
-    of more observations by ``_solve_multi`` on one ``_DualEvaluator`` over
-    the stack. Either way a problem gets the bits it would get alone, in a
-    stack of one. Each thread keeps the kernel of its last call and reuses
-    it while ``zb`` and ``log_qe`` are the same (read-only) arrays and the
-    weights are equal, with the bits a new one would give. Returns the
-    multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
-    arrays, each problem's iterations, largest absolute residual and
-    verdict, which is decided here and nowhere else.
+    (S, J, K); the coefficient supports ``zb`` (J, K), the error prior
+    weights ``qe`` (one row may be shared by every observation) and the two
+    objective weights are the stack's. Problems of one observation (m = 1)
+    are solved together by a ``_StackKernel``, problems of more observations
+    by ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way
+    a problem gets the bits it would get alone, in a stack of one. Each
+    thread keeps the kernel of its last call and reuses it while ``zb`` and
+    ``qe`` hold the same values, whatever the weights, with the bits a new
+    one would give. Returns the multipliers (S, m), the final stacked
+    ``_DualPoint`` and, as (S,) arrays, each problem's iterations, largest
+    absolute residual and verdict, which is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
     if y.shape[1] == 1:
-        weights = signal_weight, error_weight
+        key = (zb.shape, zb.tobytes(), qe.shape, qe.tobytes())
         last = getattr(_KERNELS, "last", None)
-        if last is None or last[0] is not zb or last[1] is not log_qe or last[2] != weights:
-            _KERNELS.last = last = (zb, log_qe, weights, _StackKernel(zb, log_qe[0], *weights))
-        lam, pt, iterations = last[3].solve(qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], settings)
+        if last is None or last[0] != key:
+            _KERNELS.last = last = key, _StackKernel(zb, _log_priors(qe)[0])
+        lam, pt, iterations = last[1].solve(
+            qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], signal_weight, error_weight, settings
+        )
     else:
-        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
+        ev = _DualEvaluator(y, x, zb, ze, log_qb, _log_priors(qe), signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
     residuals = np.abs(pt.grad).max(axis=1)
     return lam, pt, (np.array(iterations), residuals, residuals <= settings.constraint_tolerance)
@@ -903,8 +910,7 @@ def _solve_problems(
     lam, pt, verdicts = _solve_dual(
         _stacked([p.y for p in problems]), _stacked([p.x for p in problems]), zb,
         _stacked([p.supports.error_support for p in problems]),
-        _stacked([p.prior.beta for p in problems]), _log_priors(qe), signal_weight,
-        error_weight, settings,
+        _stacked([p.prior.beta for p in problems]), qe, signal_weight, error_weight, settings,
     )
     diagnostics = [SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
     lam.setflags(write=False)

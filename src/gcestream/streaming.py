@@ -68,8 +68,7 @@ from .solver import (
     SolverSettings,
     _check_hull,
     _check_observations,
-    _coefficient_hull,
-    _log_priors,
+    _inside,
     _solve_dual,
     solve_gce,
 )
@@ -98,6 +97,15 @@ def _low(values: np.ndarray, low: float = math.inf) -> float:
     """
     items = values.tolist()
     return min([low, *items]) if all(map(math.isfinite, items)) else math.nan
+
+
+def _failure(exc: Exception) -> Exception:
+    """``exc`` as a stored failure: its type and message, without traceback or chain.
+
+    Their frames would keep their locals (a lane, a cell's plan) alive while it is held.
+    """
+    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+    return exc
 
 
 class _Log(Sequence):
@@ -287,18 +295,15 @@ class StreamReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _uniform_error_prior(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform error row of ``h`` points and its log, shared by every block.
+def _uniform_error_prior(h: int) -> np.ndarray:
+    """One uniform error row of ``h`` points, a read-only ``(1, h)`` array shared by every block.
 
-    Both are read-only ``(1, h)`` arrays; the row is renormalized as a
-    ``JointDistribution`` would store it.
+    The row is renormalized as a ``JointDistribution`` would store it.
     """
     qe = np.full((1, h), 1.0 / h)
     qe /= qe.sum(axis=1)[:, None]
-    log_qe = _log_priors(qe)
     qe.setflags(write=False)
-    log_qe.setflags(write=False)
-    return qe, log_qe
+    return qe
 
 
 def _check_block(y, x, zb, error_rows):
@@ -318,12 +323,6 @@ def _check_block(y, x, zb, error_rows):
     return y, x, rows
 
 
-def _inside(y, x, zb, rows) -> np.ndarray:
-    """Whether each ``y_i`` lies strictly inside its ``x_i . beta + eps_i`` full-support hull."""
-    lo, hi = _coefficient_hull(x, zb[:, 0], zb[:, -1])
-    return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
-
-
 def _absorb(carried, zb, y, x, rows, settings, steps):
     """The one block step: absorb one checked block into each carried prior of a stack.
 
@@ -338,23 +337,20 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
     warnings, one per underflowed prior.
 
     The ledger entry is the KL divergence of the new prior from the carried
-    one, formed from the final point's tilt t and log partitions ln Z as
-    ``sum_j max(-t_j * beta_hat_j - ln Z_j, 0)``, the same for both solve
-    paths: the per-row clamp is ``kl_divergence``'s, and a one-observation
-    solve that takes no Newton step has t = ln Z = 0, so its entry is 0. The
-    entries stay within 1.5e-15 of ``kl_divergence(prior, carried)`` on
-    streams at n = 3840 and within 1.2e-14 relative on an underflowed prior.
-    Every row is reduced along its last axis, so a block's results do not
-    depend on the rest of the stack. Newton starts at each carried prior's
-    moments.
+    one, ``_DualPoint.kl`` of the final point, the same for both solve
+    paths. The entries stay within 1.5e-15 of ``kl_divergence(prior,
+    carried)`` on streams at n = 3840 and within 1.2e-14 relative on an
+    underflowed prior. Every row is reduced along its last axis, so a
+    block's results do not depend on the rest of the stack. Newton starts at
+    each carried prior's moments.
     """
-    log_qe = _uniform_error_prior(rows.shape[2])[1]
     # the priors a JointDistribution would hold: renormalized rows
     add = np.add.reduce
     qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
+    qe = _uniform_error_prior(rows.shape[2])
     _, pt, (_, _, converged) = _solve_dual(
-        y, x, zb, rows, qb, log_qe, gamma, 1.0 - gamma, settings.solver
+        y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver
     )
 
     prior = pt.pb / add(pt.pb, axis=2, keepdims=True)
@@ -366,8 +362,7 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
                 "those points are frozen out for the rest of the stream",
                 step,
             )
-    moved = add(np.maximum(-pt.tilt * pt.beta_hat - pt.ln_zb, 0.0), axis=1)
-    return prior, pt.eps_hat, moved, pt.beta_hat, converged, positive
+    return prior, pt.eps_hat, pt.kl(), pt.beta_hat, converged, positive
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +426,7 @@ def block_update(
     carried = state.beta_prior
     # only live points count; the renormalized prior is positive exactly
     # where the carried one is
-    _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1])[0])
+    _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1]))
     prior, eps, moved, beta_hat, converged, _ = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
@@ -568,10 +563,10 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
     stops, and only it.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
-    it, and the seconds charged to it: an equal share of its lane's set-up
-    (the first lane's includes grouping the streams) and of each stack it
-    took part in (trust tests, hull checks and solve), and its report. The
-    charges sum to the fold's wall time.
+    it, stored by ``_failure``, and the seconds charged to it: an equal
+    share of its lane's set-up (the first lane's includes grouping the
+    streams) and of each stack it took part in (trust tests, hull checks and
+    solve), and its report. The charges sum to the fold's wall time.
     """
     mark = time.perf_counter()
     outcomes: list = [None] * len(streams)
@@ -612,7 +607,7 @@ class _Lane:
         first = members[0]
         self.zb, self.settings = first.grid.beta_support, first.settings
         self.g, self.outcomes = g, outcomes
-        self.qe = _uniform_error_prior(first.rows.shape[1])[0]
+        self.qe = _uniform_error_prior(first.rows.shape[1])
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)
@@ -682,7 +677,7 @@ class _Lane:
                 try:
                     self.outcomes[i] = self.report(p)
                 except Exception as exc:
-                    self.outcomes[i] = exc
+                    self.outcomes[i] = _failure(exc)
             end = clock()
             seconds[i] = float(self.seconds[p]) + end - mark
             mark = end
@@ -728,7 +723,7 @@ class _Lane:
         except Exception as exc:
             at = np.arange(self.alive.size)[at]
             if at.size == 1:
-                self.alive[at], self.outcomes[self.order[at[0]]] = False, exc
+                self.alive[at], self.outcomes[self.order[at[0]]] = False, _failure(exc)
                 return
             for k in range(at.size):
                 self.absorb(t, at[k : k + 1], y[k : k + 1], x[k : k + 1], rows[k : k + 1])

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -719,6 +721,49 @@ def test_a_cell_step_that_raises_fails_its_cell_only(tmp_path, monkeypatch, site
     assert len(failing_rows) < len(healthy)
 
 
+@pytest.mark.parametrize("site", ["preparation", "stream"])
+def test_a_failed_cell_pins_nothing_of_its_plan(monkeypatch, site):
+    # a stored failure keeps its type and message, not its traceback, whose
+    # frames would hold the cell's plan (or a stream's lane) while the
+    # outcomes are held; with the cycle collector off, only references count
+    config = fold_config()
+    cells = cell_seeds(config)
+    scenario, eta, seed = cells[4]  # collinear, eta 1, replication 0
+    marker = generate_dataset(dataclasses.replace(scenario.simulation, eta=eta, seed=seed)).y[20]
+    refs = []  # plans compare by value and do not hash, so no WeakSet
+
+    class Counted(experiments._CellPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    if site == "preparation":
+        module, name, hit = experiments, "_prepare_stream", lambda y, *args: (y == marker).any()
+    else:
+        module, name, hit = streaming, "_absorb", lambda carried, zb, y, *args: (y == marker).any()
+    step = getattr(module, name)
+
+    def failing(*args, **kwargs):
+        if hit(*args):
+            raise RuntimeError("injected failure")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    monkeypatch.setattr(experiments, "_CellPlan", Counted)
+    gc.disable()
+    try:
+        outcomes = experiments._run_cells([(*cell, config.solver) for cell in cells])
+        plans = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) == len(cells) and plans == 0
+    failed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, Exception)]
+    assert failed == [4]
+    assert type(outcomes[4]) is RuntimeError and str(outcomes[4]) == "injected failure"
+    with pytest.raises(RuntimeError, match="^injected failure$"):
+        run_cell(scenario, eta, seed)
+
+
 def test_a_failed_cell_in_a_worker_keeps_its_reason(tmp_path):
     # the infeasibility error crosses back from the worker process intact
     raw = {
@@ -1091,6 +1136,17 @@ def test_cli_solve_block_mode_prints_the_ledger(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "block: 4" in out
     assert "entropy ledger" in out
+
+
+def test_cli_solve_stream_mode_prints_the_skipped_observations(tmp_path, capsys):
+    data = generate_dataset(SimulationConfig(n=32, seed=4, n_regressors=2))
+    y = data.y.copy()
+    y[20] = 1e7  # after the batch of 8, outside every hull
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, y, data.x)
+    assert main(["solve", str(path), "--mode", "stre"]) == 0
+    out = capsys.readouterr().out
+    assert "skipped infeasible observations: [20]\n" in out
 
 
 def test_cli_parser_is_built_once_and_each_call_parses_its_own_argv(tmp_path, monkeypatch):

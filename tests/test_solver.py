@@ -268,19 +268,19 @@ def diagnosed(verdicts):
     return [solver.SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
 
 
-def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, wb, we, settings=SolverSettings()):
+def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, qe, wb, we, settings=SolverSettings()):
     """Solve the stack at once and problem by problem; every output must be the same bits.
 
     Multi-observation points carry one dual value per problem, which must
     match too.
     """
-    lam, pt, verdicts = solver._solve_dual(y, x, zb, ze, qb, log_qe, wb, we, settings)
+    lam, pt, verdicts = solver._solve_dual(y, x, zb, ze, qb, qe, wb, we, settings)
     diagnostics = diagnosed(verdicts)
     names = ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb")
     for i in range(y.shape[0]):
         one = slice(i, i + 1)
         lam1, pt1, verdicts1 = solver._solve_dual(
-            y[one], x[one], zb, ze[one], qb[one], log_qe, wb, we, settings
+            y[one], x[one], zb, ze[one], qb[one], qe, wb, we, settings
         )
         assert diagnostics[i] == diagnosed(verdicts1)[0]
         assert lam[i].tobytes() == lam1[0].tobytes()
@@ -304,11 +304,13 @@ def test_a_stack_of_one_observation_solves_is_its_stacks_of_one(s, j, k, h, gamm
     where = local.uniform(0.02, 0.98, s)
     y, x, zb, ze, qb = stacked_problems(local, s, j, k, h, where)
     # the last problem's observation is its prior's own prediction: no Newton step
-    kernel = solver._StackKernel(zb, np.log(np.full(h, 1.0 / h)), gamma, 1.0 - gamma)
-    (g,), _, _ = kernel.start(qb[-1:], solver._log_priors(qb[-1:]), y[-1], x[-1], ze[-1, 0][None])
+    kernel = solver._StackKernel(zb, np.log(np.full(h, 1.0 / h)))
+    (g,), _, _ = kernel.start(
+        qb[-1:], solver._log_priors(qb[-1:]), y[-1], x[-1], ze[-1, 0][None], gamma, 1.0 - gamma
+    )
     y[-1] -= g
-    log_qe = solver._log_priors(np.full((1, h), 1.0 / h))
-    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, gamma, 1.0 - gamma)
+    qe = np.full((1, h), 1.0 / h)
+    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, qe, gamma, 1.0 - gamma)
     assert diagnostics[-1].iterations == 0
     assert all(d.converged for d in diagnostics)
 
@@ -331,8 +333,8 @@ def test_a_stack_with_a_bisecting_and_an_idle_problem_is_its_stacks_of_one(monke
         return at(self, lam)
 
     monkeypatch.setattr(solver._StackKernel, "at", recorded)
-    log_qe = solver._log_priors(np.full((1, 3), 1.0 / 3.0))
-    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, log_qe, 0.5, 0.5)
+    qe = np.full((1, 3), 1.0 / 3.0)
+    diagnostics = assert_stack_is_stacks_of_one(y, x, zb, ze, qb, qe, 0.5, 0.5)
     # the stack's first two steps for problem 0: a trust step, then the midpoint
     assert [step[0] for step in multipliers[:2]] == [-8.0, -4.0]
     assert diagnostics[1].iterations == 0 and diagnostics[0].iterations > 2
@@ -386,7 +388,7 @@ def test_a_stack_of_multi_observation_solves_is_its_stacks_of_one(
     # so those problems retry with a ridge or take the negative gradient
     local = np.random.default_rng(seed)
     y, x, zb, ze, qb = multi_row_problems(local, s, m, j, k, h, point_mass)
-    log_qe = solver._log_priors(np.full((1, h), 1.0 / h))
+    qe = np.full((1, h), 1.0 / h)
     diagonal = solver._error_diagonal
     spoiled = []
 
@@ -400,7 +402,7 @@ def test_a_stack_of_multi_observation_solves_is_its_stacks_of_one(
         if force is not None:
             patch.setattr(solver, "_error_diagonal", spoiling)
         assert_stack_is_stacks_of_one(
-            y, x, zb, ze, qb, log_qe, gamma, 1.0 - gamma, SolverSettings(max_iterations=15)
+            y, x, zb, ze, qb, qe, gamma, 1.0 - gamma, SolverSettings(max_iterations=15)
         )
     if force is not None and (x[:, 0, 0] > 0.0).any():
         assert sum(spoiled) > 0
@@ -435,6 +437,56 @@ def test_the_collinear_stall_stacked_with_converging_fits_keeps_every_fit_its_bi
         assert_same_solution(got, solve_gce(problem, capped))
     assert [fit.diagnostics.converged for fit in stacked] == [False, True, True]
     assert stacked[0].diagnostics.iterations == 20
+
+
+def collapse_problems():
+    """One-observation fits on rows 0-2 of a simulated dataset, on its default supports."""
+    ds = generate_dataset(SimulationConfig(n=40, seed=3))
+    design = np.column_stack([np.ones(ds.n), ds.x])
+    grid = SupportGrid.tiled(DEFAULT_BETA_SUPPORT, design.shape[1], build_error_support(ds.y), 1)
+    return [GceProblem(ds.y[i : i + 1], design[i : i + 1], grid) for i in range(3)], grid
+
+
+def test_a_one_observation_fit_stops_when_no_representable_step_remains():
+    # a tolerance below the residual's rounding floor: each bracket shrinks
+    # until its Newton proposal is its own multiplier, and the kernel stops
+    # there, not at the iteration cap, with its residual and no verdict
+    tight = SolverSettings(constraint_tolerance=1e-300)
+    problems, grid = collapse_problems()
+    # the prior's own prediction, 0 on these symmetric supports: converged at zero
+    idle = GceProblem(np.zeros(1), problems[0].x, grid)
+    alone = [solve_gce(problem, tight) for problem in problems + [idle]]
+    for fit in alone[:3]:
+        assert 1 <= fit.diagnostics.iterations < 50
+        assert 0.0 < fit.diagnostics.max_residual < 1e-12
+        assert not fit.diagnostics.converged
+    assert alone[3].diagnostics == solver.SolverDiagnostics(0, 0.0, True)
+    for got, want in zip(solver._solve_problems(problems + [idle], tight), alone):
+        assert_same_solution(got, want)
+
+
+def test_a_reused_kernel_gives_a_smaller_stack_the_bits_of_a_fresh_one():
+    # the buffers are sized to each stack and the weights written with each
+    # solve, so nothing of a larger stack at other weights is left behind
+    local = np.random.default_rng(17)
+    big = stacked_problems(local, 6, 2, 5, 3, local.uniform(0.05, 0.95, 6))
+    zb = big[2]
+    small = stacked_problems(local, 2, 2, 5, 3, local.uniform(0.05, 0.95, 2), zb)
+    log_qe_row = np.log(np.full(3, 1.0 / 3.0))
+
+    def solved(kernel, problems, wb, we):
+        y, x, _, ze, qb = problems
+        lam, pt, iterations = kernel.solve(
+            qb, solver._log_priors(qb), y[:, 0], x[:, 0], ze[:, 0], wb, we, SolverSettings()
+        )
+        names = ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb")
+        return [iterations, lam.tobytes()] + [getattr(pt, name).tobytes() for name in names]
+
+    reused = solver._StackKernel(zb, log_qe_row)
+    solved(reused, big, 0.3, 0.7)
+    got = solved(reused, small, 0.6, 0.4)
+    assert got == solved(solver._StackKernel(zb, log_qe_row), small, 0.6, 0.4)
+    assert min(got[0]) >= 1
 
 
 def test_a_stack_of_problems_must_share_its_shape_and_supports():
@@ -496,12 +548,10 @@ def lean_scalar_problem():
 def loaded_kernel(problem, signal_weight, error_weight):
     """The one-observation kernel for ``problem``, loaded, and its point at zero."""
     grid, prior = problem.supports, problem.prior
-    kernel = solver._StackKernel(
-        grid.beta_support, solver._log_priors(prior.error)[0], signal_weight, error_weight
-    )
+    kernel = solver._StackKernel(grid.beta_support, solver._log_priors(prior.error)[0])
     start = kernel.start(
         prior.beta[None], solver._log_priors(prior.beta)[None], problem.y, problem.x,
-        grid.error_support,
+        grid.error_support, signal_weight, error_weight,
     )
     return kernel, start
 
@@ -608,7 +658,7 @@ def test_one_observation_verdict_reads_the_lone_residual():
     grid, prior = problem.supports, problem.prior
     args = (
         problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
-        prior.beta[None], solver._log_priors(prior.error), 0.3, 0.7,
+        prior.beta[None], prior.error, 0.3, 0.7,
     )
     verdicts = []
     for settings in (SolverSettings(), SolverSettings(max_iterations=1)):

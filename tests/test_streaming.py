@@ -1,3 +1,4 @@
+import gc
 import logging
 import math
 import sys
@@ -952,11 +953,11 @@ def prepare(args, gamma, **kwargs):
     )
 
 
-def test_lanes_that_differ_in_gamma_each_build_one_kernel(caplog, monkeypatch):
+def test_lanes_that_differ_in_gamma_share_one_kernel(caplog, monkeypatch):
     # two g = 1 lanes on one support, at gamma 0.5 and 0.3, with update_step
-    # calls before and after the fold that take the thread's kernel over:
-    # each lane runs to its end before the next is built, so the solver's
-    # one kernel per thread is built once per lane, not once per round
+    # calls before and after the fold: the kernel takes the objective weights
+    # with each solve, so the solver's one kernel per thread serves both
+    # lanes and the updates
     row = np.array([-4.0, 0.0, 4.0])
     y_skip, design = simulated(60, seed=191)
     y_skip[41] = 1e7
@@ -967,7 +968,7 @@ def test_lanes_that_differ_in_gamma_each_build_one_kernel(caplog, monkeypatch):
     init = solver._StackKernel.__init__
 
     def counted_init(self, *args):
-        built.append(tuple(args[2:]))
+        built.append(args)
         init(self, *args)
 
     with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
@@ -987,8 +988,7 @@ def test_lanes_that_differ_in_gamma_each_build_one_kernel(caplog, monkeypatch):
         update_step(state, y[9], x[9], error_row, settings)
         assert sorted(caplog.messages) == logged
     assert any("skipping block" in m for m in logged)
-    low, high = (0.3, 1.0 - 0.3), (0.5, 0.5)
-    assert built == [low, high, low, low]  # update, the 0.5 lane, the 0.3 lane, update
+    assert len(built) == 1
     for got, want in zip(folded, alone):
         assert_same_report(got, want)
 
@@ -1013,6 +1013,64 @@ def test_the_fold_holds_one_lane_at_a_time(monkeypatch):
     assert seen == [0, 0, 0] and len(alive) == 0
     for got, want in zip(folded, alone):
         assert_same_report(got, want)
+
+
+def test_a_failed_stream_pins_nothing_of_its_lane(monkeypatch):
+    # a stored failure keeps its type and message, not its traceback or the
+    # failed stack attempt it was raised over, whose frames hold the lane;
+    # with the cycle collector off, only references count
+    alive = weakref.WeakSet()
+
+    class Counted(streaming_module._Lane):
+        def __init__(self, *args):
+            alive.add(self)
+            super().__init__(*args)
+
+    kwargs = dict(beta_support=BETA_ROW, error_support=[-4.0, 0.0, 4.0])
+    (y_bad, x_bad), healthy = simulated(50, seed=31), simulated(50, seed=32)
+    absorb = streaming_module._absorb
+
+    def failing(carried, zb, y, *args):
+        if (y == y_bad[30]).any():
+            raise RuntimeError("injected failure")
+        return absorb(carried, zb, y, *args)
+
+    want = run_stream(*healthy, 20, **kwargs)
+    monkeypatch.setattr(streaming_module, "_absorb", failing)
+    with pytest.raises(RuntimeError, match="^injected failure$"):
+        run_stream(y_bad, x_bad, 20, **kwargs)
+    monkeypatch.setattr(streaming_module, "_Lane", Counted)
+    prepared = [prepare((*data, 20, 1), 0.5, **kwargs) for data in ((y_bad, x_bad), healthy)]
+    gc.disable()
+    try:
+        folded, _ = streaming_module._fold(prepared)
+        lanes = len(alive)
+    finally:
+        gc.enable()
+    assert lanes == 0
+    assert type(folded[0]) is RuntimeError and str(folded[0]) == "injected failure"
+    assert_same_report(folded[1], want)
+
+
+def test_a_stream_whose_report_raises_fails_alone(monkeypatch):
+    kwargs = dict(beta_support=BETA_ROW, error_support=[-4.0, 0.0, 4.0])
+    cases = [(*simulated(40, seed=s), 20, 1) for s in (41, 42, 43)]
+    alone = [run_stream(*args, **kwargs) for args in cases]
+    report = streaming_module._Lane.report
+
+    def failing(self, p):
+        if self.streams[p].y is prepared[1].y:
+            raise RuntimeError("injected failure")
+        return report(self, p)
+
+    prepared = [prepare(args, 0.5, **kwargs) for args in cases]
+    monkeypatch.setattr(streaming_module._Lane, "report", failing)
+    folded, seconds = streaming_module._fold(prepared)
+    assert type(folded[1]) is RuntimeError and str(folded[1]) == "injected failure"
+    assert folded[1].__traceback__ is None
+    assert_same_report(folded[0], alone[0])
+    assert_same_report(folded[2], alone[2])
+    assert all(dt > 0.0 for dt in seconds)
 
 
 def test_logs_of_equal_but_distinct_arrays_compare_equal():
@@ -1441,6 +1499,7 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
     monkeypatch.setattr(kernel, "at", counted_at)
     monkeypatch.setattr(kernel, "solve", counted_solve)
     monkeypatch.setattr(kernel, "curvature", counted_curvature)
+    monkeypatch.setattr(solver, "_KERNELS", threading.local())
     y, design = simulated(60, seed=231)
     report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
     assert report.skipped == () and report.all_converged
@@ -1454,9 +1513,9 @@ def test_a_one_observation_stream_builds_one_kernel_and_evaluates_only_iterates(
 
 
 def test_updates_on_one_thread_share_one_kernel(monkeypatch):
-    # the kernel keeps nothing of a problem between solves, so the solver's
-    # one per thread serves every one-observation update with the same
-    # supports and gamma
+    # the kernel keeps nothing of a problem between solves and takes the
+    # objective weights with each, so the solver's one per thread serves
+    # every one-observation update on the same supports, at any gamma
     built = []
     init = solver._StackKernel.__init__
 
@@ -1472,10 +1531,48 @@ def test_updates_on_one_thread_share_one_kernel(monkeypatch):
         states.append(update_step(states[-1], y[i], design[i], error_row))
     assert len(built) == 1
     other = update_step(state, y[8], design[8], error_row, UpdateSettings(gamma=0.3))
-    assert len(built) == 2 and other.beta_hat.tolist() != states[1].beta_hat.tolist()
+    assert len(built) == 1 and other.beta_hat.tolist() != states[1].beta_hat.tolist()
     again = update_step(state, y[8], design[8], error_row)
-    assert len(built) == 3
+    assert len(built) == 1
     assert again.beta_prior.tobytes() == states[1].beta_prior.tobytes()
+
+
+def test_one_observation_fits_and_updates_on_one_thread_share_one_kernel(monkeypatch):
+    # the kernel is keyed on the values of the coefficient supports and the
+    # error prior, so one-observation fits on a stream's grid and its updates
+    # reuse one, in any order, each solve with the bits of a fresh kernel
+    built = []
+    init = solver._StackKernel.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    state, y, design, error_row = stream_after_batch(n=30)
+    grid = SupportGrid.tiled(BETA_ROW, design.shape[1], error_row, 1)
+
+    def run(kinds, fresh):
+        current, out = state, []
+        for i, kind in zip(range(8, 28), kinds):
+            if fresh:
+                monkeypatch.setattr(solver, "_KERNELS", threading.local())
+            if kind == "fit":
+                fit = solve_gce(GceProblem(y[i : i + 1], design[i : i + 1], grid))
+                out.append((fit.multipliers.tobytes(), fit.distributions.beta.tobytes()))
+            else:
+                current = update_step(current, y[i], design[i], error_row)
+                out.append((current.beta_prior.tobytes(), current.entropy_ledger[-1]))
+        return out
+
+    monkeypatch.setattr(solver._StackKernel, "__init__", counted_init)
+    counts = []
+    for kinds in (["update"] * 10, ["fit"] * 10, ["update", "fit"] * 10):
+        monkeypatch.setattr(solver, "_KERNELS", threading.local())
+        built.clear()
+        got = run(kinds, fresh=False)
+        counts.append(len(built))
+        assert got == run(kinds, fresh=True)
+    assert counts == [1, 1, 1]
 
 
 def test_threads_updating_at_once_each_use_their_own_kernel():
