@@ -22,7 +22,6 @@ from .experiments import (
     solve_file,
 )
 from .simulation import SimulationConfig, generate_dataset, save_dataset_csv
-from .solver import InfeasibleObservationError
 
 
 @functools.cache
@@ -106,7 +105,7 @@ def _cmd_solve(args) -> int:
             standardize=args.std,
             gamma=args.gamma,
         )
-    except (InfeasibleObservationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

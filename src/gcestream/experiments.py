@@ -8,15 +8,18 @@ reports plus plot-ready figure data. Every method's rmse is computed over all
 n observations with that method's final coefficients, so columns are directly
 comparable.
 
-Cells run in four steps. Each cell is planned first: its dataset and its
-one-shot problems, each fraction's batch problem built once and shared by
-the streams on the raw design. Then the one-shot problems of every planned
-cell are solved in stacks, one solve for all the problems of one size, and
-each cell's streams are prepared from their batch fits. Then the streams of
-every cell are folded together (``streaming._fold``), so one stacked solve
-advances the same-size blocks of a lane of them. Then each cell is scored. A
-cell fails alone when its planning, one of its one-shot solves or one of
-its streams raises.
+Cells run in four steps. Each cell is planned first: its dataset and the
+arrays of its one-shot problems, each fraction's batch problem laid out once
+and shared by the streams on the raw design. Then the one-shot problems of
+every planned cell are checked and solved in stacks of arrays, one solve for
+all the problems of one size, and each cell's streams are prepared from
+their batch fits, the streams of a batch fraction sharing one support grid.
+No problem or solution object is built on the way: ``GceProblem`` and
+``GceSolution`` are for callers of ``solve_gce`` and ``run_stream``. Then
+the streams of every cell are folded together (``streaming._fold``), so one
+stacked solve advances the same-size blocks of a lane of them. Then each
+cell is scored. A cell fails alone when its planning, one of its one-shot
+fits or one of its streams raises.
 
 Replication seeds are derived from (seed_base, scenario name, eta index,
 replication index) through a seed sequence, so runs are reproducible cell by
@@ -65,9 +68,11 @@ from .simulation import (
     load_dataset_csv,
     standardize_columns,
 )
-from .solver import GceProblem, SolverSettings, _solve_problems, solve_gce
-from .streaming import UpdateSettings, _failure, _fold, _prepare_stream, run_stream
-from .core import SupportGrid, _entries, _flag, _integer, _real
+from .solver import GceProblem, SolverSettings, _check_hull, _solve_dual, solve_gce
+from .streaming import (
+    UpdateSettings, _check_block, _failure, _Fit, _fold, _prepare_stream, run_stream,
+)
+from .core import SupportGrid, _entries, _flag, _integer, _real, _simplex_rows, _support_rows
 
 __all__ = [
     "ConfigError",
@@ -299,9 +304,9 @@ class CellOutcome:
     ``method_seconds`` holds one entry per distinct estimation run (methods
     shared across batch fractions appear once); their sum accounts for
     ``estimation_seconds``, the time of the whole estimation section. A
-    one-shot fit is charged the building of its problem and an equal share
-    of the stacked solve it was part of. A fraction's batch fit is charged
-    to ``gce_batch``, which the streams on the raw design start from without
+    one-shot fit is charged an equal share of the checks and the solve of
+    the stack it was part of. A fraction's batch fit is charged to
+    ``gce_batch``, which the streams on the raw design start from without
     solving it again; the stream on the standardized design is charged its
     own batch fit. A stream is charged its preparation and its share of the
     fold: an equal share of its lane's set-up and of each stack of blocks it
@@ -332,27 +337,23 @@ def _outcome(step, *args):
         return _failure(exc)
 
 
-def _plain_problem(y, design, support_row, error_row) -> GceProblem:
-    """The one-shot problem on uniform priors over tiled support rows."""
-    return GceProblem(y, design, SupportGrid.tiled(support_row, design.shape[1], error_row, len(y)))
-
-
 @dataclass
 class _CellPlan:
     """A cell after planning: its one-shot problems, then its fits, then its streams.
 
     ``one_shots`` holds the data of the cell's one-shot problems, as ``(y,
-    x, error row)`` on the support row ``support_row``, by their
-    ``method_seconds`` key, in the order they are reported: ``gce_dataset``,
-    then per batch fraction ``gce_batch`` and, with ``run_std``, the batch
-    fit of the stream on the standardized design. ``fits`` holds each
-    problem's solution, or the exception that building or solving it
-    raised. ``fractions``, filled by ``prepare``, holds per batch fraction
-    its one-shot results and its streams, each as its ``method_seconds``
-    key, method, g, the regressors it is scored on and the prepared stream,
-    in report order. ``method_seconds`` holds the wall time charged so far
-    per method, and ``planning_seconds`` that of the planning, the cell's
-    share of the one-shot solves and the preparation.
+    x, error row)`` on the support row ``support_row`` (checked when
+    planned), by their ``method_seconds`` key, in the order they are
+    reported: ``gce_dataset``, then per batch fraction ``gce_batch`` and,
+    with ``run_std``, the batch fit of the stream on the standardized
+    design. ``fits`` holds each problem's ``_Fit``, or the exception that
+    checking or solving it raised. ``fractions``, filled by ``prepare``,
+    holds per batch fraction its one-shot results and its streams, each as
+    its ``method_seconds`` key, method, g, the regressors it is scored on
+    and the prepared stream, in report order. ``method_seconds`` holds the
+    wall time charged so far per method, and ``planning_seconds`` that of
+    the planning, the cell's share of the one-shot solves and the
+    preparation.
     """
 
     scenario: ScenarioConfig
@@ -378,10 +379,11 @@ class _CellPlan:
     def prepare(self) -> "_CellPlan":
         """Score the one-shot fits and prepare the streams, each from its batch fit.
 
-        Returns the plan, or raises the first exception a one-shot solve of
+        Returns the plan, or raises the first exception a one-shot fit of
         the cell raised. The streams on the raw design start from their
         fraction's ``gce_batch`` fit, the stream on the standardized design
-        from its own batch fit.
+        from its own batch fit, and every stream of a fraction shares the
+        grid of its first.
         """
         for key in self.one_shots:
             if isinstance(self.fits[key], Exception):
@@ -396,7 +398,7 @@ class _CellPlan:
             fit = self.fits[key]
             score = rmse(y_fit, self.x, fit.beta_hat, include_intercept=est_int)
             wallclock_ms = self.method_seconds[key] * 1e3
-            return MethodResult(method, score, None, fit.diagnostics.converged, wallclock_ms)
+            return MethodResult(method, score, None, fit.converged, wallclock_ms)
 
         full_result = result("gce_dataset", "gce_dataset")
         for fraction in scenario.batch_fractions:
@@ -404,6 +406,7 @@ class _CellPlan:
             one_shot = (full_result, result(f"gce_batch@{fraction}", "gce_batch"))
             streams = []
             self.fractions.append((fraction, one_shot, streams))
+            grid = None  # the first stream's, which the fraction's other streams share
             for name, g, suffix, x_design, x_eval in self.variants:
                 key = f"{name}@{fraction}{suffix}"
                 batch_key = f"gce_batch@{fraction}" if x_design is self.design else key
@@ -411,8 +414,9 @@ class _CellPlan:
                 stream = _prepare_stream(
                     y_fit, x_design, m, g, update_settings, beta_support=self.support_row,
                     error_support=None, error_points=scenario.error_points,
-                    error_scale=scenario.error_scale, batch_fit=self.fits[batch_key],
+                    error_scale=scenario.error_scale, batch_fit=self.fits[batch_key], grid=grid,
                 )
+                grid = stream.grid
                 self.method_seconds[key] = self.method_seconds.get(key, 0.0) + clock() - t0
                 streams.append((key, name, g, x_eval, stream))
         # the streams hold the batch fits they start from; nothing else is read again
@@ -466,7 +470,7 @@ def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
     streams on the raw design at that fraction solve the same problem for
     their batch, so they start from its fit. The stream on the standardized
     design gets its own batch problem here, so that every one-shot problem
-    of the cell is known before any is solved.
+    of the cell is known before any is solved, on one checked support row.
     """
     solver = solver if solver is not None else SolverSettings()
     clock = time.perf_counter
@@ -475,7 +479,6 @@ def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
     ds = generate_dataset(sim)
     y_fit = ds.y if scenario.estimate_intercept else ds.y - ds.intercept
     design = np.column_stack([np.ones(ds.n), ds.x]) if scenario.estimate_intercept else ds.x
-    support_row = np.asarray(sim.beta_support)
     # one stream per block size, plus the standardized design when requested:
     # (method, g, method_seconds key suffix, design, regressors it is scored on)
     variants = [
@@ -495,57 +498,70 @@ def _plan_cell(scenario, eta, seed, solver) -> _CellPlan:
         for name, _, suffix, x_design, _ in variants:
             if x_design is not design:
                 one_shots[f"{name}@{fraction}{suffix}"] = (y_fit[:m], x_design[:m], batch_row)
+    (support_row,) = _support_rows(sim.beta_support, "beta_support")
     return _CellPlan(
         scenario, eta, seed, solver, ds.x, y_fit, design, variants, support_row, one_shots,
         dict.fromkeys(one_shots, 0.0), clock() - t_start,
     )
 
 
+def _fit_stack(problems, zb, solver) -> list[_Fit]:
+    """Check and solve one-shot problems on uniform priors as one stack; the ``_Fit`` of each.
+
+    ``problems`` holds ``(y, x, error row)`` per problem, all of one size,
+    on the checked coefficient supports ``zb``. The stack is checked as
+    ``GceProblem`` checks a problem, so a stack of one raises what its
+    problem raises. Each fit has the bits ``solve_gce`` would give it.
+    """
+    y, x, rows = (np.stack(arrays) for arrays in zip(*problems))
+    (s, m, j), k, h = x.shape, zb.shape[1], rows.shape[1]
+    ys, xs, ze = _check_block(y.reshape(-1), x.reshape(-1, j), zb, np.repeat(rows, m, axis=0))
+    # the priors JointDistribution.uniform gives a problem, all m error rows:
+    # _simplex_rows renormalizes one row and several to other bits from 9 points
+    qb = _simplex_rows(np.full((j, k), 1.0 / k), "beta")
+    qe = _simplex_rows(np.full((m, h), 1.0 / h), "error")
+    _check_hull(ys, xs, zb, qb, ze, qe)
+    _, pt, (_, _, converged) = _solve_dual(
+        y, x, zb, ze.reshape(s, m, h), np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver
+    )
+    return [
+        _Fit(_simplex_rows(pt.pb[i], "beta"), pt.beta_hat[i], pt.eps_hat[i], verdict)
+        for i, verdict in enumerate(converged.tolist())
+    ]
+
+
 def _solve_one_shots(plans) -> None:
-    """Build and solve the one-shot problems of every plan, in stacks, into each plan's ``fits``.
+    """Check and solve the one-shot problems of every plan, in stacks, into each plan's ``fits``.
 
     Problems that share the number of observations, the support row, the
     number of regressors, the error row width and the solver settings form
-    a stack, solved by one call; each gets its fit alone, bit for bit. A
-    problem that cannot be built keeps the exception as its fit. A stack
-    that raises is solved again one problem at a time, and a problem that
-    raises alone keeps its exception. A problem is charged its building and
-    an equal share of its stack's solve. A stack holds at most
-    ``_MAX_ONE_SHOT_STACK`` problems, built just before it is solved and
-    dropped after, so only one stack's are alive at a time.
+    a stack, checked and solved by one ``_fit_stack``; each gets its fit
+    alone, bit for bit. A stack that raises is checked and solved again one
+    problem at a time, and a problem that raises alone keeps the exception
+    as its fit, the one ``GceProblem`` or ``solve_gce`` raises. A problem is
+    charged an equal share of its stack's checks and solve. A stack holds at
+    most ``_MAX_ONE_SHOT_STACK`` problems, stacked just before it is solved
+    and dropped after, so only one stack's arrays are alive at a time.
     """
     clock = time.perf_counter
     stacks: dict = {}
     for plan in plans:
-        row = np.asarray(plan.support_row, dtype=float).tobytes()
+        row = plan.support_row.tobytes()
         for key, (y, x, error_row) in plan.one_shots.items():
             shape = (y.size, row, x.shape[1], error_row.size, plan.solver)
             stacks.setdefault(shape, []).append((plan, key))
     size = _MAX_ONE_SHOT_STACK
     chunks = [group[i : i + size] for group in stacks.values() for i in range(0, len(group), size)]
     for members in chunks:
-        built = []
-        for plan, key in members:
-            t0 = clock()
-            y, x, error_row = plan.one_shots[key]
-            problem = _outcome(_plain_problem, y, x, plan.support_row, error_row)
-            if isinstance(problem, Exception):
-                plan.fits[key] = problem
-            else:
-                built.append((plan, key, problem))
-            dt = clock() - t0
-            plan.method_seconds[key] += dt
-            plan.planning_seconds += dt
-        if not built:
-            continue
         t0 = clock()
-        problems = [problem for _, _, problem in built]
-        solver = built[0][0].solver
-        fits = _outcome(_solve_problems, problems, solver)
+        problems = [plan.one_shots[key] for plan, key in members]
+        plan = members[0][0]  # the stack's support row and solver settings
+        zb = np.tile(plan.support_row, (problems[0][1].shape[1], 1))
+        fits = _outcome(_fit_stack, problems, zb, plan.solver)
         if isinstance(fits, Exception):  # again, one problem at a time
-            fits = [_outcome(lambda p: _solve_problems([p], solver)[0], p) for p in problems]
-        share = (clock() - t0) / len(built)
-        for (plan, key, _), fit in zip(built, fits):
+            fits = [_outcome(lambda p: _fit_stack([p], zb, plan.solver)[0], p) for p in problems]
+        share = (clock() - t0) / len(members)
+        for (plan, key), fit in zip(members, fits):
             plan.fits[key] = fit
             plan.method_seconds[key] += share
             plan.planning_seconds += share
@@ -754,7 +770,8 @@ def solve_file(
 
     if mode == "gce":
         error_row = _scaled_error_support(y, y.size, "full", error_points)
-        fit = solve_gce(_plain_problem(y, design, support_row, error_row), solver)
+        grid = SupportGrid.tiled(support_row, design.shape[1], error_row, y.size)
+        fit = solve_gce(GceProblem(y, design, grid), solver)
         beta_hat, ledger, converged, skipped, m, g = (
             fit.beta_hat, np.array([]), fit.diagnostics.converged, (), int(y.size), int(y.size)
         )

@@ -20,13 +20,15 @@ domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
 The solver works on plain arrays (data, supports, prior weights), so the
-streaming updates solve without building a ``GceProblem``. Every solve runs
-over a stack of S problems that share m, their coefficient supports, error
-prior and weights, so one set of numpy calls advances every problem of the
-stack, and a stack of one serves a single solve. Each problem keeps its own
-Newton control and gets the bits it would get alone. Solves of a single
-constraint (m = 1: a one-observation fit or streaming step) go through a
-kernel whose rows are every problem's coefficient rows and lone error row.
+streaming updates and the experiments' one-shot fits solve without building a
+``GceProblem``; ``solve_gce`` is the one place that takes a problem and gives
+a ``GceSolution``. Every solve runs over a stack of S problems that share m,
+their coefficient supports, error prior and weights, so one set of numpy
+calls advances every problem of the stack, and ``solve_gce`` solves a stack
+of one. Each problem keeps its own Newton control and gets the bits it would
+get alone. Solves of a single constraint (m = 1: a one-observation fit or
+streaming step) go through a kernel whose rows are every problem's
+coefficient rows and lone error row.
 It never forms the dual value, which only the multi-constraint line search
 reads, and holds nothing of a problem between solves, so a thread reuses its
 last one while the supports and error prior are equal: streams, gammas and
@@ -84,14 +86,15 @@ _KERNELS = threading.local()
 class InfeasibleObservationError(ValueError):
     """Raised when observed values cannot be reproduced from the support hulls.
 
-    ``indices`` lists the offending observations. ``boundary`` distinguishes
+    ``indices`` lists the offending observations, and ``lo`` and ``hi`` are
+    the first one's hull bounds as Python floats. ``boundary`` distinguishes
     values sitting exactly on the hull edge (reachable only by degenerate
     point masses, so still rejected) from values strictly outside it.
     """
 
     def __init__(self, indices, lo, hi, boundary: bool = False):
         self.indices = tuple(int(i) for i in indices)
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = lo, hi = float(lo), float(hi)
         self.boundary = bool(boundary)
         where = ", ".join(str(i) for i in self.indices)
         if boundary:
@@ -872,11 +875,6 @@ def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     return lam, pt, (np.array(iterations), residuals, residuals <= settings.constraint_tolerance)
 
 
-def _stacked(arrays) -> np.ndarray:
-    """The arrays stacked along a new leading axis; a lone array as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
     """The evaluator of a stack of one: a problem's data, grid and prior."""
     grid, prior = problem.supports, problem.prior
@@ -884,53 +882,6 @@ def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -
         problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
         _log_priors(prior.beta)[None], _log_priors(prior.error), signal_weight, error_weight,
     )
-
-
-def _solve_problems(
-    problems, settings: SolverSettings, signal_weight: float = 1.0, error_weight: float = 1.0
-) -> list[GceSolution]:
-    """``solve_gce`` for a stack of problems solved as one, each bit for bit its fit alone.
-
-    The problems must share the number of observations, the coefficient
-    supports and the error prior weights; a stack that does not raises
-    ValueError.
-    """
-    first = problems[0]
-    zb, qe = first.supports.beta_support, first.prior.error
-    for problem in problems[1:]:
-        grid = problem.supports
-        if not (
-            problem.y.shape == first.y.shape
-            and np.array_equal(grid.beta_support, zb)
-            and np.array_equal(problem.prior.error, qe)
-        ):
-            raise ValueError(
-                "a stack of problems must share m, the coefficient supports and the error prior"
-            )
-    lam, pt, verdicts = _solve_dual(
-        _stacked([p.y for p in problems]), _stacked([p.x for p in problems]), zb,
-        _stacked([p.supports.error_support for p in problems]),
-        _stacked([p.prior.beta for p in problems]), qe, signal_weight, error_weight, settings,
-    )
-    diagnostics = [SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
-    lam.setflags(write=False)
-    solutions = []
-    for i, problem in enumerate(problems):
-        distributions = JointDistribution(pt.pb[i], pt.pe[i])
-        objective = signal_weight * kl_divergence(
-            distributions.beta, problem.prior.beta
-        ).sum() + error_weight * kl_divergence(distributions.error, problem.prior.error).sum()
-        solutions.append(
-            GceSolution(
-                distributions=distributions,
-                multipliers=lam[i],
-                beta_hat=pt.beta_hat[i].copy(),
-                epsilon_hat=pt.eps_hat[i].copy(),
-                objective_value=float(objective),
-                diagnostics=diagnostics[i],
-            )
-        )
-    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -993,5 +944,16 @@ def solve_gce(
     """
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
-    (solution,) = _solve_problems([problem], settings, signal_weight, error_weight)
-    return solution
+    grid, prior = problem.supports, problem.prior
+    lam, pt, verdicts = _solve_dual(
+        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
+        prior.beta[None], prior.error, signal_weight, error_weight, settings,
+    )
+    distributions = JointDistribution(pt.pb[0], pt.pe[0])
+    objective = signal_weight * kl_divergence(distributions.beta, prior.beta).sum() + (
+        error_weight * kl_divergence(distributions.error, prior.error).sum()
+    )
+    lam.setflags(write=False)
+    diagnostics = SolverDiagnostics(*(v.tolist()[0] for v in verdicts))
+    beta_hat, eps_hat = pt.beta_hat[0].copy(), pt.eps_hat[0].copy()
+    return GceSolution(distributions, lam[0], beta_hat, eps_hat, float(objective), diagnostics)

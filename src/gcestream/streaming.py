@@ -48,6 +48,7 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,6 +278,9 @@ class StreamReport:
     ``epsilon_hat``, ``entropy_ledger`` and ``beta_trajectory`` are
     read-only views of ``final_state``'s log arrays, so the logs are stored
     once, and an update of ``final_state`` leaves them unchanged.
+    ``batch_solution`` is the batch's ``GceSolution`` when the stream solved
+    its batch itself, as ``run_stream`` does; else (no batch, or a batch fit
+    solved elsewhere, as ``run_experiment``'s streams have) it is None.
     """
 
     beta_hat: np.ndarray
@@ -458,6 +462,18 @@ def update_step(
 # ---------------------------------------------------------------------------
 
 
+class _Fit(NamedTuple):
+    """What is read again of a one-shot fit: a stream's start, or a score.
+
+    ``beta`` holds the coefficient weights, renormalized as a ``GceSolution``'s are.
+    """
+
+    beta: np.ndarray  # (J, K)
+    beta_hat: np.ndarray  # (J,)
+    epsilon_hat: np.ndarray  # (m,)
+    converged: bool
+
+
 @dataclass(frozen=True)
 class _Stream:
     """A stream ready to fold: checked data, its blocks and where its batch left it.
@@ -465,7 +481,9 @@ class _Stream:
     Its blocks are ``block`` observations each from observation ``batch``
     on, the last keeping the remainder. ``rows`` holds every observation's
     error support row and ``inside`` whether it lies strictly inside its
-    full-support hull, both resolved before the first solve.
+    full-support hull, both resolved before the first solve. ``fit`` is its
+    batch fit, or for a stream without a batch its uniform start, a fit of
+    no observations. ``batch_solution`` is its report's.
     """
 
     y: np.ndarray  # (n,)
@@ -475,8 +493,7 @@ class _Stream:
     settings: UpdateSettings
     batch: int
     block: int
-    prior: np.ndarray  # (J, K) weights after the batch, or uniform
-    start: np.ndarray  # (J,) their beta_hat
+    fit: _Fit
     grid: SupportGrid  # its final StreamState's
     batch_solution: GceSolution | None
 
@@ -492,15 +509,19 @@ def _prepare_stream(
     error_support,
     error_points,
     error_scale,
-    batch_fit: GceSolution | None = None,
+    batch_fit: _Fit | None = None,
+    grid: SupportGrid | None = None,
 ) -> _Stream:
     """Check a stream, resolve its error rows and hull tests, and fit its batch.
 
     Takes ``run_stream``'s arguments and makes all of its checks. With
-    ``batch_fit``, the solution of this stream's own batch problem solved
-    elsewhere (``solve_gce`` on ``y[:batch_size]``, ``x[:batch_size]`` and
-    the stream's grid), the stream starts from it instead of solving the
-    batch again.
+    ``batch_fit``, the ``_Fit`` of this stream's own batch problem solved
+    elsewhere (the uniform-prior problem on ``y[:batch_size]``,
+    ``x[:batch_size]`` and the stream's grid), the stream starts from it
+    instead of solving the batch again, and has no ``batch_solution``. With
+    ``grid``, a grid equal to the one this stream would build (that of a
+    stream on the same coefficient supports, batch size and batch error
+    rows), the stream shares it instead of building its own.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     batch_size = _integer(batch_size, "batch_size")
@@ -535,18 +556,18 @@ def _prepare_stream(
             rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
         rows = _error_rows(rows)
 
-    grid = SupportGrid(zb, rows[: max(batch_size, 1)])
-    if batch_size >= 1:
-        if batch_fit is None:
-            batch_fit = init_stream(GceProblem(y[:batch_size], x[:batch_size], grid), settings)[1]
-        prior, start = batch_fit.distributions.beta, batch_fit.beta_hat
-    else:
+    if grid is None:
+        grid = SupportGrid(zb, rows[: max(batch_size, 1)])
+    solution = None
+    if batch_size < 1:
         state = StreamState.uniform_start(grid)
-        prior, start = state.beta_prior, state.beta_hat
-    return _Stream(
-        y, x, rows, _inside(y, x, zb, rows), settings, batch_size, block_size, prior, start,
-        grid, batch_fit,
-    )
+        batch_fit = _Fit(state.beta_prior, state.beta_hat, np.empty(0), True)
+    elif batch_fit is None:
+        solution = init_stream(GceProblem(y[:batch_size], x[:batch_size], grid), settings)[1]
+        batch_fit = _Fit(solution.distributions.beta, solution.beta_hat, solution.epsilon_hat,
+                         solution.diagnostics.converged)
+    inside = _inside(y, x, zb, rows)
+    return _Stream(y, x, rows, inside, settings, batch_size, block_size, batch_fit, grid, solution)
 
 
 def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
@@ -638,7 +659,7 @@ class _Lane:
             y, x, rows, inside = (d[at] for d in data)
             self.stacks[t].append((a, b, y, x, rows, inside.all(axis=1)))
 
-        self.carried = np.stack([stream.prior for stream in members])
+        self.carried = np.stack([stream.fit.beta for stream in members])
         self.positive = np.minimum.reduce(self.carried, axis=(1, 2)) > 0.0
         self.alive, self.steps, self.seconds = np.ones(s, dtype=bool), batch.copy(), np.zeros(s)
         self.base = base = int(batch.max())
@@ -647,10 +668,9 @@ class _Lane:
         self.trajectory = np.zeros((s, rounds + 1, self.zb.shape[0]))
         self.converged = np.ones((s, rounds + 1), dtype=bool)
         for p, stream in enumerate(members):
-            self.trajectory[p, 0] = stream.start
-            if stream.batch_solution is not None:
-                self.eps[p, base - stream.batch : base] = stream.batch_solution.epsilon_hat
-                self.converged[p, 0] = stream.batch_solution.diagnostics.converged
+            self.trajectory[p, 0] = stream.fit.beta_hat
+            self.eps[p, base - stream.batch : base] = stream.fit.epsilon_hat
+            self.converged[p, 0] = stream.fit.converged
         self.skipped: dict = {}  # position -> skipped rounds
 
     def run(self, mark: float, seconds: list) -> float:

@@ -29,7 +29,15 @@ from gcestream import (
     write_summary_csv,
     write_summary_json,
 )
-from gcestream import experiments, streaming
+from gcestream import (
+    GceProblem,
+    GceSolution,
+    InfeasibleObservationError,
+    JointDistribution,
+    SupportGrid,
+    solve_gce,
+)
+from gcestream import core, experiments, solver, streaming
 from gcestream.cli import main
 
 rng = np.random.default_rng(577215)
@@ -552,6 +560,78 @@ def infeasible_scenario_dict():
     }
 
 
+@pytest.mark.parametrize(
+    "overrides, error, start",
+    [
+        (
+            {"intercept": 1000.0, "beta_support": [-0.001, 0.001]},
+            InfeasibleObservationError,
+            "observation(s) 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 fall outside the attainable hull [",
+        ),
+        (
+            {"beta_support": [-1e200, 0.0, 1e200]},
+            ValueError,
+            "beta_support row 0 spans [-1e+200, 1e+200], too wide: ",
+        ),
+    ],
+)
+def test_a_cell_fails_as_the_problem_of_its_first_one_shot_fit_fails(overrides, error, start):
+    # the array checks of the one-shot fits raise what GceProblem raises on
+    # the dataset-level problem, the first of the cell
+    raw = {**infeasible_scenario_dict(), "intercept": 0.0, **overrides}
+    config = parse_experiment_config({"scenarios": [raw], "replications": 1, "seed_base": 1})
+    (scenario,) = config.scenarios
+    with pytest.raises(error) as got:
+        run_cell(scenario, 0.0, 11)
+    data = generate_dataset(dataclasses.replace(scenario.simulation, eta=0.0, seed=11))
+    design = np.column_stack([np.ones(data.n), data.x])
+    row = build_error_support(data.y)
+    with pytest.raises(error) as want:
+        grid = SupportGrid.tiled(scenario.simulation.beta_support, design.shape[1], row, data.n)
+        GceProblem(data.y, design, grid)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(start) and "np." not in str(got.value)
+
+
+@pytest.mark.parametrize("fractions", [(0.5,), (0.25, 0.5)])
+def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch, fractions):
+    # the one-shot fits build no problem, distribution or objective, and the
+    # streams of a batch fraction share one grid; a stream that solves its
+    # own batch still reports the batch's GceSolution
+    counts = {}
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return function(*args, **kwargs)
+
+        return counting
+
+    for cls in (GceProblem, JointDistribution, SupportGrid):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    for module in (core, solver):
+        monkeypatch.setattr(module, "kl_divergence", counted("kl", module.kl_divergence))
+    scenario = small_scenario(run_std=True, batch_fractions=fractions)
+    outcome = run_cell(scenario, 0.0, 5)
+    assert counts == {"SupportGrid": len(fractions)}
+    assert len(outcome.reports) == len(fractions)
+
+    data = generate_dataset(dataclasses.replace(scenario.simulation, eta=0.0, seed=5))
+    design = np.column_stack([np.ones(data.n), data.x])
+    m, support = 10, scenario.simulation.beta_support
+    report = run_stream(data.y, design, m, 1, beta_support=support)
+    grid = SupportGrid.tiled(support, design.shape[1], build_error_support(data.y[:m]), m)
+    want = solve_gce(GceProblem(data.y[:m], design[:m], grid))
+    got = report.batch_solution
+    assert type(got) is GceSolution
+    for name in ("multipliers", "beta_hat", "epsilon_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.distributions.beta.tobytes() == want.distributions.beta.tobytes()
+    assert got.distributions.error.tobytes() == want.distributions.error.tobytes()
+    assert (got.objective_value, got.diagnostics) == (want.objective_value, want.diagnostics)
+
+
 def test_failed_cells_are_recorded_not_fatal(tmp_path):
     config = parse_experiment_config(
         {"scenarios": [infeasible_scenario_dict()], "replications": 2, "seed_base": 1}
@@ -663,16 +743,16 @@ def test_a_one_shot_fit_that_raises_in_its_stack_fails_its_cell_only(tmp_path, m
     scenario, eta, seed = cell_seeds(config)[4]  # collinear, eta 1, replication 0
     data = generate_dataset(dataclasses.replace(scenario.simulation, eta=eta, seed=seed))
     marker = data.y[3]  # in every one-shot problem of the cell
-    solve = experiments._solve_problems
+    solve = experiments._solve_dual
     stacks = []
 
-    def failing(problems, *args):
-        if any((problem.y == marker).any() for problem in problems):
-            stacks.append(len(problems))
+    def failing(y, *args):
+        if (y == marker).any():
+            stacks.append(len(y))
             raise RuntimeError("injected failure")
-        return solve(problems, *args)
+        return solve(y, *args)
 
-    monkeypatch.setattr(experiments, "_solve_problems", failing)
+    monkeypatch.setattr(experiments, "_solve_dual", failing)
     outcome = run_experiment(config, out_dir=tmp_path / "failing")
     assert outcome.exit_code == 2
     assert outcome.failures == (f"collinear[eta={eta}, rep=0, seed={seed}]: injected failure",)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,6 +136,34 @@ def test_two_point_solution_matches_fine_grid_oracle():
     assert sol.diagnostics.converged
     np.testing.assert_allclose(sol.beta_hat, ora.beta_hat, atol=1e-4)
     assert sol.objective_value <= ora.objective + 1e-9
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (2.5, "observation(s) 0 fall outside the attainable hull [-1.0, 2.0]"),
+        (
+            2.0,
+            "observation(s) 0 lie exactly on the attainable hull boundary [-1.0, 2.0] "
+            "and would force degenerate point masses",
+        ),
+    ],
+)
+def test_an_infeasible_observation_names_its_hull_in_plain_numbers(y, message):
+    with pytest.raises(InfeasibleObservationError) as info:
+        two_point_problem(y=y)
+    assert str(info.value) == message
+    assert type(info.value.lo) is float and type(info.value.hi) is float
+
+
+def test_an_infeasibility_error_survives_a_pickle_round_trip():
+    # a worker process sends a failed cell's error back to its parent this way
+    with pytest.raises(InfeasibleObservationError) as info:
+        two_point_problem(y=2.0)
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is InfeasibleObservationError
+    assert (back.indices, back.lo, back.hi, back.boundary) == ((0,), -1.0, 2.0, True)
+    assert str(back) == str(info.value)
 
 
 def test_prior_feasible_response_solves_at_zero():
@@ -418,13 +447,15 @@ def collinear_stall_problem(seed=1007, eta=1.0):
     return GceProblem(ds.y, design, grid)
 
 
-def assert_same_solution(got, want):
-    for name in ("multipliers", "beta_hat", "epsilon_hat"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.distributions.beta.tobytes() == want.distributions.beta.tobytes()
-    assert got.distributions.error.tobytes() == want.distributions.error.tobytes()
-    assert got.objective_value == want.objective_value
-    assert got.diagnostics == want.diagnostics
+def problem_stack(problems):
+    """The ``_solve_dual`` stack arguments ``(y, x, zb, ze, qb, qe)`` of problems sharing m,
+    the coefficient supports and the error prior."""
+    first = problems[0]
+    return (
+        np.stack([p.y for p in problems]), np.stack([p.x for p in problems]),
+        first.supports.beta_support, np.stack([p.supports.error_support for p in problems]),
+        np.stack([p.prior.beta for p in problems]), first.prior.error,
+    )
 
 
 def test_the_collinear_stall_stacked_with_converging_fits_keeps_every_fit_its_bits():
@@ -432,11 +463,11 @@ def test_the_collinear_stall_stacked_with_converging_fits_keeps_every_fit_its_bi
     # few; each keeps the solution it gets alone
     capped = SolverSettings(max_iterations=20)
     problems = [collinear_stall_problem(*case) for case in ((1007, 1.0), (3, 1.0), (4, 0.0))]
-    stacked = solver._solve_problems(problems, capped)
+    stacked = assert_stack_is_stacks_of_one(*problem_stack(problems), 1.0, 1.0, capped)
     for got, problem in zip(stacked, problems):
-        assert_same_solution(got, solve_gce(problem, capped))
-    assert [fit.diagnostics.converged for fit in stacked] == [False, True, True]
-    assert stacked[0].diagnostics.iterations == 20
+        assert got == solve_gce(problem, capped).diagnostics
+    assert [fit.converged for fit in stacked] == [False, True, True]
+    assert stacked[0].iterations == 20
 
 
 def collapse_problems():
@@ -461,8 +492,8 @@ def test_a_one_observation_fit_stops_when_no_representable_step_remains():
         assert 0.0 < fit.diagnostics.max_residual < 1e-12
         assert not fit.diagnostics.converged
     assert alone[3].diagnostics == solver.SolverDiagnostics(0, 0.0, True)
-    for got, want in zip(solver._solve_problems(problems + [idle], tight), alone):
-        assert_same_solution(got, want)
+    stacked = assert_stack_is_stacks_of_one(*problem_stack(problems + [idle]), 1.0, 1.0, tight)
+    assert stacked == [fit.diagnostics for fit in alone]
 
 
 def test_a_reused_kernel_gives_a_smaller_stack_the_bits_of_a_fresh_one():
@@ -487,15 +518,6 @@ def test_a_reused_kernel_gives_a_smaller_stack_the_bits_of_a_fresh_one():
     got = solved(reused, small, 0.6, 0.4)
     assert got == solved(solver._StackKernel(zb, log_qe_row), small, 0.6, 0.4)
     assert min(got[0]) >= 1
-
-
-def test_a_stack_of_problems_must_share_its_shape_and_supports():
-    base = collinear_stall_problem(3)
-    grid = base.supports
-    wider = SupportGrid(2.0 * grid.beta_support, grid.error_support)
-    for other in (protocol_like_problem(n=40), GceProblem(base.y, base.x, wider)):
-        with pytest.raises(ValueError, match="must share m, the coefficient supports"):
-            solver._solve_problems([base, other], SolverSettings())
 
 
 def test_a_singular_newton_system_fails_only_its_problem():
