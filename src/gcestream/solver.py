@@ -23,19 +23,20 @@ The solver works on plain arrays (data, supports, prior weights), so the
 streaming updates and the experiments' one-shot fits solve without building a
 ``GceProblem``; ``solve_gce`` is the one place that takes a problem and gives
 a ``GceSolution``. Every solve runs over a stack of S problems that share m,
-their coefficient supports, error prior and weights, so one set of numpy
-calls advances every problem of the stack, and ``solve_gce`` solves a stack
-of one. Each problem keeps its own Newton control and gets the bits it would
-get alone. Solves of a single constraint (m = 1: a one-observation fit or
-streaming step) go through a kernel whose rows are every problem's
-coefficient rows and lone error row.
-It never forms the dual value, which only the multi-constraint line search
-reads, and holds nothing of a problem between solves, so a thread reuses its
-last one while the supports and error prior are equal: streams, gammas and
-one-observation fits share one. Its Newton iteration starts at lam = 0 from
-the prior weights' own moments (the Gibbs weights there are the prior), with
-no exponential, and forms its iterates in place and its curvature only where
-a Newton step reads it.
+their coefficient supports, error prior and weights, so one set of numpy calls
+advances every problem of the stack, and ``solve_gce`` solves a stack of one.
+Each problem keeps its own Newton control and gets the bits it would get
+alone; with several constraints, every running problem is evaluated at each
+step halving of a Newton iteration, and the stack narrows after it. Solves of
+a single constraint (m = 1: a one-observation fit or streaming step) go
+through a kernel whose rows are every problem's coefficient rows and lone
+error row. It never forms the dual value, which only the multi-constraint line
+search reads, and holds nothing of a problem between solves, so a thread
+reuses its last one while the supports and error prior are equal: streams,
+gammas and one-observation fits share one. Its Newton iteration starts at
+lam = 0 from the prior weights' own moments (the Gibbs weights there are the
+prior), with no exponential, and forms its iterates in place and its curvature
+only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -79,7 +80,7 @@ _MAX_BACKTRACKS = 60
 # Relative ridge added to the Hessian diagonal when the plain system fails.
 _RIDGE_SCALE = 1e-10
 
-# Each thread's last _StackKernel and its key (see _solve_dual).
+# Each thread's last shared error row: its key, log prior and _StackKernel (see _solve_dual).
 _KERNELS = threading.local()
 
 
@@ -569,63 +570,54 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     Each problem keeps its own direction kind, step, backtracks, iteration
     count and stop, and gets the bits it would get alone. A step is accepted
     on the Armijo condition, halving it up to ``_MAX_BACKTRACKS`` times, and
-    a problem that finds no acceptable step stops. The problems still
-    looking for a step share it (every one of them has been halved as often),
-    and the stack evaluates only those, so a problem that spins costs its
-    neighbours nothing once they have stopped. Curvature is formed only where
-    a Newton direction reads it. Returns the multipliers (S, m), the final
-    stacked ``_DualPoint`` and the iteration counts (a list).
+    a problem that finds no acceptable step stops. The stack narrows to the
+    running problems once per iteration; within one, every running problem
+    is evaluated at each halving, and one that has accepted keeps its point
+    and ignores the rest. Curvature is formed only where a Newton direction
+    reads it. Returns the multipliers (S, m), the final stacked
+    ``_DualPoint`` and the iteration counts (an integer array).
     """
     s = ev.y.shape[0]
-    tol, cap = settings.constraint_tolerance, settings.max_iterations
+    tol = settings.constraint_tolerance
     lam = np.zeros(ev.y.shape)
     pt = ev.evaluate(lam)
-    iterations = [0] * s
-    residuals = np.abs(pt.grad).max(axis=1).tolist()
-    run = [i for i in range(s) if residuals[i] > tol]
-    while run:
-        # the problems still looking for a step: their stack rows, evaluator,
-        # multipliers, directions, values and slopes
-        if len(run) == s:
-            rows, ev_t, lam_t, cur = run, ev, lam, pt
-        else:
-            rows, ev_t, lam_t, cur = run, ev.take(run), lam[run], pt.take(run)
+    iterations = np.zeros(s, dtype=int)
+    run = np.flatnonzero(np.maximum.reduce(np.abs(pt.grad), axis=1) > tol)
+    # a running problem has moved on every iteration so far, so its count is the loop's
+    for count in range(1, settings.max_iterations + 1):
+        if not run.size:
+            break
+        whole = run.size == s
+        ev_t, cur, lam_t = (ev, pt, lam) if whole else (ev.take(run), pt.take(run), lam[run])
         direction = _newton_direction(ev_t, cur.grad, *ev_t.curvature(cur))
-        base, slope = cur.value.tolist(), _row_dots(cur.grad, direction).tolist()
+        slope = _row_dots(cur.grad, direction)
+        looking = None  # every running problem, until the first of them accepts
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = lam_t + step * direction
             cand = ev_t.evaluate(trial)
-            # the Armijo test in Python floats, numpy's float64 operations
-            values = cand.value.tolist()
-            ok = [v <= b + _ARMIJO_SLOPE * step * sl for v, b, sl in zip(values, base, slope)]
-            if all(ok):
-                if len(rows) == s:
+            ok = cand.value <= cur.value + _ARMIJO_SLOPE * step * slope
+            if looking is None:
+                if whole and ok.all():  # the whole stack accepts at once
                     lam, pt = trial, cand
-                else:
-                    lam[rows] = trial
-                    pt.put(rows, cand, slice(None))
-                rows = []
-                break
-            if any(ok):
-                accepted = [r for r, a in zip(rows, ok) if a]
-                lam[accepted] = trial[ok]
-                pt.put(accepted, cand, ok)
-                keep = [not a for a in ok]
-                rows = [r for r, k in zip(rows, keep) if k]
-                ev_t, lam_t, direction = ev_t.take(keep), lam_t[keep], direction[keep]
-                base = [b for b, k in zip(base, keep) if k]
-                slope = [sl for sl, k in zip(slope, keep) if k]
+                    break
+                looking = np.ones(run.size, dtype=bool)
+            # a problem's row of ``cur`` is overwritten only once it has accepted
+            ok &= looking
+            if ok.any():
+                if lam is lam_t:  # every trial starts from ``lam_t``: write to a copy
+                    lam = lam.copy()
+                lam[run[ok]] = trial[ok]
+                pt.put(run[ok], cand, ok)
+                looking ^= ok
+                if not looking.any():
+                    break
             step *= _BACKTRACK
-        moved = [i for i in run if i not in rows]  # the rest found no decrease
-        if not moved:
-            break
-        residuals = np.abs(pt.grad if len(moved) == s else pt.grad[moved]).max(axis=1).tolist()
-        run = []
-        for i, residual in zip(moved, residuals):
-            iterations[i] += 1
-            if iterations[i] < cap and residual > tol:
-                run.append(i)
+        else:  # the problems still looking found no decrease, and stop
+            run = run[~looking]
+        iterations[run] = count
+        grad = pt.grad if run.size == s else pt.grad[run]
+        run = run[np.maximum.reduce(np.abs(grad), axis=1) > tol]
     return lam, pt, iterations
 
 
@@ -786,7 +778,7 @@ class _StackKernel:
         # problem's rows of the column ``at`` reads once per iteration
         lam, lam_rows = [0.0] * s, np.zeros((s, j + 1, 1))
         lam_col = lam_rows.reshape(-1, 1)
-        lo, hi, iterations = [None] * s, [None] * s, [0] * s
+        lo, hi, iterations = [-math.inf] * s, [math.inf] * s, [0] * s
         running = [i for i, gi in enumerate(g) if abs(gi) > tol]
         while running:
             curv = self.curvature(p, means).reshape(s, j + 1)
@@ -800,14 +792,14 @@ class _StackKernel:
                     lo[i] = li
                 else:
                     hi[i] = li
-                cand = li - gi / hs if hs > 0.0 and math.isfinite(hs) else None
+                cand = li - gi / hs if 0.0 < hs < math.inf else math.nan
                 low, high = lo[i], hi[i]
-                if low is not None and high is not None:
-                    if cand is None or not (low < cand < high) or not math.isfinite(cand):
+                if -math.inf < low and high < math.inf:  # bracketed
+                    if not low < cand < high:
                         cand = 0.5 * (low + high)
                 else:
                     trust = 8.0 * (1.0 + abs(li))
-                    if cand is None or not math.isfinite(cand):
+                    if not math.isfinite(cand):
                         cand = li + (trust if gi < 0.0 else -trust)
                     else:
                         cand = min(max(cand, li - trust), li + trust)
@@ -853,26 +845,33 @@ def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     are solved together by a ``_StackKernel``, problems of more observations
     by ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way
     a problem gets the bits it would get alone, in a stack of one. Each
-    thread keeps the kernel of its last call and reuses it while ``zb`` and
-    ``qe`` hold the same values, whatever the weights, with the bits a new
-    one would give. Returns the multipliers (S, m), the final stacked
-    ``_DualPoint`` and, as (S,) arrays, each problem's iterations, largest
-    absolute residual and verdict, which is decided here and nowhere else.
+    thread keeps the log and kernel of its last shared error row, reused
+    while ``zb`` and ``qe`` hold the same values, whatever the weights, with
+    the bits new ones would give; a per-row ``qe`` leaves them be. Returns
+    the multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
+    arrays, each problem's iterations, largest absolute residual and
+    verdict, which is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
-    if y.shape[1] == 1:
+    if qe.shape[0] == 1:  # one shared error row, as every m = 1 solve and stream block has
         key = (zb.shape, zb.tobytes(), qe.shape, qe.tobytes())
         last = getattr(_KERNELS, "last", None)
         if last is None or last[0] != key:
-            _KERNELS.last = last = key, _StackKernel(zb, _log_priors(qe)[0])
-        lam, pt, iterations = last[1].solve(
+            log_qe = _log_priors(qe)
+            log_qe.setflags(write=False)
+            _KERNELS.last = last = key, log_qe, _StackKernel(zb, log_qe[0])
+        log_qe, kernel = last[1:]
+    else:
+        log_qe = _log_priors(qe)
+    if y.shape[1] == 1:
+        lam, pt, iterations = kernel.solve(
             qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], signal_weight, error_weight, settings
         )
     else:
-        ev = _DualEvaluator(y, x, zb, ze, log_qb, _log_priors(qe), signal_weight, error_weight)
+        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
     residuals = np.abs(pt.grad).max(axis=1)
-    return lam, pt, (np.array(iterations), residuals, residuals <= settings.constraint_tolerance)
+    return lam, pt, (np.asarray(iterations), residuals, residuals <= settings.constraint_tolerance)
 
 
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:

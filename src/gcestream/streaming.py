@@ -559,11 +559,11 @@ def _prepare_stream(
     if grid is None:
         grid = SupportGrid(zb, rows[: max(batch_size, 1)])
     solution = None
-    if batch_size < 1:
-        state = StreamState.uniform_start(grid)
-        batch_fit = _Fit(state.beta_prior, state.beta_hat, np.empty(0), True)
+    if batch_size < 1:  # StreamState.uniform_start's prior and estimates
+        prior = np.full(zb.shape, 1.0 / zb.shape[1])
+        batch_fit = _Fit(prior, expectation(prior, zb), np.empty(0), True)
     elif batch_fit is None:
-        solution = init_stream(GceProblem(y[:batch_size], x[:batch_size], grid), settings)[1]
+        solution = solve_gce(GceProblem(y[:batch_size], x[:batch_size], grid), settings.solver)
         batch_fit = _Fit(solution.distributions.beta, solution.beta_hat, solution.epsilon_hat,
                          solution.diagnostics.converged)
     inside = _inside(y, x, zb, rows)

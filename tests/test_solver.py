@@ -470,6 +470,45 @@ def test_the_collinear_stall_stacked_with_converging_fits_keeps_every_fit_its_bi
     assert stacked[0].iterations == 20
 
 
+def test_a_stack_narrows_once_per_newton_iteration(monkeypatch):
+    # the stall backtracks many times on steps its neighbours accept whole:
+    # the problems that accept keep their points and are dropped from the
+    # stack after the iteration, not at each halving that some accept
+    capped = SolverSettings(max_iterations=20)
+    problems = [collinear_stall_problem(*case) for case in ((1007, 1.0), (3, 1.0), (4, 0.0))]
+    taken, directions, counts = [], [], []
+    take, direction, solve_multi = (
+        solver._DualEvaluator.take, solver._newton_direction, solver._solve_multi
+    )
+
+    def counted_take(self, rows):
+        taken.append(len(rows))
+        return take(self, rows)
+
+    def counted_direction(ev, *args):
+        directions.append(ev.y.shape[0])
+        return direction(ev, *args)
+
+    def recorded(ev, settings):
+        result = solve_multi(ev, settings)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver._DualEvaluator, "take", counted_take)
+    monkeypatch.setattr(solver, "_newton_direction", counted_direction)
+    monkeypatch.setattr(solver, "_solve_multi", recorded)
+    y, x, zb, ze, qb, qe = problem_stack(problems)
+    _, _, verdicts = solver._solve_dual(y, x, zb, ze, qb, qe, 1.0, 1.0, capped)
+    (iterations,) = counts
+    assert isinstance(iterations, np.ndarray) and iterations.dtype.kind == "i"
+    assert iterations.tolist() == verdicts[0].tolist()
+    assert iterations[0] == 20 and max(iterations[1:]) < 20
+    # one direction per iteration, over the stack that iteration ran; a
+    # narrower stack is taken once, before its direction
+    assert len(directions) == 20 and directions[0] == 3 and directions[-1] == 1
+    assert taken == [n for n in directions if n < 3]
+
+
 def collapse_problems():
     """One-observation fits on rows 0-2 of a simulated dataset, on its default supports."""
     ds = generate_dataset(SimulationConfig(n=40, seed=3))
@@ -535,6 +574,29 @@ def test_a_singular_newton_system_fails_only_its_problem():
         one = slice(i, i + 1)
         d1, usable1 = solver._woodbury(xt[one], vb[one], ve[one], u[one])
         assert usable1.tolist() == [True] and d[i].tobytes() == d1[0].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_column_without_curvature_drops_out_of_its_newton_system_exactly(seed):
+    # each problem's solve is, bit for bit, the solve of that problem alone
+    # with its dead columns removed; one problem has none, one has no live one
+    local = np.random.default_rng(seed)
+    s, j, m = 6, int(local.integers(2, 6)), int(local.integers(2, 9))
+    xt = local.uniform(-2.0, 2.0, (s, j, m))
+    vb = local.uniform(0.1, 3.0, (s, j))
+    vb[1:] *= local.uniform(size=(s - 1, j)) < 0.5
+    vb[-1] = 0.0
+    ve, grad = local.uniform(0.1, 3.0, (s, m)), local.normal(size=(s, m))
+    d, usable = solver._normal_solve(xt, vb, ve, grad)
+    assert usable.all()
+    for i in range(s):
+        live = vb[i] > 0.0
+        one = slice(i, i + 1)
+        if live.any():
+            want, _ = solver._normal_solve(xt[one][:, live], vb[one][:, live], ve[one], grad[one])
+        else:
+            want = grad[one] / ve[one]
+        assert d[i].tobytes() == want[0].tobytes(), i
 
 
 def test_weighted_solve_matches_weighted_bisection():

@@ -1448,7 +1448,7 @@ def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
     y, design = simulated(60, seed=231)
     report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
     assert report.entropy_ledger.size == 40
-    assert built == [20, 60]  # init_stream's, then the final one
+    assert built == [60]  # the final one; the batch fit builds no state
 
 
 def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
@@ -1573,6 +1573,30 @@ def test_one_observation_fits_and_updates_on_one_thread_share_one_kernel(monkeyp
         counts.append(len(built))
         assert got == run(kinds, fresh=True)
     assert counts == [1, 1, 1]
+
+
+def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch):
+    # 48 blocks of 40 on one shared error row: the first block forms its log
+    # prior, which the thread keeps with its kernel, and the rest read it; a
+    # one-shot fit between them forms its per-row log and evicts nothing
+    logged = []
+    log_priors = solver._log_priors
+
+    def counted(q):
+        if q.ndim == 2:  # an error prior; coefficient priors come as (S, J, K)
+            logged.append(q.shape)
+        return log_priors(q)
+
+    state, y, design, error_row = stream_after_batch(n=20 + 48 * 40, batch=20)
+    monkeypatch.setattr(solver, "_log_priors", counted)
+    monkeypatch.setattr(solver, "_KERNELS", threading.local())
+    grid = SupportGrid.tiled(BETA_ROW, design.shape[1], error_row, 40)
+    for start in range(20, y.size, 40):
+        if start == 20 + 24 * 40:
+            solve_gce(GceProblem(y[:40], design[:40], grid))
+        state = block_update(state, y[start : start + 40], design[start : start + 40], error_row)
+    assert state.step_index == y.size and all(state.converged_log)
+    assert logged == [(1, 3), (40, 3)]
 
 
 def test_threads_updating_at_once_each_use_their_own_kernel():
