@@ -45,18 +45,17 @@ from typing import Any, Mapping
 import numpy as np
 
 from .metrics import (
+    REPORT_COLUMNS,
+    SUMMARY_COLUMNS,
     MethodResult,
     RunReport,
     _ordered,
     _write_csv,
+    _write_json,
     relative_gap,
     report_rows,
     rmse,
     summary_rows,
-    write_report_csv,
-    write_report_json,
-    write_summary_csv,
-    write_summary_json,
 )
 from .simulation import (
     DEFAULT_BETA_SUPPORT,
@@ -696,11 +695,11 @@ def run_experiment(
     reports = tuple(r for outcome in outcomes for r in outcome.reports)
     written = []
     if reports:
-        write_report_csv(reports, out / "report.csv", config.include_timings)
-        write_report_json(reports, out / "report.json", config.include_timings)
-        write_summary_csv(reports, out / "summary.csv")
-        write_summary_json(reports, out / "summary.json")
-        summaries = summary_rows(reports)
+        reported, summaries = report_rows(reports, config.include_timings), summary_rows(reports)
+        _write_csv(out / "report.csv", REPORT_COLUMNS, reported)
+        _write_json(out / "report.json", reported)
+        _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summaries)
+        _write_json(out / "summary.json", summaries)
         for name, keys, values in _FIGURES:
             rows = _gap_rows(reports, keys) if "relative_gap_mean" in values else summaries
             _write_csv(out / name, keys + values, _ordered(rows, keys))

@@ -215,8 +215,8 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     The row runs from -3*s to +3*s where s is the sample standard deviation
     (n-1 denominator) of ``values``; with the default three points that is
     exactly {-3s, 0, 3s}. Values too flat to scale to, or so large that the
-    row's span 6s overflows, raise ValueError; the latter names the largest
-    value.
+    square of the row's span 6s overflows, raise ValueError; the latter
+    names the largest value.
     """
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 2:
@@ -226,13 +226,21 @@ def build_error_support(values, n_points: int = 3) -> np.ndarray:
     s = _sample_spread(v)
     if s is None:
         raise ValueError("values have zero spread; cannot scale an error support")
-    if not math.isfinite(6.0 * s):
-        i = int(np.argmax(np.abs(v)))
-        raise ValueError(
-            f"values[{i}] = {float(v[i])!r} is too large to scale an error support to; "
-            "rescale the values"
-        )
-    return np.linspace(-3.0 * s, 3.0 * s, n_points)
+    return _error_row(3.0 * s, n_points, v, "values", "an error support to; rescale the values")
+
+
+def _error_row(half: float, n_points: int, sample: np.ndarray, name: str, rest: str) -> np.ndarray:
+    """``n_points`` equally spaced error support points from -half to half.
+
+    The solver squares deviations across a row, so a row whose span squared
+    overflows raises ValueError instead, naming the largest magnitude of
+    ``sample`` as ``name[i]``, followed by ``rest``.
+    """
+    span = half + half
+    if not math.isfinite(span * span):
+        i = int(np.argmax(np.abs(sample)))
+        raise ValueError(f"{name}[{i}] = {float(sample[i])!r} is too large to scale {rest}")
+    return np.linspace(-half, half, n_points)
 
 
 def _check_error_scale(scale: str) -> None:
@@ -253,8 +261,8 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
     one-row and constant inputs stay solvable; otherwise the row is
     ``build_error_support``'s three-sigma row. Responses so large that the
     square of the row's span, twice the half-width, overflows raise
-    ValueError naming the largest of them, before any row is built: the
-    solver squares deviations across a row, which such a row would overflow.
+    ValueError naming the largest of them, before any row is built, as
+    ``build_error_support`` does.
     """
     _check_error_scale(scale)
     if n_points < 2:
@@ -267,14 +275,10 @@ def _scaled_error_support(y: np.ndarray, stop: int, scale: str, n_points: int) -
         )
     s = _sample_spread(sample)
     half = 3.0 * (s if s is not None else max(1.0, float(np.max(np.abs(sample)))))
-    span = half + half
-    if not math.isfinite(span * span):
-        i = int(np.argmax(np.abs(sample)))
-        raise ValueError(
-            f"response y[{i}] = {float(sample[i])!r} is too large to scale an "
-            f"error_scale={scale!r} error support to; rescale y or pass error_support explicitly"
-        )
-    return np.linspace(-half, half, n_points)
+    return _error_row(
+        half, n_points, sample, "response y",
+        f"an error_scale={scale!r} error support to; rescale y or pass error_support explicitly",
+    )
 
 
 def generate_dataset(config: SimulationConfig) -> Dataset:

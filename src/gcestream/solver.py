@@ -27,16 +27,18 @@ their coefficient supports, error prior and weights, so one set of numpy calls
 advances every problem of the stack, and ``solve_gce`` solves a stack of one.
 Each problem keeps its own Newton control and gets the bits it would get
 alone; with several constraints, every running problem is evaluated at each
-step halving of a Newton iteration, and the stack narrows after it. Solves of
-a single constraint (m = 1: a one-observation fit or streaming step) go
-through a kernel whose rows are every problem's coefficient rows and lone
-error row. It never forms the dual value, which only the multi-constraint line
-search reads, and holds nothing of a problem between solves, so a thread
-reuses its last one while the supports and error prior are equal: streams,
-gammas and one-observation fits share one. Its Newton iteration starts at
-lam = 0 from the prior weights' own moments (the Gibbs weights there are the
-prior), with no exponential, and forms its iterates in place and its curvature
-only where a Newton step reads it.
+step halving of a Newton iteration, and the stack narrows after it. A Newton
+direction is one Woodbury solve of the whole stack; its fallbacks (a column
+without curvature, a ridge retry, the negative gradient) run per problem, on
+each problem alone. Solves of a single constraint (m = 1: a one-observation
+fit or streaming step) go through a kernel whose rows are every problem's
+coefficient rows and lone error row. It never forms the dual value, which only
+the multi-constraint line search reads, and holds nothing of a problem between
+solves, so a thread reuses its last one while the supports and error prior are
+equal: streams, gammas and one-observation fits share one. Its Newton
+iteration starts at lam = 0 from the prior weights' own moments (the Gibbs
+weights there are the prior), with no exponential, and forms its iterates in
+place and its curvature only where a Newton step reads it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -468,10 +470,13 @@ def _check_weights(signal_weight: float, error_weight: float) -> None:
 
 
 def _woodbury(xt, vb, ve, u):
-    """``_normal_solve`` for a stack whose coefficient curvatures ``vb`` are all positive.
+    """Solve (x diag(vb) x^T + diag(ve)) d = g through J-by-J systems, for a stack.
 
-    ``xt`` is the transposed regressors, (S, J, m), row-major. Returns the
-    solutions (S, m) and which problems' small systems were usable.
+    The Hessian is a rank-J update of a diagonal, so the Woodbury identity
+    reduces the solve to the coefficient dimension regardless of m. Takes
+    the transposed regressors ``xt`` (S, J, m), row-major, and ``u = g / ve``;
+    every ``vb`` is positive. Returns the solutions (S, m), or None when some
+    problem's small system is not finite or is singular.
     """
     xf = xt.transpose(0, 2, 1)
     s, j = vb.shape
@@ -479,44 +484,13 @@ def _woodbury(xt, vb, ve, u):
     diag.reshape(s, -1)[:, :: j + 1] = 1.0 / vb
     cmat = diag + np.matmul(xt, xf / ve[:, :, None])
     rhs = np.matmul(xt, u[:, :, None])
-    usable = np.isfinite(cmat).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
-    if usable.all():
-        try:
-            return u - np.matmul(xf, np.linalg.solve(cmat, rhs))[:, :, 0] / ve, usable
-        except np.linalg.LinAlgError:
-            pass
-    # some system is not finite or is singular: solve the others one at a time
-    w = np.zeros_like(rhs)
-    for i in np.flatnonzero(usable):
-        try:
-            w[i] = np.linalg.solve(cmat[i : i + 1], rhs[i : i + 1])[0]
-        except np.linalg.LinAlgError:
-            usable[i] = False
-    return u - np.matmul(xf, w)[:, :, 0] / ve, usable
-
-
-def _normal_solve(xt: np.ndarray, vb: np.ndarray, ve: np.ndarray, grad: np.ndarray):
-    """Solve (x diag(vb) x^T + diag(ve)) d = grad through J-by-J systems, per problem.
-
-    The Hessian is a rank-J update of a diagonal, so the Woodbury identity
-    reduces the solve to the coefficient dimension regardless of m. Takes a
-    stack: the transposed regressors ``xt`` (S, J, m), row-major, and the
-    rest (S, ·). Columns without curvature (``vb == 0``) drop out of their
-    problem's system; a stack with such a column solves each problem alone,
-    on its live columns. Returns the solutions (S, m) and which problems'
-    small systems were numerically usable.
-    """
-    u = grad / ve
-    live = vb > 0.0
-    if live.all():
-        return _woodbury(xt, vb, ve, u)
-    d, usable = u.copy(), np.ones(len(u), dtype=bool)
-    for i, active in enumerate(live):  # a problem without live columns keeps d = u
-        if active.any():
-            one = slice(i, i + 1)
-            xa = xt[i][active][None]
-            d[one], usable[one] = _woodbury(xa, vb[one][:, active], ve[one], u[one])
-    return d, usable
+    if not (np.isfinite(cmat).all() and np.isfinite(rhs).all()):
+        return None
+    try:
+        w = np.linalg.solve(cmat, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return u - np.matmul(xf, w)[:, :, 0] / ve
 
 
 def _error_diagonal(ridge: bool, x, vb, ve) -> np.ndarray:
@@ -533,35 +507,38 @@ def _error_diagonal(ridge: bool, x, vb, ve) -> np.ndarray:
     return ve + (_RIDGE_SCALE * np.where(top > 0.0, top, 1.0))[:, None]
 
 
-def _newton_direction(ev: _DualEvaluator, grad, vb, ve) -> np.ndarray:
+def _newton_direction(ev: _DualEvaluator, grad, vb, ve):
     """Per problem, the descent direction: Newton, its ridge retry, or the negative gradient.
 
     A problem takes the plain Newton step when its error curvature is
     positive and the step solves to a finite ascent direction of the
     gradient, else the step with a relative ridge on the error curvature,
-    else the negative gradient. Takes the gradient and the coefficient and
-    error curvatures ``vb`` and ``ve`` of ``ev``'s problems.
+    else the negative gradient. Ordinary data takes one plain Woodbury solve
+    of the whole stack; if some problem has a column without curvature or
+    takes no plain step, each problem is solved alone, on its live columns,
+    and one that takes the plain step gets the same bits either way. Takes
+    the gradient and the curvatures ``vb`` and ``ve`` of ``ev``'s problems;
+    returns the directions (S, m) and their dot products with the gradient.
     """
+    if (vb > 0.0).all() and (ve > 0.0).all():
+        e = _error_diagonal(False, ev.x, vb, ve)
+        d = _woodbury(ev.xt, vb, e, grad / e)
+        if d is not None and np.isfinite(d).all():
+            ascent = _row_dots(grad, d)
+            if (ascent > 0.0).all():
+                return -d, -ascent
     direction = -grad
-    rows = (ve > 0.0).all(axis=1)  # the problems of the plain attempt
-    for ridge in (False, True):
-        at = []
-        every = rows.all()
-        if every or rows.any():
-            if every:
-                x, xt, vbr, ver, gr = ev.x, ev.xt, vb, ve, grad
-            else:
-                x, xt, vbr, ver, gr = ev.x[rows], ev.xt[rows], vb[rows], ve[rows], grad[rows]
-            d, usable = _normal_solve(xt, vbr, _error_diagonal(ridge, x, vbr, ver), gr)
-            found = usable & np.isfinite(d).all(axis=1) & (_row_dots(gr, d) > 0.0)
-            if every and found.all():
-                return -d
-            at = np.flatnonzero(rows)[found]
-            direction[at] = -d[found]
-        if ridge:
-            return direction
-        rows = np.ones(len(grad), dtype=bool)  # the ridge retry's: every problem left
-        rows[at] = False
+    for i in range(len(grad)):
+        one, live = slice(i, i + 1), vb[i] > 0.0
+        for ridge in (False, True) if (ve[i] > 0.0).all() else (True,):
+            e = _error_diagonal(ridge, ev.x[one], vb[one], ve[one])
+            d = grad[one] / e
+            if live.any():  # a problem without live columns keeps d = grad / e
+                d = _woodbury(ev.xt[i][live][None], vb[one][:, live], e, d)
+            if d is not None and np.isfinite(d).all() and _row_dots(grad[one], d)[0] > 0.0:
+                direction[i] = -d[0]
+                break
+    return direction, _row_dots(grad, direction)
 
 
 def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
@@ -589,8 +566,7 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
             break
         whole = run.size == s
         ev_t, cur, lam_t = (ev, pt, lam) if whole else (ev.take(run), pt.take(run), lam[run])
-        direction = _newton_direction(ev_t, cur.grad, *ev_t.curvature(cur))
-        slope = _row_dots(cur.grad, direction)
+        direction, slope = _newton_direction(ev_t, cur.grad, *ev_t.curvature(cur))
         looking = None  # every running problem, until the first of them accepts
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
@@ -931,10 +907,11 @@ def solve_gce(
     """Minimize KL divergence from the prior subject to the data constraints.
 
     Runs safeguarded Newton on the dual from a zero start: Woodbury-reduced
-    Newton systems with a relative ridge retry and a gradient fallback for
-    m >= 2, bracketed Newton/bisection for a single observation (the kernel
-    the streaming updates of one observation use too), evaluated without the
-    dual value. Non-convergence within the iteration cap is reported through
+    Newton systems for m >= 2, with a relative ridge retry and a gradient
+    fallback taken per problem where the plain step fails, and bracketed
+    Newton/bisection for a single observation (the kernel the streaming
+    updates of one observation use too), evaluated without the dual value.
+    Non-convergence within the iteration cap is reported through
     ``diagnostics.converged`` rather than raised.
 
     With ``signal_weight``/``error_weight`` the minimized objective becomes

@@ -487,6 +487,23 @@ def test_experiment_writes_every_report_file(tmp_path):
         assert (tmp_path / "out" / name).is_file()
 
 
+def test_experiment_builds_its_report_and_summary_rows_once(tmp_path, monkeypatch):
+    # the four tables and the rmse figures are written from one build of
+    # each; the gap figure flattens one report at a time
+    built = []
+    for name in ("report_rows", "summary_rows"):
+
+        def counted(reports, *args, _name=name, _original=getattr(experiments, name)):
+            built.append((_name, len(reports)))
+            return _original(reports, *args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    config = parse_experiment_config(tiny_config_dict())
+    assert run_experiment(config, out_dir=tmp_path).exit_code == 0
+    assert [b for b in built if b[1] == 2] == [("report_rows", 2), ("summary_rows", 2)]
+    assert set(built) == {("report_rows", 2), ("summary_rows", 2), ("report_rows", 1)}
+
+
 def test_experiment_reruns_byte_identically(tmp_path):
     config = parse_experiment_config(tiny_config_dict())
     run_experiment(config, out_dir=tmp_path / "a")

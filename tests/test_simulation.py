@@ -237,17 +237,29 @@ def test_error_support_rejects_constant_values():
     )
 
 
+def test_error_support_refuses_a_row_whose_span_squared_overflows():
+    # 6s is finite here, but a support grid refuses the row, whose span
+    # the solver would square, as the streaming policy does up front
+    with pytest.raises(ValueError) as info:
+        build_error_support([0.0, 1e200])
+    assert str(info.value) == (
+        "values[1] = 1e+200 is too large to scale an error support to; rescale the values"
+    )
+
+
 def test_error_support_scales_to_a_spread_whose_squares_overflow():
     # a sample this large is scaled by a power of two for std, so a deviation
     # of 1e200 is found although its square is not representable
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = build_error_support([0.0, 1e200, -1e200])
+        found = _sample_spread(np.array([0.0, 1e200, -1e200]))
         # the unscaled attempt's mean overflows to inf - inf here, silently
         spread = _sample_spread(np.array([1e308, -1e308] * 9))
-    np.testing.assert_allclose(row, np.linspace(-3e200, 3e200, 3), rtol=1e-15, atol=0.0)
+    assert found == pytest.approx(1e200, rel=1e-15)
     assert spread == pytest.approx(1e308 * math.sqrt(18 / 17), rel=1e-15)
-    # the stream's policy refuses the row: the solver would square its span
+    # both policies refuse the row: the solver would square its span
+    with pytest.raises(ValueError, match=r"^values\[1\] = 1e\+200 is too large"):
+        build_error_support([0.0, 1e200, -1e200])
     with pytest.raises(ValueError, match=r"^response y\[1\] = 1e\+200 is too large"):
         _scaled_error_support(np.array([0.0, 1e200, -1e200]), 3, "batch", 3)
 

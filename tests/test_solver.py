@@ -1,5 +1,7 @@
+import json
 import math
 import pickle
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +25,7 @@ from gcestream import (
     generate_dataset,
     gibbs_weights,
     parse_experiment_config,
+    run_experiment,
     solve_gce,
 )
 
@@ -370,6 +373,32 @@ def test_a_stack_with_a_bisecting_and_an_idle_problem_is_its_stacks_of_one(monke
     assert all(d.converged for d in diagnostics)
 
 
+@pytest.mark.parametrize("y, toward", [(0.3, 1.0), (0.9, -1.0)])
+def test_a_kernel_step_without_a_newton_candidate_is_the_trust_step_toward_the_root(
+    monkeypatch, y, toward
+):
+    # a zero curvature at the first iterate leaves Newton no candidate
+    # before the root is bracketed: the step is the whole trust step,
+    # 8 * (1 + |lam|) = 8 at lam = 0, to the side where the gradient is zero
+    curvature, at = solver._StackKernel.curvature, solver._StackKernel.at
+    curvatures, multipliers = [], []
+
+    def flat_first(self, p, means):
+        curvatures.append(curvature(self, p, means))
+        return np.zeros_like(curvatures[0]) if len(curvatures) == 1 else curvatures[-1]
+
+    def recorded(self, lam):
+        multipliers.append(float(lam[0, 0]))
+        return at(self, lam)
+
+    monkeypatch.setattr(solver._StackKernel, "curvature", flat_first)
+    monkeypatch.setattr(solver._StackKernel, "at", recorded)
+    fit = solve_gce(two_point_problem(y))
+    assert curvatures[0].min() > 0.0
+    assert multipliers[0] == toward * 8.0
+    assert fit.diagnostics.converged and fit.diagnostics.iterations > 1
+
+
 def multi_row_problems(local, s, m, j, k, h, point_mass):
     """``s`` problems of ``m`` observations on shared supports, with random priors and data.
 
@@ -435,6 +464,42 @@ def test_a_stack_of_multi_observation_solves_is_its_stacks_of_one(
         )
     if force is not None and (x[:, 0, 0] > 0.0).any():
         assert sum(spoiled) > 0
+
+
+def test_readmes_study_takes_every_newton_direction_from_one_whole_stack_solve(
+    monkeypatch, tmp_path
+):
+    # the fallbacks (dead columns, non-positive error curvature, a ridge
+    # retry, the negative gradient) run on no problem of the study: each
+    # direction is one plain Woodbury solve of the stack it was asked for
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Experiment config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    raw = {**json.loads(block), "replications": 1, "jobs": 1}
+    woodbury, diagonal, direction = (
+        solver._woodbury, solver._error_diagonal, solver._newton_direction
+    )
+    solves, ridges = [], []  # per direction, whether each Woodbury solve took its whole stack
+
+    def counted_direction(ev, *args):
+        solves.append((ev.xt, []))
+        return direction(ev, *args)
+
+    def counted_woodbury(xt, *args):
+        stack, taken = solves[-1]
+        taken.append(xt is stack)
+        return woodbury(xt, *args)
+
+    def counted_diagonal(ridge, *args):
+        ridges.append(ridge)
+        return diagonal(ridge, *args)
+
+    monkeypatch.setattr(solver, "_newton_direction", counted_direction)
+    monkeypatch.setattr(solver, "_woodbury", counted_woodbury)
+    monkeypatch.setattr(solver, "_error_diagonal", counted_diagonal)
+    assert run_experiment(parse_experiment_config(raw), out_dir=tmp_path).exit_code == 0
+    assert len(solves) > 10
+    assert all(taken == [True] for _, taken in solves)
+    assert len(ridges) == len(solves) and not any(ridges)
 
 
 def collinear_stall_problem(seed=1007, eta=1.0):
@@ -561,25 +626,36 @@ def test_a_reused_kernel_gives_a_smaller_stack_the_bits_of_a_fresh_one():
 
 def test_a_singular_newton_system_fails_only_its_problem():
     # the middle problem's second column is zero and no column carries a
-    # diagonal (1 / vb = 0), so its small system is exactly singular
+    # diagonal (1 / vb = 0), so its small system is exactly singular: a
+    # stack holding it has no solve, and the other two solve, together or
+    # alone, to the same bits
     local = np.random.default_rng(8)
     xt = local.uniform(-1.0, 1.0, (3, 2, 6))
     xt[1, 1] = 0.0
     vb = local.uniform(0.5, 2.0, (3, 2))
     vb[1] = np.inf
     ve, u = local.uniform(0.5, 2.0, (3, 6)), local.normal(size=(3, 6))
-    d, usable = solver._woodbury(xt, vb, ve, u)
-    assert usable.tolist() == [True, False, True]
-    for i in (0, 2):
+    assert solver._woodbury(xt, vb, ve, u) is None
+    assert solver._woodbury(xt[1:2], vb[1:2], ve[1:2], u[1:2]) is None
+    rest = [0, 2]
+    d = solver._woodbury(xt[rest], vb[rest], ve[rest], u[rest])
+    for row, i in enumerate(rest):
         one = slice(i, i + 1)
-        d1, usable1 = solver._woodbury(xt[one], vb[one], ve[one], u[one])
-        assert usable1.tolist() == [True] and d[i].tobytes() == d1[0].tobytes()
+        d1 = solver._woodbury(xt[one], vb[one], ve[one], u[one])
+        assert d[row].tobytes() == d1[0].tobytes()
+
+
+def regressors(xt):
+    """A stand-in evaluator of the transposed regressors ``xt`` (S, J, m): its ``x`` and ``xt``."""
+    xt = np.ascontiguousarray(xt)
+    return SimpleNamespace(x=np.ascontiguousarray(xt.transpose(0, 2, 1)), xt=xt)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_column_without_curvature_drops_out_of_its_newton_system_exactly(seed):
-    # each problem's solve is, bit for bit, the solve of that problem alone
-    # with its dead columns removed; one problem has none, one has no live one
+    # each problem's direction and slope are, bit for bit, those of that
+    # problem alone with its dead columns removed; one problem has none,
+    # one has no live one, and every problem takes a Newton step
     local = np.random.default_rng(seed)
     s, j, m = 6, int(local.integers(2, 6)), int(local.integers(2, 9))
     xt = local.uniform(-2.0, 2.0, (s, j, m))
@@ -587,16 +663,16 @@ def test_a_column_without_curvature_drops_out_of_its_newton_system_exactly(seed)
     vb[1:] *= local.uniform(size=(s - 1, j)) < 0.5
     vb[-1] = 0.0
     ve, grad = local.uniform(0.1, 3.0, (s, m)), local.normal(size=(s, m))
-    d, usable = solver._normal_solve(xt, vb, ve, grad)
-    assert usable.all()
+    d, slope = solver._newton_direction(regressors(xt), grad, vb, ve)
+    assert not (d == -grad).all(axis=1).any()
     for i in range(s):
         live = vb[i] > 0.0
         one = slice(i, i + 1)
-        if live.any():
-            want, _ = solver._normal_solve(xt[one][:, live], vb[one][:, live], ve[one], grad[one])
-        else:
-            want = grad[one] / ve[one]
+        want, want_slope = solver._newton_direction(
+            regressors(xt[one][:, live]), grad[one], vb[one][:, live], ve[one]
+        )
         assert d[i].tobytes() == want[0].tobytes(), i
+        assert slope[i].tobytes() == want_slope[0].tobytes(), i
 
 
 def test_weighted_solve_matches_weighted_bisection():
