@@ -133,6 +133,22 @@ def _error_rows(values) -> np.ndarray:
     return rows
 
 
+def _tiled(rows: np.ndarray, n, name: str) -> np.ndarray:
+    """``n`` copies of the checked stack ``rows``, read-only, as checking them all stores them."""
+    stack = np.tile(rows, (n, 1))
+    if stack.shape[0] < 1:
+        raise ValueError(f"{name} must have at least one row")
+    stack.setflags(write=False)
+    return stack
+
+
+def _prechecked(cls, **fields):
+    """A ``cls`` of ``fields`` that ``__post_init__`` would pass and keep as is, without it."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
     """``value`` as an int; ``error`` naming ``name`` unless it is a whole number.
 
@@ -209,10 +225,10 @@ class SupportGrid:
         error_points: Sequence[float],
         n_obs: int,
     ) -> "SupportGrid":
-        """Repeat one coefficient row ``n_params`` times and one error row ``n_obs`` times."""
-        beta_row = np.asarray(beta_points, dtype=float)
-        error_row = np.asarray(error_points, dtype=float)
-        return cls(np.tile(beta_row, (n_params, 1)), np.tile(error_row, (n_obs, 1)))
+        """``n_params`` copies of a coefficient row, ``n_obs`` of an error row, each checked once."""
+        beta = _tiled(_support_rows(beta_points, "beta_support"), n_params, "beta_support")
+        error = _tiled(_error_rows(error_points), n_obs, "error_support")
+        return _prechecked(cls, beta_support=beta, error_support=error)
 
     @property
     def n_params(self) -> int:
@@ -249,8 +265,12 @@ class JointDistribution:
 
     @classmethod
     def uniform(cls, grid: SupportGrid) -> "JointDistribution":
-        k, h = grid.n_beta_points, grid.n_error_points
-        return cls(np.full((grid.n_params, k), 1.0 / k), np.full((grid.n_obs, h), 1.0 / h))
+        """Uniform rows over ``grid``: one of each kind checked, as in a full stack, and tiled."""
+        k, h, j, m = grid.n_beta_points, grid.n_error_points, grid.n_params, grid.n_obs
+        # two rows where there are two: a lone row of 9 or more points sums pairwise
+        beta = _simplex_rows(np.full((min(j, 2), k), 1.0 / k), "beta")[:1]
+        error = _simplex_rows(np.full((min(m, 2), h), 1.0 / h), "error")[:1]
+        return _prechecked(cls, beta=_tiled(beta, j, "beta"), error=_tiled(error, m, "error"))
 
     def matches_grid(self, grid: SupportGrid) -> bool:
         """True when the weight arrays have the shapes of the grid's support arrays."""

@@ -621,7 +621,7 @@ def _gap_rows(reports, keys) -> list[dict]:
     """Mean relative rmse gap of each stream over the one-shot fit, per ``keys`` cell.
 
     A report without a ``gce_dataset`` fit, or whose fit is exact (rmse 0),
-    has no gap to give and is skipped.
+    has no gap to give and is skipped. Results are read in ``report_rows``'s order.
     """
     gaps: dict[tuple, list[float]] = {}
     for report in reports:
@@ -631,10 +631,10 @@ def _gap_rows(reports, keys) -> list[dict]:
             continue
         if not reference > 0.0:
             continue
-        for row in report_rows([report]):
-            if row["method"] in _STREAMING_METHODS:
-                cell = tuple(row[k] for k in keys)
-                gaps.setdefault(cell, []).append(relative_gap(row["rmse"], reference))
+        for result in sorted(report.results, key=lambda r: (r.method, r.g is not None, r.g)):
+            if result.method in _STREAMING_METHODS:
+                cell = tuple(getattr(result if k in ("method", "g") else report, k) for k in keys)
+                gaps.setdefault(cell, []).append(relative_gap(result.rmse, reference))
     return [
         {
             **dict(zip(keys, cell)),

@@ -58,6 +58,7 @@ from .core import (
     ZERO_CLAMP,
     JointDistribution,
     SupportGrid,
+    _SAFE_SUPPORT,
     _integer,
     _real,
     kl_divergence,
@@ -189,16 +190,20 @@ class GceProblem:
 
 
 def _check_observations(y: np.ndarray, x: np.ndarray, n_params: int, n_obs: int) -> None:
-    """Reject data that is not finite or does not fit a grid of the given shape.
+    """Reject data that is not finite, an ``x`` too large to square, or a grid of another shape.
 
     ``y`` is 1-D and ``x`` at least 2-D; the grid needs one coefficient row
     (``n_params``) per column of ``x`` and one error row (``n_obs``) per
-    observation.
+    observation. Entries of ``x`` may not exceed ``2**510`` in magnitude.
     """
     if y.size < 1:
         raise ValueError("need at least one observation")
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise ValueError("y and x must be finite")
+    if not (np.isfinite(y).all() and (x.size == 0 or np.abs(x).max() <= _SAFE_SUPPORT)):
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):  # NaN fails the first test too
+            raise ValueError("y and x must be finite")
+        at = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+        raise ValueError(f"x[{', '.join(map(str, at))}] = {float(x[at])!r} is too large for the "
+                         "solver to square; rescale the data and the supports")
     if x.shape[0] != y.size:
         raise ValueError(f"x has {x.shape[0]} rows, y has {y.size} entries")
     if n_obs != y.size:

@@ -56,6 +56,7 @@ from .core import (
     SupportGrid,
     _error_rows,
     _integer,
+    _prechecked,
     _real,
     _simplex_rows,
     _support_rows,
@@ -219,6 +220,7 @@ class StreamState:
     stream's final state holds its ``StreamReport``'s arrays, and its first
     update copies them once. Every ledger entry must be a finite number no
     less than -1e-12.
+    ``block_update`` builds its states from checked parts, checking only the new ledger entry.
     """
 
     beta_prior: np.ndarray
@@ -310,17 +312,25 @@ def _uniform_error_prior(h: int) -> np.ndarray:
     return qe
 
 
+@functools.lru_cache(maxsize=16)
+def _error_row(data: bytes) -> np.ndarray:
+    """One error support row, as float64 bytes, checked once per value; an invalid one raises."""
+    return _error_rows(np.frombuffer(data).reshape(1, -1))
+
+
 def _check_block(y, x, zb, error_rows):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
     checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to the caller.
+    is left to the caller; one row, 1-D or ``(1, H)``, is checked once per value.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows = _error_rows(error_rows)
+    rows = np.asarray(error_rows, dtype=float)
+    one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
+    rows = _error_row(rows.tobytes()) if one else _error_rows(rows)
     if rows.shape[0] == 1 and y.size > 1:
         rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
     _check_observations(y, x, zb.shape[0], rows.shape[0])
@@ -413,16 +423,16 @@ def block_update(
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it, by the same check ``run_stream`` makes of a whole stream;
-    the carried prior is a ``StreamState`` invariant and is not checked
-    again. The block's hull is checked over the carried prior's live
-    support points; then the block step ``run_stream`` folds solves it, as
-    a stack of one, on plain arrays (no problem or distribution objects, and
-    the ledger entry comes from the solve's log partitions), its Newton
-    iteration starting at the carried prior's moments. Infeasible blocks
-    raise InfeasibleObservationError (indices local to the block) and leave
-    the caller's state untouched, so a stream can skip and log them. The new
-    state keeps the stream's support grid.
+    would check it, by the same check ``run_stream`` makes of a whole stream
+    (one error row once per value); the carried prior is a ``StreamState``
+    invariant and is not checked again. The block's hull is checked over the
+    carried prior's live support points; then the block step ``run_stream``
+    folds solves it, as a stack of one, on plain arrays (no problem or
+    distribution objects; the ledger entry comes from the solve's log
+    partitions), its Newton iteration starting at the carried prior's moments.
+    Infeasible blocks raise InfeasibleObservationError (indices local to the
+    block) and leave the caller's state untouched, so a stream can skip and
+    log them. The new state, built from checked parts, keeps the stream's grid.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
@@ -434,12 +444,15 @@ def block_update(
     prior, eps, moved, beta_hat, converged, _ = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
-    return StreamState(
-        beta_prior=prior[0],
-        supports=state.supports,
+    prior.setflags(write=False)
+    ledger = state.entropy_ledger.extended(moved)
+    if not ledger.low >= -1e-12:  # the one check of StreamState the new parts could fail
+        raise ValueError("entropy ledger entries must be finite and nonnegative")
+    return _prechecked(
+        StreamState, beta_prior=prior[0], supports=state.supports,
         step_index=state.step_index + y.size,
         epsilon_log=state.epsilon_log.extended(eps[0]),
-        entropy_ledger=state.entropy_ledger.extended(moved),
+        entropy_ledger=ledger,
         beta_trajectory=state.beta_trajectory.extended(beta_hat),
         converged_log=state.converged_log.extended(converged),
     )
@@ -452,7 +465,7 @@ def update_step(
     error_support_row,
     settings: UpdateSettings | None = None,
 ) -> StreamState:
-    """Absorb a single observation; identical to a block of size one."""
+    """Absorb one observation; identical to a block of size one, its row checked once per value."""
     x_row = np.reshape(x_new, (1, -1))
     return block_update(state, [y_new], x_row, np.reshape(error_support_row, (1, -1)), settings)
 

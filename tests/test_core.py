@@ -157,6 +157,58 @@ def test_rows_of_large_points_with_a_narrow_span_stay_accepted():
     assert grid.error_support.tolist() == [[-1e153, 0.0, 1e153]] * 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_a_tiled_grid_is_the_grid_of_its_tiled_rows(n):
+    beta_row, error_row = [-10.0, -2.5, 0.0, 7.0, 10.0], [-3.0, 0.0, 0.5, 3.0]
+    tiled = SupportGrid.tiled(beta_row, n + 1, error_row, n)
+    full = SupportGrid(np.tile(beta_row, (n + 1, 1)), np.tile(error_row, (n, 1)))
+    for got, want in ((tiled.beta_support, full.beta_support),
+                      (tiled.error_support, full.error_support)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+@pytest.mark.parametrize(
+    "beta_row, error_row",
+    [
+        ([0.0, math.nan], [-1.0, 1.0]),
+        ([0.0, 1.0], [-1.0, math.inf]),
+        ([0.0, 0.0, 1.0], [-1.0, 1.0]),
+        ([0.0, 1.0], [-1.0, 1.0, 0.5]),
+        ([0.0, 1.0], [0.5, 1.0]),
+        ([0.0, 1.0], [-2.0, -1.0]),
+        ([-1e200, 1e200], [-1.0, 1.0]),
+        ([0.0, 1.0], [-1e200, 1e200]),
+        ([0.0], [-1.0, 1.0]),
+    ],
+)
+def test_a_tiled_grid_refuses_a_row_as_its_constructor_does(n, beta_row, error_row):
+    with pytest.raises(ValueError) as got:
+        SupportGrid.tiled(beta_row, n, error_row, n)
+    with pytest.raises(ValueError) as want:
+        SupportGrid(np.tile(beta_row, (n, 1)), np.tile(error_row, (n, 1)))
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n_params, n_obs", [(0, 1), (1, 0), (0, 0)])
+def test_a_tiled_grid_of_no_rows_is_refused(n_params, n_obs):
+    with pytest.raises(ValueError):
+        SupportGrid.tiled([0.0, 1.0], n_params, [-1.0, 1.0], n_obs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+@pytest.mark.parametrize("h", range(2, 13))
+def test_uniform_weights_are_the_checked_uniform_stacks(h, n):
+    grid = SupportGrid.tiled(np.arange(h) - 0.5, n, np.arange(h) - 0.5, n)
+    got = JointDistribution.uniform(grid)
+    want = JointDistribution(np.full((n, h), 1.0 / h), np.full((n, h), 1.0 / h))
+    for a, b in ((got.beta, want.beta), (got.error, want.error)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
 def test_joint_distribution_matches_grid():
     g = SupportGrid.tiled(WIDE_SUPPORT, 2, [-3.0, 0.0, 3.0], 4)
     joint = JointDistribution.uniform(g)

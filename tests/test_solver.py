@@ -18,7 +18,9 @@ from gcestream import (
     JointDistribution,
     SimulationConfig,
     SolverSettings,
+    StreamState,
     SupportGrid,
+    block_update,
     build_error_support,
     dual_objective,
     expectation,
@@ -986,6 +988,27 @@ def test_non_finite_partition_sum_is_rejected():
     prob = GceProblem(np.array([0.3]), np.array([[4.0]]), grid)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite partition sum"):
         gibbs_weights(np.array([1e308]), prob)
+
+
+def test_a_regressor_whose_square_overflows_is_refused():
+    # x**2 overflowed inside the solve, which then ran to its iteration cap
+    # although the observation lies inside the hull
+    grid = SupportGrid([[0.0, 1.0]], [[-1.0, 1.0]])
+    refused = r"^x\[0, 0\] = 1e\+160 is too large for the solver to square; rescale"
+    with pytest.raises(ValueError, match=refused):
+        GceProblem([3e159], [[1e160]], grid)
+    state = StreamState.uniform_start(grid)
+    with pytest.raises(ValueError, match=refused):
+        block_update(state, [3e159], [[1e160]], [-1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^x\[1, 0\] = -1e\+160 is too large"):
+        block_update(state, [0.5, 3e159], [[1.0], [-1e160]], [-1.0, 1.0])
+    for x in ([[1e160]], [[-math.inf]]):  # a non-finite entry is reported as one
+        with pytest.raises(ValueError, match="^y and x must be finite$"):
+            GceProblem([math.nan], x, grid)
+    with pytest.raises(ValueError, match="^y and x must be finite$"):
+        GceProblem([0.5], [[math.nan]], grid)
+    edge = 2.0**510  # the largest magnitude accepted
+    assert GceProblem([0.5 * edge], [[edge]], grid).x[0, 0] == edge
 
 
 def test_iteration_cap_returns_unconverged_solution():

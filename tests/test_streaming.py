@@ -360,7 +360,101 @@ def test_a_single_step_validates_once_and_builds_no_problem_objects(monkeypatch)
     for cls in (GceProblem, JointDistribution, SupportGrid):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     update_step(state, y[10], design[10], error_row)
-    assert calls == {"rows": 1, "GceProblem": 0, "JointDistribution": 0, "SupportGrid": 0}
+    # the new state is built from checked parts: its prior is not checked again
+    assert calls == {"rows": 0, "GceProblem": 0, "JointDistribution": 0, "SupportGrid": 0}
+
+
+def test_steps_on_one_row_check_it_once_and_build_states_unchecked(monkeypatch):
+    state, y, design, error_row = stream_after_batch(n=108)
+    calls = {"_error_rows": 0, "__post_init__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    streaming_module._error_row.cache_clear()
+    monkeypatch.setattr(
+        streaming_module, "_error_rows", counted("_error_rows", streaming_module._error_rows)
+    )
+    monkeypatch.setattr(
+        StreamState, "__post_init__", counted("__post_init__", StreamState.__post_init__)
+    )
+    for i in range(8, 108):
+        state = update_step(state, y[i], design[i], list(error_row))
+    assert state.step_index == 108
+    assert calls == {"_error_rows": 1, "__post_init__": 0}
+
+
+def test_a_row_changed_in_place_is_checked_again():
+    state, y, design, error_row = stream_after_batch()
+    row = error_row.copy()
+    first = update_step(state, y[8], design[8], row)
+    row[:] = [0.5, 1.0, 2.0]
+    with pytest.raises(ValueError, match="must span zero"):
+        update_step(first, y[9], design[9], row)
+    row[:] = error_row
+    assert update_step(first, y[9], design[9], row).step_index == 10
+
+
+def test_an_invalid_row_raises_on_every_call_and_a_kept_row_is_read_only(monkeypatch):
+    state, y, design, error_row = stream_after_batch()
+    checked = []
+    error_rows = streaming_module._error_rows
+
+    def counted(rows):
+        checked.append(np.array(rows))
+        return error_rows(rows)
+
+    streaming_module._error_row.cache_clear()
+    monkeypatch.setattr(streaming_module, "_error_rows", counted)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            update_step(state, y[8], design[8], [-1.0, 1.0, 1.0])
+    assert len(checked) == 3
+    zb = state.supports.beta_support
+    for shape in ((3,), (1, 3), (3,)):
+        row = error_row.reshape(shape).copy()
+        kept = streaming_module._check_block(y[8:9], design[8:9], zb, row)[2]
+        assert not kept.flags.writeable and kept.tolist() == [error_row.tolist()]
+        row[...] = 0.0  # the caller's array is not the one kept
+        assert kept.tolist() == [error_row.tolist()]
+    assert len(checked) == 4  # a 1-D row and a (1, H) one are one row
+
+
+def test_threads_stepping_on_different_rows_each_get_their_own_row():
+    state, y, design, error_row = stream_after_batch(n=40)
+    rows = [error_row * (1.0 + k / 4.0) for k in range(4)]
+
+    def chain(row):
+        current = state
+        for i in range(8, 40):
+            current = update_step(current, y[i], design[i], row)
+        return current.beta_prior.tobytes()
+
+    want = {k: chain(row) for k, row in enumerate(rows)}
+    assert len(set(want.values())) == len(rows)
+    barrier = threading.Barrier(len(rows), timeout=60)
+    results = {}
+
+    def run(k):
+        barrier.wait()
+        results[k] = chain(rows[k])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(rows))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == want
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +847,65 @@ def test_run_stream_is_a_fold_of_block_updates(caplog, case):
     report = stream_and_fold(caplog, y, design, **kwargs)
     assert report.skipped == ()
     assert report.entropy_ledger.size >= (1 if case == "one-block" else 4)
+
+
+def assert_state_rebuilds_to_itself(state, copy_logs=True):
+    """A stepped state is the state its own fields, checked afresh, build.
+
+    With ``copy_logs`` the logs are also copied into plain lists, whose checks start over.
+    """
+    fields = dict(
+        beta_prior=state.beta_prior, supports=state.supports, step_index=state.step_index
+    )
+    logs = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
+    assert not state.beta_prior.flags.writeable and state.beta_prior.flags.c_contiguous
+    assert type(state.step_index) is int
+    for copied in (False, True) if copy_logs else (False,):
+        kept = {name: list(getattr(state, name)) if copied else getattr(state, name)
+                for name in logs}
+        rebuilt = StreamState(**fields, **kept)
+        assert rebuilt.beta_prior.tobytes() == state.beta_prior.tobytes()
+        assert rebuilt.beta_prior.shape == state.beta_prior.shape
+        assert rebuilt.step_index == state.step_index
+        for name in logs:
+            assert getattr(rebuilt, name) == getattr(state, name), name
+        assert rebuilt.entropy_ledger.low == state.entropy_ledger.low
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c, kw in STREAM_CASES.items() if kw.get("block_size", 1) in (1, 7))
+)
+def test_every_stepped_state_equals_the_checked_state(monkeypatch, case):
+    states = []
+    step = streaming_module.block_update
+
+    def recorded(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setitem(globals(), "block_update", recorded)
+    y, design = simulated(200, seed=181)
+    kwargs = {"batch_size": 60, "beta_support": BETA_ROW, **STREAM_CASES[case]}
+    fold_of_block_updates(y, design, **kwargs)
+    assert len(states) >= 20
+    for state in states:  # each log's entries were checked once, so copy the last state's
+        assert_state_rebuilds_to_itself(state, copy_logs=state is states[-1])
+
+
+def test_stepped_states_whose_prior_underflows_equal_the_checked_states():
+    y, design = underflowing_stream()
+    settings = UpdateSettings(gamma=0.1)
+    grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
+    state = init_stream(GceProblem(y[:20], design[:20], grid), settings)[0]
+    underflowed = 0
+    for i in range(20, 40):
+        try:
+            state = update_step(state, y[i], design[i], UNDERFLOW_ERROR_ROW, settings)
+        except InfeasibleObservationError:
+            continue
+        underflowed += state.beta_prior.min() == 0.0
+        assert_state_rebuilds_to_itself(state)
+    assert underflowed >= 2
 
 
 @pytest.mark.parametrize("block_size", [1, 7])
