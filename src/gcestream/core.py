@@ -103,8 +103,8 @@ def _support_rows(values, name: str) -> np.ndarray:
     ordinary size.
     """
     rows = np.array(values, dtype=float, ndmin=2)
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise ValueError(f"{name} must be 2-D with at least 2 columns")
+    if rows.ndim != 2 or rows.shape[1] < 2 or rows.shape[0] < 1:
+        raise ValueError(f"{name} must be 2-D with at least 2 columns and at least one row")
     if not np.abs(rows).max() <= _SAFE_SUPPORT:  # NaN included
         if not np.isfinite(rows).all():
             raise ValueError(f"{name} must be finite")
@@ -133,13 +133,29 @@ def _error_rows(values) -> np.ndarray:
     return rows
 
 
-def _tiled(rows: np.ndarray, n, name: str) -> np.ndarray:
-    """``n`` copies of the checked stack ``rows``, read-only, as checking them all stores them."""
-    stack = np.tile(rows, (n, 1))
-    if stack.shape[0] < 1:
+def _tiled(row: np.ndarray, n, name: str) -> np.ndarray:
+    """``n`` copies of the checked ``(1, H)`` ``row``: a read-only broadcast view of it."""
+    if not n >= 1:
         raise ValueError(f"{name} must have at least one row")
-    stack.setflags(write=False)
-    return stack
+    return np.broadcast_to(row, (n, row.shape[1]))
+
+
+def _shared(rows: np.ndarray) -> np.ndarray:
+    """The one rule for "one row": ``rows[:1]`` when ``rows`` broadcasts it (row stride 0)."""
+    return rows[:1] if rows.strides[0] == 0 else rows
+
+
+def _uniform_rows(n: int, k: int, name: str) -> np.ndarray:
+    """``n`` uniform rows of ``k`` points, checked in ``min(n, 2)`` rows to get a stack's bits."""
+    return _tiled(_simplex_rows(np.full((min(n, 2), k), 1.0 / k), name)[:1], n, name)
+
+
+def _gibbs_rows(rows) -> np.ndarray:
+    """Gibbs rows renormalized as ``_simplex_rows`` does, bit for bit; they pass its checks."""
+    w = np.empty(rows.shape)
+    np.divide(rows.T, _row_sums(rows), out=w.T)  # along the long axis, as evaluate lays it out
+    w.setflags(write=False)
+    return w
 
 
 def _prechecked(cls, **fields):
@@ -207,7 +223,8 @@ class SupportGrid:
     ``beta_support`` has one row per regression coefficient (shape ``(J, K)``)
     and ``error_support`` one row per observation (shape ``(m, H)``). Rows are
     strictly increasing; every error row must bracket zero so that noiseless
-    observations stay representable.
+    observations stay representable. ``tiled`` stores each of its two rows
+    once, as a read-only broadcast view of its stack.
     """
 
     beta_support: np.ndarray
@@ -265,12 +282,10 @@ class JointDistribution:
 
     @classmethod
     def uniform(cls, grid: SupportGrid) -> "JointDistribution":
-        """Uniform rows over ``grid``: one of each kind checked, as in a full stack, and tiled."""
+        """Uniform rows over ``grid``: one of each kind checked, as in a full stack, broadcast."""
         k, h, j, m = grid.n_beta_points, grid.n_error_points, grid.n_params, grid.n_obs
-        # two rows where there are two: a lone row of 9 or more points sums pairwise
-        beta = _simplex_rows(np.full((min(j, 2), k), 1.0 / k), "beta")[:1]
-        error = _simplex_rows(np.full((min(m, 2), h), 1.0 / h), "error")[:1]
-        return _prechecked(cls, beta=_tiled(beta, j, "beta"), error=_tiled(error, m, "error"))
+        beta, error = _uniform_rows(j, k, "beta"), _uniform_rows(m, h, "error")
+        return _prechecked(cls, beta=beta, error=error)
 
     def matches_grid(self, grid: SupportGrid) -> bool:
         """True when the weight arrays have the shapes of the grid's support arrays."""

@@ -67,11 +67,14 @@ from .simulation import (
     load_dataset_csv,
     standardize_columns,
 )
-from .solver import GceProblem, SolverSettings, _check_hull, _solve_dual, solve_gce
-from .streaming import (
-    UpdateSettings, _check_block, _failure, _Fit, _fold, _prepare_stream, run_stream,
+from .solver import (
+    GceProblem, SolverSettings, _check_hull, _check_observations, _solve_dual, solve_gce,
 )
-from .core import SupportGrid, _entries, _flag, _integer, _real, _simplex_rows, _support_rows
+from .streaming import UpdateSettings, _failure, _Fit, _fold, _prepare_stream, run_stream
+from .core import (
+    SupportGrid, _entries, _error_rows, _flag, _gibbs_rows, _integer, _real, _shared,
+    _support_rows, _uniform_rows,
+)
 
 __all__ = [
     "ConfigError",
@@ -509,22 +512,21 @@ def _fit_stack(problems, zb, solver) -> list[_Fit]:
 
     ``problems`` holds ``(y, x, error row)`` per problem, all of one size,
     on the checked coefficient supports ``zb``. The stack is checked as
-    ``GceProblem`` checks a problem, so a stack of one raises what its
-    problem raises. Each fit has the bits ``solve_gce`` would give it.
+    ``GceProblem`` checks a problem, each error row once, so a stack of one
+    raises what its problem raises. Each fit, solved on its one error row,
+    has the bits ``solve_gce`` would give it.
     """
     y, x, rows = (np.stack(arrays) for arrays in zip(*problems))
     (s, m, j), k, h = x.shape, zb.shape[1], rows.shape[1]
-    ys, xs, ze = _check_block(y.reshape(-1), x.reshape(-1, j), zb, np.repeat(rows, m, axis=0))
-    # the priors JointDistribution.uniform gives a problem, all m error rows:
-    # _simplex_rows renormalizes one row and several to other bits from 9 points
-    qb = _simplex_rows(np.full((j, k), 1.0 / k), "beta")
-    qe = _simplex_rows(np.full((m, h), 1.0 / h), "error")
-    _check_hull(ys, xs, zb, qb, ze, qe)
+    ze = _error_rows(rows)[:, None]
+    _check_observations(y.reshape(-1), x.reshape(-1, j), zb, s * m)
+    qb, qe = _uniform_rows(j, k, "beta"), _shared(_uniform_rows(m, h, "error"))
+    _check_hull(y, x, zb, qb, ze, qe)
     _, pt, (_, _, converged) = _solve_dual(
-        y, x, zb, ze.reshape(s, m, h), np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver
+        y, x, zb, ze, np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver
     )
     return [
-        _Fit(_simplex_rows(pt.pb[i], "beta"), pt.beta_hat[i], pt.eps_hat[i], verdict)
+        _Fit(_gibbs_rows(pt.pb[i]), pt.beta_hat[i], pt.eps_hat[i], verdict)
         for i, verdict in enumerate(converged.tolist())
     ]
 

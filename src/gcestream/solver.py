@@ -59,8 +59,11 @@ from .core import (
     JointDistribution,
     SupportGrid,
     _SAFE_SUPPORT,
+    _gibbs_rows,
     _integer,
+    _prechecked,
     _real,
+    _shared,
     kl_divergence,
 )
 
@@ -168,17 +171,18 @@ class GceProblem:
     def __post_init__(self) -> None:
         y = np.array(self.y, dtype=float).reshape(-1)
         x = np.atleast_2d(np.array(self.x, dtype=float))
-        _check_observations(y, x, self.supports.n_params, self.supports.n_obs)
-        prior = self.prior if self.prior is not None else JointDistribution.uniform(self.supports)
-        if not prior.matches_grid(self.supports):
+        grid = self.supports
+        _check_observations(y, x, grid.beta_support, grid.n_obs)
+        prior = self.prior if self.prior is not None else JointDistribution.uniform(grid)
+        if not prior.matches_grid(grid):
             raise ValueError("prior rows do not match the support grid dimensions")
         y.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "prior", prior)
-        grid = self.supports
-        _check_hull(y, x, grid.beta_support, prior.beta, grid.error_support, prior.error)
+        _check_hull(y, x, grid.beta_support, prior.beta, _shared(grid.error_support),
+                    _shared(prior.error))
 
     @property
     def n_obs(self) -> int:
@@ -189,16 +193,19 @@ class GceProblem:
         return int(self.x.shape[1])
 
 
-def _check_observations(y: np.ndarray, x: np.ndarray, n_params: int, n_obs: int) -> None:
-    """Reject data that is not finite, an ``x`` too large to square, or a grid of another shape.
+def _check_observations(y: np.ndarray, x: np.ndarray, zb, n_obs: int, weight: float = 1.0) -> None:
+    """Reject data that is not finite, an ``x`` too large to solve with, or a grid of another shape.
 
     ``y`` is 1-D and ``x`` at least 2-D; the grid needs one coefficient row
-    (``n_params``) per column of ``x`` and one error row (``n_obs``) per
-    observation. Entries of ``x`` may not exceed ``2**510`` in magnitude.
+    of ``zb`` per column of ``x`` and one error row (``n_obs``) per
+    observation. Entries of ``x`` may not exceed ``2**510`` in magnitude, nor
+    ``2**510 * sqrt(weight)`` over their coefficient row's span, so that
+    ``x_ij**2 * var_j / weight`` stays below ``2**1018`` at signal weight ``weight``.
     """
     if y.size < 1:
         raise ValueError("need at least one observation")
-    if not (np.isfinite(y).all() and (x.size == 0 or np.abs(x).max() <= _SAFE_SUPPORT)):
+    top = np.abs(x).max(initial=0.0)  # NaN stays NaN
+    if not (np.isfinite(y).all() and top <= _SAFE_SUPPORT):
         if not (np.isfinite(y).all() and np.isfinite(x).all()):  # NaN fails the first test too
             raise ValueError("y and x must be finite")
         at = np.unravel_index(np.argmax(np.abs(x)), x.shape)
@@ -208,27 +215,34 @@ def _check_observations(y: np.ndarray, x: np.ndarray, n_params: int, n_obs: int)
         raise ValueError(f"x has {x.shape[0]} rows, y has {y.size} entries")
     if n_obs != y.size:
         raise ValueError(f"support grid covers {n_obs} observations, data has {y.size}")
-    if n_params != x.shape[1]:
-        raise ValueError(f"support grid covers {n_params} coefficients, x has {x.shape[1]} columns")
+    if len(zb) != x.shape[1]:
+        raise ValueError(f"support grid covers {len(zb)} coefficients, x has {x.shape[1]} columns")
+    span, limit = zb[:, -1] - zb[:, 0], _SAFE_SUPPORT * math.sqrt(weight)
+    if top * max(span.tolist()) > limit:  # else the largest magnitude and span clear all
+        i, j = np.unravel_index(np.argmax(np.abs(x) * span), x.shape)
+        if abs(x[i, j]) * span[j] > limit:
+            raise ValueError(f"x[{i}, {j}] = {float(x[i, j])!r} is too large for coefficient row "
+                             f"{j} of span {float(span[j])!r}; rescale the data and the supports")
 
 
 def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row smallest and largest support point that carries prior weight."""
+    """Per row, the smallest and largest support point that carries prior weight."""
     if q.min() > 0.0:  # every point is live, and rows are increasing
-        return z[:, 0], z[:, -1]
-    return np.where(q > 0.0, z, np.inf).min(axis=1), np.where(q > 0.0, z, -np.inf).max(axis=1)
+        return z[..., 0], z[..., -1]
+    return np.where(q > 0.0, z, np.inf).min(axis=-1), np.where(q > 0.0, z, -np.inf).max(axis=-1)
 
 
 def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``x``: the range of ``x_i . beta`` over the box [bmin, bmax].
+    """Per row of ``x`` (m, J) or (S, m, J): the range of ``x_i . beta`` over the box [bmin, bmax].
 
     The J columns are summed along the observation axis, in sequence, so the
     bounds are the row sums' bits while J < 8.
     """
     xt = np.ascontiguousarray(x.T)
-    at_min, at_max = xt * bmin[:, None], xt * bmax[:, None]
+    box = (slice(None),) + (None,) * (x.ndim - 1)
+    at_min, at_max = xt * bmin[box], xt * bmax[box]
     add = np.add.reduce
-    return add(np.minimum(at_min, at_max), axis=0), add(np.maximum(at_min, at_max), axis=0)
+    return add(np.minimum(at_min, at_max), axis=0).T, add(np.maximum(at_min, at_max), axis=0).T
 
 
 def _check_hull(y, x, zb, qb, ze, qe) -> None:
@@ -237,7 +251,8 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
     The hull of observation i is the range of ``x_i . beta + eps_i`` as each
     row's weights range over the support points (``zb``, ``ze``) that carry
     prior weight (``qb``, ``qe``); points without prior weight are
-    unreachable at finite KL and do not count.
+    unreachable at finite KL and do not count. ``ze`` may be one row shared
+    by all; a stack ((S, m) ``y``, (S, 1, H) ``ze``) counts indices across it.
     """
     emin, emax = _live_bounds(ze, qe)
     lo, hi = _coefficient_hull(x, *_live_bounds(zb, qb))
@@ -247,9 +262,9 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
     outside = (y < lo) | (y > hi)
     if outside.any():
         idx = np.flatnonzero(outside)
-        raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=False)
+        raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=False)
     idx = np.flatnonzero((y == lo) | (y == hi))
-    raise InfeasibleObservationError(idx, lo[idx[0]], hi[idx[0]], boundary=True)
+    raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=True)
 
 
 def _inside(y, x, zb, rows) -> np.ndarray:
@@ -333,20 +348,22 @@ def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray
     numpy adds a row's points in sequence while there are fewer than 8, so
     both layouts give the same bits; from 8 points on, a row sum is pairwise
     and the two agree to the last few ulps. Returns the ``(S, rows)`` log
-    partition sums and the weights in the layout of ``logits``.
+    partition sums and the weights, formed in place in ``logits``.
 
     Entries of -inf (support points without prior weight) get zero weight; a
     row whose log partition sum is not finite raises ValueError, naming the
     row within the first problem that has one.
     """
-    top = logits.max(axis=axis, keepdims=True)
-    shifted = np.exp(logits - top)
-    total = np.add.reduce(shifted, axis=axis, keepdims=True)
+    top = np.maximum.reduce(logits, axis=axis, keepdims=True)
+    logits -= top
+    np.exp(logits, out=logits)
+    total = np.add.reduce(logits, axis=axis, keepdims=True)
     ln_z = (np.log(total) + top).reshape(logits.shape[0], -1)
     bad = ~np.isfinite(ln_z)
     if bad.any():
         raise ValueError(f"non-finite partition sum in {name} row {int(np.argwhere(bad)[0, 1])}")
-    return ln_z, shifted / total
+    logits /= total
+    return ln_z, logits
 
 
 def _log_priors(q: np.ndarray) -> np.ndarray:
@@ -365,11 +382,11 @@ class _DualEvaluator:
     """Precomputed log-priors and supports for repeated dual evaluations of a stack.
 
     Takes, per problem of a stack of S, the data ``y`` (S, m) and ``x`` (S,
-    m, J), the error supports ``ze`` (S, m, H) and the log coefficient prior
-    weights ``log_qb`` (S, J, K); the coefficient supports ``zb`` (J, K), the
-    log error prior weights ``log_qe`` (``_log_priors`` of the weights; one
-    row may be shared by every observation) and the two objective weights
-    are the stack's.
+    m, J), the error supports ``ze`` (S, m, H; S, 1, H for one shared row)
+    and the log coefficient prior weights ``log_qb`` (S, J, K); the
+    coefficient supports ``zb`` (J, K), the log error prior weights
+    ``log_qe`` (``_log_priors`` of the weights; one row may be shared by
+    every observation) and the two objective weights are the stack's.
 
     Every problem's arithmetic is the one-problem arithmetic, operation for
     operation: dot products are batched ``matmul`` calls on each problem's
@@ -378,9 +395,10 @@ class _DualEvaluator:
     the same bits in any stack, and ``take`` can drop problems from one.
 
     The error side is stored once per solve as contiguous ``(S, H, m)``
-    arrays (a shared ``(1, H)`` log prior as ``(H, 1)``), so each of its
-    per-row reductions runs along the long observation axis; ``evaluate``
-    hands back the error weights as the ``(S, m, H)`` view of that array.
+    arrays (a shared row or ``(1, H)`` log prior as one column), so each of
+    its per-row reductions runs along the long observation axis; ``evaluate``
+    works in place in its fresh ``(S, H, m)`` logits and hands back the error
+    weights as their ``(S, m, H)`` view.
     Rows of fewer than 8 points are summed in sequence in either layout, so
     every output is bit-identical to a row-major evaluation while K, H and J
     are below 8; wider rows agree to the last few ulps.
@@ -399,14 +417,14 @@ class _DualEvaluator:
         # selection of x does
         self.xt = np.ascontiguousarray(self.x.transpose(0, 2, 1))
         self._views()
-        self.zb = zb
+        self.zb = np.ascontiguousarray(zb)  # a tiled grid's rows are a broadcast view
         self.ze_t = np.ascontiguousarray(ze.transpose(0, 2, 1))
         self.log_qb = log_qb
         self.log_qe_t = np.ascontiguousarray(log_qe.T)
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
-        m, h = ze.shape[1:]
+        m, h = self.y.shape[1], ze.shape[2]
         self.offset = self.wb * j * math.log(k) + self.we * m * math.log(h)
 
     def _views(self) -> None:
@@ -422,8 +440,12 @@ class _DualEvaluator:
         ev._views()
         return ev
 
-    def evaluate(self, lam: np.ndarray) -> _DualPoint:
-        """The point at the multipliers ``lam`` (S, m)."""
+    def evaluate(self, lam: np.ndarray, zero: bool = False) -> _DualPoint:
+        """The point at the multipliers ``lam`` (S, m), all zero if ``zero``.
+
+        At zero, a shared error row and prior of fewer than 8 points, which
+        sum in sequence in any layout, are one row for all, formed once.
+        """
         add = np.add.reduce
         tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
         zb = self.zb
@@ -431,8 +453,13 @@ class _DualEvaluator:
         beta_hat = add(pb * zb, axis=2)
 
         ze = self.ze_t
-        ln_ze, pe = _log_partition(self.log_qe_t - ze * (lam / self.we)[:, None, :], "error", 1)
+        one = zero and ze.shape[2] == self.log_qe_t.shape[1] == 1 and ze.shape[1] < 8
+        logits = ze * ((lam[:, :1] if one else lam) / self.we)[:, None, :]
+        np.subtract(self.log_qe_t, logits, out=logits)
+        ln_ze, pe = _log_partition(logits, "error", 1)
         eps_hat = add(pe * ze, axis=1)
+        if one:
+            ln_ze, pe, eps_hat = (np.repeat(a, lam.shape[1], axis=-1) for a in (ln_ze, pe, eps_hat))
 
         value = (
             np.matmul(lam[:, None, :], self.y_col)[:, 0, 0] + self.wb * add(ln_zb, axis=1)
@@ -448,10 +475,11 @@ class _DualEvaluator:
         a Newton direction reads them, so ``evaluate`` leaves them out.
         """
         add = np.add.reduce
-        pe = pt.pe.transpose(0, 2, 1)
         curv_beta = add(pt.pb * (self.zb - pt.beta_hat[:, :, None]) ** 2, axis=2) / self.wb
-        curv_eps = add(pe * (self.ze_t - pt.eps_hat[:, None, :]) ** 2, axis=1) / self.we
-        return curv_beta, curv_eps
+        dev = self.ze_t - pt.eps_hat[:, None, :]  # squared and weighted in place
+        dev **= 2
+        dev *= pt.pe.transpose(0, 2, 1)
+        return curv_beta, add(dev, axis=1) / self.we
 
 
 def _as_multipliers(multipliers, n_obs: int) -> np.ndarray:
@@ -562,7 +590,7 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     s = ev.y.shape[0]
     tol = settings.constraint_tolerance
     lam = np.zeros(ev.y.shape)
-    pt = ev.evaluate(lam)
+    pt = ev.evaluate(lam, zero=True)
     iterations = np.zeros(s, dtype=int)
     run = np.flatnonzero(np.maximum.reduce(np.abs(pt.grad), axis=1) > tol)
     # a running problem has moved on every iteration so far, so its count is the loop's
@@ -819,32 +847,35 @@ def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     """Solve the weighted duals of a stack of S problems from a zero start.
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
-    supports ``ze`` (S, m, H) and the coefficient prior weights ``qb``
+    supports ``ze`` (S, m, H; or S, 1, H) and the coefficient prior weights ``qb``
     (S, J, K); the coefficient supports ``zb`` (J, K), the error prior
     weights ``qe`` (one row may be shared by every observation) and the two
     objective weights are the stack's. Problems of one observation (m = 1)
     are solved together by a ``_StackKernel``, problems of more observations
     by ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way
     a problem gets the bits it would get alone, in a stack of one. Each
-    thread keeps the log and kernel of its last shared error row, reused
-    while ``zb`` and ``qe`` hold the same values, whatever the weights, with
-    the bits new ones would give; a per-row ``qe`` leaves them be. Returns
-    the multipliers (S, m), the final stacked ``_DualPoint`` and, as (S,)
-    arrays, each problem's iterations, largest absolute residual and
-    verdict, which is decided here and nowhere else.
+    thread keeps the log and (once m = 1 needs it) kernel of its last shared
+    error row, reused while ``zb`` and ``qe`` hold the same values, whatever
+    the weights, with the bits new ones would give; a per-row ``qe`` leaves
+    them be. Returns the multipliers (S, m), the final stacked ``_DualPoint``
+    and, as (S,) arrays, each problem's iterations, largest absolute residual
+    and verdict, which is decided here and nowhere else.
     """
     log_qb = _log_priors(qb)
+    one = y.shape[1] == 1
     if qe.shape[0] == 1:  # one shared error row, as every m = 1 solve and stream block has
         key = (zb.shape, zb.tobytes(), qe.shape, qe.tobytes())
         last = getattr(_KERNELS, "last", None)
         if last is None or last[0] != key:
             log_qe = _log_priors(qe)
             log_qe.setflags(write=False)
-            _KERNELS.last = last = key, log_qe, _StackKernel(zb, log_qe[0])
+            _KERNELS.last = last = key, log_qe, None
+        if one and last[2] is None:
+            _KERNELS.last = last = key, last[1], _StackKernel(zb, last[1][0])
         log_qe, kernel = last[1:]
     else:
         log_qe = _log_priors(qe)
-    if y.shape[1] == 1:
+    if one:
         lam, pt, iterations = kernel.solve(
             qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], signal_weight, error_weight, settings
         )
@@ -859,8 +890,9 @@ def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -
     """The evaluator of a stack of one: a problem's data, grid and prior."""
     grid, prior = problem.supports, problem.prior
     return _DualEvaluator(
-        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
-        _log_priors(prior.beta)[None], _log_priors(prior.error), signal_weight, error_weight,
+        problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
+        _log_priors(prior.beta)[None], _log_priors(_shared(prior.error)), signal_weight,
+        error_weight,
     )
 
 
@@ -926,11 +958,14 @@ def solve_gce(
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
     grid, prior = problem.supports, problem.prior
+    if signal_weight < 1.0:  # GceProblem checked x at weight 1
+        _check_observations(problem.y, problem.x, grid.beta_support, grid.n_obs, signal_weight)
     lam, pt, verdicts = _solve_dual(
-        problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
-        prior.beta[None], prior.error, signal_weight, error_weight, settings,
+        problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
+        prior.beta[None], _shared(prior.error), signal_weight, error_weight, settings,
     )
-    distributions = JointDistribution(pt.pb[0], pt.pe[0])
+    pb, pe = _gibbs_rows(pt.pb[0]), _gibbs_rows(pt.pe[0])  # Gibbs rows pass every check
+    distributions = _prechecked(JointDistribution, beta=pb, error=pe)
     objective = signal_weight * kl_divergence(distributions.beta, prior.beta).sum() + (
         error_weight * kl_divergence(distributions.error, prior.error).sum()
     )

@@ -58,8 +58,10 @@ from .core import (
     _integer,
     _prechecked,
     _real,
+    _shared,
     _simplex_rows,
     _support_rows,
+    _uniform_rows,
     expectation,
 )
 from .simulation import _check_error_scale, _scaled_error_support
@@ -306,10 +308,7 @@ def _uniform_error_prior(h: int) -> np.ndarray:
 
     The row is renormalized as a ``JointDistribution`` would store it.
     """
-    qe = np.full((1, h), 1.0 / h)
-    qe /= qe.sum(axis=1)[:, None]
-    qe.setflags(write=False)
-    return qe
+    return _uniform_rows(1, h, "error")
 
 
 @functools.lru_cache(maxsize=16)
@@ -318,13 +317,14 @@ def _error_row(data: bytes) -> np.ndarray:
     return _error_rows(np.frombuffer(data).reshape(1, -1))
 
 
-def _check_block(y, x, zb, error_rows):
+def _check_block(y, x, zb, error_rows, weight: float = 1.0):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
     Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
     support rows, one per observation (a single row is shared by all), each
-    checked as ``SupportGrid`` and ``GceProblem`` would check them. The hull
-    is left to the caller; one row, 1-D or ``(1, H)``, is checked once per value.
+    checked as ``SupportGrid`` and ``GceProblem`` (at signal weight
+    ``weight``) would check them. The hull is left to the caller; one row,
+    1-D or ``(1, H)``, is checked once per value.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -333,7 +333,7 @@ def _check_block(y, x, zb, error_rows):
     rows = _error_row(rows.tobytes()) if one else _error_rows(rows)
     if rows.shape[0] == 1 and y.size > 1:
         rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
-    _check_observations(y, x, zb.shape[0], rows.shape[0])
+    _check_observations(y, x, zb, rows.shape[0], weight)
     return y, x, rows
 
 
@@ -394,7 +394,7 @@ def init_stream(
     only the coefficient rows persist.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
-    for weights in (batch.prior.beta, batch.prior.error):
+    for weights in (batch.prior.beta, _shared(batch.prior.error)):
         if np.max(np.abs(weights - 1.0 / weights.shape[1])) > 1e-12:
             raise ValueError("init_stream requires a uniform batch prior")
 
@@ -436,7 +436,7 @@ def block_update(
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     zb = state.supports.beta_support
-    y, x, rows = _check_block(y_block, x_block, zb, error_support_rows)
+    y, x, rows = _check_block(y_block, x_block, zb, error_support_rows, settings.gamma)
     carried = state.beta_prior
     # only live points count; the renormalized prior is positive exactly
     # where the carried one is
@@ -561,7 +561,7 @@ def _prepare_stream(
             raise ValueError(f"error_support must be one row, got {error_row.shape[0]} rows")
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
-    y, x, rows = _check_block(y, x, zb, error_row)
+    y, x, rows = _check_block(y, x, zb, error_row, settings.gamma)
     if error_support is None and error_scale == "cumulative":
         rows = rows.copy()  # each block scaled to the responses seen by its end
         for start in range(batch_size, n, block_size):
@@ -569,8 +569,8 @@ def _prepare_stream(
             rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
         rows = _error_rows(rows)
 
-    if grid is None:
-        grid = SupportGrid(zb, rows[: max(batch_size, 1)])
+    if grid is None:  # both checked above; a shared row stays one row
+        grid = _prechecked(SupportGrid, beta_support=zb, error_support=rows[: max(batch_size, 1)])
     solution = None
     if batch_size < 1:  # StreamState.uniform_start's prior and estimates
         prior = np.full(zb.shape, 1.0 / zb.shape[1])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -196,6 +197,33 @@ def test_a_tiled_grid_refuses_a_row_as_its_constructor_does(n, beta_row, error_r
 def test_a_tiled_grid_of_no_rows_is_refused(n_params, n_obs):
     with pytest.raises(ValueError):
         SupportGrid.tiled([0.0, 1.0], n_params, [-1.0, 1.0], n_obs)
+
+
+@pytest.mark.parametrize("field", ["beta_support", "error_support"])
+def test_a_support_stack_of_no_rows_is_refused_by_its_name(field):
+    rows = {"beta_support": [[0.0, 1.0]], "error_support": [[-1.0, 1.0]]}
+    rows[field] = np.empty((0, 3))
+    with pytest.raises(ValueError, match=f"^{field} must be 2-D .* at least one row$"):
+        SupportGrid(**rows)
+
+
+def test_a_tiled_grid_and_its_uniform_prior_hold_one_row_of_each_kind():
+    n = 10**6
+    grid = SupportGrid.tiled(WIDE_SUPPORT, 3, [-3.0, 0.0, 3.0], n)
+    prior = JointDistribution.uniform(grid)
+    assert grid.error_support.shape == prior.error.shape == (n, 3)
+    for rows in (grid.beta_support, grid.error_support, prior.beta, prior.error):
+        # every row is the one row in memory: O(H) data, whatever the count
+        assert rows.strides == (0, rows.itemsize) and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[-1, 0] = 1.0
+    back = pickle.loads(pickle.dumps(grid))
+    for got, want in ((back.beta_support, grid.beta_support),
+                      (back.error_support, grid.error_support)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # the constructor checks and stores every row it is given, as rows
+    copied = SupportGrid(grid.beta_support[:4], grid.error_support[:4])
+    assert copied.error_support.strides[0] != 0 and copied.error_support.shape == (4, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40])

@@ -629,6 +629,12 @@ def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     for module in (core, solver):
         monkeypatch.setattr(module, "kl_divergence", counted("kl", module.kl_divergence))
+    # a stream builds its grid from rows it has checked
+    grids = counted("SupportGrid", core._prechecked)
+    monkeypatch.setattr(
+        streaming, "_prechecked",
+        lambda cls, **fields: (grids if cls is SupportGrid else core._prechecked)(cls, **fields),
+    )
     scenario = small_scenario(run_std=True, batch_fractions=fractions)
     outcome = run_cell(scenario, 0.0, 5)
     assert counts == {"SupportGrid": len(fractions)}
@@ -647,6 +653,39 @@ def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch
     assert got.distributions.beta.tobytes() == want.distributions.beta.tobytes()
     assert got.distributions.error.tobytes() == want.distributions.error.tobytes()
     assert (got.objective_value, got.diagnostics) == (want.objective_value, want.diagnostics)
+
+
+@pytest.mark.parametrize("h", [3, 9])
+def test_a_stack_of_one_shot_fits_solves_each_on_its_one_error_row(monkeypatch, h):
+    # each problem's row is checked once and solved as one row, and each fit
+    # has the bits solve_gce gives its problem alone
+    beta_row = np.array([-20.0, -10.0, 0.0, 10.0, 20.0])
+    problems = []
+    for seed in range(3):
+        data = generate_dataset(SimulationConfig(n=40, seed=seed))
+        design = np.column_stack([np.ones(data.n), data.x])
+        problems.append((data.y, design, np.linspace(-3.0, 3.0, h) * np.std(data.y)))
+    checked, shapes = [], []
+    error_rows, solve_dual = experiments._error_rows, experiments._solve_dual
+
+    def counted(rows):
+        checked.append(np.shape(rows))
+        return error_rows(rows)
+
+    def recorded(y, x, zb, ze, qb, qe, *args):
+        shapes.append((ze.shape, qe.shape))
+        return solve_dual(y, x, zb, ze, qb, qe, *args)
+
+    monkeypatch.setattr(experiments, "_error_rows", counted)
+    monkeypatch.setattr(experiments, "_solve_dual", recorded)
+    fits = experiments._fit_stack(problems, np.tile(beta_row, (4, 1)), SolverSettings())
+    assert checked == [(3, h)] and shapes == [((3, 1, h), (1, h))]
+    for (y, x, row), fit in zip(problems, fits):
+        want = solve_gce(GceProblem(y, x, SupportGrid.tiled(beta_row, 4, row, y.size)))
+        assert fit.beta.tobytes() == want.distributions.beta.tobytes()
+        assert fit.beta_hat.tobytes() == want.beta_hat.tobytes()
+        assert fit.epsilon_hat.tobytes() == want.epsilon_hat.tobytes()
+        assert fit.converged == want.diagnostics.converged
 
 
 def test_failed_cells_are_recorded_not_fatal(tmp_path):

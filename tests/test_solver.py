@@ -20,6 +20,7 @@ from gcestream import (
     SolverSettings,
     StreamState,
     SupportGrid,
+    UpdateSettings,
     block_update,
     build_error_support,
     dual_objective,
@@ -1009,6 +1010,73 @@ def test_a_regressor_whose_square_overflows_is_refused():
         GceProblem([0.5], [[math.nan]], grid)
     edge = 2.0**510  # the largest magnitude accepted
     assert GceProblem([0.5 * edge], [[edge]], grid).x[0, 0] == edge
+
+
+def test_a_regressor_too_large_for_its_coefficient_row_is_refused():
+    # x at the 2**510 limit on a row of span 1024: x**2 * var overflowed in the
+    # one-observation kernel, which ran 500 iterations to residual 1e156
+    grid = SupportGrid([[0.0, 1024.0]], [[-1.0, 1.0]])
+    refused = r"^x\[0, 0\] = .* is too large for coefficient row 0 of span 1024\.0; rescale"
+    with pytest.raises(ValueError, match=refused):
+        GceProblem([300 * 2.0**510], [[2.0**510]], grid)
+    with pytest.raises(ValueError, match=refused):
+        block_update(StreamState.uniform_start(grid), [300 * 2.0**510], [[2.0**510]], [-1.0, 1.0])
+    # a stream's bound follows its gamma: var / gamma stays finite down to 2**-53
+    unit = SupportGrid([[0.0, 1.0]], [[-1.0, 1.0]])
+    y, x = [0.5 * 2.0**500], [[2.0**500]]
+    assert solve_gce(GceProblem(y, x, unit)).diagnostics.max_residual < 2.0**500
+    state = StreamState.uniform_start(unit)
+    block_update(state, y, x, [-1.0, 1.0], UpdateSettings(gamma=0.5))
+    with pytest.raises(ValueError, match=r"^x\[0, 0\] = .* of span 1\.0; rescale"):
+        block_update(state, y, x, [-1.0, 1.0], UpdateSettings(gamma=2.0**-53))
+    # solve_gce checks again at a signal weight below 1
+    accepted = GceProblem([300 * 2.0**500], [[2.0**500]], grid)
+    assert solve_gce(accepted).diagnostics.max_residual < 2.0**500
+    with pytest.raises(ValueError, match=r"^x\[0, 0\] = .* of span 1024\.0; rescale"):
+        solve_gce(accepted, signal_weight=1e-30)
+
+
+def one_row_problems(h, m):
+    """One problem on a tiled grid and uniform prior, and the same on per-row copies."""
+    local = np.random.default_rng(1000 * h + m)
+    x = np.column_stack([np.ones(m), local.uniform(0.0, 20.0, size=(m, 3))])
+    y = x @ np.array([1.0, -2.0, 3.0, 0.5]) + local.normal(0.0, 1.0, size=m)
+    beta_row, error_row = DEFAULT_BETA_SUPPORT, np.linspace(-3.0, 3.0, h) * np.std(y)
+    tiled = GceProblem(y, x, SupportGrid.tiled(beta_row, 4, error_row, m))
+    k = len(beta_row)
+    rows = SupportGrid(np.tile(beta_row, (4, 1)), np.tile(error_row, (m, 1)))
+    prior = JointDistribution(np.full((4, k), 1.0 / k), np.full((m, h), 1.0 / h))
+    return tiled, GceProblem(y, x, rows, prior), local
+
+
+@pytest.mark.parametrize("m", [2, 40, 240])
+@pytest.mark.parametrize("h", [3, 9, 12])
+def test_a_tiled_grid_solves_to_the_bits_of_its_per_row_copy(monkeypatch, h, m):
+    # the tiled grid hands the solver its one error row, the copy one per
+    # observation; every output is the same to the bit
+    tiled, per_row, local = one_row_problems(h, m)
+    shapes = []
+    solve_dual = solver._solve_dual
+
+    def recorded(y, x, zb, ze, qb, qe, *args):
+        shapes.append((ze.shape, qe.shape))
+        return solve_dual(y, x, zb, ze, qb, qe, *args)
+
+    monkeypatch.setattr(solver, "_solve_dual", recorded)
+    got, want = solve_gce(tiled), solve_gce(per_row)
+    assert shapes == [((1, 1, h), (1, h)), ((1, m, h), (m, h))]
+    for name in ("multipliers", "beta_hat", "epsilon_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("beta", "error"):
+        a, b = getattr(got.distributions, name), getattr(want.distributions, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
+    assert got.objective_value.hex() == want.objective_value.hex()
+    assert got.diagnostics == want.diagnostics
+    for lam in (np.zeros(m), got.multipliers, local.normal(0.0, 0.1, size=m)):
+        (value, grad), (value_rows, grad_rows) = (dual_objective(lam, p) for p in (tiled, per_row))
+        assert value.hex() == value_rows.hex() and grad.tobytes() == grad_rows.tobytes()
+        a, b = gibbs_weights(lam, tiled), gibbs_weights(lam, per_row)
+        assert a.beta.tobytes() == b.beta.tobytes() and a.error.tobytes() == b.error.tobytes()
 
 
 def test_iteration_cap_returns_unconverged_solution():

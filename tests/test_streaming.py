@@ -1730,9 +1730,10 @@ def test_one_observation_fits_and_updates_on_one_thread_share_one_kernel(monkeyp
 
 def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch):
     # 48 blocks of 40 on one shared error row: the first block forms its log
-    # prior, which the thread keeps with its kernel, and the rest read it; a
-    # one-shot fit between them forms its per-row log and evicts nothing
-    logged = []
+    # prior, which the thread keeps, and the rest read it; a one-shot fit
+    # between them solves its tiled grid's one row and reads it too, and no
+    # solve of more than one observation builds a one-observation kernel
+    logged, kernels = [], []
     log_priors = solver._log_priors
 
     def counted(q):
@@ -1740,8 +1741,14 @@ def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch
             logged.append(q.shape)
         return log_priors(q)
 
+    class Kernel(solver._StackKernel):
+        def __init__(self, *args):
+            kernels.append(args)
+            super().__init__(*args)
+
     state, y, design, error_row = stream_after_batch(n=20 + 48 * 40, batch=20)
     monkeypatch.setattr(solver, "_log_priors", counted)
+    monkeypatch.setattr(solver, "_StackKernel", Kernel)
     monkeypatch.setattr(solver, "_KERNELS", threading.local())
     grid = SupportGrid.tiled(BETA_ROW, design.shape[1], error_row, 40)
     for start in range(20, y.size, 40):
@@ -1749,7 +1756,8 @@ def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch
             solve_gce(GceProblem(y[:40], design[:40], grid))
         state = block_update(state, y[start : start + 40], design[start : start + 40], error_row)
     assert state.step_index == y.size and all(state.converged_log)
-    assert logged == [(1, 3), (40, 3)]
+    assert logged == [(1, 3)]
+    assert kernels == []
 
 
 def test_threads_updating_at_once_each_use_their_own_kernel():
