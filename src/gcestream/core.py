@@ -50,12 +50,14 @@ def _row_sums(a: np.ndarray):
 
     A 2-D stack is summed as its contiguous transpose along axis 0, a few
     vector passes instead of one short reduction per row; for an F-ordered
-    stack the transpose is a free view. numpy adds rows of fewer than 8
-    points in sequence either way, so the sums are bit-identical to
-    ``a.sum(axis=-1)`` there; wider rows agree to the last few ulps.
+    stack the transpose is a free view. Each row is added in sequence, so
+    its sum has the same bits alone and in a stack of any size. numpy adds
+    rows of fewer than 8 points in sequence in ``a.sum(axis=-1)`` too, so
+    the sums are bit-identical to it there; wider rows agree to the last
+    few ulps. A 1-D row is summed as ``a.sum()`` sums it.
     """
-    if a.ndim == 1:
-        return a.sum()
+    if len(a) == 1 and a.ndim == 2:  # its (H, 1) transpose would be summed as one vector
+        return np.add.reduce(np.repeat(a.T, 2, axis=1), axis=0)[:1]
     return np.add.reduce(np.ascontiguousarray(a.T), axis=0)
 
 
@@ -75,7 +77,8 @@ def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np
         if not np.isfinite(w).all():
             raise ValueError(f"{name} must be finite")
         raise ValueError(f"{name} must be nonnegative, got min {w.min()!r}")
-    total = _row_sums(w)
+    columns = np.ascontiguousarray(w.T)  # summed and divided along the long axis, as _gibbs_rows
+    total = _row_sums(columns.T)
     off = np.abs(total - 1.0)
     if np.maximum.reduce(off) > SUM_TOLERANCE:
         row = int(np.argmax(off > SUM_TOLERANCE))
@@ -83,7 +86,7 @@ def _simplex_rows(values, name: str = "weights", renormalize: bool = True) -> np
             f"{name} row {row} sums to {total[row]!r}, expected 1 within {SUM_TOLERANCE}"
         )
     if renormalize:
-        w /= total[:, None]
+        np.divide(columns, total, out=w.T)
     w.setflags(write=False)
     return w
 
@@ -146,8 +149,8 @@ def _shared(rows: np.ndarray) -> np.ndarray:
 
 
 def _uniform_rows(n: int, k: int, name: str) -> np.ndarray:
-    """``n`` uniform rows of ``k`` points, checked in ``min(n, 2)`` rows to get a stack's bits."""
-    return _tiled(_simplex_rows(np.full((min(n, 2), k), 1.0 / k), name)[:1], n, name)
+    """``n`` uniform rows of ``k`` points: one row checked, with a stack's bits, and broadcast."""
+    return _tiled(_simplex_rows(np.full((1, k), 1.0 / k), name), n, name)
 
 
 def _gibbs_rows(rows) -> np.ndarray:

@@ -522,12 +522,11 @@ def _fit_stack(problems, zb, solver) -> list[_Fit]:
     _check_observations(y.reshape(-1), x.reshape(-1, j), zb, s * m)
     qb, qe = _uniform_rows(j, k, "beta"), _shared(_uniform_rows(m, h, "error"))
     _check_hull(y, x, zb, qb, ze, qe)
-    _, pt, (_, _, converged) = _solve_dual(
-        y, x, zb, ze, np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver
-    )
+    solved = _solve_dual(y, x, zb, ze, np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver)
+    pt = solved.point
     return [
         _Fit(_gibbs_rows(pt.pb[i]), pt.beta_hat[i], pt.eps_hat[i], verdict)
-        for i, verdict in enumerate(converged.tolist())
+        for i, verdict in enumerate(solved.converged.tolist())
     ]
 
 

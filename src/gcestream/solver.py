@@ -51,6 +51,7 @@ import copy
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -843,6 +844,16 @@ class _StackKernel:
         return lam_rows[:, 0], pt, iterations
 
 
+class _Solved(NamedTuple):
+    """A stack of S solves, as ``_solve_dual`` returns it; read by field name."""
+
+    lam: np.ndarray  # (S, m) multipliers
+    point: _DualPoint  # the final stacked point
+    iterations: np.ndarray  # (S,) accepted Newton steps
+    residual: np.ndarray  # (S,) largest absolute constraint residual
+    converged: np.ndarray  # (S,) residual <= constraint_tolerance: the one verdict
+
+
 def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     """Solve the weighted duals of a stack of S problems from a zero start.
 
@@ -857,9 +868,7 @@ def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     thread keeps the log and (once m = 1 needs it) kernel of its last shared
     error row, reused while ``zb`` and ``qe`` hold the same values, whatever
     the weights, with the bits new ones would give; a per-row ``qe`` leaves
-    them be. Returns the multipliers (S, m), the final stacked ``_DualPoint``
-    and, as (S,) arrays, each problem's iterations, largest absolute residual
-    and verdict, which is decided here and nowhere else.
+    them be. Returns a ``_Solved``.
     """
     log_qb = _log_priors(qb)
     one = y.shape[1] == 1
@@ -882,8 +891,8 @@ def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
     else:
         ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
-    residuals = np.abs(pt.grad).max(axis=1)
-    return lam, pt, (np.asarray(iterations), residuals, residuals <= settings.constraint_tolerance)
+    residual, tol = np.abs(pt.grad).max(axis=1), settings.constraint_tolerance
+    return _Solved(lam, pt, np.asarray(iterations), residual, residual <= tol)
 
 
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
@@ -960,16 +969,19 @@ def solve_gce(
     grid, prior = problem.supports, problem.prior
     if signal_weight < 1.0:  # GceProblem checked x at weight 1
         _check_observations(problem.y, problem.x, grid.beta_support, grid.n_obs, signal_weight)
-    lam, pt, verdicts = _solve_dual(
+    solved = _solve_dual(
         problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
         prior.beta[None], _shared(prior.error), signal_weight, error_weight, settings,
     )
+    lam, pt = solved.lam, solved.point
     pb, pe = _gibbs_rows(pt.pb[0]), _gibbs_rows(pt.pe[0])  # Gibbs rows pass every check
     distributions = _prechecked(JointDistribution, beta=pb, error=pe)
     objective = signal_weight * kl_divergence(distributions.beta, prior.beta).sum() + (
         error_weight * kl_divergence(distributions.error, prior.error).sum()
     )
     lam.setflags(write=False)
-    diagnostics = SolverDiagnostics(*(v.tolist()[0] for v in verdicts))
+    diagnostics = SolverDiagnostics(
+        solved.iterations.item(0), solved.residual.item(0), solved.converged.item(0)
+    )
     beta_hat, eps_hat = pt.beta_hat[0].copy(), pt.eps_hat[0].copy()
     return GceSolution(distributions, lam[0], beta_hat, eps_hat, float(objective), diagnostics)

@@ -74,6 +74,7 @@ from .solver import (
     _check_observations,
     _inside,
     _solve_dual,
+    _Solved,
     solve_gce,
 )
 
@@ -312,7 +313,7 @@ def _uniform_error_prior(h: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _error_row(data: bytes) -> np.ndarray:
+def _checked_error_row(data: bytes) -> np.ndarray:
     """One error support row, as float64 bytes, checked once per value; an invalid one raises."""
     return _error_rows(np.frombuffer(data).reshape(1, -1))
 
@@ -330,11 +331,20 @@ def _check_block(y, x, zb, error_rows, weight: float = 1.0):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rows = np.asarray(error_rows, dtype=float)
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
-    rows = _error_row(rows.tobytes()) if one else _error_rows(rows)
+    rows = _checked_error_row(rows.tobytes()) if one else _error_rows(rows)
     if rows.shape[0] == 1 and y.size > 1:
         rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
     _check_observations(y, x, zb, rows.shape[0], weight)
     return y, x, rows
+
+
+class _Absorbed(NamedTuple):
+    """A stack of S absorbed blocks, as ``_absorb`` returns it; read by field name."""
+
+    prior: np.ndarray  # (S, J, K) new priors, normalized Gibbs rows
+    ledger: np.ndarray  # (S,) each block's ledger entry
+    positive: np.ndarray  # (S,) whether each new prior is positive
+    solved: _Solved  # the blocks' solve: its point holds their eps_hat and beta_hat
 
 
 def _absorb(carried, zb, y, x, rows, settings, steps):
@@ -344,11 +354,8 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
     and ``rows`` (S, m, H) one block per prior, with one error support row
     per observation, each with a uniform prior. The blocks are solved
     together by one ``_solve_dual``. The caller has checked each block's
-    live hull, or trusts it. Returns the new priors (normalized Gibbs rows, (S, J, K)),
-    the blocks' error estimates (S, m), their ``beta_hat`` (S, J), and as
-    (S,) arrays each block's ledger entry, whether its solve converged and
-    whether its new prior is positive. ``steps`` only label the underflow
-    warnings, one per underflowed prior.
+    live hull, or trusts it. Returns an ``_Absorbed``. ``steps`` only label
+    the underflow warnings, one per underflowed prior.
 
     The ledger entry is the KL divergence of the new prior from the carried
     one, ``_DualPoint.kl`` of the final point, the same for both solve
@@ -358,16 +365,15 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
     block's results do not depend on the rest of the stack. Newton starts at
     each carried prior's moments.
     """
-    # the priors a JointDistribution would hold: renormalized rows
+    # renormalized rows: for rows of fewer than 8 points, the priors a
+    # JointDistribution would hold; wider rows are summed pairwise here, in
+    # sequence there, and can differ in the last bits
     add = np.add.reduce
     qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
     qe = _uniform_error_prior(rows.shape[2])
-    _, pt, (_, _, converged) = _solve_dual(
-        y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver
-    )
-
-    prior = pt.pb / add(pt.pb, axis=2, keepdims=True)
+    solved = _solve_dual(y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver)
+    prior = solved.point.pb / add(solved.point.pb, axis=2, keepdims=True)
     positive = np.minimum.reduce(prior, axis=(1, 2)) > 0.0
     if not positive.all():
         for step in np.asarray(steps)[~positive].tolist():
@@ -376,7 +382,7 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
                 "those points are frozen out for the rest of the stream",
                 step,
             )
-    return prior, pt.eps_hat, pt.kl(), pt.beta_hat, converged, positive
+    return _Absorbed(prior, solved.point.kl(), positive, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +447,20 @@ def block_update(
     # only live points count; the renormalized prior is positive exactly
     # where the carried one is
     _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1]))
-    prior, eps, moved, beta_hat, converged, _ = _absorb(
+    absorbed = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
-    prior.setflags(write=False)
-    ledger = state.entropy_ledger.extended(moved)
+    absorbed.prior.setflags(write=False)
+    ledger = state.entropy_ledger.extended(absorbed.ledger)
     if not ledger.low >= -1e-12:  # the one check of StreamState the new parts could fail
         raise ValueError("entropy ledger entries must be finite and nonnegative")
     return _prechecked(
-        StreamState, beta_prior=prior[0], supports=state.supports,
+        StreamState, beta_prior=absorbed.prior[0], supports=state.supports,
         step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(eps[0]),
+        epsilon_log=state.epsilon_log.extended(absorbed.solved.point.eps_hat[0]),
         entropy_ledger=ledger,
-        beta_trajectory=state.beta_trajectory.extended(beta_hat),
-        converged_log=state.converged_log.extended(converged),
+        beta_trajectory=state.beta_trajectory.extended(absorbed.solved.point.beta_hat),
+        converged_log=state.converged_log.extended(absorbed.solved.converged),
     )
 
 
@@ -750,9 +756,7 @@ class _Lane:
         stream that raises alone stops.
         """
         try:
-            prior, eps, moved, beta_hat, converged, positive = _absorb(
-                self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at]
-            )
+            absorbed = _absorb(self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at])
         except Exception as exc:
             at = np.arange(self.alive.size)[at]
             if at.size == 1:
@@ -762,11 +766,11 @@ class _Lane:
                 self.absorb(t, at[k : k + 1], y[k : k + 1], x[k : k + 1], rows[k : k + 1])
             return
         column, m = self.base + t * self.g, y.shape[1]
-        self.carried[at], self.positive[at] = prior, positive
+        self.carried[at], self.positive[at] = absorbed.prior, absorbed.positive
         self.steps[at] += m
-        self.eps[at, column : column + m] = eps
-        self.ledger[at, t], self.converged[at, t + 1] = moved, converged
-        self.trajectory[at, t + 1] = beta_hat
+        self.eps[at, column : column + m] = absorbed.solved.point.eps_hat
+        self.ledger[at, t], self.converged[at, t + 1] = absorbed.ledger, absorbed.solved.converged
+        self.trajectory[at, t + 1] = absorbed.solved.point.beta_hat
 
     def report(self, p) -> StreamReport:
         """The ``StreamReport`` of the stream at position ``p``, with its one ``StreamState``.

@@ -12,7 +12,7 @@ from gcestream import (
     kl_divergence,
     shannon_entropy,
 )
-from gcestream.core import SUM_TOLERANCE, ZERO_CLAMP, _row_sums
+from gcestream.core import SUM_TOLERANCE, ZERO_CLAMP, _row_sums, _simplex_rows, _uniform_rows
 
 rng = np.random.default_rng(314159)
 
@@ -84,6 +84,22 @@ def test_row_sums_are_the_last_axis_sums_bit_for_bit(size):
         got, want = np.asarray(_row_sums(a)), np.asarray(a.sum(axis=-1))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", range(2, 33))
+def test_a_row_sums_and_renormalizes_to_the_same_bits_alone_and_in_a_stack(h):
+    # a lone row is added in the order of a stack's rows, so its sum and its
+    # renormalized weights do not depend on how many rows it is stacked with
+    others = rng.dirichlet(np.ones(h), size=4)
+    for row in (np.full(h, 1.0 / h), rng.dirichlet(np.ones(h))):
+        total, weights = _row_sums(row[None]), _simplex_rows(row)
+        for n in (2, 5):
+            stack = np.vstack([row, others[: n - 1]])
+            assert _row_sums(stack)[:1].tobytes() == total.tobytes()
+            assert _simplex_rows(stack)[:1].tobytes() == weights.tobytes()
+    uniform = _simplex_rows(np.full((5, h), 1.0 / h))[:1]
+    for n in (1, 2, 5):
+        assert _uniform_rows(n, h, "error")[:1].tobytes() == uniform.tobytes()
 
 
 def test_weight_arrays_need_at_least_one_row():

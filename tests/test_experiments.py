@@ -282,6 +282,8 @@ def test_missing_required_keys_are_reported(missing):
 def test_scenarios_must_be_a_nonempty_list():
     with pytest.raises(ConfigError, match="nonempty list"):
         parse_experiment_config(tiny_config_dict(scenarios=[]))
+    with pytest.raises(ConfigError, match="needs at least one scenario"):
+        experiments.ExperimentConfig(scenarios=(), replications=1, seed_base=0)
 
 
 def test_scenario_needs_name_and_n():
@@ -1234,6 +1236,8 @@ def test_solve_file_validates_its_arguments(tmp_path):
     for mode in ("gce", "stre", "block"):
         with pytest.raises(ValueError, match="error_scale"):
             solve_file(path, mode, error_scale="weekly")
+        with pytest.raises(ValueError, match="error_points must be at least 2, got 1"):
+            solve_file(path, mode, error_points=1)
 
 
 # ---------------------------------------------------------------------------

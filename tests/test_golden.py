@@ -24,10 +24,10 @@ def test_a_one_ulp_move_fails_the_golden_check(monkeypatch):
     solve = solver._solve_dual
 
     def nudged(*args, **kwargs):
-        lam, pt, diagnostics = solve(*args, **kwargs)
-        beta_hat = pt.beta_hat.copy()
+        solved = solve(*args, **kwargs)
+        beta_hat = solved.point.beta_hat.copy()
         beta_hat[0, 0] = np.nextafter(beta_hat[0, 0], np.inf)
-        return lam, dataclasses.replace(pt, beta_hat=beta_hat), diagnostics
+        return solved._replace(point=dataclasses.replace(solved.point, beta_hat=beta_hat))
 
     monkeypatch.setattr(solver, "_solve_dual", nudged)
     want = {name: GOLDEN["fields"][name] for name in make_golden.solve_outputs()}

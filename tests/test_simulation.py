@@ -90,6 +90,9 @@ def test_dataset_rejects_components_that_miss_y():
                         ("true_beta", math.inf), ("residuals", -math.inf)]:
         with pytest.raises(ValueError, match="miss y"):
             Dataset(**{**parts, name: parts[name] + shift})
+    for name in ("y", "x", "true_beta", "residuals"):
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            Dataset(**{**parts, name: parts[name][:-1]})
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ def protocol_like_problem(n=40, seed=5):
 def test_zero_multipliers_uniform_prior_gives_uniform_rows():
     prob = protocol_like_problem(n=6)
     joint = gibbs_weights(np.zeros(6), prob)
+    assert (prob.n_obs, prob.n_params) == (6, 4)
     np.testing.assert_allclose(joint.beta, 0.2, atol=1e-15)
     np.testing.assert_allclose(joint.error, 1.0 / 3.0, atol=1e-15)
 
@@ -298,8 +299,9 @@ def stacked_problems(local, s, j, k, h, where, zb=None):
     return y, x, zb, ze, qb
 
 
-def diagnosed(verdicts):
-    """``_solve_dual``'s per-problem arrays as one ``SolverDiagnostics`` per problem."""
+def diagnosed(solved):
+    """A ``_solve_dual`` result's per-problem verdicts as one ``SolverDiagnostics`` each."""
+    verdicts = (solved.iterations, solved.residual, solved.converged)
     return [solver.SolverDiagnostics(*d) for d in zip(*(v.tolist() for v in verdicts))]
 
 
@@ -309,18 +311,16 @@ def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, qe, wb, we, settings=SolverS
     Multi-observation points carry one dual value per problem, which must
     match too.
     """
-    lam, pt, verdicts = solver._solve_dual(y, x, zb, ze, qb, qe, wb, we, settings)
-    diagnostics = diagnosed(verdicts)
+    solved = solver._solve_dual(y, x, zb, ze, qb, qe, wb, we, settings)
+    diagnostics = diagnosed(solved)
     names = ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb")
     for i in range(y.shape[0]):
         one = slice(i, i + 1)
-        lam1, pt1, verdicts1 = solver._solve_dual(
-            y[one], x[one], zb, ze[one], qb[one], qe, wb, we, settings
-        )
-        assert diagnostics[i] == diagnosed(verdicts1)[0]
-        assert lam[i].tobytes() == lam1[0].tobytes()
+        alone = solver._solve_dual(y[one], x[one], zb, ze[one], qb[one], qe, wb, we, settings)
+        assert diagnostics[i] == diagnosed(alone)[0]
+        assert solved.lam[i].tobytes() == alone.lam[0].tobytes()
         for name in names + (("value",) if y.shape[1] > 1 else ()):
-            got, want = getattr(pt, name)[i], getattr(pt1, name)[0]
+            got, want = getattr(solved.point, name)[i], getattr(alone.point, name)[0]
             assert got.tobytes() == want.tobytes(), (i, name)
     return diagnostics
 
@@ -566,10 +566,10 @@ def test_a_stack_narrows_once_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_newton_direction", counted_direction)
     monkeypatch.setattr(solver, "_solve_multi", recorded)
     y, x, zb, ze, qb, qe = problem_stack(problems)
-    _, _, verdicts = solver._solve_dual(y, x, zb, ze, qb, qe, 1.0, 1.0, capped)
+    solved = solver._solve_dual(y, x, zb, ze, qb, qe, 1.0, 1.0, capped)
     (iterations,) = counts
     assert isinstance(iterations, np.ndarray) and iterations.dtype.kind == "i"
-    assert iterations.tolist() == verdicts[0].tolist()
+    assert iterations.tolist() == solved.iterations.tolist()
     assert iterations[0] == 20 and max(iterations[1:]) < 20
     # one direction per iteration, over the stack that iteration ran; a
     # narrower stack is taken once, before its direction
@@ -825,10 +825,10 @@ def test_one_observation_verdict_reads_the_lone_residual():
     )
     verdicts = []
     for settings in (SolverSettings(), SolverSettings(max_iterations=1)):
-        _, pt, solved = solver._solve_dual(*args, settings)
+        solved = solver._solve_dual(*args, settings)
         (diagnostics,) = diagnosed(solved)
-        assert pt.grad.shape == (1, 1)
-        assert diagnostics.max_residual == abs(pt.grad[0, 0])
+        assert solved.point.grad.shape == (1, 1)
+        assert diagnostics.max_residual == abs(solved.point.grad[0, 0])
         assert diagnostics.converged == (
             diagnostics.max_residual <= settings.constraint_tolerance
         )
@@ -836,10 +836,10 @@ def test_one_observation_verdict_reads_the_lone_residual():
     assert verdicts[0][0] > 1 and verdicts[0][1]
     assert verdicts[1] == (1, False)
     # a tolerance exactly at the capped solve's residual accepts it
-    residual = diagnosed(solver._solve_dual(*args, SolverSettings(max_iterations=1))[2])[0]
+    residual = diagnosed(solver._solve_dual(*args, SolverSettings(max_iterations=1)))[0]
     residual = residual.max_residual
     tight = SolverSettings(constraint_tolerance=residual, max_iterations=1)
-    assert diagnosed(solver._solve_dual(*args, tight)[2]) == [
+    assert diagnosed(solver._solve_dual(*args, tight)) == [
         solver.SolverDiagnostics(1, residual, True)
     ]
 
@@ -1135,7 +1135,7 @@ def test_perfectly_collinear_design_still_converges():
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 3: the Armijo search stalls at residual 3.5e-7 on this fit, "
+    reason="ROADMAP item 7: the Armijo search stalls at residual 3.5e-7 on this fit, "
     "every step backtracking while the dual value stays flat",
 )
 def test_the_collinear_study_fit_converges():

@@ -375,7 +375,7 @@ def test_steps_on_one_row_check_it_once_and_build_states_unchecked(monkeypatch):
 
         return wrapper
 
-    streaming_module._error_row.cache_clear()
+    streaming_module._checked_error_row.cache_clear()
     monkeypatch.setattr(
         streaming_module, "_error_rows", counted("_error_rows", streaming_module._error_rows)
     )
@@ -408,7 +408,7 @@ def test_an_invalid_row_raises_on_every_call_and_a_kept_row_is_read_only(monkeyp
         checked.append(np.array(rows))
         return error_rows(rows)
 
-    streaming_module._error_row.cache_clear()
+    streaming_module._checked_error_row.cache_clear()
     monkeypatch.setattr(streaming_module, "_error_rows", counted)
     for _ in range(3):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -1235,6 +1235,9 @@ def test_logs_of_equal_but_distinct_arrays_compare_equal():
     rows.setflags(write=False)
     assert _Log(rows) == [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
     assert _Log(rows) != [np.array([1.0, 2.0])]
+    # a string is a sequence, but not of entries
+    assert (_Log(np.array([1.0, 2.0])) == "ab") is False
+    assert repr(_Log(np.array([1.0, 2.0]))) == "(1.0, 2.0)"
 
 
 @pytest.mark.parametrize("y_bad", [None, 1e7])
