@@ -22,6 +22,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -136,6 +137,21 @@ def _error_rows(values) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_row(name: str, data: bytes, shape: tuple) -> np.ndarray:
+    """The checked rows of float64 ``data`` of ``shape``, kept per value; see ``_checked_row``."""
+    rows = np.frombuffer(data).reshape(shape)
+    return _error_rows(rows) if name == "error_support" else _support_rows(rows, name)
+
+
+def _checked_row(values, name: str) -> np.ndarray:
+    """One row, 1-D or ``(1, H)``, checked by ``_error_rows`` if ``name`` is "error_support",
+    else by ``_support_rows``, once per value: an invalid value raises on every call, and a
+    kept row is read-only."""
+    rows = np.array(values, dtype=float, ndmin=2)  # a 1-D row and a (1, H) one are one key
+    return _cached_row(name, rows.tobytes(), rows.shape)
+
+
 def _tiled(row: np.ndarray, n, name: str) -> np.ndarray:
     """``n`` copies of the checked ``(1, H)`` ``row``: a read-only broadcast view of it."""
     if not n >= 1:
@@ -148,9 +164,15 @@ def _shared(rows: np.ndarray) -> np.ndarray:
     return rows[:1] if rows.strides[0] == 0 else rows
 
 
+@functools.lru_cache(maxsize=16)
+def _uniform_row(k: int, name: str) -> np.ndarray:
+    """One uniform ``(1, k)`` row, checked with a stack's bits once per value; read-only."""
+    return _simplex_rows(np.full((1, k), 1.0 / k), name)
+
+
 def _uniform_rows(n: int, k: int, name: str) -> np.ndarray:
-    """``n`` uniform rows of ``k`` points: one row checked, with a stack's bits, and broadcast."""
-    return _tiled(_simplex_rows(np.full((1, k), 1.0 / k), name), n, name)
+    """``n`` uniform rows of ``k`` points: one cached row, broadcast."""
+    return _tiled(_uniform_row(k, name), n, name)
 
 
 def _gibbs_rows(rows) -> np.ndarray:
@@ -246,8 +268,8 @@ class SupportGrid:
         n_obs: int,
     ) -> "SupportGrid":
         """``n_params`` copies of a coefficient row, ``n_obs`` of an error row, each checked once."""
-        beta = _tiled(_support_rows(beta_points, "beta_support"), n_params, "beta_support")
-        error = _tiled(_error_rows(error_points), n_obs, "error_support")
+        beta = _tiled(_checked_row(beta_points, "beta_support"), n_params, "beta_support")
+        error = _tiled(_checked_row(error_points, "error_support"), n_obs, "error_support")
         return _prechecked(cls, beta_support=beta, error_support=error)
 
     @property
@@ -334,15 +356,21 @@ def kl_divergence(p, q):
 
     ``q`` must dominate ``p``: a ValueError is raised when some ``p`` weight
     is positive where ``q`` vanishes (after clamping), since the divergence
-    is infinite there.
+    is infinite there. When every weight is live (NaN is not), a dense pass
+    without masks applies the masked pass's ufuncs in its order, so its bits.
     """
     pw = np.asarray(p, dtype=float)
     qw = np.asarray(q, dtype=float)
     if pw.shape != qw.shape:
         raise ValueError(f"shape mismatch: {pw.shape} vs {qw.shape}")
-    q_live = qw >= ZERO_CLAMP
-    if ((pw >= ZERO_CLAMP) & ~q_live).any():
-        raise ValueError("reference distribution must dominate: q vanishes where p > 0")
-    value = _row_sums(_xlogy(pw, pw / np.where(q_live, qw, 1.0)))
+    live = np.minimum.reduce(pw, axis=None, initial=np.inf) >= ZERO_CLAMP
+    if live and np.minimum.reduce(qw, axis=None, initial=np.inf) >= ZERO_CLAMP:
+        terms = pw * np.log(pw / qw)
+    else:
+        q_live = qw >= ZERO_CLAMP
+        if ((pw >= ZERO_CLAMP) & ~q_live).any():
+            raise ValueError("reference distribution must dominate: q vanishes where p > 0")
+        terms = _xlogy(pw, pw / np.where(q_live, qw, 1.0))
+    value = _row_sums(terms)
     # Exact zero for identical rows; tiny negative values are pure rounding.
     return _per_row(np.maximum(value, 0.0))

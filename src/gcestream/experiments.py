@@ -33,11 +33,9 @@ explicitly requested.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -72,9 +70,17 @@ from .solver import (
 )
 from .streaming import UpdateSettings, _failure, _Fit, _fold, _prepare_stream, run_stream
 from .core import (
-    SupportGrid, _entries, _error_rows, _flag, _gibbs_rows, _integer, _real, _shared,
-    _support_rows, _uniform_rows,
+    SupportGrid, _entries, _error_rows, _flag, _gibbs_rows, _integer, _real, _support_rows,
+    _uniform_row, _uniform_rows,
 )
+
+try:  # the builtin sha256, which does not load OpenSSL as hashlib does
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # up to Python 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ConfigError",
@@ -325,7 +331,7 @@ class CellOutcome:
 def _derive_seed(seed_base: int, scenario_name: str, eta_index: int, replication: int) -> int:
     """Deterministic per-cell seed, keyed by scenario name so removing one
     scenario never shifts the seeds (hence the outputs) of the others."""
-    digest = hashlib.sha256(scenario_name.encode("utf-8")).digest()
+    digest = sha256(scenario_name.encode("utf-8")).digest()
     name_key = int.from_bytes(digest[:8], "big")
     seq = np.random.SeedSequence((seed_base, name_key, eta_index, replication))
     return int(seq.generate_state(1, np.uint64)[0])
@@ -520,7 +526,7 @@ def _fit_stack(problems, zb, solver) -> list[_Fit]:
     (s, m, j), k, h = x.shape, zb.shape[1], rows.shape[1]
     ze = _error_rows(rows)[:, None]
     _check_observations(y.reshape(-1), x.reshape(-1, j), zb, s * m)
-    qb, qe = _uniform_rows(j, k, "beta"), _shared(_uniform_rows(m, h, "error"))
+    qb, qe = _uniform_rows(j, k, "beta"), _uniform_row(h, "error")
     _check_hull(y, x, zb, qb, ze, qe)
     solved = _solve_dual(y, x, zb, ze, np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver)
     pt = solved.point
@@ -673,6 +679,7 @@ def run_experiment(
     groups = [range(w, len(tasks), config.jobs) for w in range(min(config.jobs, len(tasks)))]
     results: list = [None] * len(tasks)
     if len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             futures = [
                 (group, pool.submit(_run_cells, [tasks[i][1] for i in group])) for group in groups

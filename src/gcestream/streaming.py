@@ -41,7 +41,6 @@ holds as its logs and its ``StreamReport`` as read-only views.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import threading
@@ -54,6 +53,7 @@ import numpy as np
 
 from .core import (
     SupportGrid,
+    _checked_row,
     _error_rows,
     _integer,
     _prechecked,
@@ -61,7 +61,7 @@ from .core import (
     _shared,
     _simplex_rows,
     _support_rows,
-    _uniform_rows,
+    _uniform_row,
     expectation,
 )
 from .simulation import _check_error_scale, _scaled_error_support
@@ -303,21 +303,6 @@ class StreamReport:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _uniform_error_prior(h: int) -> np.ndarray:
-    """One uniform error row of ``h`` points, a read-only ``(1, h)`` array shared by every block.
-
-    The row is renormalized as a ``JointDistribution`` would store it.
-    """
-    return _uniform_rows(1, h, "error")
-
-
-@functools.lru_cache(maxsize=16)
-def _checked_error_row(data: bytes) -> np.ndarray:
-    """One error support row, as float64 bytes, checked once per value; an invalid one raises."""
-    return _error_rows(np.frombuffer(data).reshape(1, -1))
-
-
 def _check_block(y, x, zb, error_rows, weight: float = 1.0):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
@@ -331,7 +316,7 @@ def _check_block(y, x, zb, error_rows, weight: float = 1.0):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rows = np.asarray(error_rows, dtype=float)
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
-    rows = _checked_error_row(rows.tobytes()) if one else _error_rows(rows)
+    rows = _checked_row(rows, "error_support") if one else _error_rows(rows)
     if rows.shape[0] == 1 and y.size > 1:
         rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
     _check_observations(y, x, zb, rows.shape[0], weight)
@@ -371,7 +356,7 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
     add = np.add.reduce
     qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
-    qe = _uniform_error_prior(rows.shape[2])
+    qe = _uniform_row(rows.shape[2], "error")
     solved = _solve_dual(y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver)
     prior = solved.point.pb / add(solved.point.pb, axis=2, keepdims=True)
     positive = np.minimum.reduce(prior, axis=(1, 2)) > 0.0
@@ -446,7 +431,7 @@ def block_update(
     carried = state.beta_prior
     # only live points count; the renormalized prior is positive exactly
     # where the carried one is
-    _check_hull(y, x, zb, carried, rows, _uniform_error_prior(rows.shape[1]))
+    _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
     absorbed = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
@@ -647,7 +632,7 @@ class _Lane:
         first = members[0]
         self.zb, self.settings = first.grid.beta_support, first.settings
         self.g, self.outcomes = g, outcomes
-        self.qe = _uniform_error_prior(first.rows.shape[1])
+        self.qe = _uniform_row(first.rows.shape[1], "error")
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)

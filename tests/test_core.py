@@ -12,7 +12,18 @@ from gcestream import (
     kl_divergence,
     shannon_entropy,
 )
-from gcestream.core import SUM_TOLERANCE, ZERO_CLAMP, _row_sums, _simplex_rows, _uniform_rows
+from gcestream import core
+from gcestream.core import (
+    SUM_TOLERANCE,
+    ZERO_CLAMP,
+    _checked_row,
+    _error_rows,
+    _row_sums,
+    _simplex_rows,
+    _support_rows,
+    _uniform_row,
+    _uniform_rows,
+)
 
 rng = np.random.default_rng(314159)
 
@@ -202,17 +213,20 @@ def test_a_tiled_grid_is_the_grid_of_its_tiled_rows(n):
     ],
 )
 def test_a_tiled_grid_refuses_a_row_as_its_constructor_does(n, beta_row, error_row):
-    with pytest.raises(ValueError) as got:
-        SupportGrid.tiled(beta_row, n, error_row, n)
     with pytest.raises(ValueError) as want:
         SupportGrid(np.tile(beta_row, (n, 1)), np.tile(error_row, (n, 1)))
-    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    for _ in range(2):  # an invalid row is never kept: it raises on every call
+        with pytest.raises(ValueError) as got:
+            SupportGrid.tiled(beta_row, n, error_row, n)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("n_params, n_obs", [(0, 1), (1, 0), (0, 0)])
 def test_a_tiled_grid_of_no_rows_is_refused(n_params, n_obs):
-    with pytest.raises(ValueError):
-        SupportGrid.tiled([0.0, 1.0], n_params, [-1.0, 1.0], n_obs)
+    name = "beta_support" if n_params < 1 else "error_support"
+    for _ in range(2):  # the valid rows are kept after the first call
+        with pytest.raises(ValueError, match=f"^{name} must have at least one row$"):
+            SupportGrid.tiled([0.0, 1.0], n_params, [-1.0, 1.0], n_obs)
 
 
 @pytest.mark.parametrize("field", ["beta_support", "error_support"])
@@ -221,6 +235,46 @@ def test_a_support_stack_of_no_rows_is_refused_by_its_name(field):
     rows[field] = np.empty((0, 3))
     with pytest.raises(ValueError, match=f"^{field} must be 2-D .* at least one row$"):
         SupportGrid(**rows)
+
+
+def test_invalid_rows_raise_on_every_call_and_are_never_kept():
+    core._cached_row.cache_clear()
+    core._uniform_row.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _checked_row([0.0, 0.0, 1.0], "beta_support")
+        with pytest.raises(ValueError, match="must be finite"):
+            _checked_row([[0.0, math.nan]], "beta_support")
+        with pytest.raises(ValueError, match="must span zero"):
+            _checked_row([0.5, 1.0], "error_support")
+        with pytest.raises(ValueError, match="at least two entries"):
+            _uniform_row(1, "beta")
+    for cache in (core._cached_row, core._uniform_row):
+        info = cache.cache_info()
+        assert info.currsize == 0 and info.hits == 0
+    assert (core._cached_row.cache_info().misses, core._uniform_row.cache_info().misses) == (9, 3)
+
+
+@pytest.mark.parametrize("h", [2, 3, 7, 9])
+def test_kept_rows_are_read_only_and_have_the_checked_bits(h):
+    beta = np.cumsum(rng.uniform(0.5, 2.0, size=h)) - 1.5 * h
+    error = np.linspace(-3.0, 3.0, h) + 0.1
+    for _ in range(2):  # the first call keeps each row, the second reads it
+        for got, want in (
+            (_checked_row(beta, "beta_support"), _support_rows(beta, "beta_support")),
+            (_checked_row(error[None], "error_support"), _error_rows(error)),
+            (_uniform_row(h, "error"), _simplex_rows(np.full((1, h), 1.0 / h), "error")),
+        ):
+            assert got.shape == want.shape == (1, h) and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+    # a 1-D row and a (1, H) one are one value; the caller's array is not kept
+    row = error.copy()
+    kept = _checked_row(row, "error_support")
+    assert kept is _checked_row(row[None], "error_support")
+    row[:] = 0.0
+    assert kept.tobytes() == _error_rows(error).tobytes()
 
 
 def test_a_tiled_grid_and_its_uniform_prior_hold_one_row_of_each_kind():
@@ -427,3 +481,44 @@ def test_sub_clamp_weights_count_as_zero():
     q = np.array([0.0, 0.5, 0.5])
     assert kl_divergence(p, q) == pytest.approx(0.0, abs=1e-15)
     assert shannon_entropy(p) == pytest.approx(math.log(2), abs=1e-15)
+
+
+def masked_kl(p, q):
+    """The masked KL arithmetic written out: the reference for every input."""
+    live, q_live = p >= ZERO_CLAMP, q >= ZERO_CLAMP
+    ratio = p / np.where(q_live, q, 1.0)
+    return np.maximum(_row_sums(np.where(live, p * np.log(np.where(live, ratio, 1.0)), 0.0)), 0.0)
+
+
+@pytest.mark.parametrize("h", [2, 3, 9])
+def test_the_dense_kl_pass_has_the_masked_bits_on_live_rows(h):
+    p = rng.dirichlet(np.full(h, 0.8), size=3840)
+    q = rng.dirichlet(np.full(h, 0.8), size=3840)
+    prior = np.broadcast_to(q[:1], p.shape)  # one shared row, as a tiled grid's prior
+    cases = [(p[i], q[i]) for i in range(20)] + [(p[:1], q[:1]), (p[:7], q[:7]), (p, q), (p, prior)]
+    for a, b in cases:
+        assert min(a.min(), b.min()) >= ZERO_CLAMP  # every weight live: the dense pass runs
+        got = np.asarray(kl_divergence(a, b))
+        assert got.shape == a.shape[:-1] and got.tobytes() == masked_kl(a, b).tobytes()
+
+
+@pytest.mark.parametrize("h", [2, 3, 9])
+def test_a_dead_weight_keeps_the_masked_values_and_the_dominance_error(h):
+    p = rng.dirichlet(np.full(h, 0.8), size=40)
+    q = rng.dirichlet(np.full(h, 0.8), size=40)
+    for dead in (0.0, ZERO_CLAMP / 2.0, -0.0, -1e-3, math.nan):
+        a = p.copy()
+        a[5, 1] = dead
+        for pa, qa in ((a, q), (a[5], q[5]), (a, np.broadcast_to(q[:1], a.shape))):
+            got = np.asarray(kl_divergence(pa, qa))
+            assert got.tobytes() == masked_kl(pa, qa).tobytes()
+        b = q.copy()
+        b[5, 1] = dead  # q dead where p is dead too: no error
+        assert np.asarray(kl_divergence(a, b)).tobytes() == masked_kl(a, b).tobytes()
+    refused = "^reference distribution must dominate: q vanishes where p > 0$"
+    for vanished in (0.0, ZERO_CLAMP / 2.0):  # q vanishes where p is live
+        b = q.copy()
+        b[5, 1] = vanished
+        for pq in ((p, b), (p[5], b[5])):
+            with pytest.raises(ValueError, match=refused):
+                kl_divergence(*pq)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -531,7 +532,7 @@ def no_pool(*args, **kwargs):
 
 @pytest.mark.parametrize("jobs", [0, -2, 2.5, True])
 def test_a_bad_jobs_override_is_a_config_error(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     config = parse_experiment_config(tiny_config_dict())
     with pytest.raises(ConfigError, match="jobs"):
         run_experiment(config, out_dir=tmp_path / "out", jobs=jobs)
@@ -540,7 +541,7 @@ def test_a_bad_jobs_override_is_a_config_error(tmp_path, monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_rejects_a_bad_jobs_override(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(tiny_config_dict()), encoding="utf-8")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", jobs]
@@ -740,6 +741,32 @@ def fold_config():
             "seed_base": 7,
         }
     )
+
+
+# _derive_seed as hashlib.sha256 computed it, pinned so that no digest change moves a seed
+PINNED_SEEDS = {
+    (0, "clean", 0, 0): 7955213153831077802,
+    (0, "clean", 2, 7): 8121573188424515522,
+    (0, "collinear", 0, 0): 3006174212941100413,
+    (0, "collinear", 2, 7): 2762196127467669001,
+    (0, "cumulative", 0, 0): 104819009659792943,
+    (0, "cumulative", 2, 7): 7323338444172521525,
+    (0, "bruit-\u00e9\u2211", 0, 0): 13258040901244088649,
+    (0, "bruit-\u00e9\u2211", 2, 7): 15673575676729458493,
+    (2024, "clean", 0, 0): 5074446718761475853,
+    (2024, "clean", 1, 29): 1529904188161421929,
+    (2024, "collinear", 0, 0): 10144194797113430860,
+    (2024, "collinear", 1, 29): 1036830181396800640,
+    (2024, "cumulative", 0, 0): 16916850368579385721,
+    (2024, "cumulative", 1, 29): 5099037979790799049,
+    (2024, "bruit-\u00e9\u2211", 0, 0): 4820259141812588211,
+    (2024, "bruit-\u00e9\u2211", 1, 29): 8310194009402051378,
+}
+
+
+@pytest.mark.parametrize("key", PINNED_SEEDS)
+def test_derived_seeds_keep_their_pinned_values(key):
+    assert experiments._derive_seed(*key) == PINNED_SEEDS[key]
 
 
 def cell_seeds(config):

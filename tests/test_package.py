@@ -1,6 +1,9 @@
 """The package's public names are each module's ``__all__``, republished."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import gcestream
 
@@ -18,3 +21,18 @@ def test_the_package_republishes_each_module_all():
     namespace = {}
     exec("from gcestream import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(gcestream.__all__)
+
+
+def test_importing_the_package_loads_neither_openssl_nor_multiprocessing():
+    # seeds take the builtin sha256, and only a pool of workers needs multiprocessing
+    code = (
+        "import sys, gcestream; "
+        "print(sorted({'_hashlib', 'multiprocessing'} & set(sys.modules)))"
+    )
+    where = os.path.dirname(os.path.dirname(gcestream.__file__))
+    path = os.pathsep.join(filter(None, [where, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gcestream import core as core_module
 from gcestream import solver
 from gcestream import streaming as streaming_module
 from gcestream.simulation import _scaled_error_support
@@ -341,9 +342,6 @@ def test_single_step_input_contract(y_new, x_new, error, message):
 
 
 def test_a_single_step_validates_once_and_builds_no_problem_objects(monkeypatch):
-    import gcestream.core as core_module
-    import gcestream.streaming as streaming_module
-
     state, y, design, error_row = stream_after_batch()
     calls = {"rows": 0, "GceProblem": 0, "JointDistribution": 0, "SupportGrid": 0}
 
@@ -375,10 +373,8 @@ def test_steps_on_one_row_check_it_once_and_build_states_unchecked(monkeypatch):
 
         return wrapper
 
-    streaming_module._checked_error_row.cache_clear()
-    monkeypatch.setattr(
-        streaming_module, "_error_rows", counted("_error_rows", streaming_module._error_rows)
-    )
+    core_module._cached_row.cache_clear()
+    monkeypatch.setattr(core_module, "_error_rows", counted("_error_rows", core_module._error_rows))
     monkeypatch.setattr(
         StreamState, "__post_init__", counted("__post_init__", StreamState.__post_init__)
     )
@@ -402,14 +398,14 @@ def test_a_row_changed_in_place_is_checked_again():
 def test_an_invalid_row_raises_on_every_call_and_a_kept_row_is_read_only(monkeypatch):
     state, y, design, error_row = stream_after_batch()
     checked = []
-    error_rows = streaming_module._error_rows
+    error_rows = core_module._error_rows
 
     def counted(rows):
         checked.append(np.array(rows))
         return error_rows(rows)
 
-    streaming_module._checked_error_row.cache_clear()
-    monkeypatch.setattr(streaming_module, "_error_rows", counted)
+    core_module._cached_row.cache_clear()
+    monkeypatch.setattr(core_module, "_error_rows", counted)
     for _ in range(3):
         with pytest.raises(ValueError, match="strictly increasing"):
             update_step(state, y[8], design[8], [-1.0, 1.0, 1.0])
