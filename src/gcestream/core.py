@@ -148,8 +148,8 @@ def _checked_row(values, name: str) -> np.ndarray:
     """One row, 1-D or ``(1, H)``, checked by ``_error_rows`` if ``name`` is "error_support",
     else by ``_support_rows``, once per value: an invalid value raises on every call, and a
     kept row is read-only."""
-    rows = np.array(values, dtype=float, ndmin=2)  # a 1-D row and a (1, H) one are one key
-    return _cached_row(name, rows.tobytes(), rows.shape)
+    rows = np.asarray(values, dtype=float)  # a 1-D row and a (1, H) one are one key
+    return _cached_row(name, rows.tobytes(), (1,) * (2 - rows.ndim) + rows.shape)
 
 
 def _tiled(row: np.ndarray, n, name: str) -> np.ndarray:

@@ -48,6 +48,7 @@ streaming updates; the plain problem is the 1/1 special case.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -218,12 +219,21 @@ def _check_observations(y: np.ndarray, x: np.ndarray, zb, n_obs: int, weight: fl
         raise ValueError(f"support grid covers {n_obs} observations, data has {y.size}")
     if len(zb) != x.shape[1]:
         raise ValueError(f"support grid covers {len(zb)} coefficients, x has {x.shape[1]} columns")
-    span, limit = zb[:, -1] - zb[:, 0], _SAFE_SUPPORT * math.sqrt(weight)
-    if top * max(span.tolist()) > limit:  # else the largest magnitude and span clear all
+    widest, limit = _grid_ends(zb.tobytes(), zb.shape)[0], _SAFE_SUPPORT * math.sqrt(weight)
+    if top * widest > limit:  # else the largest magnitude and span clear all
+        span = zb[:, -1] - zb[:, 0]
         i, j = np.unravel_index(np.argmax(np.abs(x) * span), x.shape)
         if abs(x[i, j]) * span[j] > limit:
             raise ValueError(f"x[{i}, {j}] = {float(x[i, j])!r} is too large for coefficient row "
                              f"{j} of span {float(span[j])!r}; rescale the data and the supports")
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_ends(data: bytes, shape: tuple) -> tuple:
+    """The widest row span of the float64 coefficient grid ``data`` of ``shape`` and its rows'
+    first and last points, as Python floats, kept per value: a stream's grid never changes."""
+    first, last = zip(*np.frombuffer(data).reshape(shape)[:, [0, -1]].tolist())
+    return max(b - a for a, b in zip(first, last)), first, last
 
 
 def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,9 @@ results are its results alone, bit for bit, and its logs are stored once:
 written by slice into preallocated arrays, which its final ``StreamState``
 holds as its logs and its ``StreamReport`` as read-only views.
 ``run_stream`` prepares one stream and folds a stack of one;
-``experiments.run_experiment`` folds the streams of many cells.
+``experiments.run_experiment`` folds the streams of many cells. The fold
+and ``block_update`` share one hull rule: a positive prior's live hull is
+its full-support hull.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    _SAFE_SUPPORT,
     SupportGrid,
     _checked_row,
     _error_rows,
@@ -72,6 +75,7 @@ from .solver import (
     SolverSettings,
     _check_hull,
     _check_observations,
+    _grid_ends,
     _inside,
     _solve_dual,
     _Solved,
@@ -323,6 +327,26 @@ def _check_block(y, x, zb, error_rows, weight: float = 1.0):
     return y, x, rows
 
 
+def _ordinary_step(y, x, zb, rows, carried, weight: float):
+    """``y``, ``x`` and ``rows``, converted as ``_check_block`` converts them, as it returns them
+    if scalar tests pass one observation, else None: |x_j| <= 2**510, max|x_j| times the widest
+    span of ``zb`` <= 2**510 * sqrt(weight), an error row that passes ``_checked_row`` (else its
+    error), a positive prior and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
+    one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
+    if not (one and y.size == 1 and x.shape == (1, len(zb))):
+        return None
+    rows = _checked_row(rows, "error_support")
+    (y_new,), (x_new,), (row,) = y.tolist(), x.tolist(), rows.tolist()
+    widest, first, last = _grid_ends(zb.tobytes(), zb.shape)
+    lo = hi = -0.0  # the exact additive identity: each sum runs in sequence from x_0's term
+    for v, a, b in zip(x_new, first, last):  # x_j's sign picks its ends; a NaN makes both NaN
+        lo, hi = (lo + v * a, hi + v * b) if v >= 0.0 else (lo + v * b, hi + v * a)
+    top = max(map(abs, x_new))  # a y or x_j that is not finite fails here or the hull test
+    ordinary = (top <= _SAFE_SUPPORT and top * widest <= _SAFE_SUPPORT * math.sqrt(weight)
+                and min(carried.ravel().tolist()) > 0.0 and lo + row[0] < y_new < hi + row[-1])
+    return (y, x, rows) if ordinary else None
+
+
 class _Absorbed(NamedTuple):
     """A stack of S absorbed blocks, as ``_absorb`` returns it; read by field name."""
 
@@ -414,24 +438,30 @@ def block_update(
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
     all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it, by the same check ``run_stream`` makes of a whole stream
-    (one error row once per value); the carried prior is a ``StreamState``
-    invariant and is not checked again. The block's hull is checked over the
-    carried prior's live support points; then the block step ``run_stream``
-    folds solves it, as a stack of one, on plain arrays (no problem or
-    distribution objects; the ledger entry comes from the solve's log
+    would check it (one error row once per value), and so is its hull over
+    the carried prior's live points, the full hull while the prior is
+    positive, as in ``run_stream``'s fold: one observation on a positive
+    prior by scalar tests (``_ordinary_step``), any other block by
+    ``run_stream``'s array checks, with the same errors. The carried prior
+    is a ``StreamState`` invariant and is not checked again. The block step
+    ``run_stream`` folds solves it as a stack of one on plain arrays (no problem
+    or distribution objects; the ledger entry comes from the solve's log
     partitions), its Newton iteration starting at the carried prior's moments.
     Infeasible blocks raise InfeasibleObservationError (indices local to the
     block) and leave the caller's state untouched, so a stream can skip and
     log them. The new state, built from checked parts, keeps the stream's grid.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
-    zb = state.supports.beta_support
-    y, x, rows = _check_block(y_block, x_block, zb, error_support_rows, settings.gamma)
-    carried = state.beta_prior
-    # only live points count; the renormalized prior is positive exactly
-    # where the carried one is
-    _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
+    zb, carried, gamma = state.supports.beta_support, state.beta_prior, settings.gamma
+    y = np.asarray(y_block, dtype=float).reshape(-1)
+    x = np.atleast_2d(np.asarray(x_block, dtype=float))
+    rows = np.asarray(error_support_rows, dtype=float)
+    block = _ordinary_step(y, x, zb, rows, carried, gamma)
+    if block is None:
+        block = y, x, rows = _check_block(y, x, zb, rows, gamma)
+        # the live hull: the renormalized prior is positive where the carried one is
+        _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
+    y, x, rows = block
     absorbed = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )

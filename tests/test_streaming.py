@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gcestream import core as core_module
@@ -321,24 +322,176 @@ def test_block_infeasibility_uses_the_live_hull(y, indices, boundary):
     assert str(got.value) == str(reference.value)
 
 
+def positive_state():
+    """The grid of ``zero_edged_state`` with every weight positive: its hull is the full one."""
+    grid = SupportGrid.tiled(BETA_ROW, 3, [-4.0, 0.0, 4.0], 1)
+    prior = np.full((3, 5), 0.2)
+    prior[0] = [0.1, 0.2, 0.4, 0.2, 0.1]
+    return StreamState(prior, grid, step_index=10)
+
+
+EDGE_X_ROW = [1.0, 0.5, 0.25]
+OUTSIDE = "observation(s) 0 fall outside the attainable hull [{0}, {1}]"
+ON_EDGE = ("observation(s) 0 lie exactly on the attainable hull boundary [{0}, {1}] "
+           "and would force degenerate point masses")
+TOO_LARGE = ("x[0, {0}] = {1} is too large for the solver to square; "
+             "rescale the data and the supports")
+
+
 @pytest.mark.parametrize(
-    "y_new, x_new, error, message",
+    "start, y_new, x_new, row, gamma, error, message",
     [
-        (np.nan, [1.0, 0.5, 0.25], ValueError, "y and x must be finite"),
-        (0.0, [1.0, 0.5], ValueError, "x has 2 columns"),
-        (18.0, [1.0, 0.5, 0.25], InfeasibleObservationError, "outside"),
-        (16.5, [1.0, 0.5, 0.25], InfeasibleObservationError, "boundary"),
-        (-16.5, [1.0, 0.5, 0.25], InfeasibleObservationError, "boundary"),
+        (zero_edged_state, np.nan, EDGE_X_ROW, EDGE_ROW, 0.5, ValueError,
+         "y and x must be finite"),
+        (zero_edged_state, 0.0, [1.0, 0.5], EDGE_ROW, 0.5, ValueError,
+         "support grid covers 3 coefficients, x has 2 columns"),
+        (zero_edged_state, 18.0, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         OUTSIDE.format(-16.5, 16.5)),
+        (zero_edged_state, 16.5, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         ON_EDGE.format(-16.5, 16.5)),
+        (zero_edged_state, -16.5, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         ON_EDGE.format(-16.5, 16.5)),
+        # a positive prior: the full-support hull [-21.5, 21.5]
+        (positive_state, 22.0, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         OUTSIDE.format(-21.5, 21.5)),
+        (positive_state, -30.0, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         OUTSIDE.format(-21.5, 21.5)),
+        (positive_state, 21.5, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         ON_EDGE.format(-21.5, 21.5)),
+        (positive_state, -21.5, EDGE_X_ROW, EDGE_ROW, 0.5, InfeasibleObservationError,
+         ON_EDGE.format(-21.5, 21.5)),
+        (positive_state, 0.0, [1e160, 0.5, 0.25], EDGE_ROW, 0.5, ValueError,
+         TOO_LARGE.format(0, "1e+160")),
+        (positive_state, 0.0, [1.0, 0.5, -1e160], EDGE_ROW, 0.5, ValueError,
+         TOO_LARGE.format(2, "-1e+160")),
+        (positive_state, 0.0, [1.0, 1e150, 0.25], EDGE_ROW, 1e-10, ValueError,
+         "x[0, 1] = 1e+150 is too large for coefficient row 1 of span 20.0; "
+         "rescale the data and the supports"),
+        (positive_state, 0.0, [1.0, np.nan, 0.25], EDGE_ROW, 0.5, ValueError,
+         "y and x must be finite"),
+        (positive_state, 0.0, [np.inf, 0.5, 0.25], EDGE_ROW, 0.5, ValueError,
+         "y and x must be finite"),
+        (positive_state, np.inf, EDGE_X_ROW, EDGE_ROW, 0.5, ValueError, "y and x must be finite"),
+        (positive_state, 0.0, EDGE_X_ROW, [0.5, 1.0, 2.0], 0.5, ValueError,
+         "every error_support row must span zero (min < 0 < max)"),
+        (positive_state, 0.0, EDGE_X_ROW, [-1.0, np.inf, 1.0], 0.5, ValueError,
+         "error_support must be finite"),
+        (positive_state, 0.0, EDGE_X_ROW, [-1.0, np.nan, 1.0], 0.5, ValueError,
+         "error_support must be finite"),
+    ],
+    ids=[  # the zero-edged cases keep the ids they had before the positive-prior ones
+        "nan-x_new0-ValueError-y and x must be finite", "0.0-x_new1-ValueError-x has 2 columns",
+        "18.0-x_new2-InfeasibleObservationError-outside",
+        "16.5-x_new3-InfeasibleObservationError-boundary",
+        "-16.5-x_new4-InfeasibleObservationError-boundary",
+        "positive-above the hull", "positive-below the hull", "positive-on the upper edge",
+        "positive-on the lower edge", "positive-x of 1e160", "positive-x of -1e160",
+        "positive-x over the span rule at a small gamma", "positive-a NaN in x",
+        "positive-an infinite x", "positive-an infinite y", "positive-a row not spanning zero",
+        "positive-an infinite error point", "positive-a NaN error point",
     ],
 )
-def test_single_step_input_contract(y_new, x_new, error, message):
-    state = zero_edged_state()
-    with pytest.raises(error, match=message) as got:
-        update_step(state, y_new, x_new, EDGE_ROW)
-    if error is InfeasibleObservationError:
-        assert got.value.indices == (0,)
+def test_single_step_input_contract(start, y_new, x_new, row, gamma, error, message):
+    state, settings = start(), UpdateSettings(gamma=gamma)
+    steps = (
+        lambda: update_step(state, y_new, x_new, row, settings),
+        lambda: block_update(state, [y_new], [x_new], [row], settings),
+    )
+    for step in steps:
+        with pytest.raises(error) as got:
+            step()
+        assert type(got.value) is error and str(got.value) == message
+        if error is InfeasibleObservationError:
+            assert got.value.indices == (0,)
     # the state is untouched and still absorbs a feasible observation
-    assert update_step(state, 16.0, [1.0, 0.5, 0.25], EDGE_ROW).step_index == 11
+    assert update_step(state, 16.0, EDGE_X_ROW, EDGE_ROW, settings).step_index == 11
+
+
+def test_an_x_too_large_to_square_is_refused_on_a_grid_too_narrow_for_the_span_rule():
+    # 1e160 times a span of 2e-10 clears the span rule: only the magnitude test refuses it
+    grid = SupportGrid.tiled([-1e-10, 0.0, 1e-10], 3, EDGE_ROW, 1)
+    state = StreamState(np.full((3, 3), 1.0 / 3.0), grid, step_index=10)
+    x_new = [1e160, 0.5, 0.25]
+    for step in (
+        lambda: update_step(state, 0.0, x_new, EDGE_ROW),
+        lambda: block_update(state, [0.0], [x_new], [EDGE_ROW]),
+    ):
+        with pytest.raises(ValueError) as got:
+            step()
+        assert type(got.value) is ValueError and str(got.value) == TOO_LARGE.format(0, "1e+160")
+
+
+# entries with signed zeros and ties, whose products and sums are often exact
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-8.0, 8.0, width=16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    x_row=st.lists(ENTRIES, min_size=1, max_size=6),
+    k=st.integers(2, 5),
+    h=st.integers(2, 5),
+    at=st.sampled_from(["lo", "hi", "below lo", "above lo", "below hi", "above hi", "any"]),
+    live=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_scalar_step_test_accepts_exactly_what_the_hull_check_passes(
+    x_row, k, h, at, live, seed
+):
+    local = np.random.default_rng(seed)
+    j = len(x_row)
+    points = np.arange(-6, 7) * 0.75
+    points[points == 0.0] = -0.0 if local.uniform() < 0.5 else 0.0
+    zb = np.sort([local.choice(points, k, replace=False) for _ in range(j)])
+    zb = core_module._support_rows(zb, "beta_support")
+    row = np.sort(np.r_[-local.uniform(0.5, 4.0), local.uniform(-4.0, 4.0, h - 2),
+                        local.uniform(0.5, 4.0)])
+    prior = local.uniform(0.1, 1.0, (j, k))
+    if not live:  # one weight underflowed: only the numpy checks tell its live hull
+        prior[local.integers(j), local.integers(k)] = 0.0
+    prior /= prior.sum(axis=1, keepdims=True)
+    x = np.array([x_row])
+    lo, hi = solver._coefficient_hull(x, zb[:, 0], zb[:, -1])
+    lo, hi = float(lo[0] + row[0]), float(hi[0] + row[-1])
+    y = {
+        "lo": lo, "hi": hi, "below lo": np.nextafter(lo, -np.inf),
+        "above lo": np.nextafter(lo, np.inf), "below hi": np.nextafter(hi, -np.inf),
+        "above hi": np.nextafter(hi, np.inf), "any": local.uniform(lo - 1.0, hi + 1.0),
+    }[at]
+    checked = streaming_module._check_block([y], x, zb, row, 0.5)
+    try:
+        solver._check_hull(*checked[:2], zb, prior, checked[2], np.full(h, 1.0 / h))
+        passes = True
+    except InfeasibleObservationError:
+        passes = False
+    got = streaming_module._ordinary_step(np.array([y]), x, zb, row, prior, 0.5)
+    assert (got is not None) == (passes and live)
+    if got is not None:
+        assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, checked))
+        assert got[2] is checked[2]  # the one kept row
+
+
+def test_an_ordinary_step_skips_the_numpy_checks(monkeypatch):
+    calls = {"_check_hull": 0, "_check_observations": 0}
+
+    def counted(name):
+        fn = getattr(streaming_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(streaming_module, name, counted(name))
+    state, y, design, error_row = stream_after_batch()
+    assert state.beta_prior.min() > 0.0
+    update_step(state, y[8], design[8], error_row)
+    block_update(state, y[8:9], design[8:9], error_row)
+    assert calls == {"_check_hull": 0, "_check_observations": 0}
+    # an underflowed prior's live hull is narrower: the numpy checks tell it
+    update_step(zero_edged_state(), 16.0, EDGE_X_ROW, EDGE_ROW)
+    assert calls == {"_check_hull": 1, "_check_observations": 1}
 
 
 def test_a_single_step_validates_once_and_builds_no_problem_objects(monkeypatch):
@@ -1618,7 +1771,7 @@ def test_a_live_stream_trusts_its_precomputed_hull(monkeypatch):
     y, design = simulated(60, seed=231)
     report = run_stream(y, design, batch_size=20, beta_support=BETA_ROW)
     assert report.skipped == () and report.final_state.beta_prior.min() > 0.0
-    assert calls == []  # block_update, the reference below, checks every block's hull
+    assert calls == []  # as block_update, the reference below, trusts it on a positive prior
     state, _ = fold_of_block_updates(y, design, 20, beta_support=BETA_ROW)
     assert_stream_is_the_fold(report, state, ())
 
