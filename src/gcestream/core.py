@@ -14,8 +14,10 @@ Conventions shared by the whole package:
   of rows (2-D, giving one value per row);
 * weights are nonnegative and sum to one within ``SUM_TOLERANCE`` at
   construction, then are renormalized so the stored sums are exact;
-* weights smaller than ``ZERO_CLAMP`` are treated as exact zeros inside
-  logarithms, and the convention 0 * log(0) = 0 applies throughout;
+* weights smaller than ``ZERO_CLAMP`` are exact zeros, not only inside
+  logarithms: a point is live when its weight is at least ``ZERO_CLAMP``, for
+  the hull, the stream's trust test, the solver and the functionals alike,
+  and the convention 0 * log(0) = 0 applies throughout;
 * all containers are immutable values holding read-only arrays, safe to
   share across threads.
 """
@@ -42,7 +44,7 @@ __all__ = [
 #: Tolerance on |sum(weights) - 1| accepted at construction time.
 SUM_TOLERANCE = 1e-12
 
-#: Weights below this value are clamped to exact zero before any logarithm.
+#: Weights below this value count as exact zeros: in logarithms, hulls and liveness tests.
 ZERO_CLAMP = 1e-300
 
 

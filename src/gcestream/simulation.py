@@ -17,6 +17,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .core import _entries, _integer, _real
+from .metrics import _write_csv
 
 __all__ = [
     "DEFAULT_BETA_SUPPORT",
@@ -340,12 +341,9 @@ def save_dataset_csv(path, y, x) -> None:
     xv = np.atleast_2d(np.asarray(x, dtype=float))
     if xv.shape[0] != yv.size:
         raise ValueError(f"x has {xv.shape[0]} rows, y has {yv.size} entries")
-    header = "y," + ",".join(f"x{j + 1}" for j in range(xv.shape[1]))
-    lines = [header]
-    for yi, row in zip(yv, xv):
-        lines.append(",".join(repr(float(v)) for v in (yi, *row)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = ["y", *(f"x{j + 1}" for j in range(xv.shape[1]))]
+    rows = np.column_stack([yv, xv]).tolist()  # Python floats, which repr as plain numbers
+    _write_csv(path, columns, [dict(zip(columns, row)) for row in rows])
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -161,8 +161,8 @@ class GceProblem:
     ``y`` has m entries, ``x`` is m-by-J (any constant column for an intercept
     is just another regressor). The prior defaults to uniform rows. Each y_i
     must lie strictly inside the interval reachable by the constraint right
-    hand side when the row weights range over the prior's support (support
-    points carrying zero prior weight cannot be reached and do not count).
+    hand side when the row weights range over the prior's live support (points
+    whose prior weight is below ``ZERO_CLAMP`` are unreachable and do not count).
     """
 
     y: np.ndarray
@@ -237,10 +237,11 @@ def _grid_ends(data: bytes, shape: tuple) -> tuple:
 
 
 def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the smallest and largest support point that carries prior weight."""
-    if q.min() > 0.0:  # every point is live, and rows are increasing
+    """Per row, the smallest and largest live support point: prior weight >= ``ZERO_CLAMP``."""
+    if q.min() >= ZERO_CLAMP:  # every point is live, and rows are increasing
         return z[..., 0], z[..., -1]
-    return np.where(q > 0.0, z, np.inf).min(axis=-1), np.where(q > 0.0, z, -np.inf).max(axis=-1)
+    live = q >= ZERO_CLAMP
+    return np.where(live, z, np.inf).min(axis=-1), np.where(live, z, -np.inf).max(axis=-1)
 
 
 def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +261,11 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
     """Raise InfeasibleObservationError unless every y_i lies strictly inside its hull.
 
     The hull of observation i is the range of ``x_i . beta + eps_i`` as each
-    row's weights range over the support points (``zb``, ``ze``) that carry
-    prior weight (``qb``, ``qe``); points without prior weight are
-    unreachable at finite KL and do not count. ``ze`` may be one row shared
-    by all; a stack ((S, m) ``y``, (S, 1, H) ``ze``) counts indices across it.
+    row's weights range over its live support points (``zb``, ``ze``), those
+    whose prior weight (``qb``, ``qe``) is at least ``ZERO_CLAMP``; the solve
+    gives any other point log prior -inf, so it does not count. ``ze`` may be
+    one row shared by all; a stack ((S, m) ``y``, (S, 1, H) ``ze``) counts
+    indices across it.
     """
     emin, emax = _live_bounds(ze, qe)
     lo, hi = _coefficient_hull(x, *_live_bounds(zb, qb))

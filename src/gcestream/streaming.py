@@ -37,8 +37,9 @@ written by slice into preallocated arrays, which its final ``StreamState``
 holds as its logs and its ``StreamReport`` as read-only views.
 ``run_stream`` prepares one stream and folds a stack of one;
 ``experiments.run_experiment`` folds the streams of many cells. The fold
-and ``block_update`` share one hull rule: a positive prior's live hull is
-its full-support hull.
+and ``block_update`` share one hull rule: a point is live when its weight is
+at least ``ZERO_CLAMP``, and a prior with every point live has its
+full-support hull as its live hull.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import numpy as np
 
 from .core import (
     _SAFE_SUPPORT,
+    ZERO_CLAMP,
     SupportGrid,
     _checked_row,
     _error_rows,
@@ -99,13 +101,10 @@ _APPEND_LOCK = threading.Lock()
 _MIN_GAMMA = 2.0**-53  # the least gamma, as the least 1 - gamma can be
 
 
-def _low(values: np.ndarray, low: float = math.inf) -> float:
-    """The smallest of ``low`` and ``values``, or NaN if a value is not finite.
-
-    ``min`` alone keeps a leading NaN but drops a later one.
-    """
-    items = values.tolist()
-    return min([low, *items]) if all(map(math.isfinite, items)) else math.nan
+def _check_ledger(entries: np.ndarray) -> None:
+    """Raise unless every ledger entry is a finite number no less than -1e-12 (NaN fails)."""
+    if not all(-1e-12 <= v < math.inf for v in entries.tolist()):
+        raise ValueError("entropy ledger entries must be finite and nonnegative")
 
 
 def _failure(exc: Exception) -> Exception:
@@ -127,20 +126,17 @@ class _Log(Sequence):
     state has appended already (a branch from an older state) or there is no
     room (a folded stream's logs, its report's arrays), so no view ever sees
     its entries change. A read builds a read-only view (``np.asarray``):
-    numeric entries read as Python scalars, a trajectory's as rows. ``low``
-    is the smallest entry (NaN if one is not finite, infinity while there is
-    none) once a state has checked the log as its ledger, and ``extended``
-    carries it on; else None.
+    numeric entries read as Python scalars, a trajectory's as rows. A log
+    holds no check of its own: its entries are checked where they are made.
     """
 
-    __slots__ = ("_array", "_filled", "_size", "low")
+    __slots__ = ("_array", "_filled", "_size")
 
-    def __init__(self, array: np.ndarray, size=None, low=None, filled=None) -> None:
+    def __init__(self, array: np.ndarray, size=None, filled=None) -> None:
         self._array, self._size = array, len(array) if size is None else size
-        self._filled, self.low = [self._size] if filled is None else filled, low
+        self._filled = [self._size] if filled is None else filled
 
     def extended(self, values) -> "_Log":
-        values = np.asarray(values)
         n, size = self._size, self._size + len(values)
         with _APPEND_LOCK:
             array, filled = self._array, self._filled
@@ -150,7 +146,7 @@ class _Log(Sequence):
                 array, filled = grown, [n]
             array[n:size] = values
             filled[0] = size
-        return _Log(array, size, None if self.low is None else _low(values, self.low), filled)
+        return _Log(array, size, filled)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         view = self._array[: self._size]
@@ -258,11 +254,7 @@ class StreamState:
             if values._array.shape[1:] != row:
                 raise ValueError(f"each {name} entry must have shape {row}")
             object.__setattr__(self, name, values)
-        ledger = self.entropy_ledger
-        if ledger.low is None:  # checked once, then carried by each extended
-            ledger.low = _low(np.asarray(ledger))
-        if not ledger.low >= -1e-12:
-            raise ValueError("entropy ledger entries must be finite and nonnegative")
+        _check_ledger(np.asarray(self.entropy_ledger))
 
     @classmethod
     def uniform_start(cls, supports: SupportGrid) -> "StreamState":
@@ -307,18 +299,15 @@ class StreamReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_block(y, x, zb, error_rows, weight: float = 1.0):
+def _check_block(y, x, zb, rows, weight: float = 1.0):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
-    Returns ``y`` as a 1-D float array, ``x`` as a 2-D one and the error
-    support rows, one per observation (a single row is shared by all), each
+    Takes float arrays: ``y`` 1-D, ``x`` 2-D and the error support ``rows``,
+    one per observation or a single row, 1-D or ``(1, H)``, shared by all and
+    checked once per value. Returns them with the rows, one per observation,
     checked as ``SupportGrid`` and ``GceProblem`` (at signal weight
-    ``weight``) would check them. The hull is left to the caller; one row,
-    1-D or ``(1, H)``, is checked once per value.
+    ``weight``) would check them. The hull is left to the caller.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows = np.asarray(error_rows, dtype=float)
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
     rows = _checked_row(rows, "error_support") if one else _error_rows(rows)
     if rows.shape[0] == 1 and y.size > 1:
@@ -328,10 +317,10 @@ def _check_block(y, x, zb, error_rows, weight: float = 1.0):
 
 
 def _ordinary_step(y, x, zb, rows, carried, weight: float):
-    """``y``, ``x`` and ``rows``, converted as ``_check_block`` converts them, as it returns them
-    if scalar tests pass one observation, else None: |x_j| <= 2**510, max|x_j| times the widest
-    span of ``zb`` <= 2**510 * sqrt(weight), an error row that passes ``_checked_row`` (else its
-    error), a positive prior and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
+    """``y``, ``x`` and ``rows`` (``_check_block``'s arrays) as it returns them if scalar tests
+    pass one observation, else None: |x_j| <= 2**510, max|x_j| * (widest span of ``zb``) <=
+    2**510 * sqrt(weight), an error row passing ``_checked_row`` (else its error), every weight
+    >= ``ZERO_CLAMP`` and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
     if not (one and y.size == 1 and x.shape == (1, len(zb))):
         return None
@@ -343,7 +332,8 @@ def _ordinary_step(y, x, zb, rows, carried, weight: float):
         lo, hi = (lo + v * a, hi + v * b) if v >= 0.0 else (lo + v * b, hi + v * a)
     top = max(map(abs, x_new))  # a y or x_j that is not finite fails here or the hull test
     ordinary = (top <= _SAFE_SUPPORT and top * widest <= _SAFE_SUPPORT * math.sqrt(weight)
-                and min(carried.ravel().tolist()) > 0.0 and lo + row[0] < y_new < hi + row[-1])
+                and min(carried.ravel().tolist()) >= ZERO_CLAMP
+                and lo + row[0] < y_new < hi + row[-1])
     return (y, x, rows) if ordinary else None
 
 
@@ -352,7 +342,7 @@ class _Absorbed(NamedTuple):
 
     prior: np.ndarray  # (S, J, K) new priors, normalized Gibbs rows
     ledger: np.ndarray  # (S,) each block's ledger entry
-    positive: np.ndarray  # (S,) whether each new prior is positive
+    live: np.ndarray  # (S,) whether each new prior is live: no weight below ZERO_CLAMP
     solved: _Solved  # the blocks' solve: its point holds their eps_hat and beta_hat
 
 
@@ -383,15 +373,15 @@ def _absorb(carried, zb, y, x, rows, settings, steps):
     qe = _uniform_row(rows.shape[2], "error")
     solved = _solve_dual(y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver)
     prior = solved.point.pb / add(solved.point.pb, axis=2, keepdims=True)
-    positive = np.minimum.reduce(prior, axis=(1, 2)) > 0.0
-    if not positive.all():
-        for step in np.asarray(steps)[~positive].tolist():
+    live = np.minimum.reduce(prior, axis=(1, 2)) >= ZERO_CLAMP
+    if not live.all():
+        for step in np.asarray(steps)[~live].tolist():
             logger.warning(
                 "carried prior underflowed to zero on some support points at step %d; "
                 "those points are frozen out for the rest of the stream",
                 step,
             )
-    return _Absorbed(prior, solved.point.kl(), positive, solved)
+    return _Absorbed(prior, solved.point.kl(), live, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +427,15 @@ def block_update(
     Solves the block's constraints with the gamma-weighted objective: the
     coefficient prior is the carried one and the error rows are uniform over
     the supplied support rows (one row per observation, or one row shared by
-    all). The block is checked once, as ``GceProblem`` and ``SupportGrid``
-    would check it (one error row once per value), and so is its hull over
-    the carried prior's live points, the full hull while the prior is
-    positive, as in ``run_stream``'s fold: one observation on a positive
+    all). The inputs are converted to float arrays once, here. The block is
+    checked once, as ``GceProblem`` and ``SupportGrid`` would check it (one
+    error row once per value), and so is its hull over the carried prior's
+    live points (weight at least ``ZERO_CLAMP``), the full hull while every
+    point is live, as in ``run_stream``'s fold: one observation on a live
     prior by scalar tests (``_ordinary_step``), any other block by
     ``run_stream``'s array checks, with the same errors. The carried prior
-    is a ``StreamState`` invariant and is not checked again. The block step
+    is a ``StreamState`` invariant and is not checked again; the new ledger
+    entry is, before any log grows. The block step
     ``run_stream`` folds solves it as a stack of one on plain arrays (no problem
     or distribution objects; the ledger entry comes from the solve's log
     partitions), its Newton iteration starting at the carried prior's moments.
@@ -459,21 +451,19 @@ def block_update(
     block = _ordinary_step(y, x, zb, rows, carried, gamma)
     if block is None:
         block = y, x, rows = _check_block(y, x, zb, rows, gamma)
-        # the live hull: the renormalized prior is positive where the carried one is
+        # the live hull; the solve renormalizes by row sums within 1e-12 of 1
         _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
     y, x, rows = block
     absorbed = _absorb(
         carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
     )
+    _check_ledger(absorbed.ledger)  # the one check of StreamState the new parts could fail
     absorbed.prior.setflags(write=False)
-    ledger = state.entropy_ledger.extended(absorbed.ledger)
-    if not ledger.low >= -1e-12:  # the one check of StreamState the new parts could fail
-        raise ValueError("entropy ledger entries must be finite and nonnegative")
     return _prechecked(
         StreamState, beta_prior=absorbed.prior[0], supports=state.supports,
         step_index=state.step_index + y.size,
         epsilon_log=state.epsilon_log.extended(absorbed.solved.point.eps_hat[0]),
-        entropy_ledger=ledger,
+        entropy_ledger=state.entropy_ledger.extended(absorbed.ledger),
         beta_trajectory=state.beta_trajectory.extended(absorbed.solved.point.beta_hat),
         converged_log=state.converged_log.extended(absorbed.solved.converged),
     )
@@ -611,7 +601,7 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
     settings and the block size form a ``_Lane``, which is built, run and
     reported before the next is built. A lane advances in rounds: in round t
     every stream with a t-th block absorbs it as ``block_update`` would (its
-    full-support hull trusted while its carried prior is positive, else its
+    full-support hull trusted while its carried prior is live, else its
     live hull checked, and an infeasible block skipped and logged), one
     ``_absorb`` call per block size. A stream's results do not depend on the
     others, so each is bit for bit its fold alone. A stream that raises
@@ -694,7 +684,7 @@ class _Lane:
             self.stacks[t].append((a, b, y, x, rows, inside.all(axis=1)))
 
         self.carried = np.stack([stream.fit.beta for stream in members])
-        self.positive = np.minimum.reduce(self.carried, axis=(1, 2)) > 0.0
+        self.live_prior = np.minimum.reduce(self.carried, axis=(1, 2)) >= ZERO_CLAMP
         self.alive, self.steps, self.seconds = np.ones(s, dtype=bool), batch.copy(), np.zeros(s)
         self.base = base = int(batch.max())
         self.eps = np.zeros((s, base + int(post.max())))
@@ -745,7 +735,7 @@ class _Lane:
         checked, and an infeasible one is skipped and logged.
         """
         live = self.alive[a:b]
-        trusted = live & self.positive[a:b] & inside
+        trusted = live & self.live_prior[a:b] & inside
         if trusted.all():
             return slice(a, b), slice(a, b), (y, x, rows)
         keep = []
@@ -781,7 +771,7 @@ class _Lane:
                 self.absorb(t, at[k : k + 1], y[k : k + 1], x[k : k + 1], rows[k : k + 1])
             return
         column, m = self.base + t * self.g, y.shape[1]
-        self.carried[at], self.positive[at] = absorbed.prior, absorbed.positive
+        self.carried[at], self.live_prior[at] = absorbed.prior, absorbed.live
         self.steps[at] += m
         self.eps[at, column : column + m] = absorbed.solved.point.eps_hat
         self.ledger[at, t], self.converged[at, t + 1] = absorbed.ledger, absorbed.solved.converged

@@ -380,6 +380,15 @@ def test_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(x, data.x)
 
 
+def test_the_writer_prints_shortest_round_trip_floats(tmp_path):
+    # numpy scalars print as plain numbers, as Python floats do
+    path = tmp_path / "data.csv"
+    y = np.array([1.0, -0.0, 0.1])
+    x = [[1e-300, 2], [np.float64(3.5), -1.25], [5e-324, 1e16]]
+    save_dataset_csv(path, y, x)
+    assert path.read_bytes() == b"y,x1,x2\n1.0,1e-300,2.0\n-0.0,3.5,-1.25\n0.1,5e-324,1e+16\n"
+
+
 def test_loader_reports_the_bad_line(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("y,x1\n1.0,2.0\n3.0\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import math
@@ -432,10 +433,11 @@ ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-8.0
     h=st.integers(2, 5),
     at=st.sampled_from(["lo", "hi", "below lo", "above lo", "below hi", "above hi", "any"]),
     live=st.booleans(),
+    dead=st.sampled_from([0.0, 5e-324, 1e-305, np.nextafter(core_module.ZERO_CLAMP, 0.0)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_scalar_step_test_accepts_exactly_what_the_hull_check_passes(
-    x_row, k, h, at, live, seed
+    x_row, k, h, at, live, dead, seed
 ):
     local = np.random.default_rng(seed)
     j = len(x_row)
@@ -447,8 +449,11 @@ def test_the_scalar_step_test_accepts_exactly_what_the_hull_check_passes(
                         local.uniform(0.5, 4.0)])
     prior = local.uniform(0.1, 1.0, (j, k))
     if not live:  # one weight underflowed: only the numpy checks tell its live hull
-        prior[local.integers(j), local.integers(k)] = 0.0
+        at_dead = local.integers(j), local.integers(k)
+        prior[at_dead] = 0.0
     prior /= prior.sum(axis=1, keepdims=True)
+    if not live:  # an exact zero or a weight below ZERO_CLAMP: dead to the hull and the solve
+        prior[at_dead] = dead
     x = np.array([x_row])
     lo, hi = solver._coefficient_hull(x, zb[:, 0], zb[:, -1])
     lo, hi = float(lo[0] + row[0]), float(hi[0] + row[-1])
@@ -457,12 +462,16 @@ def test_the_scalar_step_test_accepts_exactly_what_the_hull_check_passes(
         "above lo": np.nextafter(lo, np.inf), "below hi": np.nextafter(hi, -np.inf),
         "above hi": np.nextafter(hi, np.inf), "any": local.uniform(lo - 1.0, hi + 1.0),
     }[at]
-    checked = streaming_module._check_block([y], x, zb, row, 0.5)
-    try:
-        solver._check_hull(*checked[:2], zb, prior, checked[2], np.full(h, 1.0 / h))
-        passes = True
-    except InfeasibleObservationError:
-        passes = False
+    checked = streaming_module._check_block(np.array([y]), x, zb, row, 0.5)
+    verdicts = []
+    for q in (prior, np.where(prior < core_module.ZERO_CLAMP, 0.0, prior)):
+        try:
+            solver._check_hull(*checked[:2], zb, q, checked[2], np.full(h, 1.0 / h))
+            verdicts.append(True)
+        except InfeasibleObservationError:
+            verdicts.append(False)
+    passes = verdicts[0]
+    assert verdicts[1] == passes  # a weight below ZERO_CLAMP counts as an exact zero
     got = streaming_module._ordinary_step(np.array([y]), x, zb, row, prior, 0.5)
     assert (got is not None) == (passes and live)
     if got is not None:
@@ -1018,7 +1027,6 @@ def assert_state_rebuilds_to_itself(state, copy_logs=True):
         assert rebuilt.step_index == state.step_index
         for name in logs:
             assert getattr(rebuilt, name) == getattr(state, name), name
-        assert rebuilt.entropy_ledger.low == state.entropy_ledger.low
 
 
 @pytest.mark.parametrize(
@@ -1739,6 +1747,132 @@ def test_an_underflowed_prior_checks_the_hull_of_every_later_step(monkeypatch):
     )
     assert checked == y[first_zero + 1 :].tolist()
     assert_stream_is_the_fold(report, states[-1], tuple(skipped))
+
+
+# ---------------------------------------------------------------------------
+# One liveness rule: a weight below ZERO_CLAMP is an exact zero everywhere
+# ---------------------------------------------------------------------------
+
+
+SUB_CLAMP_ROW = [-1.0, 0.0, 1.0]
+
+
+def sub_clamp_state(weight=1e-305):
+    """A one-coefficient state on ``BETA_ROW`` whose point -10 carries ``weight``.
+
+    Only that point reaches y = -9 at x = 1: the live hull is [-6, 11].
+    """
+    grid = SupportGrid([BETA_ROW], [SUB_CLAMP_ROW])
+    return StreamState(np.array([[weight, 0.25, 0.25, 0.25, 0.25]]), grid, 0)
+
+
+def sub_clamp_paths(state, y):
+    """The three ways to absorb ``y`` at x = 1 into ``state``: a problem, a step, a block of 2."""
+    prior = JointDistribution(state.beta_prior, np.full((1, 3), 1.0 / 3.0))
+    return {
+        "problem": lambda: solve_gce(GceProblem([y], [[1.0]], state.supports, prior)),
+        "update_step": lambda: update_step(state, y, [1.0], SUB_CLAMP_ROW),
+        "block_update": lambda: block_update(state, [y, 3.0], [[1.0], [1.0]], SUB_CLAMP_ROW),
+    }
+
+
+@pytest.mark.parametrize("path", ["problem", "update_step", "block_update"])
+def test_a_weight_below_the_clamp_is_dead_to_the_hull_check(path):
+    # the solve gives the weight log prior -inf, so y = -9 is out of reach;
+    # the RuntimeWarning filter fails the test on an overflowing solve
+    with pytest.raises(InfeasibleObservationError) as got:
+        sub_clamp_paths(sub_clamp_state(), -9.0)[path]()
+    assert type(got.value) is InfeasibleObservationError
+    assert str(got.value) == "observation(s) 0 fall outside the attainable hull [-6.0, 11.0]"
+    assert got.value.indices == (0,) and (got.value.lo, got.value.hi) == (-6.0, 11.0)
+
+
+def test_a_weight_below_the_clamp_that_y_does_not_need_steps_as_an_exact_zero():
+    results = [
+        {path: run() for path, run in sub_clamp_paths(sub_clamp_state(weight), 3.0).items()}
+        for weight in (1e-305, 0.0)
+    ]
+    tiny, zero = results
+    for name in ("beta_hat", "epsilon_hat", "multipliers"):
+        assert getattr(tiny["problem"], name).tobytes() == getattr(zero["problem"], name).tobytes()
+    for path in ("update_step", "block_update"):
+        assert tiny[path].beta_prior.tobytes() == zero[path].beta_prior.tobytes()
+        for log in ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log"):
+            assert np.asarray(getattr(tiny[path], log)).tobytes() == np.asarray(
+                getattr(zero[path], log)
+            ).tobytes(), log
+
+
+def test_a_fold_from_a_weight_below_the_clamp_skips_the_block_its_live_hull_refuses(caplog):
+    state = sub_clamp_state()
+    y, x = np.array([0.5, -9.0, 3.0]), np.ones((3, 1))
+    fit = streaming_module._Fit(state.beta_prior, state.beta_hat, np.array([0.5]), True)
+    start = StreamState(
+        state.beta_prior, state.supports, 1, epsilon_log=fit.epsilon_hat,
+        beta_trajectory=(fit.beta_hat,), converged_log=(True,),
+    )
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        stream = streaming_module._prepare_stream(
+            y, x, 1, 1, None, beta_support=[BETA_ROW], error_support=SUB_CLAMP_ROW,
+            error_points=3, error_scale="batch", batch_fit=fit,
+        )
+        (report,), _ = streaming_module._fold([stream])
+        logged = list(caplog.messages)
+        caplog.clear()
+        skipped = []
+        for i in (1, 2):
+            try:
+                start = block_update(start, y[i : i + 1], x[i : i + 1], SUB_CLAMP_ROW)
+            except InfeasibleObservationError as exc:
+                skipped.append(i)
+                logging.getLogger("gcestream.streaming").warning(
+                    "skipping block %d (observations %d..%d): %s (offending: %s)",
+                    i - 1, i, i, exc, [i + k for k in exc.indices],
+                )
+        assert caplog.messages == logged
+    assert skipped == [1]
+    assert_stream_is_the_fold(report, start, (1,))
+    assert "outside the attainable hull [-6.0, 11.0]" in logged[0]
+
+
+# ---------------------------------------------------------------------------
+# The ledger is checked where its entries are made
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1e-11, math.nan])
+def test_a_state_built_with_a_bad_ledger_entry_raises(bad):
+    state, y, design, error_row = stream_after_batch(n=10, batch=8, seed=67)
+    state = update_step(state, y[8], design[8], error_row)
+    entries = [*state.entropy_ledger, bad]
+    fields = dict(beta_prior=state.beta_prior, supports=state.supports, step_index=9)
+    for build in (
+        lambda: StreamState(**fields, entropy_ledger=entries),
+        lambda: dataclasses.replace(state, entropy_ledger=entries),
+        lambda: dataclasses.replace(state, entropy_ledger=state.entropy_ledger.extended([bad])),
+    ):
+        with pytest.raises(ValueError, match="^entropy ledger entries must be finite"):
+            build()
+    assert dataclasses.replace(state, entropy_ledger=[*state.entropy_ledger, -1e-12])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_step_whose_ledger_entry_is_nan_raises_and_leaves_the_state_untouched(
+    monkeypatch, m
+):
+    state, y, design, error_row = stream_after_batch(n=12, batch=8, seed=67)
+    state = update_step(state, y[8], design[8], error_row)
+    logs = ("epsilon_log", "entropy_ledger", "beta_trajectory", "converged_log")
+    before = {name: np.asarray(getattr(state, name)).copy() for name in logs}
+    monkeypatch.setattr(solver._DualPoint, "kl", lambda self: np.full(len(self.pb), math.nan))
+    with pytest.raises(ValueError, match="^entropy ledger entries must be finite"):
+        block_update(state, y[9 : 9 + m], design[9 : 9 + m], error_row)
+    for name in logs:
+        log = getattr(state, name)
+        assert np.array_equal(np.asarray(log), before[name]), name
+        assert log._filled[0] == len(log), name  # no log grew past the caller's entries
+    monkeypatch.undo()
+    assert_state_rebuilds_to_itself(update_step(state, y[9], design[9], error_row))
 
 
 def test_a_g1_stream_builds_one_state_after_the_batch(monkeypatch):
