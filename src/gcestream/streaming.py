@@ -451,7 +451,7 @@ def block_update(
     block = _ordinary_step(y, x, zb, rows, carried, gamma)
     if block is None:
         block = y, x, rows = _check_block(y, x, zb, rows, gamma)
-        # the live hull; the solve renormalizes by row sums within 1e-12 of 1
+        # live hull of the carried rows, which the solve divides by sums within 1e-12 of 1
         _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
     y, x, rows = block
     absorbed = _absorb(
