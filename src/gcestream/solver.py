@@ -82,6 +82,11 @@ __all__ = [
 
 # Armijo line search constants for the multi-constraint Newton path.
 _ARMIJO_SLOPE = 1e-4
+# Hager and Zhang's approximate Wolfe condition, tried only where Armijo refuses
+# some trial: a trial whose dual value is within _FLAT_VALUE relative of the
+# start's, too close for Armijo to see a decrease, is accepted on its slope.
+_FLAT_VALUE = 1e-15
+_WOLFE_DELTA = 0.1
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 
@@ -592,8 +597,13 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
 
     Each problem keeps its own direction kind, step, backtracks, iteration
     count and stop, and gets the bits it would get alone. A step is accepted
-    on the Armijo condition, halving it up to ``_MAX_BACKTRACKS`` times, and
-    a problem that finds no acceptable step stops. The stack narrows to the
+    on the Armijo condition, or where some trial fails it, on the approximate
+    Wolfe condition (Hager and Zhang): a dual value that cannot be told apart
+    from the start's and a slope ``grad . d`` at most ``(2 * _WOLFE_DELTA - 1)``
+    times the start's. Near the optimum the decrease Armijo asks for falls
+    below one ulp of the value, and the slope still sees it. A step is halved
+    up to ``_MAX_BACKTRACKS`` times, and a problem that finds no acceptable
+    step stops. The stack narrows to the
     running problems once per iteration; within one, every running problem
     is evaluated at each halving, and one that has accepted keeps its point
     and ignores the rest. Curvature is formed only where a Newton direction
@@ -619,6 +629,9 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
             trial = lam_t + step * direction
             cand = ev_t.evaluate(trial)
             ok = cand.value <= cur.value + _ARMIJO_SLOPE * step * slope
+            if not ok.all():
+                flat = np.abs(cand.value - cur.value) <= _FLAT_VALUE * np.abs(cur.value)
+                ok |= flat & (_row_dots(cand.grad, direction) <= (2 * _WOLFE_DELTA - 1) * slope)
             if looking is None:
                 if whole and ok.all():  # the whole stack accepts at once
                     lam, pt = trial, cand

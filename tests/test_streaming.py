@@ -17,13 +17,16 @@ from gcestream import solver
 from gcestream import streaming as streaming_module
 from gcestream.simulation import _scaled_error_support
 from gcestream import (
+    DEFAULT_BETA_SUPPORT,
     GceProblem,
     InfeasibleObservationError,
     JointDistribution,
+    SimulationConfig,
     StreamState,
     SupportGrid,
     UpdateSettings,
     block_update,
+    generate_dataset,
     init_stream,
     kl_divergence,
     rmse,
@@ -1005,6 +1008,30 @@ def test_run_stream_is_a_fold_of_block_updates(caplog, case):
     report = stream_and_fold(caplog, y, design, **kwargs)
     assert report.skipped == ()
     assert report.entropy_ledger.size >= (1 if case == "one-block" else 4)
+
+
+def test_the_no_batch_g7_stream_converges_every_block_fast():
+    # block 24 of this stream once spun to the 500-iteration cap (1.5 s),
+    # every Armijo trial refused on a dual value flat in all 17 digits
+    y, design = simulated(200, seed=181)
+    best = math.inf
+    for _ in range(3):  # the fastest of up to three runs, for a loaded machine
+        start = time.perf_counter()
+        report = run_stream(y, design, 0, 7, beta_support=BETA_ROW, error_scale="full")
+        best = min(best, time.perf_counter() - start)
+        assert report.all_converged
+        if best < 0.05:
+            break
+    assert best < 0.05
+
+
+def test_an_ordinary_block_of_two_converges():
+    # block 69 of this g = 2 stream (observations 2058 and 2059) once stopped
+    # at the 500-iteration cap, one of 13 such blocks over seeds 1 to 8
+    ds = generate_dataset(SimulationConfig(n=3840, seed=6))
+    design = np.column_stack([np.ones(ds.n), ds.x])
+    report = run_stream(ds.y[:2060], design[:2060], 1920, 2, beta_support=DEFAULT_BETA_SUPPORT)
+    assert report.entropy_ledger.size == 70 and report.all_converged
 
 
 def assert_state_rebuilds_to_itself(state, copy_logs=True):
