@@ -66,7 +66,8 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import (
-    GceProblem, SolverSettings, _check_hull, _check_observations, _solve_dual, solve_gce,
+    GceProblem, SolverSettings, _check_hull, _check_observations, _log_priors, _solve_dual,
+    solve_gce,
 )
 from .streaming import UpdateSettings, _failure, _Fit, _fold, _prepare_stream, run_stream
 from .core import (
@@ -527,8 +528,10 @@ def _fit_stack(problems, zb, solver) -> list[_Fit]:
     ze = _error_rows(rows)[:, None]
     _check_observations(y.reshape(-1), x.reshape(-1, j), zb, s * m)
     qb, qe = _uniform_rows(j, k, "beta"), _uniform_row(h, "error")
-    _check_hull(y, x, zb, qb, ze, qe)
-    solved = _solve_dual(y, x, zb, ze, np.broadcast_to(qb, (s, j, k)), qe, 1.0, 1.0, solver)
+    log_qb = _log_priors(qb)
+    _check_hull(y, x, zb, log_qb, ze, _log_priors(qe))
+    qb, log_qb = (np.broadcast_to(q, (s, j, k)) for q in (qb, log_qb))
+    solved = _solve_dual(y, x, zb, ze, qb, log_qb, qe, 1.0, 1.0, solver)
     pt = solved.point
     return [
         _Fit(_gibbs_rows(pt.pb[i]), pt.beta_hat[i], pt.eps_hat[i], verdict)

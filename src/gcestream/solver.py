@@ -19,26 +19,18 @@ max |residual| <= tolerance. All partition sums are evaluated in the log
 domain (per-row max subtraction), which keeps exponents of order 1e5 finite;
 the same shifted exponentials give the normalized row weights.
 
-The solver works on plain arrays (data, supports, prior weights), so the
-streaming updates and the experiments' one-shot fits solve without building a
-``GceProblem``; ``solve_gce`` is the one place that takes a problem and gives
-a ``GceSolution``. Every solve runs over a stack of S problems that share m,
-their coefficient supports, error prior and weights, so one set of numpy calls
-advances every problem of the stack, and ``solve_gce`` solves a stack of one.
-Each problem keeps its own Newton control and gets the bits it would get
-alone; with several constraints, every running problem is evaluated at each
-step halving of a Newton iteration, and the stack narrows after it. A Newton
-direction is one Woodbury solve of the whole stack; its fallbacks (a column
-without curvature, a ridge retry, the negative gradient) run per problem, on
-each problem alone. Solves of a single constraint (m = 1: a one-observation
-fit or streaming step) go through a kernel whose rows are every problem's
-coefficient rows and lone error row. It never forms the dual value, which only
-the multi-constraint line search reads, and holds nothing of a problem between
-solves, so a thread reuses its last one while the supports and error prior are
-equal: streams, gammas and one-observation fits share one. Its Newton
-iteration starts at lam = 0 from the prior weights' own moments (the Gibbs
-weights there are the prior), with no exponential, and forms its iterates in
-place and its curvature only where a Newton step reads it.
+The solver works on plain arrays (data, supports, prior weights and the logs
+it reads), so the streaming updates and the experiments' one-shot fits solve
+without building a ``GceProblem``; ``solve_gce`` is the one place that takes
+a problem and gives a ``GceSolution``. Every solve runs over a stack of S
+problems that share m, their coefficient supports, error prior and weights,
+so one set of numpy calls advances every problem of the stack, each with its
+own Newton control and the bits it would get alone; ``solve_gce`` solves a
+stack of one. Several constraints take damped Newton with one Woodbury
+direction for the whole stack (``_solve_multi``); a single one (m = 1: a
+one-observation fit or streaming step) takes a bracketed Newton kernel that
+never forms the dual value and starts from the prior's own moments
+(``_StackKernel``).
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -80,11 +72,10 @@ __all__ = [
     "solve_gce",
 ]
 
-# Armijo line search constants for the multi-constraint Newton path.
+# Line search constants for the multi-constraint Newton path: Armijo's, and
+# those of Hager and Zhang's approximate Wolfe test, tried where Armijo refuses
+# some trial (a value within _FLAT_VALUE relative of the start's is flat).
 _ARMIJO_SLOPE = 1e-4
-# Hager and Zhang's approximate Wolfe condition, tried only where Armijo refuses
-# some trial: a trial whose dual value is within _FLAT_VALUE relative of the
-# start's, too close for Armijo to see a decrease, is accepted on its slope.
 _FLAT_VALUE = 1e-15
 _WOLFE_DELTA = 0.1
 _BACKTRACK = 0.5
@@ -188,8 +179,8 @@ class GceProblem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "prior", prior)
-        _check_hull(y, x, grid.beta_support, prior.beta, _shared(grid.error_support),
-                    _shared(prior.error))
+        _check_hull(y, x, grid.beta_support, _log_priors(prior.beta),
+                    _shared(grid.error_support), _log_priors(_shared(prior.error)))
 
     @property
     def n_obs(self) -> int:
@@ -241,11 +232,11 @@ def _grid_ends(data: bytes, shape: tuple) -> tuple:
     return max(b - a for a, b in zip(first, last)), first, last
 
 
-def _live_bounds(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the smallest and largest live support point: prior weight >= ``ZERO_CLAMP``."""
-    if q.min() >= ZERO_CLAMP:  # every point is live, and rows are increasing
+def _live_bounds(z: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest and largest live support point: log prior weight above -inf."""
+    if log_q.min() > -np.inf:  # every point is live, and rows are increasing
         return z[..., 0], z[..., -1]
-    live = q >= ZERO_CLAMP
+    live = log_q > -np.inf
     return np.where(live, z, np.inf).min(axis=-1), np.where(live, z, -np.inf).max(axis=-1)
 
 
@@ -262,19 +253,24 @@ def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
     return add(np.minimum(at_min, at_max), axis=0).T, add(np.maximum(at_min, at_max), axis=0).T
 
 
-def _check_hull(y, x, zb, qb, ze, qe) -> None:
-    """Raise InfeasibleObservationError unless every y_i lies strictly inside its hull.
+def _hull(x, zb, log_qb, ze, log_qe) -> tuple[np.ndarray, np.ndarray]:
+    """Per observation, the range of ``x_i . beta + eps_i`` over the live support points.
 
-    The hull of observation i is the range of ``x_i . beta + eps_i`` as each
-    row's weights range over its live support points (``zb``, ``ze``), those
-    whose prior weight (``qb``, ``qe``) is at least ``ZERO_CLAMP``; the solve
-    gives any other point log prior -inf, so it does not count. ``ze`` may be
-    one row shared by all; a stack ((S, m) ``y``, (S, 1, H) ``ze``) counts
-    indices across it.
+    A point of ``zb`` or ``ze`` is live where its log prior weight (``log_qb``, ``log_qe``, as
+    the solve reads them) is above -inf; ``_log_priors`` gives -inf to a weight below
+    ``ZERO_CLAMP``. ``ze`` may be one row shared by all.
     """
-    emin, emax = _live_bounds(ze, qe)
-    lo, hi = _coefficient_hull(x, *_live_bounds(zb, qb))
-    lo, hi = lo + emin, hi + emax
+    emin, emax = _live_bounds(ze, log_qe)
+    lo, hi = _coefficient_hull(x, *_live_bounds(zb, log_qb))
+    return lo + emin, hi + emax
+
+
+def _check_hull(y, x, zb, log_qb, ze, log_qe) -> None:
+    """Raise InfeasibleObservationError unless every y_i lies strictly inside its ``_hull``.
+
+    A stack ((S, m) ``y``, (S, 1, H) ``ze``) counts indices across it.
+    """
+    lo, hi = _hull(x, zb, log_qb, ze, log_qe)
     if ((lo < y) & (y < hi)).all():
         return
     outside = (y < lo) | (y > hi)
@@ -283,12 +279,6 @@ def _check_hull(y, x, zb, qb, ze, qe) -> None:
         raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=False)
     idx = np.flatnonzero((y == lo) | (y == hi))
     raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=True)
-
-
-def _inside(y, x, zb, rows) -> np.ndarray:
-    """Whether each ``y_i`` lies strictly inside its ``x_i . beta + eps_i`` full-support hull."""
-    lo, hi = _coefficient_hull(x, zb[:, 0], zb[:, -1])
-    return (lo + rows[:, 0] < y) & (y < hi + rows[:, -1])
 
 
 @dataclass(frozen=True)
@@ -597,13 +587,11 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
 
     Each problem keeps its own direction kind, step, backtracks, iteration
     count and stop, and gets the bits it would get alone. A step is accepted
-    on the Armijo condition, or where some trial fails it, on the approximate
-    Wolfe condition (Hager and Zhang): a dual value that cannot be told apart
-    from the start's and a slope ``grad . d`` at most ``(2 * _WOLFE_DELTA - 1)``
-    times the start's. Near the optimum the decrease Armijo asks for falls
-    below one ulp of the value, and the slope still sees it. A step is halved
-    up to ``_MAX_BACKTRACKS`` times, and a problem that finds no acceptable
-    step stops. The stack narrows to the
+    on the Armijo condition or, where some trial fails it, on a flat dual
+    value and a slope ``grad . d`` at most ``2 * _WOLFE_DELTA - 1`` times the
+    start's: near the optimum the decrease Armijo asks for is below one ulp
+    of the value, and the slope still shows it. A step is halved up to
+    ``_MAX_BACKTRACKS`` times, and a problem that finds none stops. The stack narrows to the
     running problems once per iteration; within one, every running problem
     is evaluated at each halving, and one that has accepted keeps its point
     and ignores the rest. Curvature is formed only where a Newton direction
@@ -666,27 +654,24 @@ class _StackKernel:
     coefficient rows and its error row are J+1 consecutive rows of one
     ``(S * (J+1), max(K, H))`` stack, so an iterate of the whole stack costs
     one set of numpy calls on 2-D arrays; a padding point has support 0 and
-    prior weight 0, so it gets exactly zero weight. The buffers hold exactly
-    the stack being solved, and are sized again when S changes; the weight
-    rows are written again when the weights change.
+    prior weight 0, so it gets exactly zero weight. The buffers are sized
+    again when S changes, the weight rows written again when the weights do.
 
     Points are ``(grad, p, means)``: the gradient as a list of S floats,
     the stacked row weights and the ``(S * (J+1), 1)`` row means.
     ``start``'s point at lam = 0 is the prior weights' own moments, equal to
     ``_DualEvaluator.evaluate``'s to rounding. ``at`` does ``evaluate``'s
     arithmetic, operation for operation, plus exact zeros from the padding,
-    in place in one fresh logits buffer; every row is reduced along its last
-    axis, and a problem's row means are dotted with its observation by
-    ``matmul`` of ``(S, 1, J) @ (S, J, 1)``, the dot product ``evaluate``
-    forms, with the scalar steps around it in Python floats, numpy's
-    float64 operations. So a problem's points are bit-identical to
-    ``evaluate``'s while ``max(K, H) < 8``, where numpy sums a row in
-    sequence, and they do not depend on the other problems of the stack. A
-    log partition sum is finite exactly when its row's maximum logit is,
-    and a non-finite one makes the gradient NaN, so the rows are checked
-    only then. ``curvature`` is formed only where a Newton step reads it,
-    never at the final point. ``at`` keeps its tilt, row maxima and row sums
-    as ``last``, and ``solve`` forms ``ln Z`` from them once, for the
+    in one fresh logits buffer: every row is reduced along its last axis,
+    and a problem's row means are dotted with its observation by the
+    ``matmul`` ``evaluate`` forms, the scalar steps around it in Python
+    floats. So a problem's points are bit-identical to ``evaluate``'s while
+    ``max(K, H) < 8``, where numpy sums a row in sequence, and do not depend
+    on the rest of the stack. A log partition sum is finite exactly when its
+    row's maximum logit is, and a non-finite one makes the gradient NaN, so
+    the rows are checked only then. ``curvature`` is formed only where a
+    Newton step reads it. ``at`` keeps its tilt, row maxima and row sums as
+    ``last``, and ``solve`` forms ``ln Z`` from them once, for the
     coefficient rows of its final point.
     """
 
@@ -728,9 +713,9 @@ class _StackKernel:
     def start(self, qb, log_qb, y0, x, ze, signal_weight: float, error_weight: float):
         """Load the stack and return its point at zero.
 
-        Takes, per problem, the coefficient prior ``qb`` (S, J, K) and its
-        ``_log_priors`` ``log_qb`` (weights below ZERO_CLAMP count as zero,
-        as the Gibbs form counts them), the observation ``y0`` (S,) with its
+        Takes, per problem, the coefficient prior ``qb`` (S, J, K) and the
+        logs ``log_qb`` the solve reads (a point of log -inf has weight zero,
+        as in the Gibbs form), the observation ``y0`` (S,) with its
         regressors ``x`` (S, J), and its error support row ``ze`` (S, H); and
         the stack's two objective weights.
         """
@@ -879,23 +864,25 @@ class _Solved(NamedTuple):
     converged: np.ndarray  # (S,) residual <= constraint_tolerance: the one verdict
 
 
-def _solve_dual(y, x, zb, ze, qb, qe, signal_weight, error_weight, settings):
+def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, settings):
     """Solve the weighted duals of a stack of S problems from a zero start.
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
-    supports ``ze`` (S, m, H; or S, 1, H) and the coefficient prior weights ``qb``
-    (S, J, K); the coefficient supports ``zb`` (J, K), the error prior
-    weights ``qe`` (one row may be shared by every observation) and the two
-    objective weights are the stack's. Problems of one observation (m = 1)
-    are solved together by a ``_StackKernel``, problems of more observations
-    by ``_solve_multi`` on one ``_DualEvaluator`` over the stack. Either way
-    a problem gets the bits it would get alone, in a stack of one. Each
-    thread keeps the log and (once m = 1 needs it) kernel of its last shared
-    error row, reused while ``zb`` and ``qe`` hold the same values, whatever
-    the weights, with the bits new ones would give; a per-row ``qe`` leaves
-    them be. Returns a ``_Solved``.
+    supports ``ze`` (S, m, H; or S, 1, H), the coefficient prior weights
+    ``qb`` (S, J, K), which only start the one-observation kernel, and their
+    logs ``log_qb``, which the solve reads: normalized to rounding, so its
+    log partitions are relative to them, and finite at a live point whose
+    weight has underflowed. The coefficient supports ``zb`` (J, K), the
+    error prior weights ``qe`` (one row may be shared by every observation)
+    and the two objective weights are the stack's. Problems of one
+    observation (m = 1) are solved together by a ``_StackKernel``, problems
+    of more by ``_solve_multi`` on one ``_DualEvaluator`` over the stack;
+    either way a problem gets the bits it would get alone. Each thread keeps
+    the log and (once m = 1 needs it) kernel of its last shared error row,
+    reused while ``zb`` and ``qe`` hold the same values, whatever the
+    weights, with the bits new ones would give; a per-row ``qe`` leaves them
+    be. Returns a ``_Solved``.
     """
-    log_qb = _log_priors(qb)
     one = y.shape[1] == 1
     if qe.shape[0] == 1:  # one shared error row, as every m = 1 solve and stream block has
         key = (zb.shape, zb.tobytes(), qe.shape, qe.tobytes())
@@ -996,7 +983,8 @@ def solve_gce(
         _check_observations(problem.y, problem.x, grid.beta_support, grid.n_obs, signal_weight)
     solved = _solve_dual(
         problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
-        prior.beta[None], _shared(prior.error), signal_weight, error_weight, settings,
+        prior.beta[None], _log_priors(prior.beta)[None], _shared(prior.error), signal_weight,
+        error_weight, settings,
     )
     lam, pt = solved.lam, solved.point
     pb, pe = _gibbs_rows(pt.pb[0]), _gibbs_rows(pt.pe[0])  # Gibbs rows pass every check

@@ -12,34 +12,31 @@ support row scaled to the incoming data. The update minimizes
 subject to the block's consistency constraints. At gamma = 0.5 both terms
 carry equal weight, which reproduces the plain joint objective.
 
-States are immutable values. Each absorbed block appends one entry to the
-entropy ledger, the KL divergence of the new coefficient weights from the
-previous ones, a nonnegative account of how much information the block moved.
-The entry comes from the solve's own Gibbs terms, not a second KL pass: row
-j's weights are p_j proportional to q_j * exp(-z_j * t_j), so
-KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j, clamped at zero per row as
-``kl_divergence`` clamps it. It agrees with ``kl_divergence`` of the stored
-states to 1.5e-15 on streams at n = 3840, and to 1.2e-14 relative where the
-carried prior has underflowed.
-Each log of a state is a view of an append-only array that successive states
-share, so absorbing a block costs the same however long the stream has run.
-One block step, ``_absorb``, absorbs every block, and it runs over a stack:
-one block of m observations for each of S streams, solved together by one
-stacked solve. ``block_update`` calls it with a stack of one. Whole streams
-are prepared one at a time (``_prepare_stream``: every check, every
-observation's error row and full-support hull test, and the batch fit) and
-then folded (``_fold``) one lane at a time: a lane is the streams on the
-same supports, settings and block size, which advance in rounds, laid out
-round-major so that each round reads its stacks, priors and trust tests as
-slices, with one ``_absorb`` call per block size and round. A stream's
-results are its results alone, bit for bit, and its logs are stored once:
-written by slice into preallocated arrays, which its final ``StreamState``
-holds as its logs and its ``StreamReport`` as read-only views.
-``run_stream`` prepares one stream and folds a stack of one;
-``experiments.run_experiment`` folds the streams of many cells. The fold
-and ``block_update`` share one hull rule: a point is live when its weight is
-at least ``ZERO_CLAMP``, and a prior with every point live has its
-full-support hull as its live hull.
+States are immutable values. A state carries its coefficient prior as
+weights, for its estimates, and as logs, which the next solve reads. The
+solve tilts row j to p_j proportional to q_j * exp(-z_j * t_j), so the new
+logs are log q_j - z_j * t_j - ln Z_j, with ln Z_j relative to the carried
+row: the logs accumulate the stream's tilt and never underflow, as the KL
+projection never zeroes a weight. A point is live while its log is above
+-inf, which only a weight below ``ZERO_CLAMP`` in the weights a state was
+built from gives, so each observation's hull is fixed for the whole stream.
+Each block appends to the entropy ledger the KL divergence of the new
+coefficient weights from the carried ones, a nonnegative account of how much
+information the block moved, from the same terms: KL(p_j | q_j) =
+-t_j * beta_hat_j - ln Z_j, clamped at zero per row as ``kl_divergence``
+clamps it. Each log of a state is a view of an append-only array that
+successive states share, so absorbing a block costs the same however long
+the stream has run.
+
+One block step, ``_absorb``, absorbs a stack of blocks, one per stream, by
+one stacked solve; ``block_update`` calls it with a stack of one. Whole
+streams are prepared one at a time (``_prepare_stream``: every check, error
+row and hull test, and the batch fit), then folded (``_fold``) lane by lane:
+a lane's streams share supports, settings and block size and advance in
+rounds, one ``_absorb`` call per round and block size. Each stream's results
+are its own alone, bit for bit, and its logs are stored once, in arrays its
+final ``StreamState`` and ``StreamReport`` share. ``run_stream`` folds a
+stack of one; ``experiments.run_experiment`` folds the streams of many cells.
 """
 
 from __future__ import annotations
@@ -78,7 +75,8 @@ from .solver import (
     _check_hull,
     _check_observations,
     _grid_ends,
-    _inside,
+    _hull,
+    _log_priors,
     _solve_dual,
     _Solved,
     solve_gce,
@@ -211,8 +209,13 @@ class StreamState:
     """Carried coefficient prior plus the running diagnostic logs.
 
     ``beta_prior`` is the ``(J, K)`` read-only array of carried coefficient
-    weights, checked like a ``JointDistribution``'s rows but stored as given,
-    so a state rebuilt from another state's prior carries the same bits.
+    weights, checked like a ``JointDistribution``'s rows but stored as given;
+    a stepped state's are the last solve's Gibbs rows. ``log_prior`` holds
+    their read-only logs, which the next solve reads: -inf only at a weight
+    below ``ZERO_CLAMP``, a point dead for the rest of the stream, never NaN
+    or +inf, and by default ``_log_priors(beta_prior)``. A stepped
+    state's logs carry the stream's tilt and stay finite where its weights
+    underflow, so a rebuilt state continues bit for bit only with them.
     ``supports`` is the grid the stream started from: its coefficient rows
     hold for the whole stream, and its error rows are the batch's (incoming
     blocks supply their own). ``step_index``, a whole number, counts absorbed
@@ -233,11 +236,20 @@ class StreamState:
     entropy_ledger: Sequence[float] = ()
     beta_trajectory: Sequence[np.ndarray] = ()
     converged_log: Sequence[bool] = ()
+    log_prior: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         prior = _simplex_rows(self.beta_prior, "beta_prior", renormalize=False)
         if prior.shape != self.supports.beta_support.shape:
             raise ValueError("beta_prior rows do not match the support grid")
+        given = self.log_prior
+        log_prior = np.array(_log_priors(prior) if given is None else given, dtype=float)
+        if log_prior.shape != prior.shape or not (log_prior < np.inf).all() or (
+                (log_prior == -np.inf) & (prior >= ZERO_CLAMP)).any():
+            raise ValueError("log_prior must have beta_prior's shape, no NaN or +inf, and -inf "
+                             "only where beta_prior is below ZERO_CLAMP")
+        log_prior.setflags(write=False)
+        object.__setattr__(self, "log_prior", log_prior)
         step_index = _integer(self.step_index, "step_index")
         if step_index < 0:
             raise ValueError("step_index must be nonnegative")
@@ -299,6 +311,11 @@ class StreamReport:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_log_prior(h: int) -> np.ndarray:
+    """The logs of a uniform error row of ``h`` points, every point live."""
+    return _log_priors(_uniform_row(h, "error"))
+
+
 def _check_block(y, x, zb, rows, weight: float = 1.0):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
@@ -316,11 +333,11 @@ def _check_block(y, x, zb, rows, weight: float = 1.0):
     return y, x, rows
 
 
-def _ordinary_step(y, x, zb, rows, carried, weight: float):
+def _ordinary_step(y, x, zb, rows, log_carried, weight: float):
     """``y``, ``x`` and ``rows`` (``_check_block``'s arrays) as it returns them if scalar tests
     pass one observation, else None: |x_j| <= 2**510, max|x_j| * (widest span of ``zb``) <=
-    2**510 * sqrt(weight), an error row passing ``_checked_row`` (else its error), every weight
-    >= ``ZERO_CLAMP`` and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
+    2**510 * sqrt(weight), an error row passing ``_checked_row`` (else its error), every log
+    weight above -inf and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
     if not (one and y.size == 1 and x.shape == (1, len(zb))):
         return None
@@ -332,7 +349,7 @@ def _ordinary_step(y, x, zb, rows, carried, weight: float):
         lo, hi = (lo + v * a, hi + v * b) if v >= 0.0 else (lo + v * b, hi + v * a)
     top = max(map(abs, x_new))  # a y or x_j that is not finite fails here or the hull test
     ordinary = (top <= _SAFE_SUPPORT and top * widest <= _SAFE_SUPPORT * math.sqrt(weight)
-                and min(carried.ravel().tolist()) >= ZERO_CLAMP
+                and min(log_carried.ravel().tolist()) > -math.inf
                 and lo + row[0] < y_new < hi + row[-1])
     return (y, x, rows) if ordinary else None
 
@@ -340,48 +357,34 @@ def _ordinary_step(y, x, zb, rows, carried, weight: float):
 class _Absorbed(NamedTuple):
     """A stack of S absorbed blocks, as ``_absorb`` returns it; read by field name."""
 
-    prior: np.ndarray  # (S, J, K) new priors, normalized Gibbs rows
+    prior: np.ndarray  # (S, J, K) new priors: the solve's Gibbs rows
+    log_prior: np.ndarray  # (S, J, K) their logs, the carried logs tilted by the block
     ledger: np.ndarray  # (S,) each block's ledger entry
-    live: np.ndarray  # (S,) whether each new prior is live: no weight below ZERO_CLAMP
     solved: _Solved  # the blocks' solve: its point holds their eps_hat and beta_hat
 
 
-def _absorb(carried, zb, y, x, rows, settings, steps):
+def _absorb(carried, log_carried, zb, y, x, rows, settings):
     """The one block step: absorb one checked block into each carried prior of a stack.
 
-    ``carried`` holds S ``(J, K)`` priors, and ``y`` (S, m), ``x`` (S, m, J)
-    and ``rows`` (S, m, H) one block per prior, with one error support row
-    per observation, each with a uniform prior. The blocks are solved
-    together by one ``_solve_dual``. The caller has checked each block's
-    live hull, or trusts it. Returns an ``_Absorbed``. ``steps`` only label
-    the underflow warnings, one per underflowed prior.
-
-    The ledger entry is the KL divergence of the new prior from the carried
-    one, ``_DualPoint.kl`` of the final point, the same for both solve
-    paths. The entries stay within 1.5e-15 of ``kl_divergence(prior,
-    carried)`` on streams at n = 3840 and within 1.2e-14 relative on an
-    underflowed prior. Every row is reduced along its last axis, so a
-    block's results do not depend on the rest of the stack. Newton starts at
-    each carried prior's moments.
+    ``carried`` holds S ``(J, K)`` priors as weights, ``log_carried`` as the
+    logs the solve reads, and ``y`` (S, m), ``x`` (S, m, J) and ``rows`` (S,
+    m, H) one block per prior, each error row with a uniform prior. The
+    caller has checked each block's live hull, or trusts it. One
+    ``_solve_dual`` solves the stack, from each carried prior's moments; its
+    final point gives the new logs ``log_carried - z * t - ln Z`` (a dead
+    point stays -inf, and no other dies) and the ledger entries
+    (``_DualPoint.kl``), both from the same tilt ``t`` and log partitions.
+    Every row is reduced along its last axis, so a block's results do not
+    depend on the rest of the stack. Returns an ``_Absorbed``.
     """
-    # renormalized rows: for rows of fewer than 8 points, the priors a
-    # JointDistribution would hold; wider rows are summed pairwise here, in
-    # sequence there, and can differ in the last bits
-    add = np.add.reduce
-    qb = carried / add(carried, axis=2, keepdims=True)
     gamma = settings.gamma
     qe = _uniform_row(rows.shape[2], "error")
-    solved = _solve_dual(y, x, zb, rows, qb, qe, gamma, 1.0 - gamma, settings.solver)
-    prior = solved.point.pb / add(solved.point.pb, axis=2, keepdims=True)
-    live = np.minimum.reduce(prior, axis=(1, 2)) >= ZERO_CLAMP
-    if not live.all():
-        for step in np.asarray(steps)[~live].tolist():
-            logger.warning(
-                "carried prior underflowed to zero on some support points at step %d; "
-                "those points are frozen out for the rest of the stream",
-                step,
-            )
-    return _Absorbed(prior, solved.point.kl(), live, solved)
+    solved = _solve_dual(
+        y, x, zb, rows, carried, log_carried, qe, gamma, 1.0 - gamma, settings.solver
+    )
+    pt = solved.point
+    log_prior = log_carried - zb * pt.tilt[:, :, None] - pt.ln_zb[:, :, None]
+    return _Absorbed(pt.pb, log_prior, pt.kl(), solved)
 
 
 # ---------------------------------------------------------------------------
@@ -426,46 +429,42 @@ def block_update(
 
     Solves the block's constraints with the gamma-weighted objective: the
     coefficient prior is the carried one and the error rows are uniform over
-    the supplied support rows (one row per observation, or one row shared by
-    all). The inputs are converted to float arrays once, here. The block is
-    checked once, as ``GceProblem`` and ``SupportGrid`` would check it (one
-    error row once per value), and so is its hull over the carried prior's
-    live points (weight at least ``ZERO_CLAMP``), the full hull while every
-    point is live, as in ``run_stream``'s fold: one observation on a live
-    prior by scalar tests (``_ordinary_step``), any other block by
-    ``run_stream``'s array checks, with the same errors. The carried prior
-    is a ``StreamState`` invariant and is not checked again; the new ledger
-    entry is, before any log grows. The block step
-    ``run_stream`` folds solves it as a stack of one on plain arrays (no problem
-    or distribution objects; the ledger entry comes from the solve's log
-    partitions), its Newton iteration starting at the carried prior's moments.
-    Infeasible blocks raise InfeasibleObservationError (indices local to the
-    block) and leave the caller's state untouched, so a stream can skip and
-    log them. The new state, built from checked parts, keeps the stream's grid.
+    the supplied support rows (one per observation, or one shared by all).
+    The inputs are converted to float arrays once and checked once, as
+    ``GceProblem`` and ``SupportGrid`` would check them, with the block's
+    hull over the carried prior's live points, as in ``run_stream``'s fold:
+    one observation on an all-live prior by scalar tests (``_ordinary_step``),
+    any other block by the fold's array checks, with the same errors. The
+    carried prior, a ``StreamState`` invariant, is not checked again; the
+    new ledger entry is, before any log grows. Infeasible blocks raise
+    InfeasibleObservationError (indices local to the block) and leave the
+    caller's state untouched, so a stream can skip and log them.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
-    zb, carried, gamma = state.supports.beta_support, state.beta_prior, settings.gamma
+    zb, log_carried, gamma = state.supports.beta_support, state.log_prior, settings.gamma
     y = np.asarray(y_block, dtype=float).reshape(-1)
     x = np.atleast_2d(np.asarray(x_block, dtype=float))
     rows = np.asarray(error_support_rows, dtype=float)
-    block = _ordinary_step(y, x, zb, rows, carried, gamma)
+    block = _ordinary_step(y, x, zb, rows, log_carried, gamma)
     if block is None:
         block = y, x, rows = _check_block(y, x, zb, rows, gamma)
-        # live hull of the carried rows, which the solve divides by sums within 1e-12 of 1
-        _check_hull(y, x, zb, carried, rows, _uniform_row(rows.shape[1], "error"))
+        _check_hull(y, x, zb, log_carried, rows, _uniform_log_prior(rows.shape[1]))
     y, x, rows = block
     absorbed = _absorb(
-        carried[None], zb, y[None], x[None], rows[None], settings, (state.step_index,)
+        state.beta_prior[None], log_carried[None], zb, y[None], x[None], rows[None], settings
     )
     _check_ledger(absorbed.ledger)  # the one check of StreamState the new parts could fail
-    absorbed.prior.setflags(write=False)
+    prior, log_prior = np.ascontiguousarray(absorbed.prior[0]), absorbed.log_prior[0]
+    prior.setflags(write=False)
+    log_prior.setflags(write=False)
     return _prechecked(
-        StreamState, beta_prior=absorbed.prior[0], supports=state.supports,
+        StreamState, beta_prior=prior, supports=state.supports,
         step_index=state.step_index + y.size,
         epsilon_log=state.epsilon_log.extended(absorbed.solved.point.eps_hat[0]),
         entropy_ledger=state.entropy_ledger.extended(absorbed.ledger),
         beta_trajectory=state.beta_trajectory.extended(absorbed.solved.point.beta_hat),
         converged_log=state.converged_log.extended(absorbed.solved.converged),
+        log_prior=log_prior,
     )
 
 
@@ -505,8 +504,8 @@ class _Stream:
     Its blocks are ``block`` observations each from observation ``batch``
     on, the last keeping the remainder. ``rows`` holds every observation's
     error support row and ``inside`` whether it lies strictly inside its
-    full-support hull, both resolved before the first solve. ``fit`` is its
-    batch fit, or for a stream without a batch its uniform start, a fit of
+    hull over the points live in ``fit``, the stream's live points for good.
+    ``fit`` is its batch fit, or without a batch its uniform start, a fit of
     no observations. ``batch_solution`` is its report's.
     """
 
@@ -523,18 +522,8 @@ class _Stream:
 
 
 def _prepare_stream(
-    y,
-    x,
-    batch_size,
-    block_size,
-    settings,
-    *,
-    beta_support,
-    error_support,
-    error_points,
-    error_scale,
-    batch_fit: _Fit | None = None,
-    grid: SupportGrid | None = None,
+    y, x, batch_size, block_size, settings, *, beta_support, error_support, error_points,
+    error_scale, batch_fit: _Fit | None = None, grid: SupportGrid | None = None,
 ) -> _Stream:
     """Check a stream, resolve its error rows and hull tests, and fit its batch.
 
@@ -590,7 +579,8 @@ def _prepare_stream(
         solution = solve_gce(GceProblem(y[:batch_size], x[:batch_size], grid), settings.solver)
         batch_fit = _Fit(solution.distributions.beta, solution.beta_hat, solution.epsilon_hat,
                          solution.diagnostics.converged)
-    inside = _inside(y, x, zb, rows)
+    lo, hi = _hull(x, zb, _log_priors(batch_fit.beta), rows, _uniform_log_prior(rows.shape[1]))
+    inside = (lo < y) & (y < hi)
     return _Stream(y, x, rows, inside, settings, batch_size, block_size, batch_fit, grid, solution)
 
 
@@ -600,12 +590,11 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
     Streams that share the coefficient supports, the error row width, the
     settings and the block size form a ``_Lane``, which is built, run and
     reported before the next is built. A lane advances in rounds: in round t
-    every stream with a t-th block absorbs it as ``block_update`` would (its
-    full-support hull trusted while its carried prior is live, else its
-    live hull checked, and an infeasible block skipped and logged), one
-    ``_absorb`` call per block size. A stream's results do not depend on the
-    others, so each is bit for bit its fold alone. A stream that raises
-    stops, and only it.
+    every stream with a t-th block absorbs it as ``block_update`` would (a
+    block inside its stream's live hull trusted, any other checked, and an
+    infeasible one skipped and logged), one ``_absorb`` call per block size.
+    Each stream is bit for bit its fold alone. A stream that raises stops,
+    and only it.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
     it, stored by ``_failure``, and the seconds charged to it: an equal
@@ -633,14 +622,14 @@ class _Lane:
     block, both descending: the streams with a block in round t are a
     prefix, those whose last block is shorter at its end, in runs of one
     size. Every block is gathered once, with whether it lies inside its
-    full-support hulls: the whole blocks into one ``(·, g, ·)`` array per
-    input, round after round, and each run of shorter ones apart. So a
-    round reads each stack, its priors, trust tests and logs as slices; a
-    stack with a stopped stream or an untrusted block uses index arrays.
-    The logs are arrays written by slice, a row per stream: observation k's
-    error estimate at column ``base - batch + k``, block t's ledger entry
-    at t, its trajectory row and verdict at t + 1 (row 0 is the start's, as
-    is verdict 0 after a batch).
+    live hulls: the whole blocks into one ``(·, g, ·)`` array per input,
+    round after round, and each run of shorter ones apart. So a round reads
+    each stack, its priors (weights and logs), trust tests and logs as
+    slices; a stack with a stopped stream or an untrusted block uses index
+    arrays. The logs are arrays written by slice, a row per stream:
+    observation k's error estimate at column ``base - batch + k``, block t's
+    ledger entry at t, its trajectory row and verdict at t + 1 (row 0 is the
+    start's, as is verdict 0 after a batch).
     """
 
     def __init__(self, streams, order, outcomes):
@@ -652,7 +641,7 @@ class _Lane:
         first = members[0]
         self.zb, self.settings = first.grid.beta_support, first.settings
         self.g, self.outcomes = g, outcomes
-        self.qe = _uniform_row(first.rows.shape[1], "error")
+        self.log_qe = _uniform_log_prior(first.rows.shape[1])
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)
@@ -684,8 +673,8 @@ class _Lane:
             self.stacks[t].append((a, b, y, x, rows, inside.all(axis=1)))
 
         self.carried = np.stack([stream.fit.beta for stream in members])
-        self.live_prior = np.minimum.reduce(self.carried, axis=(1, 2)) >= ZERO_CLAMP
-        self.alive, self.steps, self.seconds = np.ones(s, dtype=bool), batch.copy(), np.zeros(s)
+        self.log_carried = _log_priors(self.carried)
+        self.alive, self.seconds = np.ones(s, dtype=bool), np.zeros(s)
         self.base = base = int(batch.max())
         self.eps = np.zeros((s, base + int(post.max())))
         self.ledger = np.zeros((s, rounds))
@@ -735,14 +724,14 @@ class _Lane:
         checked, and an infeasible one is skipped and logged.
         """
         live = self.alive[a:b]
-        trusted = live & self.live_prior[a:b] & inside
+        trusted = live & inside
         if trusted.all():
             return slice(a, b), slice(a, b), (y, x, rows)
         keep = []
         for k in np.flatnonzero(live).tolist():
             try:
                 if not trusted[k]:
-                    _check_hull(y[k], x[k], self.zb, self.carried[a + k], rows[k], self.qe)
+                    _check_hull(y[k], x[k], self.zb, self.log_carried[a + k], rows[k], self.log_qe)
                 keep.append(k)
             except InfeasibleObservationError as exc:
                 self.skipped.setdefault(a + k, []).append(t)
@@ -761,7 +750,8 @@ class _Lane:
         stream that raises alone stops.
         """
         try:
-            absorbed = _absorb(self.carried[at], self.zb, y, x, rows, self.settings, self.steps[at])
+            absorbed = _absorb(self.carried[at], self.log_carried[at], self.zb, y, x, rows,
+                               self.settings)
         except Exception as exc:
             at = np.arange(self.alive.size)[at]
             if at.size == 1:
@@ -771,8 +761,7 @@ class _Lane:
                 self.absorb(t, at[k : k + 1], y[k : k + 1], x[k : k + 1], rows[k : k + 1])
             return
         column, m = self.base + t * self.g, y.shape[1]
-        self.carried[at], self.live_prior[at] = absorbed.prior, absorbed.live
-        self.steps[at] += m
+        self.carried[at], self.log_carried[at] = absorbed.prior, absorbed.log_prior
         self.eps[at, column : column + m] = absorbed.solved.point.eps_hat
         self.ledger[at, t], self.converged[at, t + 1] = absorbed.ledger, absorbed.solved.converged
         self.trajectory[at, t + 1] = absorbed.solved.point.beta_hat
@@ -798,7 +787,8 @@ class _Lane:
                 np.delete(logs[2], rows, axis=0), np.delete(logs[3], rows - (batch == 0)),
             ]
         logs = [_Log(log) for log in logs]
-        state = StreamState(self.carried[p], stream.grid, int(self.steps[p]), *logs)
+        state = StreamState(self.carried[p], stream.grid, n - len(observations), *logs,
+                            log_prior=self.log_carried[p])
         eps, ledger, trajectory, converged = map(np.asarray, logs)
         return StreamReport(state.beta_hat, eps, ledger, trajectory, state,
                             stream.batch_solution, tuple(observations), bool(converged.all()))
@@ -838,12 +828,11 @@ def run_stream(
 
     The whole stream is checked before the batch solve, as ``block_update``
     checks a block, so bad data raises ``block_update``'s error before any
-    work is done; every observation's error row, a cumulative stream's
-    included, is built and checked then, and so is every observation's
-    full-support hull test. The stream is then folded as a stack of one
-    (``_fold``): on valid data the result is a left fold of ``block_update``
-    over the blocks, bit for bit, with the same skips and warnings, for
-    every ``UpdateSettings``, and one ``StreamState`` built at the end.
+    work is done; every observation's error row (a cumulative stream's
+    included) and hull test are resolved then. The stream is then folded as
+    a stack of one (``_fold``): on valid data the result is a left fold of
+    ``block_update`` over the blocks, bit for bit, with the same skips and
+    warnings, for every ``UpdateSettings``, and one ``StreamState`` at the end.
     """
     stream = _prepare_stream(
         y, x, batch_size, block_size, settings, beta_support=beta_support,

@@ -675,9 +675,9 @@ def test_a_stack_of_one_shot_fits_solves_each_on_its_one_error_row(monkeypatch, 
         checked.append(np.shape(rows))
         return error_rows(rows)
 
-    def recorded(y, x, zb, ze, qb, qe, *args):
+    def recorded(y, x, zb, ze, qb, log_qb, qe, *args):
         shapes.append((ze.shape, qe.shape))
-        return solve_dual(y, x, zb, ze, qb, qe, *args)
+        return solve_dual(y, x, zb, ze, qb, log_qb, qe, *args)
 
     monkeypatch.setattr(experiments, "_error_rows", counted)
     monkeypatch.setattr(experiments, "_solve_dual", recorded)
@@ -807,10 +807,10 @@ def test_a_stream_that_raises_mid_fold_fails_its_cell_only(tmp_path, monkeypatch
     marker = data.y[25]  # a one-observation step of both its streams, after the batch
     absorb = streaming._absorb
 
-    def failing(carried, zb, y, *args):
+    def failing(carried, log_carried, zb, y, *args):
         if (y == marker).any():
             raise RuntimeError("injected failure")
-        return absorb(carried, zb, y, *args)
+        return absorb(carried, log_carried, zb, y, *args)
 
     monkeypatch.setattr(streaming, "_absorb", failing)
     outcome = run_experiment(config, out_dir=tmp_path / "failing")
@@ -905,7 +905,7 @@ def test_a_failed_cell_pins_nothing_of_its_plan(monkeypatch, site):
     if site == "preparation":
         module, name, hit = experiments, "_prepare_stream", lambda y, *args: (y == marker).any()
     else:
-        module, name, hit = streaming, "_absorb", lambda carried, zb, y, *args: (y == marker).any()
+        module, name, hit = streaming, "_absorb", lambda q, log_q, zb, y, *args: (y == marker).any()
     step = getattr(module, name)
 
     def failing(*args, **kwargs):

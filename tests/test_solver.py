@@ -309,14 +309,17 @@ def assert_stack_is_stacks_of_one(y, x, zb, ze, qb, qe, wb, we, settings=SolverS
     """Solve the stack at once and problem by problem; every output must be the same bits.
 
     Multi-observation points carry one dual value per problem, which must
-    match too.
+    match too. The solves read ``_log_priors(qb)``, a stream state's default logs.
     """
-    solved = solver._solve_dual(y, x, zb, ze, qb, qe, wb, we, settings)
+    log_qb = solver._log_priors(qb)
+    solved = solver._solve_dual(y, x, zb, ze, qb, log_qb, qe, wb, we, settings)
     diagnostics = diagnosed(solved)
     names = ("grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb")
     for i in range(y.shape[0]):
         one = slice(i, i + 1)
-        alone = solver._solve_dual(y[one], x[one], zb, ze[one], qb[one], qe, wb, we, settings)
+        alone = solver._solve_dual(
+            y[one], x[one], zb, ze[one], qb[one], log_qb[one], qe, wb, we, settings
+        )
         assert diagnostics[i] == diagnosed(alone)[0]
         assert solved.lam[i].tobytes() == alone.lam[0].tobytes()
         for name in names + (("value",) if y.shape[1] > 1 else ()):
@@ -574,7 +577,7 @@ def test_a_stack_narrows_once_per_newton_iteration(monkeypatch):
     monkeypatch.setattr(solver, "_newton_direction", counted_direction)
     monkeypatch.setattr(solver, "_solve_multi", recorded)
     y, x, zb, ze, qb, qe = problem_stack(problems)
-    solved = solver._solve_dual(y, x, zb, ze, qb, qe, 1.0, 1.0, capped)
+    solved = solver._solve_dual(y, x, zb, ze, qb, solver._log_priors(qb), qe, 1.0, 1.0, capped)
     (iterations,) = counts
     assert isinstance(iterations, np.ndarray) and iterations.dtype.kind == "i"
     assert iterations.tolist() == solved.iterations.tolist()
@@ -829,7 +832,7 @@ def test_one_observation_verdict_reads_the_lone_residual():
     grid, prior = problem.supports, problem.prior
     args = (
         problem.y[None], problem.x[None], grid.beta_support, grid.error_support[None],
-        prior.beta[None], prior.error, 0.3, 0.7,
+        prior.beta[None], solver._log_priors(prior.beta)[None], prior.error, 0.3, 0.7,
     )
     verdicts = []
     for settings in (SolverSettings(), SolverSettings(max_iterations=1)):
@@ -1066,9 +1069,9 @@ def test_a_tiled_grid_solves_to_the_bits_of_its_per_row_copy(monkeypatch, h, m):
     shapes = []
     solve_dual = solver._solve_dual
 
-    def recorded(y, x, zb, ze, qb, qe, *args):
+    def recorded(y, x, zb, ze, qb, log_qb, qe, *args):
         shapes.append((ze.shape, qe.shape))
-        return solve_dual(y, x, zb, ze, qb, qe, *args)
+        return solve_dual(y, x, zb, ze, qb, log_qb, qe, *args)
 
     monkeypatch.setattr(solver, "_solve_dual", recorded)
     got, want = solve_gce(tiled), solve_gce(per_row)

@@ -466,16 +466,17 @@ def test_the_scalar_step_test_accepts_exactly_what_the_hull_check_passes(
         "above hi": np.nextafter(hi, np.inf), "any": local.uniform(lo - 1.0, hi + 1.0),
     }[at]
     checked = streaming_module._check_block(np.array([y]), x, zb, row, 0.5)
-    verdicts = []
+    verdicts, log_qe = [], solver._log_priors(np.full(h, 1.0 / h))
     for q in (prior, np.where(prior < core_module.ZERO_CLAMP, 0.0, prior)):
         try:
-            solver._check_hull(*checked[:2], zb, q, checked[2], np.full(h, 1.0 / h))
+            solver._check_hull(*checked[:2], zb, solver._log_priors(q), checked[2], log_qe)
             verdicts.append(True)
         except InfeasibleObservationError:
             verdicts.append(False)
     passes = verdicts[0]
     assert verdicts[1] == passes  # a weight below ZERO_CLAMP counts as an exact zero
-    got = streaming_module._ordinary_step(np.array([y]), x, zb, row, prior, 0.5)
+    log_prior = solver._log_priors(prior)  # a state's default logs
+    got = streaming_module._ordinary_step(np.array([y]), x, zb, row, log_prior, 0.5)
     assert (got is not None) == (passes and live)
     if got is not None:
         assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, checked))
@@ -640,8 +641,8 @@ def test_ledger_entries_recompute_from_stored_states():
     assert all(e >= -1e-12 for e in states[-1].entropy_ledger)
 
     # blocks of four (the multi-constraint solve) and a stream whose carried
-    # prior underflows to zero on some points, where the Gibbs form and the
-    # weights' KL pass round apart by up to 2e-14 on an entry of 1.6
+    # weights underflow to zero on some points: there the entries recompute
+    # from the stored logs, which stay finite, as sum p * (log p - log q)
     state, y, design, error_row = stream_after_batch(n=30, batch=6, seed=61)
     blocks = [state]
     for start in range(6, 30, 4):
@@ -651,20 +652,32 @@ def test_ledger_entries_recompute_from_stored_states():
     grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
     underflowed = [init_stream(GceProblem(y[:20], design[:20], grid))[0]]
     for i in range(20, 40):
-        try:
-            underflowed.append(
-                update_step(underflowed[-1], y[i], design[i], UNDERFLOW_ERROR_ROW)
-            )
-        except InfeasibleObservationError:
-            pass
-    assert underflowed[-1].beta_prior.min() == 0.0
-    for states in (blocks, underflowed):
+        underflowed.append(update_step(underflowed[-1], y[i], design[i], UNDERFLOW_ERROR_ROW))
+    assert any(state.beta_prior.min() == 0.0 for state in underflowed)
+    for states, kl in ((blocks, kl_divergence_of_weights), (underflowed, kl_divergence_of_logs)):
         for before, after in zip(states, states[1:]):
             entry = after.entropy_ledger[-1]
-            recomputed = kl_divergence(after.beta_prior, before.beta_prior).sum()
+            recomputed = kl(after, before)
             assert abs(entry - recomputed) <= 1e-13 * max(1.0, entry)
             assert entry >= 0.0
     assert max(underflowed[-1].entropy_ledger) > 1.0
+
+
+def kl_divergence_of_weights(after, before):
+    """KL of a state's carried weights from the state before's, by ``kl_divergence``."""
+    return kl_divergence(after.beta_prior, before.beta_prior).sum()
+
+
+def kl_divergence_of_logs(after, before):
+    """The same KL from the two states' carried logs, each row normalized: sum p (log p - log q).
+
+    A row of logs tilted far sums to 1 only within about 1e-13 once exponentiated.
+    """
+    log_p, log_q = (
+        state.log_prior - np.logaddexp.reduce(state.log_prior, axis=1, keepdims=True)
+        for state in (after, before)
+    )
+    return float(np.sum(np.exp(log_p) * (log_p - log_q)))
 
 
 def test_ledger_rejects_negative_entries():
@@ -701,6 +714,31 @@ def test_state_rejects_bad_priors_and_indices():
                 )
     with pytest.raises(ValueError):
         state.beta_prior[0, 0] = 0.5
+
+
+def test_a_state_carries_the_logs_it_is_given_or_those_of_its_weights():
+    grid = SupportGrid.tiled(BETA_ROW, 2, [-4.0, 0.0, 4.0], 1)
+    prior = np.full((2, 5), 0.2)
+    prior[0] = [0.0, 0.25, 0.5, 0.25, 0.0]
+    state = StreamState(prior, grid, step_index=0)
+    assert state.log_prior.tobytes() == solver._log_priors(prior).tobytes()
+    assert not state.log_prior.flags.writeable
+    logs = state.log_prior.copy()
+    logs[1] -= 3.0  # a row's logs up to a constant, its dead points dead
+    given = StreamState(prior, grid, step_index=0, log_prior=logs)
+    assert given.log_prior.tobytes() == logs.tobytes()
+    moved = dataclasses.replace(given, step_index=4)
+    assert moved.log_prior.tobytes() == logs.tobytes() and moved.step_index == 4
+    underflowed = logs.copy()
+    underflowed[0, 0] = -2000.0  # finite where the weight is zero: a live point
+    assert StreamState(prior, grid, 0, log_prior=underflowed).log_prior[0, 0] == -2000.0
+    # NaN, +inf, -inf at a live weight, or a row too few
+    for at, value in (((1, 0), np.nan), ((1, 0), np.inf), ((0, 2), -np.inf), (None, None)):
+        bad = logs.copy() if at else logs[:1]
+        if at:
+            bad[at] = value
+        with pytest.raises(ValueError, match="log_prior"):
+            StreamState(prior, grid, step_index=0, log_prior=bad)
 
 
 def test_ledger_check_covers_logs_taken_from_other_states():
@@ -1110,15 +1148,26 @@ def test_infeasible_observations_are_skipped_as_in_a_fold(caplog, block_size):
     assert any("boundary" in m for m in caplog.messages)
 
 
-def test_an_underflowed_prior_takes_the_masked_hull_check(caplog):
+def test_an_underflowing_stream_skips_nothing_and_keeps_finite_logs(caplog):
+    # observation 25 drives the weights of every point but the top one below
+    # the smallest float; their logs stay finite, so observation 30 and the
+    # eight after it, inside the full hull, are absorbed and converge
     y, design = underflowing_stream()
+    grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
+    state = init_stream(GceProblem(y[:20], design[:20], grid))[0]
+    underflowed = []
+    for i in range(20, 40):
+        state = update_step(state, y[i], design[i], UNDERFLOW_ERROR_ROW)
+        underflowed.append(state.beta_prior.min() == 0.0)
+        assert np.isfinite(state.log_prior).all()
+    assert underflowed[5] and underflowed.index(False, 5) > 6
     report = stream_and_fold(
         caplog, y, design, 20,
         beta_support=UNDERFLOW_BETA_ROW, error_support=UNDERFLOW_ERROR_ROW,
     )
-    assert np.array_equal(report.final_state.beta_prior, [[0.0, 0.0, 1.0]] * 2)
-    assert any("underflowed" in m for m in caplog.messages)
-    assert 30 in report.skipped and 31 not in report.skipped
+    assert report.skipped == () and not caplog.messages
+    assert report.final_state.step_index == 40 and all(report.final_state.converged_log[1:])
+    assert np.isfinite(report.final_state.log_prior).all()
 
 
 def assert_same_report(got, want):
@@ -1132,9 +1181,10 @@ def assert_same_report(got, want):
 
 
 def test_streams_folded_together_are_each_their_stream_alone(caplog):
-    # one stream skips two infeasible blocks, one underflows its prior and
-    # then skips, the others are healthy; g = 1 streams of one support are
-    # stacked, g = 7 blocks are absorbed alone between them
+    # one stream skips two infeasible blocks, one underflows its weights and
+    # absorbs every later observation on its logs, the others are healthy;
+    # g = 1 streams of one support are stacked, g = 7 blocks are absorbed
+    # alone between them
     row = np.array([-4.0, 0.0, 4.0])
     y_skip, design = simulated(80, seed=191)
     zb = np.tile(BETA_ROW, (design.shape[1], 1))
@@ -1172,8 +1222,7 @@ def test_streams_folded_together_are_each_their_stream_alone(caplog):
         ]
         folded, seconds = streaming_module._fold(prepared)
         assert sorted(caplog.messages) == logged
-    assert alone[0].skipped == (37, 52) and 30 in alone[1].skipped
-    assert any("underflowed" in m for m in logged)
+    assert alone[0].skipped == (37, 52) and alone[1].skipped == ()
     for got, want in zip(folded, alone):
         assert_same_report(got, want)
     assert len(seconds) == len(streams) and all(dt > 0.0 for dt in seconds)
@@ -1189,11 +1238,11 @@ def test_a_wide_block_that_raises_in_its_stack_fails_its_stream_only(monkeypatch
     absorb = streaming_module._absorb
     stacks = []
 
-    def failing(carried, zb, y, *args):
+    def failing(carried, log_carried, zb, y, *args):
         if (y == marker).any():
             stacks.append(y.shape)
             raise RuntimeError("injected failure")
-        return absorb(carried, zb, y, *args)
+        return absorb(carried, log_carried, zb, y, *args)
 
     monkeypatch.setattr(streaming_module, "_absorb", failing)
     prepared = [
@@ -1215,8 +1264,8 @@ def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch
     # one group (one support, error row width and settings): streams of
     # different lengths, g = 1 and g = 7 with remainders of 6 and 2 in one
     # round, batch-less streams, skips in the middle of a g = 1 and a g = 7
-    # stack, an underflowed prior that takes the live-hull path, and a g = 1
-    # and a g = 7 stream that raise mid-fold, in their stacks and alone
+    # stack, a prior whose weights underflow while its logs carry on, and a
+    # g = 1 and a g = 7 stream that raise mid-fold, in their stacks and alone
     local = np.random.default_rng(8)
 
     def healthy(n):
@@ -1241,10 +1290,10 @@ def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch
     markers = (raising[0][0][30], raising[1][0][28])
     absorb = streaming_module._absorb
 
-    def failing(carried, zb, y, *args):
+    def failing(carried, log_carried, zb, y, *args):
         if np.isin(y, markers).any():
             raise RuntimeError("injected failure")
-        return absorb(carried, zb, y, *args)
+        return absorb(carried, log_carried, zb, y, *args)
 
     monkeypatch.setattr(streaming_module, "_absorb", failing)
     alone = []
@@ -1269,8 +1318,7 @@ def test_irregular_rounds_of_one_group_are_each_stream_alone(caplog, monkeypatch
         folded, seconds = streaming_module._fold(prepared)
         wall = time.perf_counter() - wall
         assert sorted(caplog.messages) == logged
-    assert any("underflowed" in m for m in logged)
-    assert 30 in alone[0].skipped and 31 not in alone[0].skipped
+    assert alone[0].skipped == ()
     assert alone[6].skipped == (27,)
     assert alone[7].skipped == tuple(range(27, 34))
     for got, want in zip(folded, alone):
@@ -1367,10 +1415,10 @@ def test_a_failed_stream_pins_nothing_of_its_lane(monkeypatch):
     (y_bad, x_bad), healthy = simulated(50, seed=31), simulated(50, seed=32)
     absorb = streaming_module._absorb
 
-    def failing(carried, zb, y, *args):
+    def failing(carried, log_carried, zb, y, *args):
         if (y == y_bad[30]).any():
             raise RuntimeError("injected failure")
-        return absorb(carried, zb, y, *args)
+        return absorb(carried, log_carried, zb, y, *args)
 
     want = run_stream(*healthy, 20, **kwargs)
     monkeypatch.setattr(streaming_module, "_absorb", failing)
@@ -1448,6 +1496,7 @@ def test_a_folded_stream_stores_its_logs_once(y_bad):
     listed = StreamState(
         state.beta_prior, state.supports, state.step_index,
         *(list(getattr(state, log)) for log in (*logs, "converged_log")),
+        log_prior=state.log_prior,
     )
     y_new, x_new = simulated(6, seed=4)
     for start in listed, state:
@@ -1501,7 +1550,8 @@ def test_a_branch_from_before_a_growth_sees_only_its_own_entries():
     for k in range(len(chain)):
         branch = update_step(chain[k], y[21], design[21], error_row)
         listed = StreamState(chain[k].beta_prior, chain[k].supports, chain[k].step_index,
-                             *(list(getattr(chain[k], log)) for log in LOGS))
+                             *(list(getattr(chain[k], log)) for log in LOGS),
+                             log_prior=chain[k].log_prior)
         want = update_step(listed, y[21], design[21], error_row)
         for log in LOGS:
             assert getattr(branch, log) == getattr(want, log)
@@ -1523,7 +1573,7 @@ def test_a_folded_state_continues_as_a_state_of_plain_lists(g):
     before = [getattr(report, name).copy() for name in names]
     state = report.final_state
     listed = StreamState(state.beta_prior, state.supports, state.step_index,
-                         *(list(getattr(state, log)) for log in LOGS))
+                         *(list(getattr(state, log)) for log in LOGS), log_prior=state.log_prior)
     ends = []
     for start in (state, listed):
         after = update_step(start, y[90], design[90], row)
@@ -1742,11 +1792,10 @@ def test_run_stream_takes_one_error_support_row(monkeypatch, block_size, rows, m
     assert flat.final_state.supports.error_support.shape == (20, 3)
 
 
-def test_an_underflowed_prior_checks_the_hull_of_every_later_step(monkeypatch):
-    # positivity is carried from each step's underflow check: once a carried
-    # weight is zero, every later step checks its live hull
-    import gcestream.streaming as streaming_module
-
+def test_an_underflowed_prior_checks_no_hull_of_a_later_step(monkeypatch):
+    # liveness is fixed when a state is built from weights: once a carried
+    # weight underflows to zero its log stays finite, so every later step
+    # keeps the full hull, takes the scalar test and checks no hull
     y, design = underflowing_stream()
     grid = SupportGrid.tiled(UNDERFLOW_BETA_ROW, 2, UNDERFLOW_ERROR_ROW, 20)
     states = [init_stream(GceProblem(y[:20], design[:20], grid))[0]]
@@ -1759,7 +1808,7 @@ def test_an_underflowed_prior_checks_the_hull_of_every_later_step(monkeypatch):
             continue
         if first_zero is None and states[-1].beta_prior.min() == 0.0:
             first_zero = i
-    assert first_zero is not None and first_zero < 39
+    assert first_zero is not None and first_zero < 39 and skipped == []
 
     checked = []
     check_hull = streaming_module._check_hull
@@ -1772,7 +1821,8 @@ def test_an_underflowed_prior_checks_the_hull_of_every_later_step(monkeypatch):
     report = run_stream(
         y, design, 20, beta_support=UNDERFLOW_BETA_ROW, error_support=UNDERFLOW_ERROR_ROW
     )
-    assert checked == y[first_zero + 1 :].tolist()
+    update_step(states[-1], y[39], design[39], UNDERFLOW_ERROR_ROW)
+    assert checked == []
     assert_stream_is_the_fold(report, states[-1], tuple(skipped))
 
 
@@ -2044,13 +2094,14 @@ def test_one_observation_fits_and_updates_on_one_thread_share_one_kernel(monkeyp
 def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch):
     # 48 blocks of 40 on one shared error row: the first block forms its log
     # prior, which the thread keeps, and the rest read it; a one-shot fit
-    # between them solves its tiled grid's one row and reads it too, and no
-    # solve of more than one observation builds a one-observation kernel
+    # between them forms its tiled grid's one row for its problem's hull
+    # check, and its solve reads the thread's; no solve of more than one
+    # observation builds a one-observation kernel
     logged, kernels = [], []
     log_priors = solver._log_priors
 
     def counted(q):
-        if q.ndim == 2:  # an error prior; coefficient priors come as (S, J, K)
+        if q.shape[-2] == 1:  # an error row; coefficient priors have J = 3 rows
             logged.append(q.shape)
         return log_priors(q)
 
@@ -2069,7 +2120,7 @@ def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch
             solve_gce(GceProblem(y[:40], design[:40], grid))
         state = block_update(state, y[start : start + 40], design[start : start + 40], error_row)
     assert state.step_index == y.size and all(state.converged_log)
-    assert logged == [(1, 3)]
+    assert logged == [(1, 3), (1, 3)]
     assert kernels == []
 
 
