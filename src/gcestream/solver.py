@@ -256,9 +256,8 @@ def _coefficient_hull(x, bmin, bmax) -> tuple[np.ndarray, np.ndarray]:
 def _hull(x, zb, log_qb, ze, log_qe) -> tuple[np.ndarray, np.ndarray]:
     """Per observation, the range of ``x_i . beta + eps_i`` over the live support points.
 
-    A point of ``zb`` or ``ze`` is live where its log prior weight (``log_qb``, ``log_qe``, as
-    the solve reads them) is above -inf; ``_log_priors`` gives -inf to a weight below
-    ``ZERO_CLAMP``. ``ze`` may be one row shared by all.
+    A point is live where its log prior weight (``log_qb``, ``log_qe``, as the solve reads
+    them) is above -inf, as a weight below ``ZERO_CLAMP`` is not. ``ze`` may be one shared row.
     """
     emin, emax = _live_bounds(ze, log_qe)
     lo, hi = _coefficient_hull(x, *_live_bounds(zb, log_qb))
@@ -589,14 +588,14 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     count and stop, and gets the bits it would get alone. A step is accepted
     on the Armijo condition or, where some trial fails it, on a flat dual
     value and a slope ``grad . d`` at most ``2 * _WOLFE_DELTA - 1`` times the
-    start's: near the optimum the decrease Armijo asks for is below one ulp
-    of the value, and the slope still shows it. A step is halved up to
-    ``_MAX_BACKTRACKS`` times, and a problem that finds none stops. The stack narrows to the
-    running problems once per iteration; within one, every running problem
-    is evaluated at each halving, and one that has accepted keeps its point
-    and ignores the rest. Curvature is formed only where a Newton direction
-    reads it. Returns the multipliers (S, m), the final stacked
-    ``_DualPoint`` and the iteration counts (an integer array).
+    start's (near the optimum Armijo's decrease is below one ulp of the
+    value), halving it up to ``_MAX_BACKTRACKS`` times; a problem that finds
+    none stops. The stack narrows to the running problems once per
+    iteration; within one, every running problem is evaluated at each
+    halving, and one that has accepted keeps its point and ignores the rest.
+    Curvature is formed only where a Newton direction reads it. Returns the
+    multipliers (S, m), the final stacked ``_DualPoint`` and the iteration
+    counts (an integer array).
     """
     s = ev.y.shape[0]
     tol = settings.constraint_tolerance
@@ -654,24 +653,27 @@ class _StackKernel:
     coefficient rows and its error row are J+1 consecutive rows of one
     ``(S * (J+1), max(K, H))`` stack, so an iterate of the whole stack costs
     one set of numpy calls on 2-D arrays; a padding point has support 0 and
-    prior weight 0, so it gets exactly zero weight. The buffers are sized
-    again when S changes, the weight rows written again when the weights do.
+    prior weight 0, so it gets exactly zero weight. The buffers hold exactly
+    the stack being solved, and are sized again when S changes; the weight
+    rows are written again when the weights change.
 
     Points are ``(grad, p, means)``: the gradient as a list of S floats,
     the stacked row weights and the ``(S * (J+1), 1)`` row means.
     ``start``'s point at lam = 0 is the prior weights' own moments, equal to
     ``_DualEvaluator.evaluate``'s to rounding. ``at`` does ``evaluate``'s
     arithmetic, operation for operation, plus exact zeros from the padding,
-    in one fresh logits buffer: every row is reduced along its last axis,
-    and a problem's row means are dotted with its observation by the
-    ``matmul`` ``evaluate`` forms, the scalar steps around it in Python
-    floats. So a problem's points are bit-identical to ``evaluate``'s while
-    ``max(K, H) < 8``, where numpy sums a row in sequence, and do not depend
-    on the rest of the stack. A log partition sum is finite exactly when its
-    row's maximum logit is, and a non-finite one makes the gradient NaN, so
-    the rows are checked only then. ``curvature`` is formed only where a
-    Newton step reads it. ``at`` keeps its tilt, row maxima and row sums as
-    ``last``, and ``solve`` forms ``ln Z`` from them once, for the
+    in place in one fresh logits buffer; every row is reduced along its last
+    axis, and a problem's row means are dotted with its observation by
+    ``matmul`` of ``(S, 1, J) @ (S, J, 1)``, the dot product ``evaluate``
+    forms, with the scalar steps around it in Python floats, numpy's
+    float64 operations. So a problem's points are bit-identical to
+    ``evaluate``'s while ``max(K, H) < 8``, where numpy sums a row in
+    sequence, and they do not depend on the other problems of the stack. A
+    log partition sum is finite exactly when its row's maximum logit is,
+    and a non-finite one makes the gradient NaN, so the rows are checked
+    only then. ``curvature`` is formed only where a Newton step reads it,
+    never at the final point. ``at`` keeps its tilt, row maxima and row sums
+    as ``last``, and ``solve`` forms ``ln Z`` from them once, for the
     coefficient rows of its final point.
     """
 
@@ -869,19 +871,18 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
     supports ``ze`` (S, m, H; or S, 1, H), the coefficient prior weights
-    ``qb`` (S, J, K), which only start the one-observation kernel, and their
-    logs ``log_qb``, which the solve reads: normalized to rounding, so its
-    log partitions are relative to them, and finite at a live point whose
-    weight has underflowed. The coefficient supports ``zb`` (J, K), the
-    error prior weights ``qe`` (one row may be shared by every observation)
-    and the two objective weights are the stack's. Problems of one
-    observation (m = 1) are solved together by a ``_StackKernel``, problems
-    of more by ``_solve_multi`` on one ``_DualEvaluator`` over the stack;
-    either way a problem gets the bits it would get alone. Each thread keeps
-    the log and (once m = 1 needs it) kernel of its last shared error row,
-    reused while ``zb`` and ``qe`` hold the same values, whatever the
-    weights, with the bits new ones would give; a per-row ``qe`` leaves them
-    be. Returns a ``_Solved``.
+    ``qb`` (S, J, K), which only start the one-observation kernel, and the
+    logs ``log_qb`` the solve reads, normalized to rounding (so its log
+    partitions are relative to them). The coefficient supports ``zb`` (J,
+    K), the error prior weights ``qe`` (one row may be shared by every
+    observation) and the two objective weights are the stack's. Problems of
+    one observation (m = 1) are solved together by a ``_StackKernel``,
+    problems of more by ``_solve_multi`` on one ``_DualEvaluator`` over the
+    stack; either way a problem gets the bits it would get alone. Each
+    thread keeps the log and (once m = 1 needs it) kernel of its last shared
+    error row, reused while ``zb`` and ``qe`` hold the same values, whatever
+    the weights, with the bits new ones would give; a per-row ``qe`` leaves
+    them be. Returns a ``_Solved``.
     """
     one = y.shape[1] == 1
     if qe.shape[0] == 1:  # one shared error row, as every m = 1 solve and stream block has

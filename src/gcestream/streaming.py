@@ -13,20 +13,19 @@ subject to the block's consistency constraints. At gamma = 0.5 both terms
 carry equal weight, which reproduces the plain joint objective.
 
 States are immutable values. A state carries its coefficient prior as
-weights, for its estimates, and as logs, which the next solve reads. The
-solve tilts row j to p_j proportional to q_j * exp(-z_j * t_j), so the new
+weights, for its estimates, and as logs, which the next solve reads: the
+solve tilts row j to p_j proportional to q_j * exp(-z_j * t_j), and the new
 logs are log q_j - z_j * t_j - ln Z_j, with ln Z_j relative to the carried
-row: the logs accumulate the stream's tilt and never underflow, as the KL
-projection never zeroes a weight. A point is live while its log is above
--inf, which only a weight below ``ZERO_CLAMP`` in the weights a state was
-built from gives, so each observation's hull is fixed for the whole stream.
-Each block appends to the entropy ledger the KL divergence of the new
-coefficient weights from the carried ones, a nonnegative account of how much
-information the block moved, from the same terms: KL(p_j | q_j) =
+row. The logs never underflow, as the KL projection never zeroes a weight, so
+a point is dead (log -inf) only if its weight was below ``ZERO_CLAMP`` where
+a state was built from weights, and each observation's hull is fixed for the
+whole stream. Each block appends to the entropy ledger the KL divergence of
+the new coefficient weights from the carried ones, a nonnegative account of
+how much information the block moved, from the same terms: KL(p_j | q_j) =
 -t_j * beta_hat_j - ln Z_j, clamped at zero per row as ``kl_divergence``
 clamps it. Each log of a state is a view of an append-only array that
-successive states share, so absorbing a block costs the same however long
-the stream has run.
+successive states share, so absorbing a block costs the same however long the
+stream has run.
 
 One block step, ``_absorb``, absorbs a stack of blocks, one per stream, by
 one stacked solve; ``block_update`` calls it with a stack of one. Whole
@@ -209,13 +208,13 @@ class StreamState:
     """Carried coefficient prior plus the running diagnostic logs.
 
     ``beta_prior`` is the ``(J, K)`` read-only array of carried coefficient
-    weights, checked like a ``JointDistribution``'s rows but stored as given;
-    a stepped state's are the last solve's Gibbs rows. ``log_prior`` holds
-    their read-only logs, which the next solve reads: -inf only at a weight
-    below ``ZERO_CLAMP``, a point dead for the rest of the stream, never NaN
-    or +inf, and by default ``_log_priors(beta_prior)``. A stepped
-    state's logs carry the stream's tilt and stay finite where its weights
-    underflow, so a rebuilt state continues bit for bit only with them.
+    weights, checked like a ``JointDistribution``'s rows but stored as
+    given; a stepped state's are the last solve's Gibbs rows. ``log_prior``
+    holds their read-only logs to rounding, which the next solve reads: by
+    default ``_log_priors(beta_prior)``, never NaN or +inf, and -inf only at
+    a weight below ``ZERO_CLAMP``, a point dead for the rest of the stream.
+    A stepped state's logs carry the stream's tilt and stay finite where its
+    weights underflow: a rebuilt state continues bit for bit only with them.
     ``supports`` is the grid the stream started from: its coefficient rows
     hold for the whole stream, and its error rows are the batch's (incoming
     blocks supply their own). ``step_index``, a whole number, counts absorbed
@@ -242,8 +241,8 @@ class StreamState:
         prior = _simplex_rows(self.beta_prior, "beta_prior", renormalize=False)
         if prior.shape != self.supports.beta_support.shape:
             raise ValueError("beta_prior rows do not match the support grid")
-        given = self.log_prior
-        log_prior = np.array(_log_priors(prior) if given is None else given, dtype=float)
+        log_prior = np.array(_log_priors(prior) if self.log_prior is None else self.log_prior,
+                             dtype=float)
         if log_prior.shape != prior.shape or not (log_prior < np.inf).all() or (
                 (log_prior == -np.inf) & (prior >= ZERO_CLAMP)).any():
             raise ValueError("log_prior must have beta_prior's shape, no NaN or +inf, and -inf "
@@ -309,11 +308,6 @@ class StreamReport:
 # ---------------------------------------------------------------------------
 # The block step
 # ---------------------------------------------------------------------------
-
-
-def _uniform_log_prior(h: int) -> np.ndarray:
-    """The logs of a uniform error row of ``h`` points, every point live."""
-    return _log_priors(_uniform_row(h, "error"))
 
 
 def _check_block(y, x, zb, rows, weight: float = 1.0):
@@ -448,7 +442,7 @@ def block_update(
     block = _ordinary_step(y, x, zb, rows, log_carried, gamma)
     if block is None:
         block = y, x, rows = _check_block(y, x, zb, rows, gamma)
-        _check_hull(y, x, zb, log_carried, rows, _uniform_log_prior(rows.shape[1]))
+        _check_hull(y, x, zb, log_carried, rows, _log_priors(_uniform_row(rows.shape[1], "error")))
     y, x, rows = block
     absorbed = _absorb(
         state.beta_prior[None], log_carried[None], zb, y[None], x[None], rows[None], settings
@@ -522,8 +516,18 @@ class _Stream:
 
 
 def _prepare_stream(
-    y, x, batch_size, block_size, settings, *, beta_support, error_support, error_points,
-    error_scale, batch_fit: _Fit | None = None, grid: SupportGrid | None = None,
+    y,
+    x,
+    batch_size,
+    block_size,
+    settings,
+    *,
+    beta_support,
+    error_support,
+    error_points,
+    error_scale,
+    batch_fit: _Fit | None = None,
+    grid: SupportGrid | None = None,
 ) -> _Stream:
     """Check a stream, resolve its error rows and hull tests, and fit its batch.
 
@@ -579,7 +583,8 @@ def _prepare_stream(
         solution = solve_gce(GceProblem(y[:batch_size], x[:batch_size], grid), settings.solver)
         batch_fit = _Fit(solution.distributions.beta, solution.beta_hat, solution.epsilon_hat,
                          solution.diagnostics.converged)
-    lo, hi = _hull(x, zb, _log_priors(batch_fit.beta), rows, _uniform_log_prior(rows.shape[1]))
+    log_qe = _log_priors(_uniform_row(rows.shape[1], "error"))
+    lo, hi = _hull(x, zb, _log_priors(batch_fit.beta), rows, log_qe)
     inside = (lo < y) & (y < hi)
     return _Stream(y, x, rows, inside, settings, batch_size, block_size, batch_fit, grid, solution)
 
@@ -593,8 +598,7 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
     every stream with a t-th block absorbs it as ``block_update`` would (a
     block inside its stream's live hull trusted, any other checked, and an
     infeasible one skipped and logged), one ``_absorb`` call per block size.
-    Each stream is bit for bit its fold alone. A stream that raises stops,
-    and only it.
+    Each stream is bit for bit its fold alone; one that raises stops alone.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
     it, stored by ``_failure``, and the seconds charged to it: an equal
@@ -641,7 +645,7 @@ class _Lane:
         first = members[0]
         self.zb, self.settings = first.grid.beta_support, first.settings
         self.g, self.outcomes = g, outcomes
-        self.log_qe = _uniform_log_prior(first.rows.shape[1])
+        self.log_qe = _log_priors(_uniform_row(first.rows.shape[1], "error"))
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)
