@@ -29,12 +29,14 @@ own Newton control and the bits it would get alone; ``solve_gce`` solves a
 stack of one. Several constraints take damped Newton with one Woodbury
 direction for the whole stack (``_solve_multi``); a single one (m = 1: a
 one-observation fit or streaming step) takes a bracketed Newton kernel that
-never forms the dual value and starts from the prior's own moments
-(``_StackKernel``).
+never forms the dual value (``_StackKernel``). Both start from the priors'
+own moments, the point at lam = 0, without evaluating it.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
-streaming updates; the plain problem is the 1/1 special case.
+streaming updates; the plain problem is the 1/1 special case. Every row's
+KL is read off the final point in Gibbs form, ``-t * E[z] - ln Z`` with the
+row's tilt t and log partition ln Z, so no KL pass runs over the weights.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .core import (
     _integer,
     _prechecked,
     _real,
+    _row_sums,
     _shared,
-    kl_divergence,
 )
 
 __all__ = [
@@ -286,8 +288,12 @@ class GceSolution:
 
     ``distributions`` holds the fitted weights as ``(J, K)`` and ``(m, H)``
     arrays. ``objective_value`` is the achieved (possibly reweighted) KL
-    divergence from the prior. ``beta_hat`` and ``epsilon_hat`` are the
-    expectations of the fitted rows over their support points.
+    divergence from the prior, read off the final dual point in the stream
+    ledger's Gibbs form: ``signal_weight * sum_j max(-t_j * beta_hat_j - ln
+    Z_j, 0) + error_weight * sum_i max(-(lam_i / error_weight) * eps_hat_i -
+    ln Z_e,i, 0)``, exactly 0.0 for a fit that took no step. ``beta_hat``
+    and ``epsilon_hat`` are the expectations of the fitted rows over their
+    support points.
     """
 
     distributions: JointDistribution
@@ -309,6 +315,14 @@ class _DualPoint:
 
     Every array has a leading axis of S problems; the shapes below are one
     problem's.
+
+    Each row's weights have Gibbs form, p_r proportional to q_r * exp(-z_r *
+    t_r) with partition Z_r, so KL(p_r | q_r) = -t_r * E_p[z_r] - ln Z_r:
+    the point keeps both kinds of rows' log partitions, and ``kl`` and
+    ``error_kl`` read every row's KL off them instead of a pass over the
+    weights (within 1.5e-15 of ``kl_divergence``'s pass at n = 3840). A
+    coefficient row's tilt is t_j = (x^T lam)_j / signal_weight, an error
+    row's lam_i / error_weight.
     """
 
     value: np.ndarray  # (S,); NaN from the one-observation kernel, which never forms it
@@ -317,11 +331,9 @@ class _DualPoint:
     pe: np.ndarray  # (m, H) error row weights
     beta_hat: np.ndarray
     eps_hat: np.ndarray
-    # The coefficient rows' Gibbs terms, p_jk = q_jk * exp(-z_jk * t_j) / Z_j,
-    # so KL(p_j | q_j) = -t_j * beta_hat_j - ln Z_j; ``kl`` reads it off them
-    # instead of a second KL pass (within 1.5e-15 of that pass at n = 3840).
-    tilt: np.ndarray  # (J,) t = x^T lam / signal_weight
+    tilt: np.ndarray  # (J,) the coefficient rows' tilts
     ln_zb: np.ndarray  # (J,) ln Z_j, the coefficient rows' log partitions
+    ln_ze: np.ndarray  # (m,) ln Z_e,i, the error rows' log partitions
 
     def take(self, rows) -> "_DualPoint":
         """The point of the problems ``rows``; an index gives one problem's arrays.
@@ -332,17 +344,30 @@ class _DualPoint:
         pe = np.swapaxes(np.swapaxes(self.pe, -1, -2)[rows], -1, -2)
         return _DualPoint(
             self.value[rows], self.grad[rows], self.pb[rows], pe, self.beta_hat[rows],
-            self.eps_hat[rows], self.tilt[rows], self.ln_zb[rows],
+            self.eps_hat[rows], self.tilt[rows], self.ln_zb[rows], self.ln_ze[rows],
         )
 
     def put(self, rows, other: "_DualPoint", chosen) -> None:
         """Overwrite the problems ``rows`` with ``other``'s problems ``chosen``."""
-        for name in ("value", "grad", "pb", "pe", "beta_hat", "eps_hat", "tilt", "ln_zb"):
+        for name in self.__dataclass_fields__:
             getattr(self, name)[rows] = getattr(other, name)[chosen]
 
     def kl(self) -> np.ndarray:
-        """Per problem, KL(pb | prior) from the Gibbs terms, clamped at zero per row."""
-        return np.add.reduce(np.maximum(-self.tilt * self.beta_hat - self.ln_zb, 0.0), axis=1)
+        """Per problem, the coefficient rows' summed KL(pb | prior), each clamped at zero."""
+        return _gibbs_kl(self.tilt, self.beta_hat, self.ln_zb)
+
+    def error_kl(self, lam: np.ndarray, error_weight: float) -> np.ndarray:
+        """Per problem, the error rows' summed KL(pe | prior) at the point's multipliers ``lam``."""
+        return _gibbs_kl(lam / error_weight, self.eps_hat, self.ln_ze)
+
+
+def _gibbs_kl(tilt: np.ndarray, mean: np.ndarray, ln_z: np.ndarray) -> np.ndarray:
+    """Per problem, the sum over rows of max(-t * E[z] - ln Z, 0), a Gibbs row's KL from its prior.
+
+    Tiny negative terms are rounding, as in ``kl_divergence``; a row that
+    has not moved (t = ln Z = 0) gives exactly 0.0.
+    """
+    return np.add.reduce(np.maximum(-tilt * mean - ln_z, 0.0), axis=1)
 
 
 def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,10 +415,11 @@ class _DualEvaluator:
 
     Takes, per problem of a stack of S, the data ``y`` (S, m) and ``x`` (S,
     m, J), the error supports ``ze`` (S, m, H; S, 1, H for one shared row)
-    and the log coefficient prior weights ``log_qb`` (S, J, K); the
-    coefficient supports ``zb`` (J, K), the log error prior weights
-    ``log_qe`` (``_log_priors`` of the weights; one row may be shared by
-    every observation) and the two objective weights are the stack's.
+    and the coefficient prior weights ``qb`` (S, J, K), which only ``start``
+    reads, with the logs ``log_qb`` the solve reads; the coefficient supports
+    ``zb`` (J, K), the log error prior weights ``log_qe`` (``_log_priors`` of
+    the weights; one row may be shared by every observation) and the two
+    objective weights are the stack's.
 
     Every problem's arithmetic is the one-problem arithmetic, operation for
     operation: dot products are batched ``matmul`` calls on each problem's
@@ -416,7 +442,9 @@ class _DualEvaluator:
     achieved KL divergence equals that constant minus the minimal value.
     """
 
-    def __init__(self, y, x, zb, ze, log_qb, log_qe, signal_weight: float, error_weight: float):
+    def __init__(
+        self, y, x, zb, ze, qb, log_qb, log_qe, signal_weight: float, error_weight: float
+    ):
         self.y = np.ascontiguousarray(y)
         self.x = np.ascontiguousarray(x)
         # each problem's regressors transposed, (S, J, m): x^T as a row-major
@@ -426,7 +454,7 @@ class _DualEvaluator:
         self._views()
         self.zb = np.ascontiguousarray(zb)  # a tiled grid's rows are a broadcast view
         self.ze_t = np.ascontiguousarray(ze.transpose(0, 2, 1))
-        self.log_qb = log_qb
+        self.qb, self.log_qb = qb, log_qb
         self.log_qe_t = np.ascontiguousarray(log_qe.T)
         self.wb = float(signal_weight)
         self.we = float(error_weight)
@@ -441,18 +469,50 @@ class _DualEvaluator:
     def take(self, rows) -> "_DualEvaluator":
         """The evaluator of the problems ``rows`` of the stack."""
         ev = copy.copy(self)
-        ev.y, ev.x, ev.xt, ev.ze_t, ev.log_qb = (
-            self.y[rows], self.x[rows], self.xt[rows], self.ze_t[rows], self.log_qb[rows]
+        ev.y, ev.x, ev.xt, ev.ze_t, ev.qb, ev.log_qb = (
+            self.y[rows], self.x[rows], self.xt[rows], self.ze_t[rows], self.qb[rows],
+            self.log_qb[rows],
         )
         ev._views()
         return ev
 
-    def evaluate(self, lam: np.ndarray, zero: bool = False) -> _DualPoint:
-        """The point at the multipliers ``lam`` (S, m), all zero if ``zero``.
+    def start(self) -> _DualPoint:
+        """The point at lam = 0, the priors' own moments, formed without evaluating there.
 
-        At zero, a shared error row and prior of fewer than 8 points, which
-        sum in sequence in any layout, are one row for all, formed once.
+        The coefficient weights are the prior weights with dead points (log
+        -inf) zeroed, no exp or log: ``evaluate``'s Gibbs rows at zero to
+        rounding, bit for bit on uniform rows. The error weights are the
+        error prior as ``evaluate``'s Gibbs form normalizes it, its bits.
+        The means and gradient take ``evaluate``'s reductions; a shared
+        error row is reduced as one column only while H < 8, as numpy sums a
+        lone column pairwise from 8 points on but ``evaluate``'s ``(H, m)``
+        rows in sequence. The tilt and both log partitions are zero, so the
+        value is the offset.
         """
+        add = np.add.reduce
+        s, m = self.y.shape
+        pb = self.qb * (self.log_qb > -np.inf)
+        beta_hat = add(pb * self.zb, axis=2)
+
+        ze, log_qe = self.ze_t, self.log_qe_t.T  # (rows, H)
+        qe = np.exp(log_qe - np.maximum.reduce(log_qe, axis=1, keepdims=True))
+        qe = (qe / _row_sums(qe)[:, None]).T  # (H, rows), each row summed in sequence
+        h, cols = qe.shape
+        pe = np.empty((s, h, m))
+        pe[...] = qe
+        one = ze.shape[2] == cols == 1 and h < 8
+        eps_hat = add((qe if one else pe) * ze, axis=1)
+        grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
+        if one:
+            eps_hat = np.repeat(eps_hat, m, axis=1)
+        j = self.zb.shape[0]
+        return _DualPoint(
+            np.full(s, self.offset), grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat,
+            np.zeros((s, j)), np.zeros((s, j)), np.zeros((s, m)),
+        )
+
+    def evaluate(self, lam: np.ndarray) -> _DualPoint:
+        """The point at the multipliers ``lam`` (S, m)."""
         add = np.add.reduce
         tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
         zb = self.zb
@@ -460,20 +520,19 @@ class _DualEvaluator:
         beta_hat = add(pb * zb, axis=2)
 
         ze = self.ze_t
-        one = zero and ze.shape[2] == self.log_qe_t.shape[1] == 1 and ze.shape[1] < 8
-        logits = ze * ((lam[:, :1] if one else lam) / self.we)[:, None, :]
+        logits = ze * (lam / self.we)[:, None, :]
         np.subtract(self.log_qe_t, logits, out=logits)
         ln_ze, pe = _log_partition(logits, "error", 1)
         eps_hat = add(pe * ze, axis=1)
-        if one:
-            ln_ze, pe, eps_hat = (np.repeat(a, lam.shape[1], axis=-1) for a in (ln_ze, pe, eps_hat))
 
         value = (
             np.matmul(lam[:, None, :], self.y_col)[:, 0, 0] + self.wb * add(ln_zb, axis=1)
             + self.we * add(ln_ze, axis=1) + self.offset
         )
         grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
-        return _DualPoint(value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb)
+        return _DualPoint(
+            value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb, ln_ze
+        )
 
     def curvature(self, pt: _DualPoint) -> tuple[np.ndarray, np.ndarray]:
         """The Hessian contributions at a point of this evaluator's problems.
@@ -593,14 +652,15 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     none stops. The stack narrows to the running problems once per
     iteration; within one, every running problem is evaluated at each
     halving, and one that has accepted keeps its point and ignores the rest.
-    Curvature is formed only where a Newton direction reads it. Returns the
-    multipliers (S, m), the final stacked ``_DualPoint`` and the iteration
-    counts (an integer array).
+    Curvature is formed only where a Newton direction reads it. The solve
+    starts from ``ev.start()``, the priors' own point, and ``evaluate``
+    runs once per trial. Returns the multipliers (S, m), the final stacked
+    ``_DualPoint`` and the iteration counts (an integer array).
     """
     s = ev.y.shape[0]
     tol = settings.constraint_tolerance
     lam = np.zeros(ev.y.shape)
-    pt = ev.evaluate(lam, zero=True)
+    pt = ev.start()
     iterations = np.zeros(s, dtype=int)
     run = np.flatnonzero(np.maximum.reduce(np.abs(pt.grad), axis=1) > tol)
     # a running problem has moved on every iteration so far, so its count is the loop's
@@ -673,8 +733,9 @@ class _StackKernel:
     and a non-finite one makes the gradient NaN, so the rows are checked
     only then. ``curvature`` is formed only where a Newton step reads it,
     never at the final point. ``at`` keeps its tilt, row maxima and row sums
-    as ``last``, and ``solve`` forms ``ln Z`` from them once, for the
-    coefficient rows of its final point.
+    as ``last``, and ``solve`` forms ``ln Z = log(total) + top`` from them in
+    one call over all J+1 rows of its final point, the coefficient rows'
+    ``ln_zb`` and the error row's ``ln_ze``.
     """
 
     def __init__(self, zb, log_qe_row):
@@ -840,18 +901,18 @@ class _StackKernel:
         if stepped_any:
             tilt, top, total = self.last
             tilt = tilt.reshape(s, j + 1)[:, :j]
-            ln_zb = np.log(total.reshape(s, j + 1)[:, :j]) + top.reshape(s, j + 1)[:, :j]
+            ln_z = (np.log(total) + top).reshape(s, j + 1)
             if 0 in iterations:
                 idle = [i for i in range(s) if not iterations[i]]
                 p0, means0 = p0.reshape(s, j + 1, -1), means0.reshape(s, j + 1)
-                p[idle], means[idle], tilt[idle], ln_zb[idle] = p0[idle], means0[idle], 0.0, 0.0
+                p[idle], means[idle], tilt[idle], ln_z[idle] = p0[idle], means0[idle], 0.0, 0.0
                 for i in idle:
                     g[i] = g0[i]
         else:
-            tilt = ln_zb = np.zeros((s, j))
+            tilt, ln_z = np.zeros((s, j)), np.zeros((s, j + 1))
         pt = _DualPoint(
             math.nan, np.array(g)[:, None], p[:, :j, :k], p[:, j:, :h], means[:, :j],
-            means[:, j:], tilt, ln_zb,
+            means[:, j:], tilt, ln_z[:, :j], ln_z[:, j:],
         )
         return lam_rows[:, 0], pt, iterations
 
@@ -871,7 +932,7 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
 
     Takes, per problem, the data ``y`` (S, m) and ``x`` (S, m, J), the error
     supports ``ze`` (S, m, H; or S, 1, H), the coefficient prior weights
-    ``qb`` (S, J, K), which only start the one-observation kernel, and the
+    ``qb`` (S, J, K), which only give each solve its start, and the
     logs ``log_qb`` the solve reads, normalized to rounding (so its log
     partitions are relative to them). The coefficient supports ``zb`` (J,
     K), the error prior weights ``qe`` (one row may be shared by every
@@ -902,7 +963,7 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
             qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], signal_weight, error_weight, settings
         )
     else:
-        ev = _DualEvaluator(y, x, zb, ze, log_qb, log_qe, signal_weight, error_weight)
+        ev = _DualEvaluator(y, x, zb, ze, qb, log_qb, log_qe, signal_weight, error_weight)
         lam, pt, iterations = _solve_multi(ev, settings)
     residual, tol = np.abs(pt.grad).max(axis=1), settings.constraint_tolerance
     return _Solved(lam, pt, np.asarray(iterations), residual, residual <= tol)
@@ -913,8 +974,8 @@ def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -
     grid, prior = problem.supports, problem.prior
     return _DualEvaluator(
         problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
-        _log_priors(prior.beta)[None], _log_priors(_shared(prior.error)), signal_weight,
-        error_weight,
+        prior.beta[None], _log_priors(prior.beta)[None], _log_priors(_shared(prior.error)),
+        signal_weight, error_weight,
     )
 
 
@@ -990,9 +1051,7 @@ def solve_gce(
     lam, pt = solved.lam, solved.point
     pb, pe = _gibbs_rows(pt.pb[0]), _gibbs_rows(pt.pe[0])  # Gibbs rows pass every check
     distributions = _prechecked(JointDistribution, beta=pb, error=pe)
-    objective = signal_weight * kl_divergence(distributions.beta, prior.beta).sum() + (
-        error_weight * kl_divergence(distributions.error, prior.error).sum()
-    )
+    objective = signal_weight * pt.kl()[0] + error_weight * pt.error_kl(lam, error_weight)[0]
     lam.setflags(write=False)
     diagnostics = SolverDiagnostics(
         solved.iterations.item(0), solved.residual.item(0), solved.converged.item(0)

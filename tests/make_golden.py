@@ -2,14 +2,17 @@
 
     PYTHONPATH=src python3 tests/make_golden.py
 
-Always rewrites the whole file. It pins, bit for bit:
+Always rewrites the whole file, after printing ``mismatches`` of the new
+outputs against the file it replaces (one line per moved field). It pins,
+bit for bit:
 
 * the sha256 of every report file that ``run_experiment`` writes on
   criterion 09's config and on a one-replication copy of README's config
   plus a cumulative scenario;
 * per ``STREAM_CASES`` entry of ``test_streaming``, what ``run_stream``
   returns, floats as ``float.hex``;
-* ``solve_gce`` on n = 240, seed 1, with its multipliers and diagnostics.
+* ``solve_gce`` on n = 240, seed 1, with its multipliers, diagnostics and
+  objective value, which the solve reads off its final dual point.
 
 ``test_golden`` compares a fresh run with the file exactly. Regenerate only
 for a change that is meant to move the package's numbers, and state the
@@ -173,13 +176,17 @@ def mismatches(got: dict, want: dict) -> list[str]:
 
 
 def main() -> int:
+    fields = outputs()
+    if GOLDEN_PATH.exists():
+        moved = mismatches(fields, json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["fields"])
+        print("\n".join(moved) if moved else f"no field moved from {GOLDEN_PATH.name}")
     data = {
         "made_with": {
             "numpy": np.__version__,
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "fields": outputs(),
+        "fields": fields,
     }
     GOLDEN_PATH.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(data['fields'])} fields to {GOLDEN_PATH.name}")

@@ -7,11 +7,14 @@ then brute-forcing the remaining free coordinates. The scalar bisection
 oracle re-derives the one-constraint stationarity condition from scratch with
 plain numpy exponentials (fine at test scale where nothing overflows). The
 row-major dual oracle evaluates the weighted dual with every row reduced
-along its own last axis, the plain ``(rows, points)`` arithmetic.
+along its own last axis, the plain ``(rows, points)`` arithmetic. The decimal
+KL oracle forms the Gibbs rows at given multipliers and their KL divergence
+from the prior in 50-digit ``decimal`` arithmetic.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -339,3 +342,50 @@ def finite_difference_gradient(fun, point: np.ndarray, step: float = 1e-6) -> np
         bump[i] = step
         grad[i] = (fun(point + bump) - fun(point - bump)) / (2.0 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# 50-digit KL at given multipliers
+# ---------------------------------------------------------------------------
+
+
+def _decimal_row_kl(z, q, tilt) -> decimal.Decimal:
+    """KL of the row proportional to ``q * exp(-z * tilt)`` from ``q``, in the current context.
+
+    Points whose prior weight is below the clamp carry no weight, as in the solver.
+    """
+    live = [(decimal.Decimal(zk), decimal.Decimal(qk)) for zk, qk in zip(z, q) if qk >= 1e-300]
+    weights = [qk * (-zk * tilt).exp() for zk, qk in live]
+    total = sum(weights)
+    return sum((w / total) * ((w / total) / qk).ln() for w, (_, qk) in zip(weights, live))
+
+
+def decimal_kl(lam, problem: GceProblem, signal_weight=1.0, error_weight=1.0, digits=50) -> float:
+    """``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` at ``lam``, to ``digits``.
+
+    The rows are the Gibbs rows of ``problem`` at the multipliers ``lam``:
+    coefficient row j proportional to ``q_jk * exp(-z_jk * t_j)`` with
+    ``t_j = sum_i x_ij * lam_i / signal_weight``, error row i to ``q_ih *
+    exp(-z_ih * lam_i / error_weight)``. Every float converts to ``Decimal``
+    exactly, and each KL is the plain sum of ``p * ln(p / q)`` over the live
+    points, with no cancellation at ``digits`` digits; only the result is
+    rounded to a float.
+    """
+    grid, prior = problem.supports, problem.prior
+    error_support = np.broadcast_to(grid.error_support, (problem.n_obs, grid.n_error_points))
+    error_prior = np.broadcast_to(prior.error, error_support.shape)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        d = decimal.Decimal
+        lam_d = [d(v) for v in np.asarray(lam, dtype=float).tolist()]
+        wb, we = d(signal_weight), d(error_weight)
+        beta = sum(
+            _decimal_row_kl(z, q, sum(d(xv) * lv for xv, lv in zip(col, lam_d)) / wb)
+            for z, q, col in zip(grid.beta_support.tolist(), prior.beta.tolist(),
+                                 problem.x.T.tolist())
+        )
+        error = sum(
+            _decimal_row_kl(z, q, lv / we)
+            for z, q, lv in zip(error_support.tolist(), error_prior.tolist(), lam_d)
+        )
+        return float(wb * beta + we * error)

@@ -38,7 +38,7 @@ from gcestream import (
     SupportGrid,
     solve_gce,
 )
-from gcestream import core, experiments, solver, streaming
+from gcestream import core, experiments, streaming
 from gcestream.cli import main
 
 rng = np.random.default_rng(577215)
@@ -630,8 +630,8 @@ def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch
 
     for cls in (GceProblem, JointDistribution, SupportGrid):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-    for module in (core, solver):
-        monkeypatch.setattr(module, "kl_divergence", counted("kl", module.kl_divergence))
+    # core's is the package's one KL pass: the solver reads KL off its dual points
+    monkeypatch.setattr(core, "kl_divergence", counted("kl", core.kl_divergence))
     # a stream builds its grid from rows it has checked
     grids = counted("SupportGrid", core._prechecked)
     monkeypatch.setattr(

@@ -32,7 +32,8 @@ def test_a_one_ulp_move_fails_the_golden_check(monkeypatch):
     monkeypatch.setattr(solver, "_solve_dual", nudged)
     want = {name: GOLDEN["fields"][name] for name in make_golden.solve_outputs()}
     moved = make_golden.mismatches(make_golden.solve_outputs(), want)
-    assert moved == [
+    # the objective is read off the point's beta_hat too, so it may move with it
+    assert [line for line in moved if not line.startswith("solve/objective_value: ")] == [
         "solve/beta_hat: 1 of 4 values moved, largest by "
         f"{abs(np.spacing(float.fromhex(want['solve/beta_hat']['hex'][0]))):.3e} "
         "absolute and 1 ulp"

@@ -27,6 +27,8 @@ from gcestream import (
     expectation,
     generate_dataset,
     gibbs_weights,
+    init_stream,
+    kl_divergence,
     parse_experiment_config,
     run_experiment,
     solve_gce,
@@ -877,7 +879,9 @@ POINT_FIELDS = ("grad", "pb", "pe", "beta_hat", "eps_hat", "curv_beta", "curv_ep
 
 def one_problem_evaluator(y, x, zb, ze, log_qb, log_qe, wb, we):
     """The evaluator of a stack of one problem, from that problem's arrays."""
-    return solver._DualEvaluator(y[None], x[None], zb, ze[None], log_qb[None], log_qe, wb, we)
+    return solver._DualEvaluator(
+        y[None], x[None], zb, ze[None], np.exp(log_qb)[None], log_qb[None], log_qe, wb, we
+    )
 
 
 def evaluator_inputs(h, shared, seed, m=40):
@@ -1088,6 +1092,136 @@ def test_a_tiled_grid_solves_to_the_bits_of_its_per_row_copy(monkeypatch, h, m):
         assert value.hex() == value_rows.hex() and grad.tobytes() == grad_rows.tobytes()
         a, b = gibbs_weights(lam, tiled), gibbs_weights(lam, per_row)
         assert a.beta.tobytes() == b.beta.tobytes() and a.error.tobytes() == b.error.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# both ends of a solve read off its dual points
+# ---------------------------------------------------------------------------
+
+def fit_problems(m):
+    """``one_row_problems(3, m)``'s tiled and per-row problems; for m = 1, the first
+    observation of the m = 2 pair, whose error row needs two observations' spread."""
+    tiled, per_row, _ = one_row_problems(3, max(m, 2))
+    if m > 1:
+        return tiled, per_row
+    return tuple(
+        GceProblem(
+            p.y[:1], p.x[:1], SupportGrid(p.supports.beta_support, p.supports.error_support[:1]),
+            JointDistribution(p.prior.beta, p.prior.error[:1]),
+        )
+        for p in (tiled, per_row)
+    )
+
+
+def masked_objective(solution, problem, signal_weight, error_weight):
+    """The weighted KL of a fit's own distributions from its prior, by ``kl_divergence``."""
+    d, q = solution.distributions, problem.prior
+    return signal_weight * kl_divergence(d.beta, q.beta).sum() + (
+        error_weight * kl_divergence(d.error, q.error).sum()
+    )
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.3, 0.7), (2.0, 0.5)])
+@pytest.mark.parametrize("m", [1, 2, 240, 3840])
+def test_the_objective_read_off_the_final_point_is_the_kl_of_the_fit(m, weights):
+    # worst 5.9e-13 relative here. Both forms round at about 1e-15 absolute,
+    # so on objectives near 1e-4 they may part by more: 1.7e-12 on the first
+    # collapse_problems fit, where the 50-digit check below finds the pass
+    # over the weights the one that is off
+    for problem in fit_problems(m):
+        sol = solve_gce(problem, signal_weight=weights[0], error_weight=weights[1])
+        assert sol.diagnostics.converged and sol.diagnostics.iterations >= 1
+        want = masked_objective(sol, problem, *weights)
+        assert abs(sol.objective_value - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_fit_that_takes_no_step_has_objective_exactly_zero(m):
+    # y is the prior's own prediction, so the start is the optimum
+    grid = SupportGrid.tiled([-1.0, 1.0], 2, [-1.0, 0.0, 1.0], m)
+    x = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, 2))
+    for wb, we in ((1.0, 1.0), (0.3, 0.7)):
+        sol = solve_gce(GceProblem(np.zeros(m), x, grid), signal_weight=wb, error_weight=we)
+        assert sol.diagnostics.iterations == 0 and sol.diagnostics.max_residual == 0.0
+        assert sol.objective_value.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize(
+    "fit, weights",
+    [
+        (lambda: collapse_problems()[0][0], (2.0, 0.5)),
+        (lambda: fit_problems(2)[1], (0.3, 0.7)),
+        (lambda: fit_problems(40)[0], (1.0, 1.0)),
+    ],
+    ids=["collapse-m1", "per-row-m2", "tiled-m40"],
+)
+def test_the_objective_matches_a_50_digit_kl_at_the_solvers_multipliers(fit, weights):
+    # worst relative error over these three fits: the Gibbs form 3.7e-13,
+    # a kl_divergence pass over the fit's weights 1.3e-12 (both at m = 1)
+    problem = fit()
+    sol = solve_gce(problem, signal_weight=weights[0], error_weight=weights[1])
+    exact = oracles.decimal_kl(sol.multipliers, problem, *weights)
+    assert abs(sol.objective_value - exact) <= 1e-12 * exact
+    assert abs(masked_objective(sol, problem, *weights) - exact) <= 2e-12 * exact
+
+
+def test_a_multi_observation_solve_evaluates_once_per_trial_and_never_at_zero(monkeypatch):
+    evaluate, calls = solver._DualEvaluator.evaluate, []
+
+    def recorded(self, lam):
+        calls.append(lam.copy())
+        return evaluate(self, lam)
+
+    monkeypatch.setattr(solver._DualEvaluator, "evaluate", recorded)
+    for problem in one_row_problems(3, 240)[:2]:
+        calls.clear()
+        sol = solve_gce(problem)
+        # every Newton step of this fit is accepted whole: one trial per
+        # iteration, and none at zero
+        assert sol.diagnostics.converged and len(calls) == sol.diagnostics.iterations >= 2
+        assert all((lam != 0.0).any(axis=1).all() for lam in calls)
+
+
+@pytest.mark.parametrize("h", [3, 9, 12])
+def test_the_start_is_the_point_at_zero_on_uniform_priors(h):
+    # from 8 error points a shared row is reduced across all m columns, as
+    # evaluate reduces it, since numpy would sum one column pairwise
+    m = 40
+    for problem in one_row_problems(h, m)[:2]:
+        for weights in ((1.0, 1.0), (0.3, 0.7)):
+            ev = solver._evaluator(problem, *weights)
+            got, want = ev.start(), ev.evaluate(np.zeros((1, m)))
+            for name in solver._DualPoint.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_the_start_on_a_carried_stream_prior_is_the_point_at_zero_to_an_ulp():
+    # a carried prior's weights are the last solve's Gibbs rows and its logs
+    # carry the stream's tilt: evaluate(0) renormalizes them, start does not.
+    # Each weight stays within 1 ulp; the means and residuals, which cancel,
+    # within 1 ulp of the magnitudes they are formed at (the supports', y's)
+    data = generate_dataset(SimulationConfig(n=200, seed=181))
+    y, x = data.y, np.column_stack([np.ones(data.n), data.x])
+    row = build_error_support(y[:60])
+    grid = SupportGrid.tiled(DEFAULT_BETA_SUPPORT, x.shape[1], row, 60)
+    state, _ = init_stream(GceProblem(y[:60], x[:60], grid))
+    log_qe = solver._log_priors(np.full((1, row.size), 1.0 / row.size))
+    scales = {"grad": np.abs(y).max(), "beta_hat": 100.0, "eps_hat": np.abs(row).max()}
+    worst = dict.fromkeys(("pb", "pe", *scales), 0.0)
+    for a in range(60, 200, 2):
+        rows = np.tile(row, (2, 1))
+        ev = solver._DualEvaluator(
+            y[None, a : a + 2], x[None, a : a + 2], state.supports.beta_support, rows[None],
+            state.beta_prior[None], state.log_prior[None], log_qe, 0.5, 0.5,
+        )
+        got, want = ev.start(), ev.evaluate(np.zeros((1, 2)))
+        for name in worst:
+            a_, b_ = getattr(got, name), getattr(want, name)
+            scale = scales.get(name, np.maximum(np.abs(a_), np.abs(b_)))
+            worst[name] = max(worst[name], float((np.abs(a_ - b_) / np.spacing(scale)).max()))
+        state = block_update(state, y[a : a + 2], x[a : a + 2], rows)
+    assert max(worst.values()) <= 1.0 and worst["pb"] > 0.0, worst
 
 
 def test_iteration_cap_returns_unconverged_solution():

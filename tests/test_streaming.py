@@ -1071,6 +1071,25 @@ def test_an_ordinary_block_of_two_converges():
     assert report.entropy_ledger.size == 70 and report.all_converged
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the FOUND in CHANGES.md on solver._solve_multi saturating where the only point "
+    "reaching y carries a tiny prior weight; ROADMAP item 7 (Newton stops stalling where the "
+    "floor is reachable)",
+)
+def test_a_block_of_two_from_a_nearly_dead_edge_converges_as_its_one_row_step_does():
+    # the Newton step overshoots into rows that are point masses on -10 and
+    # -1, where no curvature is left and no trial decreases: the block stops
+    # at beta_hat = -10, unconverged, while the bracketed one-row kernel
+    # reaches -8 from the same prior
+    grid = SupportGrid(np.array([BETA_ROW]), np.array([[-1.0, 0.0, 1.0]]))
+    state = StreamState(np.array([[1e-300, 0.25, 0.25, 0.25, 0.25 + 5e-13]]), grid, 0)
+    step = update_step(state, -9.0, [1.0], [-1.0, 0.0, 1.0])
+    assert step.converged_log[-1] and step.beta_hat[0] == pytest.approx(-8.0)
+    block = block_update(state, [-9.0, -9.0], [[1.0], [1.0]], [-1.0, 0.0, 1.0])
+    assert block.converged_log[-1]
+
+
 def assert_state_rebuilds_to_itself(state, copy_logs=True):
     """A stepped state is the state its own fields, checked afresh, build.
 
