@@ -358,21 +358,15 @@ def kl_divergence(p, q):
 
     ``q`` must dominate ``p``: a ValueError is raised when some ``p`` weight
     is positive where ``q`` vanishes (after clamping), since the divergence
-    is infinite there. When every weight is live (NaN is not), a dense pass
-    without masks applies the masked pass's ufuncs in its order, so its bits.
+    is infinite there.
     """
     pw = np.asarray(p, dtype=float)
     qw = np.asarray(q, dtype=float)
     if pw.shape != qw.shape:
         raise ValueError(f"shape mismatch: {pw.shape} vs {qw.shape}")
-    live = np.minimum.reduce(pw, axis=None, initial=np.inf) >= ZERO_CLAMP
-    if live and np.minimum.reduce(qw, axis=None, initial=np.inf) >= ZERO_CLAMP:
-        terms = pw * np.log(pw / qw)
-    else:
-        q_live = qw >= ZERO_CLAMP
-        if ((pw >= ZERO_CLAMP) & ~q_live).any():
-            raise ValueError("reference distribution must dominate: q vanishes where p > 0")
-        terms = _xlogy(pw, pw / np.where(q_live, qw, 1.0))
-    value = _row_sums(terms)
+    q_live = qw >= ZERO_CLAMP
+    if ((pw >= ZERO_CLAMP) & ~q_live).any():
+        raise ValueError("reference distribution must dominate: q vanishes where p > 0")
+    value = _row_sums(_xlogy(pw, pw / np.where(q_live, qw, 1.0)))
     # Exact zero for identical rows; tiny negative values are pure rounding.
     return _per_row(np.maximum(value, 0.0))

@@ -13,13 +13,12 @@ arrays of its one-shot problems, each fraction's batch problem laid out once
 and shared by the streams on the raw design. Then the one-shot problems of
 every planned cell are checked and solved in stacks of arrays, one solve for
 all the problems of one size, and each cell's streams are prepared from
-their batch fits, the streams of a batch fraction sharing one support grid.
-No problem or solution object is built on the way: ``GceProblem`` and
-``GceSolution`` are for callers of ``solve_gce`` and ``run_stream``. Then
-the streams of every cell are folded together (``streaming._fold``), so one
-stacked solve advances the same-size blocks of a lane of them. Then each
-cell is scored. A cell fails alone when its planning, one of its one-shot
-fits or one of its streams raises.
+their batch fits. No problem or solution object is built on the way:
+``GceProblem`` and ``GceSolution`` are for callers of ``solve_gce`` and
+``run_stream``. Then the streams of every cell are folded together
+(``streaming._fold``), so one stacked solve advances the same-size blocks of
+a lane of them. Then each cell is scored. A cell fails alone when its
+planning, one of its one-shot fits or one of its streams raises.
 
 Replication seeds are derived from (seed_base, scenario name, eta index,
 replication index) through a seed sequence, so runs are reproducible cell by
@@ -319,7 +318,7 @@ class CellOutcome:
     solving it again; the stream on the standardized design is charged its
     own batch fit. A stream is charged its preparation and its share of the
     fold: an equal share of its lane's set-up and of each stack of blocks it
-    took part in (trust tests, hull checks and solve), and its report. The
+    took part in (trust tests, skips and solve), and its report. The
     estimation section is the cell's planning and scoring plus its shares,
     its wall time when the cell is run alone, as ``run_cell`` runs it.
     """
@@ -391,8 +390,7 @@ class _CellPlan:
         Returns the plan, or raises the first exception a one-shot fit of
         the cell raised. The streams on the raw design start from their
         fraction's ``gce_batch`` fit, the stream on the standardized design
-        from its own batch fit, and every stream of a fraction shares the
-        grid of its first.
+        from its own batch fit.
         """
         for key in self.one_shots:
             if isinstance(self.fits[key], Exception):
@@ -415,7 +413,6 @@ class _CellPlan:
             one_shot = (full_result, result(f"gce_batch@{fraction}", "gce_batch"))
             streams = []
             self.fractions.append((fraction, one_shot, streams))
-            grid = None  # the first stream's, which the fraction's other streams share
             for name, g, suffix, x_design, x_eval in self.variants:
                 key = f"{name}@{fraction}{suffix}"
                 batch_key = f"gce_batch@{fraction}" if x_design is self.design else key
@@ -423,9 +420,8 @@ class _CellPlan:
                 stream = _prepare_stream(
                     y_fit, x_design, m, g, update_settings, beta_support=self.support_row,
                     error_support=None, error_points=scenario.error_points,
-                    error_scale=scenario.error_scale, batch_fit=self.fits[batch_key], grid=grid,
+                    error_scale=scenario.error_scale, batch_fit=self.fits[batch_key],
                 )
-                grid = stream.grid
                 self.method_seconds[key] = self.method_seconds.get(key, 0.0) + clock() - t0
                 streams.append((key, name, g, x_eval, stream))
         # the streams hold the batch fits they start from; nothing else is read again

@@ -266,20 +266,22 @@ def _hull(x, zb, log_qb, ze, log_qe) -> tuple[np.ndarray, np.ndarray]:
     return lo + emin, hi + emax
 
 
+def _hull_error(y, lo, hi) -> InfeasibleObservationError:
+    """The error for a ``y`` not strictly inside [lo, hi]: the values outside, else those on it."""
+    outside = (y < lo) | (y > hi)
+    boundary = not outside.any()
+    idx = np.flatnonzero((y == lo) | (y == hi) if boundary else outside)
+    return InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=boundary)
+
+
 def _check_hull(y, x, zb, log_qb, ze, log_qe) -> None:
     """Raise InfeasibleObservationError unless every y_i lies strictly inside its ``_hull``.
 
     A stack ((S, m) ``y``, (S, 1, H) ``ze``) counts indices across it.
     """
     lo, hi = _hull(x, zb, log_qb, ze, log_qe)
-    if ((lo < y) & (y < hi)).all():
-        return
-    outside = (y < lo) | (y > hi)
-    if outside.any():
-        idx = np.flatnonzero(outside)
-        raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=False)
-    idx = np.flatnonzero((y == lo) | (y == hi))
-    raise InfeasibleObservationError(idx, lo.flat[idx[0]], hi.flat[idx[0]], boundary=True)
+    if not ((lo < y) & (y < hi)).all():
+        raise _hull_error(y, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -400,8 +402,6 @@ def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray
 
 def _log_priors(q: np.ndarray) -> np.ndarray:
     """log q, with -inf where the prior weight is below the clamp."""
-    if np.minimum.reduce(q, axis=None) >= ZERO_CLAMP:  # every weight is live: one log
-        return np.log(q)
     return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
 
 

@@ -69,12 +69,12 @@ from .simulation import _check_error_scale, _scaled_error_support
 from .solver import (
     GceProblem,
     GceSolution,
-    InfeasibleObservationError,
     SolverSettings,
     _check_hull,
     _check_observations,
     _grid_ends,
     _hull,
+    _hull_error,
     _log_priors,
     _solve_dual,
     _Solved,
@@ -527,7 +527,6 @@ def _prepare_stream(
     error_points,
     error_scale,
     batch_fit: _Fit | None = None,
-    grid: SupportGrid | None = None,
 ) -> _Stream:
     """Check a stream, resolve its error rows and hull tests, and fit its batch.
 
@@ -535,10 +534,7 @@ def _prepare_stream(
     ``batch_fit``, the ``_Fit`` of this stream's own batch problem solved
     elsewhere (the uniform-prior problem on ``y[:batch_size]``,
     ``x[:batch_size]`` and the stream's grid), the stream starts from it
-    instead of solving the batch again, and has no ``batch_solution``. With
-    ``grid``, a grid equal to the one this stream would build (that of a
-    stream on the same coefficient supports, batch size and batch error
-    rows), the stream shares it instead of building its own.
+    instead of solving the batch again, and has no ``batch_solution``.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     batch_size = _integer(batch_size, "batch_size")
@@ -573,8 +569,8 @@ def _prepare_stream(
             rows[start:stop] = _scaled_error_support(y, stop, error_scale, error_points)
         rows = _error_rows(rows)
 
-    if grid is None:  # both checked above; a shared row stays one row
-        grid = _prechecked(SupportGrid, beta_support=zb, error_support=rows[: max(batch_size, 1)])
+    # both checked above; a shared row stays one row
+    grid = _prechecked(SupportGrid, beta_support=zb, error_support=rows[: max(batch_size, 1)])
     solution = None
     if batch_size < 1:  # StreamState.uniform_start's prior and estimates
         prior = np.full(zb.shape, 1.0 / zb.shape[1])
@@ -596,14 +592,14 @@ def _fold(streams: Sequence[_Stream]) -> tuple[list, list[float]]:
     settings and the block size form a ``_Lane``, which is built, run and
     reported before the next is built. A lane advances in rounds: in round t
     every stream with a t-th block absorbs it as ``block_update`` would (a
-    block inside its stream's live hull trusted, any other checked, and an
-    infeasible one skipped and logged), one ``_absorb`` call per block size.
+    block inside its stream's live hull trusted, any other skipped and
+    logged), one ``_absorb`` call per block size.
     Each stream is bit for bit its fold alone; one that raises stops alone.
 
     Returns, per stream, its ``StreamReport`` or the exception that stopped
     it, stored by ``_failure``, and the seconds charged to it: an equal
     share of its lane's set-up (the first lane's includes grouping the
-    streams) and of each stack it took part in (trust tests, hull checks and
+    streams) and of each stack it took part in (trust tests, skips and
     solve), and its report. The charges sum to the fold's wall time.
     """
     mark = time.perf_counter()
@@ -724,28 +720,25 @@ class _Lane:
         """The live streams of positions [a, b), those that absorb their block, and the blocks.
 
         Positions are a slice while every stream is live and its block
-        trusted, else index arrays; an untrusted block has its live hull
-        checked, and an infeasible one is skipped and logged.
+        trusted, else index arrays. An untrusted block is skipped and logged
+        with the error its live hull raises: a stream's live points never
+        change, so a block outside the hull its stream was prepared with is
+        outside its hull at every round.
         """
         live = self.alive[a:b]
-        trusted = live & inside
-        if trusted.all():
+        keep = live & inside
+        if keep.all():
             return slice(a, b), slice(a, b), (y, x, rows)
-        keep = []
-        for k in np.flatnonzero(live).tolist():
-            try:
-                if not trusted[k]:
-                    _check_hull(y[k], x[k], self.zb, self.log_carried[a + k], rows[k], self.log_qe)
-                keep.append(k)
-            except InfeasibleObservationError as exc:
-                self.skipped.setdefault(a + k, []).append(t)
-                start = int(self.batch[a + k]) + t * self.g
-                logger.warning(
-                    "skipping block %d (observations %d..%d): %s (offending: %s)",
-                    t, start, start + y.shape[1] - 1, exc, [start + i for i in exc.indices],
-                )
-        blocks = y[keep], x[keep], rows[keep]
-        return a + np.flatnonzero(live), a + np.array(keep, dtype=int), blocks
+        for k in np.flatnonzero(live & ~inside).tolist():
+            lo, hi = _hull(x[k], self.zb, self.log_carried[a + k], rows[k], self.log_qe)
+            exc = _hull_error(y[k], lo, hi)
+            self.skipped.setdefault(a + k, []).append(t)
+            start = int(self.batch[a + k]) + t * self.g
+            logger.warning(
+                "skipping block %d (observations %d..%d): %s (offending: %s)",
+                t, start, start + y.shape[1] - 1, exc, [start + i for i in exc.indices],
+            )
+        return a + np.flatnonzero(live), a + np.flatnonzero(keep), (y[keep], x[keep], rows[keep])
 
     def absorb(self, t, at, y, x, rows) -> None:
         """Absorb and log the round-t blocks of the positions ``at``.

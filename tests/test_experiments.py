@@ -615,10 +615,10 @@ def test_a_cell_fails_as_the_problem_of_its_first_one_shot_fit_fails(overrides, 
 
 
 @pytest.mark.parametrize("fractions", [(0.5,), (0.25, 0.5)])
-def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch, fractions):
-    # the one-shot fits build no problem, distribution or objective, and the
-    # streams of a batch fraction share one grid; a stream that solves its
-    # own batch still reports the batch's GceSolution
+def test_a_cell_solves_arrays_and_builds_one_checked_grid_per_stream(monkeypatch, fractions):
+    # the one-shot fits build no problem, distribution or objective, and
+    # each stream builds its grid from its checked rows; a stream that
+    # solves its own batch still reports the batch's GceSolution
     counts = {}
 
     def counted(name, function):
@@ -640,7 +640,9 @@ def test_a_cell_solves_arrays_and_shares_one_grid_per_batch_fraction(monkeypatch
     )
     scenario = small_scenario(run_std=True, batch_fractions=fractions)
     outcome = run_cell(scenario, 0.0, 5)
-    assert counts == {"SupportGrid": len(fractions)}
+    streams = [r for report in outcome.reports for r in report.results if r.g is not None]
+    assert len(streams) == 3 * len(fractions)  # g = 1, g = 4 and the standardized design
+    assert counts == {"SupportGrid": len(streams)}
     assert len(outcome.reports) == len(fractions)
 
     data = generate_dataset(dataclasses.replace(scenario.simulation, eta=0.0, seed=5))

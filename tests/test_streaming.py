@@ -1930,6 +1930,62 @@ def test_a_fold_from_a_weight_below_the_clamp_skips_the_block_its_live_hull_refu
     assert "outside the attainable hull [-6.0, 11.0]" in logged[0]
 
 
+# per start: its x row, error row, the observations after its batch (the
+# third outside its live hull only) and that live hull
+DEAD_POINT_STREAMS = {
+    "zero-edged": (zero_edged_state, [1.0, 0.5, 0.25], EDGE_ROW,
+                   [14.0, 15.0, 18.0, 12.0, 16.4, 16.45, -10.0], "[-16.5, 16.5]"),
+    "sub-clamp": (sub_clamp_state, [1.0], SUB_CLAMP_ROW,
+                  [10.5, 10.9, -9.0, -4.0, 10.99999, 10.9999, 3.0], "[-6.0, 11.0]"),
+}
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("case", DEAD_POINT_STREAMS)
+def test_a_streams_dead_points_never_change_and_its_fold_skips_a_block_outside_them(
+    caplog, case, g
+):
+    # every state of a block_update chain, and the fold's final state, keeps
+    # the start's dead points (log -inf) while live weights fall as low as
+    # 1e-156; so a block outside the start's live hull stays outside, and the
+    # fold skips it with the message block_update raises
+    make, x_row, row, post, hull = DEAD_POINT_STREAMS[case]
+    first = make()
+    dead = first.log_prior == -np.inf
+    assert dead.any()
+    y = np.array([0.5, *post])  # observation 0 is the batch the start stands for
+    x = np.tile(x_row, (y.size, 1))
+    fit = streaming_module._Fit(first.beta_prior, first.beta_hat, np.array([0.5]), True)
+    state = StreamState(
+        first.beta_prior, first.supports, 1, epsilon_log=fit.epsilon_hat,
+        beta_trajectory=(fit.beta_hat,), converged_log=(True,),
+    )
+    with caplog.at_level(logging.WARNING, logger="gcestream.streaming"):
+        stream = streaming_module._prepare_stream(
+            y, x, 1, g, None, beta_support=first.supports.beta_support, error_support=row,
+            error_points=3, error_scale="batch", batch_fit=fit,
+        )
+        (report,), _ = streaming_module._fold([stream])
+    assert np.flatnonzero(~stream.inside).tolist() == [3]
+    raised, skipped = [], []
+    for t, i in enumerate(range(1, y.size, g)):
+        stop = min(i + g, y.size)
+        try:
+            state = block_update(state, y[i:stop], x[i:stop], row)
+        except InfeasibleObservationError as exc:
+            skipped.extend(range(i, stop))
+            raised.append(f"skipping block {t} (observations {i}..{stop - 1}): {exc} "
+                          f"(offending: {[i + k for k in exc.indices]})")
+            continue
+        assert np.array_equal(state.log_prior == -np.inf, dead)
+        assert state.converged_log[-1]
+    assert caplog.messages == raised
+    assert len(raised) == 1
+    assert f"observation(s) 0 fall outside the attainable hull {hull}" in raised[0]
+    assert_stream_is_the_fold(report, state, tuple(skipped))
+    assert np.array_equal(report.final_state.log_prior == -np.inf, dead)
+
+
 # ---------------------------------------------------------------------------
 # The ledger is checked where its entries are made
 # ---------------------------------------------------------------------------
