@@ -172,6 +172,19 @@ def _uniform_row(k: int, name: str) -> np.ndarray:
     return _simplex_rows(np.full((1, k), 1.0 / k), name)
 
 
+def _log_priors(q: np.ndarray) -> np.ndarray:
+    """log q, with -inf where the prior weight is below the clamp."""
+    return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_log_row(h: int) -> np.ndarray:
+    """``_log_priors`` of the uniform ``(1, h)`` error row, kept per width; read-only."""
+    log_q = _log_priors(_uniform_row(h, "error"))
+    log_q.setflags(write=False)
+    return log_q
+
+
 def _uniform_rows(n: int, k: int, name: str) -> np.ndarray:
     """``n`` uniform rows of ``k`` points: one cached row, broadcast."""
     return _tiled(_uniform_row(k, name), n, name)

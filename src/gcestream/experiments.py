@@ -65,13 +65,12 @@ from .simulation import (
     standardize_columns,
 )
 from .solver import (
-    GceProblem, SolverSettings, _check_hull, _check_observations, _log_priors, _solve_dual,
-    solve_gce,
+    GceProblem, SolverSettings, _check_hull, _check_observations, _solve_dual, solve_gce,
 )
 from .streaming import UpdateSettings, _failure, _Fit, _fold, _prepare_stream, run_stream
 from .core import (
-    SupportGrid, _entries, _error_rows, _flag, _gibbs_rows, _integer, _real, _support_rows,
-    _uniform_row, _uniform_rows,
+    SupportGrid, _entries, _error_rows, _flag, _gibbs_rows, _integer, _log_priors, _real,
+    _support_rows, _uniform_log_row, _uniform_row, _uniform_rows,
 )
 
 try:  # the builtin sha256, which does not load OpenSSL as hashlib does
@@ -525,7 +524,7 @@ def _fit_stack(problems, zb, solver) -> list[_Fit]:
     _check_observations(y.reshape(-1), x.reshape(-1, j), zb, s * m)
     qb, qe = _uniform_rows(j, k, "beta"), _uniform_row(h, "error")
     log_qb = _log_priors(qb)
-    _check_hull(y, x, zb, log_qb, ze, _log_priors(qe))
+    _check_hull(y, x, zb, log_qb, ze, _uniform_log_row(h))
     qb, log_qb = (np.broadcast_to(q, (s, j, k)) for q in (qb, log_qb))
     solved = _solve_dual(y, x, zb, ze, qb, log_qb, qe, 1.0, 1.0, solver)
     pt = solved.point

@@ -30,7 +30,12 @@ stack of one. Several constraints take damped Newton with one Woodbury
 direction for the whole stack (``_solve_multi``); a single one (m = 1: a
 one-observation fit or streaming step) takes a bracketed Newton kernel that
 never forms the dual value (``_StackKernel``). Both start from the priors'
-own moments, the point at lam = 0, without evaluating it.
+own moments, the point at lam = 0, without evaluating it. Each thread keeps
+the log prior, the start weights and the kernel of its last shared error row
+(``_solve_dual``), so the blocks of a stream set none of them up again. A log
+partition sum that is not finite is an error; the multi-row evaluation finds
+it through the dual value, tested once per evaluation, and the kernel through
+the gradient, and only then looks for the row to name.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -51,12 +56,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    ZERO_CLAMP,
     JointDistribution,
     SupportGrid,
     _SAFE_SUPPORT,
     _gibbs_rows,
     _integer,
+    _log_priors,
     _prechecked,
     _real,
     _row_sums,
@@ -86,7 +91,8 @@ _MAX_BACKTRACKS = 60
 # Relative ridge added to the Hessian diagonal when the plain system fails.
 _RIDGE_SCALE = 1e-10
 
-# Each thread's last shared error row: its key, log prior and _StackKernel (see _solve_dual).
+# Each thread's last shared error row: its key, log prior, start weights and _StackKernel
+# (see _solve_dual).
 _KERNELS = threading.local()
 
 
@@ -236,7 +242,7 @@ def _grid_ends(data: bytes, shape: tuple) -> tuple:
 
 def _live_bounds(z: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the smallest and largest live support point: log prior weight above -inf."""
-    if log_q.min() > -np.inf:  # every point is live, and rows are increasing
+    if np.minimum.reduce(log_q, axis=None) > -np.inf:  # every point is live; rows increase
         return z[..., 0], z[..., -1]
     live = log_q > -np.inf
     return np.where(live, z, np.inf).min(axis=-1), np.where(live, z, -np.inf).max(axis=-1)
@@ -311,7 +317,7 @@ class GceSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class _DualPoint:
     """Everything the iteration needs at one multiplier vector, for a stack of problems.
 
@@ -372,7 +378,7 @@ def _gibbs_kl(tilt: np.ndarray, mean: np.ndarray, ln_z: np.ndarray) -> np.ndarra
     return np.add.reduce(np.maximum(-tilt * mean - ln_z, 0.0), axis=1)
 
 
-def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_partition(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-sum-exp and the normalized row weights, from one exp, for a stack.
 
     The support points of a row lie along ``axis``: 2 for ``(S, rows,
@@ -384,25 +390,42 @@ def _log_partition(logits: np.ndarray, name: str, axis: int) -> tuple[np.ndarray
     and the two agree to the last few ulps. Returns the ``(S, rows)`` log
     partition sums and the weights, formed in place in ``logits``.
 
-    Entries of -inf (support points without prior weight) get zero weight; a
-    row whose log partition sum is not finite raises ValueError, naming the
-    row within the first problem that has one.
+    Entries of -inf (support points without prior weight) get zero weight.
+    A log partition sum is not checked here: a non-finite one makes its
+    problem's dual value non-finite, and ``evaluate`` tests that value once
+    per call, naming the first bad row only then (``_check_partitions``).
     """
     top = np.maximum.reduce(logits, axis=axis, keepdims=True)
     logits -= top
     np.exp(logits, out=logits)
     total = np.add.reduce(logits, axis=axis, keepdims=True)
-    ln_z = (np.log(total) + top).reshape(logits.shape[0], -1)
-    bad = ~np.isfinite(ln_z)
-    if bad.any():
-        raise ValueError(f"non-finite partition sum in {name} row {int(np.argwhere(bad)[0, 1])}")
     logits /= total
-    return ln_z, logits
+    return (np.log(total) + top).reshape(logits.shape[0], -1), logits
 
 
-def _log_priors(q: np.ndarray) -> np.ndarray:
-    """log q, with -inf where the prior weight is below the clamp."""
-    return np.where(q >= ZERO_CLAMP, np.log(np.maximum(q, ZERO_CLAMP)), -np.inf)
+def _check_partitions(ln_zb: np.ndarray, ln_ze: np.ndarray) -> None:
+    """Raise ValueError naming the first row whose log partition sum is not finite, if any.
+
+    Coefficient rows are searched first, then error rows; either way the
+    row is named within the first problem of the stack that has one.
+    """
+    for name, ln_z in (("coefficient", ln_zb), ("error", ln_ze)):
+        bad = ~np.isfinite(ln_z)
+        if bad.any():
+            raise ValueError(f"non-finite partition sum in {name} row {int(np.argwhere(bad)[0, 1])}")
+
+
+def _error_start(log_qe: np.ndarray) -> np.ndarray:
+    """The error prior's weights at lam = 0 as ``evaluate``'s Gibbs form normalizes them.
+
+    Takes the log weights ``log_qe`` (rows, H) and returns the read-only
+    ``(H, rows)`` weights, each row shifted by its maximum and summed in
+    sequence (``_row_sums``).
+    """
+    qe = np.exp(log_qe - np.maximum.reduce(log_qe, axis=1, keepdims=True))
+    qe = (qe / _row_sums(qe)[:, None]).T
+    qe.setflags(write=False)
+    return qe
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,8 +441,9 @@ class _DualEvaluator:
     and the coefficient prior weights ``qb`` (S, J, K), which only ``start``
     reads, with the logs ``log_qb`` the solve reads; the coefficient supports
     ``zb`` (J, K), the log error prior weights ``log_qe`` (``_log_priors`` of
-    the weights; one row may be shared by every observation) and the two
-    objective weights are the stack's.
+    the weights; one row may be shared by every observation) with their
+    start weights ``qe_t`` (``_error_start(log_qe)``, which only ``start``
+    reads) and the two objective weights are the stack's.
 
     Every problem's arithmetic is the one-problem arithmetic, operation for
     operation: dot products are batched ``matmul`` calls on each problem's
@@ -443,7 +467,7 @@ class _DualEvaluator:
     """
 
     def __init__(
-        self, y, x, zb, ze, qb, log_qb, log_qe, signal_weight: float, error_weight: float
+        self, y, x, zb, ze, qb, log_qb, log_qe, qe_t, signal_weight: float, error_weight: float
     ):
         self.y = np.ascontiguousarray(y)
         self.x = np.ascontiguousarray(x)
@@ -455,7 +479,7 @@ class _DualEvaluator:
         self.zb = np.ascontiguousarray(zb)  # a tiled grid's rows are a broadcast view
         self.ze_t = np.ascontiguousarray(ze.transpose(0, 2, 1))
         self.qb, self.log_qb = qb, log_qb
-        self.log_qe_t = np.ascontiguousarray(log_qe.T)
+        self.log_qe_t, self.qe_t = np.ascontiguousarray(log_qe.T), qe_t
         self.wb = float(signal_weight)
         self.we = float(error_weight)
         j, k = self.zb.shape
@@ -481,22 +505,21 @@ class _DualEvaluator:
 
         The coefficient weights are the prior weights with dead points (log
         -inf) zeroed, no exp or log: ``evaluate``'s Gibbs rows at zero to
-        rounding, bit for bit on uniform rows. The error weights are the
-        error prior as ``evaluate``'s Gibbs form normalizes it, its bits.
-        The means and gradient take ``evaluate``'s reductions; a shared
-        error row is reduced as one column only while H < 8, as numpy sums a
-        lone column pairwise from 8 points on but ``evaluate``'s ``(H, m)``
-        rows in sequence. The tilt and both log partitions are zero, so the
-        value is the offset.
+        rounding, bit for bit on uniform rows. The error weights are
+        ``qe_t``, the error prior as ``evaluate``'s Gibbs form normalizes
+        it, its bits; ``_solve_dual`` keeps a shared row's with its log, so
+        a stream's blocks normalize it once. The means and gradient take
+        ``evaluate``'s reductions; a shared error row is reduced as one
+        column only while H < 8, as numpy sums a lone column pairwise from 8
+        points on but ``evaluate``'s ``(H, m)`` rows in sequence. The tilt
+        and both log partitions are zero, so the value is the offset.
         """
         add = np.add.reduce
         s, m = self.y.shape
         pb = self.qb * (self.log_qb > -np.inf)
         beta_hat = add(pb * self.zb, axis=2)
 
-        ze, log_qe = self.ze_t, self.log_qe_t.T  # (rows, H)
-        qe = np.exp(log_qe - np.maximum.reduce(log_qe, axis=1, keepdims=True))
-        qe = (qe / _row_sums(qe)[:, None]).T  # (H, rows), each row summed in sequence
+        ze, qe = self.ze_t, self.qe_t
         h, cols = qe.shape
         pe = np.empty((s, h, m))
         pe[...] = qe
@@ -504,7 +527,7 @@ class _DualEvaluator:
         eps_hat = add((qe if one else pe) * ze, axis=1)
         grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
         if one:
-            eps_hat = np.repeat(eps_hat, m, axis=1)
+            eps_hat = eps_hat.repeat(m, axis=1)
         j = self.zb.shape[0]
         return _DualPoint(
             np.full(s, self.offset), grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat,
@@ -516,19 +539,21 @@ class _DualEvaluator:
         add = np.add.reduce
         tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
         zb = self.zb
-        ln_zb, pb = _log_partition(self.log_qb - zb * tilt[:, :, None], "coefficient", 2)
+        ln_zb, pb = _log_partition(self.log_qb - zb * tilt[:, :, None], 2)
         beta_hat = add(pb * zb, axis=2)
 
         ze = self.ze_t
         logits = ze * (lam / self.we)[:, None, :]
         np.subtract(self.log_qe_t, logits, out=logits)
-        ln_ze, pe = _log_partition(logits, "error", 1)
+        ln_ze, pe = _log_partition(logits, 1)
         eps_hat = add(pe * ze, axis=1)
 
         value = (
             np.matmul(lam[:, None, :], self.y_col)[:, 0, 0] + self.wb * add(ln_zb, axis=1)
             + self.we * add(ln_ze, axis=1) + self.offset
         )
+        if not np.isfinite(value).all():  # as any non-finite log partition sum makes it
+            _check_partitions(ln_zb, ln_ze)
         grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
         return _DualPoint(
             value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb, ln_ze
@@ -619,12 +644,14 @@ def _newton_direction(ev: _DualEvaluator, grad, vb, ve):
     the gradient and the curvatures ``vb`` and ``ve`` of ``ev``'s problems;
     returns the directions (S, m) and their dot products with the gradient.
     """
-    if (vb > 0.0).all() and (ve > 0.0).all():
+    # each least entry, NaN if any is (an empty array passes): what .all() of ``> 0.0`` says
+    least = np.minimum.reduce
+    if least(vb, axis=None, initial=np.inf) > 0.0 < least(ve, axis=None, initial=np.inf):
         e = _error_diagonal(False, ev.x, vb, ve)
         d = _woodbury(ev.xt, vb, e, grad / e)
         if d is not None and np.isfinite(d).all():
             ascent = _row_dots(grad, d)
-            if (ascent > 0.0).all():
+            if least(ascent, axis=None) > 0.0:
                 return -d, -ascent
     direction = -grad
     for i in range(len(grad)):
@@ -655,14 +682,16 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
     Curvature is formed only where a Newton direction reads it. The solve
     starts from ``ev.start()``, the priors' own point, and ``evaluate``
     runs once per trial. Returns the multipliers (S, m), the final stacked
-    ``_DualPoint`` and the iteration counts (an integer array).
+    ``_DualPoint``, the iteration counts (an integer array) and each
+    problem's residual, the largest ``|grad|`` at its final point.
     """
     s = ev.y.shape[0]
     tol = settings.constraint_tolerance
     lam = np.zeros(ev.y.shape)
     pt = ev.start()
     iterations = np.zeros(s, dtype=int)
-    run = np.flatnonzero(np.maximum.reduce(np.abs(pt.grad), axis=1) > tol)
+    residual = np.maximum.reduce(np.abs(pt.grad), axis=1)
+    run = (residual > tol).nonzero()[0]
     # a running problem has moved on every iteration so far, so its count is the loop's
     for count in range(1, settings.max_iterations + 1):
         if not run.size:
@@ -676,11 +705,12 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
             trial = lam_t + step * direction
             cand = ev_t.evaluate(trial)
             ok = cand.value <= cur.value + _ARMIJO_SLOPE * step * slope
-            if not ok.all():
+            every = ok.all()  # reduced once; the Wolfe test's verdict only where it is needed
+            if not every:
                 flat = np.abs(cand.value - cur.value) <= _FLAT_VALUE * np.abs(cur.value)
                 ok |= flat & (_row_dots(cand.grad, direction) <= (2 * _WOLFE_DELTA - 1) * slope)
             if looking is None:
-                if whole and ok.all():  # the whole stack accepts at once
+                if whole and (every or ok.all()):  # the whole stack accepts at once
                     lam, pt = trial, cand
                     break
                 looking = np.ones(run.size, dtype=bool)
@@ -698,9 +728,12 @@ def _solve_multi(ev: _DualEvaluator, settings: SolverSettings):
         else:  # the problems still looking found no decrease, and stop
             run = run[~looking]
         iterations[run] = count
-        grad = pt.grad if run.size == s else pt.grad[run]
-        run = run[np.maximum.reduce(np.abs(grad), axis=1) > tol]
-    return lam, pt, iterations
+        if run.size == s:
+            residual = moved = np.maximum.reduce(np.abs(pt.grad), axis=1)
+        else:
+            residual[run] = moved = np.maximum.reduce(np.abs(pt.grad[run]), axis=1)
+        run = run[moved > tol]
+    return lam, pt, iterations, residual
 
 
 class _StackKernel:
@@ -940,10 +973,13 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
     one observation (m = 1) are solved together by a ``_StackKernel``,
     problems of more by ``_solve_multi`` on one ``_DualEvaluator`` over the
     stack; either way a problem gets the bits it would get alone. Each
-    thread keeps the log and (once m = 1 needs it) kernel of its last shared
-    error row, reused while ``zb`` and ``qe`` hold the same values, whatever
-    the weights, with the bits new ones would give; a per-row ``qe`` leaves
-    them be. Returns a ``_Solved``.
+    thread keeps, for its last shared error row, the row's log prior, its
+    start weights (``_error_start``, once m >= 2 needs them) and its kernel
+    (once m = 1 needs it), reused while ``zb`` and ``qe`` hold the same
+    values, whatever the weights, with the bits new ones would give; so a
+    stream's blocks form the log and normalize the row once. A per-row
+    ``qe`` leaves them be. The residual is the largest ``|grad|`` of each
+    problem, its one entry at m = 1. Returns a ``_Solved``.
     """
     one = y.shape[1] == 1
     if qe.shape[0] == 1:  # one shared error row, as every m = 1 solve and stream block has
@@ -952,29 +988,35 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
         if last is None or last[0] != key:
             log_qe = _log_priors(qe)
             log_qe.setflags(write=False)
-            _KERNELS.last = last = key, log_qe, None
-        if one and last[2] is None:
-            _KERNELS.last = last = key, last[1], _StackKernel(zb, last[1][0])
-        log_qe, kernel = last[1:]
+            _KERNELS.last = last = key, log_qe, None, None
+        if one:
+            if last[3] is None:
+                _KERNELS.last = last = (*last[:3], _StackKernel(zb, last[1][0]))
+        elif last[2] is None:
+            _KERNELS.last = last = (*last[:2], _error_start(last[1]), last[3])
+        log_qe, qe_t, kernel = last[1:]
     else:
         log_qe = _log_priors(qe)
+        qe_t = _error_start(log_qe)
     if one:
         lam, pt, iterations = kernel.solve(
             qb, log_qb, y[:, 0], x[:, 0], ze[:, 0], signal_weight, error_weight, settings
         )
+        residual = np.abs(pt.grad[:, 0])
     else:
-        ev = _DualEvaluator(y, x, zb, ze, qb, log_qb, log_qe, signal_weight, error_weight)
-        lam, pt, iterations = _solve_multi(ev, settings)
-    residual, tol = np.abs(pt.grad).max(axis=1), settings.constraint_tolerance
-    return _Solved(lam, pt, np.asarray(iterations), residual, residual <= tol)
+        ev = _DualEvaluator(y, x, zb, ze, qb, log_qb, log_qe, qe_t, signal_weight, error_weight)
+        lam, pt, iterations, residual = _solve_multi(ev, settings)
+    return _Solved(lam, pt, np.asarray(iterations), residual,
+                   residual <= settings.constraint_tolerance)
 
 
 def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
     """The evaluator of a stack of one: a problem's data, grid and prior."""
     grid, prior = problem.supports, problem.prior
+    log_qe = _log_priors(_shared(prior.error))
     return _DualEvaluator(
         problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
-        prior.beta[None], _log_priors(prior.beta)[None], _log_priors(_shared(prior.error)),
+        prior.beta[None], _log_priors(prior.beta)[None], log_qe, _error_start(log_qe),
         signal_weight, error_weight,
     )
 

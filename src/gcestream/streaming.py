@@ -57,11 +57,13 @@ from .core import (
     _checked_row,
     _error_rows,
     _integer,
+    _log_priors,
     _prechecked,
     _real,
     _shared,
     _simplex_rows,
     _support_rows,
+    _uniform_log_row,
     _uniform_row,
     expectation,
 )
@@ -75,7 +77,6 @@ from .solver import (
     _grid_ends,
     _hull,
     _hull_error,
-    _log_priors,
     _solve_dual,
     _Solved,
     solve_gce,
@@ -134,15 +135,19 @@ class _Log(Sequence):
         self._filled = [self._size] if filled is None else filled
 
     def extended(self, values) -> "_Log":
-        n, size = self._size, self._size + len(values)
         with _APPEND_LOCK:
-            array, filled = self._array, self._filled
-            if filled[0] != n or len(array) < size:
-                grown = np.empty((2 * size, *array.shape[1:]), dtype=array.dtype)
-                grown[:n] = array[:n]
-                array, filled = grown, [n]
-            array[n:size] = values
-            filled[0] = size
+            return self._appended(values)
+
+    def _appended(self, values) -> "_Log":
+        # ``extended`` without the lock, for a caller that holds it
+        n, size = self._size, self._size + len(values)
+        array, filled = self._array, self._filled
+        if filled[0] != n or len(array) < size:
+            grown = np.empty((2 * size, *array.shape[1:]), dtype=array.dtype)
+            grown[:n] = array[:n]
+            array, filled = grown, [n]
+        array[n:size] = values
+        filled[0] = size
         return _Log(array, size, filled)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -315,15 +320,14 @@ def _check_block(y, x, zb, rows, weight: float = 1.0):
 
     Takes float arrays: ``y`` 1-D, ``x`` 2-D and the error support ``rows``,
     one per observation or a single row, 1-D or ``(1, H)``, shared by all and
-    checked once per value. Returns them with the rows, one per observation,
-    checked as ``SupportGrid`` and ``GceProblem`` (at signal weight
-    ``weight``) would check them. The hull is left to the caller.
+    checked once per value. Returns them with the rows checked as
+    ``SupportGrid`` and ``GceProblem`` (at signal weight ``weight``) would
+    check them: one per observation, or the shared row as ``(1, H)``, which
+    the hull test and the solve broadcast. The hull is left to the caller.
     """
     one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
     rows = _checked_row(rows, "error_support") if one else _error_rows(rows)
-    if rows.shape[0] == 1 and y.size > 1:
-        rows = np.broadcast_to(rows, (y.size, rows.shape[1]))
-    _check_observations(y, x, zb, rows.shape[0], weight)
+    _check_observations(y, x, zb, y.size if one else rows.shape[0], weight)
     return y, x, rows
 
 
@@ -362,8 +366,9 @@ def _absorb(carried, log_carried, zb, y, x, rows, settings):
 
     ``carried`` holds S ``(J, K)`` priors as weights, ``log_carried`` as the
     logs the solve reads, and ``y`` (S, m), ``x`` (S, m, J) and ``rows`` (S,
-    m, H) one block per prior, each error row with a uniform prior. The
-    caller has checked each block's live hull, or trusts it. One
+    m, H; S, 1, H for a row each block shares) one block per prior, each
+    error row with a uniform prior. The caller has checked each block's
+    live hull, or trusts it. One
     ``_solve_dual`` solves the stack, from each carried prior's moments; its
     final point gives the new logs ``log_carried - z * t - ln Z`` (a dead
     point stays -inf, and no other dies) and the ledger entries
@@ -442,7 +447,7 @@ def block_update(
     block = _ordinary_step(y, x, zb, rows, log_carried, gamma)
     if block is None:
         block = y, x, rows = _check_block(y, x, zb, rows, gamma)
-        _check_hull(y, x, zb, log_carried, rows, _log_priors(_uniform_row(rows.shape[1], "error")))
+        _check_hull(y, x, zb, log_carried, rows, _uniform_log_row(rows.shape[1]))
     y, x, rows = block
     absorbed = _absorb(
         state.beta_prior[None], log_carried[None], zb, y[None], x[None], rows[None], settings
@@ -451,14 +456,19 @@ def block_update(
     prior, log_prior = np.ascontiguousarray(absorbed.prior[0]), absorbed.log_prior[0]
     prior.setflags(write=False)
     log_prior.setflags(write=False)
+    point = absorbed.solved.point
+    with _APPEND_LOCK:
+        logs = [
+            log._appended(values) for log, values in (
+                (state.epsilon_log, point.eps_hat[0]), (state.entropy_ledger, absorbed.ledger),
+                (state.beta_trajectory, point.beta_hat),
+                (state.converged_log, absorbed.solved.converged),
+            )
+        ]
     return _prechecked(
         StreamState, beta_prior=prior, supports=state.supports,
-        step_index=state.step_index + y.size,
-        epsilon_log=state.epsilon_log.extended(absorbed.solved.point.eps_hat[0]),
-        entropy_ledger=state.entropy_ledger.extended(absorbed.ledger),
-        beta_trajectory=state.beta_trajectory.extended(absorbed.solved.point.beta_hat),
-        converged_log=state.converged_log.extended(absorbed.solved.converged),
-        log_prior=log_prior,
+        step_index=state.step_index + y.size, epsilon_log=logs[0], entropy_ledger=logs[1],
+        beta_trajectory=logs[2], converged_log=logs[3], log_prior=log_prior,
     )
 
 
@@ -470,8 +480,9 @@ def update_step(
     settings: UpdateSettings | None = None,
 ) -> StreamState:
     """Absorb one observation; identical to a block of size one, its row checked once per value."""
-    x_row = np.reshape(x_new, (1, -1))
-    return block_update(state, [y_new], x_row, np.reshape(error_support_row, (1, -1)), settings)
+    x_row = np.asarray(x_new, dtype=float).reshape(1, -1)
+    row = np.asarray(error_support_row, dtype=float).reshape(1, -1)
+    return block_update(state, [y_new], x_row, row, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +573,7 @@ def _prepare_stream(
     else:
         error_row = _scaled_error_support(y, batch_size, error_scale, error_points)
     y, x, rows = _check_block(y, x, zb, error_row, settings.gamma)
+    rows = np.broadcast_to(rows, (n, rows.shape[1]))  # one per observation
     if error_support is None and error_scale == "cumulative":
         rows = rows.copy()  # each block scaled to the responses seen by its end
         for start in range(batch_size, n, block_size):
@@ -579,8 +591,7 @@ def _prepare_stream(
         solution = solve_gce(GceProblem(y[:batch_size], x[:batch_size], grid), settings.solver)
         batch_fit = _Fit(solution.distributions.beta, solution.beta_hat, solution.epsilon_hat,
                          solution.diagnostics.converged)
-    log_qe = _log_priors(_uniform_row(rows.shape[1], "error"))
-    lo, hi = _hull(x, zb, _log_priors(batch_fit.beta), rows, log_qe)
+    lo, hi = _hull(x, zb, _log_priors(batch_fit.beta), rows, _uniform_log_row(rows.shape[1]))
     inside = (lo < y) & (y < hi)
     return _Stream(y, x, rows, inside, settings, batch_size, block_size, batch_fit, grid, solution)
 
@@ -641,7 +652,7 @@ class _Lane:
         first = members[0]
         self.zb, self.settings = first.grid.beta_support, first.settings
         self.g, self.outcomes = g, outcomes
-        self.log_qe = _log_priors(_uniform_row(first.rows.shape[1], "error"))
+        self.log_qe = _uniform_log_row(first.rows.shape[1])
         self.batch = batch = np.array([stream.batch for stream in members])
         post = np.array([stream.y.size for stream in members]) - batch
         self.count = count = -(-post // g)

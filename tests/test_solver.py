@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -880,7 +881,8 @@ POINT_FIELDS = ("grad", "pb", "pe", "beta_hat", "eps_hat", "curv_beta", "curv_ep
 def one_problem_evaluator(y, x, zb, ze, log_qb, log_qe, wb, we):
     """The evaluator of a stack of one problem, from that problem's arrays."""
     return solver._DualEvaluator(
-        y[None], x[None], zb, ze[None], np.exp(log_qb)[None], log_qb[None], log_qe, wb, we
+        y[None], x[None], zb, ze[None], np.exp(log_qb)[None], log_qb[None], log_qe,
+        solver._error_start(log_qe), wb, we,
     )
 
 
@@ -945,6 +947,71 @@ def test_evaluator_names_the_first_non_finite_error_row(shared):
         ):
             with pytest.raises(ValueError, match="^non-finite partition sum in error row 6$"):
                 evaluate(lam)
+
+
+def test_the_one_partition_check_names_the_first_bad_row_of_a_stack():
+    # evaluate tests the dual values once and only then searches the rows:
+    # coefficient rows first, each kind in the first problem that has one.
+    # A NaN prior or support poisons exactly its row without a floating-point
+    # warning, so this runs under the suite's RuntimeWarning filter as it is
+    y, x, zb, ze, log_qb, log_qe = evaluator_inputs(3, False, seed=7)
+    stack = (np.stack([y] * 3), np.stack([x] * 3), np.stack([ze] * 3))
+    lam = np.random.default_rng(7).normal(scale=0.1, size=(3, y.size))
+
+    def first_bad_row(bad_b=(), bad_e=()):
+        qb_logs, ze3 = np.stack([log_qb] * 3), stack[2].copy()
+        for problem, row in bad_b:
+            qb_logs[problem, row, 2] = np.nan
+        for problem, row in bad_e:
+            ze3[problem, row, 0] = np.nan
+        ev = solver._DualEvaluator(
+            *stack[:2], zb, ze3, np.exp(qb_logs), qb_logs, log_qe, solver._error_start(log_qe),
+            0.5, 0.5,
+        )
+        with pytest.raises(ValueError) as caught:
+            ev.evaluate(lam)
+        return str(caught.value)
+
+    assert first_bad_row(bad_b=[(1, 2)]) == "non-finite partition sum in coefficient row 2"
+    assert first_bad_row(bad_e=[(2, 17)]) == "non-finite partition sum in error row 17"
+    assert first_bad_row(bad_b=[(2, 0)], bad_e=[(0, 5)]) == (
+        "non-finite partition sum in coefficient row 0"
+    )
+    assert first_bad_row(bad_e=[(1, 30), (2, 4)]) == "non-finite partition sum in error row 30"
+    assert first_bad_row(bad_b=[(0, 1), (1, 0)]) == (
+        "non-finite partition sum in coefficient row 1"
+    )
+
+
+@pytest.mark.parametrize("kind, row", [("coefficient", 1), ("error", 9)])
+def test_a_solve_that_meets_a_bad_row_raises_its_message(monkeypatch, kind, row):
+    # a solve's first trial meets one poisoned row, which its start does not
+    # read: solve_gce, a block_update of 40 and a stacked solve (the row
+    # poisoned in its last problem) raise the message that names it
+    init = solver._DualEvaluator.__init__
+
+    def poisoned(self, *args):
+        init(self, *args)
+        if kind == "coefficient":  # a NaN log is a dead point to start, a NaN row to a trial
+            self.log_qb = self.log_qb.copy()
+            self.log_qb[-1, row, 0] = np.nan
+        else:  # start reads the start weights, a trial each observation's log prior
+            h, m = self.log_qe_t.shape[0], self.y.shape[1]
+            self.log_qe_t = np.broadcast_to(self.log_qe_t, (h, m)).copy()
+            self.log_qe_t[0, row] = np.nan
+
+    message = f"^non-finite partition sum in {kind} row {row}$"
+    problem = protocol_like_problem(n=40)
+    state, _ = init_stream(protocol_like_problem(n=40, seed=6))
+    monkeypatch.setattr(solver._DualEvaluator, "__init__", poisoned)
+    with pytest.raises(ValueError, match=message):
+        solve_gce(problem)
+    with pytest.raises(ValueError, match=message):
+        block_update(state, problem.y, problem.x, state.supports.error_support[0])
+    ys, xs, zb, ze, qb, qe = problem_stack([problem, protocol_like_problem(n=40, seed=8)])
+    with pytest.raises(ValueError, match=message):
+        solver._solve_dual(ys, xs, zb, ze, qb, solver._log_priors(qb), qe, 1.0, 1.0,
+                           SolverSettings())
 
 
 # ---------------------------------------------------------------------------
@@ -1213,7 +1280,8 @@ def test_the_start_on_a_carried_stream_prior_is_the_point_at_zero_to_an_ulp():
         rows = np.tile(row, (2, 1))
         ev = solver._DualEvaluator(
             y[None, a : a + 2], x[None, a : a + 2], state.supports.beta_support, rows[None],
-            state.beta_prior[None], state.log_prior[None], log_qe, 0.5, 0.5,
+            state.beta_prior[None], state.log_prior[None], log_qe, solver._error_start(log_qe),
+            0.5, 0.5,
         )
         got, want = ev.start(), ev.evaluate(np.zeros((1, 2)))
         for name in worst:
@@ -1222,6 +1290,59 @@ def test_the_start_on_a_carried_stream_prior_is_the_point_at_zero_to_an_ulp():
             worst[name] = max(worst[name], float((np.abs(a_ - b_) / np.spacing(scale)).max()))
         state = block_update(state, y[a : a + 2], x[a : a + 2], rows)
     assert max(worst.values()) <= 1.0 and worst["pb"] > 0.0, worst
+
+
+def assert_same_point(got, want):
+    for name in solver._DualPoint.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("h", [3, 9])
+def test_the_start_through_the_thread_cache_is_a_fresh_evaluators_start(monkeypatch, h):
+    # a solve's evaluator reads a shared error row's start weights from the
+    # thread's cache, cold or warm: its start has the bits of an evaluator
+    # built directly, as _evaluator builds one for a fit and as a caller
+    # builds one for a block on a carried prior (its error rows one per
+    # observation); from 8 points on a shared row is reduced across all m
+    # columns, as one per observation is
+    starts = []
+    solve_multi = solver._solve_multi
+
+    def recorded(ev, settings):
+        starts.append(ev.start())
+        return solve_multi(ev, settings)
+
+    monkeypatch.setattr(solver, "_solve_multi", recorded)
+    monkeypatch.setattr(solver, "_KERNELS", threading.local())
+    for problem in one_row_problems(h, 40)[:2]:
+        for weights in ((1.0, 1.0), (0.3, 0.7)):
+            starts.clear()
+            for _ in range(2):  # the tiled grid's first solve fills the cache, the second reads it
+                solve_gce(problem, signal_weight=weights[0], error_weight=weights[1])
+            want = solver._evaluator(problem, *weights).start()
+            assert len(starts) == 2
+            for got in starts:
+                assert_same_point(got, want)
+
+    data = generate_dataset(SimulationConfig(n=200, seed=181))
+    y, x = data.y, np.column_stack([np.ones(data.n), data.x])
+    row = build_error_support(y[:60], h)
+    state, _ = init_stream(GceProblem(y[:60], x[:60], SupportGrid.tiled(
+        DEFAULT_BETA_SUPPORT, x.shape[1], row, 60)))
+    log_qe = solver._log_priors(np.full((1, h), 1.0 / h))
+    for a in range(60, 200, 35):
+        starts.clear()
+        block = y[a : a + 35], x[a : a + 35]
+        after = block_update(state, *block, row)
+        ev = solver._DualEvaluator(
+            block[0][None], block[1][None], state.supports.beta_support,
+            np.tile(row, (35, 1))[None], state.beta_prior[None], state.log_prior[None], log_qe,
+            solver._error_start(log_qe), 0.5, 0.5,
+        )
+        (got,) = starts
+        assert_same_point(got, ev.start())
+        state = after
 
 
 def test_iteration_cap_returns_unconverged_solution():

@@ -2198,6 +2198,41 @@ def test_the_blocks_of_a_stream_form_the_log_of_their_error_row_once(monkeypatch
     assert kernels == []
 
 
+def test_the_blocks_of_a_stream_normalize_their_error_row_once_per_value(monkeypatch):
+    # 48 blocks of 40, the first 24 on one shared error row of 3 points and
+    # the rest on one of 5: the thread keeps each uniform error prior's start
+    # weights with its log, so the prior is normalized once per value, and
+    # every state is the one a fresh thread (a cold cache at every block) gives
+    normalized = []
+    error_start = solver._error_start
+
+    def counted(log_qe):
+        normalized.append(log_qe.tobytes())
+        return error_start(log_qe)
+
+    start, y, design, error_row = stream_after_batch(n=20 + 48 * 40, batch=20)
+    wide = np.linspace(error_row[0], error_row[-1], 5)
+    rows = [error_row if k < 24 else wide for k in range(48)]
+
+    def run(fresh):
+        state, states = start, []
+        for k, row in enumerate(rows):
+            if fresh:
+                monkeypatch.setattr(solver, "_KERNELS", threading.local())
+            a = 20 + 40 * k
+            state = block_update(state, y[a : a + 40], design[a : a + 40], row)
+            states.append((state.beta_prior.tobytes(), state.log_prior.tobytes()))
+        return states
+
+    monkeypatch.setattr(solver, "_error_start", counted)
+    monkeypatch.setattr(solver, "_KERNELS", threading.local())
+    cached = run(fresh=False)
+    assert normalized == [core_module._uniform_log_row(h).tobytes() for h in (3, 5)]
+    normalized.clear()
+    assert run(fresh=True) == cached
+    assert len(normalized) == 48
+
+
 def test_threads_updating_at_once_each_use_their_own_kernel():
     # every thread updates from one state, so all ask for the same kernel; a
     # kernel shared between threads would have its buffers reloaded by one
