@@ -393,7 +393,7 @@ def _log_partition(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarra
     Entries of -inf (support points without prior weight) get zero weight.
     A log partition sum is not checked here: a non-finite one makes its
     problem's dual value non-finite, and ``evaluate`` tests that value once
-    per call, naming the first bad row only then (``_check_partitions``).
+    per call, looking for the first bad row only then.
     """
     top = np.maximum.reduce(logits, axis=axis, keepdims=True)
     logits -= top
@@ -401,18 +401,6 @@ def _log_partition(logits: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarra
     total = np.add.reduce(logits, axis=axis, keepdims=True)
     logits /= total
     return (np.log(total) + top).reshape(logits.shape[0], -1), logits
-
-
-def _check_partitions(ln_zb: np.ndarray, ln_ze: np.ndarray) -> None:
-    """Raise ValueError naming the first row whose log partition sum is not finite, if any.
-
-    Coefficient rows are searched first, then error rows; either way the
-    row is named within the first problem of the stack that has one.
-    """
-    for name, ln_z in (("coefficient", ln_zb), ("error", ln_ze)):
-        bad = ~np.isfinite(ln_z)
-        if bad.any():
-            raise ValueError(f"non-finite partition sum in {name} row {int(np.argwhere(bad)[0, 1])}")
 
 
 def _error_start(log_qe: np.ndarray) -> np.ndarray:
@@ -535,7 +523,12 @@ class _DualEvaluator:
         )
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
-        """The point at the multipliers ``lam`` (S, m)."""
+        """The point at the multipliers ``lam`` (S, m).
+
+        A row whose log partition sum is not finite raises ValueError, naming
+        the row within the first problem that has one, coefficient rows
+        first; only a dual value that is not finite sends it looking.
+        """
         add = np.add.reduce
         tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
         zb = self.zb
@@ -553,7 +546,11 @@ class _DualEvaluator:
             + self.we * add(ln_ze, axis=1) + self.offset
         )
         if not np.isfinite(value).all():  # as any non-finite log partition sum makes it
-            _check_partitions(ln_zb, ln_ze)
+            for name, ln_z in (("coefficient", ln_zb), ("error", ln_ze)):
+                bad = ~np.isfinite(ln_z)
+                if bad.any():  # named within the first problem that has one
+                    raise ValueError(f"non-finite partition sum in {name} row "
+                                     f"{int(np.argwhere(bad)[0, 1])}")
         grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
         return _DualPoint(
             value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb, ln_ze
