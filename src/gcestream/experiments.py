@@ -397,14 +397,11 @@ class _CellPlan:
         clock = time.perf_counter
         t_start = clock()
         scenario, y_fit, n = self.scenario, self.y_fit, self.y_fit.size
-        est_int = scenario.estimate_intercept
         update_settings = UpdateSettings(gamma=scenario.gamma, solver=self.solver)
 
         def result(key, method):
             fit = self.fits[key]
-            score = rmse(y_fit, self.x, fit.beta_hat, include_intercept=est_int)
-            wallclock_ms = self.method_seconds[key] * 1e3
-            return MethodResult(method, score, None, fit.converged, wallclock_ms)
+            return self._result(method, None, self.x, fit, fit.converged, self.method_seconds[key])
 
         full_result = result("gce_dataset", "gce_dataset")
         for fraction in scenario.batch_fractions:
@@ -428,13 +425,19 @@ class _CellPlan:
         self.planning_seconds += clock() - t_start
         return self
 
+    def _result(self, method, g, x_eval, fitted, converged, seconds) -> MethodResult:
+        """A method's result: the ``beta_hat`` of ``fitted`` (a one-shot fit or a stream's
+        report) scored on ``x_eval``, with the wall time ``seconds`` charged to it."""
+        score = rmse(self.y_fit, x_eval, fitted.beta_hat,
+                     include_intercept=self.scenario.estimate_intercept)
+        return MethodResult(method, score, g, converged, seconds * 1e3)
+
     def finish(self, folded) -> CellOutcome:
         """Score the cell on its folded streams, given as (report, seconds charged) in order.
 
         Raises the first exception a stream of the cell raised.
         """
         t0 = time.perf_counter()
-        est_int = self.scenario.estimate_intercept
         method_seconds = dict(self.method_seconds)
         charged = 0.0
         folded = iter(folded)
@@ -448,9 +451,9 @@ class _CellPlan:
                 method_seconds[key] += dt
                 charged += dt
                 converged = report.all_converged and not report.skipped
-                score = rmse(self.y_fit, x_eval, report.beta_hat, include_intercept=est_int)
-                wallclock_ms = method_seconds[key] * 1e3
-                results.append(MethodResult(method, score, g, converged, wallclock_ms))
+                results.append(
+                    self._result(method, g, x_eval, report, converged, method_seconds[key])
+                )
             reports.append(
                 RunReport(
                     n=self.y_fit.size,

@@ -30,12 +30,16 @@ stack of one. Several constraints take damped Newton with one Woodbury
 direction for the whole stack (``_solve_multi``); a single one (m = 1: a
 one-observation fit or streaming step) takes a bracketed Newton kernel that
 never forms the dual value (``_StackKernel``). Both start from the priors'
-own moments, the point at lam = 0, without evaluating it. Each thread keeps
-the log prior, the start weights and the kernel of its last shared error row
-(``_solve_dual``), so the blocks of a stream set none of them up again. A log
-partition sum that is not finite is an error; the multi-row evaluation finds
-it through the dual value, tested once per evaluation, and the kernel through
-the gradient, and only then looks for the row to name.
+own moments, the point at lam = 0, without evaluating it, and each builds
+that start and every iterate through one method (``_DualEvaluator._point``,
+``_StackKernel._moments``). ``solve_gce`` and the evaluator behind
+``gibbs_weights`` and ``dual_objective`` unpack a ``GceProblem`` through one
+adapter (``_stack_of_one``). Each thread keeps the log prior, the start
+weights and the kernel of its last shared error row (``_solve_dual``), so
+the blocks of a stream set none of them up again. A log partition sum that
+is not finite is an error; the multi-row evaluation finds it through the
+dual value, tested once per evaluation, and the kernel through the gradient,
+and only then looks for the row to name.
 
 The same machinery also minimizes the reweighted objective
 ``signal_weight * KL(beta rows) + error_weight * KL(error rows)`` used by the
@@ -346,7 +350,7 @@ class _DualPoint:
     def take(self, rows) -> "_DualPoint":
         """The point of the problems ``rows``; an index gives one problem's arrays.
 
-        The error weights stay views of ``(H, m)`` rows, as ``evaluate`` lays
+        The error weights stay views of ``(H, m)`` rows, as ``_point`` lays
         them out.
         """
         pe = np.swapaxes(np.swapaxes(self.pe, -1, -2)[rows], -1, -2)
@@ -433,6 +437,10 @@ class _DualEvaluator:
     start weights ``qe_t`` (``_error_start(log_qe)``, which only ``start``
     reads) and the two objective weights are the stack's.
 
+    ``start`` and ``evaluate`` form only their rows, tilts, log partitions
+    and value, and share one point builder, ``_point``, as the kernel's
+    ``start`` and ``at`` share ``_moments``.
+
     Every problem's arithmetic is the one-problem arithmetic, operation for
     operation: dot products are batched ``matmul`` calls on each problem's
     own (transposed) view, the calls numpy makes for one problem's 2-D
@@ -495,52 +503,32 @@ class _DualEvaluator:
         -inf) zeroed, no exp or log: ``evaluate``'s Gibbs rows at zero to
         rounding, bit for bit on uniform rows. The error weights are
         ``qe_t``, the error prior as ``evaluate``'s Gibbs form normalizes
-        it, its bits; ``_solve_dual`` keeps a shared row's with its log, so
-        a stream's blocks normalize it once. The means and gradient take
-        ``evaluate``'s reductions; a shared error row is reduced as one
-        column only while H < 8, as numpy sums a lone column pairwise from 8
-        points on but ``evaluate``'s ``(H, m)`` rows in sequence. The tilt
-        and both log partitions are zero, so the value is the offset.
+        it, its bits, tiled over the stack; ``_solve_dual`` keeps a shared
+        row's with its log, so a stream's blocks normalize it once. The tilt
+        and both log partitions are zero, so the value is the offset; the
+        means and the gradient are ``_point``'s, as ``evaluate``'s are.
         """
-        add = np.add.reduce
-        s, m = self.y.shape
-        pb = self.qb * (self.log_qb > -np.inf)
-        beta_hat = add(pb * self.zb, axis=2)
-
-        ze, qe = self.ze_t, self.qe_t
-        h, cols = qe.shape
-        pe = np.empty((s, h, m))
-        pe[...] = qe
-        one = ze.shape[2] == cols == 1 and h < 8
-        eps_hat = add((qe if one else pe) * ze, axis=1)
-        grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
-        if one:
-            eps_hat = eps_hat.repeat(m, axis=1)
-        j = self.zb.shape[0]
-        return _DualPoint(
-            np.full(s, self.offset), grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat,
-            np.zeros((s, j)), np.zeros((s, j)), np.zeros((s, m)),
-        )
+        (s, m), j = self.y.shape, self.zb.shape[0]
+        pe = np.empty((s, self.qe_t.shape[0], m))
+        pe[...] = self.qe_t
+        return self._point(np.full(s, self.offset), self.qb * (self.log_qb > -np.inf), pe,
+                           np.zeros((s, j)), np.zeros((s, j)), np.zeros((s, m)))
 
     def evaluate(self, lam: np.ndarray) -> _DualPoint:
         """The point at the multipliers ``lam`` (S, m).
 
-        A row whose log partition sum is not finite raises ValueError, naming
-        the row within the first problem that has one, coefficient rows
-        first; only a dual value that is not finite sends it looking.
+        Forms the Gibbs rows and their log partitions, the dual value from
+        them, and the rest through ``_point``. A row whose log partition sum
+        is not finite raises ValueError, naming the row within the first
+        problem that has one, coefficient rows first; only a dual value that
+        is not finite sends it looking.
         """
-        add = np.add.reduce
         tilt = np.matmul(self.x_t, lam[:, :, None])[:, :, 0] / self.wb
-        zb = self.zb
-        ln_zb, pb = _log_partition(self.log_qb - zb * tilt[:, :, None], 2)
-        beta_hat = add(pb * zb, axis=2)
-
-        ze = self.ze_t
-        logits = ze * (lam / self.we)[:, None, :]
+        ln_zb, pb = _log_partition(self.log_qb - self.zb * tilt[:, :, None], 2)
+        logits = self.ze_t * (lam / self.we)[:, None, :]
         np.subtract(self.log_qe_t, logits, out=logits)
         ln_ze, pe = _log_partition(logits, 1)
-        eps_hat = add(pe * ze, axis=1)
-
+        add = np.add.reduce
         value = (
             np.matmul(lam[:, None, :], self.y_col)[:, 0, 0] + self.wb * add(ln_zb, axis=1)
             + self.we * add(ln_ze, axis=1) + self.offset
@@ -551,6 +539,18 @@ class _DualEvaluator:
                 if bad.any():  # named within the first problem that has one
                     raise ValueError(f"non-finite partition sum in {name} row "
                                      f"{int(np.argwhere(bad)[0, 1])}")
+        return self._point(value, pb, pe, tilt, ln_zb, ln_ze)
+
+    def _point(self, value, pb, pe, tilt, ln_zb, ln_ze) -> _DualPoint:
+        """The point of the weights ``pb`` (S, J, K) and ``pe`` (S, H, m): their means and residual.
+
+        ``start`` and ``evaluate`` both return through it. An error row is
+        reduced along the observation axis of ``pe``, which the point keeps
+        as its ``(S, m, H)`` view.
+        """
+        add = np.add.reduce
+        beta_hat = add(pb * self.zb, axis=2)
+        eps_hat = add(pe * self.ze_t, axis=1)
         grad = self.y - np.matmul(self.x, beta_hat[:, :, None])[:, :, 0] - eps_hat
         return _DualPoint(
             value, grad, pb, pe.transpose(0, 2, 1), beta_hat, eps_hat, tilt, ln_zb, ln_ze
@@ -1007,15 +1007,21 @@ def _solve_dual(y, x, zb, ze, qb, log_qb, qe, signal_weight, error_weight, setti
                    residual <= settings.constraint_tolerance)
 
 
-def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
-    """The evaluator of a stack of one: a problem's data, grid and prior."""
+def _stack_of_one(problem: GceProblem) -> tuple:
+    """A problem's data, grid and prior as ``_solve_dual``'s first seven arguments, a stack of one.
+
+    The one place a ``GceProblem`` is unpacked, for ``solve_gce`` and ``_evaluator``.
+    """
     grid, prior = problem.supports, problem.prior
-    log_qe = _log_priors(_shared(prior.error))
-    return _DualEvaluator(
-        problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
-        prior.beta[None], _log_priors(prior.beta)[None], log_qe, _error_start(log_qe),
-        signal_weight, error_weight,
-    )
+    return (problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
+            prior.beta[None], _log_priors(prior.beta)[None], _shared(prior.error))
+
+
+def _evaluator(problem: GceProblem, signal_weight: float, error_weight: float) -> _DualEvaluator:
+    """The evaluator of a problem's stack of one (``_stack_of_one``)."""
+    *arrays, qe = _stack_of_one(problem)
+    log_qe = _log_priors(qe)
+    return _DualEvaluator(*arrays, log_qe, _error_start(log_qe), signal_weight, error_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,14 +1085,10 @@ def solve_gce(
     """
     settings = settings if settings is not None else SolverSettings()
     _check_weights(signal_weight, error_weight)
-    grid, prior = problem.supports, problem.prior
+    grid = problem.supports
     if signal_weight < 1.0:  # GceProblem checked x at weight 1
         _check_observations(problem.y, problem.x, grid.beta_support, grid.n_obs, signal_weight)
-    solved = _solve_dual(
-        problem.y[None], problem.x[None], grid.beta_support, _shared(grid.error_support)[None],
-        prior.beta[None], _log_priors(prior.beta)[None], _shared(prior.error), signal_weight,
-        error_weight, settings,
-    )
+    solved = _solve_dual(*_stack_of_one(problem), signal_weight, error_weight, settings)
     lam, pt = solved.lam, solved.point
     pb, pe = _gibbs_rows(pt.pb[0]), _gibbs_rows(pt.pe[0])  # Gibbs rows pass every check
     distributions = _prechecked(JointDistribution, beta=pb, error=pe)

@@ -315,6 +315,11 @@ class StreamReport:
 # ---------------------------------------------------------------------------
 
 
+def _one_row(rows: np.ndarray) -> bool:
+    """Whether the error support ``rows`` is one row, 1-D or ``(1, H)``, shared by a block."""
+    return rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
+
+
 def _check_block(y, x, zb, rows, weight: float = 1.0):
     """Check observations and their error rows against the coefficient grid ``zb``.
 
@@ -325,7 +330,7 @@ def _check_block(y, x, zb, rows, weight: float = 1.0):
     check them: one per observation, or the shared row as ``(1, H)``, which
     the hull test and the solve broadcast. The hull is left to the caller.
     """
-    one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
+    one = _one_row(rows)
     rows = _checked_row(rows, "error_support") if one else _error_rows(rows)
     _check_observations(y, x, zb, y.size if one else rows.shape[0], weight)
     return y, x, rows
@@ -336,8 +341,7 @@ def _ordinary_step(y, x, zb, rows, log_carried, weight: float):
     pass one observation, else None: |x_j| <= 2**510, max|x_j| * (widest span of ``zb``) <=
     2**510 * sqrt(weight), an error row passing ``_checked_row`` (else its error), every log
     weight above -inf and y strictly inside the full hull (``_coefficient_hull``'s bits)."""
-    one = rows.ndim == 1 or (rows.ndim == 2 and len(rows) == 1)
-    if not (one and y.size == 1 and x.shape == (1, len(zb))):
+    if not (_one_row(rows) and y.size == 1 and x.shape == (1, len(zb))):
         return None
     rows = _checked_row(rows, "error_support")
     (y_new,), (x_new,), (row,) = y.tolist(), x.tolist(), rows.tolist()

@@ -18,10 +18,14 @@ new tree first in odd ones:
 Every round draws a new dataset (seeds from ``--seed`` on), gives both trees
 the same arrays, and asserts that their outputs are bit-identical: a fit's
 weights, multipliers and estimates, a stream's final carried weights, logs
-and every log entry, and the bytes of every report file. Each operation kind
-prints each side's median time per operation, the ratio of the medians
-(new / base) and in how many rounds the new tree was faster. One BLAS thread
-is asked for, as the benchmark runs with.
+and every log entry, and the bytes of every report file. Within a round each
+side runs its operation ``REPEATS`` times back to back and keeps the fastest,
+so a machine-speed swing of one run does not reach the median. Each
+operation kind prints each side's median time per operation and the
+interquartile range (IQR) of its rounds, the ratio of the medians (new /
+base), in how many rounds the new tree was faster, and ``unresolved`` when
+the medians differ by less than the base's IQR (always, for one round). One
+BLAS thread is asked for, as the benchmark runs with.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np  # noqa: E402
 
 N = 3840
 BATCH = N // 2
+REPEATS = 3
 
 
 def load(src: Path, name: str):
@@ -130,6 +135,14 @@ def sweep(pkg, seed, _y, _x, scratch: Path):
     return seconds, [(out / name).read_bytes() for name in pkg.REPORT_FILES]
 
 
+def iqr(values: list[float]) -> float:
+    """The interquartile range of ``values``; NaN for fewer than two."""
+    if len(values) < 2:
+        return float("nan")
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -160,18 +173,27 @@ def main(argv: list[str]) -> int:
             for kind, op in kinds.items():
                 outputs = [None, None]
                 for side in order:
-                    gc.collect()
-                    seconds, outputs[side] = op(sides[side], args.seed + r, y, x, Path(scratch))
-                    times[kind][side].append(seconds)
+                    runs = []
+                    for _ in range(REPEATS):
+                        gc.collect()
+                        runs.append(op(sides[side], args.seed + r, y, x, Path(scratch)))
+                    if any(out != runs[0][1] for _, out in runs):
+                        raise AssertionError(f"{kind}: round {r} differs between repeats")
+                    times[kind][side].append(min(seconds for seconds, _ in runs))
+                    outputs[side] = runs[0][1]
                 if outputs[0] != outputs[1]:
                     raise AssertionError(f"{kind}: round {r} (seed {args.seed + r}) differs")
-    print(f"{'operation':<10}{'base':>12}{'new':>12}{'new/base':>10}{'new won':>10}")
+    print(f"{'operation':<10}{'base':>12}{'IQR':>10}{'new':>12}{'IQR':>10}{'new/base':>10}"
+          f"{'new won':>10}")
     for kind, (base, new) in times.items():
         won = sum(b > n for b, n in zip(base, new))
         mb, mn = statistics.median(base), statistics.median(new)
         unit, scale = ("ms", 1e3) if kind == "sweep" else ("us", 1e6)
-        print(f"{kind:<10}{mb * scale:>10.1f}{unit}{mn * scale:>10.1f}{unit}"
-              f"{mn / mb - 1:>+10.1%}{won:>6}/{len(base)}")
+        spread = iqr(base), iqr(new)
+        resolved = abs(mn - mb) >= spread[0]  # False for a NaN IQR
+        base_iqr, new_iqr = (f"{v * scale:>8.1f}{unit}" if v == v else f"{'-':>10}" for v in spread)
+        print(f"{kind:<10}{mb * scale:>10.1f}{unit}{base_iqr}{mn * scale:>10.1f}{unit}{new_iqr}"
+              f"{mn / mb - 1:>+10.1%}{won:>6}/{len(base)}" + ("" if resolved else "  unresolved"))
     print("outputs: bit-identical in every round")
     return 0
 

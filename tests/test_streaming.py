@@ -1090,6 +1090,20 @@ def test_a_block_of_two_from_a_nearly_dead_edge_converges_as_its_one_row_step_do
     assert block.converged_log[-1]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the FOUND in CHANGES.md on block_update absorbing a block whose observations are "
+    "each inside their hull but cannot all be reached together",
+)
+def test_a_block_that_no_weights_reach_together_is_infeasible():
+    # each response lies inside the live hull [-16.5, 16.5], but at one x row
+    # they differ by 31 while the errors can differ by at most 8: today the
+    # solve stops unconverged with eps_hat on the support's ends, and the
+    # stream carries on
+    with pytest.raises(InfeasibleObservationError):
+        block_update(zero_edged_state(), [15.0, -16.0], [EDGE_X[0]] * 2, EDGE_ROW)
+
+
 def assert_state_rebuilds_to_itself(state, copy_logs=True):
     """A stepped state is the state its own fields, checked afresh, build.
 
